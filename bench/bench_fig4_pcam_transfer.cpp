@@ -68,7 +68,8 @@ void BM_PipelineEvaluate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<core::StageConfig> stages;
   for (std::size_t i = 0; i < n; ++i) {
-    stages.push_back({"s" + std::to_string(i),
+    // append, not `"s" + ...`: g++ 12 -O3 reports a false -Wrestrict.
+    stages.push_back({std::string("s").append(std::to_string(i)),
                       PcamParams::MakeTrapezoid(1.0, 2.0, 3.0, 4.0)});
   }
   core::PcamPipeline pipeline(stages, core::HardwarePcamConfig{});

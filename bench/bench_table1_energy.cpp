@@ -34,7 +34,10 @@ void Report() {
   for (const auto& d : energy::Table1DigitalDesigns()) {
     std::string energy_fj = FormatSig(ToFemtojoules(d.energy_lo_j_per_bit), 3);
     if (d.energy_hi_j_per_bit > d.energy_lo_j_per_bit) {
-      energy_fj += "-" + FormatSig(ToFemtojoules(d.energy_hi_j_per_bit), 3);
+      // append, not `"-" + ...`: g++ 12 -O3 reports a false -Wrestrict
+      // inside libstdc++'s operator+(const char*, std::string&&).
+      energy_fj.append("-").append(
+          FormatSig(ToFemtojoules(d.energy_hi_j_per_bit), 3));
     }
     table.AddRow({d.key, energy::ToString(d.computation),
                   energy::ToString(d.technology),

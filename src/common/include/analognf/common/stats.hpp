@@ -58,10 +58,13 @@ class Ewma {
   bool initialized_ = false;
 };
 
-// Linearly interpolated percentile of a batch (q in [0, 1]).
-// Copies and sorts internally; intended for end-of-run reporting.
-// Requires a non-empty input.
+// Linearly interpolated percentile of a batch (q in [0, 1]): the value
+// at position q * (n - 1) of the sorted samples. Copies the input;
+// intended for end-of-run reporting. Requires a non-empty input.
 double Percentile(const std::vector<double>& samples, double q);
+// The same value, bit for bit, without the copy: selects the two order
+// statistics in O(n) and leaves `samples` reordered.
+double PercentileInPlace(std::vector<double>& samples, double q);
 
 // Mean of a batch. Requires a non-empty input.
 double Mean(const std::vector<double>& samples);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -55,17 +56,26 @@ void Ewma::Reset() {
 }
 
 double Percentile(const std::vector<double>& samples, double q) {
+  std::vector<double> copy = samples;
+  return PercentileInPlace(copy, q);
+}
+
+double PercentileInPlace(std::vector<double>& samples, double q) {
   if (samples.empty()) {
     throw std::invalid_argument("Percentile of an empty sample set");
   }
   q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> sorted = samples;
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const double pos = q * static_cast<double>(samples.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const auto lo_it = samples.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples.begin(), lo_it, samples.end());
+  // Everything after the lo-th order statistic is >= it, so the smallest
+  // of those is the next one.
+  const double hi_value =
+      lo + 1 < samples.size() ? *std::min_element(lo_it + 1, samples.end())
+                              : *lo_it;
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  return *lo_it + frac * (hi_value - *lo_it);
 }
 
 double Mean(const std::vector<double>& samples) {

@@ -79,7 +79,7 @@ void ClosedLoopSimulator::ScheduleSend(std::size_t source) {
   const double interval = config_.base_rtt_s / src.cwnd;
   src.next_send_s = std::max(src.next_send_s + interval, events_.now());
   if (src.next_send_s > config_.duration_s) return;
-  events_.Schedule(src.next_send_s, [this, source] { SendFrom(source); });
+  events_.Schedule(src.next_send_s, kSend, source);
 }
 
 void ClosedLoopSimulator::SendFrom(std::size_t source) {
@@ -106,9 +106,7 @@ void ClosedLoopSimulator::SendFrom(std::size_t source) {
     queue_.NoteAqmDrop(packet);
     ++report_.dropped_packets;
     // Loss detected about one RTT later (dupack/timeout analogue).
-    events_.ScheduleIn(config_.base_rtt_s, [this, source] {
-      OnAck(source, /*congestion_signal=*/true, events_.now());
-    });
+    events_.ScheduleIn(config_.base_rtt_s, kLoss, source);
   } else {
     if (verdict == aqm::AqmVerdict::kMark) {
       packet.ecn_marked = true;
@@ -119,13 +117,11 @@ void ClosedLoopSimulator::SendFrom(std::size_t source) {
         server_busy_ = true;
         const double service = static_cast<double>(config_.segment_bytes) *
                                8.0 / config_.link_rate_bps;
-        events_.ScheduleIn(service, [this] { OnDeparture(); });
+        events_.ScheduleIn(service, kDeparture);
       }
     } else {
       ++report_.dropped_packets;
-      events_.ScheduleIn(config_.base_rtt_s, [this, source] {
-        OnAck(source, /*congestion_signal=*/true, events_.now());
-      });
+      events_.ScheduleIn(config_.base_rtt_s, kLoss, source);
     }
   }
   ScheduleSend(source);
@@ -146,10 +142,7 @@ void ClosedLoopSimulator::OnDeparture() {
     if (!policy_.ShouldDropOnDequeue(ctx)) break;
     queue_.NoteAqmDrop(dequeued->meta);
     ++report_.dropped_packets;
-    const auto source = static_cast<std::size_t>(dequeued->meta.flow_hash);
-    events_.ScheduleIn(config_.base_rtt_s, [this, source] {
-      OnAck(source, /*congestion_signal=*/true, events_.now());
-    });
+    events_.ScheduleIn(config_.base_rtt_s, kLoss, dequeued->meta.flow_hash);
     dequeued = queue_.Dequeue(now);
   }
   if (!dequeued.has_value()) return;
@@ -161,18 +154,26 @@ void ClosedLoopSimulator::OnDeparture() {
     ++sources_[static_cast<std::size_t>(dequeued->meta.flow_hash)]
           .delivered_post_warmup;
   }
-  // Ack arrives half an RTT later; a CE mark rides back on it.
-  const auto source = static_cast<std::size_t>(dequeued->meta.flow_hash);
-  const bool marked = dequeued->meta.ecn_marked;
-  events_.ScheduleIn(config_.base_rtt_s / 2.0, [this, source, marked] {
-    OnAck(source, marked, events_.now());
-  });
+  // Ack arrives half an RTT later; a CE mark rides back on it (arg bit 0).
+  events_.ScheduleIn(config_.base_rtt_s / 2.0, kAck,
+                     dequeued->meta.flow_hash << 1 |
+                         (dequeued->meta.ecn_marked ? 1u : 0u));
 
   if (!queue_.empty()) {
     server_busy_ = true;
     const double service = static_cast<double>(config_.segment_bytes) *
                            8.0 / config_.link_rate_bps;
-    events_.ScheduleIn(service, [this] { OnDeparture(); });
+    events_.ScheduleIn(service, kDeparture);
+  }
+}
+
+void ClosedLoopSimulator::SampleCwnd() {
+  constexpr double kSampleIntervalS = 0.05;
+  double total = 0.0;
+  for (const Source& s : sources_) total += s.cwnd;
+  report_.total_cwnd.Append(events_.now(), total);
+  if (events_.now() + kSampleIntervalS <= config_.duration_s) {
+    events_.ScheduleIn(kSampleIntervalS, kSample);
   }
 }
 
@@ -205,22 +206,30 @@ ClosedLoopReport ClosedLoopSimulator::Run() {
         config_.base_rtt_s * static_cast<double>(i) /
         static_cast<double>(sources_.size());
     sources_[i].next_send_s = start;
-    events_.Schedule(start, [this, i] { SendFrom(i); });
+    events_.Schedule(start, kSend, i);
   }
+  events_.Schedule(0.0, kSample);  // the aggregate-cwnd sampling clock
 
-  // Sample the aggregate congestion window.
-  const double sample_dt = 0.05;
-  std::function<void()> sampler = [this, sample_dt, &sampler] {
-    double total = 0.0;
-    for (const Source& s : sources_) total += s.cwnd;
-    report_.total_cwnd.Append(events_.now(), total);
-    if (events_.now() + sample_dt <= config_.duration_s) {
-      events_.ScheduleIn(sample_dt, sampler);
+  for (Event event; events_.PopUntil(config_.duration_s, event);) {
+    const auto arg = static_cast<std::size_t>(event.arg);
+    switch (event.kind) {
+      case kSample:
+        SampleCwnd();
+        break;
+      case kSend:
+        SendFrom(arg);
+        break;
+      case kDeparture:
+        OnDeparture();
+        break;
+      case kAck:
+        OnAck(arg >> 1, (arg & 1u) != 0, event.time_s);
+        break;
+      case kLoss:
+        OnAck(arg, /*congestion_signal=*/true, event.time_s);
+        break;
     }
-  };
-  events_.Schedule(0.0, sampler);
-
-  events_.RunUntil(config_.duration_s);
+  }
 
   const double measured_s = config_.duration_s - config_.warmup_s;
   report_.per_source_goodput_pps.reserve(sources_.size());

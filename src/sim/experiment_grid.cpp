@@ -406,12 +406,11 @@ void FillEnergy(const CellPolicy& cell_policy, GridCellResult& cell) {
   }
 }
 
-void FillSojourns(const std::vector<double>& post_warmup,
-                  GridCellResult& cell) {
+void FillSojourns(std::vector<double> post_warmup, GridCellResult& cell) {
   if (post_warmup.empty()) return;
-  cell.mean_sojourn_s = Mean(post_warmup);
-  cell.p50_sojourn_s = Percentile(post_warmup, 0.50);
-  cell.p99_sojourn_s = Percentile(post_warmup, 0.99);
+  cell.mean_sojourn_s = Mean(post_warmup);  // before the selections reorder
+  cell.p50_sojourn_s = PercentileInPlace(post_warmup, 0.50);
+  cell.p99_sojourn_s = PercentileInPlace(post_warmup, 0.99);
 }
 
 }  // namespace
@@ -497,14 +496,14 @@ GridCellResult ExperimentGrid::RunClosedLoop(
   cell.load = load;
   cell.ecn_fraction = ecn_fraction;
 
-  const std::vector<double> post_warmup =
+  std::vector<double> post_warmup =
       report.delay.ValuesFrom(spec_.closed_warmup_s);
   if (!post_warmup.empty()) {
     cell.adherence = FractionWithin(
         post_warmup, spec_.target_delay_s - spec_.max_deviation_s,
         spec_.target_delay_s + spec_.max_deviation_s);
   }
-  FillSojourns(post_warmup, cell);
+  FillSojourns(std::move(post_warmup), cell);
   cell.offered_packets = report.offered_packets;
   cell.delivered_packets = report.delivered_packets;
   cell.dropped_packets = report.dropped_packets;

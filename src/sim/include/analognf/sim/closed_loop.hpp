@@ -79,6 +79,10 @@ class ClosedLoopSimulator {
     std::uint64_t delivered_post_warmup = 0;
   };
 
+  // Event kinds; `arg` is the source index (kAck: index << 1 | CE mark).
+  enum EventKind : std::uint32_t { kSample, kSend, kDeparture, kAck, kLoss };
+
+  void SampleCwnd();
   void SendFrom(std::size_t source);
   void ScheduleSend(std::size_t source);
   void OnDeparture();

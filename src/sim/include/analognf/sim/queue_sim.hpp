@@ -105,10 +105,13 @@ class QueueSimulator {
   SimReport Run();
 
  private:
-  void OnArrival(const net::PacketMeta& packet);
+  enum EventKind : std::uint32_t { kSample, kArrival, kDeparture };
+
+  void OnArrival();
   void StartServiceIfIdle();
   void OnDeparture();
   void ScheduleNextArrival();
+  void SampleDepth();
   void SamplePdp();
 
   QueueSimConfig config_;
@@ -118,6 +121,7 @@ class QueueSimulator {
   net::PoissonGenerator* poisson_;
 
   EventQueue events_;
+  net::PacketMeta pending_arrival_;  // the one arrival on the calendar
   net::PacketQueue queue_;
   bool server_busy_ = false;
   std::size_t next_phase_ = 0;

@@ -98,8 +98,17 @@ void QueueSimulator::BindTelemetry(telemetry::MetricsRegistry& registry) {
 void QueueSimulator::ScheduleNextArrival() {
   net::PacketMeta packet = generator_.Next();
   if (packet.arrival_time_s > config_.duration_s) return;
-  events_.Schedule(packet.arrival_time_s,
-                   [this, packet] { OnArrival(packet); });
+  pending_arrival_ = packet;
+  events_.Schedule(packet.arrival_time_s, kArrival);
+}
+
+void QueueSimulator::SampleDepth() {
+  const double depth = static_cast<double>(queue_.packets());
+  report_.queue_depth.Append(events_.now(), depth);
+  telemetry_.queue_depth.Set(depth);
+  if (events_.now() + config_.sample_interval_s <= config_.duration_s) {
+    events_.ScheduleIn(config_.sample_interval_s, kSample);
+  }
 }
 
 void QueueSimulator::SamplePdp() {
@@ -109,7 +118,8 @@ void QueueSimulator::SamplePdp() {
   }
 }
 
-void QueueSimulator::OnArrival(const net::PacketMeta& packet) {
+void QueueSimulator::OnArrival() {
+  const net::PacketMeta packet = pending_arrival_;
   const double now = events_.now();
   ++report_.offered_packets;
   telemetry_.offered.Inc();
@@ -152,7 +162,7 @@ void QueueSimulator::StartServiceIfIdle() {
   server_busy_ = true;
   const double service_s =
       static_cast<double>(head->size_bytes) * 8.0 / config_.link_rate_bps;
-  events_.ScheduleIn(service_s, [this] { OnDeparture(); });
+  events_.ScheduleIn(service_s, kDeparture);
 }
 
 void QueueSimulator::OnDeparture() {
@@ -212,20 +222,21 @@ SimReport QueueSimulator::Run() {
   report_.queue_depth.Reserve(expected_samples);
   report_.drop_prob.Reserve(expected_samples);
 
-  // Queue-depth sampling clock.
-  const double sample_dt = config_.sample_interval_s;
-  std::function<void()> sampler = [this, sample_dt, &sampler] {
-    report_.queue_depth.Append(events_.now(),
-                               static_cast<double>(queue_.packets()));
-    telemetry_.queue_depth.Set(static_cast<double>(queue_.packets()));
-    if (events_.now() + sample_dt <= config_.duration_s) {
-      events_.ScheduleIn(sample_dt, sampler);
-    }
-  };
-  events_.Schedule(0.0, sampler);
-
+  events_.Schedule(0.0, kSample);  // the queue-depth sampling clock
   ScheduleNextArrival();
-  events_.RunUntil(config_.duration_s);
+  for (Event event; events_.PopUntil(config_.duration_s, event);) {
+    switch (event.kind) {
+      case kSample:
+        SampleDepth();
+        break;
+      case kArrival:
+        OnArrival();
+        break;
+      case kDeparture:
+        OnDeparture();
+        break;
+    }
+  }
 
   report_.queue_stats = queue_.stats();
   report_.duration_s = config_.duration_s;

@@ -38,7 +38,9 @@ struct Trace {
 void WriteTrace(std::ostream& out, const Trace& trace);
 
 // Parses a trace written by WriteTrace. Throws std::runtime_error on
-// bad magic, unsupported version, or truncation.
+// bad magic, unsupported version, an invalid header, truncation, a flow
+// outside the population, or a non-finite or decreasing arrival time.
+// Memory is claimed as records arrive, never on the header's word alone.
 Trace ReadTrace(std::istream& in);
 
 }  // namespace analognf::traffic

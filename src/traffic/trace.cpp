@@ -1,10 +1,13 @@
 #include "analognf/traffic/trace.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace analognf::traffic {
 namespace {
@@ -58,6 +61,21 @@ double GetF64(std::istream& in) {
   return v;
 }
 
+// How many 20-byte records the rest of `in` can hold: measured when the
+// stream can seek, otherwise a fixed cap on what a reserve may claim.
+std::uint64_t RecordsLeft(std::istream& in) {
+  constexpr std::uint64_t kRecordBytes = 20;
+  constexpr std::uint64_t kBlindCap = 1u << 16;
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return kBlindCap;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.clear();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || end < here) return kBlindCap;
+  return static_cast<std::uint64_t>(end - here) / kRecordBytes;
+}
+
 }  // namespace
 
 void WriteTrace(std::ostream& out, const Trace& trace) {
@@ -95,22 +113,30 @@ Trace ReadTrace(std::istream& in) {
   trace.population.udp_fraction = GetF64(in);
   trace.population.ect_fraction = GetF64(in);
   trace.population.high_priority_fraction = GetF64(in);
-  trace.population.Validate();
-  const std::uint64_t count = GetU64(in);
-  // 20 bytes per record; reject sizes the stream cannot possibly hold
-  // rather than bad_alloc on a corrupt count.
-  if (count > std::numeric_limits<std::uint64_t>::max() / 32) {
-    throw std::runtime_error("trace: implausible record count");
+  try {
+    trace.population.Validate();
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("trace: bad header: ") + e.what());
   }
-  trace.records.reserve(static_cast<std::size_t>(count));
+  const std::uint64_t count = GetU64(in);
+  // A corrupt count must fail as truncation, not as bad_alloc: reserve no
+  // more records than the rest of the stream can hold, and let the vector
+  // grow past the cap if the stream's size is unknown.
+  trace.records.reserve(
+      static_cast<std::size_t>(std::min(count, RecordsLeft(in))));
+  double last_arrival_s = -std::numeric_limits<double>::infinity();
   for (std::uint64_t i = 0; i < count; ++i) {
     TraceRecord r;
     r.arrival_s = GetF64(in);
     r.flow = GetU64(in);
     r.frame_bytes = GetU32(in);
+    if (!std::isfinite(r.arrival_s) || r.arrival_s < last_arrival_s) {
+      throw std::runtime_error("trace: arrival times not finite and ordered");
+    }
     if (r.flow >= trace.population.flows) {
       throw std::runtime_error("trace: flow index out of population");
     }
+    last_arrival_s = r.arrival_s;
     trace.records.push_back(r);
   }
   return trace;

@@ -2,6 +2,7 @@
 // time series, and report formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -307,6 +308,44 @@ TEST(PercentileTest, Extremes) {
 
 TEST(PercentileTest, Interpolates) {
   EXPECT_NEAR(Percentile({0.0, 10.0}, 0.25), 2.5, 1e-12);
+}
+
+// The interpolated percentile by full sort: the definition that the
+// O(n) selection in PercentileInPlace must reproduce bit for bit.
+double SortedPercentile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (pos - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
+}
+
+TEST(PercentileTest, SelectionIsBitIdenticalToSort) {
+  RandomStream rng(17);
+  std::vector<std::vector<double>> inputs = {{4.25}};  // size 1
+  for (std::size_t n : {2u, 3u, 10u, 101u, 1000u}) {
+    std::vector<double> random, duplicates;
+    for (std::size_t i = 0; i < n; ++i) {
+      random.push_back(rng.NextNormal(0.0, 10.0));
+      duplicates.push_back(static_cast<double>(rng.NextIndex(4)) * 0.1);
+    }
+    inputs.push_back(random);
+    inputs.push_back(duplicates);
+  }
+  for (const std::vector<double>& xs : inputs) {
+    for (double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+      SCOPED_TRACE(testing::Message() << "n=" << xs.size() << " q=" << q);
+      const double expected = SortedPercentile(xs, q);
+      std::vector<double> scratch = xs;
+      EXPECT_EQ(PercentileInPlace(scratch, q), expected);
+      EXPECT_EQ(Percentile(xs, q), expected);
+      // Selecting twice from the reordered scratch (p50, then p99 in the
+      // experiment grid) stays exact.
+      EXPECT_EQ(PercentileInPlace(scratch, 0.99), SortedPercentile(xs, 0.99));
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_THROW(PercentileInPlace(empty, 0.5), std::invalid_argument);
 }
 
 TEST(FractionWithinTest, CountsInclusiveBounds) {

@@ -5,9 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstdint>
-#include <new>
 #include <random>
 #include <unordered_map>
 #include <vector>
@@ -17,38 +15,7 @@
 #include "analognf/common/flow_table.hpp"
 #include "analognf/net/generator.hpp"
 
-// ----------------------------------------------------- allocation probe
-//
-// Replaceable global operator new/delete, counting allocations only on
-// the thread that opted in. gtest and the test fixtures allocate freely;
-// the counter is armed just around the steady-state inject/drain loop.
-// Must live at global scope (replaceable allocation functions need
-// external linkage), hence the probe sits above the test namespace.
-
-namespace alloc_probe {
-thread_local bool counting = false;
-thread_local std::uint64_t count = 0;
-}  // namespace alloc_probe
-
-// GCC pairs the malloc in our operator new with the free in operator
-// delete at inlined call sites and flags it; the pairing is exactly what
-// replaceable allocators are allowed to do.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t size) {
-  if (alloc_probe::counting) ++alloc_probe::count;
-  void* p = std::malloc(size ? size : 1);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-#pragma GCC diagnostic pop
+#include "alloc_probe.hpp"
 
 namespace analognf {
 namespace {

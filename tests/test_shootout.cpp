@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "analognf/aqm/pie.hpp"
@@ -173,6 +175,71 @@ TEST(GridTest, AnalogCellsReportLedgerEnergy) {
   EXPECT_EQ(report.MeanAdherence(AqmPolicyKind::kPie,
                                  GridSimulator::kOpenLoop, "no-such-load"),
             -1.0);
+}
+
+// FNV-1a over the raw bytes of every GridCellResult field, in order.
+class CellDigest {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) Mix(b);
+  }
+  void Add(const std::string& text) {
+    Add(text.size());
+    for (const char c : text) Mix(static_cast<unsigned char>(c));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void Mix(unsigned char b) {
+    hash_ = (hash_ ^ b) * 0x100000001b3ULL;
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Golden digest of a reduced grid: all five shoot-out policies on both
+// simulators, two RTTs, both loads and ECN settings, 2 s cells. Any
+// change to the event calendar, the simulators, the policies or the cell
+// statistics that moves a single bit of a single field changes it. The
+// expected value was recorded with the earlier std::function event
+// calendar; the typed calendar reproduces it.
+TEST(GridTest, GoldenDigestOfReducedGrid) {
+  GridSpec spec = GridSpec::Default();
+  spec.base_rtts_s = {0.010, 0.100};
+  spec.ecn_fractions = {0.0, 1.0};
+  spec.open_duration_s = spec.closed_duration_s = 2.0;
+  spec.open_warmup_s = spec.closed_warmup_s = 0.5;
+  ASSERT_EQ(spec.policies.size(), 5u);
+  const GridReport report = ExperimentGrid(spec).Run();
+  ASSERT_EQ(report.cells.size(), 80u);
+
+  CellDigest digest;
+  for (const GridCellResult& cell : report.cells) {
+    digest.Add(cell.policy);
+    digest.Add(cell.simulator);
+    digest.Add(cell.base_rtt_s);
+    digest.Add(cell.load.label);
+    digest.Add(cell.load.offered_fraction);
+    digest.Add(cell.load.sources);
+    digest.Add(cell.ecn_fraction);
+    digest.Add(cell.adherence);
+    digest.Add(cell.mean_sojourn_s);
+    digest.Add(cell.p50_sojourn_s);
+    digest.Add(cell.p99_sojourn_s);
+    digest.Add(cell.drop_rate);
+    digest.Add(cell.mark_rate);
+    digest.Add(cell.fairness);
+    digest.Add(cell.utilization);
+    digest.Add(cell.offered_packets);
+    digest.Add(cell.delivered_packets);
+    digest.Add(cell.dropped_packets);
+    digest.Add(cell.marked_packets);
+    digest.Add(cell.decisions);
+    digest.Add(cell.energy_nj_per_decision);
+  }
+  EXPECT_EQ(digest.value(), 0xd001b69bc573434fULL);
 }
 
 TEST(GridTest, PolicyKindNames) {

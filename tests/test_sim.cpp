@@ -2,7 +2,9 @@
 // harness (the Fig. 8 experiment machinery).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/aqm/codel.hpp"
@@ -11,70 +13,111 @@
 #include "analognf/sim/event_queue.hpp"
 #include "analognf/sim/queue_sim.hpp"
 
+#include "alloc_probe.hpp"
+
 namespace analognf::sim {
 namespace {
 
 // ----------------------------------------------------------- event queue
 
+// Pops every event due by `t_end_s` and returns their kinds in pop order.
+std::vector<std::uint32_t> Drain(EventQueue& events, double t_end_s) {
+  std::vector<std::uint32_t> kinds;
+  for (Event event; events.PopUntil(t_end_s, event);) {
+    kinds.push_back(event.kind);
+  }
+  return kinds;
+}
+
 TEST(EventQueueTest, RunsInTimeOrder) {
   EventQueue events;
-  std::vector<int> order;
-  events.Schedule(2.0, [&] { order.push_back(2); });
-  events.Schedule(1.0, [&] { order.push_back(1); });
-  events.Schedule(3.0, [&] { order.push_back(3); });
-  while (events.RunNext()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  events.Schedule(2.0, 2);
+  events.Schedule(1.0, 1);
+  events.Schedule(3.0, 3);
+  EXPECT_EQ(Drain(events, 10.0), (std::vector<std::uint32_t>{1, 2, 3}));
   EXPECT_EQ(events.processed(), 3u);
+  EXPECT_TRUE(events.empty());
 }
 
 TEST(EventQueueTest, TiesRunInScheduleOrder) {
   EventQueue events;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    events.Schedule(1.0, [&order, i] { order.push_back(i); });
+  for (std::uint32_t i = 0; i < 5; ++i) events.Schedule(1.0, 7, 10 * i);
+  std::vector<std::uint64_t> args;
+  for (Event event; events.PopUntil(1.0, event);) {
+    EXPECT_EQ(event.kind, 7u);
+    args.push_back(event.arg);
   }
-  while (events.RunNext()) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(args, (std::vector<std::uint64_t>{0, 10, 20, 30, 40}));
 }
 
 TEST(EventQueueTest, NowAdvancesWithEvents) {
   EventQueue events;
-  events.Schedule(5.0, [] {});
+  events.Schedule(5.0, 0);
   EXPECT_EQ(events.now(), 0.0);
-  events.RunNext();
+  Event event;
+  ASSERT_TRUE(events.PopUntil(10.0, event));
+  EXPECT_EQ(event.time_s, 5.0);
   EXPECT_EQ(events.now(), 5.0);
 }
 
 TEST(EventQueueTest, SchedulingInPastThrows) {
   EventQueue events;
-  events.Schedule(5.0, [] {});
-  events.RunNext();
-  EXPECT_THROW(events.Schedule(1.0, [] {}), std::invalid_argument);
-  EXPECT_THROW(events.Schedule(6.0, {}), std::invalid_argument);
+  events.Schedule(5.0, 0);
+  Event event;
+  ASSERT_TRUE(events.PopUntil(5.0, event));
+  EXPECT_THROW(events.Schedule(1.0, 0), std::invalid_argument);
+  EXPECT_THROW(events.ScheduleIn(-1.0, 0), std::invalid_argument);
+  EXPECT_NO_THROW(events.Schedule(5.0, 0));  // "now" is not the past
 }
 
 TEST(EventQueueTest, EventsCanScheduleEvents) {
   EventQueue events;
   int fired = 0;
-  events.Schedule(1.0, [&] {
+  events.Schedule(1.0, 0);
+  for (Event event; events.PopUntil(10.0, event);) {
     ++fired;
-    events.ScheduleIn(1.0, [&] { ++fired; });
-  });
-  events.RunUntil(10.0);
+    if (event.kind == 0) events.ScheduleIn(1.0, 1);
+  }
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(events.now(), 10.0);
 }
 
 TEST(EventQueueTest, RunUntilStopsAtBoundary) {
   EventQueue events;
-  int fired = 0;
-  events.Schedule(1.0, [&] { ++fired; });
-  events.Schedule(5.0, [&] { ++fired; });
-  events.RunUntil(3.0);
-  EXPECT_EQ(fired, 1);
+  events.Schedule(1.0, 1);
+  events.Schedule(5.0, 5);
+  EXPECT_EQ(Drain(events, 3.0), (std::vector<std::uint32_t>{1}));
   EXPECT_FALSE(events.empty());
+  EXPECT_EQ(events.now(), 3.0);  // the clock is clamped to the boundary
+  EXPECT_EQ(Drain(events, 10.0), (std::vector<std::uint32_t>{5}));
+}
+
+// Once the heap has grown to its working size, scheduling and popping
+// never touch the allocator: events are plain records, nothing is
+// captured or type-erased.
+TEST(EventQueueTest, SteadyStateIsAllocationFree) {
+  constexpr std::uint64_t kDepth = 64;
+  EventQueue events;
+  for (std::uint64_t i = 0; i < kDepth; ++i) events.Schedule(1.0, 0, i);
+  EXPECT_EQ(Drain(events, 1.0).size(), kDepth);
+
+  std::uint64_t popped = 0;
+  alloc_probe::count = 0;
+  alloc_probe::counting = true;
+  for (std::uint64_t i = 0; i < kDepth; ++i) {
+    events.ScheduleIn(static_cast<double>(i % 7), 1, i);
+  }
+  for (Event event; events.PopUntil(1.0e6, event);) {
+    ++popped;
+    if (event.arg + kDepth < 10 * kDepth) {  // ten events per chain
+      events.ScheduleIn(static_cast<double>(event.arg % 5), 1,
+                        event.arg + kDepth);
+    }
+  }
+  alloc_probe::counting = false;
+
+  EXPECT_EQ(popped, 10 * kDepth);
+  EXPECT_EQ(alloc_probe::count, 0u);
 }
 
 // ------------------------------------------------------------- sim config

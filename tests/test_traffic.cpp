@@ -11,7 +11,11 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
+#include <streambuf>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analognf/arch/port_runtime.hpp"
@@ -360,6 +364,64 @@ TEST(TraceTest, RoundTripsBitExactly) {
   }
 }
 
+// Byte offsets in the "ANFT" v1 layout: a 56-byte header, the record
+// count, then 20-byte records {arrival f64, flow u64, frame_bytes u32}.
+constexpr std::size_t kTraceFlowsAt = 8;
+constexpr std::size_t kTraceCountAt = 56;
+constexpr std::size_t kTraceRecordsAt = 64;
+
+void PokeU64(std::string& bytes, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[at + static_cast<std::size_t>(i)] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+void PokeF64(std::string& bytes, std::size_t at, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  PokeU64(bytes, at, bits);
+}
+
+std::string TraceBytes(std::size_t records) {
+  traffic::Trace trace;
+  trace.population.flows = 64;
+  for (std::size_t i = 0; i < records; ++i) {
+    trace.records.push_back({0.001 * static_cast<double>(i), i % 64,
+                             static_cast<std::uint32_t>(64 + i)});
+  }
+  std::stringstream buffer;
+  traffic::WriteTrace(buffer, trace);
+  return buffer.str();
+}
+
+// A stream that cannot seek, so ReadTrace cannot measure what is left.
+class OneWayBuf : public std::streambuf {
+ public:
+  explicit OneWayBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+// ReadTrace's contract on hostile input: a trace or std::runtime_error,
+// from a seekable and from a one-way stream alike. Anything else
+// (bad_alloc, length_error, invalid_argument, a crash) fails the caller.
+void ParseOrReject(const std::string& bytes) {
+  std::stringstream seekable(bytes);
+  try {
+    traffic::ReadTrace(seekable);
+  } catch (const std::runtime_error&) {
+  }
+  OneWayBuf buf(bytes);
+  std::istream one_way(&buf);
+  try {
+    traffic::ReadTrace(one_way);
+  } catch (const std::runtime_error&) {
+  }
+}
+
 TEST(TraceTest, RejectsCorruptInput) {
   std::stringstream empty;
   EXPECT_THROW(traffic::ReadTrace(empty), std::runtime_error);
@@ -375,7 +437,85 @@ TEST(TraceTest, RejectsCorruptInput) {
 
   std::stringstream truncated(buffer.str().substr(0, 40));
   EXPECT_THROW(traffic::ReadTrace(truncated), std::runtime_error);
+
+  // A corrupt count fails as truncation, never as bad_alloc or
+  // length_error, whether or not the stream can seek.
+  const std::string valid = TraceBytes(3);
+  for (std::uint64_t count : {std::uint64_t{4}, std::uint64_t{1} << 59,
+                              ~std::uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    std::string corrupt = valid;
+    PokeU64(corrupt, kTraceCountAt, count);
+    std::stringstream seekable(corrupt);
+    EXPECT_THROW(traffic::ReadTrace(seekable), std::runtime_error);
+    OneWayBuf buf(corrupt);
+    std::istream one_way(&buf);
+    EXPECT_THROW(traffic::ReadTrace(one_way), std::runtime_error);
+  }
+
+  std::string no_flows = valid;
+  PokeU64(no_flows, kTraceFlowsAt, 0);
+  std::stringstream bad_header(no_flows);
+  EXPECT_THROW(traffic::ReadTrace(bad_header), std::runtime_error);
+
+  const double kBadArrivals[] = {std::nan(""), HUGE_VAL, -HUGE_VAL};
+  for (double arrival : kBadArrivals) {
+    std::string corrupt = valid;
+    PokeF64(corrupt, kTraceRecordsAt + 20, arrival);
+    std::stringstream in(corrupt);
+    EXPECT_THROW(traffic::ReadTrace(in), std::runtime_error) << arrival;
+  }
+  std::string decreasing = valid;
+  PokeF64(decreasing, kTraceRecordsAt + 40, 0.0005);  // before record 1
+  std::stringstream in(decreasing);
+  EXPECT_THROW(traffic::ReadTrace(in), std::runtime_error);
+
+  // Equal arrival times are ordered; the unmodified trace parses.
+  std::string ties = valid;
+  PokeF64(ties, kTraceRecordsAt + 20, 0.0);
+  std::stringstream tied(ties);
+  EXPECT_EQ(traffic::ReadTrace(tied).records.size(), 3u);
+  OneWayBuf buf(valid);
+  std::istream one_way(&buf);
+  EXPECT_EQ(traffic::ReadTrace(one_way).records.size(), 3u);
 }
+
+// Property: ReadTrace never crashes, over-allocates or throws anything
+// but std::runtime_error on random garbage and on truncated or
+// bit-flipped valid traces.
+class TraceGarbageFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TraceGarbageFuzz, GarbageNeverCrashes) {
+  RandomStream rng(GetParam());
+  const std::string header = TraceBytes(0).substr(0, 8);  // magic+version
+  for (int iter = 0; iter < 500; ++iter) {
+    // Half the inputs get a valid magic and version so that the garbage
+    // reaches the header fields, the count and the records.
+    std::string bytes = iter % 2 == 0 ? header : std::string();
+    const auto len = static_cast<std::size_t>(rng.NextIndex(200));
+    for (std::size_t i = 0; i < len; ++i) {
+      bytes.push_back(static_cast<char>(rng.NextIndex(256)));
+    }
+    EXPECT_NO_THROW(ParseOrReject(bytes));
+  }
+}
+
+TEST_P(TraceGarbageFuzz, TruncationsAndBitFlipsNeverCrash) {
+  RandomStream rng(GetParam() ^ 0x7777);
+  const std::string valid = TraceBytes(8);
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    std::stringstream in(valid.substr(0, cut));
+    EXPECT_THROW(traffic::ReadTrace(in), std::runtime_error) << cut;
+  }
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string copy = valid;
+    const auto pos = static_cast<std::size_t>(rng.NextIndex(copy.size()));
+    copy[pos] = static_cast<char>(copy[pos] ^ (1 << rng.NextIndex(8)));
+    EXPECT_NO_THROW(ParseOrReject(copy));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TraceGarbageFuzz, ::testing::Values(7, 8, 9));
 
 // ----------------------------------------------------- TrafficSource
 
