@@ -77,13 +77,8 @@ class RandomStream {
   double NextNormal();
   // Normal with the given mean and standard deviation (sigma >= 0).
   double NextNormal(double mean, double sigma);
-  // Poisson-distributed count with the given mean (lambda >= 0).
-  // Knuth's method for small lambda, normal approximation above 64.
-  std::uint64_t NextPoisson(double lambda);
   // True with probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
-  // Pareto with scale xm > 0 and shape alpha > 0 (heavy-tailed flow sizes).
-  double NextPareto(double xm, double alpha);
 
   // Independent sub-stream for a child component.
   RandomStream Fork() { return RandomStream(gen_.Fork()); }

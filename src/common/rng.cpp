@@ -108,34 +108,10 @@ double RandomStream::NextNormal(double mean, double sigma) {
   return mean + sigma * NextNormal();
 }
 
-std::uint64_t RandomStream::NextPoisson(double lambda) {
-  assert(lambda >= 0.0);
-  if (lambda <= 0.0) return 0;
-  if (lambda > 64.0) {
-    // Normal approximation with continuity correction; adequate for the
-    // traffic-batching use cases that reach this branch.
-    double draw = NextNormal(lambda, std::sqrt(lambda)) + 0.5;
-    return draw <= 0.0 ? 0 : static_cast<std::uint64_t>(draw);
-  }
-  const double limit = std::exp(-lambda);
-  std::uint64_t count = 0;
-  double product = NextUniform();
-  while (product > limit) {
-    ++count;
-    product *= NextUniform();
-  }
-  return count;
-}
-
 bool RandomStream::NextBernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return NextUniform() < p;
-}
-
-double RandomStream::NextPareto(double xm, double alpha) {
-  assert(xm > 0.0 && alpha > 0.0);
-  return xm / std::pow(1.0 - NextUniform(), 1.0 / alpha);
 }
 
 }  // namespace analognf

@@ -97,6 +97,28 @@ void MemristorDataset::SaveCsv(std::ostream& os) const {
   }
 }
 
+namespace {
+
+// CSV cells must parse in full: std::stoi("1.5") and std::stod("0.5abc")
+// would otherwise stop early and return a prefix.
+int ParseIntCell(const std::string& cell) {
+  std::size_t pos = 0;
+  const int value = std::stoi(cell, &pos);
+  if (pos != cell.size()) throw std::invalid_argument("partial integer");
+  return value;
+}
+
+double ParseFiniteCell(const std::string& cell) {
+  std::size_t pos = 0;
+  const double value = std::stod(cell, &pos);
+  if (pos != cell.size() || !std::isfinite(value)) {
+    throw std::invalid_argument("partial or non-finite number");
+  }
+  return value;
+}
+
+}  // namespace
+
 MemristorDataset MemristorDataset::LoadCsv(std::istream& is) {
   std::string line;
   if (!std::getline(is, line)) {
@@ -118,15 +140,15 @@ MemristorDataset MemristorDataset::LoadCsv(std::istream& is) {
           std::to_string(line_no));
     }
     try {
-      r.state_machine = std::stoi(cells[0]);
-      r.state_index = std::stoi(cells[1]);
-      r.pulse_amplitude_v = std::stod(cells[2]);
-      r.pulse_count = std::stoi(cells[3]);
-      r.state = std::stod(cells[4]);
-      r.resistance_ohm = std::stod(cells[5]);
-      r.read_voltage_v = std::stod(cells[6]);
-      r.read_current_a = std::stod(cells[7]);
-      r.read_energy_j = std::stod(cells[8]);
+      r.state_machine = ParseIntCell(cells[0]);
+      r.state_index = ParseIntCell(cells[1]);
+      r.pulse_amplitude_v = ParseFiniteCell(cells[2]);
+      r.pulse_count = ParseIntCell(cells[3]);
+      r.state = ParseFiniteCell(cells[4]);
+      r.resistance_ohm = ParseFiniteCell(cells[5]);
+      r.read_voltage_v = ParseFiniteCell(cells[6]);
+      r.read_current_a = ParseFiniteCell(cells[7]);
+      r.read_energy_j = ParseFiniteCell(cells[8]);
     } catch (const std::exception&) {
       throw std::runtime_error(
           "MemristorDataset::LoadCsv: unparsable value on line " +

@@ -72,7 +72,8 @@ class MemristorDataset {
                                      std::uint64_t seed = 1);
 
   // CSV round-trip (header + one record per line). Load throws
-  // std::runtime_error on malformed input.
+  // std::runtime_error on malformed input: a wrong field count, a cell
+  // that does not parse in full, or a non-finite number.
   void SaveCsv(std::ostream& os) const;
   static MemristorDataset LoadCsv(std::istream& is);
 

@@ -1,7 +1,7 @@
 #include "analognf/net/generator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace analognf::net {
 namespace {
@@ -70,7 +70,6 @@ PacketMeta PoissonGenerator::Next() {
   const auto flow = static_cast<std::size_t>(rng_.NextIndex(config_.flows));
   PacketMeta p;
   p.id = next_id_++;
-  p.source_packet_id = p.id;
   p.arrival_time_s = now_s_;
   p.size_bytes = sizes_->Sample(rng_);
   p.flow_hash = flow_hashes_[flow];
@@ -104,7 +103,6 @@ PacketMeta CbrGenerator::Next() {
   now_s_ += interval_s_;
   PacketMeta p;
   p.id = next_id_++;
-  p.source_packet_id = p.id;
   p.arrival_time_s = now_s_;
   p.size_bytes = size_bytes_;
   p.flow_hash = flow_hash_;
@@ -151,74 +149,12 @@ PacketMeta MmppGenerator::Next() {
   const auto flow = static_cast<std::size_t>(rng_.NextIndex(config_.flows));
   PacketMeta p;
   p.id = next_id_++;
-  p.source_packet_id = p.id;
   p.arrival_time_s = now_s_;
   p.size_bytes = sizes_->Sample(rng_);
   p.flow_hash = flow_hashes_[flow];
   p.priority = flow_priorities_[flow];
   p.ecn_capable = flow_ect_[flow];
   return p;
-}
-
-MergedGenerator::MergedGenerator(
-    std::vector<std::unique_ptr<TrafficGenerator>> sources)
-    : sources_(std::move(sources)) {
-  if (sources_.empty()) {
-    throw std::invalid_argument("MergedGenerator: no sources");
-  }
-  for (const auto& src : sources_) {
-    if (src == nullptr) {
-      throw std::invalid_argument("MergedGenerator: null source");
-    }
-  }
-  heads_.reserve(sources_.size());
-  heap_.reserve(sources_.size());
-  for (auto& src : sources_) {
-    heads_.push_back(src->Next());
-    heap_.push_back(static_cast<std::uint32_t>(heap_.size()));
-  }
-  // Build-heap bottom-up: O(n) for n sources.
-  for (std::size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
-}
-
-// Strict weak order on source indices by their current head packet:
-// earliest arrival first, ties broken by source index (the same winner
-// the pre-heap linear scan picked, so merged streams are bit-stable
-// across the data-structure change).
-bool MergedGenerator::HeadLess(std::uint32_t a, std::uint32_t b) const {
-  const double ta = heads_[a].arrival_time_s;
-  const double tb = heads_[b].arrival_time_s;
-  if (ta != tb) return ta < tb;
-  return a < b;
-}
-
-void MergedGenerator::SiftDown(std::size_t pos) {
-  const std::size_t n = heap_.size();
-  for (;;) {
-    std::size_t best = pos;
-    const std::size_t left = 2 * pos + 1;
-    const std::size_t right = left + 1;
-    if (left < n && HeadLess(heap_[left], heap_[best])) best = left;
-    if (right < n && HeadLess(heap_[right], heap_[best])) best = right;
-    if (best == pos) return;
-    std::swap(heap_[pos], heap_[best]);
-    pos = best;
-  }
-}
-
-PacketMeta MergedGenerator::Next() {
-  const std::uint32_t best = heap_.front();
-  PacketMeta out = heads_[best];
-  // Refill the winning source's head and restore the heap from the
-  // root: O(log n) against the old O(n) scan over every source.
-  heads_[best] = sources_[best]->Next();
-  SiftDown(0);
-  // Re-number for a globally unique, monotone merged stream; the
-  // source's own numbering stays recoverable (see the class comment).
-  out.source = best;
-  out.source_packet_id = out.id;
-  out.id = next_id_++;
-  return out;
 }
 
 }  // namespace analognf::net

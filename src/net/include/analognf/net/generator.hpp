@@ -20,13 +20,6 @@ namespace analognf::net {
 // by the parser path; the queueing experiments only need metadata.
 struct PacketMeta {
   std::uint64_t id = 0;
-  // ---- stream identity (see MergedGenerator's ID-ownership contract):
-  // `id` is unique and monotone within the stream that emitted the
-  // packet. A merging stage re-stamps `id` for its own stream but
-  // preserves the originating source's numbering here, so per-source
-  // sequences stay recoverable for trace replay.
-  std::uint32_t source = 0;             // index of the originating source
-  std::uint64_t source_packet_id = 0;   // the source's own id for the packet
   double arrival_time_s = 0.0;
   std::uint32_t size_bytes = 0;
   std::uint64_t flow_hash = 0;
@@ -157,35 +150,6 @@ class MmppGenerator final : public TrafficGenerator {
   std::vector<std::uint64_t> flow_hashes_;
   std::vector<std::uint8_t> flow_priorities_;
   std::vector<bool> flow_ect_;
-};
-
-// Merges several generators into one time-ordered stream via a binary
-// min-heap keyed on (head arrival time, source index) — O(log n) per
-// packet, so merging hundreds of per-user sources stays cheap. Ties
-// break by source index, matching the old linear scan exactly.
-//
-// ID ownership: each source numbers its own packets; the merged stream
-// re-stamps `id` so ids are unique and monotone (0, 1, 2, ...) across
-// the merge, and records the origin in `source` (the constructor-order
-// index) and `source_packet_id` (the id the source assigned). Replaying
-// one source's sub-stream from a merged trace therefore needs no side
-// tables.
-class MergedGenerator final : public TrafficGenerator {
- public:
-  explicit MergedGenerator(
-      std::vector<std::unique_ptr<TrafficGenerator>> sources);
-
-  PacketMeta Next() override;
-  std::string name() const override { return "merged"; }
-
- private:
-  bool HeadLess(std::uint32_t a, std::uint32_t b) const;
-  void SiftDown(std::size_t pos);
-
-  std::vector<std::unique_ptr<TrafficGenerator>> sources_;
-  std::vector<PacketMeta> heads_;   // per-source next packet
-  std::vector<std::uint32_t> heap_; // source indices, min-heap by head
-  std::uint64_t next_id_ = 0;
 };
 
 }  // namespace analognf::net

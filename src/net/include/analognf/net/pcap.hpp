@@ -40,8 +40,10 @@ class PcapWriter {
 };
 
 // Reads a whole capture. Throws std::runtime_error on malformed input
-// (bad magic, truncated records). Only the microsecond little-endian
-// flavour written by PcapWriter and standard tools is supported.
+// (bad magic, a snaplen of 0 or above 262144, a record longer than the
+// snaplen or with microseconds >= 1e6, truncated records). Only the
+// microsecond little-endian flavour written by PcapWriter and standard
+// tools is supported.
 std::vector<PcapRecord> ReadPcap(std::istream& in);
 
 }  // namespace analognf::net

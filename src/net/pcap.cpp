@@ -12,6 +12,9 @@ constexpr std::uint32_t kMagicMicroseconds = 0xa1b2c3d4;
 constexpr std::uint16_t kVersionMajor = 2;
 constexpr std::uint16_t kVersionMinor = 4;
 constexpr std::uint32_t kLinkTypeEthernet = 1;
+// libpcap's MAXIMUM_SNAPLEN: no record body may be longer, so a corrupt
+// length field cannot make the reader allocate more than this.
+constexpr std::uint32_t kMaxSnapLen = 262144;
 
 void PutU16Le(std::ostream& out, std::uint16_t v) {
   const char bytes[2] = {static_cast<char>(v & 0xff),
@@ -87,7 +90,10 @@ std::vector<PcapRecord> ReadPcap(std::istream& in) {
   GetU16Le(in);  // version minor
   GetU32Le(in);  // thiszone
   GetU32Le(in);  // sigfigs
-  GetU32Le(in);  // snaplen
+  const std::uint32_t snap_len = GetU32Le(in);
+  if (snap_len == 0 || snap_len > kMaxSnapLen) {
+    throw std::runtime_error("pcap: snaplen out of range");
+  }
   if (GetU32Le(in) != kLinkTypeEthernet) {
     throw std::runtime_error("pcap: unsupported link type");
   }
@@ -101,6 +107,12 @@ std::vector<PcapRecord> ReadPcap(std::istream& in) {
     const std::uint32_t micros = GetU32Le(in);
     const std::uint32_t incl_len = GetU32Le(in);
     GetU32Le(in);  // orig_len
+    if (micros >= 1000000) {
+      throw std::runtime_error("pcap: record microseconds out of range");
+    }
+    if (incl_len > snap_len) {
+      throw std::runtime_error("pcap: record longer than snaplen");
+    }
     std::vector<std::uint8_t> bytes(incl_len);
     in.read(reinterpret_cast<char*>(bytes.data()), incl_len);
     if (!in) throw std::runtime_error("pcap: truncated frame body");

@@ -8,7 +8,6 @@
 #include "analognf/analog/crossbar.hpp"
 #include "analognf/analog/differentiator.hpp"
 #include "analognf/analog/noise.hpp"
-#include "analognf/analog/sample_hold.hpp"
 #include "analognf/analog/signal.hpp"
 #include "analognf/common/stats.hpp"
 
@@ -362,51 +361,6 @@ TEST_P(CrossbarProgram, ProgramReadbackIsClose) {
 
 INSTANTIATE_TEST_SUITE_P(Conductances, CrossbarProgram,
                          ::testing::Values(1e-12, 1e-11, 1e-10, 1e-9, 1e-8));
-
-
-// ------------------------------------------------------ sample and hold
-
-TEST(SampleAndHoldTest, TrackFollowsInput) {
-  SampleAndHold sh;
-  EXPECT_EQ(sh.Track(0.0, 1.5), 1.5);
-  EXPECT_EQ(sh.Track(0.1, -0.7), -0.7);
-  EXPECT_FALSE(sh.holding());
-}
-
-TEST(SampleAndHoldTest, IdealHoldFreezesValue) {
-  SampleAndHold sh;
-  sh.Track(0.0, 2.5);
-  EXPECT_EQ(sh.Hold(1.0), 2.5);
-  EXPECT_EQ(sh.Hold(100.0), 2.5);
-  EXPECT_TRUE(sh.holding());
-}
-
-TEST(SampleAndHoldTest, DroopDecaysTowardZero) {
-  SampleAndHold sh(/*droop_v_per_s=*/1.0);
-  sh.Track(0.0, 2.0);
-  EXPECT_NEAR(sh.Hold(0.5), 1.5, 1e-12);
-  EXPECT_NEAR(sh.Hold(1.0), 1.0, 1e-12);
-  EXPECT_EQ(sh.Hold(10.0), 0.0);  // droops to zero, not past it
-  // Negative values droop upward toward zero.
-  sh.Track(10.0, -2.0);
-  EXPECT_NEAR(sh.Hold(10.5), -1.5, 1e-12);
-}
-
-TEST(SampleAndHoldTest, RetrackResetsHold) {
-  SampleAndHold sh(1.0);
-  sh.Track(0.0, 2.0);
-  sh.Hold(1.0);
-  EXPECT_EQ(sh.Track(2.0, 3.0), 3.0);
-  EXPECT_EQ(sh.Hold(2.0), 3.0);
-}
-
-TEST(SampleAndHoldTest, Validation) {
-  EXPECT_THROW(SampleAndHold(-1.0), std::invalid_argument);
-  SampleAndHold sh;
-  sh.Track(5.0, 1.0);
-  EXPECT_THROW(sh.Track(4.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(sh.Hold(4.0), std::invalid_argument);
-}
 
 TEST(AnalogChannelTest, TransmitBatchMatchesSequentialTransmit) {
   // Same params + same seed: the batched call must replay exactly the

@@ -12,8 +12,6 @@
 #include "analognf/core/pcam_cell.hpp"
 #include "analognf/core/pcam_hardware.hpp"
 #include "analognf/analog/crossbar.hpp"
-#include "analognf/core/action_memory.hpp"
-#include "analognf/core/nonlinear.hpp"
 #include "analognf/core/pipeline.hpp"
 #include "analognf/core/program.hpp"
 
@@ -516,180 +514,6 @@ TEST(HardwarePcamTest, IdealDeviceDoesNotAge) {
   cell.Age(1.0e6);
   EXPECT_EQ(cell.effective_params().m2, before.m2);
 }
-
-// ------------------------------------------------------------ nonlinear
-
-TEST(NonlinearTest, GaussianShape) {
-  GaussianFunction g(2.0, 0.5);
-  EXPECT_NEAR(g.Evaluate(2.0), 1.0, 1e-12);
-  EXPECT_NEAR(g.Evaluate(2.5), std::exp(-0.5), 1e-12);
-  EXPECT_LT(g.Evaluate(5.0), 1e-6);
-  // Symmetric.
-  EXPECT_NEAR(g.Evaluate(1.3), g.Evaluate(2.7), 1e-12);
-  EXPECT_THROW(GaussianFunction(0.0, 0.0), std::invalid_argument);
-}
-
-TEST(NonlinearTest, SigmoidShape) {
-  SigmoidFunction s(1.0, 4.0);
-  EXPECT_NEAR(s.Evaluate(1.0), 0.5, 1e-12);
-  EXPECT_GT(s.Evaluate(3.0), 0.99);
-  EXPECT_LT(s.Evaluate(-1.0), 0.01);
-  // Falling variant.
-  SigmoidFunction falling(1.0, -4.0);
-  EXPECT_GT(falling.Evaluate(-1.0), 0.99);
-  EXPECT_THROW(SigmoidFunction(0.0, 0.0), std::invalid_argument);
-}
-
-TEST(NonlinearTest, SigmoidIsMonotone) {
-  SigmoidFunction s(0.0, 2.5);
-  double prev = -1.0;
-  for (double v = -3.0; v <= 3.0; v += 0.01) {
-    const double out = s.Evaluate(v);
-    EXPECT_GT(out, prev);
-    prev = out;
-  }
-}
-
-TEST(NonlinearTest, PiecewiseLinearInterpolatesAndClamps) {
-  PiecewiseLinearFunction f({{0.0, 0.0}, {1.0, 1.0}, {2.0, 0.5}});
-  EXPECT_EQ(f.Evaluate(-1.0), 0.0);   // clamp low
-  EXPECT_NEAR(f.Evaluate(0.5), 0.5, 1e-12);
-  EXPECT_NEAR(f.Evaluate(1.5), 0.75, 1e-12);
-  EXPECT_EQ(f.Evaluate(5.0), 0.5);    // clamp high
-  EXPECT_THROW(PiecewiseLinearFunction({{0.0, 0.0}}),
-               std::invalid_argument);
-  EXPECT_THROW(PiecewiseLinearFunction({{1.0, 0.0}, {1.0, 1.0}}),
-               std::invalid_argument);
-}
-
-TEST(NonlinearTest, TrapezoidFunctionWrapsCell) {
-  TrapezoidFunction f(PcamParams::MakeTrapezoid(1.0, 2.0, 3.0, 4.0));
-  EXPECT_EQ(f.Evaluate(2.5), 1.0);
-  EXPECT_EQ(f.Evaluate(0.0), 0.0);
-}
-
-TEST(NonlinearTest, ApproximatorFitsGaussianTarget) {
-  // A Gaussian bank must reproduce a Gaussian target near-exactly.
-  ResponseApproximator bank = MakeGaussianBank(9, 0.0, 4.0);
-  GaussianFunction target(2.0, 0.6, 0.9, 0.0);
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (double v = 0.0; v <= 4.0; v += 0.05) {
-    xs.push_back(v);
-    ys.push_back(target.Evaluate(v));
-  }
-  const double rms = bank.Fit(xs, ys);
-  EXPECT_LT(rms, 0.01);
-  EXPECT_NEAR(bank.Evaluate(2.0), 0.9, 0.03);
-}
-
-TEST(NonlinearTest, ApproximatorFitsNonTrapezoidResponse) {
-  // Future work Sec. 8: arbitrary non-linear match responses. Fit a
-  // double-humped response no single trapezoid can express.
-  ResponseApproximator bank = MakeGaussianBank(16, 0.0, 4.0);
-  auto target = [](double v) {
-    const double a = std::exp(-8.0 * (v - 1.0) * (v - 1.0));
-    const double b = 0.6 * std::exp(-8.0 * (v - 3.0) * (v - 3.0));
-    return a + b;
-  };
-  std::vector<double> xs;
-  std::vector<double> ys;
-  for (double v = 0.0; v <= 4.0; v += 0.04) {
-    xs.push_back(v);
-    ys.push_back(target(v));
-  }
-  const double rms = bank.Fit(xs, ys);
-  EXPECT_LT(rms, 0.02);
-  EXPECT_NEAR(bank.Evaluate(1.0), 1.0, 0.05);
-  EXPECT_NEAR(bank.Evaluate(3.0), 0.6, 0.05);
-  EXPECT_LT(bank.Evaluate(2.0), 0.4);
-}
-
-TEST(NonlinearTest, FitRejectsBadInput) {
-  ResponseApproximator bank = MakeGaussianBank(4, 0.0, 1.0);
-  EXPECT_THROW(bank.Fit({}, {}), std::invalid_argument);
-  EXPECT_THROW(bank.Fit({1.0}, {1.0, 2.0}), std::invalid_argument);
-  EXPECT_THROW(bank.Fit({1.0}, {1.0}, -1.0), std::invalid_argument);
-}
-
-TEST(NonlinearTest, MakeGaussianBankValidation) {
-  EXPECT_THROW(MakeGaussianBank(0, 0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(MakeGaussianBank(4, 1.0, 1.0), std::invalid_argument);
-}
-
-
-// --------------------------------------------------------- action memory
-
-TEST(ActionMemoryTest, StoreAndFetch) {
-  ActionMemory memory;
-  Action forward;
-  forward.type = ActionType::kForward;
-  forward.forward_port = 3;
-  const std::uint32_t id = memory.Store(forward);
-  const Action& fetched = memory.Fetch(id);
-  EXPECT_EQ(fetched.type, ActionType::kForward);
-  EXPECT_EQ(fetched.forward_port, 3u);
-  EXPECT_EQ(memory.size(), 1u);
-  EXPECT_EQ(memory.fetches(), 1u);
-  EXPECT_THROW(memory.Fetch(99), std::out_of_range);
-}
-
-TEST(ActionMemoryTest, FetchChargesMemristorReadEnergy) {
-  ActionMemory memory;
-  const std::uint32_t id = memory.Store(Action{});
-  EXPECT_EQ(memory.ConsumedEnergyJ(), 0.0);
-  memory.Fetch(id);
-  const double one_fetch = memory.ConsumedEnergyJ();
-  EXPECT_GT(one_fetch, 0.0);
-  memory.Fetch(id);
-  EXPECT_NEAR(memory.ConsumedEnergyJ(), 2.0 * one_fetch, 1e-20);
-}
-
-TEST(ActionMemoryTest, OutputRangeBinding) {
-  // The Sec. 5 indirect path: pCAM output selects an action by range.
-  ActionMemory memory;
-  Action accept;
-  accept.type = ActionType::kForward;
-  Action mark;
-  mark.type = ActionType::kMarkEcn;
-  Action drop;
-  drop.type = ActionType::kDrop;
-  const auto a = memory.Store(accept);
-  const auto m = memory.Store(mark);
-  const auto d = memory.Store(drop);
-  memory.BindRange(0.0, 0.3, a);
-  memory.BindRange(0.3, 0.8, m);
-  memory.BindRange(0.8, 1.01, d);
-
-  EXPECT_EQ(memory.FetchByOutput(0.1)->type, ActionType::kForward);
-  EXPECT_EQ(memory.FetchByOutput(0.5)->type, ActionType::kMarkEcn);
-  EXPECT_EQ(memory.FetchByOutput(0.95)->type, ActionType::kDrop);
-  EXPECT_FALSE(memory.FetchByOutput(-1.0).has_value());
-}
-
-TEST(ActionMemoryTest, OverlappingBindingsRejected) {
-  ActionMemory memory;
-  const auto id = memory.Store(Action{});
-  memory.BindRange(0.0, 0.5, id);
-  EXPECT_THROW(memory.BindRange(0.4, 0.9, id), std::invalid_argument);
-  EXPECT_THROW(memory.BindRange(0.6, 0.6, id), std::invalid_argument);
-  EXPECT_THROW(memory.BindRange(0.6, 0.9, 42), std::out_of_range);
-}
-
-TEST(ActionMemoryTest, UpdatePcamActionValidated) {
-  ActionMemory memory;
-  Action update;
-  update.type = ActionType::kUpdatePcam;
-  EXPECT_THROW(memory.Store(update), std::invalid_argument);  // default params
-  update.pcam_update = PcamParams::MakeTrapezoid(1.0, 2.0, 3.0, 4.0);
-  EXPECT_NO_THROW(memory.Store(update));
-}
-
-TEST(ActionMemoryTest, ActionTypeNames) {
-  EXPECT_EQ(ToString(ActionType::kForward), "forward");
-  EXPECT_EQ(ToString(ActionType::kUpdatePcam), "update-pcam");
-}
-
 
 // Property: hardware threshold snapping error is bounded by half the
 // device ladder's step over the input range, for any level count.

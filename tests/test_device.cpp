@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "analognf/common/rng.hpp"
 #include "analognf/common/units.hpp"
 #include "analognf/device/characterization.hpp"
 #include "analognf/device/dataset.hpp"
@@ -295,6 +299,111 @@ TEST(DatasetTest, LoadRejectsGarbage) {
   std::stringstream bad("header\n1,2,3\n");
   EXPECT_THROW(MemristorDataset::LoadCsv(bad), std::runtime_error);
 }
+
+MemristorDataset LoadCsvText(const std::string& text) {
+  std::stringstream in(text);
+  return MemristorDataset::LoadCsv(in);
+}
+
+TEST(DatasetTest, LoadRejectsPartiallyParsedCells) {
+  const std::string header = "header\n";
+  const std::string good = "1,0,1,0,0,1e12,0.5,5e-13,2.5e-16\n";
+  ASSERT_EQ(LoadCsvText(header + good).size(), 1u);
+  // An integer column holding a fraction, a number with trailing junk,
+  // and non-finite values.
+  const char* const kBadRows[] = {
+      "1.5,0,1,0,0,1e12,0.5,5e-13,2.5e-16\n",
+      "1,0,1,0,0,1e12,0.5abc,5e-13,2.5e-16\n",
+      "1,0,1,0,0,1e12,0.5,5e-13,nan\n",
+      "1,0,1,0,0,inf,0.5,5e-13,2.5e-16\n",
+      "1,0,1,7x,0,1e12,0.5,5e-13,2.5e-16\n",
+  };
+  for (const char* row : kBadRows) {
+    try {
+      LoadCsvText(header + good + row);
+      ADD_FAILURE() << "accepted " << row;
+    } catch (const std::runtime_error& e) {
+      // The message names the offending line.
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Property: LoadCsv never crashes or throws anything but
+// std::runtime_error on random garbage and on truncated or bit-flipped
+// copies of the shipped dataset.
+class DatasetCsvGarbageFuzz : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+void LoadCsvOrReject(const std::string& text) {
+  try {
+    LoadCsvText(text);
+  } catch (const std::runtime_error&) {
+  }
+}
+
+std::string ShippedCsv() {
+  std::ifstream in(ANALOGNF_DATA_DIR "/nb_srtio3_synthetic.csv");
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST_P(DatasetCsvGarbageFuzz, GarbageNeverCrashes) {
+  analognf::RandomStream rng(GetParam());
+  const std::string shipped = ShippedCsv();
+  const std::string header = shipped.substr(0, shipped.find('\n') + 1);
+  // Digits, separators and the letters of nan/inf/e are drawn often so
+  // that the garbage reaches the numeric parsers.
+  const std::string alphabet = "0123456789.,,,\n-+eEnaifx ";
+  for (int iter = 0; iter < 500; ++iter) {
+    std::string text = iter % 2 == 0 ? header : std::string();
+    const auto len = static_cast<std::size_t>(rng.NextIndex(200));
+    for (std::size_t i = 0; i < len; ++i) {
+      text.push_back(iter % 4 < 2
+                         ? alphabet[rng.NextIndex(alphabet.size())]
+                         : static_cast<char>(rng.NextIndex(256)));
+    }
+    EXPECT_NO_THROW(LoadCsvOrReject(text));
+  }
+}
+
+TEST_P(DatasetCsvGarbageFuzz, TruncationsAndBitFlipsNeverCrash) {
+  analognf::RandomStream rng(GetParam() ^ 0x7777);
+  const std::string shipped = ShippedCsv();
+  const MemristorDataset full = LoadCsvText(shipped);
+  ASSERT_EQ(full.size(), 600u);
+  // Every cut through the first rows, then random cuts over the file. A
+  // cut may leave a shorter valid file (for example inside a number's
+  // exponent); it must then hold a prefix of the rows.
+  std::vector<std::size_t> cuts;
+  for (std::size_t cut = 0; cut < 1024; ++cut) cuts.push_back(cut);
+  for (int i = 0; i < 100; ++i) {
+    cuts.push_back(static_cast<std::size_t>(rng.NextIndex(shipped.size())));
+  }
+  for (const std::size_t cut : cuts) {
+    try {
+      const MemristorDataset part = LoadCsvText(shipped.substr(0, cut));
+      ASSERT_LE(part.size(), full.size()) << cut;
+      for (std::size_t i = 0; i + 1 < part.size(); ++i) {
+        EXPECT_EQ(part.records()[i].read_energy_j,
+                  full.records()[i].read_energy_j)
+            << cut;
+      }
+    } catch (const std::runtime_error&) {
+    }
+  }
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string copy = shipped;
+    const auto pos = static_cast<std::size_t>(rng.NextIndex(copy.size()));
+    copy[pos] = static_cast<char>(copy[pos] ^ (1 << rng.NextIndex(8)));
+    EXPECT_NO_THROW(LoadCsvOrReject(copy));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DatasetCsvGarbageFuzz,
+                         ::testing::Values(7, 8, 9));
 
 TEST(DatasetTest, DistinctResistancesSortedAscending) {
   const MemristorDataset ds = MemristorDataset::Synthesize(SynthesisConfig{});

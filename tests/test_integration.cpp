@@ -10,7 +10,6 @@
 #include "analognf/aqm/controller.hpp"
 #include "analognf/arch/controller.hpp"
 #include "analognf/arch/switch.hpp"
-#include "analognf/core/action_memory.hpp"
 #include "analognf/net/pcap.hpp"
 #include "analognf/common/units.hpp"
 #include "analognf/device/dataset.hpp"
@@ -305,46 +304,6 @@ TEST(Integration, PcapReplayMatchesDirectInjection) {
         replayed->Inject(records[i].packet, records[i].timestamp_s);
     EXPECT_EQ(expect, got);
   }
-}
-
-// --------------------------------------- analog output -> stored action
-
-TEST(Integration, PcamOutputResolvesStoredActions) {
-  // The Sec. 5 indirect path end-to-end: the analog table's raw output
-  // indexes the memristor action store, no digital comparator chain.
-  aqm::AnalogAqmConfig ac;
-  ac.hardware.state_levels = 1024;
-  aqm::AnalogAqm policy(ac);
-
-  core::ActionMemory actions;
-  core::Action accept;
-  accept.type = core::ActionType::kForward;
-  core::Action mark;
-  mark.type = core::ActionType::kMarkEcn;
-  core::Action drop;
-  drop.type = core::ActionType::kDrop;
-  actions.BindRange(0.0, 0.2, actions.Store(accept));
-  actions.BindRange(0.2, 0.8, actions.Store(mark));
-  actions.BindRange(0.8, 1.01, actions.Store(drop));
-
-  auto pdp_for_sojourn = [&](double sojourn_s) {
-    const std::vector<double> volts = policy.FeaturesToVoltages(
-        {sojourn_s, 0.0, 0.0, 0.0}, {0.1, 0.0, 0.0, 0.0});
-    return policy.EvaluatePdp(volts);
-  };
-
-  const auto low = actions.FetchByOutput(pdp_for_sojourn(0.005));
-  ASSERT_TRUE(low.has_value());
-  EXPECT_EQ(low->type, core::ActionType::kForward);
-
-  const auto mid = actions.FetchByOutput(pdp_for_sojourn(0.020));
-  ASSERT_TRUE(mid.has_value());
-  EXPECT_EQ(mid->type, core::ActionType::kMarkEcn);
-
-  const auto high = actions.FetchByOutput(pdp_for_sojourn(0.050));
-  ASSERT_TRUE(high.has_value());
-  EXPECT_EQ(high->type, core::ActionType::kDrop);
-  EXPECT_GT(actions.ConsumedEnergyJ(), 0.0);
 }
 
 }  // namespace

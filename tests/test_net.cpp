@@ -4,6 +4,8 @@
 
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "analognf/common/stats.hpp"
 #include "analognf/net/generator.hpp"
@@ -387,95 +389,6 @@ TEST(ImixSizeTest, ProducesOnlyImixSizes) {
     ++total;
   }
   EXPECT_NEAR(static_cast<double>(small) / total, 7.0 / 12.0, 0.03);
-}
-
-TEST(MergedGeneratorTest, OutputIsTimeOrdered) {
-  std::vector<std::unique_ptr<TrafficGenerator>> sources;
-  sources.push_back(std::make_unique<CbrGenerator>(100.0, 100));
-  sources.push_back(std::make_unique<CbrGenerator>(333.0, 200));
-  MergedGenerator merged(std::move(sources));
-  double prev = -1.0;
-  for (int i = 0; i < 1000; ++i) {
-    const double t = merged.Next().arrival_time_s;
-    EXPECT_GE(t, prev);
-    prev = t;
-  }
-}
-
-TEST(MergedGeneratorTest, RejectsEmptyOrNull) {
-  EXPECT_THROW(
-      MergedGenerator(std::vector<std::unique_ptr<TrafficGenerator>>{}),
-      std::invalid_argument);
-}
-
-// The heap merge must pick exactly the packet the pre-heap linear scan
-// picked: earliest head arrival, ties broken by lowest source index.
-// The reference here IS that linear scan, run over an identical set of
-// sources in lockstep.
-TEST(MergedGeneratorTest, MatchesReferenceLinearMerge) {
-  auto make_sources = [] {
-    std::vector<std::unique_ptr<TrafficGenerator>> sources;
-    // Identical CBR pairs produce exact arrival-time ties, so the
-    // tie-break rule is genuinely exercised.
-    sources.push_back(std::make_unique<CbrGenerator>(250.0, 64));
-    sources.push_back(std::make_unique<CbrGenerator>(250.0, 128));
-    sources.push_back(std::make_unique<PoissonGenerator>(
-        PoissonGenerator::Config{.rate_pps = 400.0},
-        std::make_unique<FixedSize>(256), 42));
-    sources.push_back(std::make_unique<MmppGenerator>(
-        MmppGenerator::Config{}, std::make_unique<FixedSize>(512), 43));
-    sources.push_back(std::make_unique<CbrGenerator>(997.0, 72));
-    return sources;
-  };
-
-  MergedGenerator merged(make_sources());
-
-  // Reference linear merge over a second, identical source set.
-  auto ref_sources = make_sources();
-  std::vector<PacketMeta> heads;
-  heads.reserve(ref_sources.size());
-  for (auto& src : ref_sources) heads.push_back(src->Next());
-
-  for (int i = 0; i < 5000; ++i) {
-    std::size_t best = 0;
-    for (std::size_t s = 1; s < heads.size(); ++s) {
-      if (heads[s].arrival_time_s < heads[best].arrival_time_s) best = s;
-    }
-    const PacketMeta expected = heads[best];
-    heads[best] = ref_sources[best]->Next();
-
-    const PacketMeta got = merged.Next();
-    EXPECT_EQ(got.arrival_time_s, expected.arrival_time_s) << "packet " << i;
-    EXPECT_EQ(got.source, best) << "packet " << i;
-    EXPECT_EQ(got.source_packet_id, expected.id) << "packet " << i;
-    EXPECT_EQ(got.size_bytes, expected.size_bytes) << "packet " << i;
-  }
-}
-
-// ID ownership contract: the merged stream re-numbers ids uniquely and
-// monotonically, while each source's own numbering stays recoverable
-// through (source, source_packet_id).
-TEST(MergedGeneratorTest, MergedIdsUniqueMonotoneSourceIdsRecoverable) {
-  std::vector<std::unique_ptr<TrafficGenerator>> sources;
-  sources.push_back(std::make_unique<CbrGenerator>(100.0, 64));
-  sources.push_back(std::make_unique<CbrGenerator>(300.0, 128));
-  sources.push_back(std::make_unique<CbrGenerator>(700.0, 256));
-  MergedGenerator merged(std::move(sources));
-
-  std::vector<std::uint64_t> next_source_id(3, 0);
-  for (std::uint64_t i = 0; i < 3000; ++i) {
-    const PacketMeta p = merged.Next();
-    // Global ids: exactly 0, 1, 2, ... in emission order.
-    EXPECT_EQ(p.id, i);
-    // Per-source ids: each source's sub-stream counts 0, 1, 2, ... with
-    // no gaps — the source-local numbering survives the merge.
-    ASSERT_LT(p.source, 3u);
-    EXPECT_EQ(p.source_packet_id, next_source_id[p.source]++);
-  }
-  // Every source was drained roughly in proportion to its rate.
-  EXPECT_GT(next_source_id[0], 0u);
-  EXPECT_GT(next_source_id[1], next_source_id[0]);
-  EXPECT_GT(next_source_id[2], next_source_id[1]);
 }
 
 TEST(PoissonGeneratorTest, SetRateMidStreamKeepsTimeMonotone) {
@@ -998,6 +911,143 @@ TEST(PcapTest, ReaderRejectsGarbage) {
   std::stringstream empty;
   EXPECT_THROW(ReadPcap(empty), std::runtime_error);
 }
+
+void AppendU32Le(std::string& out, std::uint32_t v) {
+  for (int shift = 0; shift < 32; shift += 8) {
+    out.push_back(static_cast<char>((v >> shift) & 0xff));
+  }
+}
+
+// A hand-built classic pcap global header (version 2.4, Ethernet).
+std::string PcapHeader(std::uint32_t snap_len) {
+  std::string out;
+  AppendU32Le(out, 0xa1b2c3d4);
+  AppendU32Le(out, 2u | 4u << 16);  // version major, minor
+  AppendU32Le(out, 0);              // thiszone
+  AppendU32Le(out, 0);              // sigfigs
+  AppendU32Le(out, snap_len);
+  AppendU32Le(out, 1);              // LINKTYPE_ETHERNET
+  return out;
+}
+
+// Appends a record header claiming `incl_len` bytes, then `body` bytes.
+void AppendPcapRecord(std::string& out, std::uint32_t micros,
+                      std::uint32_t incl_len, std::uint32_t body) {
+  AppendU32Le(out, 1);  // seconds
+  AppendU32Le(out, micros);
+  AppendU32Le(out, incl_len);
+  AppendU32Le(out, incl_len);  // orig_len
+  out.append(body, '\x5a');
+}
+
+std::vector<PcapRecord> ReadPcapBytes(const std::string& bytes) {
+  std::stringstream in(bytes);
+  return ReadPcap(in);
+}
+
+TEST(PcapTest, ReaderRejectsRecordLongerThanSnapLen) {
+  // A complete 100-byte record in a capture that declares snaplen 64.
+  std::string bytes = PcapHeader(64);
+  AppendPcapRecord(bytes, 0, 100, 100);
+  EXPECT_THROW(ReadPcapBytes(bytes), std::runtime_error);
+}
+
+TEST(PcapTest, ReaderBoundsHeaderFields) {
+  EXPECT_THROW(ReadPcapBytes(PcapHeader(0)), std::runtime_error);
+  EXPECT_THROW(ReadPcapBytes(PcapHeader(262145)), std::runtime_error);
+  EXPECT_TRUE(ReadPcapBytes(PcapHeader(262144)).empty());
+
+  // 40 bytes that claim a 4 GiB frame: rejected before any allocation.
+  std::string huge = PcapHeader(65535);
+  AppendPcapRecord(huge, 0, 0xffffffffu, 0);
+  ASSERT_EQ(huge.size(), 40u);
+  EXPECT_THROW(ReadPcapBytes(huge), std::runtime_error);
+
+  std::string micros = PcapHeader(64);
+  AppendPcapRecord(micros, 1000000, 10, 10);
+  EXPECT_THROW(ReadPcapBytes(micros), std::runtime_error);
+
+  std::string edge = PcapHeader(64);
+  AppendPcapRecord(edge, 999999, 64, 64);
+  const auto records = ReadPcapBytes(edge);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_NEAR(records[0].timestamp_s, 1.999999, 1e-9);
+  EXPECT_EQ(records[0].packet.size(), 64u);
+}
+
+// Property: ReadPcap never crashes, over-allocates or throws anything
+// but std::runtime_error on random garbage and on truncated or
+// bit-flipped valid captures.
+class PcapGarbageFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+void ReadPcapOrReject(const std::string& bytes) {
+  try {
+    ReadPcapBytes(bytes);
+  } catch (const std::runtime_error&) {
+  }
+}
+
+std::string ValidCapture() {
+  std::stringstream buffer;
+  PcapWriter writer(buffer, /*snap_len=*/128);
+  for (int i = 0; i < 4; ++i) {
+    writer.Write(0.25 * i, PacketBuilder()
+                               .Ethernet(TestEth())
+                               .Ipv4(TestIp(kIpProtoUdp))
+                               .Udp({})
+                               .Payload(static_cast<std::size_t>(30 * i))
+                               .Build());
+  }
+  return buffer.str();
+}
+
+TEST_P(PcapGarbageFuzz, GarbageNeverCrashes) {
+  RandomStream rng(GetParam());
+  const std::string header = PcapHeader(65535);
+  const std::string magic = header.substr(0, 4);
+  for (int iter = 0; iter < 600; ++iter) {
+    // A third of the inputs keep a valid magic and a third a whole valid
+    // header, so that the garbage reaches the header fields and records.
+    std::string bytes = iter % 3 == 0   ? std::string()
+                        : iter % 3 == 1 ? magic
+                                        : header;
+    const auto len = static_cast<std::size_t>(rng.NextIndex(200));
+    for (std::size_t i = 0; i < len; ++i) {
+      bytes.push_back(static_cast<char>(rng.NextIndex(256)));
+    }
+    EXPECT_NO_THROW(ReadPcapOrReject(bytes));
+  }
+}
+
+TEST_P(PcapGarbageFuzz, TruncationsAndBitFlipsNeverCrash) {
+  RandomStream rng(GetParam() ^ 0x7777);
+  const std::string valid = ValidCapture();
+  const auto full = ReadPcapBytes(valid);
+  ASSERT_EQ(full.size(), 4u);
+  // A cut on a record boundary leaves a shorter valid capture; every
+  // other cut must be rejected.
+  std::size_t boundary = 24;  // end of the global header
+  std::size_t whole = 0;      // records before `boundary`
+  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
+    if (cut == boundary) {
+      ASSERT_EQ(ReadPcapBytes(valid.substr(0, cut)).size(), whole) << cut;
+      boundary += 16 + full[whole].packet.size();
+      ++whole;
+    } else {
+      EXPECT_THROW(ReadPcapBytes(valid.substr(0, cut)), std::runtime_error)
+          << cut;
+    }
+  }
+  EXPECT_EQ(whole, full.size());
+  for (int iter = 0; iter < 300; ++iter) {
+    std::string copy = valid;
+    const auto pos = static_cast<std::size_t>(rng.NextIndex(copy.size()));
+    copy[pos] = static_cast<char>(copy[pos] ^ (1 << rng.NextIndex(8)));
+    EXPECT_NO_THROW(ReadPcapOrReject(copy));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PcapGarbageFuzz, ::testing::Values(7, 8, 9));
 
 }  // namespace
 }  // namespace analognf::net

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "analognf/common/rng.hpp"
-#include "analognf/tcam/range.hpp"
 #include "analognf/tcam/tcam.hpp"
 #include "analognf/tcam/ternary.hpp"
 
@@ -484,87 +483,6 @@ TEST_P(LpmProperty, ReturnedRouteIsLongestMatch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LpmProperty,
                          ::testing::Values(11, 22, 33, 44));
-
-
-// ------------------------------------------------------ range encoding
-
-TEST(RangeToTernaryTest, ExactValueIsOneWord) {
-  const auto words = RangeToTernary(53, 53, 16);
-  ASSERT_EQ(words.size(), 1u);
-  BitKey key;
-  key.AppendU16(53);
-  EXPECT_TRUE(words[0].Matches(key));
-}
-
-TEST(RangeToTernaryTest, FullRangeIsOneWildcard) {
-  const auto words = RangeToTernary(0, 65535, 16);
-  ASSERT_EQ(words.size(), 1u);
-  EXPECT_EQ(words[0].SpecifiedBits(), 0u);
-}
-
-TEST(RangeToTernaryTest, ClassicEphemeralPortRange) {
-  // 1024-65535 = the canonical example; covers with 6 prefixes.
-  const auto words = RangeToTernary(1024, 65535, 16);
-  EXPECT_EQ(words.size(), 6u);
-  EXPECT_EQ(RangeExpansionCost(1024, 65535, 16), 6u);
-}
-
-TEST(RangeToTernaryTest, ValidatesArguments) {
-  EXPECT_THROW(RangeToTernary(5, 4, 16), std::invalid_argument);
-  EXPECT_THROW(RangeToTernary(0, 300, 8), std::invalid_argument);
-  EXPECT_THROW(RangeToTernary(0, 1, 0), std::invalid_argument);
-  EXPECT_THROW(RangeToTernary(0, 1, 33), std::invalid_argument);
-}
-
-// Property: the cover matches exactly [lo, hi] — every value inside
-// matches at least one word, every value outside matches none — and
-// respects the 2w-2 bound.
-class RangeCoverProperty : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(RangeCoverProperty, CoverIsExactAndBounded) {
-  analognf::RandomStream rng(GetParam());
-  for (int iter = 0; iter < 40; ++iter) {
-    const unsigned bits = 8;
-    const auto a = static_cast<std::uint32_t>(rng.NextIndex(256));
-    const auto b = static_cast<std::uint32_t>(rng.NextIndex(256));
-    const std::uint32_t lo = std::min(a, b);
-    const std::uint32_t hi = std::max(a, b);
-    const auto words = RangeToTernary(lo, hi, bits);
-    EXPECT_LE(words.size(), 2u * bits - 2u + 1u);
-    for (std::uint32_t v = 0; v < 256; ++v) {
-      BitKey key;
-      key.AppendU8(static_cast<std::uint8_t>(v));
-      bool matched = false;
-      for (const auto& w : words) {
-        if (w.Matches(key)) {
-          matched = true;
-          break;
-        }
-      }
-      EXPECT_EQ(matched, v >= lo && v <= hi)
-          << "value " << v << " range [" << lo << ", " << hi << "]";
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RangeCoverProperty,
-                         ::testing::Values(1, 2, 3, 4));
-
-TEST(RangeToTernaryTest, WorksInsideATcamTable) {
-  // A firewall-style port-range rule expanded into table entries.
-  TcamTable table(16, TcamTechnology::MemristorTcam());
-  for (const auto& word : RangeToTernary(8000, 8999, 16)) {
-    table.Insert({word, 1, 0});
-  }
-  table.Commit();
-  BitKey inside;
-  inside.AppendU16(8500);
-  BitKey outside;
-  outside.AppendU16(9000);
-  EXPECT_TRUE(table.Search(inside).has_value());
-  EXPECT_FALSE(table.Search(outside).has_value());
-}
 
 }  // namespace
 }  // namespace analognf::tcam
