@@ -11,7 +11,8 @@
 //     immutable snapshot RCU-style (common/snapshot.hpp).
 //   * PortRuntime — one worker thread per port, draining a bounded
 //     mailbox of ingress batches and control commands into a private
-//     CognitiveSwitch built in shared-tables reader mode. Each batch
+//     CognitiveSwitch that reads the group's SharedTables (a standalone
+//     switch reads its own SharedTables the same way). Each batch
 //     acquires the published snapshots; each port keeps its own energy
 //     ledger, stats and telemetry (the worker registers a
 //     ThreadPool external slot so sharded counters stay exact).
@@ -58,11 +59,11 @@ class PortRuntime {
   // access to the port's switch.
   using Command = std::function<void(CognitiveSwitch&)>;
 
-  // Builds the port's switch in shared-tables reader mode and starts the
-  // worker. `tables` must outlive the runtime. `mailbox_depth` bounds
-  // queued items; Submit blocks when full (backpressure, never drops).
-  PortRuntime(SwitchConfig config, const SharedTables* tables,
-              std::size_t mailbox_depth = 8);
+  // Builds the port's switch as a reader of `tables` and starts the
+  // worker. `tables` must outlive the runtime; null throws
+  // std::invalid_argument. The mailbox is bounded; Submit blocks when
+  // it is full (backpressure, never drops).
+  PortRuntime(SwitchConfig config, const SharedTables* tables);
   ~PortRuntime();
 
   PortRuntime(const PortRuntime&) = delete;
@@ -134,7 +135,6 @@ class PortRuntime {
   void WorkerLoop();
 
   CognitiveSwitch switch_;
-  const std::size_t mailbox_depth_;
   std::mutex mutex_;
   std::condition_variable cv_submit_;  // worker waits: work available
   std::condition_variable cv_state_;   // submitters wait: space / idle

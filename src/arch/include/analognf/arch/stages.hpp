@@ -9,8 +9,10 @@
 //   TrafficManagerStage ordered commit: stats, canonical ledger, packet
 //                       ids, AQM admission, egress enqueue + drain
 //
-// Only the traffic manager touches the canonical energy ledger and the
-// switch stats, and it does so in strict packet order — that is what
+// The two digital MATs only read a SharedTables (switch.hpp) through its
+// published snapshots; whoever owns the tables programs and commits
+// them. Only the traffic manager touches the canonical energy ledger and
+// the switch stats, and it does so in strict packet order — that is what
 // keeps batch results bit-identical to a sequential per-packet pipeline
 // (see stage.hpp's attribution contract).
 #pragma once
@@ -62,86 +64,44 @@ class ParseStage final : public MatchActionStage {
 // Digital MAT 1: ternary 5-tuple match (the high-precision function the
 // paper keeps digital). Marks searched packets and settles deny verdicts.
 //
-// Two modes:
-//   * owned  — the stage owns its TcamTable; rules go through AddRule
-//     and the switch commits the table at batch boundaries.
-//   * shared — the stage is a concurrent *reader* of a controller-owned
-//     table (multi-port runtime): each batch acquires the published
-//     snapshot and searches its engine with the stage's own scratch, so
-//     N port threads can run against one table while the controller
-//     commits. Shared mode never touches the table's accounting state.
+// The stage only reads its table; the table's owner (a SharedTables, see
+// switch.hpp) stages and commits the rules. Each batch acquires the
+// published snapshot and searches its engine with the stage's own
+// scratch, so N port threads can run against one table while the
+// controller commits. The stage never touches the table's accounting
+// state.
 class FirewallStage final : public MatchActionStage {
  public:
-  FirewallStage(std::size_t key_width, tcam::TcamTechnology technology);
-  // Shared-reader mode; `shared` must outlive the stage.
-  explicit FirewallStage(const tcam::TcamTable* shared);
-  // Stages a rule and returns its stable index (for EraseRule). Throws
-  // std::logic_error in shared mode (rules go to the shared table's
-  // owner).
-  std::size_t AddRule(const FirewallPattern& pattern, bool permit,
-                      std::int32_t priority);
-  // Stages removal of a rule by the index AddRule returned. Throws
-  // std::logic_error in shared mode.
-  void EraseRule(std::size_t rule_index);
+  // `table` must outlive the stage.
+  explicit FirewallStage(const tcam::TcamTable* table);
   void Process(net::PacketBatch& batch) override;
-  const tcam::TcamTable& table() const {
-    return shared_ != nullptr ? *shared_ : *table_;
-  }
-  // The owned table (null in shared mode) — for batch-boundary commits.
-  tcam::TcamTable* owned_table() { return table_.get(); }
-  // Binds the TCAM engine to `tcam.firewall.*` counters (owned mode
-  // only; a shared table is bound by its owner).
-  void BindTelemetry(telemetry::MetricsRegistry& registry) {
-    if (table_ != nullptr) table_->BindTelemetry(registry, "tcam.firewall");
-  }
+  const tcam::TcamTable& table() const { return *table_; }
 
  private:
-  std::unique_ptr<tcam::TcamTable> table_;  // null in shared mode
-  const tcam::TcamTable* shared_ = nullptr;
-  // Batch scratch (reused, never shrinks): eligible packet indices and
-  // their compacted keys/results.
+  const tcam::TcamTable* table_;
+  // Batch scratch (reused, never shrinks; per-stage, so per-port: never
+  // contended): eligible packet indices, their compacted keys, the
+  // engine's search state and hits.
   std::vector<std::size_t> eligible_;
   std::vector<tcam::BitKey> keys_;
-  std::vector<std::optional<tcam::TcamSearchResult>> results_;
-  // Shared-mode search state (per-stage, so per-port: never contended).
   tcam::TcamSearchScratch scratch_;
   std::vector<std::optional<tcam::TcamEngineHit>> hits_;
 };
 
 // ----------------------------------------------------------- RouteStage
 // Digital MAT 2: longest-prefix IPv4 lookup for packets the firewall
-// permitted. Fills the route_port lane; misses settle kNoRoute.
-// Owned and shared-reader modes mirror FirewallStage's.
+// permitted. Fills the route_port lane; misses settle kNoRoute. Reads
+// the published route snapshot like FirewallStage reads its table.
 class RouteStage final : public MatchActionStage {
  public:
-  RouteStage(tcam::TcamTechnology technology, std::size_t port_count);
-  // Shared-reader mode; `shared` must outlive the stage.
-  RouteStage(const tcam::LpmTable* shared, std::size_t port_count);
-  // Stages a route and returns its stable index (for WithdrawRoute).
-  // Throws std::logic_error in shared mode.
-  std::size_t AddRoute(std::uint32_t dst_ip, int prefix_len,
-                       std::size_t port);
-  // Stages withdrawal of a route by the index AddRoute returned. Throws
-  // std::logic_error in shared mode.
-  void WithdrawRoute(std::size_t route_index);
+  // `routes` must outlive the stage.
+  explicit RouteStage(const tcam::LpmTable* routes);
   void Process(net::PacketBatch& batch) override;
-  const tcam::LpmTable& routes() const {
-    return shared_ != nullptr ? *shared_ : *routes_;
-  }
-  tcam::LpmTable* owned_routes() { return routes_.get(); }
-  // Binds the stride-trie LPM engine to `tcam.route.*` counters (owned
-  // mode only).
-  void BindTelemetry(telemetry::MetricsRegistry& registry) {
-    if (routes_ != nullptr) routes_->BindTelemetry(registry, "tcam.route");
-  }
 
  private:
-  std::unique_ptr<tcam::LpmTable> routes_;  // null in shared mode
-  const tcam::LpmTable* shared_ = nullptr;
-  std::size_t port_count_;
+  const tcam::LpmTable* routes_;
   std::vector<std::size_t> eligible_;
   std::vector<std::uint32_t> addrs_;
-  std::vector<std::optional<tcam::TcamSearchResult>> results_;
   std::vector<std::optional<tcam::TcamEngineHit>> hits_;
 };
 

@@ -125,28 +125,25 @@ struct SwitchStats {
   std::uint64_t delivered = 0;
 };
 
-class ParseStage;
-class FirewallStage;
-class RouteStage;
 class LoadBalancerStage;
 class TrafficClassStage;
 class TrafficManagerStage;
 
-// Firewall TCAM action encoding shared by FirewallStage and
-// SharedTables.
+// Firewall TCAM action encoding: SharedTables writes it, FirewallStage
+// reads it.
 inline constexpr std::uint32_t kFirewallActionPermit = 1;
 inline constexpr std::uint32_t kFirewallActionDeny = 0;
 
-// Controller-owned digital match-action tables shared by every port of
-// a multi-port runtime (port_runtime.hpp). The controller thread stages
-// mutations (AddRoute/AddFirewallRule) and publishes them atomically
-// with Commit(); each port's data plane reads the published snapshots
+// The digital match-action tables of the data plane: the only owner of
+// firewall rules and routes. A standalone CognitiveSwitch owns one
+// privately; a multi-port runtime (port_runtime.hpp) shares one across
+// every port. The controller thread stages mutations
+// (AddRoute/AddFirewallRule) and publishes them atomically with
+// Commit(); each port's data plane reads the published snapshots
 // concurrently and never blocks on a commit. One mutator thread at a
 // time; any number of reader ports.
 struct SharedTables {
-  SharedTables(tcam::TcamTechnology technology, std::size_t port_count,
-               tcam::TcamSearchConfig firewall_config = {},
-               tcam::LpmConfig route_config = {});
+  SharedTables(tcam::TcamTechnology technology, std::size_t port_count);
 
   // Stage mutations; each returns the entry's stable index so the
   // controller can later withdraw/erase it. Deltas apply at the next
@@ -169,37 +166,42 @@ struct SharedTables {
   std::size_t port_count;
 };
 
+// The firewall and route stages of every switch read a SharedTables
+// through its published snapshots; the two constructors differ only in
+// who owns it.
 class CognitiveSwitch {
  public:
+  // Standalone switch: owns private tables, programmed through
+  // AddRoute/AddFirewallRule and committed at batch entry.
   explicit CognitiveSwitch(SwitchConfig config);
-  // Shared-tables mode: the switch's firewall/route stages become
-  // concurrent readers of `shared` (which must outlive the switch);
-  // AddRoute/AddFirewallRule then throw — mutations go through the
-  // SharedTables owner — and the data plane never auto-commits.
+  // Group port: reads `shared` (which must outlive the switch; throws
+  // std::invalid_argument when null). Mutations go through the
+  // SharedTables owner, so the table mutators below throw and the data
+  // plane never auto-commits.
   CognitiveSwitch(SwitchConfig config, const SharedTables* shared);
 
   // ------------------------------------------------ control plane
   // Installs an IPv4 route (LPM) to an egress port; returns the route's
-  // stable index for WithdrawRoute. Throws std::logic_error in
-  // shared-tables mode.
+  // stable index for WithdrawRoute. Throws std::logic_error on a group
+  // port.
   std::size_t AddRoute(std::uint32_t dst_ip, int prefix_len,
                        std::size_t port);
   // Stages withdrawal of a previously installed route. Throws
-  // std::logic_error in shared-tables mode.
+  // std::logic_error on a group port.
   void WithdrawRoute(std::size_t route_index);
   // Installs a firewall rule; higher priority wins; permit=false denies.
   // Returns the rule's stable index for EraseFirewallRule. Throws
-  // std::logic_error in shared-tables mode.
+  // std::logic_error on a group port.
   std::size_t AddFirewallRule(const FirewallPattern& pattern, bool permit,
                               std::int32_t priority);
   // Stages removal of a previously installed firewall rule. Throws
-  // std::logic_error in shared-tables mode.
+  // std::logic_error on a group port.
   void EraseFirewallRule(std::size_t rule_index);
   // Publishes any staged route/firewall mutations of the owned tables.
   // The data plane calls this automatically at batch entry, so the
   // classic AddRoute-then-Inject flow keeps working; explicit calls let
-  // a caller pay the compile at a chosen instant. No-op in shared-tables
-  // mode (the SharedTables owner commits).
+  // a caller pay the compile at a chosen instant. No-op on a group port
+  // (the SharedTables owner commits).
   void Commit();
   // Inserts a custom stage immediately in front of the traffic manager
   // (the last stage). The stage's meter is bound in the stage ledger.
@@ -266,11 +268,16 @@ class CognitiveSwitch {
         firewall_denies, no_route, aqm_drops, queue_full;
   };
 
+  // Builds the stage chain over tables_ and binds telemetry.
+  void BuildGraph();
   void BindTelemetry();
   void RecordBatchTrace(double now_s);
+  // The owned tables; throws std::logic_error on a group port.
+  SharedTables& MutableTables();
 
   SwitchConfig config_;
-  const SharedTables* shared_tables_ = nullptr;
+  std::unique_ptr<SharedTables> private_tables_;  // null on a group port
+  const SharedTables* tables_;                    // never null
   energy::DataMovementModel movement_;
   SwitchStats stats_;
   energy::EnergyLedger ledger_;
@@ -285,9 +292,6 @@ class CognitiveSwitch {
   StageGraph graph_{&stage_ledger_};
   // Borrowed views into graph-owned stages (valid for the switch's
   // lifetime; the graph owns the objects).
-  ParseStage* parse_ = nullptr;
-  FirewallStage* firewall_ = nullptr;
-  RouteStage* route_ = nullptr;
   LoadBalancerStage* lb_ = nullptr;
   TrafficClassStage* classify_ = nullptr;
   TrafficManagerStage* tm_ = nullptr;

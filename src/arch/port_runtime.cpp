@@ -9,6 +9,9 @@
 
 namespace {
 
+// Queued mailbox items per port; Submit/Apply block while it is full.
+constexpr std::size_t kMailboxCapacity = 8;
+
 std::uint64_t SteadyNowNs() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -22,11 +25,8 @@ namespace analognf::arch {
 
 // ------------------------------------------------------------ PortRuntime
 
-PortRuntime::PortRuntime(SwitchConfig config, const SharedTables* tables,
-                         std::size_t mailbox_depth)
-    : switch_(std::move(config), tables),
-      mailbox_depth_(mailbox_depth == 0 ? 1 : mailbox_depth),
-      worker_([this] { WorkerLoop(); }) {}
+PortRuntime::PortRuntime(SwitchConfig config, const SharedTables* tables)
+    : switch_(std::move(config), tables), worker_([this] { WorkerLoop(); }) {}
 
 PortRuntime::~PortRuntime() {
   {
@@ -41,7 +41,7 @@ void PortRuntime::Submit(Batch batch) {
   Item item;
   item.batch = std::move(batch);
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
+  cv_state_.wait(lock, [this] { return mailbox_.size() < kMailboxCapacity; });
   mailbox_.push_back(std::move(item));
   ++in_flight_;
   lock.unlock();
@@ -55,7 +55,7 @@ void PortRuntime::Apply(Command command) {
   Item item;
   item.command = std::move(command);
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
+  cv_state_.wait(lock, [this] { return mailbox_.size() < kMailboxCapacity; });
   mailbox_.push_back(std::move(item));
   ++in_flight_;
   lock.unlock();
@@ -76,7 +76,7 @@ void PortRuntime::AttachRing(IngressRing* ring, RingHook hook) {
   item.ring = ring;
   item.hook = std::move(hook);
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
+  cv_state_.wait(lock, [this] { return mailbox_.size() < kMailboxCapacity; });
   mailbox_.push_back(std::move(item));
   ++in_flight_;
   lock.unlock();
@@ -88,7 +88,7 @@ void PortRuntime::DetachRing() {
   item.ring_op = true;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_state_.wait(lock, [this] { return mailbox_.size() < mailbox_depth_; });
+    cv_state_.wait(lock, [this] { return mailbox_.size() < kMailboxCapacity; });
     mailbox_.push_back(std::move(item));
     ++in_flight_;
   }

@@ -5,11 +5,6 @@
 
 namespace analognf::arch {
 
-namespace {
-constexpr std::uint32_t kActionPermit = kFirewallActionPermit;
-constexpr std::uint32_t kActionDeny = kFirewallActionDeny;
-}  // namespace
-
 // ----------------------------------------------------------- ParseStage
 
 ParseStage::ParseStage(const energy::DataMovementModel* movement)
@@ -57,36 +52,8 @@ void ParseStage::Process(net::PacketBatch& batch) {
 
 // -------------------------------------------------------- FirewallStage
 
-FirewallStage::FirewallStage(std::size_t key_width,
-                             tcam::TcamTechnology technology)
-    : MatchActionStage("firewall"),
-      table_(std::make_unique<tcam::TcamTable>(key_width, technology)) {}
-
-FirewallStage::FirewallStage(const tcam::TcamTable* shared)
-    : MatchActionStage("firewall"), shared_(shared) {}
-
-std::size_t FirewallStage::AddRule(const FirewallPattern& pattern,
-                                   bool permit, std::int32_t priority) {
-  if (table_ == nullptr) {
-    throw std::logic_error(
-        "FirewallStage::AddRule: shared-table mode — install rules through "
-        "the table's owner");
-  }
-  tcam::TcamTable::Entry entry;
-  entry.pattern = BuildFirewallWord(pattern);
-  entry.action = permit ? kActionPermit : kActionDeny;
-  entry.priority = priority;
-  return table_->Insert(std::move(entry));
-}
-
-void FirewallStage::EraseRule(std::size_t rule_index) {
-  if (table_ == nullptr) {
-    throw std::logic_error(
-        "FirewallStage::EraseRule: shared-table mode — erase rules through "
-        "the table's owner");
-  }
-  table_->Erase(rule_index);
-}
+FirewallStage::FirewallStage(const tcam::TcamTable* table)
+    : MatchActionStage("firewall"), table_(table) {}
 
 void FirewallStage::Process(net::PacketBatch& batch) {
   const std::size_t n = batch.size();
@@ -104,36 +71,19 @@ void FirewallStage::Process(net::PacketBatch& batch) {
   }
   keys_.resize(m);
   energy::CategoryTotal& meter = stage_meter();
-  if (shared_ != nullptr) {
-    // Concurrent-reader mode: search the published snapshot's engine
-    // directly. The snapshot pins the row set AND the per-cycle energy
-    // for the whole batch; the table's own accounting state is never
-    // touched (it belongs to the owner's control thread).
-    const auto snap = shared_->snapshot();
-    snap->engine.SearchBatch(keys_.data(), keys_.size(), hits_, scratch_);
-    batch.firewall_search_j = snap->search_energy_j;
-    for (std::size_t j = 0; j < eligible_.size(); ++j) {
-      const std::size_t i = eligible_[j];
-      batch.searched_firewall[i] = 1;
-      meter.energy_j += snap->search_energy_j;
-      ++meter.operations;
-      const auto& hit = hits_[j];
-      if (hit.has_value() && hit->action == kActionDeny) {
-        batch.verdicts[i] = net::Verdict::kFirewallDeny;
-      }
-    }
-    return;
-  }
-  table_->SearchBatch(keys_, results_);
-  const double search_j = table_->SearchEnergyJ();
-  batch.firewall_search_j = search_j;
+  // The snapshot pins the row set AND the per-cycle energy for the whole
+  // batch; the table's own accounting state is never touched (it belongs
+  // to the owner's control thread).
+  const auto snap = table_->snapshot();
+  snap->engine.SearchBatch(keys_.data(), keys_.size(), hits_, scratch_);
+  batch.firewall_search_j = snap->search_energy_j;
   for (std::size_t j = 0; j < eligible_.size(); ++j) {
     const std::size_t i = eligible_[j];
     batch.searched_firewall[i] = 1;
-    meter.energy_j += search_j;
+    meter.energy_j += snap->search_energy_j;
     ++meter.operations;
-    const auto& hit = results_[j];
-    if (hit.has_value() && hit->action == kActionDeny) {
+    const auto& hit = hits_[j];
+    if (hit.has_value() && hit->action == kFirewallActionDeny) {
       batch.verdicts[i] = net::Verdict::kFirewallDeny;
     }
   }
@@ -141,36 +91,8 @@ void FirewallStage::Process(net::PacketBatch& batch) {
 
 // ----------------------------------------------------------- RouteStage
 
-RouteStage::RouteStage(tcam::TcamTechnology technology, std::size_t port_count)
-    : MatchActionStage("route"),
-      routes_(std::make_unique<tcam::LpmTable>(technology)),
-      port_count_(port_count) {}
-
-RouteStage::RouteStage(const tcam::LpmTable* shared, std::size_t port_count)
-    : MatchActionStage("route"), shared_(shared), port_count_(port_count) {}
-
-std::size_t RouteStage::AddRoute(std::uint32_t dst_ip, int prefix_len,
-                                 std::size_t port) {
-  if (routes_ == nullptr) {
-    throw std::logic_error(
-        "RouteStage::AddRoute: shared-table mode — install routes through "
-        "the table's owner");
-  }
-  if (port >= port_count_) {
-    throw std::invalid_argument("AddRoute: port out of range");
-  }
-  return routes_->AddRoute(dst_ip, prefix_len,
-                           static_cast<std::uint32_t>(port));
-}
-
-void RouteStage::WithdrawRoute(std::size_t route_index) {
-  if (routes_ == nullptr) {
-    throw std::logic_error(
-        "RouteStage::WithdrawRoute: shared-table mode — withdraw routes "
-        "through the table's owner");
-  }
-  routes_->WithdrawRoute(route_index);
-}
+RouteStage::RouteStage(const tcam::LpmTable* routes)
+    : MatchActionStage("route"), routes_(routes) {}
 
 void RouteStage::Process(net::PacketBatch& batch) {
   const std::size_t n = batch.size();
@@ -183,35 +105,17 @@ void RouteStage::Process(net::PacketBatch& batch) {
     addrs_.push_back(batch.parsed[i].ipv4->dst_ip);
   }
   energy::CategoryTotal& meter = stage_meter();
-  if (shared_ != nullptr) {
-    // Concurrent-reader mode: one acquired snapshot answers the whole
-    // batch; the owner's table accounting is left alone.
-    const auto snap = shared_->snapshot();
-    snap->LookupBatch(addrs_.data(), addrs_.size(), hits_);
-    batch.route_search_j = snap->search_energy_j;
-    for (std::size_t j = 0; j < eligible_.size(); ++j) {
-      const std::size_t i = eligible_[j];
-      batch.searched_route[i] = 1;
-      meter.energy_j += snap->search_energy_j;
-      ++meter.operations;
-      const auto& hit = hits_[j];
-      if (hit.has_value()) {
-        batch.route_port[i] = hit->action;
-      } else {
-        batch.verdicts[i] = net::Verdict::kNoRoute;
-      }
-    }
-    return;
-  }
-  routes_->LookupBatch(addrs_.data(), addrs_.size(), results_);
-  const double search_j = routes_->table().SearchEnergyJ();
-  batch.route_search_j = search_j;
+  // One acquired snapshot answers the whole batch; the owner's table
+  // accounting is left alone.
+  const auto snap = routes_->snapshot();
+  snap->LookupBatch(addrs_.data(), addrs_.size(), hits_);
+  batch.route_search_j = snap->search_energy_j;
   for (std::size_t j = 0; j < eligible_.size(); ++j) {
     const std::size_t i = eligible_[j];
     batch.searched_route[i] = 1;
-    meter.energy_j += search_j;
+    meter.energy_j += snap->search_energy_j;
     ++meter.operations;
-    const auto& hit = results_[j];
+    const auto& hit = hits_[j];
     if (hit.has_value()) {
       batch.route_port[i] = hit->action;
     } else {

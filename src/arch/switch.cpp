@@ -64,11 +64,9 @@ void SwitchConfig::Validate() const {
 }
 
 SharedTables::SharedTables(tcam::TcamTechnology technology,
-                           std::size_t ports,
-                           tcam::TcamSearchConfig firewall_config,
-                           tcam::LpmConfig route_config)
-    : firewall(kFiveTupleBits, technology, firewall_config),
-      routes(technology, route_config),
+                           std::size_t ports)
+    : firewall(kFiveTupleBits, technology),
+      routes(technology),
       port_count(ports) {}
 
 std::size_t SharedTables::AddRoute(std::uint32_t dst_ip, int prefix_len,
@@ -101,39 +99,41 @@ void SharedTables::Commit() {
   routes.Commit();
 }
 
+namespace {
+
+SwitchConfig Validated(SwitchConfig config) {
+  config.Validate();
+  return config;
+}
+
+}  // namespace
+
 CognitiveSwitch::CognitiveSwitch(SwitchConfig config)
-    : CognitiveSwitch(std::move(config), nullptr) {}
+    : config_(Validated(std::move(config))),
+      private_tables_(std::make_unique<SharedTables>(
+          config_.digital_technology, config_.port_count)),
+      tables_(private_tables_.get()),
+      telemetry_(config_.telemetry) {
+  BuildGraph();
+}
 
 CognitiveSwitch::CognitiveSwitch(SwitchConfig config, const SharedTables* shared)
-    : config_([&] {
-        config.Validate();
-        return config;
-      }()),
-      shared_tables_(shared),
-      movement_(),
+    : config_(Validated(std::move(config))),
+      tables_(shared),
       telemetry_(config_.telemetry) {
+  if (tables_ == nullptr) {
+    throw std::invalid_argument("CognitiveSwitch: null SharedTables");
+  }
+  BuildGraph();
+}
+
+void CognitiveSwitch::BuildGraph() {
   // Build the Fig. 5 chain: parser, digital MATs, optional cognitive
   // analog MATs, and the traffic manager last (it owns the ordered
   // commit, so custom stages inserted via AddStage land in front of it).
-  auto parse = std::make_unique<ParseStage>(&movement_);
-  parse_ = parse.get();
-  graph_.Add(std::move(parse));
-
-  auto firewall =
-      shared_tables_ != nullptr
-          ? std::make_unique<FirewallStage>(&shared_tables_->firewall)
-          : std::make_unique<FirewallStage>(kFiveTupleBits,
-                                            config_.digital_technology);
-  firewall_ = firewall.get();
-  graph_.Add(std::move(firewall));
-
-  auto route = shared_tables_ != nullptr
-                   ? std::make_unique<RouteStage>(&shared_tables_->routes,
-                                                  config_.port_count)
-                   : std::make_unique<RouteStage>(config_.digital_technology,
-                                                  config_.port_count);
-  route_ = route.get();
-  graph_.Add(std::move(route));
+  graph_.Add(std::make_unique<ParseStage>(&movement_));
+  graph_.Add(std::make_unique<FirewallStage>(&tables_->firewall));
+  graph_.Add(std::make_unique<RouteStage>(&tables_->routes));
 
   if (config_.enable_load_balancer) {
     auto lb = std::make_unique<LoadBalancerStage>(
@@ -162,8 +162,11 @@ void CognitiveSwitch::BindTelemetry() {
   if (!telemetry_.enabled()) return;
   telemetry::MetricsRegistry& registry = telemetry_.metrics();
   graph_.BindTelemetry(registry);
-  firewall_->BindTelemetry(registry);
-  route_->BindTelemetry(registry);
+  // A group's shared tables are bound by their owner.
+  if (private_tables_ != nullptr) {
+    private_tables_->firewall.BindTelemetry(registry, "tcam.firewall");
+    private_tables_->routes.BindTelemetry(registry, "tcam.route");
+  }
   if (lb_ != nullptr) lb_->BindTelemetry(registry);
   if (classify_ != nullptr) classify_->BindTelemetry(registry);
 
@@ -244,29 +247,36 @@ void CognitiveSwitch::RecordBatchTrace(double now_s) {
   telemetry_.recorder().Record(rec);
 }
 
+SharedTables& CognitiveSwitch::MutableTables() {
+  if (private_tables_ == nullptr) {
+    throw std::logic_error(
+        "CognitiveSwitch: group port — mutate the tables through their "
+        "SharedTables owner");
+  }
+  return *private_tables_;
+}
+
 std::size_t CognitiveSwitch::AddRoute(std::uint32_t dst_ip, int prefix_len,
                                       std::size_t port) {
-  return route_->AddRoute(dst_ip, prefix_len, port);
+  return MutableTables().AddRoute(dst_ip, prefix_len, port);
 }
 
 void CognitiveSwitch::WithdrawRoute(std::size_t route_index) {
-  route_->WithdrawRoute(route_index);
+  MutableTables().WithdrawRoute(route_index);
 }
 
 std::size_t CognitiveSwitch::AddFirewallRule(const FirewallPattern& pattern,
                                              bool permit,
                                              std::int32_t priority) {
-  return firewall_->AddRule(pattern, permit, priority);
+  return MutableTables().AddFirewallRule(pattern, permit, priority);
 }
 
 void CognitiveSwitch::EraseFirewallRule(std::size_t rule_index) {
-  firewall_->EraseRule(rule_index);
+  MutableTables().EraseFirewallRule(rule_index);
 }
 
 void CognitiveSwitch::Commit() {
-  if (shared_tables_ != nullptr) return;  // the tables' owner commits
-  firewall_->owned_table()->Commit();
-  route_->owned_routes()->Commit();
+  if (private_tables_ != nullptr) private_tables_->Commit();
 }
 
 MatchActionStage& CognitiveSwitch::AddStage(

@@ -170,12 +170,10 @@ class TcamTable {
                    std::vector<std::optional<TcamSearchResult>>& out);
 
   // Accounts one search cycle's energy without scanning, for compiled
-  // side-engines (e.g. the LPM trie) that keep this table as the cost
-  // model of record. Returns the energy of the cycle.
-  double AccountSearch();
-  // Same, with the cycle energy supplied by the caller (a snapshot's
-  // search_energy_j) so accounting can follow the snapshot actually
-  // searched rather than the live row set.
+  // side-engines (e.g. LpmTable's) that keep this table as the cost
+  // model of record. The cycle energy is supplied by the caller (a
+  // snapshot's search_energy_j) so accounting follows the snapshot
+  // actually searched rather than the live row set. Returns it.
   double AccountSearch(double energy_j);
 
   // Energy/latency of one search cycle over the current (live) table.

@@ -249,8 +249,6 @@ void TcamTable::SearchBatch(const std::vector<BitKey>& keys,
   }
 }
 
-double TcamTable::AccountSearch() { return AccountSearch(SearchEnergyJ()); }
-
 double TcamTable::AccountSearch(double energy_j) {
   consumed_energy_j_ += energy_j;
   ++searches_;

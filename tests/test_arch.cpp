@@ -11,8 +11,12 @@
 #include "analognf/net/generator.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace analognf::arch {
 namespace {
@@ -220,6 +224,10 @@ TEST(SwitchTest, DscpMapsToPriority) {
   EXPECT_EQ(deliveries[0].meta.priority, 46 >> 3);
 }
 
+TEST(SwitchTest, NullSharedTablesRejected) {
+  EXPECT_THROW(CognitiveSwitch(SmallSwitch(), nullptr), std::invalid_argument);
+}
+
 // ------------------------------------------------------- batched ingress
 
 // One switch config with every drop path reachable: AQM on, two classes,
@@ -378,6 +386,125 @@ TEST(SwitchBatchTest, DrainIntoAppendsAndReportsCount) {
   }
   EXPECT_EQ(sw.DrainInto(200.0, out), 0u);  // nothing left: fast path
   EXPECT_EQ(out.size(), 4u);
+}
+
+// FNV-1a over the raw bytes of each added value, in order.
+class SwitchDigest {
+ public:
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) Mix(b);
+  }
+  void Add(const std::string& text) {
+    Add(text.size());
+    for (const char c : text) Mix(static_cast<unsigned char>(c));
+  }
+  void Add(const energy::EnergyLedger& ledger) {
+    for (const auto& [category, total] : ledger.categories()) {
+      Add(category);
+      Add(total.energy_j);
+      Add(total.operations);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  void Mix(unsigned char b) { hash_ = (hash_ ^ b) * 0x100000001b3ULL; }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Golden digest of a standalone switch's control and data plane: deny
+// and permit rules, a /0 default route under longer prefixes, and one
+// rule erase and one route withdrawal between batches. Covers the
+// verdict stats, both energy ledgers and the digital tables' telemetry
+// (wall-clock `*_ns` counters excluded). Moving one bit of any of them
+// changes the value.
+TEST(SwitchTest, GoldenDigestOfStandaloneSwitch) {
+  CognitiveSwitch sw(BatchedConfig());
+  const std::size_t default_route = sw.AddRoute(0, 0, 1);
+  sw.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
+  sw.AddRoute(net::ParseIpv4("10.1.0.0"), 16, 1);
+  sw.AddRoute(net::ParseIpv4("10.1.2.0"), 24, 0);
+  FirewallPattern deny_net;
+  deny_net.src_ip = net::ParseIpv4("66.0.0.0");
+  deny_net.src_prefix_len = 8;
+  sw.AddFirewallRule(deny_net, /*permit=*/false, /*priority=*/10);
+  FirewallPattern deny_port;
+  deny_port.dst_port = 666;
+  deny_port.any_dst_port = false;
+  const std::size_t port_rule =
+      sw.AddFirewallRule(deny_port, /*permit=*/false, /*priority=*/20);
+  FirewallPattern permit_host;
+  permit_host.src_ip = net::ParseIpv4("66.6.6.6");
+  permit_host.src_prefix_len = 32;
+  sw.AddFirewallRule(permit_host, /*permit=*/true, /*priority=*/30);
+  sw.AddFirewallRule(FirewallPattern{}, /*permit=*/true, /*priority=*/0);
+
+  std::vector<net::Packet> packets;
+  for (int i = 0; i < 240; ++i) {
+    switch (i % 6) {
+      case 0:
+        packets.push_back(MakeUdpPacket("1.1.1.1", "10.0.0.1", 1, 2, 800,
+                                        /*dscp=*/46));
+        break;
+      case 1:
+        packets.push_back(MakeUdpPacket("2.2.2.2", "10.1.2.3", 3, 4, 500));
+        break;
+      case 2:
+        packets.push_back(MakeUdpPacket("3.3.3.3", "10.1.9.9", 5, 6, 300));
+        break;
+      case 3:
+        packets.push_back(MakeUdpPacket("4.4.4.4", "99.9.9.9", 7, 666, 200));
+        break;
+      case 4:
+        packets.push_back(MakeUdpPacket(i % 8 < 4 ? "66.6.6.6" : "66.1.1.1",
+                                        "10.0.0.9", 9, 10, 400));
+        break;
+      default:
+        packets.push_back(net::Packet(std::vector<std::uint8_t>(12, 0xee)));
+        break;
+    }
+  }
+  const std::span<const net::Packet> all(packets);
+  double now_s = 0.0;
+  for (std::size_t off = 0; off < all.size(); off += 40) {
+    if (off == 80) sw.EraseFirewallRule(port_rule);
+    if (off == 160) sw.WithdrawRoute(default_route);
+    sw.InjectBatch(all.subspan(off, 40), now_s);
+    sw.Drain(now_s);
+    now_s += 2.0e-4;
+  }
+  sw.Drain(1.0);
+
+  SwitchDigest digest;
+  const SwitchStats& s = sw.stats();
+  digest.Add(s.injected);
+  digest.Add(s.forwarded);
+  digest.Add(s.parse_errors);
+  digest.Add(s.firewall_denies);
+  digest.Add(s.no_route);
+  digest.Add(s.aqm_drops);
+  digest.Add(s.queue_full);
+  digest.Add(s.delivered);
+  digest.Add(sw.ledger());
+  digest.Add(sw.stage_ledger());
+  std::size_t table_counters = 0;
+  for (const auto& counter : sw.telemetry().metrics().Snapshot().counters) {
+    const std::string& name = counter.name;
+    const bool table = name.starts_with("tcam.firewall.") ||
+                       name.starts_with("tcam.route.") ||
+                       name.starts_with("table.");
+    if (!table || name.ends_with("_ns")) continue;
+    digest.Add(name);
+    digest.Add(counter.value);
+    ++table_counters;
+  }
+  EXPECT_EQ(table_counters, 10u);
+  EXPECT_GT(s.firewall_denies, 0u);
+  EXPECT_GT(s.no_route, 0u);
+  EXPECT_EQ(digest.value(), 0x85bd1cd928296411ULL);
 }
 
 // --------------------------------------------------- proportional classes

@@ -546,6 +546,12 @@ TEST(SwitchGroupTest, SharedModeRejectsLocalTableMutations) {
                std::logic_error);
 }
 
+// A port without the group's tables could never see a rule or route:
+// every packet would end as kNoRoute. Construction must fail instead.
+TEST(SwitchGroupTest, PortRuntimeRejectsNullTables) {
+  EXPECT_THROW(PortRuntime(GroupConfig(), nullptr), std::invalid_argument);
+}
+
 TEST(SwitchGroupTest, CommandsApplyAtBatchBoundariesInOrder) {
   SwitchGroup group(1, GroupConfig());
   InstallTables(group);
