@@ -5,8 +5,6 @@
 // right default for drop probabilities.
 #include "bench_util.hpp"
 
-#include <memory>
-
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/common/units.hpp"
@@ -17,10 +15,9 @@ namespace {
 using namespace analognf;
 
 sim::SimReport RunWithCombiner(core::CombineMode mode, std::uint64_t seed) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            seed);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1800.0;
+  net::MetaSource source(mc, seed);
   aqm::AnalogAqmConfig ac;
   ac.combine = mode;
   aqm::AnalogAqm policy(ac);
@@ -28,7 +25,7 @@ sim::SimReport RunWithCombiner(core::CombineMode mode, std::uint64_t seed) {
   sc.duration_s = 10.0;
   sc.warmup_s = 2.0;
   sc.link_rate_bps = 10.0e6;
-  sim::QueueSimulator sim(sc, gen, policy);
+  sim::QueueSimulator sim(sc, source, policy);
   return sim.Run();
 }
 

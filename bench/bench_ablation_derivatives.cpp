@@ -7,8 +7,6 @@
 // orders 0..3 and report delay conformance to the programmed bound.
 #include "bench_util.hpp"
 
-#include <memory>
-
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/common/units.hpp"
@@ -19,12 +17,13 @@ namespace {
 using namespace analognf;
 
 sim::SimReport RunWithOrders(std::size_t orders, std::uint64_t seed) {
-  net::MmppGenerator::Config gc;
-  gc.calm_rate_pps = 900.0;
-  gc.burst_rate_pps = 4000.0;
-  gc.mean_calm_dwell_s = 0.4;
-  gc.mean_burst_dwell_s = 0.08;
-  net::MmppGenerator gen(gc, std::make_unique<net::FixedSize>(1000), seed);
+  net::MetaSourceConfig mc;
+  mc.arrivals.process = net::ArrivalConfig::Process::kMmpp;
+  mc.arrivals.rate_pps = 900.0;
+  mc.arrivals.burst_factor = 4000.0 / 900.0;
+  mc.arrivals.mean_calm_dwell_s = 0.4;
+  mc.arrivals.mean_burst_dwell_s = 0.08;
+  net::MetaSource source(mc, seed);
 
   aqm::AnalogAqmConfig ac;
   ac.derivative_orders = orders;
@@ -34,7 +33,7 @@ sim::SimReport RunWithOrders(std::size_t orders, std::uint64_t seed) {
   sc.duration_s = 12.0;
   sc.warmup_s = 2.0;
   sc.link_rate_bps = 10.0e6;
-  sim::QueueSimulator sim(sc, gen, policy);
+  sim::QueueSimulator sim(sc, source, policy);
   return sim.Run();
 }
 

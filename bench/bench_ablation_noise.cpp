@@ -11,7 +11,6 @@
 #include "bench_util.hpp"
 
 #include <cmath>
-#include <memory>
 
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/common/stats.hpp"
@@ -51,10 +50,9 @@ double TransferRmsError(const analog::ChannelParams& channel,
 
 double DelayConformance(const analog::ChannelParams& channel,
                         std::uint64_t seed) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            seed);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1800.0;
+  net::MetaSource source(mc, seed);
   aqm::AnalogAqmConfig ac;
   ac.hardware.channel = channel;
   aqm::AnalogAqm policy(ac);
@@ -62,7 +60,7 @@ double DelayConformance(const analog::ChannelParams& channel,
   sc.duration_s = 8.0;
   sc.warmup_s = 2.0;
   sc.link_rate_bps = 10.0e6;
-  sim::QueueSimulator sim(sc, gen, policy);
+  sim::QueueSimulator sim(sc, source, policy);
   return sim.Run().DelayFractionWithin(0.0, 0.035);
 }
 

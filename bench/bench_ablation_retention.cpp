@@ -9,7 +9,6 @@
 #include "bench_util.hpp"
 
 #include <cmath>
-#include <memory>
 
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/common/units.hpp"
@@ -35,10 +34,9 @@ double ThresholdDriftV(double retention_tau_s, double age_s) {
 // every `refresh_s` (0 = never).
 double ConformanceWithAging(double retention_tau_s, double refresh_s,
                             std::uint64_t seed) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            seed);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1800.0;
+  net::MetaSource source(mc, seed);
   aqm::AnalogAqmConfig ac;
   ac.hardware.device.retention_time_constant_s = retention_tau_s;
   aqm::AnalogAqm policy(ac);
@@ -60,7 +58,7 @@ double ConformanceWithAging(double retention_tau_s, double refresh_s,
   for (std::size_t i = 0; i < pipeline.stage_count(); ++i) {
     pipeline.cell(i).Age(total_age);
   }
-  sim::QueueSimulator sim(sc, gen, policy);
+  sim::QueueSimulator sim(sc, source, policy);
   return sim.Run().DelayFractionWithin(0.0, 0.035);
 }
 

@@ -7,8 +7,6 @@
 // match-action implementation of the same pipeline.
 #include "bench_util.hpp"
 
-#include <memory>
-
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/aqm/codel.hpp"
 #include "analognf/aqm/pie.hpp"
@@ -26,16 +24,15 @@ constexpr double kLinkBps = 10.0e6;
 
 sim::SimReport RunPolicy(aqm::AqmPolicy& policy, std::uint64_t seed,
                          std::uint64_t max_packets = 0) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;  // 144% offered load
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            seed);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1800.0;  // 144% offered load
+  net::MetaSource source(mc, seed);
   sim::QueueSimConfig sc;
   sc.duration_s = 12.0;
   sc.warmup_s = 3.0;
   sc.link_rate_bps = kLinkBps;
   sc.queue.max_packets = max_packets;
-  sim::QueueSimulator sim(sc, gen, policy);
+  sim::QueueSimulator sim(sc, source, policy);
   return sim.Run();
 }
 

@@ -7,8 +7,6 @@
 // and selectively dropping.
 #include "bench_util.hpp"
 
-#include <memory>
-
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/common/units.hpp"
 #include "analognf/sim/queue_sim.hpp"
@@ -26,23 +24,22 @@ sim::QueueSimConfig Fig8Config() {
   return c;
 }
 
-std::unique_ptr<net::PoissonGenerator> Fig8Traffic(std::uint64_t seed) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 800.0;  // pre-congestion load
-  return std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), seed);
+net::MetaSource Fig8Traffic(std::uint64_t seed) {
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 800.0;  // pre-congestion load
+  return net::MetaSource(mc, seed);
 }
 
 sim::SimReport Run(bool with_aqm) {
-  auto gen = Fig8Traffic(2023);
+  net::MetaSource source = Fig8Traffic(2023);
   const sim::QueueSimConfig config = Fig8Config();
   if (with_aqm) {
     aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-    sim::QueueSimulator s(config, *gen, policy, nullptr, gen.get());
+    sim::QueueSimulator s(config, source, policy);
     return s.Run();
   }
   aqm::TailDropOnly policy;
-  sim::QueueSimulator s(config, *gen, policy, nullptr, gen.get());
+  sim::QueueSimulator s(config, source, policy);
   return s.Run();
 }
 
@@ -91,13 +88,13 @@ void Report() {
 
 void BM_Fig8WithAnalogAqm(benchmark::State& state) {
   for (auto _ : state) {
-    auto gen = Fig8Traffic(7);
+    net::MetaSource source = Fig8Traffic(7);
     sim::QueueSimConfig c = Fig8Config();
     c.duration_s = 2.0;
     c.warmup_s = 0.5;
     c.phases.clear();
     aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-    sim::QueueSimulator s(c, *gen, policy);
+    sim::QueueSimulator s(c, source, policy);
     benchmark::DoNotOptimize(s.Run());
   }
 }
@@ -105,13 +102,13 @@ BENCHMARK(BM_Fig8WithAnalogAqm)->Unit(benchmark::kMillisecond);
 
 void BM_Fig8TailDrop(benchmark::State& state) {
   for (auto _ : state) {
-    auto gen = Fig8Traffic(7);
+    net::MetaSource source = Fig8Traffic(7);
     sim::QueueSimConfig c = Fig8Config();
     c.duration_s = 2.0;
     c.warmup_s = 0.5;
     c.phases.clear();
     aqm::TailDropOnly policy;
-    sim::QueueSimulator s(c, *gen, policy);
+    sim::QueueSimulator s(c, source, policy);
     benchmark::DoNotOptimize(s.Run());
   }
 }

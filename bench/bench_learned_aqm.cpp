@@ -8,8 +8,6 @@
 // then the end-state comparison against the programmed AQM.
 #include "bench_util.hpp"
 
-#include <memory>
-
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/cognitive/learned_aqm.hpp"
 #include "analognf/common/units.hpp"
@@ -21,15 +19,14 @@ using namespace analognf;
 
 sim::SimReport RunPolicy(aqm::AqmPolicy& policy, double duration_s,
                          std::uint64_t seed) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            seed);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1800.0;
+  net::MetaSource source(mc, seed);
   sim::QueueSimConfig sc;
   sc.duration_s = duration_s;
   sc.warmup_s = 0.0;  // we want to see the learning transient
   sc.link_rate_bps = 10.0e6;
-  sim::QueueSimulator sim(sc, gen, policy);
+  sim::QueueSimulator sim(sc, source, policy);
   return sim.Run();
 }
 

@@ -7,8 +7,6 @@
 // while without AQM the first hop's standing queue dominates everything.
 #include "bench_util.hpp"
 
-#include <memory>
-
 #include "analognf/arch/topology.hpp"
 #include "analognf/common/units.hpp"
 #include "analognf/net/generator.hpp"
@@ -31,11 +29,10 @@ arch::TopologyConfig LineConfig(std::size_t hops, bool aqm) {
 
 arch::TopologyReport RunLine(std::size_t hops, bool aqm, double rate_pps) {
   arch::LineTopology line(LineConfig(hops, aqm));
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = rate_pps;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            2026);
-  return line.Run(gen);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = rate_pps;
+  net::MetaSource source(mc, 2026);
+  return line.Run(source);
 }
 
 void Report() {
@@ -67,11 +64,10 @@ void BM_TwoHopSecond(benchmark::State& state) {
     c.duration_s = 1.0;
     c.warmup_s = 0.2;
     arch::LineTopology line(c);
-    net::PoissonGenerator::Config gc;
-    gc.rate_pps = 1500.0;
-    net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                              7);
-    benchmark::DoNotOptimize(line.Run(gen));
+    net::MetaSourceConfig mc;
+    mc.arrivals.rate_pps = 1500.0;
+    net::MetaSource source(mc, 7);
+    benchmark::DoNotOptimize(line.Run(source));
   }
 }
 BENCHMARK(BM_TwoHopSecond)->Unit(benchmark::kMillisecond);

@@ -7,7 +7,6 @@
 // 20 ms target, 10 ms deviation, 10 s simulated.
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/aqm/controller.hpp"
@@ -31,10 +30,9 @@ int main(int argc, char** argv) {
   }
 
   // Traffic: Poisson flows, as in Sec. 6.
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = offered_pps;
-  auto gen = std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), /*seed=*/2023);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = offered_pps;
+  net::MetaSource source(mc, /*seed=*/2023);
 
   // The analog AQM, programmed for the requested latency bound.
   aqm::AnalogAqmConfig ac;
@@ -47,7 +45,7 @@ int main(int argc, char** argv) {
   sc.duration_s = duration_s;
   sc.warmup_s = duration_s * 0.2;
   sc.link_rate_bps = 10.0e6;
-  sim::QueueSimulator simulator(sc, *gen, policy, &controller);
+  sim::QueueSimulator simulator(sc, source, policy, &controller);
   const sim::SimReport report = simulator.Run();
 
   std::printf("workload: %.0f pps offered, link capacity 1250 pps "

@@ -5,9 +5,9 @@
 // tracked online per flow (mean packet size, inter-arrival time,
 // burstiness), and classified by a single pCAM table search per flow.
 // The analog match degree doubles as the classification confidence.
+#include <cstdint>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "analognf/cognitive/classifier.hpp"
@@ -16,38 +16,6 @@
 using namespace analognf;
 
 int main() {
-  // --- Ground-truth traffic mix ----------------------------------------
-  struct Source {
-    const char* truth;
-    std::unique_ptr<net::TrafficGenerator> gen;
-  };
-  std::vector<Source> sources;
-  // Four VoIP-like CBR flows: 160-byte frames every 20 ms.
-  for (int i = 0; i < 4; ++i) {
-    sources.push_back(
-        {"voip", std::make_unique<net::CbrGenerator>(
-                     50.0, 160, /*flow_hash=*/0x100 + i)});
-  }
-  // Three bulk flows: 1500-byte segments, steady 800 pps.
-  for (int i = 0; i < 3; ++i) {
-    sources.push_back(
-        {"bulk", std::make_unique<net::CbrGenerator>(
-                     800.0, 1500, /*flow_hash=*/0x200 + i)});
-  }
-  // Three bursty video flows (MMPP, one flow each).
-  for (int i = 0; i < 3; ++i) {
-    net::MmppGenerator::Config mc;
-    mc.calm_rate_pps = 30.0;
-    mc.burst_rate_pps = 900.0;
-    mc.mean_calm_dwell_s = 0.2;
-    mc.mean_burst_dwell_s = 0.05;
-    mc.flows = 1;
-    sources.push_back(
-        {"video", std::make_unique<net::MmppGenerator>(
-                      mc, std::make_unique<net::FixedSize>(1200),
-                      /*seed=*/900 + static_cast<std::uint64_t>(i))});
-  }
-
   // --- The cognitive function ------------------------------------------
   cognitive::FlowTracker tracker;
   core::HardwarePcamConfig hw;
@@ -57,14 +25,53 @@ int main() {
   classifier.AddClass({"bulk", 1000, 1600, 0.00005, 0.004, 0.0, 1.4});
   classifier.AddClass({"video", 700, 1600, 0.0005, 0.040, 1.2, 4.0});
 
-  // Observe ~30 seconds of traffic from every source.
+  // --- Ground-truth traffic mix ----------------------------------------
+  // Every flow sends up to 1500 packets; the tracker observes ~30 s.
   std::map<std::uint64_t, const char*> truth;
-  for (Source& src : sources) {
+  auto observe = [&](const char* label, const net::PacketMeta& p) {
+    if (p.arrival_time_s > 30.0) return false;
+    truth[p.flow_hash] = label;
+    tracker.Observe(p);
+    return true;
+  };
+  // Constant-bit-rate flows: four VoIP-like (160-byte frames every
+  // 20 ms) and three bulk (1500-byte segments, steady 800 pps).
+  struct CbrFlow {
+    const char* truth;
+    double rate_pps;
+    std::uint32_t size_bytes;
+    std::uint64_t flow_hash;
+  };
+  std::vector<CbrFlow> cbr;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    cbr.push_back({"voip", 50.0, 160, 0x100 + i});
+  }
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    cbr.push_back({"bulk", 800.0, 1500, 0x200 + i});
+  }
+  for (const CbrFlow& flow : cbr) {
+    net::PacketMeta p;
+    p.size_bytes = flow.size_bytes;
+    p.flow_hash = flow.flow_hash;
     for (int i = 0; i < 1500; ++i) {
-      const net::PacketMeta p = src.gen->Next();
-      if (p.arrival_time_s > 30.0) break;
-      truth[p.flow_hash] = src.truth;
-      tracker.Observe(p);
+      p.id = static_cast<std::uint64_t>(i);
+      p.arrival_time_s += 1.0 / flow.rate_pps;
+      if (!observe(flow.truth, p)) break;
+    }
+  }
+  // Three bursty video flows (MMPP, one flow each).
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    net::MetaSourceConfig mc;
+    mc.arrivals.process = net::ArrivalConfig::Process::kMmpp;
+    mc.arrivals.rate_pps = 30.0;
+    mc.arrivals.burst_factor = 900.0 / 30.0;
+    mc.arrivals.mean_calm_dwell_s = 0.2;
+    mc.arrivals.mean_burst_dwell_s = 0.05;
+    mc.flows = 1;
+    mc.size_bytes = 1200;
+    net::MetaSource video(mc, /*seed=*/900 + i);
+    for (int k = 0; k < 1500; ++k) {
+      if (!observe("video", video.Next())) break;
     }
   }
 

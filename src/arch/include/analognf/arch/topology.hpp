@@ -55,9 +55,9 @@ class LineTopology {
   // (the harness needs real bytes for each hop's parser).
   LineTopology(TopologyConfig config);
 
-  // Runs generated traffic through the line. The generator's packets
-  // are materialised as UDP datagrams toward dst_network.
-  TopologyReport Run(net::TrafficGenerator& generator);
+  // Runs generated traffic through the line. The source's packets are
+  // materialised as UDP datagrams toward dst_network.
+  TopologyReport Run(net::MetaSource& source);
 
   CognitiveSwitch& hop(std::size_t index) { return *switches_.at(index); }
   std::size_t hops() const { return switches_.size(); }

@@ -69,7 +69,7 @@ net::Packet LineTopology::Materialize(const net::PacketMeta& meta) const {
       .Build();
 }
 
-TopologyReport LineTopology::Run(net::TrafficGenerator& generator) {
+TopologyReport LineTopology::Run(net::MetaSource& source) {
   TopologyReport report;
   report.hop_delay.resize(switches_.size());
 
@@ -85,7 +85,7 @@ TopologyReport LineTopology::Run(net::TrafficGenerator& generator) {
       switches_.size());
   std::vector<double> last_inject_s(switches_.size(), 0.0);
 
-  net::PacketMeta next_arrival = generator.Next();
+  net::PacketMeta next_arrival = source.Next();
   std::vector<Delivery> drained;  // reused across drain calls
 
   // Per-hop ingress batches: same-instant injects ride the switch's
@@ -136,7 +136,7 @@ TopologyReport LineTopology::Run(net::TrafficGenerator& generator) {
       ++report.offered;
       inject(0, Materialize(next_arrival), next_arrival.arrival_time_s,
              next_arrival.arrival_time_s);
-      next_arrival = generator.Next();
+      next_arrival = source.Next();
       if (next_arrival.arrival_time_s > config_.duration_s) {
         next_arrival.arrival_time_s = config_.duration_s * 2.0;  // stop
         break;

@@ -82,6 +82,7 @@ class ThreadPool {
   std::size_t total_ = 0;
   std::atomic<std::size_t> next_{0};
   std::size_t done_ = 0;
+  std::size_t active_ = 0;  // workers inside RunTasks
   bool stop_ = false;
 };
 

@@ -39,7 +39,10 @@ void ThreadPool::ParallelFor(std::size_t tasks,
   cv_work_.notify_all();
   RunTasks();  // the caller works too
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_done_.wait(lock, [this] { return done_ == total_; });
+  // Also wait for every worker to leave RunTasks: a lagging one would
+  // otherwise read the next round's job_/total_ unlocked and could claim
+  // one of its tasks.
+  cv_done_.wait(lock, [this] { return done_ == total_ && active_ == 0; });
   job_ = nullptr;
 }
 
@@ -62,8 +65,11 @@ void ThreadPool::WorkerLoop() {
                          next_.load(std::memory_order_relaxed) < total_);
       });
       if (stop_) return;
+      ++active_;
     }
     RunTasks();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (--active_ == 0) cv_done_.notify_all();
   }
 }
 

@@ -423,14 +423,13 @@ GridCellResult ExperimentGrid::RunOpenLoop(AqmPolicyKind policy_kind,
   CellPolicy cell_policy =
       MakePolicy(spec_, policy_kind, rtt_s, Mix(cell_seed));
 
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = load.offered_fraction * spec_.link_rate_bps /
-                (8.0 * static_cast<double>(spec_.segment_bytes));
-  gc.flows = spec_.open_loop_flows;
-  gc.ecn_capable_fraction = ecn_fraction;
-  net::PoissonGenerator gen(
-      gc, std::make_unique<net::FixedSize>(spec_.segment_bytes),
-      cell_seed);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = load.offered_fraction * spec_.link_rate_bps /
+                         (8.0 * static_cast<double>(spec_.segment_bytes));
+  mc.flows = spec_.open_loop_flows;
+  mc.ecn_capable_fraction = ecn_fraction;
+  mc.size_bytes = spec_.segment_bytes;
+  net::MetaSource source(mc, cell_seed);
 
   QueueSimConfig qc;
   qc.duration_s = spec_.open_duration_s;
@@ -438,7 +437,7 @@ GridCellResult ExperimentGrid::RunOpenLoop(AqmPolicyKind policy_kind,
   qc.link_rate_bps = spec_.link_rate_bps;
   qc.queue.max_bytes = BufferBytes(rtt_s);
 
-  QueueSimulator simulator(qc, gen, *cell_policy.policy);
+  QueueSimulator simulator(qc, source, *cell_policy.policy);
   const SimReport report = simulator.Run();
 
   GridCellResult cell;

@@ -1,6 +1,6 @@
 // Single-queue link simulation: the Fig. 8 experiment harness.
 //
-// A traffic generator feeds a FIFO queue drained by a fixed-rate link.
+// A MetaSource feeds a FIFO queue drained by a fixed-rate link.
 // An AQM policy sees every admission (enqueue hook) and every head
 // departure (dequeue hook). The simulator records the delay-versus-time
 // trace the paper plots, plus queue depth, drop-probability samples and
@@ -17,14 +17,15 @@
 #include "analognf/common/quantile.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/common/timeseries.hpp"
+#include "analognf/net/generator.hpp"
 #include "analognf/net/queue.hpp"
 #include "analognf/sim/event_queue.hpp"
 #include "analognf/telemetry/metrics.hpp"
 
 namespace analognf::sim {
 
-// A scheduled offered-load change (the congestion phases of Fig. 8).
-// Applies only when the simulator is driven by a PoissonGenerator.
+// A scheduled offered-load change (the congestion phases of Fig. 8):
+// the simulator calls MetaSource::SetRate when the phase starts.
 struct RatePhase {
   double start_s = 0.0;
   double rate_pps = 0.0;
@@ -81,7 +82,7 @@ struct SimReport {
 
 // Registry handles a bound QueueSimulator reports into (`sim.*` names).
 struct SimTelemetry {
-  telemetry::CounterHandle offered;      // packets the generator produced
+  telemetry::CounterHandle offered;      // packets the source produced
   telemetry::CounterHandle delivered;    // packets that left the link
   telemetry::HistogramHandle sojourn_us; // per-delivery sojourn [µs]
   telemetry::GaugeHandle queue_depth;    // occupancy at sample instants
@@ -89,12 +90,11 @@ struct SimTelemetry {
 
 class QueueSimulator {
  public:
-  // `controller` may be null (no adaptation). If `poisson` is non-null,
-  // config.phases drive SetRate on it.
-  QueueSimulator(QueueSimConfig config, net::TrafficGenerator& generator,
+  // `controller` may be null (no adaptation). config.phases drive
+  // source.SetRate.
+  QueueSimulator(QueueSimConfig config, net::MetaSource& source,
                  aqm::AqmPolicy& policy,
-                 aqm::CognitiveAqmController* controller = nullptr,
-                 net::PoissonGenerator* poisson = nullptr);
+                 aqm::CognitiveAqmController* controller = nullptr);
 
   // Binds `sim.offered/.delivered` counters, the `sim.sojourn_us`
   // histogram and the `sim.queue_depth` gauge. Telemetry never changes
@@ -115,10 +115,9 @@ class QueueSimulator {
   void SamplePdp();
 
   QueueSimConfig config_;
-  net::TrafficGenerator& generator_;
+  net::MetaSource& source_;
   aqm::AqmPolicy& policy_;
   aqm::CognitiveAqmController* controller_;
-  net::PoissonGenerator* poisson_;
 
   EventQueue events_;
   net::PacketMeta pending_arrival_;  // the one arrival on the calendar

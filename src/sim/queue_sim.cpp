@@ -68,15 +68,13 @@ double SimReport::DelayFractionWithin(double lo_s, double hi_s) const {
 }
 
 QueueSimulator::QueueSimulator(QueueSimConfig config,
-                               net::TrafficGenerator& generator,
+                               net::MetaSource& source,
                                aqm::AqmPolicy& policy,
-                               aqm::CognitiveAqmController* controller,
-                               net::PoissonGenerator* poisson)
+                               aqm::CognitiveAqmController* controller)
     : config_(config),
-      generator_(generator),
+      source_(source),
       policy_(policy),
       controller_(controller),
-      poisson_(poisson),
       queue_(config.queue) {
   config_.Validate();
 }
@@ -96,7 +94,7 @@ void QueueSimulator::BindTelemetry(telemetry::MetricsRegistry& registry) {
 }
 
 void QueueSimulator::ScheduleNextArrival() {
-  net::PacketMeta packet = generator_.Next();
+  net::PacketMeta packet = source_.Next();
   if (packet.arrival_time_s > config_.duration_s) return;
   pending_arrival_ = packet;
   events_.Schedule(packet.arrival_time_s, kArrival);
@@ -125,9 +123,9 @@ void QueueSimulator::OnArrival() {
   telemetry_.offered.Inc();
 
   // Apply any pending offered-load phase changes.
-  while (poisson_ != nullptr && next_phase_ < config_.phases.size() &&
+  while (next_phase_ < config_.phases.size() &&
          config_.phases[next_phase_].start_s <= now) {
-    poisson_->SetRate(config_.phases[next_phase_].rate_pps);
+    source_.SetRate(config_.phases[next_phase_].rate_pps);
     ++next_phase_;
   }
 

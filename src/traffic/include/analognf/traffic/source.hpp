@@ -73,7 +73,8 @@ class TrafficSource {
   WorkloadConfig config_{};
   std::unique_ptr<FlowPopulation> population_;
   std::unique_ptr<ZipfSampler> zipf_;
-  std::unique_ptr<ArrivalProcess> arrivals_;
+  std::unique_ptr<analognf::RandomStream> arrival_rng_;
+  std::unique_ptr<net::ArrivalProcess> arrivals_;
   std::unique_ptr<analognf::RandomStream> rng_;
 
   // kReplay

@@ -1,6 +1,6 @@
 // Internet-scale workload models: who sends (a Zipf-popular population
 // of millions of flows with stable 5-tuples/DSCP/ECN), when they send
-// (Poisson / MMPP / on-off arrival processes), and what the packets
+// (net::ArrivalProcess: Poisson / MMPP / on-off), and what the packets
 // look like (size models + fast byte-accurate synthesis).
 //
 // The paper evaluates against "Poisson distributed network flows"
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "analognf/common/rng.hpp"
+#include "analognf/net/generator.hpp"
 #include "analognf/net/packet.hpp"
 #include "analognf/traffic/zipf.hpp"
 
@@ -67,51 +68,13 @@ class FlowPopulation {
   PopulationConfig config_;
 };
 
-// ------------------------------------------------------------- arrivals
-
-// When packets arrive, in model time. All three processes produce
-// strictly ordered, deterministic arrival sequences from a seed.
-struct ArrivalConfig {
-  enum class Process : std::uint8_t {
-    kPoisson,  // memoryless arrivals at rate_pps
-    kMmpp,     // two-state Markov-modulated Poisson (calm / burst)
-    kOnOff,    // on-off source: Poisson bursts separated by silence
-  };
-  Process process = Process::kPoisson;
-  double rate_pps = 1.0e6;
-  // kMmpp: the burst state multiplies the rate; kOnOff: the on state
-  // sends at rate_pps * burst_factor, the off state sends nothing.
-  double burst_factor = 8.0;
-  double mean_calm_dwell_s = 0.5;   // kMmpp calm / kOnOff off dwell
-  double mean_burst_dwell_s = 0.05; // kMmpp burst / kOnOff on dwell
-
-  void Validate() const;  // throws std::invalid_argument
-};
-
-// Stateful arrival clock: Next() returns the next strictly increasing
-// arrival time in seconds.
-class ArrivalProcess {
- public:
-  ArrivalProcess(ArrivalConfig config, std::uint64_t seed);
-
-  double Next();
-  bool in_burst() const { return in_burst_; }
-
- private:
-  ArrivalConfig config_;
-  analognf::RandomStream rng_;
-  double now_s_ = 0.0;
-  double state_ends_s_ = 0.0;
-  bool in_burst_ = false;
-};
-
 // ------------------------------------------------------------- workload
 
 // The full per-port workload: population x popularity x arrivals x sizes.
 struct WorkloadConfig {
   PopulationConfig population{};
   double zipf_s = 1.0;  // 0 = uniform popularity
-  ArrivalConfig arrivals{};
+  net::ArrivalConfig arrivals{};
   enum class Sizes : std::uint8_t { kImix, kFixed };
   Sizes sizes = Sizes::kImix;
   std::uint32_t fixed_size_bytes = 256;  // kFixed only (total frame bytes)

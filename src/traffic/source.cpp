@@ -13,8 +13,10 @@ TrafficSource TrafficSource::Live(WorkloadConfig config) {
                                             config.zipf_s);
   // Distinct sub-streams for the clock and the sampler so changing one
   // model never perturbs the other's draws.
-  src.arrivals_ = std::make_unique<ArrivalProcess>(
-      config.arrivals, config.seed ^ 0xa441u);
+  src.arrival_rng_ =
+      std::make_unique<analognf::RandomStream>(config.seed ^ 0xa441u);
+  src.arrivals_ = std::make_unique<net::ArrivalProcess>(config.arrivals,
+                                                        *src.arrival_rng_);
   src.rng_ = std::make_unique<analognf::RandomStream>(config.seed);
   return src;
 }
@@ -54,11 +56,11 @@ std::size_t TrafficSource::NextBatch(std::size_t max_packets,
     std::uint64_t flow = 0;
     std::uint32_t frame_bytes = 0;
     if (mode_ == Mode::kLive) {
-      arrival = arrivals_->Next();
+      arrival = arrivals_->Next(*arrival_rng_);
       flow = zipf_->Sample(*rng_);
       frame_bytes = config_.sizes == WorkloadConfig::Sizes::kFixed
                         ? config_.fixed_size_bytes
-                        : net::ImixSize{}.Sample(*rng_);
+                        : net::ImixBytes(*rng_);
     } else if (mode_ == Mode::kReplay) {
       if (next_record_ >= trace_.records.size()) break;
       const TraceRecord& r = trace_.records[next_record_++];

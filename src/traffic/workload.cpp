@@ -72,57 +72,6 @@ FlowTuple FlowPopulation::Tuple(std::uint64_t flow) const {
   return t;
 }
 
-// ------------------------------------------------------------- arrivals
-
-void ArrivalConfig::Validate() const {
-  if (!(rate_pps > 0.0)) {
-    throw std::invalid_argument("ArrivalConfig: rate_pps <= 0");
-  }
-  if (!(burst_factor > 0.0)) {
-    throw std::invalid_argument("ArrivalConfig: burst_factor <= 0");
-  }
-  if (!(mean_calm_dwell_s > 0.0) || !(mean_burst_dwell_s > 0.0)) {
-    throw std::invalid_argument("ArrivalConfig: dwell times must be positive");
-  }
-}
-
-ArrivalProcess::ArrivalProcess(ArrivalConfig config, std::uint64_t seed)
-    : config_(config), rng_(seed) {
-  config_.Validate();
-  if (config_.process != ArrivalConfig::Process::kPoisson) {
-    state_ends_s_ = rng_.NextExponential(1.0 / config_.mean_calm_dwell_s);
-  }
-}
-
-double ArrivalProcess::Next() {
-  if (config_.process == ArrivalConfig::Process::kPoisson) {
-    now_s_ += rng_.NextExponential(config_.rate_pps);
-    return now_s_;
-  }
-  // kMmpp and kOnOff share the two-state machine; they differ only in
-  // the calm-state rate (reduced vs zero). State transitions before the
-  // candidate arrival discard it — exact by memorylessness (the same
-  // construction as net::MmppGenerator).
-  for (;;) {
-    const bool on_off = config_.process == ArrivalConfig::Process::kOnOff;
-    const double burst_rate = config_.rate_pps * config_.burst_factor;
-    const double calm_rate = on_off ? 0.0 : config_.rate_pps;
-    const double rate = in_burst_ ? burst_rate : calm_rate;
-    if (rate > 0.0) {
-      const double candidate = now_s_ + rng_.NextExponential(rate);
-      if (candidate <= state_ends_s_) {
-        now_s_ = candidate;
-        return now_s_;
-      }
-    }
-    now_s_ = state_ends_s_;
-    in_burst_ = !in_burst_;
-    const double dwell =
-        in_burst_ ? config_.mean_burst_dwell_s : config_.mean_calm_dwell_s;
-    state_ends_s_ = now_s_ + rng_.NextExponential(1.0 / dwell);
-  }
-}
-
 // ------------------------------------------------------------- workload
 
 void WorkloadConfig::Validate() const {

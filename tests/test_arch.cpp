@@ -828,11 +828,10 @@ TEST(TopologyTest, ConfigValidation) {
 
 TEST(TopologyTest, UnderloadEndToEndIsPropagationPlusService) {
   LineTopology line(TwoHops(false));
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 300.0;  // far below the 1250 pps per-hop capacity
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            3);
-  const TopologyReport report = line.Run(gen);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 300.0;  // far below the 1250 pps per-hop capacity
+  net::MetaSource source(mc, 3);
+  const TopologyReport report = line.Run(source);
   ASSERT_GT(report.delivered, 500u);
   // Two propagation legs (2 ms each) + two ~0.83 ms services + small
   // queueing + step-quantisation: comfortably under 12 ms.
@@ -842,11 +841,10 @@ TEST(TopologyTest, UnderloadEndToEndIsPropagationPlusService) {
 
 TEST(TopologyTest, PerHopAqmBoundsEndToEndUnderOverload) {
   LineTopology line(TwoHops(true));
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;  // 144% of hop capacity
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            4);
-  const TopologyReport report = line.Run(gen);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1800.0;  // 144% of hop capacity
+  net::MetaSource source(mc, 4);
+  const TopologyReport report = line.Run(source);
   ASSERT_GT(report.delivered, 1000u);
   // Only hop 0 is congested (its drops thin the traffic for hop 1), so
   // the end-to-end bound is roughly one AQM target + propagation.
@@ -857,21 +855,19 @@ TEST(TopologyTest, PerHopAqmBoundsEndToEndUnderOverload) {
 
 TEST(TopologyTest, WithoutAqmOverloadDelayExplodes) {
   LineTopology line(TwoHops(false));
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            4);
-  const TopologyReport report = line.Run(gen);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1800.0;
+  net::MetaSource source(mc, 4);
+  const TopologyReport report = line.Run(source);
   EXPECT_GT(report.end_to_end.mean(), 0.3);
 }
 
 TEST(TopologyTest, ConservationAcrossHops) {
   LineTopology line(TwoHops(true));
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1500.0;
-  net::PoissonGenerator gen(gc, std::make_unique<net::FixedSize>(1000),
-                            5);
-  const TopologyReport report = line.Run(gen);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1500.0;
+  net::MetaSource source(mc, 5);
+  const TopologyReport report = line.Run(source);
   EXPECT_LE(report.delivered, report.offered);
   ASSERT_EQ(report.hop_stats.size(), 2u);
   // Hop 1 can never see more packets than hop 0 forwarded.

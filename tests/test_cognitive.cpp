@@ -295,8 +295,15 @@ TEST(ClassifierTest, EndToEndOverGeneratedTraffic) {
   // Feed real generator traffic through tracker + classifier.
   AnalogTrafficClassifier clf = MakeClassifier();
   FlowTracker tracker;
-  net::CbrGenerator voip_gen(50.0, 160, /*flow_hash=*/0xb0);
-  for (int i = 0; i < 500; ++i) tracker.Observe(voip_gen.Next());
+  // Constant bit rate: 160-byte frames every 20 ms.
+  net::PacketMeta voip;
+  voip.size_bytes = 160;
+  voip.flow_hash = 0xb0;
+  for (int i = 0; i < 500; ++i) {
+    voip.id = static_cast<std::uint64_t>(i);
+    voip.arrival_time_s += 1.0 / 50.0;
+    tracker.Observe(voip);
+  }
   const auto result = clf.Classify(tracker.Features(0xb0), 0.2);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->label, "voip");

@@ -559,6 +559,18 @@ TEST(ThreadPoolTest, ReusableAcrossCalls) {
   EXPECT_EQ(total.load(), 20u * 13u);
 }
 
+// Each round's job captures state that dies with the round, so a worker
+// lagging one round behind must never touch it nor claim a task of the
+// next round.
+TEST(ThreadPoolTest, BackToBackRoundsRunEachTaskOnce) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::atomic<int>> hits(7);
+    pool.ParallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (const std::atomic<int>& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+}
+
 TEST(ThreadPoolTest, SharedPoolIsSingleton) {
   ThreadPool& a = ThreadPool::Shared();
   ThreadPool& b = ThreadPool::Shared();

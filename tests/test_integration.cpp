@@ -98,21 +98,20 @@ TEST(Integration, Fig8QueueManagementShape) {
   // Without AQM delays climb monotonically under overload; with the
   // pCAM AQM the delay is held near the programmed 20 ms +/- 10 ms.
   const auto run = [](bool with_aqm) {
-    net::PoissonGenerator::Config gc;
-    gc.rate_pps = 1800.0;  // 144% of the 1250 pps the link can carry
-    auto gen = std::make_unique<net::PoissonGenerator>(
-        gc, std::make_unique<net::FixedSize>(1000), 99);
+    net::MetaSourceConfig mc;
+    mc.arrivals.rate_pps = 1800.0;  // 144% of the 1250 pps the link can carry
+    net::MetaSource source(mc, 99);
     sim::QueueSimConfig sc;
     sc.duration_s = 6.0;
     sc.warmup_s = 1.5;
     sc.link_rate_bps = 10.0e6;
     if (with_aqm) {
       aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-      sim::QueueSimulator s(sc, *gen, policy);
+      sim::QueueSimulator s(sc, source, policy);
       return s.Run();
     }
     aqm::TailDropOnly policy;
-    sim::QueueSimulator s(sc, *gen, policy);
+    sim::QueueSimulator s(sc, source, policy);
     return s.Run();
   };
 
@@ -204,10 +203,9 @@ TEST(Integration, CognitiveControllerImprovesConformance) {
   // Run the Fig. 8 workload with a deliberately mis-programmed AQM
   // (target far above the achievable bound) and let the controller
   // adapt it back.
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 1800.0;
-  auto gen = std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), 7);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1800.0;
+  net::MetaSource source(mc, 7);
   sim::QueueSimConfig sc;
   sc.duration_s = 8.0;
   sc.warmup_s = 4.0;
@@ -216,7 +214,7 @@ TEST(Integration, CognitiveControllerImprovesConformance) {
   aqm::AnalogAqmConfig ac;
   aqm::AnalogAqm policy(ac);
   aqm::CognitiveAqmController controller(policy);
-  sim::QueueSimulator s(sc, *gen, policy, &controller);
+  sim::QueueSimulator s(sc, source, policy, &controller);
   const sim::SimReport report = s.Run();
   // The loop must have run and kept delays bounded.
   EXPECT_LT(report.delay_stats.mean(), 0.035);
@@ -229,14 +227,13 @@ TEST(Integration, WholeStackIsDeterministic) {
     device::SynthesisConfig dc;
     const device::MemristorDataset ds = device::MemristorDataset::Synthesize(dc);
     aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-    net::PoissonGenerator::Config gc;
-    gc.rate_pps = 1500.0;
-    auto gen = std::make_unique<net::PoissonGenerator>(
-        gc, std::make_unique<net::FixedSize>(1000), 5);
+    net::MetaSourceConfig mc;
+    mc.arrivals.rate_pps = 1500.0;
+    net::MetaSource source(mc, 5);
     sim::QueueSimConfig sc;
     sc.duration_s = 3.0;
     sc.warmup_s = 0.5;
-    sim::QueueSimulator s(sc, *gen, policy);
+    sim::QueueSimulator s(sc, source, policy);
     const sim::SimReport report = s.Run();
     return std::make_tuple(ds.ComputeEnvelope().min_energy_j,
                            report.delivered_packets,

@@ -193,6 +193,10 @@ TEST(SnapshotStressTest, SearchesLinearizeAgainstCommittedSnapshots) {
   };
   std::vector<ReaderReport> reports(kReaders);
   std::atomic<bool> done{false};
+  // Readers that have finished one full iteration. The churn waits for
+  // all of them, so a reader scheduled late on a loaded host still
+  // searches at least once before `done` is raised.
+  std::atomic<std::size_t> warmed_up{0};
 
   std::vector<std::thread> readers;
   readers.reserve(kReaders);
@@ -223,9 +227,15 @@ TEST(SnapshotStressTest, SearchesLinearizeAgainstCommittedSnapshots) {
                                     got->priority == want->priority));
           if (!ok) ++rep.wrong_results;
         }
-        ++rep.iterations;
+        if (++rep.iterations == 1) {
+          warmed_up.fetch_add(1, std::memory_order_release);
+        }
       }
     });
+  }
+
+  while (warmed_up.load(std::memory_order_acquire) < kReaders) {
+    std::this_thread::yield();
   }
 
   // Controller: random insert/erase churn, one commit per round.

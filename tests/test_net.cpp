@@ -2,11 +2,14 @@
 // traffic generation, and the sojourn-tracking queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "analognf/common/rng.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/net/generator.hpp"
 #include "analognf/net/packet.hpp"
@@ -263,10 +266,16 @@ TEST(FiveTupleTest, HashIsStableAndDiscriminates) {
 
 // --------------------------------------------------------- generators
 
+MetaSource PoissonSource(double rate_pps, std::uint32_t size_bytes,
+                         std::uint64_t seed) {
+  MetaSourceConfig c;
+  c.arrivals.rate_pps = rate_pps;
+  c.size_bytes = size_bytes;
+  return MetaSource(c, seed);
+}
+
 TEST(PoissonGeneratorTest, RateMatchesConfig) {
-  PoissonGenerator::Config c;
-  c.rate_pps = 2000.0;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(500), 1);
+  MetaSource gen = PoissonSource(2000.0, 500, 1);
   RunningStats gaps;
   double prev = 0.0;
   for (int i = 0; i < 20000; ++i) {
@@ -278,17 +287,15 @@ TEST(PoissonGeneratorTest, RateMatchesConfig) {
 }
 
 TEST(PoissonGeneratorTest, DeterministicAcrossRuns) {
-  PoissonGenerator::Config c;
-  PoissonGenerator a(c, std::make_unique<FixedSize>(100), 7);
-  PoissonGenerator b(c, std::make_unique<FixedSize>(100), 7);
+  MetaSource a = PoissonSource(1000.0, 100, 7);
+  MetaSource b = PoissonSource(1000.0, 100, 7);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.Next().arrival_time_s, b.Next().arrival_time_s);
   }
 }
 
 TEST(PoissonGeneratorTest, TimesAreMonotone) {
-  PoissonGenerator::Config c;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 8);
+  MetaSource gen = PoissonSource(1000.0, 100, 8);
   double prev = -1.0;
   for (int i = 0; i < 1000; ++i) {
     const double t = gen.Next().arrival_time_s;
@@ -298,10 +305,12 @@ TEST(PoissonGeneratorTest, TimesAreMonotone) {
 }
 
 TEST(PoissonGeneratorTest, FlowsAndPrioritiesStable) {
-  PoissonGenerator::Config c;
+  MetaSourceConfig c;
+  c.arrivals.rate_pps = 1000.0;
   c.flows = 4;
   c.high_priority_fraction = 0.5;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 9);
+  c.size_bytes = 100;
+  MetaSource gen(c, 9);
   std::set<std::uint64_t> hashes;
   int high = 0;
   int total = 0;
@@ -316,9 +325,7 @@ TEST(PoissonGeneratorTest, FlowsAndPrioritiesStable) {
 }
 
 TEST(PoissonGeneratorTest, SetRateChangesTempo) {
-  PoissonGenerator::Config c;
-  c.rate_pps = 100.0;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 10);
+  MetaSource gen = PoissonSource(100.0, 100, 10);
   for (int i = 0; i < 100; ++i) gen.Next();
   const double t0 = gen.Next().arrival_time_s;
   gen.SetRate(100000.0);
@@ -329,33 +336,36 @@ TEST(PoissonGeneratorTest, SetRateChangesTempo) {
   EXPECT_THROW(gen.SetRate(0.0), std::invalid_argument);
 }
 
-TEST(CbrGeneratorTest, FixedSpacing) {
-  CbrGenerator gen(100.0, 1000);
-  const PacketMeta a = gen.Next();
-  const PacketMeta b = gen.Next();
-  EXPECT_NEAR(b.arrival_time_s - a.arrival_time_s, 0.01, 1e-12);
-  EXPECT_EQ(a.size_bytes, 1000u);
-}
-
-TEST(CbrGeneratorTest, RejectsBadConfig) {
-  EXPECT_THROW(CbrGenerator(0.0, 100), std::invalid_argument);
-  EXPECT_THROW(CbrGenerator(10.0, 0), std::invalid_argument);
+TEST(MetaSourceTest, RejectsBadConfig) {
+  MetaSourceConfig c;
+  c.size_bytes = 0;
+  EXPECT_THROW(MetaSource(c, 1), std::invalid_argument);
+  c = MetaSourceConfig{};
+  c.flows = 0;
+  EXPECT_THROW(MetaSource(c, 1), std::invalid_argument);
+  c = MetaSourceConfig{};
+  c.arrivals.rate_pps = 0.0;
+  EXPECT_THROW(MetaSource(c, 1), std::invalid_argument);
 }
 
 TEST(MmppGeneratorTest, BurstRateExceedsCalmRate) {
-  MmppGenerator::Config c;
-  c.calm_rate_pps = 100.0;
-  c.burst_rate_pps = 10000.0;
-  MmppGenerator gen(c, std::make_unique<FixedSize>(200), 11);
+  ArrivalConfig c;
+  c.process = ArrivalConfig::Process::kMmpp;
+  c.rate_pps = 100.0;
+  c.burst_factor = 10000.0 / 100.0;
+  c.mean_calm_dwell_s = 0.5;
+  c.mean_burst_dwell_s = 0.05;
+  RandomStream rng(11);
+  ArrivalProcess arrivals(c, rng);
   // Count arrivals in burst vs calm periods via inter-arrival gaps.
   RunningStats calm_gaps;
   RunningStats burst_gaps;
   double prev = 0.0;
   for (int i = 0; i < 50000; ++i) {
-    const PacketMeta p = gen.Next();
-    const double gap = p.arrival_time_s - prev;
-    prev = p.arrival_time_s;
-    if (gen.in_burst()) {
+    const double t = arrivals.Next(rng);
+    const double gap = t - prev;
+    prev = t;
+    if (arrivals.in_burst()) {
       burst_gaps.Add(gap);
     } else {
       calm_gaps.Add(gap);
@@ -367,8 +377,11 @@ TEST(MmppGeneratorTest, BurstRateExceedsCalmRate) {
 }
 
 TEST(MmppGeneratorTest, TimesAreMonotone) {
-  MmppGenerator::Config c;
-  MmppGenerator gen(c, std::make_unique<ImixSize>(), 12);
+  MetaSourceConfig c;
+  c.arrivals.process = ArrivalConfig::Process::kMmpp;
+  c.arrivals.rate_pps = 500.0;
+  c.arrivals.burst_factor = 5000.0 / 500.0;
+  MetaSource gen(c, 12);
   double prev = -1.0;
   for (int i = 0; i < 5000; ++i) {
     const double t = gen.Next().arrival_time_s;
@@ -378,12 +391,11 @@ TEST(MmppGeneratorTest, TimesAreMonotone) {
 }
 
 TEST(ImixSizeTest, ProducesOnlyImixSizes) {
-  ImixSize sizes;
   RandomStream rng(13);
   int small = 0;
   int total = 0;
   for (int i = 0; i < 12000; ++i) {
-    const std::uint32_t s = sizes.Sample(rng);
+    const std::uint32_t s = ImixBytes(rng);
     EXPECT_TRUE(s == 64 || s == 576 || s == 1500);
     if (s == 64) ++small;
     ++total;
@@ -392,9 +404,7 @@ TEST(ImixSizeTest, ProducesOnlyImixSizes) {
 }
 
 TEST(PoissonGeneratorTest, SetRateMidStreamKeepsTimeMonotone) {
-  PoissonGenerator::Config c;
-  c.rate_pps = 50.0;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(64), 77);
+  MetaSource gen = PoissonSource(50.0, 64, 77);
   double prev = 0.0;
   for (int i = 0; i < 200; ++i) {
     const double t = gen.Next().arrival_time_s;
@@ -417,6 +427,130 @@ TEST(PoissonGeneratorTest, SetRateMidStreamKeepsTimeMonotone) {
   gen.SetRate(5.0);
   for (int i = 0; i < 10; ++i) {
     const double t = gen.Next().arrival_time_s;
+    EXPECT_GT(t, prev);
+    prev = t;
+  }
+}
+
+// FNV-1a over the raw bytes of every PacketMeta field, in order.
+class MetaDigest {
+ public:
+  void Add(const PacketMeta& p) {
+    Add(p.id);
+    Add(p.arrival_time_s);
+    Add(p.size_bytes);
+    Add(p.flow_hash);
+    Add(p.priority);
+    Add(p.ecn_capable);
+    Add(p.ecn_marked);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) hash_ = (hash_ ^ b) * 0x100000001b3ULL;
+  }
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Golden digests of the first 50 000 packets of the three stream shapes
+// the benches and the shoot-out grid record: Poisson with ECN-capable
+// flows, the ablation MMPP, and the Fig. 8 Poisson phase change. The
+// expected values were recorded with the earlier per-process generator
+// classes; any change to the draw order, the flow salts or the arrival
+// arithmetic moves them.
+TEST(MetaSourceTest, GoldenDigestOfRecordedStreams) {
+  constexpr int kPackets = 50'000;
+
+  MetaSourceConfig poisson;
+  poisson.arrivals.rate_pps = 1800.0;
+  poisson.flows = 16;
+  poisson.ecn_capable_fraction = 0.5;
+  MetaSource a(poisson, 5);
+  MetaDigest da;
+  for (int i = 0; i < kPackets; ++i) da.Add(a.Next());
+  EXPECT_EQ(da.value(), 0x2054b3ea5a231286ULL);
+
+  MetaSourceConfig mmpp;
+  mmpp.arrivals.process = ArrivalConfig::Process::kMmpp;
+  mmpp.arrivals.rate_pps = 900.0;
+  mmpp.arrivals.burst_factor = 4000.0 / 900.0;
+  mmpp.arrivals.mean_calm_dwell_s = 0.4;
+  mmpp.arrivals.mean_burst_dwell_s = 0.08;
+  MetaSource b(mmpp, 3);
+  MetaDigest db;
+  for (int i = 0; i < kPackets; ++i) db.Add(b.Next());
+  EXPECT_EQ(db.value(), 0x873b095caa57e3cbULL);
+
+  // Fig. 8: 800 pps until the first arrival at or after 2 s, then
+  // 2000 pps, exactly as QueueSimulator applies a RatePhase.
+  MetaSource c = PoissonSource(800.0, 1000, 2023);
+  MetaDigest dc;
+  bool congested = false;
+  for (int i = 0; i < kPackets; ++i) {
+    const PacketMeta p = c.Next();
+    dc.Add(p);
+    if (!congested && p.arrival_time_s >= 2.0) {
+      c.SetRate(2000.0);
+      congested = true;
+    }
+  }
+  EXPECT_EQ(dc.value(), 0x29ea8de63355208cULL);
+}
+
+// ---------------------------------------------------------- arrivals
+
+TEST(ArrivalProcessTest, PoissonIsMonotoneAtConfiguredRate) {
+  ArrivalConfig config;
+  config.rate_pps = 1000.0;
+  RandomStream rng(5);
+  ArrivalProcess arrivals(config, rng);
+  double prev = 0.0;
+  constexpr int kEvents = 50'000;
+  double last = 0.0;
+  for (int i = 0; i < kEvents; ++i) {
+    const double t = arrivals.Next(rng);
+    EXPECT_GT(t, prev);
+    prev = t;
+    last = t;
+  }
+  // Mean inter-arrival 1/rate: 50k events in ~50 s.
+  EXPECT_NEAR(last, kEvents / config.rate_pps, 0.05 * kEvents / 1000.0);
+}
+
+TEST(ArrivalProcessTest, OnOffProducesSilentGaps) {
+  ArrivalConfig config;
+  config.process = ArrivalConfig::Process::kOnOff;
+  config.rate_pps = 10'000.0;
+  config.burst_factor = 4.0;
+  config.mean_calm_dwell_s = 0.1;   // off
+  config.mean_burst_dwell_s = 0.02; // on
+  RandomStream rng(9);
+  ArrivalProcess arrivals(config, rng);
+  double prev = 0.0;
+  double max_gap = 0.0;
+  for (int i = 0; i < 20'000; ++i) {
+    const double t = arrivals.Next(rng);
+    EXPECT_GT(t, prev);
+    max_gap = std::max(max_gap, t - prev);
+    prev = t;
+  }
+  // Off periods mean 0.1 s vs on-state inter-arrivals of 25 us: silence
+  // gaps must dwarf burst gaps.
+  EXPECT_GT(max_gap, 0.01);
+}
+
+TEST(ArrivalProcessTest, MmppIsMonotone) {
+  ArrivalConfig config;
+  config.process = ArrivalConfig::Process::kMmpp;
+  RandomStream rng(21);
+  ArrivalProcess arrivals(config, rng);
+  double prev = 0.0;
+  for (int i = 0; i < 10'000; ++i) {
+    const double t = arrivals.Next(rng);
     EXPECT_GT(t, prev);
     prev = t;
   }
@@ -587,10 +721,12 @@ TEST(VlanTest, TruncatedTagIsEthernetError) {
 // ----------------------------------------------------------------- ECN
 
 TEST(EcnFlowTest, GeneratorMarksEcnCapableFlows) {
-  PoissonGenerator::Config c;
+  MetaSourceConfig c;
+  c.arrivals.rate_pps = 1000.0;
   c.flows = 4;
   c.ecn_capable_fraction = 0.5;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 21);
+  c.size_bytes = 100;
+  MetaSource gen(c, 21);
   int ect = 0;
   int total = 0;
   for (int i = 0; i < 4000; ++i) {
@@ -601,8 +737,7 @@ TEST(EcnFlowTest, GeneratorMarksEcnCapableFlows) {
 }
 
 TEST(EcnFlowTest, DefaultIsNotEcnCapable) {
-  PoissonGenerator::Config c;
-  PoissonGenerator gen(c, std::make_unique<FixedSize>(100), 22);
+  MetaSource gen = PoissonSource(1000.0, 100, 22);
   for (int i = 0; i < 100; ++i) {
     EXPECT_FALSE(gen.Next().ecn_capable);
   }

@@ -144,20 +144,18 @@ QueueSimConfig ShortSim() {
   return c;
 }
 
-std::unique_ptr<net::PoissonGenerator> MakePoisson(double rate_pps,
-                                                   std::uint64_t seed) {
-  net::PoissonGenerator::Config c;
-  c.rate_pps = rate_pps;
-  return std::make_unique<net::PoissonGenerator>(
-      c, std::make_unique<net::FixedSize>(1000), seed);
+net::MetaSource MakePoisson(double rate_pps, std::uint64_t seed) {
+  net::MetaSourceConfig c;
+  c.arrivals.rate_pps = rate_pps;
+  return net::MetaSource(c, seed);
 }
 
 // ------------------------------------------------------------- behaviour
 
 TEST(QueueSimulatorTest, UnderloadHasTinyDelaysAndNoDrops) {
-  auto gen = MakePoisson(500.0, 1);  // 40% load
+  net::MetaSource source = MakePoisson(500.0, 1);  // 40% load
   aqm::TailDropOnly policy;
-  QueueSimulator sim(ShortSim(), *gen, policy);
+  QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
   EXPECT_EQ(report.queue_stats.dropped_full, 0u);
   EXPECT_EQ(report.queue_stats.dropped_aqm, 0u);
@@ -167,9 +165,10 @@ TEST(QueueSimulatorTest, UnderloadHasTinyDelaysAndNoDrops) {
 
 TEST(QueueSimulatorTest, OverloadWithoutAqmGrowsUnbounded) {
   // The "without AQM" curve of Fig. 8: delays keep climbing.
-  auto gen = MakePoisson(2000.0, 2);  // 160% load, unbounded queue
+  // 160% load, unbounded queue.
+  net::MetaSource source = MakePoisson(2000.0, 2);
   aqm::TailDropOnly policy;
-  QueueSimulator sim(ShortSim(), *gen, policy);
+  QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
   EXPECT_GT(report.delay_stats.max(), 0.5);
   // Delay at the end is far above delay early on.
@@ -180,10 +179,10 @@ TEST(QueueSimulatorTest, OverloadWithoutAqmGrowsUnbounded) {
 
 TEST(QueueSimulatorTest, AnalogAqmHoldsProgrammedBound) {
   // The headline Fig. 8 behaviour: 20 ms +/- 10 ms under 160% load.
-  auto gen = MakePoisson(2000.0, 3);
+  net::MetaSource source = MakePoisson(2000.0, 3);
   aqm::AnalogAqmConfig aqm_config;
   aqm::AnalogAqm policy(aqm_config);
-  QueueSimulator sim(ShortSim(), *gen, policy);
+  QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
   EXPECT_GT(report.queue_stats.dropped_aqm, 100u);
   EXPECT_GT(report.delay_stats.mean(), 0.005);
@@ -193,11 +192,11 @@ TEST(QueueSimulatorTest, AnalogAqmHoldsProgrammedBound) {
 }
 
 TEST(QueueSimulatorTest, ConservationLaw) {
-  auto gen = MakePoisson(1500.0, 4);
+  net::MetaSource source = MakePoisson(1500.0, 4);
   aqm::TailDropOnly policy;
   QueueSimConfig c = ShortSim();
   c.queue.max_packets = 20;
-  QueueSimulator sim(c, *gen, policy);
+  QueueSimulator sim(c, source, policy);
   const SimReport report = sim.Run();
   // offered = delivered + tail drops + aqm drops + in flight at the end.
   const std::uint64_t accounted = report.delivered_packets +
@@ -208,11 +207,11 @@ TEST(QueueSimulatorTest, ConservationLaw) {
 }
 
 TEST(QueueSimulatorTest, ThroughputBoundedByLink) {
-  auto gen = MakePoisson(5000.0, 5);
+  net::MetaSource source = MakePoisson(5000.0, 5);
   aqm::TailDropOnly policy;
   QueueSimConfig c = ShortSim();
   c.queue.max_packets = 50;
-  QueueSimulator sim(c, *gen, policy);
+  QueueSimulator sim(c, source, policy);
   const SimReport report = sim.Run();
   EXPECT_LE(report.ThroughputBps(), 10.0e6 * 1.05);
   EXPECT_GT(report.ThroughputBps(), 10.0e6 * 0.8);
@@ -225,10 +224,10 @@ TEST(QueueSimulatorTest, CodelRunsAtDequeue) {
   // behavioural property (head drops happen and delay is pulled far
   // below the uncontrolled baseline) rather than a settled setpoint.
   const auto run = [](aqm::AqmPolicy& policy) {
-    auto gen = MakePoisson(1500.0, 6);
+    net::MetaSource source = MakePoisson(1500.0, 6);
     QueueSimConfig c = ShortSim();
     c.duration_s = 12.0;
-    QueueSimulator sim(c, *gen, policy);
+    QueueSimulator sim(c, source, policy);
     return sim.Run();
   };
   aqm::Codel codel;
@@ -240,11 +239,11 @@ TEST(QueueSimulatorTest, CodelRunsAtDequeue) {
 }
 
 TEST(QueueSimulatorTest, PhasesChangeOfferedLoad) {
-  auto gen = MakePoisson(200.0, 7);
+  net::MetaSource source = MakePoisson(200.0, 7);
   aqm::TailDropOnly policy;
   QueueSimConfig c = ShortSim();
   c.phases = {{2.0, 3000.0}};  // congestion starts at t = 2 s
-  QueueSimulator sim(c, *gen, policy, nullptr, gen.get());
+  QueueSimulator sim(c, source, policy);
   const SimReport report = sim.Run();
   // Delays before the phase flip stay tiny; after it they blow up.
   double early_max = 0.0;
@@ -261,9 +260,9 @@ TEST(QueueSimulatorTest, PhasesChangeOfferedLoad) {
 }
 
 TEST(QueueSimulatorTest, DropProbTraceRecordedForAnalog) {
-  auto gen = MakePoisson(2000.0, 8);
+  net::MetaSource source = MakePoisson(2000.0, 8);
   aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-  QueueSimulator sim(ShortSim(), *gen, policy);
+  QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
   EXPECT_GT(report.drop_prob.size(), 1000u);
   for (const auto& p : report.drop_prob.points()) {
@@ -273,20 +272,20 @@ TEST(QueueSimulatorTest, DropProbTraceRecordedForAnalog) {
 }
 
 TEST(QueueSimulatorTest, QueueDepthSampled) {
-  auto gen = MakePoisson(500.0, 9);
+  net::MetaSource source = MakePoisson(500.0, 9);
   aqm::TailDropOnly policy;
-  QueueSimulator sim(ShortSim(), *gen, policy);
+  QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
   // 5 s at 20 ms sampling = ~250 samples.
   EXPECT_GT(report.queue_depth.size(), 200u);
 }
 
 TEST(QueueSimulatorTest, ControllerAdaptsDuringRun) {
-  auto gen = MakePoisson(2000.0, 10);
+  net::MetaSource source = MakePoisson(2000.0, 10);
   aqm::AnalogAqmConfig aqm_config;
   aqm::AnalogAqm policy(aqm_config);
   aqm::CognitiveAqmController controller(policy);
-  QueueSimulator sim(ShortSim(), *gen, policy, &controller);
+  QueueSimulator sim(ShortSim(), source, policy, &controller);
   sim.Run();
   // Under sustained overload the controller should have reprogrammed at
   // least once (or legitimately decided the delay is in band — accept
@@ -296,9 +295,9 @@ TEST(QueueSimulatorTest, ControllerAdaptsDuringRun) {
 
 TEST(QueueSimulatorTest, DeterministicAcrossRuns) {
   const auto run_once = [] {
-    auto gen = MakePoisson(1200.0, 11);
+    net::MetaSource source = MakePoisson(1200.0, 11);
     aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-    QueueSimulator sim(ShortSim(), *gen, policy);
+    QueueSimulator sim(ShortSim(), source, policy);
     return sim.Run();
   };
   const SimReport a = run_once();
@@ -311,15 +310,14 @@ TEST(QueueSimulatorTest, DeterministicAcrossRuns) {
 // Priority handling end to end: high-priority flows should see a lower
 // drop rate through the analog AQM.
 TEST(QueueSimulatorTest, HighPriorityFlowsFavoured) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 2500.0;
-  gc.flows = 8;
-  gc.high_priority_fraction = 0.5;
-  auto gen = std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), 12);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 2500.0;
+  mc.flows = 8;
+  mc.high_priority_fraction = 0.5;
+  net::MetaSource source(mc, 12);
   aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
   QueueSimConfig c = ShortSim();
-  QueueSimulator sim(c, *gen, policy);
+  QueueSimulator sim(c, source, policy);
   const SimReport report = sim.Run();
   ASSERT_GT(report.delay_stats_high_priority.count(), 100u);
   ASSERT_GT(report.delay_stats_low_priority.count(), 100u);
@@ -334,15 +332,14 @@ TEST(QueueSimulatorTest, HighPriorityFlowsFavoured) {
 // ------------------------------------------------------- ECN in the sim
 
 TEST(QueueSimulatorTest, EcnMarksAreCountedAndDelivered) {
-  net::PoissonGenerator::Config gc;
-  gc.rate_pps = 2000.0;
-  gc.ecn_capable_fraction = 1.0;
-  auto gen = std::make_unique<net::PoissonGenerator>(
-      gc, std::make_unique<net::FixedSize>(1000), 41);
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 2000.0;
+  mc.ecn_capable_fraction = 1.0;
+  net::MetaSource source(mc, 41);
   aqm::AnalogAqmConfig ac;
   ac.ecn_enabled = true;
   aqm::AnalogAqm policy(ac);
-  QueueSimulator sim(ShortSim(), *gen, policy);
+  QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
   EXPECT_GT(report.ecn_marked_packets, 100u);
   EXPECT_GT(report.delivered_marked_packets, 100u);
@@ -351,9 +348,9 @@ TEST(QueueSimulatorTest, EcnMarksAreCountedAndDelivered) {
 }
 
 TEST(QueueSimulatorTest, NoMarksWithoutEcn) {
-  auto gen = MakePoisson(2000.0, 42);
+  net::MetaSource source = MakePoisson(2000.0, 42);
   aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-  QueueSimulator sim(ShortSim(), *gen, policy);
+  QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
   EXPECT_EQ(report.ecn_marked_packets, 0u);
 }
@@ -471,11 +468,11 @@ TEST(ClosedLoopTest, DeterministicAcrossRuns) {
 class Fig8Stability : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(Fig8Stability, BoundHoldsAcrossSeeds) {
-  auto gen = MakePoisson(1900.0, GetParam());
+  net::MetaSource source = MakePoisson(1900.0, GetParam());
   aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
   QueueSimConfig c = ShortSim();
   c.duration_s = 6.0;
-  QueueSimulator sim(c, *gen, policy);
+  QueueSimulator sim(c, source, policy);
   const SimReport report = sim.Run();
   EXPECT_GT(report.DelayFractionWithin(0.0, 0.035), 0.9);
   EXPECT_LT(report.delay_stats.mean(), 0.032);
@@ -486,9 +483,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, Fig8Stability,
 
 
 TEST(QueueSimulatorTest, StreamingP99MatchesBatchPercentile) {
-  auto gen = MakePoisson(1800.0, 61);
+  net::MetaSource source = MakePoisson(1800.0, 61);
   aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-  QueueSimulator sim(ShortSim(), *gen, policy);
+  QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
   const auto delays = report.delay.ValuesFrom(report.warmup_s);
   ASSERT_GT(delays.size(), 1000u);

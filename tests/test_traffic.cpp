@@ -284,58 +284,6 @@ TEST(SynthesizeFrameTest, DeterministicBytes) {
   EXPECT_EQ(a, b);
 }
 
-// -------------------------------------------------------- arrivals
-
-TEST(ArrivalProcessTest, PoissonIsMonotoneAtConfiguredRate) {
-  traffic::ArrivalConfig config;
-  config.rate_pps = 1000.0;
-  traffic::ArrivalProcess arrivals(config, 5);
-  double prev = 0.0;
-  constexpr int kEvents = 50'000;
-  double last = 0.0;
-  for (int i = 0; i < kEvents; ++i) {
-    const double t = arrivals.Next();
-    EXPECT_GT(t, prev);
-    prev = t;
-    last = t;
-  }
-  // Mean inter-arrival 1/rate: 50k events in ~50 s.
-  EXPECT_NEAR(last, kEvents / config.rate_pps, 0.05 * kEvents / 1000.0);
-}
-
-TEST(ArrivalProcessTest, OnOffProducesSilentGaps) {
-  traffic::ArrivalConfig config;
-  config.process = traffic::ArrivalConfig::Process::kOnOff;
-  config.rate_pps = 10'000.0;
-  config.burst_factor = 4.0;
-  config.mean_calm_dwell_s = 0.1;   // off
-  config.mean_burst_dwell_s = 0.02; // on
-  traffic::ArrivalProcess arrivals(config, 9);
-  double prev = 0.0;
-  double max_gap = 0.0;
-  for (int i = 0; i < 20'000; ++i) {
-    const double t = arrivals.Next();
-    EXPECT_GT(t, prev);
-    max_gap = std::max(max_gap, t - prev);
-    prev = t;
-  }
-  // Off periods mean 0.1 s vs on-state inter-arrivals of 25 us: silence
-  // gaps must dwarf burst gaps.
-  EXPECT_GT(max_gap, 0.01);
-}
-
-TEST(ArrivalProcessTest, MmppIsMonotone) {
-  traffic::ArrivalConfig config;
-  config.process = traffic::ArrivalConfig::Process::kMmpp;
-  traffic::ArrivalProcess arrivals(config, 21);
-  double prev = 0.0;
-  for (int i = 0; i < 10'000; ++i) {
-    const double t = arrivals.Next();
-    EXPECT_GT(t, prev);
-    prev = t;
-  }
-}
-
 // ---------------------------------------------------------- trace
 
 TEST(TraceTest, RoundTripsBitExactly) {
