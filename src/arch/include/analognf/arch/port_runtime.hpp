@@ -103,7 +103,12 @@ class PortRuntime {
   // batches still in the ring are NOT drained (the caller owns them).
   // Callers wanting a full drain wait for ring->Empty() first — after
   // that, DetachRing() returning implies every popped batch has fully
-  // executed.
+  // executed. The worker frees no ring batch: TryPop exchanges its spent
+  // batch back into the ring (common/spsc_ring.hpp), and the detach
+  // releases the last one it held, so once DetachRing() returns the
+  // runtime holds none of the caller's buffers. The ring's slots still
+  // hold spent batches until the producer overwrites them or the ring
+  // is destroyed.
   void DetachRing();
 
   // The port's switch. Single-threaded object: touch it only from

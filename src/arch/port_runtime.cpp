@@ -107,6 +107,9 @@ void PortRuntime::WorkerLoop() {
   // mailbox item on this thread, so polling it costs no synchronisation.
   IngressRing* ring = nullptr;
   RingHook ring_hook;
+  // The last ring batch, kept across iterations so TryPop exchanges it
+  // back into the ring: the producer frees its buffers, not this thread.
+  Batch batch;
   std::size_t idle_spins = 0;
   for (;;) {
     Item item;
@@ -131,6 +134,7 @@ void PortRuntime::WorkerLoop() {
       if (item.ring_op) {
         ring = item.ring;
         ring_hook = std::move(item.hook);
+        batch = Batch{};  // hold none of the previous ring's buffers
       } else if (item.command) {
         item.command(switch_);
       } else {
@@ -147,7 +151,6 @@ void PortRuntime::WorkerLoop() {
     // Mailbox empty, ring attached: run-to-completion poll. Mailbox
     // items re-checked every iteration keep command latency bounded by
     // one batch.
-    Batch batch;
     if (ring->TryPop(batch)) {
       const std::uint64_t start_ns = SteadyNowNs();
       switch_.InjectBatch(batch.packets, batch.now_s);

@@ -81,6 +81,7 @@ void FlowTracker::ObserveBatch(const net::PacketMeta* packets,
     key_scratch_[i] = packets[i].flow_hash;
   }
   simd::FlowHashBatch(key_scratch_.data(), hash_scratch_.data(), count);
+  for (std::size_t i = 0; i < count; ++i) table_.Prefetch(hash_scratch_[i]);
   // Packet order is preserved, so two packets of one flow in the same
   // batch see each other's updates exactly as sequential calls would.
   for (std::size_t i = 0; i < count; ++i) {

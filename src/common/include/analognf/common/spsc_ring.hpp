@@ -9,12 +9,20 @@
 // the ring looks full (and vice versa), so in steady state each side
 // runs entirely out of its own cache line.
 //
+// Exchange on pop: TryPop swaps the consumer's previous item into the
+// slot it takes the new one from, and the producer's next TryPush into
+// that slot destroys it there. Heap memory the producer allocated (the
+// packet buffers of a spent batch) therefore dies on the producer's
+// thread, and the consumer frees nothing it did not allocate. Slots
+// keep their last spent item until they are overwritten or the ring is
+// destroyed.
+//
 // Memory ordering: the producer publishes slots with a release store of
-// tail_; the consumer acquires tail_ before reading slots (and
-// symmetrically for head_ on the reclaim side). Exactly one thread may
-// call the producer API (TryPush/PushBatch) and one the consumer API
-// (TryPop/PopBatch) at a time — that is the contract TSan checks in
-// SpscRingTest.TwoThreadHandoff.
+// tail_; the consumer acquires tail_ before reading slots. The consumer
+// writes the slot (the swapped-in item) before its release store of
+// head_, and the producer acquires head_ before it reuses the slot.
+// Exactly one thread may call TryPush and one TryPop at a time — that
+// is the contract TSan checks in SpscRingTest.TwoThreadHandoff.
 #pragma once
 
 #include <atomic>
@@ -43,7 +51,8 @@ class SpscRing {
   std::size_t capacity() const { return capacity_; }
 
   // ------------------------------------------------------------ producer
-  // Moves `item` into the ring; false if full (item is left untouched).
+  // Moves `item` into the ring, destroying the spent item the slot held;
+  // false if full (item is left untouched).
   bool TryPush(T& item) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ >= capacity_) {
@@ -56,52 +65,19 @@ class SpscRing {
   }
   bool TryPush(T&& item) { return TryPush(item); }
 
-  // Moves up to `count` items from `items` into the ring; returns how
-  // many were consumed (a prefix of `items`). One release store
-  // publishes the whole batch.
-  std::size_t PushBatch(T* items, std::size_t count) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    std::uint64_t free = capacity_ - (tail - head_cache_);
-    if (free < count) {
-      head_cache_ = head_.load(std::memory_order_acquire);
-      free = capacity_ - (tail - head_cache_);
-    }
-    const std::size_t n = count < free ? count : static_cast<std::size_t>(free);
-    for (std::size_t i = 0; i < n; ++i) {
-      slots_[(tail + i) & mask_] = std::move(items[i]);
-    }
-    if (n != 0) tail_.store(tail + n, std::memory_order_release);
-    return n;
-  }
-
   // ------------------------------------------------------------ consumer
-  // Moves the oldest item out into `out`; false if empty.
+  // Exchanges the oldest item with `out`: `out` receives it and the slot
+  // keeps `out`'s previous value for the producer to destroy. False if
+  // empty (`out` is left untouched).
   bool TryPop(T& out) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       if (head == tail_cache_) return false;
     }
-    out = std::move(slots_[head & mask_]);
+    std::swap(out, slots_[head & mask_]);
     head_.store(head + 1, std::memory_order_release);
     return true;
-  }
-
-  // Moves up to `max` items into `out[0..)`; returns how many. One
-  // release store retires the whole batch.
-  std::size_t PopBatch(T* out, std::size_t max) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    std::uint64_t avail = tail_cache_ - head;
-    if (avail < max) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      avail = tail_cache_ - head;
-    }
-    const std::size_t n = max < avail ? max : static_cast<std::size_t>(avail);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = std::move(slots_[(head + i) & mask_]);
-    }
-    if (n != 0) head_.store(head + n, std::memory_order_release);
-    return n;
   }
 
   // ------------------------------------------------------------ observers

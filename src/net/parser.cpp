@@ -79,8 +79,23 @@ ParsedPacket Parser::Parse(const Packet& packet) const {
 
 void Parser::ParseBatch(const Packet* packets, std::size_t count,
                         std::vector<ParsedPacket>& out) const {
+  // Packets usually arrive from another core, so their header lines are
+  // cold here: prefetch the headers of packet i + kAhead while parsing
+  // packet i. Eth + IPv4 + TCP headers run to byte 54, so a second
+  // prefetch at data() + 48 covers them when the buffer starts mid-line.
+  // Only in-bounds addresses are formed: nothing for an empty packet,
+  // one line for frames of 48 bytes or fewer.
+  constexpr std::size_t kAhead = 8;
+  constexpr std::size_t kSecondLine = 48;
   out.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
+    if (i + kAhead < count) {
+      const std::vector<std::uint8_t>& ahead = packets[i + kAhead].bytes();
+      if (!ahead.empty()) __builtin_prefetch(ahead.data());
+      if (ahead.size() > kSecondLine) {
+        __builtin_prefetch(ahead.data() + kSecondLine);
+      }
+    }
     out[i] = Parse(packets[i].bytes().data(), packets[i].size());
   }
 }

@@ -8,9 +8,15 @@
 // (its batch was popped and fully injected — counted by the worker's
 // ring hook) or dropped (the ring was full in kDropBatch mode — counted
 // by the producer). After the drain protocol (join producers, wait for
-// ring empty, DetachRing) offered == achieved + dropped holds per port
-// and in aggregate, and the switch's own stats() partition of
-// `injected` nests inside `achieved`.
+// ring empty, DetachRing, release the ring) offered == achieved +
+// dropped holds per port and in aggregate, and the switch's own stats()
+// partition of `injected` nests inside `achieved`.
+//
+// Buffer ownership: producers allocate every packet buffer and free the
+// spent batches the worker exchanges back through the ring; the worker
+// only borrows them. The drain releases each ring right after its
+// DetachRing, so the buffers still parked in ring slots are freed
+// before the run's wall clock stops, not in teardown.
 //
 // Determinism: with Overflow::kBlock nothing is ever dropped, so the
 // per-port packet stream, batch boundaries and injection clocks are a

@@ -171,10 +171,14 @@ LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
 
   // Drain protocol: producers are done, so waiting for ring-empty then
   // detaching guarantees every non-dropped batch was popped AND fully
-  // executed before we read the worker-side accounting.
+  // executed before we read the worker-side accounting. The ring's slots
+  // still hold the spent batches the worker exchanged back; releasing
+  // the ring here frees them inside the timed region, where the run's
+  // other packet buffers are freed too.
   for (std::size_t p = 0; p < ports; ++p) {
     while (!rings[p]->Empty()) std::this_thread::yield();
     group.runtime(p).DetachRing();
+    rings[p].reset();
   }
   group.WaitIdle();
   const auto wall_stop = std::chrono::steady_clock::now();

@@ -1,10 +1,11 @@
 // Allocation probe shared by the steady-state allocation tests.
 //
-// Replaceable global operator new/delete, counting allocations only on
-// the thread that opted in. gtest and the test fixtures allocate freely;
-// a test arms the counter just around the loop it checks. Replaceable
-// allocation functions need external linkage, so include this header
-// from exactly one translation unit per test binary, at global scope.
+// Replaceable global operator new/delete, counting allocations and frees
+// only on the thread that opted in. gtest and the test fixtures allocate
+// freely; a test arms the counters just around the loop it checks.
+// Replaceable allocation functions need external linkage, so include
+// this header from exactly one translation unit per test binary, at
+// global scope.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 namespace alloc_probe {
 thread_local bool counting = false;
 thread_local std::uint64_t count = 0;
+thread_local std::uint64_t frees = 0;  // non-null blocks released
 }  // namespace alloc_probe
 
 // GCC pairs the malloc in our operator new with the free in operator
@@ -29,9 +31,14 @@ void* operator new(std::size_t size) {
   return p;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (alloc_probe::counting && p != nullptr) ++alloc_probe::frees;
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
 
 #pragma GCC diagnostic pop

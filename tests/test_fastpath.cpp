@@ -1,15 +1,17 @@
 // Tests for the analog-stage fast path: the SoA flow table and batched
 // flow tracker, the compiled WRR schedule (including runtime weight
-// changes), and the steady-state allocation guarantee of the inject +
-// drain hot loop.
+// changes), the steady-state allocation guarantee of the inject +
+// drain hot loop, and the ring-fed port worker's buffer ownership.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "analognf/arch/port_runtime.hpp"
 #include "analognf/arch/switch.hpp"
 #include "analognf/cognitive/classifier.hpp"
 #include "analognf/common/flow_table.hpp"
@@ -251,15 +253,11 @@ TEST(WrrFastPathTest, SetWrrWeightsValidates) {
 
 // ------------------------------------------- steady-state allocations
 
-// After warmup, one InjectBatch + DrainInto round trip may allocate only
-// the verdict vector InjectBatch returns by value — every stage arena,
-// egress ring, flow table and telemetry record is preallocated. A
-// regression anywhere in the hot path (a stray std::vector in a stage, a
-// map insert, a deque node) trips this immediately.
-TEST(FastPathAllocationTest, InjectDrainLoopIsAllocationFree) {
+// Two ports, two classes, every analog stage on (AQM, load balancer,
+// classifier): the configuration the allocation tests hold to account.
+SwitchConfig AllStagesConfig() {
   SwitchConfig c;
   c.port_count = 2;
-  c.port_rate_bps = 100.0e9;  // fast ports: queues drain every round
   c.enable_aqm = true;
   c.enable_load_balancer = true;
   c.enable_classifier = true;
@@ -268,18 +266,34 @@ TEST(FastPathAllocationTest, InjectDrainLoopIsAllocationFree) {
       {"bulk", 400.0, 1600.0, 1.0e-6, 1.0e-2, 0.0, 4.0},
   };
   c.service_classes = 2;
+  return c;
+}
+
+// 64 UDP frames to 10.0.0.1 over 16 flows, two DSCPs and 8 sizes.
+std::vector<net::Packet> AllocationTestBatch() {
+  std::vector<net::Packet> packets;
+  packets.reserve(64);
+  for (std::size_t i = 0; i < 64; ++i) {
+    packets.push_back(MakeUdp(static_cast<std::uint16_t>(1000 + i % 16),
+                              i % 2 ? 46 : 0, 100 + (i % 8) * 50));
+  }
+  return packets;
+}
+
+// After warmup, one InjectBatch + DrainInto round trip may allocate only
+// the verdict vector InjectBatch returns by value — every stage arena,
+// egress ring, flow table and telemetry record is preallocated. A
+// regression anywhere in the hot path (a stray std::vector in a stage, a
+// map insert, a deque node) trips this immediately.
+TEST(FastPathAllocationTest, InjectDrainLoopIsAllocationFree) {
+  SwitchConfig c = AllStagesConfig();
+  c.port_rate_bps = 100.0e9;  // fast ports: queues drain every round
   c.scheduler = SchedulerPolicy::kWeightedRoundRobin;
   c.wrr_weights = {3, 1};
   CognitiveSwitch sw(c);
   sw.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
 
-  constexpr std::size_t kBatch = 64;
-  std::vector<net::Packet> packets;
-  packets.reserve(kBatch);
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    packets.push_back(MakeUdp(static_cast<std::uint16_t>(1000 + i % 16),
-                              i % 2 ? 46 : 0, 100 + (i % 8) * 50));
-  }
+  const std::vector<net::Packet> packets = AllocationTestBatch();
 
   std::vector<arch::Delivery> drained;
   double now = 0.0;
@@ -301,9 +315,61 @@ TEST(FastPathAllocationTest, InjectDrainLoopIsAllocationFree) {
   for (std::uint64_t i = 0; i < kReps; ++i) round();
   alloc_probe::counting = false;
 
-  EXPECT_EQ(verdict_total, kBatch * (8 + kReps));
+  EXPECT_EQ(verdict_total, packets.size() * (8 + kReps));
   // Exactly one allocation per round: the returned verdict vector.
   EXPECT_LE(alloc_probe::count, kReps);
+}
+
+// The ring-fed port worker only borrows the producer's packet buffers:
+// TryPop exchanges its spent batch back into the ring, and the producer
+// frees it on its next push. Counted on the worker from the ring hook,
+// a steady-state batch may free only the verdict vector InjectBatch
+// returns — not the batch's packet buffers or its packet vector.
+TEST(FastPathAllocationTest, RingWorkerFreesNoPacketBuffers) {
+  SwitchConfig c = AllStagesConfig();
+  // The ring worker never drains, so bound the egress queues: their
+  // growth would be the worker's own memory, not the producer's.
+  c.egress_queue.max_packets = 64;
+  arch::SwitchGroup group(1, c);
+  group.AddFirewallRule(arch::FirewallPattern{}, true, 0);
+  group.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
+  group.Commit();
+
+  constexpr std::uint64_t kWarm = 8;
+  constexpr std::uint64_t kCounted = 32;
+  const std::vector<net::Packet> packets = AllocationTestBatch();
+
+  // Touched only by the worker (in the hook) until DetachRing returns.
+  std::uint64_t batches = 0;
+  std::uint64_t worker_frees = 0;
+  arch::PortRuntime::IngressRing ring(4);
+  group.runtime(0).AttachRing(
+      &ring, [&](const arch::PortRuntime::RingBatchInfo&) {
+        ++batches;
+        if (batches == kWarm) {
+          alloc_probe::frees = 0;
+          alloc_probe::counting = true;
+        } else if (batches == kWarm + kCounted) {
+          alloc_probe::counting = false;
+          worker_frees = alloc_probe::frees;
+        }
+      });
+  double now_s = 0.0;
+  for (std::uint64_t b = 0; b < kWarm + kCounted; ++b) {
+    arch::PortRuntime::Batch batch;
+    batch.packets = packets;  // fresh buffers, allocated on this thread
+    now_s += 1e-5;
+    batch.now_s = now_s;
+    while (!ring.TryPush(batch)) std::this_thread::yield();
+  }
+  while (!ring.Empty()) std::this_thread::yield();
+  group.runtime(0).DetachRing();
+
+  ASSERT_EQ(batches, kWarm + kCounted);
+  EXPECT_EQ(group.device(0).stats().injected,
+            packets.size() * (kWarm + kCounted));
+  // At most one block per batch: the returned verdict vector.
+  EXPECT_LE(worker_frees, kCounted);
 }
 
 }  // namespace

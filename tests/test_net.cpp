@@ -237,6 +237,54 @@ TEST(ParserErrorTest, ToStringCoversAll) {
   EXPECT_EQ(ToString(ParseError::kBadIpChecksum), "bad-ip-checksum");
 }
 
+// The batch front-end equals per-packet Parse on every shape it must
+// survive: empty and truncated buffers, frames at or below the 48-byte
+// second prefetch line, VLAN tags and valid TCP/UDP frames. More than
+// eight packets, so every prefetch-ahead branch runs.
+TEST(ParserBatchTest, MatchesPerPacketParseOnMixedBatch) {
+  VlanTag tag;
+  tag.vlan_id = 0x42;
+  const std::vector<Packet> shapes = {
+      Packet{},                                 // 0 bytes
+      Packet(std::vector<std::uint8_t>(10, 0)),  // truncated Ethernet
+      PacketBuilder().Ethernet(TestEth()).Vlan(tag)
+          .Ipv4(TestIp(kIpProtoUdp)).Udp({}).Payload(30).Build(),
+      PacketBuilder().Ethernet(TestEth())
+          .Ipv4(TestIp(kIpProtoTcp)).Tcp({}).Payload(200).Build(),
+      PacketBuilder().Ethernet(TestEth())
+          .Ipv4(TestIp(kIpProtoUdp)).Udp({}).Build(),  // 42 bytes
+      PacketBuilder().Ethernet(TestEth())
+          .Ipv4(TestIp(kIpProtoUdp)).Udp({}).Payload(7).Build(),  // 49
+  };
+  std::vector<Packet> batch;
+  for (int i = 0; i < 4; ++i) {
+    batch.insert(batch.end(), shapes.begin(), shapes.end());
+  }
+  const Parser parser;
+  std::vector<ParsedPacket> out;
+  parser.ParseBatch(batch.data(), batch.size(), out);
+  ASSERT_EQ(out.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE(i);
+    const ParsedPacket one = parser.Parse(batch[i]);
+    EXPECT_EQ(out[i].error, one.error);
+    EXPECT_EQ(out[i].eth.ether_type, one.eth.ether_type);
+    EXPECT_EQ(out[i].vlan.has_value(), one.vlan.has_value());
+    EXPECT_EQ(out[i].ipv4.has_value(), one.ipv4.has_value());
+    EXPECT_EQ(out[i].tcp.has_value(), one.tcp.has_value());
+    EXPECT_EQ(out[i].udp.has_value(), one.udp.has_value());
+    EXPECT_EQ(out[i].Key(), one.Key());
+    EXPECT_EQ(out[i].payload_offset, one.payload_offset);
+    EXPECT_EQ(out[i].payload_length, one.payload_length);
+  }
+  EXPECT_EQ(out[0].error, ParseError::kTruncatedEthernet);
+  EXPECT_EQ(out[1].error, ParseError::kTruncatedEthernet);
+  EXPECT_TRUE(out[2].ok());
+  EXPECT_TRUE(out[2].vlan.has_value());
+  EXPECT_TRUE(out[3].tcp.has_value());
+  EXPECT_TRUE(out[4].ok());
+}
+
 // ---------------------------------------------------------- 5-tuple
 
 TEST(FiveTupleTest, KeyExtractsPorts) {

@@ -71,18 +71,6 @@ TEST(SpscRingTest, WrapAroundKeepsOrder) {
   }
 }
 
-TEST(SpscRingTest, BatchPushPop) {
-  SpscRing<int> ring(8);
-  int in[6] = {0, 1, 2, 3, 4, 5};
-  EXPECT_EQ(ring.PushBatch(in, 6), 6u);
-  int more[6] = {6, 7, 8, 9, 10, 11};
-  EXPECT_EQ(ring.PushBatch(more, 6), 2u);  // only 2 slots free
-  int out[16];
-  EXPECT_EQ(ring.PopBatch(out, 16), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(out[i], i);
-  EXPECT_EQ(ring.PopBatch(out, 16), 0u);
-}
-
 TEST(SpscRingTest, MoveOnlyPayload) {
   SpscRing<std::unique_ptr<int>> ring(2);
   auto p = std::make_unique<int>(42);
@@ -91,33 +79,61 @@ TEST(SpscRingTest, MoveOnlyPayload) {
   EXPECT_TRUE(ring.TryPop(out));
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 42);
+
+  // Pop exchanges: the popped-into pointer's old value goes back into
+  // the slot, and the producer's next push into that slot destroys it.
+  std::vector<int> destroyed;
+  struct Logged {
+    std::vector<int>* log;
+    void operator()(int* v) const {
+      log->push_back(*v);
+      delete v;
+    }
+  };
+  using Ptr = std::unique_ptr<int, Logged>;
+  auto make = [&destroyed](int v) {
+    return Ptr(new int(v), Logged{&destroyed});
+  };
+  SpscRing<Ptr> logged(2);
+  EXPECT_TRUE(logged.TryPush(make(1)));  // slot 0
+  Ptr held = make(7);
+  EXPECT_TRUE(logged.TryPop(held));
+  EXPECT_EQ(*held, 1);
+  EXPECT_TRUE(destroyed.empty());  // 7 is parked in slot 0, not freed
+  EXPECT_TRUE(logged.TryPush(make(2)));  // slot 1: held nothing
+  EXPECT_TRUE(destroyed.empty());
+  EXPECT_TRUE(logged.TryPush(make(3)));  // slot 0: destroys the 7
+  EXPECT_EQ(destroyed, std::vector<int>{7});
 }
 
 // The TSan target: one producer, one consumer, every value handed over
-// exactly once and in order.
+// exactly once and in order. The payload owns heap memory, so the
+// exchange on pop (the consumer's spent value goes back into the slot
+// and the producer destroys it on its next push) runs the same
+// cross-thread path the port worker does.
 TEST(SpscRingTest, TwoThreadHandoff) {
   constexpr std::uint64_t kCount = 200'000;
-  SpscRing<std::uint64_t> ring(64);
+  SpscRing<std::vector<std::uint64_t>> ring(64);
   std::uint64_t received = 0;
   std::uint64_t sum = 0;
   std::thread consumer([&] {
-    std::uint64_t buf[32];
+    std::vector<std::uint64_t> item;
     while (received < kCount) {
-      const std::size_t n = ring.PopBatch(buf, 32);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(buf[i], received + i);
-        sum += buf[i];
+      if (!ring.TryPop(item)) {
+        std::this_thread::yield();
+        continue;
       }
-      received += n;
-      if (n == 0) std::this_thread::yield();
+      EXPECT_EQ(item.size(), 1u);
+      for (const std::uint64_t v : item) {
+        EXPECT_EQ(v, received);
+        sum += v;
+      }
+      ++received;
     }
   });
-  for (std::uint64_t v = 0; v < kCount;) {
-    if (ring.TryPush(v)) {
-      ++v;
-    } else {
-      std::this_thread::yield();
-    }
+  for (std::uint64_t v = 0; v < kCount; ++v) {
+    std::vector<std::uint64_t> item{v};
+    while (!ring.TryPush(item)) std::this_thread::yield();
   }
   consumer.join();
   EXPECT_EQ(received, kCount);
