@@ -10,12 +10,15 @@
 // realistic skew rather than a handful of synthetic flows.
 //
 // Also checks the conservation invariant (offered == achieved +
-// dropped, exactly) on every row; a violation marks the JSON.
+// dropped, exactly) on every row; a violation marks the JSON and fails
+// the run with a non-zero exit once the JSON is written.
 //
 // Writes BENCH_ingress.json (machine-readable, consumed by CI; the
 // ports=1 achieved rate is budget-gated in scripts/bench_budget.json).
 #include "bench_util.hpp"
 
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -126,6 +129,12 @@ void EmitIngressJson() {
        bench::JsonInt("packets_per_port", 100'000),
        bench::JsonInt("all_conservation_exact", all_conserved ? 1 : 0)},
       {rows}, "4 port counts");
+  // A correctness break fails the run once the JSON is on disk.
+  if (!all_conserved) {
+    std::fprintf(stderr,
+                 "bench_ingress_load: offered != achieved + dropped\n");
+    std::exit(EXIT_FAILURE);
+  }
 }
 
 void ReportAndEmitJson() {

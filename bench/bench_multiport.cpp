@@ -12,10 +12,13 @@
 //     hardware_concurrency so a single-core container's flat curve is
 //     readable as such.
 //
-// Writes BENCH_multiport.json (machine-readable, consumed by CI).
+// Writes BENCH_multiport.json (machine-readable, consumed by CI), then
+// exits non-zero if any port count's verdicts differ.
 #include "bench_util.hpp"
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -260,6 +263,12 @@ void EmitMultiportJson() {
        bench::JsonInt("batches_per_port", kBatchesPerPort),
        bench::JsonInt("all_verdicts_identical", all_identical ? 1 : 0)},
       {rows}, "4 port counts");
+  // A correctness break fails the run once the JSON is on disk.
+  if (!all_identical) {
+    std::fprintf(stderr,
+                 "bench_multiport: verdicts differ from the solo baseline\n");
+    std::exit(EXIT_FAILURE);
+  }
 }
 
 void ReportAndEmitJson() {

@@ -4,9 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
-cmake --build build
-ctest --test-dir build --output-on-failure
+cmake -B build -S .
+cmake --build build -j
+ctest --test-dir build --output-on-failure -j
 
 echo
 echo "== regenerating all paper tables/figures =="

@@ -9,13 +9,14 @@
 //   * SharedTables (switch.hpp) — the controller-owned firewall TCAM and
 //     LPM table. Mutations stage; Commit() compiles and publishes an
 //     immutable snapshot RCU-style (common/snapshot.hpp).
-//   * PortRuntime — one worker thread per port, draining a bounded
-//     mailbox of ingress batches and control commands into a private
-//     CognitiveSwitch that reads the group's SharedTables (a standalone
-//     switch reads its own SharedTables the same way). Each batch
-//     acquires the published snapshots; each port keeps its own energy
-//     ledger, stats and telemetry (the worker registers a
-//     ThreadPool external slot so sharded counters stay exact).
+//   * PortRuntime — one worker thread per port, polling one lock-free
+//     SPSC ring of ingress batches (the port's own ring, fed by Submit,
+//     or a ring a producer attached) into a private CognitiveSwitch that
+//     reads the group's SharedTables (a standalone switch reads its own
+//     SharedTables the same way). Each batch acquires the published
+//     snapshots; each port keeps its own energy ledger, stats and
+//     telemetry (the worker registers a ThreadPool external slot so
+//     sharded counters stay exact).
 //   * SwitchGroup — the assembly: the controller thread stages and
 //     commits table updates and broadcasts pCAM reprogramming commands;
 //     data sources submit batches per port. Commands apply at batch
@@ -30,7 +31,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -42,12 +42,13 @@
 
 namespace analognf::arch {
 
-// One port's data plane: a dedicated worker thread, a bounded mailbox,
-// and a private CognitiveSwitch reading the group's SharedTables.
+// One port's data plane: a dedicated worker thread, one polled ingress
+// ring, and a private CognitiveSwitch reading the group's SharedTables.
 class PortRuntime {
  public:
-  // An ingress batch bound for this port. Packets are owned by the item
-  // (moved in) so the submitter can retire its buffers immediately.
+  // An ingress batch bound for this port. Packets are owned by the batch
+  // (moved in); the worker only borrows them and exchanges the spent
+  // batch back into the ring, so whoever pushed them frees them.
   struct Batch {
     std::vector<net::Packet> packets;
     double now_s = 0.0;
@@ -59,30 +60,11 @@ class PortRuntime {
   // access to the port's switch.
   using Command = std::function<void(CognitiveSwitch&)>;
 
-  // Builds the port's switch as a reader of `tables` and starts the
-  // worker. `tables` must outlive the runtime; null throws
-  // std::invalid_argument. The mailbox is bounded; Submit blocks when
-  // it is full (backpressure, never drops).
-  PortRuntime(SwitchConfig config, const SharedTables* tables);
-  ~PortRuntime();
-
-  PortRuntime(const PortRuntime&) = delete;
-  PortRuntime& operator=(const PortRuntime&) = delete;
-
-  // Enqueues an ingress batch (blocks while the mailbox is full).
-  void Submit(Batch batch);
-  // Enqueues a control command (same mailbox, so it applies at a batch
-  // boundary, in submission order relative to batches).
-  void Apply(Command command);
-  // Blocks until every submitted item has fully executed.
-  void WaitIdle();
-
-  // ---- ring-fed run-to-completion mode (the src/traffic ingress) ----
   // One lock-free SPSC ring of ingress batches; the port worker is the
   // single consumer, one producer thread pushes.
   using IngressRing = analognf::SpscRing<Batch>;
   // Completion record handed to the (optional) per-batch hook, invoked
-  // on the worker thread after each ring batch retires.
+  // on the worker thread after each attached-ring batch retires.
   struct RingBatchInfo {
     std::size_t packets = 0;
     std::uint64_t enqueue_ns = 0;  // producer stamp (0 if unset)
@@ -91,24 +73,40 @@ class PortRuntime {
   };
   using RingHook = std::function<void(const RingBatchInfo&)>;
 
-  // Attaches `ring` as the worker's run-to-completion ingress: whenever
-  // the mailbox is empty the worker polls the ring and processes popped
-  // batches back-to-back. Mailbox items (Submit/Apply) still take
-  // priority, so control commands keep applying at batch boundaries.
-  // The attach itself travels the mailbox, so it also lands at a batch
-  // boundary. `ring` must stay alive until DetachRing() returns.
+  // Builds the port's switch as a reader of `tables` and starts the
+  // worker. `tables` must outlive the runtime; null throws
+  // std::invalid_argument.
+  PortRuntime(SwitchConfig config, const SharedTables* tables);
+  // Drains the port's own ring, runs every queued command, and joins.
+  ~PortRuntime();
+
+  PortRuntime(const PortRuntime&) = delete;
+  PortRuntime& operator=(const PortRuntime&) = delete;
+
+  // Pushes an ingress batch onto the port's own ring, spinning while it
+  // is full (backpressure, never drops). One submitting thread at a
+  // time; throws std::logic_error while a ring is attached.
+  void Submit(Batch batch);
+  // Queues a control command, from any thread. It runs at the first
+  // batch boundary after every batch Submit()ted before the call has
+  // retired, so it keeps submission order relative to batches.
+  void Apply(Command command);
+  // A fence: blocks until every batch submitted and every command
+  // queued before the call has fully executed.
+  void WaitIdle();
+
+  // Attaches `ring` as the worker's run-to-completion ingress in place
+  // of the port's own ring; each popped batch is reported through
+  // `hook`. The attach is a command, so it lands after every batch
+  // already submitted. `ring` must stay alive until DetachRing() returns.
   void AttachRing(IngressRing* ring, RingHook hook = {});
-  // Detaches the current ring. Blocks until the worker has retired any
-  // in-flight ring batch and will no longer touch the ring; pending
-  // batches still in the ring are NOT drained (the caller owns them).
-  // Callers wanting a full drain wait for ring->Empty() first — after
-  // that, DetachRing() returning implies every popped batch has fully
-  // executed. The worker frees no ring batch: TryPop exchanges its spent
-  // batch back into the ring (common/spsc_ring.hpp), and the detach
-  // releases the last one it held, so once DetachRing() returns the
-  // runtime holds none of the caller's buffers. The ring's slots still
-  // hold spent batches until the producer overwrites them or the ring
-  // is destroyed.
+  // Detaches the ring and waits, like WaitIdle(), until the worker has
+  // retired any in-flight ring batch and will no longer touch the ring.
+  // Batches still in the ring are NOT drained: callers wanting a full
+  // drain wait for ring->Empty() first. The worker frees no ring batch
+  // (TryPop exchanges the spent one back, common/spsc_ring.hpp), and
+  // once DetachRing() returns the runtime holds none of the caller's
+  // buffers; the ring's slots keep spent batches until overwritten.
   void DetachRing();
 
   // The port's switch. Single-threaded object: touch it only from
@@ -124,36 +122,40 @@ class PortRuntime {
   }
 
  private:
-  struct Item {
-    Batch batch;
-    Command command;  // non-null = control item, batch ignored
-    // Ring control: when set, the worker swaps its ring pointer/hook to
-    // these values (null detaches). Takes precedence over the fields
-    // above. Routed through the mailbox so the swap is a plain
-    // worker-local assignment at a batch boundary — no cross-thread
-    // pointer handoff to race on.
-    bool ring_op = false;
-    IngressRing* ring = nullptr;
-    RingHook hook;
+  // A queued command and the own-ring batch count it waits for.
+  struct PendingCommand {
+    std::uint64_t ticket;
+    Command run;
   };
+  static constexpr std::uint64_t kNoCommand = ~std::uint64_t{0};
 
   void WorkerLoop();
+  // Runs, in queue order, every command whose ticket is <= `retired`.
+  void RunDueCommands(std::uint64_t retired);
 
   CognitiveSwitch switch_;
-  std::mutex mutex_;
-  std::condition_variable cv_submit_;  // worker waits: work available
-  std::condition_variable cv_state_;   // submitters wait: space / idle
-  std::deque<Item> mailbox_;
-  std::size_t in_flight_ = 0;  // queued + currently executing
-  bool stop_ = false;
+  IngressRing own_ring_{8};
+  std::atomic<std::uint64_t> submitted_{0};  // batches pushed by Submit
+  std::atomic<bool> attached_{false};
+  // Worker-only: the polled ring and its hook. Changed by the attach and
+  // detach commands, which run on the worker.
+  IngressRing* ring_ = &own_ring_;
+  RingHook hook_;
+  std::mutex mutex_;                     // guards commands_
+  std::condition_variable cv_;           // the idle worker waits here
+  std::vector<PendingCommand> commands_;  // tickets non-decreasing
+  // Ticket of commands_.front() (kNoCommand if empty): the worker's
+  // lock-free check at each batch boundary.
+  std::atomic<std::uint64_t> next_ticket_{kNoCommand};
+  std::atomic<bool> stop_{false};
   std::atomic<std::size_t> slot_{0};
   std::thread worker_;  // last: starts after all state is ready
 };
 
 // A multi-port switch assembly: one SharedTables control plane, one
 // PortRuntime per port. The controller thread owns table mutations and
-// Commit(); any thread may submit batches (one submitter per port at a
-// time keeps arrival order deterministic).
+// Commit(); any thread may submit batches, one thread per port at a time
+// (each port's own ring has a single producer).
 class SwitchGroup {
  public:
   // `ports` port runtimes, each configured from `config` (telemetry
@@ -183,10 +185,11 @@ class SwitchGroup {
   void ProgramAqmTarget(double target_delay_s, double max_deviation_s);
 
   // ------------------------------------------------ data plane
-  // Enqueues a batch on `port`'s mailbox (blocks while full).
+  // Pushes a batch onto `port`'s own ring (spins while full).
   void Submit(std::size_t port, std::vector<net::Packet> packets,
               double now_s);
-  // Blocks until every port has drained its mailbox.
+  // Blocks until every port has run every batch and command queued so
+  // far.
   void WaitIdle();
 
   // ------------------------------------------------ observability

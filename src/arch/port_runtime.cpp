@@ -1,6 +1,7 @@
 #include "analognf/arch/port_runtime.hpp"
 
 #include <chrono>
+#include <future>
 #include <stdexcept>
 #include <utility>
 
@@ -8,9 +9,6 @@
 #include "analognf/common/thread_pool.hpp"
 
 namespace {
-
-// Queued mailbox items per port; Submit/Apply block while it is full.
-constexpr std::size_t kMailboxCapacity = 8;
 
 std::uint64_t SteadyNowNs() {
   return static_cast<std::uint64_t>(
@@ -31,71 +29,78 @@ PortRuntime::PortRuntime(SwitchConfig config, const SharedTables* tables)
 PortRuntime::~PortRuntime() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+    stop_.store(true, std::memory_order_release);
   }
-  cv_submit_.notify_all();
+  cv_.notify_all();
   worker_.join();
 }
 
 void PortRuntime::Submit(Batch batch) {
-  Item item;
-  item.batch = std::move(batch);
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return mailbox_.size() < kMailboxCapacity; });
-  mailbox_.push_back(std::move(item));
-  ++in_flight_;
-  lock.unlock();
-  cv_submit_.notify_one();
+  if (attached_.load(std::memory_order_acquire)) {
+    throw std::logic_error("PortRuntime::Submit: a ring is attached");
+  }
+  while (!own_ring_.TryPush(batch)) std::this_thread::yield();
+  // Counted after the push: a command ticketed with this count never
+  // waits for a batch that is not in the ring yet.
+  submitted_.fetch_add(1, std::memory_order_release);
 }
 
 void PortRuntime::Apply(Command command) {
   if (!command) {
     throw std::invalid_argument("PortRuntime::Apply: empty command");
   }
-  Item item;
-  item.command = std::move(command);
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return mailbox_.size() < kMailboxCapacity; });
-  mailbox_.push_back(std::move(item));
-  ++in_flight_;
-  lock.unlock();
-  cv_submit_.notify_one();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // Read under the lock, so tickets never decrease along the queue.
+    const std::uint64_t ticket = submitted_.load(std::memory_order_acquire);
+    commands_.push_back({ticket, std::move(command)});
+    next_ticket_.store(commands_.front().ticket, std::memory_order_release);
+  }
+  cv_.notify_one();
 }
 
 void PortRuntime::WaitIdle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return in_flight_ == 0; });
+  std::promise<void> ran;
+  std::future<void> done = ran.get_future();
+  Apply([&ran](CognitiveSwitch&) { ran.set_value(); });
+  done.wait();
 }
 
 void PortRuntime::AttachRing(IngressRing* ring, RingHook hook) {
   if (ring == nullptr) {
     throw std::invalid_argument("PortRuntime::AttachRing: null ring");
   }
-  Item item;
-  item.ring_op = true;
-  item.ring = ring;
-  item.hook = std::move(hook);
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_state_.wait(lock, [this] { return mailbox_.size() < kMailboxCapacity; });
-  mailbox_.push_back(std::move(item));
-  ++in_flight_;
-  lock.unlock();
-  cv_submit_.notify_one();
+  attached_.store(true, std::memory_order_release);
+  Apply([this, ring, hook = std::move(hook)](CognitiveSwitch&) mutable {
+    ring_ = ring;
+    hook_ = std::move(hook);
+  });
 }
 
 void PortRuntime::DetachRing() {
-  Item item;
-  item.ring_op = true;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_state_.wait(lock, [this] { return mailbox_.size() < kMailboxCapacity; });
-    mailbox_.push_back(std::move(item));
-    ++in_flight_;
-  }
-  cv_submit_.notify_one();
-  // The detach lands behind any in-flight ring batch (the worker is
-  // sequential), so idle here implies the worker is done with the ring.
+  Apply([this](CognitiveSwitch&) {
+    ring_ = &own_ring_;
+    hook_ = nullptr;
+  });
+  // The detach runs on the worker between batches, so once the fence
+  // behind it returns, the worker has retired every batch it will pop.
   WaitIdle();
+  attached_.store(false, std::memory_order_release);
+}
+
+void PortRuntime::RunDueCommands(std::uint64_t retired) {
+  while (next_ticket_.load(std::memory_order_acquire) <= retired) {
+    Command command;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      command = std::move(commands_.front().run);
+      commands_.erase(commands_.begin());
+      next_ticket_.store(
+          commands_.empty() ? kNoCommand : commands_.front().ticket,
+          std::memory_order_relaxed);
+    }
+    command(switch_);  // unlocked: a command may itself Apply
+  }
 }
 
 void PortRuntime::WorkerLoop() {
@@ -103,79 +108,52 @@ void PortRuntime::WorkerLoop() {
   // off every other thread's counter cells (exactness, not just
   // contention avoidance).
   slot_.store(ThreadPool::RegisterExternalSlot(), std::memory_order_release);
-  // Ring state is worker-local: it only changes by processing a ring_op
-  // mailbox item on this thread, so polling it costs no synchronisation.
-  IngressRing* ring = nullptr;
-  RingHook ring_hook;
-  // The last ring batch, kept across iterations so TryPop exchanges it
-  // back into the ring: the producer frees its buffers, not this thread.
+  // The last batch, kept across iterations so TryPop exchanges it back
+  // into the ring: whoever pushed its buffers frees them, not this thread.
   Batch batch;
+  std::uint64_t retired = 0;  // own-ring batches fully executed
   std::size_t idle_spins = 0;
   for (;;) {
-    Item item;
-    bool have_item = false;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (ring == nullptr) {
-        cv_submit_.wait(lock, [this] { return stop_ || !mailbox_.empty(); });
-      }
-      if (!mailbox_.empty()) {
-        item = std::move(mailbox_.front());
-        mailbox_.pop_front();
-        have_item = true;
-      } else if (stop_) {
-        // Stop drains the mailbox but not an attached ring: whoever
-        // attached it is responsible for DetachRing() before teardown.
-        return;
-      }
-    }
-    if (have_item) {
-      cv_state_.notify_all();  // a mailbox slot freed up
-      if (item.ring_op) {
-        ring = item.ring;
-        ring_hook = std::move(item.hook);
-        batch = Batch{};  // hold none of the previous ring's buffers
-      } else if (item.command) {
-        item.command(switch_);
-      } else {
-        switch_.InjectBatch(item.batch.packets, item.batch.now_s);
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        --in_flight_;
-      }
-      cv_state_.notify_all();
-      idle_spins = 0;
-      continue;
-    }
-    // Mailbox empty, ring attached: run-to-completion poll. Mailbox
-    // items re-checked every iteration keep command latency bounded by
-    // one batch.
-    if (ring->TryPop(batch)) {
-      const std::uint64_t start_ns = SteadyNowNs();
+    // Read before the pop: once the destructor's stop is seen, an empty
+    // ring means every batch has been popped and every command has run.
+    const bool stopping = stop_.load(std::memory_order_acquire);
+    IngressRing* const polled = ring_;
+    RunDueCommands(retired);
+    // A ring op landed: hold none of the previous ring's buffers.
+    if (ring_ != polled) batch = Batch{};
+    if (ring_->TryPop(batch)) {
+      const bool own = ring_ == &own_ring_;
+      // A command Applied before this batch was submitted became
+      // visible with the pop; it still runs ahead of the batch.
+      if (own) RunDueCommands(retired);
+      const std::uint64_t start_ns = hook_ ? SteadyNowNs() : 0;
       switch_.InjectBatch(batch.packets, batch.now_s);
-      if (ring_hook) {
+      if (own) ++retired;
+      if (hook_) {
         RingBatchInfo info;
         info.packets = batch.packets.size();
         info.enqueue_ns = batch.enqueue_ns;
         info.start_ns = start_ns;
         info.done_ns = SteadyNowNs();
-        ring_hook(info);
+        hook_(info);
       }
       idle_spins = 0;
       continue;
     }
-    // Ring momentarily empty: spin briefly (producer is usually just
-    // behind), then back off to a timed wait so an idle ring does not
-    // burn a core. Producers never signal the condvar — the timeout is
-    // the re-poll tick.
+    if (stopping) return;
+    // Ring momentarily empty: spin briefly (the producer is usually just
+    // behind), then back off to a timed wait so an idle port does not
+    // burn a core. Producers never signal; the timeout is the re-poll
+    // tick, and Apply and the destructor cut it short.
     if (++idle_spins < 64) {
       std::this_thread::yield();
       continue;
     }
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_submit_.wait_for(lock, std::chrono::microseconds(200),
-                        [this] { return stop_ || !mailbox_.empty(); });
+    cv_.wait_for(lock, std::chrono::microseconds(200), [this, retired] {
+      return stop_.load(std::memory_order_relaxed) ||
+             next_ticket_.load(std::memory_order_relaxed) <= retired;
+    });
   }
 }
 

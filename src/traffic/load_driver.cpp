@@ -23,7 +23,7 @@ std::uint64_t SteadyNowNs() {
 // Single-writer accounting structs. The producer thread owns Producer-
 // Side, the port worker owns WorkerSide (via the ring hook); the driver
 // thread reads both only after joining / detaching, where the thread
-// join and the DetachRing condvar handshake give the happens-before.
+// join and the DetachRing fence give the happens-before.
 struct ProducerSide {
   std::uint64_t offered_packets = 0;
   std::uint64_t offered_batches = 0;

@@ -372,5 +372,49 @@ TEST(FastPathAllocationTest, RingWorkerFreesNoPacketBuffers) {
   EXPECT_LE(worker_frees, kCounted);
 }
 
+// The same rule on the Submit path: Submit pushes onto the port's own
+// ring, so the worker exchanges each spent batch back and the submitter
+// frees it on a later push. Counting is armed and disarmed on the worker
+// by commands queued around the counted batches; a steady-state batch
+// may free only the verdict vector InjectBatch returns.
+TEST(FastPathAllocationTest, SubmitWorkerFreesNoPacketBuffers) {
+  SwitchConfig c = AllStagesConfig();
+  // Nothing drains the egress queues, so bound them (see above).
+  c.egress_queue.max_packets = 64;
+  arch::SwitchGroup group(1, c);
+  group.AddFirewallRule(arch::FirewallPattern{}, true, 0);
+  group.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
+  group.Commit();
+
+  constexpr std::uint64_t kWarm = 8;
+  constexpr std::uint64_t kCounted = 32;
+  const std::vector<net::Packet> packets = AllocationTestBatch();
+  double now_s = 0.0;
+  auto submit = [&](std::uint64_t batches) {
+    for (std::uint64_t b = 0; b < batches; ++b) {
+      now_s += 1e-5;
+      group.Submit(0, packets, now_s);  // fresh buffers, this thread's
+    }
+  };
+
+  std::uint64_t worker_frees = 0;  // written by the worker before WaitIdle
+  submit(kWarm);
+  group.runtime(0).Apply([](arch::CognitiveSwitch&) {
+    alloc_probe::frees = 0;
+    alloc_probe::counting = true;
+  });
+  submit(kCounted);
+  group.runtime(0).Apply([&worker_frees](arch::CognitiveSwitch&) {
+    alloc_probe::counting = false;
+    worker_frees = alloc_probe::frees;
+  });
+  group.WaitIdle();
+
+  EXPECT_EQ(group.device(0).stats().injected,
+            packets.size() * (kWarm + kCounted));
+  // At most one block per batch: the returned verdict vector.
+  EXPECT_LE(worker_frees, kCounted);
+}
+
 }  // namespace
 }  // namespace analognf

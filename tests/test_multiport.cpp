@@ -6,9 +6,11 @@
 //  * bit-identity — a SwitchGroup port produces verdicts, stats and
 //    energy-ledger totals bit-identical to a solo CognitiveSwitch fed
 //    the same stream, per port and in aggregate;
-//  * the mailbox: control commands apply at batch boundaries in
-//    submission order, shared-mode switches reject local table
-//    mutations, and commits become visible to later batches.
+//  * port ingress: control commands apply at batch boundaries in
+//    submission order (also when queued from a thread that does not
+//    submit), Submit refuses a port with an attached ring, shared-mode
+//    switches reject local table mutations, and commits become visible
+//    to later batches.
 //
 // The stress tests here are the TSan targets of the concurrency CI job.
 #include <gtest/gtest.h>
@@ -546,7 +548,7 @@ TEST(SwitchGroupTest, DeltaCommitsUnderTrafficMatchSoloSwitches) {
   EXPECT_DOUBLE_EQ(group.TotalEnergyJ(), want_j);
 }
 
-// ------------------------------------------------- mailbox semantics
+// ------------------------------------------------- port ingress semantics
 
 TEST(SwitchGroupTest, SharedModeRejectsLocalTableMutations) {
   SwitchGroup group(1, GroupConfig());
@@ -589,7 +591,75 @@ TEST(SwitchGroupTest, CommandsApplyAtBatchBoundariesInOrder) {
   EXPECT_NE(group.runtime(0).worker_slot(), 0u);
 }
 
-TEST(SwitchGroupTest, AqmReprogramBroadcastsThroughMailboxes) {
+// A port has one ingress ring at a time: while a producer's ring is
+// attached, Submit would be a second producer on the worker's ring.
+TEST(SwitchGroupTest, SubmitWhileRingAttachedThrows) {
+  SwitchGroup group(1, GroupConfig());
+  InstallTables(group);
+  group.Commit();
+  std::vector<net::Packet> batch;
+  batch.push_back(MakeUdpPacket("1.1.0.1", "10.0.0.1", 1024, 53));
+
+  PortRuntime::IngressRing ring(4);
+  group.runtime(0).AttachRing(&ring);
+  EXPECT_THROW(group.Submit(0, batch, 0.0), std::logic_error);
+  group.runtime(0).DetachRing();
+
+  group.Submit(0, std::move(batch), 1.0e-4);  // own ring again
+  group.WaitIdle();
+  EXPECT_EQ(group.device(0).stats().injected, 1u);
+}
+
+// A controller thread reprograms every port (ProgramAqmTarget) and
+// queues commands while one submitter streams batches to all ports:
+// command tickets are taken on a thread that does not submit. Nothing
+// deadlocks, every batch is injected, and verdicts partition it.
+TEST(SwitchGroupTest, ReprogramRacesSubmitter) {
+  SwitchConfig config = GroupConfig();
+  constexpr std::size_t kPorts = 2;
+  constexpr std::size_t kBatches = 40;
+  constexpr std::size_t kBatchSize = 16;
+  SwitchGroup group(kPorts, config);
+  InstallTables(group);
+  group.Commit();
+
+  std::thread submitter([&group] {
+    double now_s = 0.0;
+    for (std::size_t b = 0; b < kBatches; ++b) {
+      for (std::size_t p = 0; p < kPorts; ++p) {
+        group.Submit(p, MakeTrafficMix(kBatchSize, 9000 + b * kPorts + p),
+                     now_s);
+      }
+      now_s += 1.0e-4;
+    }
+  });
+
+  std::atomic<std::size_t> commands_ran{0};
+  constexpr std::size_t kRounds = 30;
+  for (std::size_t round = 0; round < kRounds; ++round) {
+    const double scale = 1.0 + static_cast<double>(round % 3);
+    group.ProgramAqmTarget(scale * config.aqm.target_delay_s,
+                           config.aqm.max_deviation_s);
+    for (std::size_t p = 0; p < kPorts; ++p) {
+      group.runtime(p).Apply([&commands_ran](CognitiveSwitch&) {
+        commands_ran.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    std::this_thread::yield();
+  }
+
+  submitter.join();
+  group.WaitIdle();
+
+  EXPECT_EQ(commands_ran.load(), kRounds * kPorts);
+  const SwitchStats total = group.AggregateStats();
+  EXPECT_EQ(total.injected, kPorts * kBatches * kBatchSize);
+  EXPECT_EQ(total.forwarded + total.parse_errors + total.firewall_denies +
+                total.no_route + total.aqm_drops + total.queue_full,
+            total.injected);
+}
+
+TEST(SwitchGroupTest, AqmReprogramBroadcastsToEveryPort) {
   SwitchConfig config = GroupConfig();
   SwitchGroup group(2, config);
   InstallTables(group);

@@ -607,8 +607,9 @@ bool SameStats(const arch::SwitchStats& a, const arch::SwitchStats& b) {
          a.delivered == b.delivered;
 }
 
-// Ring-fed processing must be bit-identical to mailbox Submit() of the
-// same batches: the ring changes the transport, not the data plane.
+// Ring-fed processing must be bit-identical to Submit() of the same
+// batches onto the port's own ring: an attached ring changes who
+// produces the batches, not the data plane.
 TEST(PortRuntimeRingTest, RingFedMatchesSubmit) {
   const auto batches = RingTestBatches(32, 16);
 
@@ -648,8 +649,9 @@ TEST(PortRuntimeRingTest, RingFedMatchesSubmit) {
             via_submit.device(0).ledger().TotalJ());
 }
 
-// Commands submitted while a ring is attached still execute (mailbox
-// has priority over ring polling), and detach/reattach cycles work.
+// Commands queued while a ring is attached still execute (the worker
+// runs due commands at every batch boundary, ahead of the next ring
+// batch), and detach/reattach cycles work.
 TEST(PortRuntimeRingTest, CommandsAndReattachDuringRingMode) {
   arch::SwitchGroup group(1, RingTestSwitchConfig());
   InstallRingTestTables(group);
@@ -673,7 +675,7 @@ TEST(PortRuntimeRingTest, CommandsAndReattachDuringRingMode) {
   group.runtime(0).DetachRing();
   EXPECT_EQ(commands_ran.load(), 8);
 
-  // Mailbox path still works after detach...
+  // Submit feeds the port's own ring again after detach...
   group.Submit(0, batches.front(), now_s);
   group.WaitIdle();
   // ...and the ring can be re-attached.
