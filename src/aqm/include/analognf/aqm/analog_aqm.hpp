@@ -125,8 +125,15 @@ class AnalogAqm final : public AqmPolicy {
   const AnalogAqmConfig& config() const { return config_; }
   const energy::EnergyLedger& ledger() const { return ledger_; }
 
-  // Total pCAM + DAC energy consumed so far.
-  double ConsumedEnergyJ() const { return ledger_.TotalJ(); }
+  // Total pCAM + DAC + derivative energy consumed so far: the same
+  // double as ledger().TotalJ(), without the map walk. The ledger holds
+  // exactly the three metered categories, summed here in its key order
+  // ("analog.dac" < "analog.derivative" < "pcam.search"). The traffic
+  // manager reads this twice per admitted packet.
+  double ConsumedEnergyJ() const {
+    return dac_meter_->energy_j + derivative_meter_->energy_j +
+           pcam_meter_->energy_j;
+  }
 
  private:
   core::AnalogTableSpec BuildSpec() const;

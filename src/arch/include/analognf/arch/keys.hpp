@@ -11,11 +11,22 @@ namespace analognf::arch {
 // 32 (src ip) + 32 (dst ip) + 16 (src port) + 16 (dst port) + 8 (proto).
 inline constexpr std::size_t kFiveTupleBits = 104;
 
-// Serialises a 5-tuple into the canonical 104-bit search key.
+// Serialises a 5-tuple into the canonical 104-bit search key: the fields
+// above, in that order, each MSB first (the key AppendU32(src_ip),
+// AppendU32(dst_ip), AppendU16(src_port), AppendU16(dst_port),
+// AppendU8(protocol) builds). In the BitKey lane layout (key bit i at
+// bit i % 64 of lane i / 64) that is:
+//   lane 0, bits  0..31: src_ip,   bit-reversed (src_ip's MSB at bit 0)
+//   lane 0, bits 32..63: dst_ip,   bit-reversed
+//   lane 1, bits  0..15: src_port, bit-reversed
+//   lane 1, bits 16..31: dst_port, bit-reversed
+//   lane 1, bits 32..39: protocol, bit-reversed
+//   lane 1, bits 40..63: zero
 tcam::BitKey FiveTupleKey(const net::FiveTuple& tuple);
 
-// Same, into a caller-owned key (cleared first). Per-packet hot paths
-// use this to reuse one BitKey allocation per batch slot.
+// Same, into a caller-owned key (overwritten). Per-packet hot paths use
+// this to reuse one BitKey allocation per batch slot; both lanes are
+// written in one step.
 void FiveTupleKeyInto(const net::FiveTuple& tuple, tcam::BitKey& key);
 
 // Builds a 104-bit ternary firewall pattern. Any field can be wildcarded:

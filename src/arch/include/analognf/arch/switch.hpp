@@ -225,6 +225,13 @@ class CognitiveSwitch {
   std::vector<Verdict> InjectBatch(std::span<const net::Packet> packets,
                                    double now_s);
 
+  // InjectBatch without the by-value copy: the returned view aliases the
+  // switch's own verdict lane and stays valid until the next Inject,
+  // InjectBatch or RunBatch. The port worker runs its batches this way,
+  // so a steady-state batch allocates nothing.
+  std::span<const Verdict> RunBatch(std::span<const net::Packet> packets,
+                                    double now_s);
+
   // Drains egress queues up to `until_s`, returning deliveries in
   // departure order per port.
   std::vector<Delivery> Drain(double until_s);

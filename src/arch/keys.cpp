@@ -3,6 +3,13 @@
 namespace analognf::arch {
 namespace {
 
+std::uint64_t ReverseBits64(std::uint64_t v) {
+  v = ((v >> 1) & 0x5555555555555555ull) | ((v & 0x5555555555555555ull) << 1);
+  v = ((v >> 2) & 0x3333333333333333ull) | ((v & 0x3333333333333333ull) << 2);
+  v = ((v >> 4) & 0x0F0F0F0F0F0F0F0Full) | ((v & 0x0F0F0F0F0F0F0F0Full) << 4);
+  return __builtin_bswap64(v);
+}
+
 // Ternary encoding of a 16-bit field that may be wildcarded.
 tcam::TernaryWord U16Word(std::uint16_t value, bool any) {
   std::string s;
@@ -33,12 +40,14 @@ tcam::BitKey FiveTupleKey(const net::FiveTuple& tuple) {
 }
 
 void FiveTupleKeyInto(const net::FiveTuple& tuple, tcam::BitKey& key) {
-  key.Clear();
-  key.AppendU32(tuple.src_ip);
-  key.AppendU32(tuple.dst_ip);
-  key.AppendU16(tuple.src_port);
-  key.AppendU16(tuple.dst_port);
-  key.AppendU8(tuple.protocol);
+  // MSB-first appends land field bit (w-1-j) at key bit (offset + j), so
+  // each lane is the bit reversal of its fields concatenated MSB-first.
+  const std::uint64_t lanes[2] = {
+      ReverseBits64(std::uint64_t{tuple.src_ip} << 32 | tuple.dst_ip),
+      ReverseBits64(std::uint64_t{tuple.src_port} << 48 |
+                    std::uint64_t{tuple.dst_port} << 32 |
+                    std::uint64_t{tuple.protocol} << 24)};
+  key.AssignLanes(lanes, kFiveTupleBits);
 }
 
 tcam::TernaryWord BuildFirewallWord(const FirewallPattern& pattern) {

@@ -127,7 +127,7 @@ void PortRuntime::WorkerLoop() {
       // visible with the pop; it still runs ahead of the batch.
       if (own) RunDueCommands(retired);
       const std::uint64_t start_ns = hook_ ? SteadyNowNs() : 0;
-      switch_.InjectBatch(batch.packets, batch.now_s);
+      switch_.RunBatch(batch.packets, batch.now_s);
       if (own) ++retired;
       if (hook_) {
         RingBatchInfo info;

@@ -298,11 +298,17 @@ Verdict CognitiveSwitch::Inject(const net::Packet& packet, double now_s) {
 
 std::vector<Verdict> CognitiveSwitch::InjectBatch(
     std::span<const net::Packet> packets, double now_s) {
+  const std::span<const Verdict> verdicts = RunBatch(packets, now_s);
+  return {verdicts.begin(), verdicts.end()};
+}
+
+std::span<const Verdict> CognitiveSwitch::RunBatch(
+    std::span<const net::Packet> packets, double now_s) {
   Commit();  // publish staged control-plane mutations at the batch boundary
   batch_.Reset(packets.data(), packets.size(), now_s);
   graph_.Run(batch_);
   if (telemetry_.enabled()) RecordBatchTrace(now_s);
-  return {batch_.verdicts.begin(), batch_.verdicts.end()};
+  return batch_.verdicts;
 }
 
 std::vector<Delivery> CognitiveSwitch::Drain(double until_s) {

@@ -60,15 +60,23 @@ inline const char* IsaName() { return UseAvx2() ? "avx2" : "scalar"; }
 
 // ----------------------------------------------------- TCAM bank compare
 // One TCAM bank is 64 priority-sorted slots; `mask`/`value` point at the
-// bank's 64 contiguous per-slot words of ONE key lane (columns are padded
-// to whole banks by the compiler). Returns the 64-bit word whose bit s is
-// set iff (key & mask[s]) == value[s].
+// bank's per-slot words of ONE key lane (columns are padded to whole
+// banks by the compiler). Only the first `n` slots (1..64, the bank's
+// live slots) are compared: a partial bank scans ceil(n/4) groups of
+// four instead of 16. Returns the 64-bit word whose bit s (s < n) is set
+// iff (key & mask[s]) == value[s]; bits at and above n are zero. Both
+// arrays must be readable up to slot 4 * ceil(n/4) - 1.
+
+inline std::uint64_t LowSlotsMask(std::size_t n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
 
 inline std::uint64_t BankMatchWordScalar(std::uint64_t key,
                                          const std::uint64_t* mask,
-                                         const std::uint64_t* value) {
+                                         const std::uint64_t* value,
+                                         std::size_t n) {
   std::uint64_t bits = 0;
-  for (std::size_t s = 0; s < 64; ++s) {
+  for (std::size_t s = 0; s < n; ++s) {
     bits |= static_cast<std::uint64_t>((key & mask[s]) == value[s]) << s;
   }
   return bits;
@@ -76,10 +84,12 @@ inline std::uint64_t BankMatchWordScalar(std::uint64_t key,
 
 #ifdef ANALOGNF_SIMD_AVX2
 __attribute__((target("avx2"))) inline std::uint64_t BankMatchWordAvx2(
-    std::uint64_t key, const std::uint64_t* mask, const std::uint64_t* value) {
+    std::uint64_t key, const std::uint64_t* mask, const std::uint64_t* value,
+    std::size_t n) {
   const __m256i k = _mm256_set1_epi64x(static_cast<long long>(key));
+  const std::size_t groups = (n + 3) / 4;
   std::uint64_t bits = 0;
-  for (int g = 0; g < 16; ++g) {
+  for (std::size_t g = 0; g < groups; ++g) {
     const __m256i m = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(mask + 4 * g));
     const __m256i v = _mm256_loadu_si256(
@@ -89,17 +99,19 @@ __attribute__((target("avx2"))) inline std::uint64_t BankMatchWordAvx2(
         static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)));
     bits |= static_cast<std::uint64_t>(mm) << (4 * g);
   }
-  return bits;
+  // The last group may cover up to three slots past n.
+  return bits & LowSlotsMask(n);
 }
 #endif
 
 inline std::uint64_t BankMatchWord(std::uint64_t key,
                                    const std::uint64_t* mask,
-                                   const std::uint64_t* value) {
+                                   const std::uint64_t* value,
+                                   std::size_t n) {
 #ifdef ANALOGNF_SIMD_AVX2
-  if (UseAvx2()) return BankMatchWordAvx2(key, mask, value);
+  if (UseAvx2()) return BankMatchWordAvx2(key, mask, value, n);
 #endif
-  return BankMatchWordScalar(key, mask, value);
+  return BankMatchWordScalar(key, mask, value, n);
 }
 
 // ------------------------------------------------ bitmap intersection

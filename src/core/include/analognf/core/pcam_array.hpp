@@ -163,6 +163,8 @@ class PcamTable {
   const PcamSearchEngine& search_engine() const { return engine_; }
 
   double ConsumedEnergyJ() const { return consumed_energy_j_; }
+  // Search() calls the replay memo served (diagnostics and tests).
+  std::uint64_t replays() const { return replays_; }
 
   // Registers `<prefix>.searches/.rows_scanned/.recompiles` in
   // `registry` and binds the search engine to them.
@@ -192,9 +194,9 @@ class PcamTable {
   telemetry::TableCommitCounters commit_telemetry_;
   // Single-entry search memo: with a stateless channel, Search() is a
   // deterministic function of (snapshot, query), so a bitwise-identical
-  // repeat of the previous query can skip the array scan and replay the
-  // cached outcome — same degrees (still in last_degrees_), same energy
-  // accumulation, same telemetry. Invalidated by any mutation
+  // (SameBits) repeat of the previous query can skip the array scan and
+  // replay the cached outcome — same degrees (still in last_degrees_),
+  // same energy accumulation, same telemetry. Invalidated by any mutation
   // (Insert/ProgramField/Age) and by batch searches, which overwrite
   // last_degrees_. The flow-sticky load balancer queries one constant
   // voltage vector per pick, so this turns its per-packet search into a
@@ -202,6 +204,7 @@ class PcamTable {
   bool replay_ok_ = false;
   std::vector<double> last_query_;
   PcamSearchOutcome last_outcome_;
+  std::uint64_t replays_ = 0;
 };
 
 }  // namespace analognf::core

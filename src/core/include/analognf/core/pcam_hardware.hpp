@@ -21,6 +21,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "analognf/analog/noise.hpp"
 #include "analognf/analog/signal.hpp"
@@ -47,6 +49,17 @@ struct HardwarePcamConfig {
 
   void Validate() const;  // throws std::invalid_argument
 };
+
+// Replay test of the search memos (PcamTable::Search,
+// PcamPipeline::Evaluate): true iff both input vectors hold the same bit
+// patterns. A replay must only serve an input a recompute would see as
+// the same, so -0.0 and 0.0 differ and a NaN equals its own bits.
+inline bool SameBits(const std::vector<double>& a,
+                     const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
 
 // Output of one hardware evaluation.
 struct PcamEvalResult {
@@ -84,8 +97,20 @@ class HardwarePcamCell {
     result.output = effective_.Evaluate(line_v);
     result.region = effective_.RegionOf(line_v);
     search_energy_j_ += result.energy_j;
+    last_search_energy_j_ = result.energy_j;
     ++searches_;
     return result;
+  }
+
+  // Accounts a replayed search: a memo (PcamPipeline) served a bitwise
+  // repeat of this cell's previous stateless search without evaluating
+  // it. The modelled hardware still drove the search line, so the
+  // counters advance exactly as that search did, with its stored energy.
+  // Valid only while the cell is unchanged since that search (no
+  // Program() or Age() in between).
+  void NoteReplaySearch() {
+    search_energy_j_ += last_search_energy_j_;
+    ++searches_;
   }
 
   // Reprogram (update_pCAM). Accumulates programming energy.
@@ -139,6 +164,7 @@ class HardwarePcamCell {
   analog::AnalogChannel channel_;
   double conductance_sum_s_ = 0.0;
   double search_energy_j_ = 0.0;
+  double last_search_energy_j_ = 0.0;  // what NoteReplaySearch() charges
   double program_energy_j_ = 0.0;
   std::uint64_t searches_ = 0;
 };

@@ -49,9 +49,17 @@ class PcamPipeline {
   // Allocation-free variant: writes into `result`, reusing its
   // stage_outputs capacity. Per-packet callers (the AQM data path) use
   // this with a long-lived scratch Result.
+  //
+  // With every channel stateless, a bitwise repeat of the previous
+  // inputs (SameBits) replays the previous result instead of
+  // re-evaluating the cells. The modelled stages still perform the
+  // search, so every counter advances as a real evaluation would: each
+  // cell's searches() and ConsumedSearchEnergyJ(), and this pipeline's
+  // ConsumedEnergyJ() and evaluations().
   void Evaluate(const std::vector<double>& inputs, Result& result);
 
   // Reprograms one stage (the paper's update_pCAM(id, parameter[1:8])).
+  // Drops the replay memo.
   void ProgramStage(std::size_t index, const PcamParams& params);
 
   std::size_t stage_count() const { return cells_.size(); }
@@ -60,13 +68,19 @@ class PcamPipeline {
   }
   CombineMode mode() const { return mode_; }
 
-  HardwarePcamCell& cell(std::size_t index) { return cells_.at(index); }
+  // Mutable access (e.g. to Age() a cell) drops the replay memo.
+  HardwarePcamCell& cell(std::size_t index) {
+    replay_ok_ = false;
+    return cells_.at(index);
+  }
   const HardwarePcamCell& cell(std::size_t index) const {
     return cells_.at(index);
   }
 
   double ConsumedEnergyJ() const { return consumed_energy_j_; }
   std::uint64_t evaluations() const { return evaluations_; }
+  // Evaluations the replay memo served (a subset of evaluations()).
+  std::uint64_t replays() const { return replays_; }
 
  private:
   std::vector<StageConfig> stages_;
@@ -78,6 +92,16 @@ class PcamPipeline {
   bool all_stateless_ = false;
   double consumed_energy_j_ = 0.0;
   std::uint64_t evaluations_ = 0;
+  std::uint64_t replays_ = 0;
+  // Single-entry replay memo: with all channels stateless, Evaluate() is
+  // a deterministic function of (cell programs, inputs). Set by every
+  // stateless evaluation; dropped by ProgramStage() and the mutable
+  // cell() accessor. The AQM hits it within an ingress batch: every
+  // packet shares one timestamp, so the derivative chains and the head
+  // sojourn hold, and only an admitted packet moves the buffer feature.
+  bool replay_ok_ = false;
+  std::vector<double> last_inputs_;
+  Result last_result_;
 };
 
 }  // namespace analognf::core

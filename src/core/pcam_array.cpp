@@ -145,13 +145,14 @@ std::optional<PcamTableResult> PcamTable::Search(
     last_degrees_.clear();
     return std::nullopt;
   }
-  if (replay_ok_ && inputs == last_query_) {
+  if (replay_ok_ && SameBits(inputs, last_query_)) {
     // Bitwise-identical repeat of the previous stateless query: the
     // degrees in last_degrees_ and the cached outcome are exactly what
     // the engine would recompute. The modelled array still performs the
     // search, so energy and telemetry advance as a real probe would.
     engine_.NoteReplaySearch();
     consumed_energy_j_ += last_outcome_.energy_j;
+    ++replays_;
     return MakeResult(last_outcome_);
   }
   const PcamSearchOutcome outcome =

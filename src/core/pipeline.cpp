@@ -51,6 +51,17 @@ void PcamPipeline::Evaluate(const std::vector<double>& inputs,
   if (inputs.size() != cells_.size()) {
     throw std::invalid_argument("PcamPipeline::Evaluate: arity mismatch");
   }
+  if (replay_ok_ && SameBits(inputs, last_inputs_)) {
+    for (HardwarePcamCell& cell : cells_) cell.NoteReplaySearch();
+    result.combined = last_result_.combined;
+    result.stage_outputs.assign(last_result_.stage_outputs.begin(),
+                                last_result_.stage_outputs.end());
+    result.energy_j = last_result_.energy_j;
+    consumed_energy_j_ += result.energy_j;
+    ++evaluations_;
+    ++replays_;
+    return;
+  }
   result.combined = 0.0;
   result.energy_j = 0.0;
   result.stage_outputs.resize(cells_.size());
@@ -99,10 +110,19 @@ void PcamPipeline::Evaluate(const std::vector<double>& inputs,
 
   consumed_energy_j_ += result.energy_j;
   ++evaluations_;
+  if (all_stateless_) {
+    replay_ok_ = true;
+    last_inputs_.assign(inputs.begin(), inputs.end());
+    last_result_.combined = result.combined;
+    last_result_.stage_outputs.assign(result.stage_outputs.begin(),
+                                      result.stage_outputs.end());
+    last_result_.energy_j = result.energy_j;
+  }
 }
 
 void PcamPipeline::ProgramStage(std::size_t index,
                                 const PcamParams& params) {
+  replay_ok_ = false;
   cells_.at(index).Program(params);
   stages_.at(index).params = params;
 }

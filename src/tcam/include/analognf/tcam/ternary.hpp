@@ -42,6 +42,19 @@ class BitKey {
     width_ = 0;
   }
 
+  // Replaces the key with `width` bits already packed in the lane layout
+  // (words[0 .. ceil(width/64)), bits at positions >= width zero). Like
+  // Clear(), keeps the word capacity; fixed-layout key builders use it to
+  // write whole lanes instead of appending field by field.
+  void AssignLanes(const std::uint64_t* words, std::size_t width) {
+    const std::size_t n = (width + 63) >> 6;
+    if (words_.size() < n) words_.resize(n, 0);
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      words_[w] = w < n ? words[w] : 0;
+    }
+    width_ = width;
+  }
+
   std::size_t width() const { return width_; }
   bool bit(std::size_t i) const {
     return ((words_[i >> 6] >> (i & 63)) & 1u) != 0;

@@ -209,16 +209,14 @@ std::uint64_t TcamSearchEngine::EvalBank(const std::uint64_t* key_lanes,
   const CompiledCore& core = *core_;
   const std::size_t s0 = bank * 64;
   const std::size_t n = std::min<std::size_t>(64, core.slots - s0);
-  // The valid mask zeroes the bank-padding slots, whose all-zero
-  // mask/value columns would otherwise read as matches; erased slots
-  // are masked the same way.
-  std::uint64_t match =
-      (n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1) &
-      ~core_erased_[bank];
+  // The kernel compares only the n live slots, so the bank-padding
+  // slots (whose all-zero mask/value columns would read as matches) are
+  // never scanned; erased slots are masked out here.
+  std::uint64_t match = simd::LowSlotsMask(n) & ~core_erased_[bank];
   if (match == 0) return 0;
   for (std::size_t lane = 0; lane < lanes_; ++lane) {
     match &= simd::BankMatchWord(key_lanes[lane], core.mask[lane].data() + s0,
-                                 core.value[lane].data() + s0);
+                                 core.value[lane].data() + s0, n);
     if (match == 0) break;
   }
   return match;
@@ -333,10 +331,11 @@ std::size_t TcamSearchEngine::TailBest(const std::uint64_t* key_lanes) const {
     std::uint64_t match = tail_live_[b];
     if (match == 0) continue;
     const std::size_t s0 = b * 64;
+    const std::size_t n = std::min<std::size_t>(64, tail_count_ - s0);
     for (std::size_t lane = 0; lane < lanes_; ++lane) {
       match &= simd::BankMatchWord(key_lanes[lane],
                                    tail_mask_[lane].data() + s0,
-                                   tail_value_[lane].data() + s0);
+                                   tail_value_[lane].data() + s0, n);
       if (match == 0) break;
     }
     while (match != 0) {

@@ -847,6 +847,86 @@ TEST(AnalogAqmTest, UpdatePcamRetargetsRamp) {
   EXPECT_GT(aqm.EvaluatePdp(features), 0.9);
 }
 
+// Decisions shaped like the switch's ingress batches: 64 decisions share
+// one timestamp and one head sojourn, and the queue grows only on an
+// accept, so consecutive pCAM inputs often repeat bit for bit and the
+// pipeline replays them.
+template <typename Visit>
+void RunBatchedDecisions(AnalogAqm& aqm, int decisions, Visit visit,
+                         double start_s = 0.0) {
+  double now_s = start_s;
+  double sojourn_s = 0.0;
+  std::uint64_t queue_bytes = 20000;
+  for (int i = 0; i < decisions; ++i) {
+    if (i % 64 == 0) {
+      now_s += 1.0e-4;
+      sojourn_s = 0.012 + 0.02 * std::fabs(std::sin(0.37 * i));
+      queue_bytes = 20000 + static_cast<std::uint64_t>(i % 7000) * 10;
+    }
+    const AqmVerdict verdict = aqm.DecideOnEnqueue(MakeContext(
+        now_s, sojourn_s, queue_bytes / 1000, queue_bytes,
+        static_cast<std::uint8_t>(i % 5 == 0 ? 6 : 0)));
+    if (verdict == AqmVerdict::kAccept) queue_bytes += 1000;
+    visit(verdict);
+  }
+}
+
+// ConsumedEnergyJ() sums the cached meters instead of walking the
+// ledger; it must be the very double ledger().TotalJ() returns.
+TEST(AnalogAqmTest, ConsumedEnergyIsLedgerTotalBitwise) {
+  AnalogAqm aqm(TestAnalogConfig());
+  int mismatches = 0;
+  auto check = [&](AqmVerdict) {
+    if (aqm.ConsumedEnergyJ() != aqm.ledger().TotalJ()) ++mismatches;
+  };
+  RunBatchedDecisions(aqm, 10000, check);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(aqm.ConsumedEnergyJ(), aqm.ledger().TotalJ());
+  EXPECT_GT(aqm.table().pipeline().replays(), 0u);
+
+  aqm.Reset();
+  EXPECT_EQ(aqm.ConsumedEnergyJ(), aqm.ledger().TotalJ());
+  EXPECT_EQ(aqm.ConsumedEnergyJ(), 0.0);
+  RunBatchedDecisions(aqm, 1000, check);
+  EXPECT_EQ(mismatches, 0);
+
+  aqm.table().UpdatePcam(
+      "sojourn_time", core::PcamParams::MakeTrapezoid(1.5, 2.0, 4.5, 5.0));
+  RunBatchedDecisions(aqm, 1000, check, /*start_s=*/1.0);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(aqm.ConsumedEnergyJ(), aqm.ledger().TotalJ());
+}
+
+// The pipeline's replay memo changes no decision: an AQM whose memo is
+// dropped before every decision (the mutable cell() accessor drops it)
+// makes the same verdicts with the same PDPs and the same ledger.
+TEST(AnalogAqmTest, ReplayedDecisionsMatchRecomputed) {
+  AnalogAqm replaying(TestAnalogConfig());
+  AnalogAqm recomputing(TestAnalogConfig());
+  std::vector<AqmVerdict> replayed_verdicts;
+  std::vector<double> replayed_pdps;
+  RunBatchedDecisions(replaying, 10000, [&](AqmVerdict v) {
+    replayed_verdicts.push_back(v);
+    replayed_pdps.push_back(replaying.LastDropProbability());
+  });
+  std::vector<AqmVerdict> recomputed_verdicts;
+  std::vector<double> recomputed_pdps;
+  RunBatchedDecisions(recomputing, 10000, [&](AqmVerdict v) {
+    recomputed_verdicts.push_back(v);
+    recomputed_pdps.push_back(recomputing.LastDropProbability());
+    recomputing.table().pipeline().cell(0);  // drops the memo
+  });
+  EXPECT_GT(replaying.table().pipeline().replays(), 1000u);
+  EXPECT_EQ(recomputing.table().pipeline().replays(), 0u);
+  EXPECT_EQ(replayed_verdicts, recomputed_verdicts);
+  EXPECT_EQ(replayed_pdps, recomputed_pdps);
+  for (const auto& [name, total] : recomputing.ledger().categories()) {
+    EXPECT_EQ(replaying.ledger().Of(name).energy_j, total.energy_j) << name;
+    EXPECT_EQ(replaying.ledger().Of(name).operations, total.operations)
+        << name;
+  }
+}
+
 // ---------------------------------------------------------- controller
 
 TEST(AqmControllerTest, ConfigValidation) {

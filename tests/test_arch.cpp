@@ -4,6 +4,7 @@
 
 #include "analognf/arch/controller.hpp"
 #include "analognf/arch/policy_language.hpp"
+#include "analognf/common/rng.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/arch/keys.hpp"
 #include "analognf/arch/switch.hpp"
@@ -58,6 +59,36 @@ TEST(KeysTest, FiveTupleKeyWidth) {
   net::FiveTuple t{0x0A000001, 0x0A000002, 1000, 2000, 17};
   const tcam::BitKey key = FiveTupleKey(t);
   EXPECT_EQ(key.width(), kFiveTupleBits);
+}
+
+// FiveTupleKeyInto writes both lanes in one step; the result must be
+// the key the field-by-field appenders build, bit for bit, including
+// when the reused key previously held something wider.
+TEST(KeysTest, PackedKeyMatchesAppendedKey) {
+  analognf::Xoshiro256 gen(2024);
+  tcam::BitKey packed = tcam::BitKey::FromString(std::string(200, '1'));
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t a = gen.Next();
+    const std::uint64_t b = gen.Next();
+    const net::FiveTuple t{static_cast<std::uint32_t>(a),
+                           static_cast<std::uint32_t>(a >> 32),
+                           static_cast<std::uint16_t>(b),
+                           static_cast<std::uint16_t>(b >> 16),
+                           static_cast<std::uint8_t>(b >> 32)};
+    tcam::BitKey appended;
+    appended.AppendU32(t.src_ip);
+    appended.AppendU32(t.dst_ip);
+    appended.AppendU16(t.src_port);
+    appended.AppendU16(t.dst_port);
+    appended.AppendU8(t.protocol);
+    FiveTupleKeyInto(t, packed);
+    ASSERT_EQ(packed.width(), kFiveTupleBits);
+    ASSERT_EQ(packed.word_count(), 2u);
+    EXPECT_EQ(packed.words()[0], appended.words()[0]) << i;
+    EXPECT_EQ(packed.words()[1], appended.words()[1]) << i;
+    EXPECT_TRUE(packed == appended) << i;
+    EXPECT_TRUE(FiveTupleKey(t) == appended) << i;
+  }
 }
 
 TEST(KeysTest, FullyWildcardPatternMatchesAnything) {

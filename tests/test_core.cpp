@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "analognf/common/rng.hpp"
 #include "analognf/common/stats.hpp"
@@ -418,6 +419,137 @@ TEST(PcamPipelineTest, ProgramStageTakesEffect) {
   p.ProgramStage(0, PcamParams::MakeTrapezoid(10.0, 11.0, 12.0, 13.0));
   EXPECT_NEAR(p.Evaluate({2.5}).combined, 0.0, 1e-9);
   EXPECT_EQ(p.stage(0).params.m1, 10.0);
+}
+
+// Three stages whose inputs below land on skirts and plateaus, so every
+// stage output and energy term is a non-trivial double.
+std::vector<StageConfig> ReplayStages() {
+  return {
+      {"a", PcamParams::MakeTrapezoid(0.0, 1.0, 2.0, 3.0, 1.0, 0.0)},
+      {"b", PcamParams::MakeTrapezoid(-1.0, 0.5, 1.5, 2.5, 1.5, 0.5)},
+      {"c", PcamParams::MakeTrapezoid(0.2, 0.7, 3.3, 3.9, 0.9, 0.1)},
+  };
+}
+
+void ExpectSameResult(const PcamPipeline::Result& got,
+                      const PcamPipeline::Result& want) {
+  EXPECT_EQ(got.combined, want.combined);
+  EXPECT_EQ(got.stage_outputs, want.stage_outputs);
+  EXPECT_EQ(got.energy_j, want.energy_j);
+}
+
+// A replayed evaluation returns the first evaluation's result, and every
+// counter advances exactly as k real evaluations would: the same
+// left-to-right k-fold sums.
+TEST(PcamPipelineTest, ReplayIsBitIdentical) {
+  PcamPipeline p(ReplayStages(), TestHardware());
+  const std::vector<double> inputs = {0.37, 2.11, 0.45};
+  const PcamPipeline::Result first = p.Evaluate(inputs);
+  std::vector<double> cell_energy(p.stage_count());
+  for (std::size_t i = 0; i < p.stage_count(); ++i) {
+    cell_energy[i] = std::as_const(p).cell(i).ConsumedSearchEnergyJ();
+    ASSERT_GT(cell_energy[i], 0.0);
+  }
+
+  constexpr std::uint64_t kEvaluations = 7;
+  PcamPipeline::Result scratch;
+  for (std::uint64_t k = 1; k < kEvaluations; ++k) {
+    p.Evaluate(inputs, scratch);
+    ExpectSameResult(scratch, first);
+  }
+  EXPECT_EQ(p.replays(), kEvaluations - 1);
+  EXPECT_EQ(p.evaluations(), kEvaluations);
+  double pipeline_sum = 0.0;
+  for (std::uint64_t k = 0; k < kEvaluations; ++k) {
+    pipeline_sum += first.energy_j;
+  }
+  EXPECT_EQ(p.ConsumedEnergyJ(), pipeline_sum);
+  for (std::size_t i = 0; i < p.stage_count(); ++i) {
+    double cell_sum = 0.0;
+    for (std::uint64_t k = 0; k < kEvaluations; ++k) {
+      cell_sum += cell_energy[i];
+    }
+    const HardwarePcamCell& cell = std::as_const(p).cell(i);
+    EXPECT_EQ(cell.searches(), kEvaluations);
+    EXPECT_EQ(cell.ConsumedSearchEnergyJ(), cell_sum);
+  }
+}
+
+// ProgramStage() and the mutable cell() accessor drop the memo: the
+// repeated input then returns what a freshly built pipeline in the new
+// state returns, not the stale result.
+TEST(PcamPipelineTest, ProgramAndAgeDropTheReplay) {
+  const std::vector<double> inputs = {0.37, 2.11, 0.45};
+  const PcamParams reprogrammed =
+      PcamParams::MakeTrapezoid(0.1, 0.3, 0.35, 0.6, 0.8, 0.2);
+  {
+    PcamPipeline p(ReplayStages(), TestHardware());
+    const PcamPipeline::Result before = p.Evaluate(inputs);
+    p.ProgramStage(0, reprogrammed);
+    std::vector<StageConfig> stages = ReplayStages();
+    stages[0].params = reprogrammed;
+    PcamPipeline fresh(stages, TestHardware());
+    const PcamPipeline::Result want = fresh.Evaluate(inputs);
+    ASSERT_NE(want.combined, before.combined);
+    ExpectSameResult(p.Evaluate(inputs), want);
+    EXPECT_EQ(p.replays(), 0u);
+  }
+  {
+    HardwarePcamConfig hw = TestHardware();
+    hw.device.retention_time_constant_s = 50.0;
+    PcamPipeline p(ReplayStages(), hw);
+    const PcamPipeline::Result before = p.Evaluate(inputs);
+    for (std::size_t i = 0; i < p.stage_count(); ++i) p.cell(i).Age(40.0);
+    PcamPipeline fresh(ReplayStages(), hw);
+    for (std::size_t i = 0; i < fresh.stage_count(); ++i) {
+      fresh.cell(i).Age(40.0);
+    }
+    const PcamPipeline::Result want = fresh.Evaluate(inputs);
+    ASSERT_NE(want.energy_j, before.energy_j);
+    ExpectSameResult(p.Evaluate(inputs), want);
+    EXPECT_EQ(p.replays(), 0u);
+  }
+}
+
+// A noisy channel draws fresh noise on every search, so a repeated input
+// is always re-evaluated: outputs track independent per-cell references
+// drawing the same streams. On a stateless pipeline, -0.0 is a different
+// input from 0.0 (bit patterns, not operator==).
+TEST(PcamPipelineTest, NoisyChannelIsNeverReplayed) {
+  HardwarePcamConfig hw = TestHardware();
+  hw.channel = analog::ChannelParams::Noisy(0.05);
+  PcamPipeline noisy(ReplayStages(), hw);
+  std::vector<HardwarePcamCell> reference;
+  for (std::size_t i = 0; i < noisy.stage_count(); ++i) {
+    HardwarePcamConfig cell_hw = hw;
+    cell_hw.seed = hw.seed + 0x51a9e * (i + 1);  // the pipeline's seeding
+    reference.emplace_back(ReplayStages()[i].params, cell_hw);
+  }
+  const std::vector<double> inputs = {0.37, 2.11, 0.45};
+  std::vector<double> first_outputs;
+  for (int k = 0; k < 3; ++k) {
+    const PcamPipeline::Result r = noisy.Evaluate(inputs);
+    for (std::size_t i = 0; i < noisy.stage_count(); ++i) {
+      const PcamEvalResult want = reference[i].Evaluate(inputs[i]);
+      EXPECT_EQ(r.stage_outputs[i], want.output);
+    }
+    if (k == 0) {
+      first_outputs = r.stage_outputs;
+    } else {
+      EXPECT_NE(r.stage_outputs, first_outputs);
+    }
+  }
+  EXPECT_EQ(noisy.replays(), 0u);
+  EXPECT_EQ(std::as_const(noisy).cell(0).searches(), 3u);
+
+  PcamPipeline ideal(ReplayStages(), TestHardware());
+  ideal.Evaluate({0.0, 0.0, 0.0});
+  ideal.Evaluate({-0.0, 0.0, 0.0});
+  EXPECT_EQ(ideal.replays(), 0u);
+  ideal.Evaluate({-0.0, 0.0, 0.0});
+  EXPECT_EQ(ideal.replays(), 1u);
+  ideal.Evaluate({0.0, 0.0, 0.0});
+  EXPECT_EQ(ideal.replays(), 1u);
 }
 
 TEST(PcamPipelineTest, CombineModeNames) {
@@ -946,6 +1078,38 @@ TEST(PcamTableTest, SampleWithDrawTailFallsBackToArgMax) {
   ASSERT_TRUE(tail.has_value());
   EXPECT_EQ(tail->row_index, best->row_index);
   EXPECT_EQ(tail->match_degree, best->match_degree);
+}
+
+// PcamTable::Search replays a bitwise repeat of the previous stateless
+// query: same result and energy, counters advanced. -0.0 is not a
+// repeat of 0.0, and a mutation drops the memo.
+TEST(PcamTableTest, SearchMemoReplaysOnlyBitwiseRepeats) {
+  PcamTable table(2, TestHardware());
+  table.Insert({"a", {UnitTrapezoid(), UnitTrapezoid()}, 1});
+  table.Insert({"b",
+                {PcamParams::MakeTrapezoid(-1.0, 0.0, 0.5, 1.5),
+                 UnitTrapezoid()},
+                2});
+  table.Commit();
+  const auto first = table.Search({0.0, 2.5});
+  ASSERT_TRUE(first.has_value());
+  const double energy_after_first = table.ConsumedEnergyJ();
+  const auto again = table.Search({0.0, 2.5});
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(table.replays(), 1u);
+  EXPECT_EQ(again->row_index, first->row_index);
+  EXPECT_EQ(again->match_degree, first->match_degree);
+  EXPECT_EQ(again->energy_j, first->energy_j);
+  EXPECT_EQ(table.ConsumedEnergyJ(), energy_after_first + first->energy_j);
+
+  table.Search({-0.0, 2.5});
+  EXPECT_EQ(table.replays(), 1u);
+  table.Search({-0.0, 2.5});
+  EXPECT_EQ(table.replays(), 2u);
+  table.ProgramField(0, 1, UnitTrapezoid());
+  table.Commit();
+  table.Search({-0.0, 2.5});
+  EXPECT_EQ(table.replays(), 2u);
 }
 
 TEST(PcamTableTest, SampleWithDrawNulloptWhenAllZero) {

@@ -322,9 +322,9 @@ TEST(FastPathAllocationTest, InjectDrainLoopIsAllocationFree) {
 
 // The ring-fed port worker only borrows the producer's packet buffers:
 // TryPop exchanges its spent batch back into the ring, and the producer
-// frees it on its next push. Counted on the worker from the ring hook,
-// a steady-state batch may free only the verdict vector InjectBatch
-// returns — not the batch's packet buffers or its packet vector.
+// frees it on its next push. The worker runs each batch through
+// RunBatch, which builds no verdict copy, so counted on the worker from
+// the ring hook a steady-state batch allocates and frees nothing.
 TEST(FastPathAllocationTest, RingWorkerFreesNoPacketBuffers) {
   SwitchConfig c = AllStagesConfig();
   // The ring worker never drains, so bound the egress queues: their
@@ -341,16 +341,19 @@ TEST(FastPathAllocationTest, RingWorkerFreesNoPacketBuffers) {
 
   // Touched only by the worker (in the hook) until DetachRing returns.
   std::uint64_t batches = 0;
+  std::uint64_t worker_allocs = 0;
   std::uint64_t worker_frees = 0;
   arch::PortRuntime::IngressRing ring(4);
   group.runtime(0).AttachRing(
       &ring, [&](const arch::PortRuntime::RingBatchInfo&) {
         ++batches;
         if (batches == kWarm) {
+          alloc_probe::count = 0;
           alloc_probe::frees = 0;
           alloc_probe::counting = true;
         } else if (batches == kWarm + kCounted) {
           alloc_probe::counting = false;
+          worker_allocs = alloc_probe::count;
           worker_frees = alloc_probe::frees;
         }
       });
@@ -368,15 +371,15 @@ TEST(FastPathAllocationTest, RingWorkerFreesNoPacketBuffers) {
   ASSERT_EQ(batches, kWarm + kCounted);
   EXPECT_EQ(group.device(0).stats().injected,
             packets.size() * (kWarm + kCounted));
-  // At most one block per batch: the returned verdict vector.
-  EXPECT_LE(worker_frees, kCounted);
+  EXPECT_EQ(worker_allocs, 0u);
+  EXPECT_EQ(worker_frees, 0u);
 }
 
 // The same rule on the Submit path: Submit pushes onto the port's own
 // ring, so the worker exchanges each spent batch back and the submitter
 // frees it on a later push. Counting is armed and disarmed on the worker
 // by commands queued around the counted batches; a steady-state batch
-// may free only the verdict vector InjectBatch returns.
+// allocates and frees nothing on the worker.
 TEST(FastPathAllocationTest, SubmitWorkerFreesNoPacketBuffers) {
   SwitchConfig c = AllStagesConfig();
   // Nothing drains the egress queues, so bound them (see above).
@@ -397,23 +400,28 @@ TEST(FastPathAllocationTest, SubmitWorkerFreesNoPacketBuffers) {
     }
   };
 
-  std::uint64_t worker_frees = 0;  // written by the worker before WaitIdle
+  // Written by the worker before WaitIdle.
+  std::uint64_t worker_allocs = 0;
+  std::uint64_t worker_frees = 0;
   submit(kWarm);
   group.runtime(0).Apply([](arch::CognitiveSwitch&) {
+    alloc_probe::count = 0;
     alloc_probe::frees = 0;
     alloc_probe::counting = true;
   });
   submit(kCounted);
-  group.runtime(0).Apply([&worker_frees](arch::CognitiveSwitch&) {
-    alloc_probe::counting = false;
-    worker_frees = alloc_probe::frees;
-  });
+  group.runtime(0).Apply(
+      [&worker_allocs, &worker_frees](arch::CognitiveSwitch&) {
+        alloc_probe::counting = false;
+        worker_allocs = alloc_probe::count;
+        worker_frees = alloc_probe::frees;
+      });
   group.WaitIdle();
 
   EXPECT_EQ(group.device(0).stats().injected,
             packets.size() * (kWarm + kCounted));
-  // At most one block per batch: the returned verdict vector.
-  EXPECT_LE(worker_frees, kCounted);
+  EXPECT_EQ(worker_allocs, 0u);
+  EXPECT_EQ(worker_frees, 0u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "analognf/common/rng.hpp"
+#include "analognf/common/simd.hpp"
 #include "analognf/tcam/tcam.hpp"
 #include "analognf/tcam/tcam_search_engine.hpp"
 #include "analognf/tcam/ternary.hpp"
@@ -392,6 +393,97 @@ TEST(TcamSearchBatchTest, BitIdenticalToSequentialSearches) {
   // accounts each cycle in the same order the sequential loop does.
   EXPECT_EQ(batched.searches(), sequential.searches());
   EXPECT_EQ(batched.ConsumedEnergyJ(), sequential.ConsumedEnergyJ());
+}
+
+// ------------------------------------------------- bank kernels
+
+// The AVX2 bank kernel compares only the first n slots and returns the
+// scalar kernel's word bit for bit, whatever lies beyond n (garbage that
+// would match if scanned). Skipped where the AVX2 kernel is unavailable.
+TEST(BankMatchWordTest, Avx2MatchesScalarForEveryLiveSlotCount) {
+#ifdef ANALOGNF_SIMD_AVX2
+  if (!simd::UseAvx2()) GTEST_SKIP() << "AVX2 kernels disabled";
+  analognf::Xoshiro256 gen(77);
+  std::uint64_t mask[64];
+  std::uint64_t value[64];
+  for (std::size_t n = 1; n <= 64; ++n) {
+    for (int round = 0; round < 16; ++round) {
+      const std::uint64_t key = gen.Next();
+      for (std::size_t s = 0; s < 64; ++s) {
+        if (s >= n) {  // garbage that matches any key
+          mask[s] = 0;
+          value[s] = 0;
+          continue;
+        }
+        mask[s] = gen.Next();
+        // Half the live slots match the key, the rest differ in one bit.
+        value[s] = key & mask[s];
+        if ((gen.Next() & 1) == 0) value[s] ^= std::uint64_t{1} << s;
+      }
+      const std::uint64_t scalar =
+          simd::BankMatchWordScalar(key, mask, value, n);
+      EXPECT_EQ(simd::BankMatchWordAvx2(key, mask, value, n), scalar)
+          << "n=" << n;
+      EXPECT_EQ(scalar & ~simd::LowSlotsMask(n), 0u) << "n=" << n;
+    }
+  }
+#else
+  GTEST_SKIP() << "built without AVX2 kernels";
+#endif
+}
+
+// The linear tier scans only each bank's live slots. Tables of 1, 3, 63,
+// 65 and 129 rules (partial first, last and tail banks), with erased core
+// slots and an appended tail from a delta commit: SearchBatch equals
+// per-key Search, and both equal a brute-force priority scan.
+TEST(TcamLinearTierTest, PartialBanksMatchBruteForce) {
+  for (const std::size_t rules : {1u, 3u, 63u, 65u, 129u}) {
+    SCOPED_TRACE(rules);
+    analognf::RandomStream rng(1000 + rules);
+    const std::size_t width = 104;
+    TcamSearchConfig config = LinearPinned();
+    config.delta_policy.min_rows = 0;
+    config.delta_policy.max_delta_fraction = 4.0;
+    TcamTable table(width, TcamTechnology::MemristorTcam(), config);
+    const std::string base = RandomBits(rng, width);
+    auto insert = [&](std::uint32_t action) {
+      table.Insert({RandomPattern(rng, base), action,
+                    static_cast<std::int32_t>(rng.NextIndex(4))});
+    };
+    for (std::size_t i = 0; i < rules; ++i) {
+      insert(static_cast<std::uint32_t>(i));
+    }
+    table.Commit();
+    for (std::size_t i = 1; i < rules; i += 3) table.Erase(i);
+    insert(1000);
+    insert(1001);
+    table.Commit();
+    ASSERT_EQ(TierOf(table), TcamMatchTier::kLinear);
+    ASSERT_GT(table.snapshot()->engine.tail_slots(), 0u);
+
+    std::vector<BitKey> keys;
+    for (std::size_t probe = 0; probe < 400; ++probe) {
+      std::string bits = probe % 2 == 0 ? base : RandomBits(rng, width);
+      if (probe % 2 == 0) {
+        for (std::size_t flips = rng.NextIndex(4); flips > 0; --flips) {
+          const std::size_t pos = rng.NextIndex(width);
+          bits[pos] = bits[pos] == '0' ? '1' : '0';
+        }
+      }
+      keys.push_back(BitKey::FromString(bits));
+    }
+    std::vector<std::optional<TcamSearchResult>> batched;
+    table.SearchBatch(keys, batched);
+    ASSERT_EQ(batched.size(), keys.size());
+    std::size_t hits = 0;
+    for (std::size_t probe = 0; probe < keys.size(); ++probe) {
+      const auto want = NaiveSearch(table, keys[probe]);
+      ExpectSameHit(table.Search(keys[probe]), want, probe);
+      ExpectSameHit(batched[probe], want, probe);
+      if (want.has_value()) ++hits;
+    }
+    EXPECT_GT(hits, 0u);
+  }
 }
 
 TEST(TcamSearchBatchTest, EmptyBatchIsANoOp) {
