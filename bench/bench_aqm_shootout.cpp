@@ -12,6 +12,15 @@
 // against the best digital baseline), while its per-decision energy
 // sits orders of magnitude below the digital controllers' data-movement
 // cost.
+//
+// Then one named GridSpec collection per single-axis question, each a
+// table of its cells: `baselines` (every policy on the overloaded
+// 40 ms link), `derivatives` (Fig. 6 feature orders on bursty MMPP
+// arrivals), `combiners` (the Fig. 4b series rule against fuzzy
+// alternatives), `noise` (RQ2: channel noise and aCAM device
+// imperfections), `retention` (relaxing devices, aged before the run)
+// and `learned` (the Sec. 8(2) self-learning AQM). Only the default
+// grid feeds BENCH_shootout.json and its gates.
 #include "bench_util.hpp"
 
 #include <algorithm>
@@ -49,6 +58,121 @@ double MeanEnergy(const sim::GridReport& report, sim::AqmPolicyKind kind,
     }
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);
+}
+
+// ------------------------------------------------------ collections
+
+struct Collection {
+  std::string name;  // "<name>: <the question its table answers>"
+  sim::GridSpec spec;
+};
+
+// The collections' shared testbed: the analog AQM on a 40 ms link at
+// 1.44x load (8 closed-loop sources), no ECN, with the default grid's
+// durations, band and buffer sizing.
+sim::GridSpec Testbed() {
+  sim::GridSpec spec = sim::GridSpec::Default();
+  spec.policies = {sim::AqmPolicyKind::kAnalog};
+  spec.base_rtts_s = {0.040};
+  spec.loads = {{"1.44x", 1.44, 8}};
+  spec.ecn_fractions = {0.0};
+  return spec;
+}
+
+std::vector<Collection> Collections() {
+  using Config = aqm::AnalogAqmConfig;
+  using Kind = sim::AqmPolicyKind;
+  sim::GridSpec baselines = Testbed();
+  baselines.policies = {Kind::kAnalog, Kind::kPie,  Kind::kPi2,
+                        Kind::kCodel,  Kind::kRed,  Kind::kWred,
+                        Kind::kTailDrop};
+  baselines.ecn_fractions = {0.0, 1.0};
+
+  sim::GridSpec derivatives = Testbed();
+  sim::GridLoad mmpp{"mmpp", 0.72, 8};  // 900 pps calm, 4000 pps bursts
+  mmpp.arrivals.process = net::ArrivalConfig::Process::kMmpp;
+  mmpp.arrivals.burst_factor = 4000.0 / 900.0;
+  mmpp.arrivals.mean_calm_dwell_s = 0.4;
+  mmpp.arrivals.mean_burst_dwell_s = 0.08;
+  derivatives.loads = {mmpp};
+  for (std::size_t orders = 0; orders <= 3; ++orders) {
+    derivatives.variants.push_back(
+        {"orders=" + std::to_string(orders),
+         [orders](Config& c) { c.derivative_orders = orders; }});
+  }
+
+  sim::GridSpec combiners = Testbed();
+  for (core::CombineMode mode :
+       {core::CombineMode::kProduct, core::CombineMode::kMin,
+        core::CombineMode::kArithmeticMean,
+        core::CombineMode::kGeometricMean}) {
+    combiners.variants.push_back(
+        {ToString(mode), [mode](Config& c) { c.combine = mode; }});
+  }
+
+  sim::GridSpec noise = Testbed();
+  noise.variants = {
+      {"ideal", {}},
+      {"awgn 0.05 V",
+       [](Config& c) { c.hardware.channel.awgn_sigma_v = 0.05; }},
+      {"awgn 0.1 V", [](Config& c) { c.hardware.channel.awgn_sigma_v = 0.1; }},
+      {"awgn 0.2 V", [](Config& c) { c.hardware.channel.awgn_sigma_v = 0.2; }},
+      {"line gain 0.9", [](Config& c) { c.hardware.channel.line_gain = 0.9; }},
+      {"xtalk 0.1 V",
+       [](Config& c) { c.hardware.channel.interference_peak_v = 0.1; }},
+      {"dac inl 1 lsb", [](Config& c) { c.dac_inl_sigma_lsb = 1.0; }},
+      {"dac inl 4 lsb", [](Config& c) { c.dac_inl_sigma_lsb = 4.0; }},
+      {"program noise 0.2",
+       [](Config& c) { c.hardware.device.program_noise_sigma = 0.2; }},
+      {"device variation",
+       [](Config& c) { c.hardware.apply_device_variation = true; }}};
+
+  sim::GridSpec retention = Testbed();
+  for (double tau : {5.0, 20.0}) {
+    for (double age : {0.0, 1.0, 10.0}) {
+      retention.variants.push_back(
+          {"tau " + Fmt(tau) + " s, age " + Fmt(age) + " s",
+           [tau](Config& c) {
+             c.hardware.device.retention_time_constant_s = tau;
+           },
+           age});
+    }
+  }
+
+  sim::GridSpec learned = Testbed();
+  learned.policies = {Kind::kAnalog, Kind::kLearned};
+  return {
+      {"baselines: every policy, drop-only and all-ECN", baselines},
+      {"derivatives: Fig. 6 derivative orders 0..3 on MMPP arrivals",
+       derivatives},
+      {"combiners: the Fig. 4b product rule vs fuzzy combiners", combiners},
+      {"noise: search-line noise and aCAM device imperfections (RQ2)",
+       noise},
+      {"retention: relaxing devices aged before the run (age 0 = just "
+       "refreshed)",
+       retention},
+      {"learned: programmed pCAM AQM vs self-learning crossbar AQM",
+       learned}};
+}
+
+void PrintCollection(const Collection& collection) {
+  bench::Banner("AQM collection " + collection.name);
+  Table table({"policy", "variant", "simulator", "rtt", "load", "ecn",
+               "adherence", "mean", "p99", "drop", "mark", "util",
+               "nJ/decision"});
+  for (const sim::GridCellResult& cell :
+       sim::ExperimentGrid(collection.spec).Run().cells) {
+    table.AddRow({sim::ToString(cell.policy),
+                  cell.variant.empty() ? "-" : cell.variant,
+                  sim::ToString(cell.simulator),
+                  FormatDuration(cell.base_rtt_s), cell.load.label,
+                  Fmt(cell.ecn_fraction), Fmt(cell.adherence),
+                  FormatDuration(cell.mean_sojourn_s),
+                  FormatDuration(cell.p99_sojourn_s), Fmt(cell.drop_rate),
+                  Fmt(cell.mark_rate), Fmt(cell.utilization),
+                  Fmt(cell.energy_nj_per_decision)});
+  }
+  bench::PrintTable(table);
 }
 
 void Report() {
@@ -191,11 +315,15 @@ void Report() {
        bench::JsonNum("max_deviation_ms", spec.max_deviation_s * 1e3),
        bench::JsonNum("link_rate_mbps", spec.link_rate_bps / 1e6)},
       {cells, gates}, summary.str());
+
+  for (const Collection& collection : Collections()) {
+    PrintCollection(collection);
+  }
 }
 
 // --- timings ------------------------------------------------------------
-// One representative cell per simulator, small enough for CI: the
-// timings watch the grid runner's own overhead, not the full sweep.
+// One representative cell per simulator and policy, small enough for CI:
+// the timings watch the grid runner's own overhead, not the full sweep.
 
 sim::GridSpec TimingSpec(sim::AqmPolicyKind kind) {
   sim::GridSpec spec;
@@ -210,21 +338,23 @@ sim::GridSpec TimingSpec(sim::AqmPolicyKind kind) {
   return spec;
 }
 
-void BM_GridCellPie(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::ExperimentGrid grid(TimingSpec(sim::AqmPolicyKind::kPie));
-    benchmark::DoNotOptimize(grid.Run());
+const bool kGridCellTimings = [] {
+  for (sim::AqmPolicyKind kind :
+       {sim::AqmPolicyKind::kAnalog, sim::AqmPolicyKind::kPie,
+        sim::AqmPolicyKind::kPi2, sim::AqmPolicyKind::kCodel,
+        sim::AqmPolicyKind::kRed, sim::AqmPolicyKind::kWred,
+        sim::AqmPolicyKind::kTailDrop, sim::AqmPolicyKind::kLearned}) {
+    benchmark::RegisterBenchmark(
+        std::string("BM_GridCell/").append(sim::ToString(kind)).c_str(),
+        [kind](benchmark::State& state) {
+          for (auto _ : state) {
+            sim::ExperimentGrid grid(TimingSpec(kind));
+            benchmark::DoNotOptimize(grid.Run());
+          }
+        });
   }
-}
-BENCHMARK(BM_GridCellPie);
-
-void BM_GridCellAnalog(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::ExperimentGrid grid(TimingSpec(sim::AqmPolicyKind::kAnalog));
-    benchmark::DoNotOptimize(grid.Run());
-  }
-}
-BENCHMARK(BM_GridCellAnalog);
+  return true;
+}();
 
 }  // namespace
 

@@ -1,14 +1,30 @@
 // Fig. 4: (a) the pCAM cell's five-region transfer function, and
 // (b) the series composition whose output is the product of matches.
+// Then the transfer function's retention drift: Nb:SrTiO3 interface
+// states relax over time (Goossens 2018), so a programmed cell's
+// thresholds migrate toward the HRS rail. (The end-to-end effect on the
+// AQM is the `retention` collection of bench_aqm_shootout.)
 #include "bench_util.hpp"
 
 #include "analognf/core/pcam_cell.hpp"
+#include "analognf/core/pcam_hardware.hpp"
 #include "analognf/core/pipeline.hpp"
 
 namespace {
 
 using namespace analognf;
 using core::PcamParams;
+
+// Threshold drift of one cell after `age_s` of retention.
+double ThresholdDriftV(double retention_tau_s, double age_s) {
+  core::HardwarePcamConfig hw;
+  hw.device.retention_time_constant_s = retention_tau_s;
+  core::HardwarePcamCell cell(
+      core::PcamParams::MakeTrapezoid(1.5, 2.5, 4.5, 5.0), hw);
+  const double fresh_m2 = cell.effective_params().m2;
+  cell.Age(age_s);
+  return fresh_m2 - cell.effective_params().m2;
+}
 
 void Report() {
   bench::Banner("Fig. 4a: pCAM transfer function (M1=1, M2=2, M3=3, M4=4)");
@@ -50,6 +66,16 @@ void Report() {
   bench::PrintTable(combo);
   bench::Line("paper: five programmable regions; series pCAMs multiply "
               "deterministic and probabilistic matches");
+
+  bench::Banner("Fig. 4 retention: M2 threshold drift of an aged cell");
+  Table drift({"retention tau", "age", "threshold drift (V)"});
+  for (double tau : {10.0, 60.0, 600.0}) {
+    for (double age : {1.0, 10.0, 60.0}) {
+      drift.AddRow({FormatDuration(tau), FormatDuration(age),
+                    FormatSig(ThresholdDriftV(tau, age), 3)});
+    }
+  }
+  bench::PrintTable(drift);
 }
 
 // --- timings ------------------------------------------------------------

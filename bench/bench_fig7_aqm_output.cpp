@@ -8,9 +8,18 @@
 // Both sweeps run on device-backed pCAM cells programmed from the
 // synthetic Nb:SrTiO3 state ladder, the same substitution DESIGN.md
 // documents for the paper's "memristor dataset".
+//
+// RQ2 then asks how precise this transfer function stays on imprecise
+// analog hardware: the last table reports the realised ramp's RMS error
+// against the ideal one under channel noise, line loss, crosstalk, DAC
+// resolution and device state count. (Its end-to-end counterpart is the
+// `noise` collection of bench_aqm_shootout.)
 #include "bench_util.hpp"
 
+#include <cmath>
+
 #include "analognf/aqm/analog_aqm.hpp"
+#include "analognf/common/stats.hpp"
 
 namespace {
 
@@ -28,6 +37,65 @@ std::vector<double> NeutralFeatures(const aqm::AnalogAqm& policy) {
   std::vector<double> volts(policy.table().spec().read.size(), -0.5);
   volts[4] = 1.2;
   return volts;
+}
+
+// RMS error of the realised PDP ramp vs the ideal one, over [1,4] V.
+double TransferRmsError(const analog::ChannelParams& channel,
+                        unsigned dac_bits, std::size_t levels) {
+  aqm::AnalogAqmConfig config;
+  config.hardware.channel = channel;
+  config.hardware.state_levels = levels;
+  config.dac_bits = dac_bits;
+  aqm::AnalogAqm policy(config);
+
+  // Ideal ramp in feature space: PDP 0 below 10 ms sojourn, linear to
+  // 1.0 at 30 ms, then saturated.
+  auto ideal = [](double sojourn_s) {
+    if (sojourn_s <= 0.010) return 0.0;
+    if (sojourn_s >= 0.030) return 1.0;
+    return (sojourn_s - 0.010) / 0.020;
+  };
+  RunningStats err2;
+  for (double sojourn = 0.0; sojourn <= 0.060 + 1e-12; sojourn += 0.001) {
+    // Full front-end path: feature -> DAC -> search line -> pCAM.
+    const std::vector<double> volts = policy.FeaturesToVoltages(
+        {sojourn, 0.0, 0.0, 0.0}, {0.1, 0.0, 0.0, 0.0});
+    const double diff = policy.EvaluatePdp(volts) - ideal(sojourn);
+    err2.Add(diff * diff);
+  }
+  return std::sqrt(err2.mean());
+}
+
+void PrintTransferPrecision() {
+  bench::Banner("Fig. 7 precision (RQ2): PDP ramp RMS error vs analog "
+                "noise, DAC bits and device levels");
+  Table transfer({"AWGN sigma (V)", "line gain", "DAC bits",
+                  "device levels", "PDP RMS error"});
+  for (double sigma : {0.0, 0.02, 0.05, 0.1, 0.2}) {
+    analog::ChannelParams ch;
+    ch.awgn_sigma_v = sigma;
+    transfer.AddRow({FormatSig(sigma, 3), "1.0", "10", "64",
+                     FormatSig(TransferRmsError(ch, 10, 64), 3)});
+  }
+  {
+    analog::ChannelParams lossy;
+    lossy.line_gain = 0.9;
+    transfer.AddRow({"0", "0.9", "10", "64",
+                     FormatSig(TransferRmsError(lossy, 10, 64), 3)});
+    analog::ChannelParams xtalk;
+    xtalk.interference_peak_v = 0.1;
+    transfer.AddRow({"0 (+0.1 V xtalk)", "1.0", "10", "64",
+                     FormatSig(TransferRmsError(xtalk, 10, 64), 3)});
+  }
+  for (unsigned bits : {4u, 6u, 8u, 12u}) {
+    transfer.AddRow({"0", "1.0", std::to_string(bits), "64",
+                     FormatSig(TransferRmsError({}, bits, 64), 3)});
+  }
+  for (std::size_t levels : {4u, 8u, 16u, 256u}) {
+    transfer.AddRow({"0", "1.0", "10", std::to_string(levels),
+                     FormatSig(TransferRmsError({}, 10, levels), 3)});
+  }
+  bench::PrintTable(transfer);
 }
 
 void Report() {
@@ -54,6 +122,8 @@ void Report() {
 
   bench::Line("paper: PDP ranges 0..1 over the analog input, rising with "
               "congestion features mapped to hardware voltages via DACs");
+
+  PrintTransferPrecision();
 }
 
 // --- timings ------------------------------------------------------------

@@ -5,9 +5,17 @@
 // (programmed for 20 ms average delay, 10 ms maximum deviation) holds
 // the delay inside the bound by observing the rate of change of delays
 // and selectively dropping.
+//
+// Future work 8(2) closes the report: a self-learning crossbar
+// perceptron, started from blank weights and taught only by the ideal
+// ramp of the programmed bound, against the programmed pCAM AQM in 5 s
+// windows of a 30 s overload, to expose its learning curve. (The
+// steady-state comparison is the `learned` collection of
+// bench_aqm_shootout.)
 #include "bench_util.hpp"
 
 #include "analognf/aqm/analog_aqm.hpp"
+#include "analognf/cognitive/learned_aqm.hpp"
 #include "analognf/common/units.hpp"
 #include "analognf/sim/queue_sim.hpp"
 
@@ -41,6 +49,62 @@ sim::SimReport Run(bool with_aqm) {
   aqm::TailDropOnly policy;
   sim::QueueSimulator s(config, source, policy);
   return s.Run();
+}
+
+sim::SimReport RunOverload(aqm::AqmPolicy& policy) {
+  net::MetaSourceConfig mc;
+  mc.arrivals.rate_pps = 1800.0;
+  net::MetaSource source(mc, 77);
+  sim::QueueSimConfig sc;
+  sc.duration_s = 30.0;
+  sc.warmup_s = 0.0;  // we want to see the learning transient
+  sc.link_rate_bps = 10.0e6;
+  sim::QueueSimulator sim(sc, source, policy);
+  return sim.Run();
+}
+
+void PrintLearningCurve() {
+  bench::Banner("Fig. 8 future work 8(2): self-learning AQM (crossbar "
+                "perceptron) vs programmed pCAM AQM, 5 s windows");
+  cognitive::LearnedAqmConfig lc;
+  lc.perceptron.learning_rate = 0.25;
+  lc.perceptron.activation_gain = 4.0;
+  cognitive::LearnedAqm learned(lc);
+  const sim::SimReport learned_report = RunOverload(learned);
+
+  aqm::AnalogAqm programmed(aqm::AnalogAqmConfig{});
+  const sim::SimReport programmed_report = RunOverload(programmed);
+
+  Table curve({"window (s)", "learned: mean delay (ms)",
+               "learned: within 30 ms", "programmed: mean delay (ms)"});
+  for (double t0 = 0.0; t0 < 30.0; t0 += 5.0) {
+    const double t1 = t0 + 5.0;
+    RunningStats learned_window;
+    RunningStats programmed_window;
+    std::size_t inside = 0;
+    for (const auto& p : learned_report.delay.points()) {
+      if (p.time < t0 || p.time >= t1) continue;
+      learned_window.Add(p.value);
+      if (p.value <= 0.030) ++inside;
+    }
+    for (const auto& p : programmed_report.delay.points()) {
+      if (p.time >= t0 && p.time < t1) programmed_window.Add(p.value);
+    }
+    const double within =
+        learned_window.count() == 0
+            ? 0.0
+            : static_cast<double>(inside) /
+                  static_cast<double>(learned_window.count());
+    curve.AddRow({FormatSig(t0, 3) + "-" + FormatSig(t1, 3),
+                  FormatSig(ToMillis(learned_window.mean()), 4),
+                  FormatSig(within * 100.0, 3) + " %",
+                  FormatSig(ToMillis(programmed_window.mean()), 4)});
+  }
+  bench::PrintTable(curve);
+  bench::Line("perceptron updates: " +
+              std::to_string(learned.perceptron().updates()) +
+              ", final weights include sojourn gain " +
+              FormatSig(learned.perceptron().weights()[0], 3));
 }
 
 void Report() {
@@ -82,6 +146,8 @@ void Report() {
 
   bench::Line("paper: without AQM delays keep increasing sharply; pCAM "
               "AQM keeps delays within the programmed 20 ms +/- 10 ms");
+
+  PrintLearningCurve();
 }
 
 // --- timings ------------------------------------------------------------

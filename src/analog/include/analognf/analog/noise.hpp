@@ -5,7 +5,8 @@
 // neighboring components." This module models those three effects on a
 // voltage travelling between architecture blocks, so that the precision
 // requirements of different network functions (IP lookup vs. AQM) can be
-// analysed quantitatively (bench_ablation_noise).
+// analysed quantitatively (the PDP transfer-error table of
+// bench_fig7_aqm_output and the `noise` collection of bench_aqm_shootout).
 #pragma once
 
 #include <cstddef>

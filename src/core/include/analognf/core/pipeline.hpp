@@ -5,7 +5,7 @@
 // probabilistic matches at the output." Each stage owns one hardware
 // pCAM cell and consumes one input feature; the pipeline combines stage
 // outputs — product by default, with alternative fuzzy combiners for the
-// ablation benches.
+// shoot-out's `combiners` collection.
 #pragma once
 
 #include <cstdint>

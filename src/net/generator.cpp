@@ -1,5 +1,6 @@
 #include "analognf/net/generator.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace analognf::net {
@@ -39,14 +40,16 @@ void BuildFlows(std::uint64_t salt, std::uint32_t flows,
 // ------------------------------------------------------------- arrivals
 
 void ArrivalConfig::Validate() const {
-  if (!(rate_pps > 0.0)) {
-    throw std::invalid_argument("ArrivalConfig: rate_pps <= 0");
+  auto positive = [](double x) { return std::isfinite(x) && x > 0.0; };
+  if (!positive(rate_pps)) {
+    throw std::invalid_argument("ArrivalConfig: rate_pps not finite > 0");
   }
-  if (!(burst_factor > 0.0)) {
-    throw std::invalid_argument("ArrivalConfig: burst_factor <= 0");
+  if (!positive(burst_factor)) {
+    throw std::invalid_argument("ArrivalConfig: burst_factor not finite > 0");
   }
-  if (!(mean_calm_dwell_s > 0.0) || !(mean_burst_dwell_s > 0.0)) {
-    throw std::invalid_argument("ArrivalConfig: dwell times must be positive");
+  if (!positive(mean_calm_dwell_s) || !positive(mean_burst_dwell_s)) {
+    throw std::invalid_argument(
+        "ArrivalConfig: dwell times must be finite and positive");
   }
 }
 

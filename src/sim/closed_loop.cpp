@@ -10,25 +10,27 @@ void ClosedLoopConfig::Validate() const {
   if (sources == 0) {
     throw std::invalid_argument("ClosedLoopConfig: zero sources");
   }
-  if (!(base_rtt_s > 0.0)) {
-    throw std::invalid_argument("ClosedLoopConfig: base_rtt <= 0");
+  if (!std::isfinite(base_rtt_s) || !(base_rtt_s > 0.0)) {
+    throw std::invalid_argument("ClosedLoopConfig: base_rtt not finite > 0");
   }
   if (segment_bytes == 0) {
     throw std::invalid_argument("ClosedLoopConfig: zero segment size");
   }
   if (!(initial_cwnd >= min_cwnd) || !(max_cwnd >= initial_cwnd) ||
-      !(min_cwnd > 0.0)) {
+      !(min_cwnd > 0.0) || !std::isfinite(max_cwnd)) {
     throw std::invalid_argument(
         "ClosedLoopConfig: require 0 < min_cwnd <= initial_cwnd <= max_cwnd");
   }
-  if (ecn_fraction < 0.0 || ecn_fraction > 1.0) {
+  // Positive form: a NaN fraction fails it.
+  if (!(ecn_fraction >= 0.0 && ecn_fraction <= 1.0)) {
     throw std::invalid_argument("ClosedLoopConfig: ecn_fraction outside [0,1]");
   }
-  if (!(duration_s > 0.0) || warmup_s < 0.0 || warmup_s >= duration_s) {
+  if (!std::isfinite(duration_s) || !(duration_s > 0.0) ||
+      !(warmup_s >= 0.0) || warmup_s >= duration_s) {
     throw std::invalid_argument("ClosedLoopConfig: bad duration/warmup");
   }
-  if (!(link_rate_bps > 0.0)) {
-    throw std::invalid_argument("ClosedLoopConfig: link rate <= 0");
+  if (!std::isfinite(link_rate_bps) || !(link_rate_bps > 0.0)) {
+    throw std::invalid_argument("ClosedLoopConfig: link rate not finite > 0");
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -12,6 +13,7 @@
 #include "analognf/aqm/pie.hpp"
 #include "analognf/aqm/red.hpp"
 #include "analognf/aqm/wred.hpp"
+#include "analognf/cognitive/learned_aqm.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/energy/ledger.hpp"
 #include "analognf/energy/movement.hpp"
@@ -108,11 +110,6 @@ class DigitalHarness final : public aqm::AqmPolicy {
 
   const energy::EnergyLedger& ledger() const { return ledger_; }
   std::uint64_t decisions() const { return decisions_; }
-  double EnergyPerDecisionJ() const {
-    return decisions_ == 0 ? 0.0
-                           : ledger_.TotalJ() /
-                                 static_cast<double>(decisions_);
-  }
 
  private:
   void AcquireMeters() {
@@ -143,8 +140,36 @@ class DigitalHarness final : public aqm::AqmPolicy {
 struct CellPolicy {
   std::unique_ptr<aqm::AqmPolicy> policy;
   aqm::AnalogAqm* analog = nullptr;       // set iff kind == kAnalog
-  DigitalHarness* harness = nullptr;      // set for digital kinds
+  cognitive::LearnedAqm* learned = nullptr;  // set iff kind == kLearned
+  DigitalHarness* harness = nullptr;      // set for the other kinds
 };
+
+// Open-loop arrival config of a load: its template at the load's rate.
+net::ArrivalConfig OpenLoopArrivals(const GridSpec& spec,
+                                    const GridLoad& load) {
+  net::ArrivalConfig arrivals = load.arrivals;
+  arrivals.rate_pps = load.offered_fraction * spec.link_rate_bps /
+                      (8.0 * static_cast<double>(spec.segment_bytes));
+  return arrivals;
+}
+
+double BufferBytesExact(const GridSpec& spec, double rtt_s) {
+  return spec.buffer_bdp_multiple * spec.link_rate_bps * rtt_s / 8.0;
+}
+
+std::uint64_t BufferBytes(const GridSpec& spec, double rtt_s) {
+  // Never provision below a handful of segments or the short-RTT cells
+  // can't hold even one in-flight burst.
+  const double floor_bytes = 8.0 * static_cast<double>(spec.segment_bytes);
+  return static_cast<std::uint64_t>(
+      std::max(BufferBytesExact(spec, rtt_s), floor_bytes));
+}
+
+void Require(bool ok, const char* what) {
+  if (!ok) throw std::invalid_argument(std::string("GridSpec: ") + what);
+}
+
+bool Positive(double x) { return std::isfinite(x) && x > 0.0; }
 
 }  // namespace
 
@@ -157,13 +182,15 @@ const char* ToString(AqmPolicyKind kind) {
     case AqmPolicyKind::kRed: return "red";
     case AqmPolicyKind::kWred: return "wred";
     case AqmPolicyKind::kTailDrop: return "taildrop";
+    case AqmPolicyKind::kLearned: return "learned";
   }
   return "?";
 }
 
 bool IsDigital(AqmPolicyKind kind) {
   return kind != AqmPolicyKind::kAnalog &&
-         kind != AqmPolicyKind::kTailDrop;
+         kind != AqmPolicyKind::kTailDrop &&
+         kind != AqmPolicyKind::kLearned;
 }
 
 const char* ToString(GridSimulator simulator) {
@@ -172,47 +199,51 @@ const char* ToString(GridSimulator simulator) {
 }
 
 void GridSpec::Validate() const {
-  if (policies.empty() || base_rtts_s.empty() || loads.empty() ||
-      ecn_fractions.empty()) {
-    throw std::invalid_argument("GridSpec: every axis needs >= 1 value");
-  }
+  Require(!policies.empty() && !base_rtts_s.empty() && !loads.empty() &&
+              !ecn_fractions.empty(),
+          "every axis needs >= 1 value");
+  Require(Positive(link_rate_bps) && segment_bytes > 0 &&
+              open_loop_flows > 0,
+          "bad link/segment/flows");
+  Require(Positive(open_duration_s) && open_warmup_s >= 0.0 &&
+              open_duration_s > open_warmup_s &&
+              Positive(closed_duration_s) && closed_warmup_s >= 0.0 &&
+              closed_duration_s > closed_warmup_s,
+          "bad duration/warmup");
+  Require(Positive(target_delay_s) && Positive(max_deviation_s),
+          "bad target band");
+  Require(Positive(buffer_bdp_multiple), "buffer multiple not > 0");
   for (double rtt : base_rtts_s) {
-    if (!(rtt > 0.0)) {
-      throw std::invalid_argument("GridSpec: base RTT <= 0");
-    }
+    // The buffer must fit the uint64 byte count it is converted to.
+    Require(Positive(rtt) && BufferBytesExact(*this, rtt) < 0x1p63,
+            "base RTT not > 0 or buffer too large");
   }
   for (const GridLoad& load : loads) {
-    if (!(load.offered_fraction > 0.0) || load.sources == 0) {
-      throw std::invalid_argument("GridSpec: bad load level");
-    }
-    if (load.label.empty()) {
-      throw std::invalid_argument("GridSpec: load level needs a label");
-    }
+    Require(!load.label.empty(), "load level needs a label");
+    Require(Positive(load.offered_fraction) && load.sources > 0,
+            "bad load level");
+    OpenLoopArrivals(*this, load).Validate();
   }
   for (double ecn : ecn_fractions) {
-    if (ecn < 0.0 || ecn > 1.0) {
-      throw std::invalid_argument("GridSpec: ECN fraction outside [0,1]");
-    }
+    Require(ecn >= 0.0 && ecn <= 1.0, "ECN fraction outside [0,1]");
   }
-  if (!(link_rate_bps > 0.0) || segment_bytes == 0 ||
-      open_loop_flows == 0) {
-    throw std::invalid_argument("GridSpec: bad link/segment/flows");
-  }
-  if (!(open_duration_s > open_warmup_s) || open_warmup_s < 0.0 ||
-      !(closed_duration_s > closed_warmup_s) || closed_warmup_s < 0.0) {
-    throw std::invalid_argument("GridSpec: bad duration/warmup");
-  }
-  if (!(target_delay_s > 0.0) || !(max_deviation_s > 0.0)) {
-    throw std::invalid_argument("GridSpec: bad target band");
-  }
-  if (!(buffer_bdp_multiple > 0.0)) {
-    throw std::invalid_argument("GridSpec: buffer multiple <= 0");
+  std::set<std::string> labels;
+  for (const GridVariant& variant : variants) {
+    Require(!variant.label.empty() && labels.insert(variant.label).second,
+            "variant labels must be non-empty and unique");
+    Require(std::isfinite(variant.age_s) && variant.age_s >= 0.0,
+            "variant age not finite and >= 0");
   }
 }
 
 std::size_t GridSpec::CellCount() const {
-  return policies.size() * base_rtts_s.size() * loads.size() *
-         ecn_fractions.size() * 2;
+  const auto analog = static_cast<std::size_t>(
+      std::count(policies.begin(), policies.end(), AqmPolicyKind::kAnalog));
+  const std::size_t per_policy =
+      base_rtts_s.size() * loads.size() * ecn_fractions.size() * 2;
+  return (policies.size() - analog +
+          analog * std::max<std::size_t>(1, variants.size())) *
+         per_policy;
 }
 
 GridSpec GridSpec::Default() {
@@ -272,19 +303,11 @@ ExperimentGrid::ExperimentGrid(GridSpec spec) : spec_(std::move(spec)) {
   spec_.Validate();
 }
 
-std::uint64_t ExperimentGrid::BufferBytes(double rtt_s) const {
-  const double bdp_bytes = spec_.link_rate_bps * rtt_s / 8.0;
-  const double bytes = spec_.buffer_bdp_multiple * bdp_bytes;
-  // Never provision below a handful of segments or the short-RTT cells
-  // can't hold even one in-flight burst.
-  const double floor_bytes = 8.0 * static_cast<double>(spec_.segment_bytes);
-  return static_cast<std::uint64_t>(std::max(bytes, floor_bytes));
-}
-
 namespace {
 
 CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
-                      double rtt_s, std::uint64_t seed) {
+                      const GridVariant* variant, double rtt_s,
+                      std::uint64_t seed) {
   CellPolicy out;
   switch (kind) {
     case AqmPolicyKind::kAnalog: {
@@ -294,12 +317,34 @@ CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
       cfg.ecn_enabled = true;
       // Coarser conductance quantisation keeps per-cell construction
       // cheap across a 100+ cell grid; the AQM transfer function is
-      // unchanged at this resolution (see the ablation benches).
+      // unchanged at this resolution (see the precision table of
+      // bench_fig7_aqm_output).
       cfg.hardware.state_levels = 256;
       cfg.seed = seed;
+      if (variant != nullptr && variant->configure) variant->configure(cfg);
       auto analog = std::make_unique<aqm::AnalogAqm>(cfg);
+      if (variant != nullptr && variant->age_s > 0.0) {
+        core::PcamPipeline& pipeline = analog->table().pipeline();
+        for (std::size_t i = 0; i < pipeline.stage_count(); ++i) {
+          pipeline.cell(i).Age(variant->age_s);
+        }
+      }
       out.analog = analog.get();
       out.policy = std::move(analog);
+      return out;
+    }
+    case AqmPolicyKind::kLearned: {
+      cognitive::LearnedAqmConfig cfg;
+      cfg.target_delay_s = spec.target_delay_s;
+      cfg.max_deviation_s = spec.max_deviation_s;
+      // The tuning under which the blank crossbar converges within the
+      // first seconds of the Fig. 8 workload.
+      cfg.perceptron.learning_rate = 0.25;
+      cfg.perceptron.activation_gain = 4.0;
+      cfg.seed = seed;
+      auto learned = std::make_unique<cognitive::LearnedAqm>(cfg);
+      out.learned = learned.get();
+      out.policy = std::move(learned);
       return out;
     }
     case AqmPolicyKind::kPie: {
@@ -390,19 +435,22 @@ CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
 }
 
 void FillEnergy(const CellPolicy& cell_policy, GridCellResult& cell) {
+  double energy_j = 0.0;
   if (cell_policy.analog != nullptr) {
-    const aqm::AnalogAqm& analog = *cell_policy.analog;
-    cell.decisions =
-        analog.ledger().Of(energy::category::kPcamSearch).operations;
-    if (cell.decisions > 0) {
-      cell.energy_nj_per_decision =
-          analog.ConsumedEnergyJ() /
-          static_cast<double>(cell.decisions) * 1e9;
-    }
-  } else if (cell_policy.harness != nullptr) {
+    cell.decisions = cell_policy.analog->ledger()
+                         .Of(energy::category::kPcamSearch)
+                         .operations;
+    energy_j = cell_policy.analog->ConsumedEnergyJ();
+  } else if (cell_policy.learned != nullptr) {
+    cell.decisions = cell_policy.learned->decisions();
+    energy_j = cell_policy.learned->ConsumedEnergyJ();
+  } else {
     cell.decisions = cell_policy.harness->decisions();
+    energy_j = cell_policy.harness->ledger().TotalJ();
+  }
+  if (cell.decisions > 0) {
     cell.energy_nj_per_decision =
-        cell_policy.harness->EnergyPerDecisionJ() * 1e9;
+        energy_j / static_cast<double>(cell.decisions) * 1e9;
   }
 }
 
@@ -415,108 +463,84 @@ void FillSojourns(std::vector<double> post_warmup, GridCellResult& cell) {
 
 }  // namespace
 
-GridCellResult ExperimentGrid::RunOpenLoop(AqmPolicyKind policy_kind,
-                                           double rtt_s,
-                                           const GridLoad& load,
-                                           double ecn_fraction,
-                                           std::uint64_t cell_seed) const {
+GridCellResult ExperimentGrid::RunCell(AqmPolicyKind policy_kind,
+                                       const GridVariant* variant,
+                                       GridSimulator simulator,
+                                       double rtt_s, const GridLoad& load,
+                                       double ecn_fraction,
+                                       std::uint64_t cell_seed) const {
   CellPolicy cell_policy =
-      MakePolicy(spec_, policy_kind, rtt_s, Mix(cell_seed));
-
-  net::MetaSourceConfig mc;
-  mc.arrivals.rate_pps = load.offered_fraction * spec_.link_rate_bps /
-                         (8.0 * static_cast<double>(spec_.segment_bytes));
-  mc.flows = spec_.open_loop_flows;
-  mc.ecn_capable_fraction = ecn_fraction;
-  mc.size_bytes = spec_.segment_bytes;
-  net::MetaSource source(mc, cell_seed);
-
-  QueueSimConfig qc;
-  qc.duration_s = spec_.open_duration_s;
-  qc.warmup_s = spec_.open_warmup_s;
-  qc.link_rate_bps = spec_.link_rate_bps;
-  qc.queue.max_bytes = BufferBytes(rtt_s);
-
-  QueueSimulator simulator(qc, source, *cell_policy.policy);
-  const SimReport report = simulator.Run();
+      MakePolicy(spec_, policy_kind, variant, rtt_s, Mix(cell_seed));
 
   GridCellResult cell;
   cell.policy = policy_kind;
-  cell.simulator = GridSimulator::kOpenLoop;
+  if (variant != nullptr) cell.variant = variant->label;
+  cell.simulator = simulator;
   cell.base_rtt_s = rtt_s;
   cell.load = load;
   cell.ecn_fraction = ecn_fraction;
 
-  cell.adherence = report.DelayFractionWithin(
-      spec_.target_delay_s - spec_.max_deviation_s,
-      spec_.target_delay_s + spec_.max_deviation_s);
-  FillSojourns(report.delay.ValuesFrom(spec_.open_warmup_s), cell);
-  cell.drop_rate = report.DropRate();
-  cell.offered_packets = report.offered_packets;
-  cell.delivered_packets = report.delivered_packets;
-  cell.dropped_packets =
-      report.queue_stats.dropped_full + report.queue_stats.dropped_aqm;
-  cell.marked_packets = report.ecn_marked_packets;
-  if (report.offered_packets > 0) {
-    cell.mark_rate = static_cast<double>(report.ecn_marked_packets) /
-                     static_cast<double>(report.offered_packets);
+  std::vector<double> post_warmup;
+  if (simulator == GridSimulator::kOpenLoop) {
+    net::MetaSourceConfig mc;
+    mc.arrivals = OpenLoopArrivals(spec_, load);
+    mc.flows = spec_.open_loop_flows;
+    mc.ecn_capable_fraction = ecn_fraction;
+    mc.size_bytes = spec_.segment_bytes;
+    net::MetaSource source(mc, cell_seed);
+
+    QueueSimConfig qc;
+    qc.duration_s = spec_.open_duration_s;
+    qc.warmup_s = spec_.open_warmup_s;
+    qc.link_rate_bps = spec_.link_rate_bps;
+    qc.queue.max_bytes = BufferBytes(spec_, rtt_s);
+
+    QueueSimulator open_sim(qc, source, *cell_policy.policy);
+    const SimReport report = open_sim.Run();
+    post_warmup = report.delay.ValuesFrom(spec_.open_warmup_s);
+    cell.offered_packets = report.offered_packets;
+    cell.delivered_packets = report.delivered_packets;
+    cell.dropped_packets =
+        report.queue_stats.dropped_full + report.queue_stats.dropped_aqm;
+    cell.marked_packets = report.ecn_marked_packets;
+    cell.fairness = report.FlowFairnessIndex();
+    cell.utilization =
+        std::min(1.0, report.ThroughputBps() / spec_.link_rate_bps);
+  } else {
+    ClosedLoopConfig cc;
+    cc.sources = load.sources;
+    cc.base_rtt_s = rtt_s;
+    cc.segment_bytes = spec_.segment_bytes;
+    cc.ecn_fraction = ecn_fraction;
+    cc.duration_s = spec_.closed_duration_s;
+    cc.warmup_s = spec_.closed_warmup_s;
+    cc.link_rate_bps = spec_.link_rate_bps;
+    cc.queue.max_bytes = BufferBytes(spec_, rtt_s);
+    cc.seed = cell_seed;
+
+    ClosedLoopSimulator closed_sim(cc, *cell_policy.policy);
+    const ClosedLoopReport report = closed_sim.Run();
+    post_warmup = report.delay.ValuesFrom(spec_.closed_warmup_s);
+    cell.offered_packets = report.offered_packets;
+    cell.delivered_packets = report.delivered_packets;
+    cell.dropped_packets = report.dropped_packets;
+    cell.marked_packets = report.marked_packets;
+    cell.fairness = report.FairnessIndex();
+    cell.utilization =
+        report.LinkUtilization(spec_.link_rate_bps, spec_.segment_bytes);
   }
-  cell.fairness = report.FlowFairnessIndex();
-  cell.utilization =
-      std::min(1.0, report.ThroughputBps() / spec_.link_rate_bps);
-  FillEnergy(cell_policy, cell);
-  return cell;
-}
 
-GridCellResult ExperimentGrid::RunClosedLoop(
-    AqmPolicyKind policy_kind, double rtt_s, const GridLoad& load,
-    double ecn_fraction, std::uint64_t cell_seed) const {
-  CellPolicy cell_policy =
-      MakePolicy(spec_, policy_kind, rtt_s, Mix(cell_seed));
-
-  ClosedLoopConfig cc;
-  cc.sources = load.sources;
-  cc.base_rtt_s = rtt_s;
-  cc.segment_bytes = spec_.segment_bytes;
-  cc.ecn_fraction = ecn_fraction;
-  cc.duration_s = spec_.closed_duration_s;
-  cc.warmup_s = spec_.closed_warmup_s;
-  cc.link_rate_bps = spec_.link_rate_bps;
-  cc.queue.max_bytes = BufferBytes(rtt_s);
-  cc.seed = cell_seed;
-
-  ClosedLoopSimulator simulator(cc, *cell_policy.policy);
-  const ClosedLoopReport report = simulator.Run();
-
-  GridCellResult cell;
-  cell.policy = policy_kind;
-  cell.simulator = GridSimulator::kClosedLoop;
-  cell.base_rtt_s = rtt_s;
-  cell.load = load;
-  cell.ecn_fraction = ecn_fraction;
-
-  std::vector<double> post_warmup =
-      report.delay.ValuesFrom(spec_.closed_warmup_s);
   if (!post_warmup.empty()) {
     cell.adherence = FractionWithin(
         post_warmup, spec_.target_delay_s - spec_.max_deviation_s,
         spec_.target_delay_s + spec_.max_deviation_s);
   }
   FillSojourns(std::move(post_warmup), cell);
-  cell.offered_packets = report.offered_packets;
-  cell.delivered_packets = report.delivered_packets;
-  cell.dropped_packets = report.dropped_packets;
-  cell.marked_packets = report.marked_packets;
-  if (report.offered_packets > 0) {
-    const auto offered = static_cast<double>(report.offered_packets);
-    cell.drop_rate =
-        static_cast<double>(report.dropped_packets) / offered;
-    cell.mark_rate =
-        static_cast<double>(report.marked_packets) / offered;
+  if (cell.offered_packets > 0) {
+    const auto offered = static_cast<double>(cell.offered_packets);
+    cell.drop_rate = static_cast<double>(cell.dropped_packets) / offered;
+    cell.mark_rate = static_cast<double>(cell.marked_packets) / offered;
   }
-  cell.fairness = report.FairnessIndex();
-  cell.utilization =
-      report.LinkUtilization(spec_.link_rate_bps, spec_.segment_bytes);
   FillEnergy(cell_policy, cell);
   return cell;
 }
@@ -526,24 +550,35 @@ GridReport ExperimentGrid::Run() {
   report.spec = spec_;
   report.cells.reserve(spec_.CellCount());
   for (std::size_t p = 0; p < spec_.policies.size(); ++p) {
+    const AqmPolicyKind kind = spec_.policies[p];
+    // Analog cells fan out over the variants; every other cell (and an
+    // analog cell of a variant-free spec) runs once, with no variant.
+    const bool fan_out =
+        kind == AqmPolicyKind::kAnalog && !spec_.variants.empty();
+    const std::size_t variant_count = fan_out ? spec_.variants.size() : 1;
     for (std::size_t r = 0; r < spec_.base_rtts_s.size(); ++r) {
       for (std::size_t l = 0; l < spec_.loads.size(); ++l) {
         for (std::size_t e = 0; e < spec_.ecn_fractions.size(); ++e) {
-          const AqmPolicyKind kind = spec_.policies[p];
           const double rtt = spec_.base_rtts_s[r];
           const GridLoad& load = spec_.loads[l];
           const double ecn = spec_.ecn_fractions[e];
           // The policy-kind index would reshuffle seeds if the policy
           // list were reordered; hash the stable enum value instead.
+          // Variants share the seed: each sees the same arrivals.
           const auto kind_id = static_cast<std::uint64_t>(kind);
-          report.cells.push_back(RunOpenLoop(
-              kind, rtt, load, ecn,
-              CellSeed(spec_.seed, kind_id, r, l, e, 0)));
-          if (callback_) callback_(report.cells.back());
-          report.cells.push_back(RunClosedLoop(
-              kind, rtt, load, ecn,
-              CellSeed(spec_.seed, kind_id, r, l, e, 1)));
-          if (callback_) callback_(report.cells.back());
+          for (std::size_t v = 0; v < variant_count; ++v) {
+            const GridVariant* variant =
+                fan_out ? &spec_.variants[v] : nullptr;
+            for (GridSimulator simulator :
+                 {GridSimulator::kOpenLoop, GridSimulator::kClosedLoop}) {
+              const auto sim_id = static_cast<std::uint64_t>(
+                  simulator == GridSimulator::kClosedLoop);
+              report.cells.push_back(
+                  RunCell(kind, variant, simulator, rtt, load, ecn,
+                          CellSeed(spec_.seed, kind_id, r, l, e, sim_id)));
+              if (callback_) callback_(report.cells.back());
+            }
+          }
         }
       }
     }

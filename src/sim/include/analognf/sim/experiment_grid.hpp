@@ -4,7 +4,7 @@
 // holding its programmed 20 ms +/- 10 ms delay band at ~nJ/decision.
 // This runner makes that claim a standing head-to-head: it sweeps
 //
-//   policy x base RTT x load x ECN fraction
+//   policy (x analog variant) x base RTT x load x ECN fraction
 //
 // in the style of L4STeam/aqmt's testbed collections, executing every
 // cell on BOTH simulators — the open-loop Poisson QueueSimulator (the
@@ -25,6 +25,11 @@
 //    a native mark path (analog AQM, PI2) use it directly; PIE marks
 //    below RFC 8033's mark_ecnth, RED marks all early drops (RFC 3168);
 //    CoDel stays drop-only (marking at dequeue is not in the sim API).
+//  - analog variants are named AnalogAqmConfig edits (derivative
+//    orders, combine rule, channel noise, device imperfections) plus an
+//    optional retention age, applied on top of the matched-target analog
+//    config. Only analog cells fan out over them; every variant of a
+//    cell shares the cell's seed, so all see the same arrivals.
 //
 // Energy: the analog AQM reports its own ledger (the aCAM cost model —
 // DACs, derivative chains, pCAM search). Digital policies are wrapped
@@ -38,13 +43,16 @@
 #include <string>
 #include <vector>
 
+#include "analognf/aqm/analog_aqm.hpp"
+#include "analognf/net/generator.hpp"
 #include "analognf/sim/closed_loop.hpp"
 #include "analognf/sim/queue_sim.hpp"
 
 namespace analognf::sim {
 
 // The policy axis. kRed is the gentle-RED single profile; kWred the
-// priority-differentiated pair; kTailDrop the no-AQM reference.
+// priority-differentiated pair; kTailDrop the no-AQM reference; kLearned
+// the self-learning crossbar perceptron (paper Sec. 8(2)).
 enum class AqmPolicyKind {
   kAnalog,
   kPie,
@@ -53,10 +61,13 @@ enum class AqmPolicyKind {
   kRed,
   kWred,
   kTailDrop,
+  kLearned,
 };
 
 const char* ToString(AqmPolicyKind kind);
-bool IsDigital(AqmPolicyKind kind);  // false for kAnalog and kTailDrop
+// False for kAnalog, kTailDrop and kLearned: only digital policies
+// enter the adherence margin.
+bool IsDigital(AqmPolicyKind kind);
 
 enum class GridSimulator { kOpenLoop, kClosedLoop };
 const char* ToString(GridSimulator simulator);
@@ -65,8 +76,20 @@ const char* ToString(GridSimulator simulator);
 // so a "cell" means the same nominal pressure on either harness.
 struct GridLoad {
   std::string label;              // e.g. "0.9x" or "overload"
-  double offered_fraction = 0.9;  // open loop: Poisson rate / capacity
+  double offered_fraction = 0.9;  // open loop: base rate / capacity
   std::size_t sources = 8;        // closed loop: AIMD source count
+  // Open-loop arrival process; its rate_pps is overwritten with the
+  // offered_fraction rate (an MMPP's bursts then add to it).
+  net::ArrivalConfig arrivals{};
+};
+
+// A named analog-AQM variant: `configure` edits the grid's matched-
+// target config (an empty function keeps it), and age_s ages every
+// pipeline cell before the run (retention drift).
+struct GridVariant {
+  std::string label;
+  std::function<void(aqm::AnalogAqmConfig&)> configure;
+  double age_s = 0.0;
 };
 
 struct GridSpec {
@@ -74,6 +97,8 @@ struct GridSpec {
   std::vector<double> base_rtts_s;
   std::vector<GridLoad> loads;
   std::vector<double> ecn_fractions;
+  // Empty: one analog cell per coordinate, labelled "".
+  std::vector<GridVariant> variants;
 
   double link_rate_bps = 10.0e6;
   std::uint32_t segment_bytes = 1000;
@@ -99,7 +124,9 @@ struct GridSpec {
   std::uint64_t seed = 0x5107;
 
   void Validate() const;  // throws std::invalid_argument
-  std::size_t CellCount() const;  // policies x rtts x loads x ecns x 2
+  // (policies, with kAnalog counted once per variant) x rtts x loads x
+  // ecns x 2
+  std::size_t CellCount() const;
 
   // The checked-in CI grid: {analog, PIE, PI2, CoDel, RED} x
   // {10, 40, 100 ms} x {0.9x/4src, 1.4x/16src} x {0, 0.5, 1.0}.
@@ -109,6 +136,7 @@ struct GridSpec {
 // One executed cell.
 struct GridCellResult {
   AqmPolicyKind policy = AqmPolicyKind::kTailDrop;
+  std::string variant;  // GridVariant label; "" outside analog variants
   GridSimulator simulator = GridSimulator::kOpenLoop;
   double base_rtt_s = 0.0;
   GridLoad load;
@@ -156,8 +184,8 @@ class ExperimentGrid {
  public:
   explicit ExperimentGrid(GridSpec spec);
 
-  // Runs every cell (policy-major, then RTT, load, ECN; open loop
-  // before closed loop). Deterministic: per-cell seeds are derived from
+  // Runs every cell (policy-major, then RTT, load, ECN, variant; open
+  // loop before closed loop). Deterministic: per-cell seeds are derived from
   // spec.seed and the cell's coordinates, so the same spec reproduces
   // the same report bit-for-bit.
   GridReport Run();
@@ -169,13 +197,10 @@ class ExperimentGrid {
   }
 
  private:
-  GridCellResult RunOpenLoop(AqmPolicyKind policy, double rtt_s,
-                             const GridLoad& load, double ecn_fraction,
-                             std::uint64_t cell_seed) const;
-  GridCellResult RunClosedLoop(AqmPolicyKind policy, double rtt_s,
-                               const GridLoad& load, double ecn_fraction,
-                               std::uint64_t cell_seed) const;
-  std::uint64_t BufferBytes(double rtt_s) const;
+  GridCellResult RunCell(AqmPolicyKind policy, const GridVariant* variant,
+                         GridSimulator simulator, double rtt_s,
+                         const GridLoad& load, double ecn_fraction,
+                         std::uint64_t cell_seed) const;
 
   GridSpec spec_;
   CellCallback callback_;

@@ -2,9 +2,11 @@
 // and the closed-loop packet-conservation invariant the grid relies on.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "analognf/aqm/pie.hpp"
@@ -52,6 +54,63 @@ TEST(GridSpecTest, ValidateRejectsBadAxes) {
 
   spec = TinySpec();
   spec.base_rtts_s = {0.0};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  // Non-finite values: each would reach an integer cast or a run that
+  // never ends.
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  spec = TinySpec();
+  spec.ecn_fractions = {nan};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.buffer_bdp_multiple = inf;
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.open_duration_s = inf;
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.base_rtts_s = {inf};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.loads[0].offered_fraction = nan;
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.target_delay_s = inf;
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.link_rate_bps = inf;
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  // The new axes: variant labels, ages and the arrival template.
+  spec = TinySpec();
+  spec.variants = {{"", {}}};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.variants = {{"a", {}}, {"a", {}}};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.variants = {{"aged", {}, -1.0}};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.variants = {{"aged", {}, inf}};
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.loads[0].arrivals.burst_factor = 0.0;
+  EXPECT_THROW(spec.Validate(), std::invalid_argument);
+
+  spec = TinySpec();
+  spec.loads[0].arrivals.mean_calm_dwell_s = nan;
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
 
   EXPECT_NO_THROW(TinySpec().Validate());
@@ -175,6 +234,126 @@ TEST(GridTest, AnalogCellsReportLedgerEnergy) {
   EXPECT_EQ(report.MeanAdherence(AqmPolicyKind::kPie,
                                  GridSimulator::kOpenLoop, "no-such-load"),
             -1.0);
+}
+
+// Every field of two cells, compared exactly.
+void ExpectSameCell(const GridCellResult& a, const GridCellResult& b) {
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.simulator, b.simulator);
+  EXPECT_EQ(a.base_rtt_s, b.base_rtt_s);
+  EXPECT_EQ(a.load.label, b.load.label);
+  EXPECT_EQ(a.ecn_fraction, b.ecn_fraction);
+  EXPECT_EQ(a.adherence, b.adherence);
+  EXPECT_EQ(a.mean_sojourn_s, b.mean_sojourn_s);
+  EXPECT_EQ(a.p50_sojourn_s, b.p50_sojourn_s);
+  EXPECT_EQ(a.p99_sojourn_s, b.p99_sojourn_s);
+  EXPECT_EQ(a.drop_rate, b.drop_rate);
+  EXPECT_EQ(a.mark_rate, b.mark_rate);
+  EXPECT_EQ(a.fairness, b.fairness);
+  EXPECT_EQ(a.utilization, b.utilization);
+  EXPECT_EQ(a.offered_packets, b.offered_packets);
+  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
+  EXPECT_EQ(a.dropped_packets, b.dropped_packets);
+  EXPECT_EQ(a.marked_packets, b.marked_packets);
+  EXPECT_EQ(a.decisions, b.decisions);
+  EXPECT_EQ(a.energy_nj_per_decision, b.energy_nj_per_decision);
+}
+
+TEST(GridVariantTest, ReferenceVariantReproducesTheVariantFreeGrid) {
+  GridSpec plain = TinySpec();
+  plain.policies = {AqmPolicyKind::kAnalog, AqmPolicyKind::kPie};
+  plain.ecn_fractions = {0.5};
+  GridSpec varied = plain;
+  varied.variants = {
+      {"ref", {}},
+      {"orders=0", [](aqm::AnalogAqmConfig& c) { c.derivative_orders = 0; }}};
+
+  const GridReport a = ExperimentGrid(plain).Run();
+  const GridReport b = ExperimentGrid(varied).Run();
+  EXPECT_EQ(a.cells.size(), plain.CellCount());
+  EXPECT_EQ(b.cells.size(), varied.CellCount());
+  // Only the analog cells fan out: 2 variants + 1 PIE, x 2 simulators.
+  ASSERT_EQ(b.cells.size(), 6u);
+
+  std::size_t matched = 0;
+  for (const GridCellResult& cell : b.cells) {
+    if (cell.policy != AqmPolicyKind::kAnalog) {
+      EXPECT_EQ(cell.variant, "");
+      continue;
+    }
+    EXPECT_TRUE(cell.variant == "ref" || cell.variant == "orders=0");
+    if (cell.variant != "ref") continue;
+    for (const GridCellResult& base : a.cells) {
+      if (base.policy == cell.policy && base.simulator == cell.simulator) {
+        SCOPED_TRACE(ToString(cell.simulator));
+        EXPECT_EQ(base.variant, "");
+        ExpectSameCell(base, cell);
+        ++matched;
+      }
+    }
+  }
+  EXPECT_EQ(matched, 2u);
+
+  // The variants share the cell seed, so they see the same arrivals.
+  std::uint64_t offered[2] = {0, 0};
+  for (const GridCellResult& cell : b.cells) {
+    if (cell.policy == AqmPolicyKind::kAnalog &&
+        cell.simulator == GridSimulator::kOpenLoop) {
+      offered[cell.variant == "ref" ? 0 : 1] = cell.offered_packets;
+    }
+  }
+  EXPECT_GT(offered[0], 0u);
+  EXPECT_EQ(offered[0], offered[1]);
+}
+
+TEST(GridVariantTest, LearnedCellsReportEnergyAndStayOutOfTheMargin) {
+  GridSpec spec = TinySpec();
+  spec.policies = {AqmPolicyKind::kAnalog, AqmPolicyKind::kPie};
+  spec.ecn_fractions = {0.0};
+  const GridReport without = ExperimentGrid(spec).Run();
+  spec.policies.push_back(AqmPolicyKind::kLearned);
+  const GridReport with = ExperimentGrid(spec).Run();
+  EXPECT_EQ(with.cells.size(), spec.CellCount());
+
+  std::size_t learned = 0;
+  for (const GridCellResult& cell : with.cells) {
+    if (cell.policy != AqmPolicyKind::kLearned) continue;
+    ++learned;
+    EXPECT_GT(cell.decisions, 0u);
+    EXPECT_GT(cell.energy_nj_per_decision, 0.0);
+  }
+  EXPECT_EQ(learned, 2u);
+  EXPECT_FALSE(IsDigital(AqmPolicyKind::kLearned));
+  EXPECT_STREQ(ToString(AqmPolicyKind::kLearned), "learned");
+  for (GridSimulator simulator :
+       {GridSimulator::kOpenLoop, GridSimulator::kClosedLoop}) {
+    EXPECT_EQ(with.AdherenceMargin(simulator, "hot"),
+              without.AdherenceMargin(simulator, "hot"));
+  }
+}
+
+TEST(GridVariantTest, MmppArrivalsOfferMoreThanPoissonAtTheSameFraction) {
+  GridSpec spec = TinySpec();
+  spec.policies = {AqmPolicyKind::kTailDrop};
+  spec.ecn_fractions = {0.0};
+  GridLoad mmpp = spec.loads[0];
+  mmpp.label = "mmpp";
+  mmpp.arrivals.process = net::ArrivalConfig::Process::kMmpp;
+  mmpp.arrivals.burst_factor = 4.0;
+  mmpp.arrivals.mean_calm_dwell_s = 0.2;
+  mmpp.arrivals.mean_burst_dwell_s = 0.1;
+  spec.loads.push_back(mmpp);
+  const GridReport report = ExperimentGrid(spec).Run();
+
+  std::uint64_t poisson_offered = 0;
+  std::uint64_t mmpp_offered = 0;
+  for (const GridCellResult& cell : report.cells) {
+    if (cell.simulator != GridSimulator::kOpenLoop) continue;
+    (cell.load.label == "mmpp" ? mmpp_offered : poisson_offered) =
+        cell.offered_packets;
+  }
+  EXPECT_GT(poisson_offered, 0u);
+  EXPECT_GT(mmpp_offered, poisson_offered);
 }
 
 // FNV-1a over the raw bytes of every GridCellResult field, in order.

@@ -2,6 +2,7 @@
 // harness (the Fig. 8 experiment machinery).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -364,6 +365,10 @@ TEST(ClosedLoopConfigTest, Validation) {
   EXPECT_THROW(c.Validate(), std::invalid_argument);
   c = ClosedLoopConfig{};
   c.ecn_fraction = 1.5;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  // NaN would reach the size_t cast of the ECN source count.
+  c = ClosedLoopConfig{};
+  c.ecn_fraction = std::nan("");
   EXPECT_THROW(c.Validate(), std::invalid_argument);
   c = ClosedLoopConfig{};
   c.min_cwnd = 4.0;
