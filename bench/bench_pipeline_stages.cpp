@@ -18,9 +18,11 @@
 
 #include "analognf/arch/stages.hpp"
 #include "analognf/arch/switch.hpp"
+#include "analognf/cognitive/classifier.hpp"
 #include "analognf/common/rng.hpp"
 #include "analognf/common/simd.hpp"
 #include "analognf/net/packet.hpp"
+#include "analognf/traffic/zipf.hpp"
 
 namespace {
 
@@ -135,6 +137,49 @@ BENCHMARK(BM_PipelineInjectBatch)
     ->Arg(256)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
+
+// The traffic-class stage's flow tracking alone, batch 64, on the two
+// flow shapes the port worker sees: arg 0 is 256 uniform flows (the
+// pipeline traffic above; the table never evicts), arg 1 is Zipf(1.0)
+// over 2^20 flows (the ingress-zipf workload; probe windows fill and
+// evict). The tracker persists across iterations, so the timing is the
+// steady state of a 262 144-packet stream replayed in order.
+void BM_FlowTrackerObserveBatch(benchmark::State& state) {
+  constexpr std::size_t kBatch = 64;
+  constexpr std::size_t kPackets = 262'144;
+  const bool zipf_flows = state.range(0) != 0;
+  const traffic::ZipfSampler zipf(std::uint64_t{1} << 20, 1.0);
+  analognf::RandomStream rng(1);
+  std::vector<net::PacketMeta> packets(kPackets);
+  double now_s = 0.0;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    now_s += rng.NextExponential(1.0e6);
+    packets[i].id = i;
+    packets[i].arrival_time_s = now_s;
+    packets[i].size_bytes =
+        64 + static_cast<std::uint32_t>(rng.NextIndex(1437));
+    const std::uint64_t flow =
+        zipf_flows ? zipf.Sample(rng) : rng.NextIndex(256);
+    // Parsed 5-tuple hashes are well mixed.
+    packets[i].flow_hash = analognf::SplitMix64(flow).Next();
+  }
+  cognitive::FlowTracker tracker;
+  std::vector<cognitive::FlowFeatures> features(kBatch);
+  std::size_t base = 0;
+  for (auto _ : state) {
+    tracker.ObserveBatch(packets.data() + base, kBatch, features.data());
+    benchmark::DoNotOptimize(features.data());
+    benchmark::ClobberMemory();
+    base = (base + kBatch) % kPackets;
+  }
+  state.SetLabel(zipf_flows ? "zipf-2^20" : "uniform-256");
+  const auto observed = state.iterations() * static_cast<std::int64_t>(kBatch);
+  // Share of observed packets that aged a flow out of a full window.
+  state.counters["evicting"] = static_cast<double>(tracker.evictions()) /
+                               static_cast<double>(observed);
+  state.SetItemsProcessed(observed);
+}
+BENCHMARK(BM_FlowTrackerObserveBatch)->Arg(0)->Arg(1);
 
 // --- machine-readable measurements (BENCH_pipeline.json) ----------------
 

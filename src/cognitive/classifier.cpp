@@ -20,32 +20,42 @@ double LogIat(double iat_s) {
 
 }  // namespace
 
-FlowTracker::FlowTracker(double ewma_weight, std::size_t capacity)
-    : ewma_weight_(ewma_weight), table_(capacity) {
-  if (!(ewma_weight > 0.0) || ewma_weight > 1.0) {
-    throw std::invalid_argument("FlowTracker: ewma_weight outside (0, 1]");
-  }
-}
+FlowTracker::FlowTracker(std::size_t capacity) : table_(capacity) {}
 
+// Welford updates in the exact expressions and order of
+// RunningStats::Add, so the features are bit-identical to RunningStats
+// over the same samples (FlowTrackerTest.GoldenDigestOfZipfStream).
 void FlowTracker::ObserveInto(FlowState& state,
                               const net::PacketMeta& packet) {
-  state.sizes.Add(packet.size_bytes);
-  if (state.has_arrival) {
+  const bool has_arrival = state.size_count != 0;
+  const double size = packet.size_bytes;
+  ++state.size_count;
+  const double size_delta = size - state.size_mean;
+  state.size_mean += size_delta / static_cast<double>(state.size_count);
+  if (has_arrival) {
     const double gap = packet.arrival_time_s - state.last_arrival_s;
-    if (gap >= 0.0) state.gaps.Add(gap);
+    if (gap >= 0.0) {
+      ++state.gap_count;
+      const double delta = gap - state.gap_mean;
+      state.gap_mean += delta / static_cast<double>(state.gap_count);
+      state.gap_m2 += delta * (gap - state.gap_mean);
+    }
   }
   state.last_arrival_s = packet.arrival_time_s;
-  state.has_arrival = true;
 }
 
 FlowFeatures FlowTracker::FeaturesOf(const FlowState& state) {
   FlowFeatures out;
-  out.packets = state.sizes.count();
-  out.mean_packet_size_bytes = state.sizes.mean();
-  if (!state.gaps.empty()) {
-    out.mean_interarrival_s = state.gaps.mean();
-    if (state.gaps.mean() > 0.0) {
-      out.burstiness = state.gaps.stddev() / state.gaps.mean();
+  out.packets = state.size_count;
+  out.mean_packet_size_bytes = state.size_mean;
+  if (state.gap_count != 0) {
+    out.mean_interarrival_s = state.gap_mean;
+    if (state.gap_mean > 0.0) {
+      const double variance =
+          state.gap_count < 2
+              ? 0.0
+              : state.gap_m2 / static_cast<double>(state.gap_count - 1);
+      out.burstiness = std::sqrt(variance) / state.gap_mean;
     }
   }
   return out;

@@ -17,7 +17,6 @@
 
 #include "analognf/analog/signal.hpp"
 #include "analognf/common/flow_table.hpp"
-#include "analognf/common/stats.hpp"
 #include "analognf/core/pcam_array.hpp"
 #include "analognf/net/generator.hpp"
 
@@ -39,10 +38,9 @@ struct FlowFeatures {
 // seen collider is evicted (its flow restarts from zero if it reappears).
 class FlowTracker {
  public:
-  // `ewma_weight` smooths the per-flow estimators. `capacity` bounds the
-  // number of concurrently tracked flows (rounded up to a power of two).
+  // `capacity` bounds the number of concurrently tracked flows (rounded
+  // up to a power of two).
   explicit FlowTracker(
-      double ewma_weight = 0.05,
       std::size_t capacity = common::FlowTable<int>::kDefaultCapacity);
 
   void Observe(const net::PacketMeta& packet);
@@ -68,17 +66,22 @@ class FlowTracker {
   std::uint64_t evictions() const { return table_.evictions(); }
 
  private:
+  // Only the Welford moments FeaturesOf reads (48 B, so a 16 384-slot
+  // table fits in 1.06 MB): packet-size count and mean, inter-arrival
+  // gap count, mean and sum of squared deviations.
   struct FlowState {
     double last_arrival_s = 0.0;
-    bool has_arrival = false;
-    analognf::RunningStats sizes;
-    analognf::RunningStats gaps;
+    std::uint64_t size_count = 0;  // 0: no packet seen yet
+    double size_mean = 0.0;
+    std::uint64_t gap_count = 0;
+    double gap_mean = 0.0;
+    double gap_m2 = 0.0;
   };
+  static_assert(sizeof(FlowState) == 48);
 
   static void ObserveInto(FlowState& state, const net::PacketMeta& packet);
   static FlowFeatures FeaturesOf(const FlowState& state);
 
-  double ewma_weight_;
   common::FlowTable<FlowState> table_;
   // Batch scratch (key gather + hash lanes), reused across calls.
   std::vector<std::uint64_t> key_scratch_;

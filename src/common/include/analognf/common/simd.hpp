@@ -16,11 +16,18 @@
 // bit-identical, not merely close. Differential tests in
 // tests/test_tcam_engine.cpp and tests/test_core.cpp pin this down.
 //
+// The flow-table window match is the one SSE2 kernel. SSE2 is part of
+// the x86-64 baseline, so it needs no target attribute and no run-time
+// dispatch: it is selected at compile time. tests/test_fastpath.cpp
+// checks it against its scalar twin at every window position.
+//
 // Escape hatches:
 //   * compile time: -DANALOGNF_FORCE_SCALAR (CMake option of the same
-//     name) removes the AVX2 code entirely — the portable-path CI job.
+//     name) removes the AVX2 and SSE2 code entirely — the portable-path
+//     CI job.
 //   * run time: environment variable ANALOGNF_FORCE_SCALAR set to
-//     anything but "0" forces the scalar kernels on AVX2 hardware.
+//     anything but "0" forces the scalar AVX2-twin kernels on AVX2
+//     hardware.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +36,7 @@
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(ANALOGNF_FORCE_SCALAR)
 #define ANALOGNF_SIMD_AVX2 1
+#define ANALOGNF_SIMD_SSE2 1
 #include <immintrin.h>
 #endif
 
@@ -352,6 +360,52 @@ inline void FlowHashBatch(const std::uint64_t* keys, std::uint64_t* hashes,
   }
 #endif
   FlowHashBatchScalar(keys, hashes, count);
+}
+
+// ------------------------------------------------ flow-table window match
+// One flow-table probe window is kProbeWindowBytes consecutive
+// fingerprint bytes (flow_table.hpp mirrors the first window's bytes past
+// the end of the lane, so a window never wraps in memory). Bit p of
+// `match` is set iff window[p] == fp, bit p of `empty` iff window[p] == 0.
+// Byte compares are exact, so SSE2 and scalar agree by construction.
+
+inline constexpr std::size_t kProbeWindowBytes = 16;
+
+struct WindowBits {
+  std::uint32_t match;
+  std::uint32_t empty;
+};
+
+inline WindowBits ProbeWindowMatchScalar(const std::uint8_t* window,
+                                         std::uint8_t fp) {
+  WindowBits bits{0, 0};
+  for (std::size_t p = 0; p < kProbeWindowBytes; ++p) {
+    bits.match |= static_cast<std::uint32_t>(window[p] == fp) << p;
+    bits.empty |= static_cast<std::uint32_t>(window[p] == 0) << p;
+  }
+  return bits;
+}
+
+#ifdef ANALOGNF_SIMD_SSE2
+inline WindowBits ProbeWindowMatchSse2(const std::uint8_t* window,
+                                       std::uint8_t fp) {
+  const __m128i w =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(window));
+  const __m128i match =
+      _mm_cmpeq_epi8(w, _mm_set1_epi8(static_cast<char>(fp)));
+  const __m128i empty = _mm_cmpeq_epi8(w, _mm_setzero_si128());
+  return {static_cast<std::uint32_t>(_mm_movemask_epi8(match)),
+          static_cast<std::uint32_t>(_mm_movemask_epi8(empty))};
+}
+#endif
+
+inline WindowBits ProbeWindowMatch(const std::uint8_t* window,
+                                   std::uint8_t fp) {
+#ifdef ANALOGNF_SIMD_SSE2
+  return ProbeWindowMatchSse2(window, fp);
+#else
+  return ProbeWindowMatchScalar(window, fp);
+#endif
 }
 
 }  // namespace analognf::simd

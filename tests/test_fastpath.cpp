@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <thread>
 #include <unordered_map>
@@ -15,7 +16,10 @@
 #include "analognf/arch/switch.hpp"
 #include "analognf/cognitive/classifier.hpp"
 #include "analognf/common/flow_table.hpp"
+#include "analognf/common/rng.hpp"
+#include "analognf/common/simd.hpp"
 #include "analognf/net/generator.hpp"
+#include "analognf/traffic/zipf.hpp"
 
 #include "alloc_probe.hpp"
 
@@ -97,6 +101,163 @@ TEST(FlowTableTest, FullWindowEvictsLeastRecentlyTouched) {
   EXPECT_EQ(*table.Find(2000, FlowTable<int>::HashOf(2000)), 99);
 }
 
+// Every window position of a lane mixing empty bytes, the probed
+// fingerprint, other occupied fingerprints and the probe's low 7 bits
+// without the occupied bit: the dispatched (SSE2 when compiled) and the
+// scalar kernel must both return exactly the per-byte compare.
+TEST(FlowTableTest, WindowMatchKernelsAgreeAtEveryPosition) {
+  constexpr std::size_t kLane = 256;
+  std::mt19937 rng(11);
+  for (const std::uint8_t fp : {std::uint8_t{0x80}, std::uint8_t{0xa5},
+                                std::uint8_t{0xff}}) {
+    std::vector<std::uint8_t> lane(kLane + simd::kProbeWindowBytes);
+    for (std::uint8_t& b : lane) {
+      switch (rng() % 4) {
+        case 0: b = 0; break;
+        case 1: b = fp; break;
+        case 2: b = static_cast<std::uint8_t>(fp & 0x7f); break;
+        default: b = static_cast<std::uint8_t>(0x80 | (rng() & 0x7f));
+      }
+    }
+    for (std::size_t pos = 0; pos < kLane; ++pos) {
+      std::uint32_t match = 0, empty = 0;
+      for (std::size_t p = 0; p < simd::kProbeWindowBytes; ++p) {
+        if (lane[pos + p] == fp) match |= 1u << p;
+        if (lane[pos + p] == 0) empty |= 1u << p;
+      }
+      const simd::WindowBits scalar =
+          simd::ProbeWindowMatchScalar(&lane[pos], fp);
+      EXPECT_EQ(scalar.match, match) << "pos " << pos;
+      EXPECT_EQ(scalar.empty, empty) << "pos " << pos;
+#ifdef ANALOGNF_SIMD_SSE2
+      const simd::WindowBits sse2 =
+          simd::ProbeWindowMatchSse2(&lane[pos], fp);
+      EXPECT_EQ(sse2.match, match) << "pos " << pos;
+      EXPECT_EQ(sse2.empty, empty) << "pos " << pos;
+#endif
+      const simd::WindowBits dispatched =
+          simd::ProbeWindowMatch(&lane[pos], fp);
+      EXPECT_EQ(dispatched.match, match) << "pos " << pos;
+      EXPECT_EQ(dispatched.empty, empty) << "pos " << pos;
+    }
+  }
+}
+
+// Brute-force model of the probe rule, one slot at a time with explicit
+// wrap-around: a key match anywhere in the window wins, else the first
+// empty slot in probe order, else the least recently touched slot.
+class ReferenceFlowTable {
+ public:
+  explicit ReferenceFlowTable(std::size_t capacity)
+      : fingerprints_(capacity), keys_(capacity), epochs_(capacity),
+        values_(capacity) {}
+
+  int* FindOrInsert(std::uint64_t key, std::uint64_t hash) {
+    const std::size_t bucket = Bucket(hash);
+    const std::uint8_t fp = Fingerprint(hash);
+    std::size_t empty_slot = kNone;
+    std::size_t stale_slot = kNone;
+    for (std::size_t p = 0; p < kWindow; ++p) {
+      const std::size_t slot = (bucket + p) % capacity();
+      if (fingerprints_[slot] == fp && keys_[slot] == key) {
+        epochs_[slot] = ++epoch_;
+        return &values_[slot];
+      }
+      if (fingerprints_[slot] == 0) {
+        if (empty_slot == kNone) empty_slot = slot;
+      } else if (stale_slot == kNone || epochs_[slot] < epochs_[stale_slot]) {
+        stale_slot = slot;
+      }
+    }
+    std::size_t slot = empty_slot;
+    if (slot == kNone) {
+      slot = stale_slot;
+      ++evictions_;
+      --size_;
+    }
+    if (slot < bucket) ++wrapped_inserts_;
+    fingerprints_[slot] = fp;
+    keys_[slot] = key;
+    epochs_[slot] = ++epoch_;
+    values_[slot] = 0;
+    ++size_;
+    return &values_[slot];
+  }
+
+  const int* Find(std::uint64_t key, std::uint64_t hash) const {
+    const std::size_t bucket = Bucket(hash);
+    for (std::size_t p = 0; p < kWindow; ++p) {
+      const std::size_t slot = (bucket + p) % capacity();
+      if (fingerprints_[slot] == Fingerprint(hash) && keys_[slot] == key) {
+        return &values_[slot];
+      }
+    }
+    return nullptr;
+  }
+
+  std::size_t size() const { return size_; }
+  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t wrapped_inserts() const { return wrapped_inserts_; }
+
+ private:
+  static constexpr std::size_t kWindow = FlowTable<int>::kProbeWindow;
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  std::size_t capacity() const { return keys_.size(); }
+  // Top log2(capacity) bits of the hash.
+  std::size_t Bucket(std::uint64_t hash) const {
+    return static_cast<std::size_t>(
+        hash / (~std::uint64_t{0} / capacity() + 1));
+  }
+  static std::uint8_t Fingerprint(std::uint64_t hash) {
+    return static_cast<std::uint8_t>(0x80 | (hash & 0x7f));
+  }
+
+  std::vector<std::uint8_t> fingerprints_;
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint64_t> epochs_;
+  std::vector<int> values_;
+  std::uint64_t epoch_ = 0;
+  std::size_t size_ = 0;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t wrapped_inserts_ = 0;
+};
+
+// Random FindOrInsert/Find mixes on tables of one and four windows, with
+// a key universe several times the capacity so windows fill, evict and
+// wrap past the last slot; every returned value, size() and evictions()
+// must equal the model's.
+TEST(FlowTableTest, MatchesBruteForceModelUnderRandomOps) {
+  for (const std::size_t capacity : {std::size_t{16}, std::size_t{64}}) {
+    FlowTable<int> table(capacity);
+    ReferenceFlowTable model(capacity);
+    ASSERT_EQ(table.capacity(), capacity);
+    std::mt19937_64 rng(capacity);
+    int next_value = 1;
+    for (int op = 0; op < 200'000; ++op) {
+      const std::uint64_t key = 1 + rng() % (4 * capacity);
+      const std::uint64_t hash = FlowTable<int>::HashOf(key);
+      if (rng() % 3 == 0) {
+        const int* got = table.Find(key, hash);
+        const int* want = model.Find(key, hash);
+        ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+        if (got != nullptr) {
+          ASSERT_EQ(*got, *want) << "op " << op;
+        }
+      } else {
+        int* got = table.FindOrInsert(key, hash);
+        int* want = model.FindOrInsert(key, hash);
+        ASSERT_EQ(*got, *want) << "op " << op;
+        *got = *want = next_value++;
+      }
+      ASSERT_EQ(table.size(), model.size()) << "op " << op;
+      ASSERT_EQ(table.evictions(), model.evictions()) << "op " << op;
+    }
+    EXPECT_GT(model.evictions(), 0u);
+    EXPECT_GT(model.wrapped_inserts(), 0u);
+  }
+}
+
 // ---------------------------------------------- batched flow tracking
 
 // ObserveBatch must be bit-identical to the sequential per-packet path,
@@ -120,8 +281,8 @@ TEST(FlowTrackerTest, ObserveBatchMatchesSequentialBitExact) {
     packets[i].flow_hash = 0x9e3779b9u * (1 + rng() % kFlows);
   }
 
-  FlowTracker sequential(0.05, 1024);
-  FlowTracker batched(0.05, 1024);
+  FlowTracker sequential(1024);
+  FlowTracker batched(1024);
   std::vector<FlowFeatures> expect(kPackets);
   for (std::size_t i = 0; i < kPackets; ++i) {
     expect[i] = sequential.ObserveAndFeatures(packets[i]);
@@ -141,6 +302,85 @@ TEST(FlowTrackerTest, ObserveBatchMatchesSequentialBitExact) {
     EXPECT_EQ(got[i].burstiness, expect[i].burstiness) << "packet " << i;
   }
   EXPECT_EQ(batched.flows(), sequential.flows());
+}
+
+// FNV-1a over the raw bytes of each added value, in order.
+class FeatureDigest {
+ public:
+  void Add(const FlowFeatures& f) {
+    Add(f.mean_packet_size_bytes);
+    Add(f.mean_interarrival_s);
+    Add(f.burstiness);
+    Add(f.packets);
+  }
+  template <typename T>
+  void Add(const T& value) {
+    unsigned char bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    for (const unsigned char b : bytes) hash_ = (hash_ ^ b) * 0x100000001b3ULL;
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+// Golden digest of the features ObserveBatch returns over an
+// ingress-zipf-shaped stream: Zipf(1.0) over 2^20 flows into the default
+// 16 384-slot table, so probe windows fill, wrap past the last slot and
+// evict. Every 997th packet repeats its predecessor's flow and timestamp
+// (a zero gap) and every 991st arrives 1 us before its predecessor of
+// the same flow (a negative gap, which the estimators skip). The
+// constant was recorded with the RunningStats-based tracker and the
+// scalar probe loop; the batch-vs-sequential test above runs one
+// implementation on both sides, so only this pins the arithmetic.
+TEST(FlowTrackerTest, GoldenDigestOfZipfStream) {
+  constexpr std::size_t kPackets = 262'144;
+  constexpr std::size_t kBatch = 64;
+  const traffic::ZipfSampler zipf(std::uint64_t{1} << 20, 1.0);
+  analognf::RandomStream rng(1);
+  // SplitMix64 finaliser: parsed 5-tuple hashes are well mixed.
+  auto mix = [](std::uint64_t x) {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  };
+  std::vector<net::PacketMeta> packets(kPackets);
+  double now = 0.0;
+  for (std::size_t i = 0; i < kPackets; ++i) {
+    net::PacketMeta& p = packets[i];
+    now += rng.NextExponential(1.0e6);
+    p.id = i;
+    p.arrival_time_s = now;
+    p.size_bytes = 64 + static_cast<std::uint32_t>(rng.NextIndex(1437));
+    p.flow_hash = mix(zipf.Sample(rng) + 1);
+    if (i > 0 && i % 997 == 0) {
+      p.flow_hash = packets[i - 1].flow_hash;
+      p.arrival_time_s = packets[i - 1].arrival_time_s;
+    } else if (i > 0 && i % 991 == 0) {
+      p.flow_hash = packets[i - 1].flow_hash;
+      p.arrival_time_s = packets[i - 1].arrival_time_s - 1e-6;
+    }
+  }
+
+  FlowTracker tracker;
+  std::vector<FlowFeatures> features(kBatch);
+  FeatureDigest digest;
+  for (std::size_t base = 0; base < kPackets; base += kBatch) {
+    tracker.ObserveBatch(packets.data() + base, kBatch, features.data());
+    for (const FlowFeatures& f : features) digest.Add(f);
+  }
+  // Read-only lookups of the hottest ranks and of a never-seen flow.
+  for (std::uint64_t rank = 0; rank < 64; ++rank) {
+    digest.Add(tracker.Features(mix(rank + 1)));
+  }
+  digest.Add(tracker.Features(0));
+  digest.Add(static_cast<std::uint64_t>(tracker.flows()));
+  digest.Add(tracker.evictions());
+
+  EXPECT_GT(tracker.evictions(), 0u);
+  EXPECT_EQ(tracker.flows(), tracker.capacity());
+  EXPECT_EQ(digest.value(), 0x2551648a78bedaabULL);
 }
 
 // ------------------------------------------------------- WRR fairness
