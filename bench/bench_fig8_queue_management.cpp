@@ -38,17 +38,23 @@ net::MetaSource Fig8Traffic(std::uint64_t seed) {
   return net::MetaSource(mc, seed);
 }
 
-sim::SimReport Run(bool with_aqm) {
+struct Fig8Run {
+  sim::SimReport report;
+  double aqm_energy_j = 0.0;  // the pCAM AQM's ledger; 0 without AQM
+};
+
+Fig8Run Run(bool with_aqm) {
   net::MetaSource source = Fig8Traffic(2023);
   const sim::QueueSimConfig config = Fig8Config();
   if (with_aqm) {
     aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
     sim::QueueSimulator s(config, source, policy);
-    return s.Run();
+    sim::SimReport report = s.Run();
+    return {std::move(report), policy.ConsumedEnergyJ()};
   }
   aqm::TailDropOnly policy;
   sim::QueueSimulator s(config, source, policy);
-  return s.Run();
+  return {s.Run()};
 }
 
 sim::SimReport RunOverload(aqm::AqmPolicy& policy) {
@@ -82,12 +88,12 @@ void PrintLearningCurve() {
     RunningStats learned_window;
     RunningStats programmed_window;
     std::size_t inside = 0;
-    for (const auto& p : learned_report.delay.points()) {
+    for (const auto& p : learned_report.link.delay.points()) {
       if (p.time < t0 || p.time >= t1) continue;
       learned_window.Add(p.value);
       if (p.value <= 0.030) ++inside;
     }
-    for (const auto& p : programmed_report.delay.points()) {
+    for (const auto& p : programmed_report.link.delay.points()) {
       if (p.time >= t0 && p.time < t1) programmed_window.Add(p.value);
     }
     const double within =
@@ -109,13 +115,15 @@ void PrintLearningCurve() {
 
 void Report() {
   bench::Banner("Fig. 8: packet delay vs time, without AQM vs pCAM AQM");
-  const sim::SimReport without = Run(false);
-  const sim::SimReport with = Run(true);
+  const Fig8Run without_run = Run(false);
+  const Fig8Run with_run = Run(true);
+  const sim::SimReport& without = without_run.report;
+  const sim::SimReport& with = with_run.report;
 
   Table series({"time (s)", "delay without AQM (ms)",
                 "delay with pCAM AQM (ms)"});
-  const TimeSeries without_ds = without.delay.Downsample(24);
-  const TimeSeries with_ds = with.delay.Downsample(24);
+  const TimeSeries without_ds = without.link.delay.Downsample(24);
+  const TimeSeries with_ds = with.link.delay.Downsample(24);
   const std::size_t rows = std::min(without_ds.size(), with_ds.size());
   for (std::size_t i = 0; i < rows; ++i) {
     series.AddRow({FormatSig(without_ds[i].time, 3),
@@ -126,22 +134,24 @@ void Report() {
 
   Table summary({"metric", "without AQM", "with pCAM AQM"});
   summary.AddRow({"mean delay (post-congestion)",
-                  FormatDuration(without.delay_stats.mean()),
-                  FormatDuration(with.delay_stats.mean())});
-  summary.AddRow({"max delay", FormatDuration(without.delay_stats.max()),
-                  FormatDuration(with.delay_stats.max())});
+                  FormatDuration(without.link.delay_stats.mean()),
+                  FormatDuration(with.link.delay_stats.mean())});
+  summary.AddRow({"max delay", FormatDuration(without.link.delay_stats.max()),
+                  FormatDuration(with.link.delay_stats.max())});
   summary.AddRow(
       {"fraction of delays <= 30 ms",
-       FormatSig(without.DelayFractionWithin(0.0, 0.030) * 100.0, 3) + " %",
-       FormatSig(with.DelayFractionWithin(0.0, 0.030) * 100.0, 3) + " %"});
+       FormatSig(without.link.DelayFractionWithin(0.0, 0.030) * 100.0, 3) +
+           " %",
+       FormatSig(with.link.DelayFractionWithin(0.0, 0.030) * 100.0, 3) +
+           " %"});
   summary.AddRow({"AQM drops",
                   std::to_string(without.queue_stats.dropped_aqm),
                   std::to_string(with.queue_stats.dropped_aqm)});
   summary.AddRow({"delivered packets",
-                  std::to_string(without.delivered_packets),
-                  std::to_string(with.delivered_packets)});
-  summary.AddRow({"pCAM+DAC energy", FormatEnergy(without.aqm_energy_j),
-                  FormatEnergy(with.aqm_energy_j)});
+                  std::to_string(without.link.delivered_packets),
+                  std::to_string(with.link.delivered_packets)});
+  summary.AddRow({"pCAM+DAC energy", FormatEnergy(without_run.aqm_energy_j),
+                  FormatEnergy(with_run.aqm_energy_j)});
   bench::PrintTable(summary);
 
   bench::Line("paper: without AQM delays keep increasing sharply; pCAM "

@@ -55,22 +55,22 @@ int main(int argc, char** argv) {
               target_ms, deviation_ms);
 
   std::printf("%-10s %-12s\n", "time (s)", "delay (ms)");
-  const TimeSeries trace = report.delay.Downsample(20);
+  const TimeSeries trace = report.link.delay.Downsample(20);
   for (const auto& p : trace.points()) {
     std::printf("%-10.2f %-12.2f\n", p.time, ToMillis(p.value));
   }
 
   std::printf("\nmean delay: %.2f ms (bound: %.0f..%.0f ms)\n",
-              ToMillis(report.delay_stats.mean()),
+              ToMillis(report.link.delay_stats.mean()),
               target_ms - deviation_ms, target_ms + deviation_ms);
   std::printf("delays within bound + margin: %.1f%%\n",
-              report.DelayFractionWithin(
+              report.link.DelayFractionWithin(
                   0.0, (target_ms + deviation_ms + 5.0) * kMilli) *
                   100.0);
   std::printf("AQM drops: %llu of %llu offered (%.1f%%)\n",
               static_cast<unsigned long long>(report.queue_stats.dropped_aqm),
-              static_cast<unsigned long long>(report.offered_packets),
-              report.DropRate() * 100.0);
+              static_cast<unsigned long long>(report.link.offered_packets),
+              report.link.DropRate() * 100.0);
   std::printf("controller adaptations (update_pCAM): %llu, final scale "
               "%.2f\n",
               static_cast<unsigned long long>(controller.adaptations()),

@@ -69,10 +69,4 @@ double PercentileInPlace(std::vector<double>& samples, double q);
 // Mean of a batch. Requires a non-empty input.
 double Mean(const std::vector<double>& samples);
 
-// Fraction of samples inside [lo, hi] (inclusive). Used for the Fig. 8
-// "delays held within programmed latency bounds" metric. Requires a
-// non-empty input.
-double FractionWithin(const std::vector<double>& samples, double lo,
-                      double hi);
-
 }  // namespace analognf

@@ -86,15 +86,4 @@ double Mean(const std::vector<double>& samples) {
          static_cast<double>(samples.size());
 }
 
-double FractionWithin(const std::vector<double>& samples, double lo,
-                      double hi) {
-  if (samples.empty()) {
-    throw std::invalid_argument("FractionWithin of an empty sample set");
-  }
-  const auto inside = std::count_if(
-      samples.begin(), samples.end(),
-      [lo, hi](double x) { return x >= lo && x <= hi; });
-  return static_cast<double>(inside) / static_cast<double>(samples.size());
-}
-
 }  // namespace analognf

@@ -91,8 +91,8 @@ double ArrivalProcess::Next(analognf::RandomStream& rng) {
 }
 
 void ArrivalProcess::SetRate(double rate_pps) {
-  if (!(rate_pps > 0.0)) {
-    throw std::invalid_argument("ArrivalProcess::SetRate: rate <= 0");
+  if (!std::isfinite(rate_pps) || !(rate_pps > 0.0)) {
+    throw std::invalid_argument("ArrivalProcess::SetRate: rate not finite > 0");
   }
   config_.rate_pps = rate_pps;
 }
@@ -110,6 +110,12 @@ MetaSource::MetaSource(MetaSourceConfig config, std::uint64_t seed)
     : config_(config), rng_(seed), arrivals_(config.arrivals, rng_) {
   if (config_.size_bytes == 0) {
     throw std::invalid_argument("MetaSource: zero packet size");
+  }
+  // Positive form: a NaN fraction fails it before BuildFlows casts it.
+  auto fraction = [](double x) { return x >= 0.0 && x <= 1.0; };
+  if (!fraction(config_.high_priority_fraction) ||
+      !fraction(config_.ecn_capable_fraction)) {
+    throw std::invalid_argument("MetaSource: flow fraction outside [0,1]");
   }
   // The per-process salts keep recorded outputs bit-identical.
   const bool poisson =

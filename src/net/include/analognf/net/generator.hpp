@@ -61,7 +61,7 @@ class ArrivalProcess {
   double Next(analognf::RandomStream& rng);
 
   // Changes the base rate on the fly (the congestion phases of Fig. 8).
-  // Throws std::invalid_argument on a rate <= 0.
+  // Throws std::invalid_argument unless the rate is finite and > 0.
   void SetRate(double rate_pps);
   double rate_pps() const { return config_.rate_pps; }
   bool in_burst() const { return in_burst_; }
@@ -91,8 +91,8 @@ struct MetaSourceConfig {
 // per packet; flow hash, priority and ECT are stable per flow).
 class MetaSource {
  public:
-  // Throws std::invalid_argument on a bad arrival config, zero flows or
-  // a zero packet size.
+  // Throws std::invalid_argument on a bad arrival config, zero flows, a
+  // zero packet size or a flow fraction outside [0, 1] (NaN included).
   MetaSource(MetaSourceConfig config, std::uint64_t seed);
 
   // Next arrival; arrival_time_s values are non-decreasing.

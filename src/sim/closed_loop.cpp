@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace analognf::sim {
 
@@ -25,33 +26,21 @@ void ClosedLoopConfig::Validate() const {
   if (!(ecn_fraction >= 0.0 && ecn_fraction <= 1.0)) {
     throw std::invalid_argument("ClosedLoopConfig: ecn_fraction outside [0,1]");
   }
-  if (!std::isfinite(duration_s) || !(duration_s > 0.0) ||
-      !(warmup_s >= 0.0) || warmup_s >= duration_s) {
-    throw std::invalid_argument("ClosedLoopConfig: bad duration/warmup");
-  }
-  if (!std::isfinite(link_rate_bps) || !(link_rate_bps > 0.0)) {
-    throw std::invalid_argument("ClosedLoopConfig: link rate not finite > 0");
-  }
+  link().Validate();
 }
 
 double ClosedLoopReport::FairnessIndex() const {
-  if (per_source_goodput_pps.empty()) return 0.0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (double g : per_source_goodput_pps) {
-    sum += g;
-    sum_sq += g * g;
-  }
-  if (sum_sq <= 0.0) return 0.0;
-  const auto n = static_cast<double>(per_source_goodput_pps.size());
-  return sum * sum / (n * sum_sq);
+  return link.FairnessIndex(link.duration_s - link.warmup_s);
 }
 
 double ClosedLoopReport::LinkUtilization(double link_rate_bps,
                                          std::uint32_t segment_bytes) const {
   if (!(link_rate_bps > 0.0)) return 0.0;
+  const double measured_s = link.duration_s - link.warmup_s;
   double delivered_pps = 0.0;
-  for (double g : per_source_goodput_pps) delivered_pps += g;
+  for (const auto& [source, delivered] : link.delivered_by_flow) {
+    delivered_pps += static_cast<double>(delivered) / measured_s;
+  }
   const double utilization = delivered_pps *
                              static_cast<double>(segment_bytes) * 8.0 /
                              link_rate_bps;
@@ -64,14 +53,14 @@ ClosedLoopSimulator::ClosedLoopSimulator(ClosedLoopConfig config,
         config.Validate();
         return config;
       }()),
-      policy_(policy),
-      queue_(config_.queue) {
+      link_(config_.link(), policy, events_, kDeparture) {
   sources_.resize(config_.sources);
   const auto ecn_count = static_cast<std::size_t>(
       config_.ecn_fraction * static_cast<double>(config_.sources) + 0.5);
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     sources_[i].cwnd = config_.initial_cwnd;
     sources_[i].ecn = i < ecn_count;
+    link_.AddFlow(i);
   }
 }
 
@@ -85,88 +74,31 @@ void ClosedLoopSimulator::ScheduleSend(std::size_t source) {
 }
 
 void ClosedLoopSimulator::SendFrom(std::size_t source) {
-  const double now = events_.now();
-  Source& src = sources_[source];
-  ++report_.offered_packets;
-
   net::PacketMeta packet;
   packet.id = next_packet_id_++;
-  packet.arrival_time_s = now;
+  packet.arrival_time_s = events_.now();
   packet.size_bytes = config_.segment_bytes;
   packet.flow_hash = source;
-  packet.ecn_capable = src.ecn;
-
-  aqm::AqmContext ctx;
-  ctx.now_s = now;
-  ctx.sojourn_s = queue_.HeadSojourn(now);
-  ctx.queue_bytes = queue_.bytes();
-  ctx.queue_packets = queue_.packets();
-  ctx.packet = packet;
-
-  const aqm::AqmVerdict verdict = policy_.DecideOnEnqueue(ctx);
-  if (verdict == aqm::AqmVerdict::kDrop) {
-    queue_.NoteAqmDrop(packet);
-    ++report_.dropped_packets;
+  packet.ecn_capable = sources_[source].ecn;
+  if (!link_.Offer(packet)) {
     // Loss detected about one RTT later (dupack/timeout analogue).
     events_.ScheduleIn(config_.base_rtt_s, kLoss, source);
-  } else {
-    if (verdict == aqm::AqmVerdict::kMark) {
-      packet.ecn_marked = true;
-      ++report_.marked_packets;
-    }
-    if (queue_.Enqueue(packet, now)) {
-      if (!server_busy_) {
-        server_busy_ = true;
-        const double service = static_cast<double>(config_.segment_bytes) *
-                               8.0 / config_.link_rate_bps;
-        events_.ScheduleIn(service, kDeparture);
-      }
-    } else {
-      ++report_.dropped_packets;
-      events_.ScheduleIn(config_.base_rtt_s, kLoss, source);
-    }
   }
   ScheduleSend(source);
 }
 
 void ClosedLoopSimulator::OnDeparture() {
-  const double now = events_.now();
-  server_busy_ = false;
-
-  auto dequeued = queue_.Dequeue(now);
-  while (dequeued.has_value()) {
-    aqm::AqmContext ctx;
-    ctx.now_s = now;
-    ctx.sojourn_s = dequeued->sojourn_s;
-    ctx.queue_bytes = queue_.bytes();
-    ctx.queue_packets = queue_.packets();
-    ctx.packet = dequeued->meta;
-    if (!policy_.ShouldDropOnDequeue(ctx)) break;
-    queue_.NoteAqmDrop(dequeued->meta);
-    ++report_.dropped_packets;
-    events_.ScheduleIn(config_.base_rtt_s, kLoss, dequeued->meta.flow_hash);
-    dequeued = queue_.Dequeue(now);
-  }
-  if (!dequeued.has_value()) return;
-
-  report_.delay.Append(now, dequeued->sojourn_s);
-  ++report_.delivered_packets;
-  if (now >= config_.warmup_s) {
-    report_.delay_stats.Add(dequeued->sojourn_s);
-    ++sources_[static_cast<std::size_t>(dequeued->meta.flow_hash)]
-          .delivered_post_warmup;
-  }
-  // Ack arrives half an RTT later; a CE mark rides back on it (arg bit 0).
-  events_.ScheduleIn(config_.base_rtt_s / 2.0, kAck,
-                     dequeued->meta.flow_hash << 1 |
-                         (dequeued->meta.ecn_marked ? 1u : 0u));
-
-  if (!queue_.empty()) {
-    server_busy_ = true;
-    const double service = static_cast<double>(config_.segment_bytes) *
-                           8.0 / config_.link_rate_bps;
-    events_.ScheduleIn(service, kDeparture);
-  }
+  link_.Depart(
+      [&](const net::PacketMeta& dropped) {
+        events_.ScheduleIn(config_.base_rtt_s, kLoss, dropped.flow_hash);
+      },
+      [&](const net::DequeuedPacket& delivered) {
+        // The ack arrives half an RTT later; a CE mark rides back on it
+        // (arg bit 0).
+        events_.ScheduleIn(config_.base_rtt_s / 2.0, kAck,
+                           delivered.meta.flow_hash << 1 |
+                               (delivered.meta.ecn_marked ? 1u : 0u));
+      });
 }
 
 void ClosedLoopSimulator::SampleCwnd() {
@@ -198,10 +130,6 @@ void ClosedLoopSimulator::OnAck(std::size_t source, bool congestion_signal,
 }
 
 ClosedLoopReport ClosedLoopSimulator::Run() {
-  report_ = ClosedLoopReport{};
-  report_.duration_s = config_.duration_s;
-  report_.warmup_s = config_.warmup_s;
-
   // Stagger source start times to avoid phase locking.
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     const double start =
@@ -233,14 +161,8 @@ ClosedLoopReport ClosedLoopSimulator::Run() {
     }
   }
 
-  const double measured_s = config_.duration_s - config_.warmup_s;
-  report_.per_source_goodput_pps.reserve(sources_.size());
-  for (const Source& s : sources_) {
-    report_.per_source_goodput_pps.push_back(
-        static_cast<double>(s.delivered_post_warmup) / measured_s);
-  }
-  report_.residual_packets = queue_.packets();
-  return report_;
+  report_.link = link_.TakeReport();
+  return std::move(report_);
 }
 
 }  // namespace analognf::sim

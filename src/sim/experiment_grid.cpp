@@ -480,7 +480,9 @@ GridCellResult ExperimentGrid::RunCell(AqmPolicyKind policy_kind,
   cell.load = load;
   cell.ecn_fraction = ecn_fraction;
 
-  std::vector<double> post_warmup;
+  // The two simulators differ in their traffic and in what utilization
+  // and fairness mean; the bottleneck's report core is read once below.
+  LinkReport link;
   if (simulator == GridSimulator::kOpenLoop) {
     net::MetaSourceConfig mc;
     mc.arrivals = OpenLoopArrivals(spec_, load);
@@ -496,16 +498,11 @@ GridCellResult ExperimentGrid::RunCell(AqmPolicyKind policy_kind,
     qc.queue.max_bytes = BufferBytes(spec_, rtt_s);
 
     QueueSimulator open_sim(qc, source, *cell_policy.policy);
-    const SimReport report = open_sim.Run();
-    post_warmup = report.delay.ValuesFrom(spec_.open_warmup_s);
-    cell.offered_packets = report.offered_packets;
-    cell.delivered_packets = report.delivered_packets;
-    cell.dropped_packets =
-        report.queue_stats.dropped_full + report.queue_stats.dropped_aqm;
-    cell.marked_packets = report.ecn_marked_packets;
-    cell.fairness = report.FlowFairnessIndex();
+    SimReport report = open_sim.Run();
+    cell.fairness = report.link.FairnessIndex();
     cell.utilization =
         std::min(1.0, report.ThroughputBps() / spec_.link_rate_bps);
+    link = std::move(report.link);
   } else {
     ClosedLoopConfig cc;
     cc.sources = load.sources;
@@ -519,23 +516,21 @@ GridCellResult ExperimentGrid::RunCell(AqmPolicyKind policy_kind,
     cc.seed = cell_seed;
 
     ClosedLoopSimulator closed_sim(cc, *cell_policy.policy);
-    const ClosedLoopReport report = closed_sim.Run();
-    post_warmup = report.delay.ValuesFrom(spec_.closed_warmup_s);
-    cell.offered_packets = report.offered_packets;
-    cell.delivered_packets = report.delivered_packets;
-    cell.dropped_packets = report.dropped_packets;
-    cell.marked_packets = report.marked_packets;
+    ClosedLoopReport report = closed_sim.Run();
     cell.fairness = report.FairnessIndex();
     cell.utilization =
         report.LinkUtilization(spec_.link_rate_bps, spec_.segment_bytes);
+    link = std::move(report.link);
   }
 
-  if (!post_warmup.empty()) {
-    cell.adherence = FractionWithin(
-        post_warmup, spec_.target_delay_s - spec_.max_deviation_s,
-        spec_.target_delay_s + spec_.max_deviation_s);
-  }
-  FillSojourns(std::move(post_warmup), cell);
+  cell.offered_packets = link.offered_packets;
+  cell.delivered_packets = link.delivered_packets;
+  cell.dropped_packets = link.dropped_packets;
+  cell.marked_packets = link.marked_packets;
+  cell.adherence = link.DelayFractionWithin(
+      spec_.target_delay_s - spec_.max_deviation_s,
+      spec_.target_delay_s + spec_.max_deviation_s);
+  FillSojourns(link.delay.ValuesFrom(link.warmup_s), cell);
   if (cell.offered_packets > 0) {
     const auto offered = static_cast<double>(cell.offered_packets);
     cell.drop_rate = static_cast<double>(cell.dropped_packets) / offered;

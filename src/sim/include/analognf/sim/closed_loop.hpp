@@ -7,16 +7,17 @@
 // 1/cwnd per ack); a drop or an ECN CE mark halves it (multiplicative
 // decrease, at most once per RTT). This is the workload where ECN
 // marking genuinely sheds load without losing packets, and where
-// CoDel's design assumptions hold.
+// CoDel's design assumptions hold. The sources share the open loop's
+// AQM-guarded bottleneck (sim::Bottleneck).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "analognf/aqm/aqm.hpp"
-#include "analognf/common/stats.hpp"
 #include "analognf/common/timeseries.hpp"
 #include "analognf/net/queue.hpp"
+#include "analognf/sim/bottleneck.hpp"
 #include "analognf/sim/event_queue.hpp"
 
 namespace analognf::sim {
@@ -37,25 +38,19 @@ struct ClosedLoopConfig {
   net::PacketQueue::Config queue{};
   std::uint64_t seed = 0x7c9;
 
+  LinkConfig link() const {
+    return {duration_s, warmup_s, link_rate_bps, queue};
+  }
   void Validate() const;  // throws std::invalid_argument
 };
 
 struct ClosedLoopReport {
-  analognf::TimeSeries delay{"sojourn_s"};
+  // The bottleneck's report core; its flows are the sources, each one
+  // counted from the start.
+  LinkReport link;
   analognf::TimeSeries total_cwnd{"cwnd_pkts"};
-  analognf::RunningStats delay_stats;  // post-warmup
-  std::uint64_t offered_packets = 0;
-  std::uint64_t delivered_packets = 0;
-  std::uint64_t dropped_packets = 0;  // AQM + tail drops
-  std::uint64_t marked_packets = 0;
-  // Packets still sitting in the queue when the run ended. Conservation
-  // holds exactly: offered == delivered + dropped + residual.
-  std::uint64_t residual_packets = 0;
-  std::vector<double> per_source_goodput_pps;  // post-warmup
-  double duration_s = 0.0;
-  double warmup_s = 0.0;
 
-  // Jain's fairness index over per-source goodput (1 = perfectly fair).
+  // Jain's fairness index over per-source post-warmup goodput.
   double FairnessIndex() const;
   // Post-warmup goodput as a fraction of link capacity, capped at 1.0
   // (warmup-boundary effects can push the raw ratio slightly over).
@@ -66,7 +61,11 @@ struct ClosedLoopReport {
 class ClosedLoopSimulator {
  public:
   ClosedLoopSimulator(ClosedLoopConfig config, aqm::AqmPolicy& policy);
+  // The bottleneck holds this simulator's calendar.
+  ClosedLoopSimulator(const ClosedLoopSimulator&) = delete;
+  ClosedLoopSimulator& operator=(const ClosedLoopSimulator&) = delete;
 
+  // Runs the simulation once (the calendar does not rewind).
   ClosedLoopReport Run();
 
  private:
@@ -76,7 +75,6 @@ class ClosedLoopSimulator {
     double next_send_s = 0.0;
     // Multiplicative decrease is applied at most once per RTT.
     double decrease_blocked_until_s = 0.0;
-    std::uint64_t delivered_post_warmup = 0;
   };
 
   // Event kinds; `arg` is the source index (kAck: index << 1 | CE mark).
@@ -90,11 +88,9 @@ class ClosedLoopSimulator {
   void Decrease(std::size_t source, double now_s);
 
   ClosedLoopConfig config_;
-  aqm::AqmPolicy& policy_;
   EventQueue events_;
-  net::PacketQueue queue_;
+  Bottleneck link_;
   std::vector<Source> sources_;
-  bool server_busy_ = false;
   std::uint64_t next_packet_id_ = 0;
   ClosedLoopReport report_;
 };

@@ -1,15 +1,13 @@
-// Single-queue link simulation: the Fig. 8 experiment harness.
+// Open-loop link simulation: the Fig. 8 experiment harness.
 //
-// A MetaSource feeds a FIFO queue drained by a fixed-rate link.
-// An AQM policy sees every admission (enqueue hook) and every head
-// departure (dequeue hook). The simulator records the delay-versus-time
-// trace the paper plots, plus queue depth, drop-probability samples and
-// the AQM's energy account.
+// A MetaSource feeds the AQM-guarded bottleneck (sim::Bottleneck) with
+// unresponsive arrivals, optionally changing its rate in scheduled
+// phases. On top of the bottleneck's report core the simulator records
+// the queue-depth and drop-probability traces the paper plots, per-
+// priority delays and a streaming p99.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <vector>
 
 #include "analognf/aqm/aqm.hpp"
@@ -19,8 +17,8 @@
 #include "analognf/common/timeseries.hpp"
 #include "analognf/net/generator.hpp"
 #include "analognf/net/queue.hpp"
+#include "analognf/sim/bottleneck.hpp"
 #include "analognf/sim/event_queue.hpp"
-#include "analognf/telemetry/metrics.hpp"
 
 namespace analognf::sim {
 
@@ -42,50 +40,28 @@ struct QueueSimConfig {
   // Queue-depth sampling period for the depth trace.
   double sample_interval_s = 0.02;
 
+  LinkConfig link() const {
+    return {duration_s, warmup_s, link_rate_bps, queue};
+  }
   void Validate() const;  // throws std::invalid_argument
 };
 
 struct SimReport {
-  analognf::TimeSeries delay{"sojourn_s"};        // per delivered packet
+  LinkReport link;  // the bottleneck's report core
   analognf::TimeSeries queue_depth{"queue_pkts"};
-  analognf::TimeSeries drop_prob{"pdp"};          // policy PDP samples
+  analognf::TimeSeries drop_prob{"pdp"};  // policy PDP samples
   net::QueueStats queue_stats;
-  // Post-warmup summaries.
-  analognf::RunningStats delay_stats;
-  // Streaming p99 of post-warmup delays (P-square; O(1) memory even on
-  // very long runs).
+  // Post-warmup summaries beyond the core's: a streaming p99 (P-square;
+  // O(1) memory even on very long runs) and the per-priority delays.
   analognf::P2Quantile delay_p99{0.99};
   analognf::RunningStats delay_stats_high_priority;
   analognf::RunningStats delay_stats_low_priority;
-  std::uint64_t offered_packets = 0;
-  std::uint64_t delivered_packets = 0;
-  std::uint64_t ecn_marked_packets = 0;
   std::uint64_t delivered_marked_packets = 0;
-  // Post-warmup deliveries per flow (keyed by flow_hash): the open-loop
-  // analogue of the closed loop's per-source goodput, for Jain fairness
-  // in the experiment grid.
-  std::map<std::uint64_t, std::uint64_t> delivered_by_flow;
   double delivered_bytes = 0.0;
-  double duration_s = 0.0;
-  double warmup_s = 0.0;
-  double aqm_energy_j = 0.0;
 
-  double DropRate() const;        // all drops / offered
-  double ThroughputBps() const;   // delivered payload bits per second
-  // Fraction of post-warmup delay samples within [lo, hi] seconds — the
-  // "delays kept within the programmed latency bounds" metric.
-  double DelayFractionWithin(double lo_s, double hi_s) const;
-  // Jain's fairness index over per-flow post-warmup deliveries
-  // (1 = perfectly fair; 0 when nothing was delivered post-warmup).
-  double FlowFairnessIndex() const;
-};
-
-// Registry handles a bound QueueSimulator reports into (`sim.*` names).
-struct SimTelemetry {
-  telemetry::CounterHandle offered;      // packets the source produced
-  telemetry::CounterHandle delivered;    // packets that left the link
-  telemetry::HistogramHandle sojourn_us; // per-delivery sojourn [µs]
-  telemetry::GaugeHandle queue_depth;    // occupancy at sample instants
+  // Delivered payload bits per second over the whole run, warmup
+  // included.
+  double ThroughputBps() const;
 };
 
 class QueueSimulator {
@@ -95,24 +71,20 @@ class QueueSimulator {
   QueueSimulator(QueueSimConfig config, net::MetaSource& source,
                  aqm::AqmPolicy& policy,
                  aqm::CognitiveAqmController* controller = nullptr);
+  // The bottleneck holds this simulator's calendar.
+  QueueSimulator(const QueueSimulator&) = delete;
+  QueueSimulator& operator=(const QueueSimulator&) = delete;
 
-  // Binds `sim.offered/.delivered` counters, the `sim.sojourn_us`
-  // histogram and the `sim.queue_depth` gauge. Telemetry never changes
-  // the simulation: the report and traces are byte-identical either way.
-  void BindTelemetry(telemetry::MetricsRegistry& registry);
-  const SimTelemetry& telemetry() const { return telemetry_; }
-
+  // Runs the simulation once (the calendar does not rewind).
   SimReport Run();
 
  private:
   enum EventKind : std::uint32_t { kSample, kArrival, kDeparture };
 
   void OnArrival();
-  void StartServiceIfIdle();
   void OnDeparture();
   void ScheduleNextArrival();
   void SampleDepth();
-  void SamplePdp();
 
   QueueSimConfig config_;
   net::MetaSource& source_;
@@ -120,12 +92,10 @@ class QueueSimulator {
   aqm::CognitiveAqmController* controller_;
 
   EventQueue events_;
+  Bottleneck link_;
   net::PacketMeta pending_arrival_;  // the one arrival on the calendar
-  net::PacketQueue queue_;
-  bool server_busy_ = false;
   std::size_t next_phase_ = 0;
   SimReport report_;
-  SimTelemetry telemetry_;
 };
 
 }  // namespace analognf::sim

@@ -2,95 +2,45 @@
 
 #include <cmath>
 #include <stdexcept>
-
-#include "analognf/aqm/analog_aqm.hpp"
+#include <utility>
 
 namespace analognf::sim {
 
 void QueueSimConfig::Validate() const {
-  if (!(duration_s > 0.0)) {
-    throw std::invalid_argument("QueueSimConfig: duration <= 0");
-  }
-  if (warmup_s < 0.0 || warmup_s >= duration_s) {
+  link().Validate();
+  if (!std::isfinite(sample_interval_s) || !(sample_interval_s > 0.0)) {
     throw std::invalid_argument(
-        "QueueSimConfig: warmup must be in [0, duration)");
+        "QueueSimConfig: sample interval not finite > 0");
   }
-  if (!(link_rate_bps > 0.0)) {
-    throw std::invalid_argument("QueueSimConfig: link rate <= 0");
-  }
-  if (!(sample_interval_s > 0.0)) {
-    throw std::invalid_argument("QueueSimConfig: sample interval <= 0");
-  }
-  for (std::size_t i = 1; i < phases.size(); ++i) {
-    if (phases[i].start_s < phases[i - 1].start_s) {
+  for (std::size_t i = 0; i < phases.size(); ++i) {
+    const RatePhase& phase = phases[i];
+    // Checked here rather than by SetRate mid-run.
+    if (!std::isfinite(phase.start_s) || !std::isfinite(phase.rate_pps) ||
+        !(phase.rate_pps > 0.0)) {
+      throw std::invalid_argument(
+          "QueueSimConfig: phase start not finite or rate not finite > 0");
+    }
+    if (i > 0 && phase.start_s < phases[i - 1].start_s) {
       throw std::invalid_argument("QueueSimConfig: phases out of order");
     }
   }
 }
 
-double SimReport::DropRate() const {
-  if (offered_packets == 0) return 0.0;
-  const std::uint64_t drops =
-      queue_stats.dropped_full + queue_stats.dropped_aqm;
-  return static_cast<double>(drops) / static_cast<double>(offered_packets);
-}
-
 double SimReport::ThroughputBps() const {
-  if (duration_s <= 0.0) return 0.0;
-  return delivered_bytes * 8.0 / duration_s;
-}
-
-double SimReport::FlowFairnessIndex() const {
-  if (delivered_by_flow.empty()) return 0.0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (const auto& [flow, delivered] : delivered_by_flow) {
-    const auto d = static_cast<double>(delivered);
-    sum += d;
-    sum_sq += d * d;
-  }
-  if (sum_sq <= 0.0) return 0.0;
-  const auto n = static_cast<double>(delivered_by_flow.size());
-  return sum * sum / (n * sum_sq);
-}
-
-double SimReport::DelayFractionWithin(double lo_s, double hi_s) const {
-  std::size_t inside = 0;
-  std::size_t total = 0;
-  for (const auto& p : delay.points()) {
-    if (p.time < warmup_s) continue;
-    ++total;
-    if (p.value >= lo_s && p.value <= hi_s) ++inside;
-  }
-  return total == 0 ? 0.0
-                    : static_cast<double>(inside) /
-                          static_cast<double>(total);
+  if (link.duration_s <= 0.0) return 0.0;
+  return delivered_bytes * 8.0 / link.duration_s;
 }
 
 QueueSimulator::QueueSimulator(QueueSimConfig config,
                                net::MetaSource& source,
                                aqm::AqmPolicy& policy,
                                aqm::CognitiveAqmController* controller)
-    : config_(config),
+    : config_(std::move(config)),
       source_(source),
       policy_(policy),
       controller_(controller),
-      queue_(config.queue) {
+      link_(config_.link(), policy, events_, kDeparture) {
   config_.Validate();
-}
-
-void QueueSimulator::BindTelemetry(telemetry::MetricsRegistry& registry) {
-  telemetry_.offered = registry.GetCounter("sim.offered");
-  telemetry_.delivered = registry.GetCounter("sim.delivered");
-  // Sojourns span microseconds (an idle fast link) to whole seconds of
-  // standing-queue delay: 1 µs doubling 30 times reaches ~17 minutes.
-  telemetry::HistogramSpec sojourn_spec;
-  sojourn_spec.first_bound = 1.0;
-  sojourn_spec.growth = 2.0;
-  sojourn_spec.buckets = 30;
-  telemetry_.sojourn_us =
-      registry.GetHistogram("sim.sojourn_us", sojourn_spec);
-  telemetry_.queue_depth = registry.GetGauge("sim.queue_depth");
 }
 
 void QueueSimulator::ScheduleNextArrival() {
@@ -101,116 +51,48 @@ void QueueSimulator::ScheduleNextArrival() {
 }
 
 void QueueSimulator::SampleDepth() {
-  const double depth = static_cast<double>(queue_.packets());
-  report_.queue_depth.Append(events_.now(), depth);
-  telemetry_.queue_depth.Set(depth);
+  report_.queue_depth.Append(
+      events_.now(), static_cast<double>(link_.queue().packets()));
   if (events_.now() + config_.sample_interval_s <= config_.duration_s) {
     events_.ScheduleIn(config_.sample_interval_s, kSample);
   }
 }
 
-void QueueSimulator::SamplePdp() {
-  const double pdp = policy_.LastDropProbability();
-  if (std::isfinite(pdp)) {
-    report_.drop_prob.Append(events_.now(), pdp);
-  }
-}
-
 void QueueSimulator::OnArrival() {
-  const net::PacketMeta packet = pending_arrival_;
-  const double now = events_.now();
-  ++report_.offered_packets;
-  telemetry_.offered.Inc();
-
   // Apply any pending offered-load phase changes.
   while (next_phase_ < config_.phases.size() &&
-         config_.phases[next_phase_].start_s <= now) {
+         config_.phases[next_phase_].start_s <= events_.now()) {
     source_.SetRate(config_.phases[next_phase_].rate_pps);
     ++next_phase_;
   }
 
-  aqm::AqmContext ctx;
-  ctx.now_s = now;
-  ctx.sojourn_s = queue_.HeadSojourn(now);
-  ctx.queue_bytes = queue_.bytes();
-  ctx.queue_packets = queue_.packets();
-  ctx.packet = packet;
-
-  const aqm::AqmVerdict verdict = policy_.DecideOnEnqueue(ctx);
-  SamplePdp();
-  if (verdict == aqm::AqmVerdict::kDrop) {
-    queue_.NoteAqmDrop(packet);
-  } else {
-    net::PacketMeta admitted = packet;
-    if (verdict == aqm::AqmVerdict::kMark) {
-      admitted.ecn_marked = true;
-      ++report_.ecn_marked_packets;
-    }
-    if (queue_.Enqueue(admitted, now)) {
-      StartServiceIfIdle();
-    }
-  }
+  link_.Offer(pending_arrival_);
+  const double pdp = policy_.LastDropProbability();
+  if (std::isfinite(pdp)) report_.drop_prob.Append(events_.now(), pdp);
   ScheduleNextArrival();
-}
-
-void QueueSimulator::StartServiceIfIdle() {
-  if (server_busy_) return;
-  const net::PacketMeta* head = queue_.Peek();
-  if (head == nullptr) return;
-  server_busy_ = true;
-  const double service_s =
-      static_cast<double>(head->size_bytes) * 8.0 / config_.link_rate_bps;
-  events_.ScheduleIn(service_s, kDeparture);
 }
 
 void QueueSimulator::OnDeparture() {
   const double now = events_.now();
-  server_busy_ = false;
-
-  auto dequeued = queue_.Dequeue(now);
-  if (!dequeued.has_value()) return;
-
-  // CoDel-style head-drop loop: the policy may discard the head and the
-  // server immediately takes the next packet in the same service slot.
-  while (dequeued.has_value()) {
-    aqm::AqmContext ctx;
-    ctx.now_s = now;
-    ctx.sojourn_s = dequeued->sojourn_s;
-    ctx.queue_bytes = queue_.bytes();
-    ctx.queue_packets = queue_.packets();
-    ctx.packet = dequeued->meta;
-    if (!policy_.ShouldDropOnDequeue(ctx)) break;
-    queue_.NoteAqmDrop(dequeued->meta);
-    dequeued = queue_.Dequeue(now);
-  }
-  if (!dequeued.has_value()) return;
-
-  // Deliver.
-  report_.delay.Append(now, dequeued->sojourn_s);
-  ++report_.delivered_packets;
-  telemetry_.delivered.Inc();
-  telemetry_.sojourn_us.Observe(dequeued->sojourn_s * 1e6);
-  if (dequeued->meta.ecn_marked) ++report_.delivered_marked_packets;
-  report_.delivered_bytes += dequeued->meta.size_bytes;
-  if (now >= config_.warmup_s) {
-    report_.delay_stats.Add(dequeued->sojourn_s);
-    report_.delay_p99.Add(dequeued->sojourn_s);
-    ++report_.delivered_by_flow[dequeued->meta.flow_hash];
-    if (dequeued->meta.priority >= 4) {
-      report_.delay_stats_high_priority.Add(dequeued->sojourn_s);
-    } else {
-      report_.delay_stats_low_priority.Add(dequeued->sojourn_s);
+  auto on_deliver = [&](const net::DequeuedPacket& delivered) {
+    if (delivered.meta.ecn_marked) ++report_.delivered_marked_packets;
+    report_.delivered_bytes += delivered.meta.size_bytes;
+    if (now >= config_.warmup_s) {
+      report_.delay_p99.Add(delivered.sojourn_s);
+      if (delivered.meta.priority >= 4) {
+        report_.delay_stats_high_priority.Add(delivered.sojourn_s);
+      } else {
+        report_.delay_stats_low_priority.Add(delivered.sojourn_s);
+      }
     }
-  }
-  if (controller_ != nullptr) {
-    controller_->ObserveDeparture(now, dequeued->sojourn_s);
-  }
-  StartServiceIfIdle();
+    if (controller_ != nullptr) {
+      controller_->ObserveDeparture(now, delivered.sojourn_s);
+    }
+  };
+  link_.Depart([](const net::PacketMeta&) {}, on_deliver);
 }
 
 SimReport QueueSimulator::Run() {
-  report_ = SimReport{};
-
   // Pre-size the sampled traces: the sampler fires once per interval for
   // the whole run, and the PDP trace records one point per offered
   // packet-admission decision (bounded below by the sampler count).
@@ -236,13 +118,9 @@ SimReport QueueSimulator::Run() {
     }
   }
 
-  report_.queue_stats = queue_.stats();
-  report_.duration_s = config_.duration_s;
-  report_.warmup_s = config_.warmup_s;
-  if (auto* analog = dynamic_cast<aqm::AnalogAqm*>(&policy_)) {
-    report_.aqm_energy_j = analog->ConsumedEnergyJ();
-  }
-  return report_;
+  report_.queue_stats = link_.queue().stats();
+  report_.link = link_.TakeReport();
+  return std::move(report_);
 }
 
 }  // namespace analognf::sim

@@ -14,9 +14,7 @@
 // Instrumented code holds *handles* (CounterHandle, GaugeHandle,
 // HistogramHandle), not metrics: a handle from a disabled registry is
 // null and every operation on it is an inlined no-op, so the
-// TelemetryConfig off-switch produces zero metric writes. Defining
-// ANALOGNF_NO_TELEMETRY additionally compiles every handle operation
-// out entirely (the build-time kill switch).
+// TelemetryConfig off-switch produces zero metric writes.
 //
 // Metric pointers handed out by the registry are stable for the
 // registry's lifetime (the same contract as EnergyLedger::Meter).
@@ -165,18 +163,14 @@ class Histogram {
 // ---------------------------------------------------------------- handles
 // Null-safe views instrumented code holds. A default-constructed (or
 // disabled-registry) handle is inert; all operations inline to a single
-// predictable branch — or to nothing under ANALOGNF_NO_TELEMETRY.
+// predictable branch.
 
 class CounterHandle {
  public:
   CounterHandle() = default;
   explicit CounterHandle(Counter* c) : c_(c) {}
   void Inc(std::uint64_t n = 1) const {
-#ifndef ANALOGNF_NO_TELEMETRY
     if (c_ != nullptr) c_->Inc(n);
-#else
-    (void)n;
-#endif
   }
   bool bound() const { return c_ != nullptr; }
 
@@ -189,18 +183,10 @@ class GaugeHandle {
   GaugeHandle() = default;
   explicit GaugeHandle(Gauge* g) : g_(g) {}
   void Set(double v) const {
-#ifndef ANALOGNF_NO_TELEMETRY
     if (g_ != nullptr) g_->Set(v);
-#else
-    (void)v;
-#endif
   }
   void Add(double v) const {
-#ifndef ANALOGNF_NO_TELEMETRY
     if (g_ != nullptr) g_->Add(v);
-#else
-    (void)v;
-#endif
   }
   bool bound() const { return g_ != nullptr; }
 
@@ -213,11 +199,7 @@ class HistogramHandle {
   HistogramHandle() = default;
   explicit HistogramHandle(Histogram* h) : h_(h) {}
   void Observe(double x) const {
-#ifndef ANALOGNF_NO_TELEMETRY
     if (h_ != nullptr) h_->Observe(x);
-#else
-    (void)x;
-#endif
   }
   bool bound() const { return h_ != nullptr; }
 

@@ -318,13 +318,6 @@ TEST(PercentileTest, SelectionIsBitIdenticalToSort) {
   EXPECT_THROW(PercentileInPlace(empty, 0.5), std::invalid_argument);
 }
 
-TEST(FractionWithinTest, CountsInclusiveBounds) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_NEAR(FractionWithin(xs, 2.0, 3.0), 0.5, 1e-12);
-  EXPECT_NEAR(FractionWithin(xs, 0.0, 10.0), 1.0, 1e-12);
-  EXPECT_NEAR(FractionWithin(xs, 5.0, 6.0), 0.0, 1e-12);
-}
-
 // ------------------------------------------------------------ timeseries
 
 TEST(TimeSeriesTest, AppendsInOrder) {

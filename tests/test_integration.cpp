@@ -119,10 +119,10 @@ TEST(Integration, Fig8QueueManagementShape) {
   const sim::SimReport with = run(true);
 
   // Shape assertions from the figure.
-  EXPECT_GT(without.delay_stats.max(), 0.3);        // keeps increasing
-  EXPECT_LT(with.delay_stats.mean(), 0.035);        // held near target
-  EXPECT_GT(with.delay_stats.mean(), 0.004);
-  EXPECT_GT(with.DelayFractionWithin(0.0, 0.035), 0.9);
+  EXPECT_GT(without.link.delay_stats.max(), 0.3);        // keeps increasing
+  EXPECT_LT(with.link.delay_stats.mean(), 0.035);        // held near target
+  EXPECT_GT(with.link.delay_stats.mean(), 0.004);
+  EXPECT_GT(with.link.DelayFractionWithin(0.0, 0.035), 0.9);
   EXPECT_GT(with.queue_stats.dropped_aqm, 100u);
   EXPECT_EQ(without.queue_stats.dropped_aqm, 0u);
 }
@@ -217,7 +217,7 @@ TEST(Integration, CognitiveControllerImprovesConformance) {
   sim::QueueSimulator s(sc, source, policy, &controller);
   const sim::SimReport report = s.Run();
   // The loop must have run and kept delays bounded.
-  EXPECT_LT(report.delay_stats.mean(), 0.035);
+  EXPECT_LT(report.link.delay_stats.mean(), 0.035);
 }
 
 // ----------------------------------------------------- determinism
@@ -236,8 +236,8 @@ TEST(Integration, WholeStackIsDeterministic) {
     sim::QueueSimulator s(sc, source, policy);
     const sim::SimReport report = s.Run();
     return std::make_tuple(ds.ComputeEnvelope().min_energy_j,
-                           report.delivered_packets,
-                           report.delay_stats.mean(),
+                           report.link.delivered_packets,
+                           report.link.delay_stats.mean(),
                            policy.ConsumedEnergyJ());
   };
   EXPECT_EQ(run(), run());

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -382,6 +384,11 @@ TEST(PoissonGeneratorTest, SetRateChangesTempo) {
   // 1000 arrivals at 100k pps take about 10 ms.
   EXPECT_LT(t1 - t0, 0.1);
   EXPECT_THROW(gen.SetRate(0.0), std::invalid_argument);
+  EXPECT_THROW(gen.SetRate(-1.0), std::invalid_argument);
+  EXPECT_THROW(gen.SetRate(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(gen.SetRate(std::nan("")), std::invalid_argument);
+  EXPECT_EQ(gen.rate_pps(), 100000.0);  // a rejected rate changes nothing
 }
 
 TEST(MetaSourceTest, RejectsBadConfig) {
@@ -394,6 +401,28 @@ TEST(MetaSourceTest, RejectsBadConfig) {
   c = MetaSourceConfig{};
   c.arrivals.rate_pps = 0.0;
   EXPECT_THROW(MetaSource(c, 1), std::invalid_argument);
+}
+
+// Each fraction is cast to a flow count; outside [0, 1] (NaN included)
+// that cast would be undefined, so the constructor rejects it first.
+TEST(MetaSourceTest, RejectsFlowFractionsOutsideUnitInterval) {
+  for (double bad : {-0.1, 1.5, std::nan(""),
+                     std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(bad);
+    MetaSourceConfig c;
+    c.high_priority_fraction = bad;
+    EXPECT_THROW(MetaSource(c, 1), std::invalid_argument);
+    c = MetaSourceConfig{};
+    c.ecn_capable_fraction = bad;
+    EXPECT_THROW(MetaSource(c, 1), std::invalid_argument);
+  }
+  MetaSourceConfig edges;
+  edges.high_priority_fraction = 0.0;
+  edges.ecn_capable_fraction = 1.0;
+  EXPECT_NO_THROW(MetaSource(edges, 1));
+  edges.high_priority_fraction = 1.0;
+  edges.ecn_capable_fraction = 0.0;
+  EXPECT_NO_THROW(MetaSource(edges, 1));
 }
 
 TEST(MmppGeneratorTest, BurstRateExceedsCalmRate) {

@@ -454,10 +454,10 @@ TEST(ClosedLoopConservationTest, OfferedEqualsDeliveredPlusDroppedPlusResidual) 
 
     ClosedLoopSimulator simulator(config, pie);
     const ClosedLoopReport report = simulator.Run();
-    EXPECT_GT(report.offered_packets, 0u);
-    EXPECT_EQ(report.offered_packets,
-              report.delivered_packets + report.dropped_packets +
-                  report.residual_packets);
+    EXPECT_GT(report.link.offered_packets, 0u);
+    EXPECT_EQ(report.link.offered_packets,
+              report.link.delivered_packets + report.link.dropped_packets +
+                  report.link.residual_packets);
     // Utilization is a fraction of capacity by contract.
     const double util =
         report.LinkUtilization(config.link_rate_bps, config.segment_bytes);

@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/aqm/codel.hpp"
+#include "analognf/aqm/pie.hpp"
 #include "analognf/net/generator.hpp"
 #include "analognf/sim/closed_loop.hpp"
 #include "analognf/sim/event_queue.hpp"
@@ -134,6 +136,36 @@ TEST(QueueSimConfigTest, Validation) {
   c = QueueSimConfig{};
   c.phases = {{2.0, 100.0}, {1.0, 100.0}};
   EXPECT_THROW(c.Validate(), std::invalid_argument);
+
+  // Non-finite values: each is checked up front, never by a Run().
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::nan("");
+  c = QueueSimConfig{};
+  c.duration_s = inf;  // the arrival loop would never end
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  c = QueueSimConfig{};
+  c.warmup_s = nan;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  c = QueueSimConfig{};
+  c.warmup_s = -0.5;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  c = QueueSimConfig{};
+  c.link_rate_bps = inf;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  c = QueueSimConfig{};
+  c.sample_interval_s = inf;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  for (const RatePhase bad : {RatePhase{inf, 100.0}, RatePhase{nan, 100.0},
+                              RatePhase{1.0, 0.0}, RatePhase{1.0, -5.0},
+                              RatePhase{1.0, inf}, RatePhase{1.0, nan}}) {
+    c = QueueSimConfig{};
+    c.phases = {{0.5, 100.0}, bad};
+    EXPECT_THROW(c.Validate(), std::invalid_argument)
+        << bad.start_s << " " << bad.rate_pps;
+  }
+  c = QueueSimConfig{};
+  c.phases = {{0.5, 100.0}, {0.5, 2000.0}};  // equal starts are in order
+  EXPECT_NO_THROW(c.Validate());
 }
 
 // A 10 Mb/s link serving 1000-byte packets handles 1250 pps.
@@ -160,8 +192,8 @@ TEST(QueueSimulatorTest, UnderloadHasTinyDelaysAndNoDrops) {
   const SimReport report = sim.Run();
   EXPECT_EQ(report.queue_stats.dropped_full, 0u);
   EXPECT_EQ(report.queue_stats.dropped_aqm, 0u);
-  EXPECT_LT(report.delay_stats.mean(), 0.005);
-  EXPECT_GT(report.delivered_packets, 1000u);
+  EXPECT_LT(report.link.delay_stats.mean(), 0.005);
+  EXPECT_GT(report.link.delivered_packets, 1000u);
 }
 
 TEST(QueueSimulatorTest, OverloadWithoutAqmGrowsUnbounded) {
@@ -171,9 +203,9 @@ TEST(QueueSimulatorTest, OverloadWithoutAqmGrowsUnbounded) {
   aqm::TailDropOnly policy;
   QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
-  EXPECT_GT(report.delay_stats.max(), 0.5);
+  EXPECT_GT(report.link.delay_stats.max(), 0.5);
   // Delay at the end is far above delay early on.
-  const auto& pts = report.delay.points();
+  const auto& pts = report.link.delay.points();
   ASSERT_GT(pts.size(), 100u);
   EXPECT_GT(pts.back().value, 10.0 * pts[pts.size() / 10].value);
 }
@@ -186,10 +218,10 @@ TEST(QueueSimulatorTest, AnalogAqmHoldsProgrammedBound) {
   QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
   EXPECT_GT(report.queue_stats.dropped_aqm, 100u);
-  EXPECT_GT(report.delay_stats.mean(), 0.005);
-  EXPECT_LT(report.delay_stats.mean(), 0.032);
-  EXPECT_GT(report.DelayFractionWithin(0.0, 0.035), 0.9);
-  EXPECT_GT(report.aqm_energy_j, 0.0);
+  EXPECT_GT(report.link.delay_stats.mean(), 0.005);
+  EXPECT_LT(report.link.delay_stats.mean(), 0.032);
+  EXPECT_GT(report.link.DelayFractionWithin(0.0, 0.035), 0.9);
+  EXPECT_GT(policy.ConsumedEnergyJ(), 0.0);
 }
 
 TEST(QueueSimulatorTest, ConservationLaw) {
@@ -199,12 +231,14 @@ TEST(QueueSimulatorTest, ConservationLaw) {
   c.queue.max_packets = 20;
   QueueSimulator sim(c, source, policy);
   const SimReport report = sim.Run();
-  // offered = delivered + tail drops + aqm drops + in flight at the end.
-  const std::uint64_t accounted = report.delivered_packets +
-                                  report.queue_stats.dropped_full +
-                                  report.queue_stats.dropped_aqm;
-  EXPECT_GE(report.offered_packets, accounted);
-  EXPECT_LE(report.offered_packets, accounted + 21);  // queue + in service
+  // offered = delivered + tail drops + AQM drops + still queued at the
+  // end (the packet in service included).
+  EXPECT_EQ(report.link.dropped_packets, report.queue_stats.dropped_full +
+                                             report.queue_stats.dropped_aqm);
+  EXPECT_EQ(report.link.offered_packets,
+            report.link.delivered_packets + report.link.dropped_packets +
+                report.link.residual_packets);
+  EXPECT_LE(report.link.residual_packets, 20u);  // the queue bound
 }
 
 TEST(QueueSimulatorTest, ThroughputBoundedByLink) {
@@ -216,7 +250,7 @@ TEST(QueueSimulatorTest, ThroughputBoundedByLink) {
   const SimReport report = sim.Run();
   EXPECT_LE(report.ThroughputBps(), 10.0e6 * 1.05);
   EXPECT_GT(report.ThroughputBps(), 10.0e6 * 0.8);
-  EXPECT_GT(report.DropRate(), 0.3);
+  EXPECT_GT(report.link.DropRate(), 0.3);
 }
 
 TEST(QueueSimulatorTest, CodelRunsAtDequeue) {
@@ -236,7 +270,8 @@ TEST(QueueSimulatorTest, CodelRunsAtDequeue) {
   const SimReport with = run(codel);
   const SimReport without = run(taildrop);
   EXPECT_GT(with.queue_stats.dropped_aqm, 50u);
-  EXPECT_LT(with.delay_stats.mean(), 0.5 * without.delay_stats.mean());
+  EXPECT_LT(with.link.delay_stats.mean(),
+            0.5 * without.link.delay_stats.mean());
 }
 
 TEST(QueueSimulatorTest, PhasesChangeOfferedLoad) {
@@ -249,7 +284,7 @@ TEST(QueueSimulatorTest, PhasesChangeOfferedLoad) {
   // Delays before the phase flip stay tiny; after it they blow up.
   double early_max = 0.0;
   double late_max = 0.0;
-  for (const auto& p : report.delay.points()) {
+  for (const auto& p : report.link.delay.points()) {
     if (p.time < 1.9) {
       early_max = std::max(early_max, p.value);
     } else {
@@ -303,9 +338,9 @@ TEST(QueueSimulatorTest, DeterministicAcrossRuns) {
   };
   const SimReport a = run_once();
   const SimReport b = run_once();
-  EXPECT_EQ(a.delivered_packets, b.delivered_packets);
+  EXPECT_EQ(a.link.delivered_packets, b.link.delivered_packets);
   EXPECT_EQ(a.queue_stats.dropped_aqm, b.queue_stats.dropped_aqm);
-  EXPECT_EQ(a.delay_stats.mean(), b.delay_stats.mean());
+  EXPECT_EQ(a.link.delay_stats.mean(), b.link.delay_stats.mean());
 }
 
 // Priority handling end to end: high-priority flows should see a lower
@@ -342,10 +377,10 @@ TEST(QueueSimulatorTest, EcnMarksAreCountedAndDelivered) {
   aqm::AnalogAqm policy(ac);
   QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
-  EXPECT_GT(report.ecn_marked_packets, 100u);
+  EXPECT_GT(report.link.marked_packets, 100u);
   EXPECT_GT(report.delivered_marked_packets, 100u);
   // Every delivered mark was once an admitted mark.
-  EXPECT_LE(report.delivered_marked_packets, report.ecn_marked_packets);
+  EXPECT_LE(report.delivered_marked_packets, report.link.marked_packets);
 }
 
 TEST(QueueSimulatorTest, NoMarksWithoutEcn) {
@@ -353,7 +388,7 @@ TEST(QueueSimulatorTest, NoMarksWithoutEcn) {
   aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
   QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
-  EXPECT_EQ(report.ecn_marked_packets, 0u);
+  EXPECT_EQ(report.link.marked_packets, 0u);
 }
 
 // -------------------------------------------------------- closed loop
@@ -392,7 +427,7 @@ TEST(ClosedLoopTest, AimdSourcesFillTheLink) {
   const ClosedLoopReport report = sim.Run();
   // AIMD should keep the bottleneck busy.
   EXPECT_GT(report.LinkUtilization(10.0e6, 1000), 0.7);
-  EXPECT_GT(report.delivered_packets, 5000u);
+  EXPECT_GT(report.link.delivered_packets, 5000u);
 }
 
 TEST(ClosedLoopTest, AimdIsReasonablyFair) {
@@ -415,9 +450,9 @@ TEST(ClosedLoopTest, AqmKeepsClosedLoopDelayLow) {
   ClosedLoopSimulator without(c, taildrop);
   const ClosedLoopReport taildrop_report = without.Run();
 
-  EXPECT_LT(aqm_report.delay_stats.mean(),
-            0.5 * taildrop_report.delay_stats.mean());
-  EXPECT_LT(aqm_report.delay_stats.mean(), 0.035);
+  EXPECT_LT(aqm_report.link.delay_stats.mean(),
+            0.5 * taildrop_report.link.delay_stats.mean());
+  EXPECT_LT(aqm_report.link.delay_stats.mean(), 0.035);
 }
 
 TEST(ClosedLoopTest, EcnShedsLoadWithFewerDrops) {
@@ -434,9 +469,10 @@ TEST(ClosedLoopTest, EcnShedsLoadWithFewerDrops) {
   };
   const ClosedLoopReport with_ecn = run(true);
   const ClosedLoopReport without_ecn = run(false);
-  EXPECT_GT(with_ecn.marked_packets, 100u);
-  EXPECT_LT(with_ecn.dropped_packets, without_ecn.dropped_packets / 2);
-  EXPECT_LT(with_ecn.delay_stats.mean(), 0.05);
+  EXPECT_GT(with_ecn.link.marked_packets, 100u);
+  EXPECT_LT(with_ecn.link.dropped_packets,
+            without_ecn.link.dropped_packets / 2);
+  EXPECT_LT(with_ecn.link.delay_stats.mean(), 0.05);
 }
 
 TEST(ClosedLoopTest, CwndRespondsToCongestionSignals) {
@@ -447,7 +483,7 @@ TEST(ClosedLoopTest, CwndRespondsToCongestionSignals) {
   // the cap: AIMD sawtooths in between.
   analognf::RunningStats cwnd;
   for (const auto& p : report.total_cwnd.points()) {
-    if (p.time >= report.warmup_s) cwnd.Add(p.value);
+    if (p.time >= report.link.warmup_s) cwnd.Add(p.value);
   }
   EXPECT_GT(cwnd.mean(), 4.0 * 1.0);     // above all-at-min
   EXPECT_LT(cwnd.mean(), 4.0 * 256.0);   // below all-at-max
@@ -462,7 +498,7 @@ TEST(ClosedLoopTest, DeterministicAcrossRuns) {
     c.warmup_s = 1.0;
     ClosedLoopSimulator sim(c, policy);
     const ClosedLoopReport r = sim.Run();
-    return std::make_pair(r.delivered_packets, r.dropped_packets);
+    return std::make_pair(r.link.delivered_packets, r.link.dropped_packets);
   };
   EXPECT_EQ(run(), run());
 }
@@ -479,8 +515,8 @@ TEST_P(Fig8Stability, BoundHoldsAcrossSeeds) {
   c.duration_s = 6.0;
   QueueSimulator sim(c, source, policy);
   const SimReport report = sim.Run();
-  EXPECT_GT(report.DelayFractionWithin(0.0, 0.035), 0.9);
-  EXPECT_LT(report.delay_stats.mean(), 0.032);
+  EXPECT_GT(report.link.DelayFractionWithin(0.0, 0.035), 0.9);
+  EXPECT_LT(report.link.delay_stats.mean(), 0.032);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fig8Stability,
@@ -492,7 +528,7 @@ TEST(QueueSimulatorTest, StreamingP99MatchesBatchPercentile) {
   aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
   QueueSimulator sim(ShortSim(), source, policy);
   const SimReport report = sim.Run();
-  const auto delays = report.delay.ValuesFrom(report.warmup_s);
+  const auto delays = report.link.delay.ValuesFrom(report.link.warmup_s);
   ASSERT_GT(delays.size(), 1000u);
   const double exact = Percentile(delays, 0.99);
   EXPECT_NEAR(report.delay_p99.Value(), exact, exact * 0.15);
@@ -515,13 +551,102 @@ TEST_P(ClosedLoopConservation, OfferedEqualsDeliveredPlusDropped) {
   const ClosedLoopReport r = sim.Run();
   // offered = delivered + dropped + still queued/in flight (bounded by
   // the bandwidth-delay product plus queue contents; 300 is generous).
-  EXPECT_GE(r.offered_packets, r.delivered_packets + r.dropped_packets);
-  EXPECT_LE(r.offered_packets,
-            r.delivered_packets + r.dropped_packets + 300);
+  EXPECT_GE(r.link.offered_packets,
+            r.link.delivered_packets + r.link.dropped_packets);
+  EXPECT_LE(r.link.offered_packets,
+            r.link.delivered_packets + r.link.dropped_packets + 300);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ClosedLoopConservation,
                          ::testing::Values(1, 2, 3));
+
+// ---------------------------------------------------- shared bottleneck
+
+TEST(LinkReportTest, DelayFractionWithinCountsInclusiveBounds) {
+  LinkReport link;
+  link.warmup_s = 1.0;
+  link.delay.Append(0.5, 2.5);  // before warmup: not counted
+  for (double x : {1.0, 2.0, 3.0, 4.0}) link.delay.Append(1.0 + x, x);
+  EXPECT_NEAR(link.DelayFractionWithin(2.0, 3.0), 0.5, 1e-12);
+  EXPECT_NEAR(link.DelayFractionWithin(0.0, 10.0), 1.0, 1e-12);
+  EXPECT_NEAR(link.DelayFractionWithin(5.0, 6.0), 0.0, 1e-12);
+  EXPECT_EQ(LinkReport{}.DelayFractionWithin(0.0, 1.0), 0.0);
+}
+
+TEST(LinkReportTest, FairnessIndexIsJainsIndex) {
+  LinkReport link;
+  EXPECT_EQ(link.FairnessIndex(), 0.0);  // no flows
+  link.delivered_by_flow = {{7, 0}, {9, 0}};
+  EXPECT_EQ(link.FairnessIndex(), 0.0);  // nothing delivered
+  link.delivered_by_flow = {{7, 10}, {9, 10}};
+  EXPECT_NEAR(link.FairnessIndex(), 1.0, 1e-12);
+  link.delivered_by_flow = {{7, 0}, {9, 10}};  // a starved flow counts
+  EXPECT_NEAR(link.FairnessIndex(), 0.5, 1e-12);
+  EXPECT_NEAR(link.FairnessIndex(4.0), 0.5, 1e-12);  // scale-free
+}
+
+enum class Guard { kTailDrop, kAnalogEcn, kCodel, kPie };
+
+std::unique_ptr<aqm::AqmPolicy> MakeGuard(Guard guard) {
+  switch (guard) {
+    case Guard::kTailDrop:
+      return std::make_unique<aqm::TailDropOnly>();
+    case Guard::kAnalogEcn: {
+      aqm::AnalogAqmConfig ac;
+      ac.ecn_enabled = true;
+      return std::make_unique<aqm::AnalogAqm>(ac);
+    }
+    case Guard::kCodel:
+      return std::make_unique<aqm::Codel>();
+    case Guard::kPie: {
+      aqm::PieConfig pc;
+      pc.drain_rate_bps = 10.0e6;
+      return std::make_unique<aqm::Pie>(pc, 77);
+    }
+  }
+  return nullptr;
+}
+
+// Both simulators account for every offered packet through the one
+// bottleneck: delivered, dropped (at admission, at the head or by a full
+// queue) or still queued at the end. Exact under a drop-only, a marking,
+// a head-dropping and a probabilistic policy, ECN-capable traffic
+// throughout.
+TEST(BottleneckTest, ConservationIsExactOnBothSimulators) {
+  for (Guard guard :
+       {Guard::kTailDrop, Guard::kAnalogEcn, Guard::kCodel, Guard::kPie}) {
+    SCOPED_TRACE(static_cast<int>(guard));
+    std::vector<LinkReport> links;
+
+    net::MetaSourceConfig mc;
+    mc.arrivals.rate_pps = 2000.0;  // 160% load
+    mc.ecn_capable_fraction = 1.0;
+    net::MetaSource source(mc, 13);
+    QueueSimConfig qc = ShortSim();
+    qc.queue.max_packets = 60;
+    std::unique_ptr<aqm::AqmPolicy> open_policy = MakeGuard(guard);
+    links.push_back(QueueSimulator(qc, source, *open_policy).Run().link);
+
+    ClosedLoopConfig cc = SmallClosedLoop();
+    cc.ecn_fraction = 1.0;
+    cc.queue.max_bytes = 40000;
+    std::unique_ptr<aqm::AqmPolicy> closed_policy = MakeGuard(guard);
+    links.push_back(ClosedLoopSimulator(cc, *closed_policy).Run().link);
+
+    for (const LinkReport& link : links) {
+      EXPECT_GT(link.delivered_packets, 1000u);
+      EXPECT_EQ(link.offered_packets, link.delivered_packets +
+                                          link.dropped_packets +
+                                          link.residual_packets);
+      if (guard == Guard::kAnalogEcn) {
+        EXPECT_GT(link.marked_packets, 0u);
+      } else {
+        EXPECT_GT(link.dropped_packets, 0u);
+        EXPECT_EQ(link.marked_packets, 0u);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace analognf::sim
