@@ -8,6 +8,13 @@
 namespace analognf::aqm {
 namespace {
 
+// Energy per DAC conversion (charged to the analog front-end).
+constexpr double kDacEnergyJ = 1.0e-12;
+// Energy per derivative-stage sample: the memristive differentiator of
+// Fig. 6 is an RC-coupled analog block, not free; ~0.1 pJ per
+// stage-update at these bandwidths.
+constexpr double kDerivativeEnergyJ = 0.1e-12;
+
 // Stage-name helpers matching the paper's listings.
 // Built with reserve + append: g++ 12 at -O3 reports a false -Wrestrict
 // inside libstdc++'s operator+ for `literal + std::string`.
@@ -51,12 +58,6 @@ void AnalogAqmConfig::Validate() const {
   if (high_priority_relief < 0.0 || high_priority_relief > 1.0) {
     throw std::invalid_argument(
         "AnalogAqmConfig: high_priority_relief outside [0,1]");
-  }
-  if (dac_energy_j < 0.0) {
-    throw std::invalid_argument("AnalogAqmConfig: dac_energy_j < 0");
-  }
-  if (derivative_energy_j < 0.0) {
-    throw std::invalid_argument("AnalogAqmConfig: derivative_energy_j < 0");
   }
   if (ecn_drop_threshold < 0.0 || ecn_drop_threshold > 1.0) {
     throw std::invalid_argument(
@@ -111,33 +112,31 @@ core::AnalogTableSpec AnalogAqm::BuildSpec() const {
              /*pmin=*/1.0 - gain)});
   }
 
-  if (c.use_buffer_features) {
-    // --- Buffer occupancy stage: drop booster. -------------------------
-    // Below ~50% occupancy the stage is neutral (1.0); it rises to 1.5
-    // as the buffer approaches its reference size. pmin = 1.0 means the
-    // buffer can only amplify the sojourn-driven decision, never veto it.
-    const analog::LinearMap bmap(0.0, 1.5, c.feature_range);
+  // --- Buffer occupancy stage: drop booster. ---------------------------
+  // Below ~50% occupancy the stage is neutral (1.0); it rises to 1.5
+  // as the buffer approaches its reference size. pmin = 1.0 means the
+  // buffer can only amplify the sojourn-driven decision, never veto it.
+  const analog::LinearMap bmap(0.0, 1.5, c.feature_range);
+  spec.read.push_back(
+      {DerivName("buffer_size", 0),
+       core::PcamParams::MakeTrapezoid(bmap.ToVoltage(0.5),
+                                       bmap.ToVoltage(1.0), v_max + 0.5,
+                                       v_max + 1.0, /*pmax=*/1.5,
+                                       /*pmin=*/1.0)});
+  // Buffer derivative modulators (occupancy-fraction rates; a queue
+  // swings occupancy roughly twice as fast as it swings sojourn).
+  // Same order-graded gains, at 60% of the sojourn family's weight.
+  static constexpr double kBufferGain[] = {0.3, 0.12, 0.06};
+  for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
+    const double fs = 2.0 * c.derivative_full_scale[order - 1];
+    const double gain = kBufferGain[order - 1];
+    const analog::LinearMap dmap(-fs, fs, c.derivative_range);
     spec.read.push_back(
-        {DerivName("buffer_size", 0),
-         core::PcamParams::MakeTrapezoid(bmap.ToVoltage(0.5),
-                                         bmap.ToVoltage(1.0), v_max + 0.5,
-                                         v_max + 1.0, /*pmax=*/1.5,
-                                         /*pmin=*/1.0)});
-    // Buffer derivative modulators (occupancy-fraction rates; a queue
-    // swings occupancy roughly twice as fast as it swings sojourn).
-    // Same order-graded gains, at 60% of the sojourn family's weight.
-    static constexpr double kBufferGain[] = {0.3, 0.12, 0.06};
-    for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
-      const double fs = 2.0 * c.derivative_full_scale[order - 1];
-      const double gain = kBufferGain[order - 1];
-      const analog::LinearMap dmap(-fs, fs, c.derivative_range);
-      spec.read.push_back(
-          {DerivName("buffer_size", order),
-           core::PcamParams::MakeTrapezoid(
-               dmap.ToVoltage(-0.5 * fs), dmap.ToVoltage(0.5 * fs),
-               dv_max + 0.5, dv_max + 1.0, /*pmax=*/1.0 + gain,
-               /*pmin=*/1.0 - gain)});
-    }
+        {DerivName("buffer_size", order),
+         core::PcamParams::MakeTrapezoid(
+             dmap.ToVoltage(-0.5 * fs), dmap.ToVoltage(0.5 * fs),
+             dv_max + 0.5, dv_max + 1.0, /*pmax=*/1.0 + gain,
+             /*pmin=*/1.0 - gain)});
   }
   return spec;
 }
@@ -157,12 +156,10 @@ void AnalogAqm::BuildDacs() {
     const double fs = c.derivative_full_scale[order - 1];
     add_dac(analog::LinearMap(-fs, fs, c.derivative_range));
   }
-  if (c.use_buffer_features) {
-    add_dac(analog::LinearMap(0.0, 1.5, c.feature_range));
-    for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
-      const double fs = 2.0 * c.derivative_full_scale[order - 1];
-      add_dac(analog::LinearMap(-fs, fs, c.derivative_range));
-    }
+  add_dac(analog::LinearMap(0.0, 1.5, c.feature_range));
+  for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
+    const double fs = 2.0 * c.derivative_full_scale[order - 1];
+    add_dac(analog::LinearMap(-fs, fs, c.derivative_range));
   }
 }
 
@@ -184,14 +181,10 @@ AnalogAqm::AnalogAqm(AnalogAqmConfig config)
   if (dacs_.size() != table_->spec().read.size()) {
     throw std::logic_error("AnalogAqm: DAC/field count mismatch");
   }
-  chain_stages_ =
-      static_cast<double>(sojourn_chain_.max_order() +
-                          (config_.use_buffer_features
-                               ? buffer_chain_.max_order()
-                               : 0));
+  chain_stages_ = static_cast<double>(sojourn_chain_.max_order() +
+                                      buffer_chain_.max_order());
   chain_ops_ = static_cast<std::uint64_t>(chain_stages_);
-  derivative_energy_per_decision_j_ =
-      config_.derivative_energy_j * chain_stages_;
+  derivative_energy_per_decision_j_ = kDerivativeEnergyJ * chain_stages_;
   AcquireMeters();
 }
 
@@ -214,7 +207,7 @@ void AnalogAqm::FeaturesToVoltagesInto(
     const std::vector<double>& buffer_derivs, std::vector<double>& volts) {
   const std::size_t per_family = config_.derivative_orders + 1;
   if (sojourn_derivs.size() < per_family ||
-      (config_.use_buffer_features && buffer_derivs.size() < per_family)) {
+      buffer_derivs.size() < per_family) {
     throw std::invalid_argument(
         "AnalogAqm::FeaturesToVoltages: not enough derivative values");
   }
@@ -224,13 +217,10 @@ void AnalogAqm::FeaturesToVoltagesInto(
   for (std::size_t k = 0; k < per_family; ++k) {
     volts.push_back(dacs_[dac++].Convert(sojourn_derivs[k]));
   }
-  if (config_.use_buffer_features) {
-    for (std::size_t k = 0; k < per_family; ++k) {
-      volts.push_back(dacs_[dac++].Convert(buffer_derivs[k]));
-    }
+  for (std::size_t k = 0; k < per_family; ++k) {
+    volts.push_back(dacs_[dac++].Convert(buffer_derivs[k]));
   }
-  dac_meter_->energy_j +=
-      config_.dac_energy_j * static_cast<double>(volts.size());
+  dac_meter_->energy_j += kDacEnergyJ * static_cast<double>(volts.size());
   dac_meter_->operations += volts.size();
 }
 

@@ -1,25 +1,29 @@
 #include "analognf/aqm/controller.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "analognf/analog/signal.hpp"
 
 namespace analognf::aqm {
+namespace {
+
+// How often the controller considers reprogramming.
+constexpr double kAdaptIntervalS = 0.5;
+// Dead band: no adaptation while |mean - target| < kDeadBand * target.
+constexpr double kDeadBand = 0.1;
+
+}  // namespace
 
 void AqmControllerConfig::Validate() const {
-  if (!(adapt_interval_s > 0.0)) {
-    throw std::invalid_argument("AqmControllerConfig: adapt_interval <= 0");
-  }
   if (!(gain > 0.0) || gain > 1.0) {
     throw std::invalid_argument("AqmControllerConfig: gain outside (0, 1]");
   }
-  if (!(min_scale > 0.0) || !(max_scale > min_scale)) {
+  if (!(min_scale > 0.0) || !(max_scale > min_scale) ||
+      !std::isfinite(max_scale)) {
     throw std::invalid_argument(
-        "AqmControllerConfig: require 0 < min_scale < max_scale");
-  }
-  if (dead_band < 0.0) {
-    throw std::invalid_argument("AqmControllerConfig: dead_band < 0");
+        "AqmControllerConfig: require 0 < min_scale < max_scale < inf");
   }
 }
 
@@ -33,12 +37,12 @@ void CognitiveAqmController::ObserveDeparture(double now_s,
                                               double sojourn_s) {
   if (!armed_) {
     armed_ = true;
-    next_adapt_s_ = now_s + config_.adapt_interval_s;
+    next_adapt_s_ = now_s + kAdaptIntervalS;
   }
   window_.Add(sojourn_s);
   if (now_s >= next_adapt_s_) {
     Adapt(now_s);
-    next_adapt_s_ = now_s + config_.adapt_interval_s;
+    next_adapt_s_ = now_s + kAdaptIntervalS;
     window_.Reset();
   }
 }
@@ -49,7 +53,7 @@ void CognitiveAqmController::Adapt(double now_s) {
   const AnalogAqmConfig& c = aqm_.config();
   const double target = c.target_delay_s;
   const double error = window_.mean() - target;
-  if (std::abs(error) < config_.dead_band * target) return;
+  if (std::abs(error) < kDeadBand * target) return;
 
   // Mean above target -> scale the ramp thresholds down (drop earlier);
   // below target -> relax them up.

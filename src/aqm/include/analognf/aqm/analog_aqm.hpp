@@ -49,8 +49,6 @@ struct AnalogAqmConfig {
   // Derivative orders per feature (0 = base feature only, up to 3 as in
   // the paper). Ablation A sweeps this.
   std::size_t derivative_orders = 3;
-  // Include the buffer-size feature family.
-  bool use_buffer_features = true;
   // Buffer occupancy is normalised by this reference size.
   double buffer_reference_bytes = 150000.0;
 
@@ -69,16 +67,12 @@ struct AnalogAqmConfig {
   analog::VoltageRange derivative_range{-2.0, 1.0};
   unsigned dac_bits = 10;
   double dac_inl_sigma_lsb = 0.0;
-  // Energy per DAC conversion (charged to the analog front-end).
-  double dac_energy_j = 1.0e-12;
-  // Energy per derivative-stage sample (the memristive differentiator
-  // of Fig. 6 is an RC-coupled analog block, not free; ~0.1 pJ per
-  // stage-update at these bandwidths).
-  double derivative_energy_j = 0.1e-12;
 
   // Combine rule across stages (the paper's series pCAM = product).
   core::CombineMode combine = core::CombineMode::kProduct;
-  // pCAM hardware (device model, state levels, channel noise...).
+  // pCAM hardware (device model, state levels, channel noise...). Its
+  // `seed` is ignored: the constructor derives the table's hardware seed
+  // as `seed ^ 0x9cab` from the AQM seed below.
   core::HardwarePcamConfig hardware{};
 
   // "High priority traffic gets lower drop probability": multiplier

@@ -18,15 +18,11 @@
 namespace analognf::aqm {
 
 struct AqmControllerConfig {
-  // How often the controller considers reprogramming.
-  double adapt_interval_s = 0.5;
   // Proportional gain on the relative delay error per adaptation.
   double gain = 0.3;
   // Bounds on the threshold scale relative to the nominal program.
   double min_scale = 0.4;
   double max_scale = 2.0;
-  // Dead band: no adaptation while |mean - target| < dead_band * target.
-  double dead_band = 0.1;
 
   void Validate() const;  // throws std::invalid_argument
 };

@@ -79,7 +79,9 @@ struct SwitchConfig {
   tcam::TcamTechnology digital_technology =
       tcam::TcamTechnology::MemristorTcam();
   // Analog AQM program applied to every egress port. enable_aqm = false
-  // gives the pure tail-drop traffic manager.
+  // gives the pure tail-drop traffic manager. Its `seed` is ignored: the
+  // traffic manager derives one per port and service class from `seed`
+  // (stages.cpp).
   bool enable_aqm = true;
   aqm::AnalogAqmConfig aqm{};
 

@@ -163,25 +163,6 @@ std::optional<Classification> AnalogTrafficClassifier::Classify(
   return out;
 }
 
-std::vector<std::optional<Classification>>
-AnalogTrafficClassifier::ClassifyBatch(
-    const std::vector<FlowFeatures>& features, double min_confidence) {
-  std::vector<std::optional<Classification>> out(features.size());
-  if (features.empty()) return out;
-  std::vector<ClassifyOutcome> outcomes;
-  ClassifyBatchInto(features.data(), features.size(), min_confidence,
-                    outcomes);
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    if (outcomes[i].class_index < 0) continue;
-    Classification c;
-    c.class_index = static_cast<std::size_t>(outcomes[i].class_index);
-    c.label = labels_[c.class_index];
-    c.confidence = outcomes[i].confidence;
-    out[i] = std::move(c);
-  }
-  return out;
-}
-
 void AnalogTrafficClassifier::ClassifyBatchInto(
     const FlowFeatures* features, std::size_t count, double min_confidence,
     std::vector<ClassifyOutcome>& out) {

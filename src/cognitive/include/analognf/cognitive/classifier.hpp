@@ -130,12 +130,6 @@ class AnalogTrafficClassifier {
   std::optional<Classification> Classify(const FlowFeatures& features,
                                          double min_confidence = 0.0);
 
-  // Classifies many flows with one batched table search (one snapshot
-  // refresh, shared scratch). Result i corresponds to features[i] and
-  // matches what Classify(features[i]) would return.
-  std::vector<std::optional<Classification>> ClassifyBatch(
-      const std::vector<FlowFeatures>& features, double min_confidence = 0.0);
-
   // Allocation-free batch path: quantises all features into one flat
   // SIMD-friendly query block, runs one batched pCAM search, and fills
   // `out` (cleared, then one entry per input — energy is reported even

@@ -22,10 +22,6 @@ namespace analognf::cognitive {
 struct LoadBalancerConfig {
   // The load level the dispatcher asks for ("a lightly loaded backend").
   double preferred_load = 0.2;
-  // Deterministic-match half-width and probabilistic skirt of each
-  // backend's policy band, in volts on the [1, 4] V load axis.
-  double tolerance_v = 0.15;
-  double skirt_v = 0.9;
   core::HardwarePcamConfig hardware{};
 
   void Validate() const;  // throws std::invalid_argument
@@ -72,8 +68,6 @@ class AnalogLoadBalancer {
   }
 
  private:
-  core::PcamParams PolicyForLoad(double load) const;
-
   LoadBalancerConfig config_;
   core::PcamTable table_;
   std::vector<double> loads_;

@@ -1,11 +1,21 @@
 #include "analognf/cognitive/learned_aqm.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace analognf::cognitive {
 
 void LearnedAqmConfig::Validate() const {
+  // An infinite bound or scale turns the teacher ramp and the feature
+  // normalisation into inf/inf = NaN, which the perceptron would train on.
+  for (const double v : {target_delay_s, max_deviation_s,
+                         buffer_reference_bytes, derivative_full_scale,
+                         derivative_time_constant_s}) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("LearnedAqmConfig: non-finite value");
+    }
+  }
   if (!(target_delay_s > 0.0) || !(max_deviation_s > 0.0) ||
       max_deviation_s >= target_delay_s) {
     throw std::invalid_argument(
@@ -64,15 +74,10 @@ std::vector<double> LearnedAqm::ExtractFeatures(
 
 bool LearnedAqm::ShouldDropOnEnqueue(const aqm::AqmContext& ctx) {
   const std::vector<double> features = ExtractFeatures(ctx);
-  double pdp;
-  if (config_.learn_online) {
-    // Train-then-act: one delta-rule step toward the self-supervision
-    // target, then use the updated law for this packet's decision.
-    perceptron_.Train(features, TeacherPdp(ctx.sojourn_s));
-    pdp = perceptron_.Infer(features);
-  } else {
-    pdp = perceptron_.Infer(features);
-  }
+  // Train-then-act: one delta-rule step toward the self-supervision
+  // target, then use the updated law for this packet's decision.
+  perceptron_.Train(features, TeacherPdp(ctx.sojourn_s));
+  const double pdp = perceptron_.Infer(features);
   last_pdp_ = pdp;
   ++decisions_;
   return rng_.NextBernoulli(pdp);

@@ -10,6 +10,15 @@ namespace {
 // Backend load (0..1) onto the search-voltage range [1, 4] V.
 double LoadToVolts(double load) { return 1.0 + 3.0 * load; }
 
+// Deterministic-match half-width and probabilistic skirt of each
+// backend's policy band, in volts on the [1, 4] V load axis.
+constexpr double kToleranceV = 0.15;
+constexpr double kSkirtV = 0.9;
+
+core::PcamParams PolicyForLoad(double load) {
+  return core::PcamParams::MakeBand(LoadToVolts(load), kToleranceV, kSkirtV);
+}
+
 // Scrambles a flow hash into a unit draw in [0, 1). SplitMix64-style
 // finalizer so nearby hashes land far apart; the top 53 bits become the
 // mantissa of a double in [0, 1).
@@ -27,10 +36,6 @@ void LoadBalancerConfig::Validate() const {
   if (!(preferred_load >= 0.0) || !(preferred_load <= 1.0)) {
     throw std::invalid_argument(
         "LoadBalancerConfig: preferred_load outside [0, 1]");
-  }
-  if (!(tolerance_v > 0.0) || !(skirt_v > 0.0)) {
-    throw std::invalid_argument(
-        "LoadBalancerConfig: tolerance/skirt must be positive");
   }
 }
 
@@ -52,11 +57,6 @@ AnalogLoadBalancer::AnalogLoadBalancer(std::size_t backend_count,
                    static_cast<std::uint32_t>(b)});
   }
   table_.Commit();
-}
-
-core::PcamParams AnalogLoadBalancer::PolicyForLoad(double load) const {
-  return core::PcamParams::MakeBand(LoadToVolts(load), config_.tolerance_v,
-                                    config_.skirt_v);
 }
 
 void AnalogLoadBalancer::UpdateLoad(std::size_t backend, double load) {

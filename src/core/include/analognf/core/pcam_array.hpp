@@ -108,9 +108,8 @@ class PcamTable {
 
   // Full-array search: every row evaluates `inputs`; the highest match
   // degree wins (ties: lowest index). Returns nullopt only for an empty
-  // table. Energy covers all rows (they all saw the search voltage) —
-  // or, in banked mode (PcamSearchConfig::bank_rows), only the driven
-  // banks. Throws std::logic_error if mutations are staged uncommitted.
+  // table. Energy covers all rows (they all saw the search voltage).
+  // Throws std::logic_error if mutations are staged uncommitted.
   std::optional<PcamTableResult> Search(const std::vector<double>& inputs);
 
   // Batched search: one snapshot refresh and shared scratch buffers
@@ -157,10 +156,6 @@ class PcamTable {
   // structural mutation: the next Commit() is a full snapshot rebuild,
   // and searches throw until then.
   void Age(double dt_s);
-
-  // The underlying search engine (diagnostics and tests: bank counts,
-  // driven-bank accounting).
-  const PcamSearchEngine& search_engine() const { return engine_; }
 
   double ConsumedEnergyJ() const { return consumed_energy_j_; }
   // Search() calls the replay memo served (diagnostics and tests).

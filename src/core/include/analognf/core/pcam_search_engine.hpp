@@ -57,18 +57,6 @@ struct PcamSearchConfig {
   // the sharded code path even on a single-core host, which keeps the
   // merge logic testable everywhere.
   std::size_t max_threads = 0;
-  // Rows per bank for banked pre-selection (0 = unbanked, the default).
-  // A banked array splits its rows into fixed-size banks, each with its
-  // own conductance columns; before a search drives a bank, cheap
-  // per-bank bounds (min m1 / max m4 per field, recomputed on refresh)
-  // decide whether every row in it is *guaranteed* an exactly-zero match
-  // degree for this query — such banks are not driven at all: their rows
-  // score 0.0 (the value the full sweep would produce bit-for-bit) and
-  // they contribute no read energy, so search energy becomes sublinear
-  // in table size for selective queries. Banked mode requires a
-  // stateless channel: stateful channels must advance every cell's noise
-  // stream, so no row may be skipped.
-  std::size_t bank_rows = 0;
 
   void Validate() const;  // throws std::invalid_argument
 };
@@ -93,13 +81,6 @@ class PcamSearchEngine {
 
   std::size_t rows() const { return rows_; }
   std::size_t field_count() const { return field_count_; }
-  const PcamSearchConfig& config() const { return config_; }
-
-  // Bank count in banked mode (0 when unbanked) and how many banks the
-  // most recent stateless search actually drove (== bank count for an
-  // unselective query; 0 when unbanked). Diagnostics and tests.
-  std::size_t bank_count() const;
-  std::size_t last_driven_banks() const { return last_driven_banks_; }
 
   // Rebuilds the dirty snapshot rows now, off the hot path, so the next
   // search pays no refresh. Searches still refresh lazily when needed
@@ -156,7 +137,6 @@ class PcamSearchEngine {
 
   void Refresh(const std::vector<PcamWord>& words);
   void RefreshRow(const std::vector<PcamWord>& words, std::size_t row);
-  void RefreshBankMeta();
   std::size_t ShardCount() const;
 
   // Transfer function of cell (row, field) at line voltage `v`;
@@ -166,12 +146,6 @@ class PcamSearchEngine {
   // Stateless-channel fast path: whole-column passes, optionally sharded.
   void SearchStateless(const double* query, std::vector<double>& degrees,
                        PcamSearchOutcome& out);
-  // Banked stateless path: per-bank skip test, driven banks swept with
-  // the same column kernels in the same field order (bit-identical
-  // degrees), energy summed over driven banks only.
-  void SearchStatelessBanked(const double* query,
-                             std::vector<double>& degrees,
-                             PcamSearchOutcome& out);
   // Stateful-channel path: row-major walk preserving legacy noise order.
   void SearchStateful(std::vector<PcamWord>& words, const double* query,
                       std::vector<double>& degrees, PcamSearchOutcome& out);
@@ -192,15 +166,6 @@ class PcamSearchEngine {
   std::vector<std::size_t> dirty_rows_;
   bool all_dirty_ = false;
   bool any_dirty_ = false;
-
-  // Banked pre-selection metadata, rebuilt on refresh. Indexed
-  // [bank * field_count + field] except bank_nonneg_ (per bank).
-  std::vector<double> bank_m1_min_;      // min effective m1 over bank rows
-  std::vector<double> bank_m4_max_;      // max effective m4 over bank rows
-  std::vector<std::uint8_t> bank_zero_ok_;  // every pmin in bank exactly 0
-  std::vector<double> bank_g_;           // per-bank per-field G sums [S]
-  std::vector<std::uint8_t> bank_nonneg_;   // no negative pmin in bank
-  std::size_t last_driven_banks_ = 0;
 
   // Scratch reused across calls (never shrinks).
   std::vector<double> line_v_;           // per-field line voltages

@@ -28,17 +28,6 @@ PcamSearchEngine::PcamSearchEngine(std::size_t field_count,
       columns_(field_count),
       field_g_total_(field_count, 0.0) {
   config_.Validate();
-  if (config_.bank_rows != 0 && !stateless_channel_) {
-    // A skipped bank would also skip its cells' noise streams, silently
-    // desynchronising them from the unbanked walk.
-    throw std::invalid_argument(
-        "PcamSearchConfig: bank_rows requires a stateless channel");
-  }
-}
-
-std::size_t PcamSearchEngine::bank_count() const {
-  if (config_.bank_rows == 0) return 0;
-  return (rows_ + config_.bank_rows - 1) / config_.bank_rows;
 }
 
 void PcamSearchEngine::AppendRow() {
@@ -127,40 +116,7 @@ void PcamSearchEngine::Refresh(const std::vector<PcamWord>& words) {
     for (double v : g) total += v;
     field_g_total_[f] = total;
   }
-  if (config_.bank_rows != 0) RefreshBankMeta();
   any_dirty_ = false;
-}
-
-void PcamSearchEngine::RefreshBankMeta() {
-  const std::size_t banks = bank_count();
-  bank_m1_min_.assign(banks * field_count_, 0.0);
-  bank_m4_max_.assign(banks * field_count_, 0.0);
-  bank_zero_ok_.assign(banks * field_count_, 0);
-  bank_g_.assign(banks * field_count_, 0.0);
-  bank_nonneg_.assign(banks, 1);
-  for (std::size_t b = 0; b < banks; ++b) {
-    const std::size_t r0 = b * config_.bank_rows;
-    const std::size_t r1 = std::min(r0 + config_.bank_rows, rows_);
-    for (std::size_t f = 0; f < field_count_; ++f) {
-      const FieldColumn& c = columns_[f];
-      double m1_min = c.m1[r0];
-      double m4_max = c.m4[r0];
-      double g = 0.0;
-      bool zero_ok = true;
-      for (std::size_t r = r0; r < r1; ++r) {
-        m1_min = std::min(m1_min, c.m1[r]);
-        m4_max = std::max(m4_max, c.m4[r]);
-        g += c.g_sum[r];
-        zero_ok = zero_ok && c.pmin[r] == 0.0;
-        if (c.pmin[r] < 0.0) bank_nonneg_[b] = 0;
-      }
-      const std::size_t k = b * field_count_ + f;
-      bank_m1_min_[k] = m1_min;
-      bank_m4_max_[k] = m4_max;
-      bank_zero_ok_[k] = zero_ok ? 1 : 0;
-      bank_g_[k] = g;
-    }
-  }
 }
 
 double PcamSearchEngine::EvalCell(const FieldColumn& c, std::size_t row,
@@ -181,75 +137,9 @@ std::size_t PcamSearchEngine::ShardCount() const {
   return std::clamp<std::size_t>(parallelism, 1, rows_);
 }
 
-void PcamSearchEngine::SearchStatelessBanked(const double* query,
-                                             std::vector<double>& degrees,
-                                             PcamSearchOutcome& out) {
-  line_v_.resize(field_count_);
-  for (std::size_t f = 0; f < field_count_; ++f) {
-    line_v_[f] = query[f] * line_gain_;
-  }
-
-  // Skipped rows score exactly what the full sweep would compute: some
-  // field's output is its pmin rail (exactly 0.0 for every row in the
-  // bank) and every other factor is non-negative and finite, so the row
-  // product is exactly +0.0 in any field order. The bank stays undriven
-  // and burns no read energy.
-  degrees.assign(rows_, 1.0);
-  const std::size_t banks = bank_count();
-  double energy = 0.0;
-  std::size_t driven = 0;
-  for (std::size_t b = 0; b < banks; ++b) {
-    const std::size_t r0 = b * config_.bank_rows;
-    const std::size_t r1 = std::min(r0 + config_.bank_rows, rows_);
-    bool skip = false;
-    if (bank_nonneg_[b] != 0) {
-      for (std::size_t f = 0; f < field_count_; ++f) {
-        const std::size_t k = b * field_count_ + f;
-        if (bank_zero_ok_[k] != 0 && (line_v_[f] <= bank_m1_min_[k] ||
-                                      line_v_[f] >= bank_m4_max_[k])) {
-          skip = true;
-          break;
-        }
-      }
-    }
-    if (skip) {
-      std::fill(degrees.begin() + static_cast<std::ptrdiff_t>(r0),
-                degrees.begin() + static_cast<std::ptrdiff_t>(r1), 0.0);
-      continue;
-    }
-    ++driven;
-    for (std::size_t f = 0; f < field_count_; ++f) {
-      const double lv = line_v_[f];
-      energy += lv * lv * read_time_s_ * bank_g_[b * field_count_ + f];
-      const FieldColumn& c = columns_[f];
-      const simd::PcamColumnSpan span{
-          c.m1.data(), c.m2.data(), c.m3.data(), c.m4.data(),
-          c.sa.data(), c.sb.data(), c.ia.data(), c.ib.data(),
-          c.pmin.data(), c.pmax.data()};
-      simd::PcamColumnEval(span, lv, degrees.data(), r0, r1);
-    }
-  }
-  out.energy_j = energy;
-  last_driven_banks_ = driven;
-
-  // One flat arg-max pass over every row — the exact tie rule (lowest
-  // index on equal degree) of the unbanked sweep, regardless of which
-  // banks were skipped.
-  std::size_t best = 0;
-  for (std::size_t r = 1; r < rows_; ++r) {
-    if (degrees[r] > degrees[best]) best = r;
-  }
-  out.best_row = best;
-  out.best_degree = degrees[best];
-}
-
 void PcamSearchEngine::SearchStateless(const double* query,
                                        std::vector<double>& degrees,
                                        PcamSearchOutcome& out) {
-  if (config_.bank_rows != 0) {
-    SearchStatelessBanked(query, degrees, out);
-    return;
-  }
   line_v_.resize(field_count_);
   double energy = 0.0;
   for (std::size_t f = 0; f < field_count_; ++f) {
@@ -366,12 +256,10 @@ void PcamSearchEngine::SearchBatch(std::vector<PcamWord>& words,
   outcomes.assign(count, PcamSearchOutcome{});
 
   if (stateless_channel_) {
-    if (count < rows_ || config_.bank_rows != 0) {
+    if (count < rows_) {
       // Few queries over a tall table: N column sweeps (each SIMD over
       // rows). The final probe writes the caller's degree buffer so
-      // last_degrees() semantics match sequential calls. Banked tables
-      // always take this path — it is the one that skips undriven banks
-      // per query and charges only their energy.
+      // last_degrees() semantics match sequential calls.
       batch_deg_.clear();
       for (std::size_t q = 0; q < count; ++q) {
         std::vector<double>& deg =

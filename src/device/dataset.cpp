@@ -8,6 +8,12 @@
 #include <stdexcept>
 
 namespace analognf::device {
+namespace {
+
+// Width of every programming pulse of the synthesis sweep.
+constexpr double kPulseWidthS = 1.0e-3;
+
+}  // namespace
 
 void SynthesisConfig::Validate() const {
   device.Validate();
@@ -20,9 +26,6 @@ void SynthesisConfig::Validate() const {
   if (!(min_program_v > 0.0) || !(max_program_v >= min_program_v)) {
     throw std::invalid_argument(
         "SynthesisConfig: require 0 < min_program_v <= max_program_v");
-  }
-  if (!(pulse_width_s > 0.0)) {
-    throw std::invalid_argument("SynthesisConfig: pulse_width_s <= 0");
   }
   if (read_voltages_v.empty()) {
     throw std::invalid_argument("SynthesisConfig: no read voltages");
@@ -64,7 +67,7 @@ MemristorDataset MemristorDataset::Synthesize(const SynthesisConfig& config,
     // follow the pulse train.
     for (int step = 0; step <= config.states_per_machine; ++step) {
       if (step > 0) {
-        cell.ApplyPulse(amplitude, config.pulse_width_s, &machine_rng);
+        cell.ApplyPulse(amplitude, kPulseWidthS, &machine_rng);
         ++pulses_applied;
       }
       for (double v_read : config.read_voltages_v) {

@@ -50,7 +50,6 @@ struct SynthesisConfig {
   // [min_program_v, max_program_v].
   double min_program_v = 1.0;
   double max_program_v = 2.5;
-  double pulse_width_s = 1.0e-3;
   // Read-voltage sweep (the pCAM search-voltage range of Fig. 7a).
   std::vector<double> read_voltages_v = {0.1, 0.5, 1.0, 2.0, 3.0, 4.0};
   // Cycle-to-cycle programming noise; 0 keeps the sweep deterministic.

@@ -6,6 +6,12 @@
 #include <utility>
 
 namespace analognf::sim {
+namespace {
+
+// Congestion-window cap of every source [segments].
+constexpr double kMaxCwnd = 256.0;
+
+}  // namespace
 
 void ClosedLoopConfig::Validate() const {
   if (sources == 0) {
@@ -17,10 +23,10 @@ void ClosedLoopConfig::Validate() const {
   if (segment_bytes == 0) {
     throw std::invalid_argument("ClosedLoopConfig: zero segment size");
   }
-  if (!(initial_cwnd >= min_cwnd) || !(max_cwnd >= initial_cwnd) ||
-      !(min_cwnd > 0.0) || !std::isfinite(max_cwnd)) {
+  if (!(initial_cwnd >= min_cwnd) || !(kMaxCwnd >= initial_cwnd) ||
+      !(min_cwnd > 0.0)) {
     throw std::invalid_argument(
-        "ClosedLoopConfig: require 0 < min_cwnd <= initial_cwnd <= max_cwnd");
+        "ClosedLoopConfig: require 0 < min_cwnd <= initial_cwnd <= 256");
   }
   // Positive form: a NaN fraction fails it.
   if (!(ecn_fraction >= 0.0 && ecn_fraction <= 1.0)) {
@@ -125,7 +131,7 @@ void ClosedLoopSimulator::OnAck(std::size_t source, bool congestion_signal,
     Decrease(source, now_s);
   } else {
     // Additive increase: one segment per window's worth of acks.
-    src.cwnd = std::min(config_.max_cwnd, src.cwnd + 1.0 / src.cwnd);
+    src.cwnd = std::min(kMaxCwnd, src.cwnd + 1.0 / src.cwnd);
   }
 }
 

@@ -513,7 +513,6 @@ GridCellResult ExperimentGrid::RunCell(AqmPolicyKind policy_kind,
     cc.warmup_s = spec_.closed_warmup_s;
     cc.link_rate_bps = spec_.link_rate_bps;
     cc.queue.max_bytes = BufferBytes(spec_, rtt_s);
-    cc.seed = cell_seed;
 
     ClosedLoopSimulator closed_sim(cc, *cell_policy.policy);
     ClosedLoopReport report = closed_sim.Run();

@@ -29,14 +29,12 @@ struct ClosedLoopConfig {
   std::uint32_t segment_bytes = 1000;
   double initial_cwnd = 2.0;
   double min_cwnd = 1.0;
-  double max_cwnd = 256.0;
   // Fraction of sources that negotiate ECN.
   double ecn_fraction = 0.0;
   double duration_s = 20.0;
   double warmup_s = 5.0;
   double link_rate_bps = 10.0e6;
   net::PacketQueue::Config queue{};
-  std::uint64_t seed = 0x7c9;
 
   LinkConfig link() const {
     return {duration_s, warmup_s, link_rate_bps, queue};

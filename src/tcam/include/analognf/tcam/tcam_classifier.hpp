@@ -17,12 +17,12 @@
 // from the patterns without building any tables: a chunk's expected
 // candidate density under a uniform random key is
 //   mean over slots of 2^(wildcard bits in chunk) / 2^(chunk bits),
-// and only selective chunks (density <= max_chunk_density) are indexed,
-// best first, up to max_chunks. When the rule set is tiny
-// (< min_slots) or so wildcard-heavy that the product of selected
-// densities stays above max_expected_density, the classifier deactivates
-// and the engine keeps the plain full scan — the tier actually chosen is
-// visible via TcamSearchEngine::tier() and recorded per snapshot.
+// and only selective chunks (density <= 0.7) are indexed, best first,
+// up to kMaxChunks. When the rule set is tiny (< min_slots) or so
+// wildcard-heavy that the product of selected densities stays above
+// 0.5, the classifier deactivates and the engine keeps the plain full
+// scan — the tier actually chosen is visible via
+// TcamSearchEngine::tier() and recorded per snapshot.
 //
 // A compiled classifier is immutable; SelectRows is const and touches no
 // shared mutable state, so it follows the engine's concurrency contract.
@@ -39,18 +39,11 @@ namespace analognf::tcam {
 struct TcamClassifierConfig {
   // Below this many compiled slots the linear scan wins outright.
   std::size_t min_slots = 48;
-  // Upper bound on indexed chunks (clamped to kMaxChunks).
-  std::size_t max_chunks = 8;
-  // A chunk must prune at least this hard to be worth one bitmap row
-  // load per search.
-  double max_chunk_density = 0.7;
-  // If the product of selected chunk densities (the expected surviving
-  // fraction) stays above this, pruning is pointless: stay linear.
-  double max_expected_density = 0.5;
 };
 
 class TcamClassifier {
  public:
+  // Upper bound on indexed chunks.
   static constexpr std::size_t kMaxChunks = 8;
 
   explicit TcamClassifier(TcamClassifierConfig config = {})

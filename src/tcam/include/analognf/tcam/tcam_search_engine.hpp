@@ -85,7 +85,7 @@ struct TcamSearchConfig {
   // the sharded code path even on a single-core host, which keeps the
   // merge logic testable everywhere.
   std::size_t max_threads = 0;
-  // Pruning-classifier heuristic knobs. Setting classifier.min_slots to
+  // Pruning-classifier size threshold. Setting classifier.min_slots to
   // SIZE_MAX pins the engine to the linear tier (the bench's reference
   // variant).
   TcamClassifierConfig classifier;

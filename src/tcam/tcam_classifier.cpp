@@ -5,6 +5,16 @@
 #include <cmath>
 
 namespace analognf::tcam {
+namespace {
+
+// A chunk must prune at least this hard to be worth one bitmap row load
+// per search.
+constexpr double kMaxChunkDensity = 0.7;
+// If the product of selected chunk densities (the expected surviving
+// fraction) stays above this, pruning is pointless: stay linear.
+constexpr double kMaxExpectedDensity = 0.5;
+
+}  // namespace
 
 void TcamClassifier::Reset() {
   active_ = false;
@@ -44,7 +54,7 @@ void TcamClassifier::Compile(
     const double density =
         sum / (std::ldexp(1.0, static_cast<int>(b1 - b0)) *
                static_cast<double>(slots));
-    if (density <= config_.max_chunk_density) {
+    if (density <= kMaxChunkDensity) {
       candidates.push_back({c, density});
     }
   }
@@ -54,17 +64,16 @@ void TcamClassifier::Compile(
               return a.chunk < b.chunk;
             });
 
-  const std::size_t limit = std::min(config_.max_chunks, kMaxChunks);
   double product = 1.0;
   for (const Candidate& cand : candidates) {
-    if (chunk_index_.size() >= limit) break;
+    if (chunk_index_.size() >= kMaxChunks) break;
     // Diminishing returns: once the expected survivor set is already
     // tiny, another bitmap row load per search cannot pay for itself.
     if (product <= 1.0 / 1024.0) break;
     chunk_index_.push_back(cand.chunk);
     product *= cand.density;
   }
-  if (chunk_index_.empty() || product > config_.max_expected_density) {
+  if (chunk_index_.empty() || product > kMaxExpectedDensity) {
     Reset();
     return;
   }

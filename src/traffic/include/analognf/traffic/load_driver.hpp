@@ -59,10 +59,6 @@ struct LoadDriverConfig {
     kBlock,      // ring full -> producer spins (lossless, deterministic)
   };
   Overflow overflow = Overflow::kDropBatch;
-  // Installs a permit-all firewall rule plus one /32 route per
-  // population destination host, round-robined over the switch's egress
-  // ports, then commits — a closed system out of the box.
-  bool install_default_tables = true;
   // Called after the drain completes and the report is assembled, while
   // the (now idle) group is still alive — the place to snapshot
   // telemetry, dump post-mortems, or write pcaps of deliveries.

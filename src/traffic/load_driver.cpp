@@ -96,15 +96,15 @@ LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
                              std::uint64_t packet_limit) {
   const std::size_t ports = config_.ports;
   arch::SwitchGroup group(ports, config_.switch_config);
-  if (config_.install_default_tables) {
-    group.AddFirewallRule(arch::FirewallPattern{}, true, 0);
-    const PopulationConfig& pop = config_.workload.population;
-    for (std::uint32_t h = 0; h < pop.dst_hosts; ++h) {
-      group.AddRoute(pop.dst_base + h, 32,
-                     h % config_.switch_config.port_count);
-    }
-    group.Commit();
+  // A permit-all firewall rule plus one /32 route per population
+  // destination host, round-robined over the switch's egress ports: a
+  // closed system out of the box.
+  group.AddFirewallRule(arch::FirewallPattern{}, true, 0);
+  const PopulationConfig& pop = config_.workload.population;
+  for (std::uint32_t h = 0; h < pop.dst_hosts; ++h) {
+    group.AddRoute(pop.dst_base + h, 32, h % config_.switch_config.port_count);
   }
+  group.Commit();
 
   std::vector<std::unique_ptr<arch::PortRuntime::IngressRing>> rings;
   std::vector<std::unique_ptr<WorkerSide>> workers;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "analognf/aqm/analog_aqm.hpp"
@@ -694,9 +695,9 @@ TEST(AnalogAqmTest, SpecHasPaperFieldNames) {
 TEST(AnalogAqmTest, FeatureFamiliesFollowConfig) {
   AnalogAqmConfig c = TestAnalogConfig();
   c.derivative_orders = 1;
-  c.use_buffer_features = false;
   AnalogAqm aqm(c);
-  EXPECT_EQ(aqm.table().spec().read.size(), 2u);
+  // Base + 1st derivative for each of the sojourn and buffer families.
+  EXPECT_EQ(aqm.table().spec().read.size(), 4u);
 }
 
 TEST(AnalogAqmTest, NoDropsWhenQueueIsHealthy) {
@@ -937,6 +938,10 @@ TEST(AqmControllerTest, ConfigValidation) {
   c = AqmControllerConfig{};
   c.min_scale = 2.0;
   c.max_scale = 1.0;
+  EXPECT_THROW(CognitiveAqmController(aqm, c), std::invalid_argument);
+  // An unbounded scale would let the sojourn ramp drift off the DAC.
+  c = AqmControllerConfig{};
+  c.max_scale = std::numeric_limits<double>::infinity();
   EXPECT_THROW(CognitiveAqmController(aqm, c), std::invalid_argument);
 }
 

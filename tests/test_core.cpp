@@ -837,87 +837,6 @@ TEST(PcamSearchEngineTest, RejectsZeroThreadThreshold) {
   EXPECT_THROW(PcamTable(1, TestHardware(), bad), std::invalid_argument);
 }
 
-TEST(PcamSearchEngineTest, BankedSearchBitIdenticalToUnbanked) {
-  PcamSearchConfig banked_cfg;
-  banked_cfg.bank_rows = 8;
-  PcamTable reference = engine_test::MakeTestTable(61, TestHardware());
-  PcamTable banked =
-      engine_test::MakeTestTable(61, TestHardware(), banked_cfg);
-  EXPECT_EQ(banked.search_engine().bank_count(), 8u);  // ceil(61 / 8)
-  EXPECT_EQ(reference.search_engine().bank_count(), 0u);
-  bool saw_skip = false;
-  for (double v = 0.6; v < 3.6; v += 0.11) {
-    const std::vector<double> query = {v, 4.0 - v};
-    const auto a = reference.Search(query);
-    const auto b = banked.Search(query);
-    ASSERT_TRUE(a.has_value() && b.has_value());
-    EXPECT_EQ(b->row_index, a->row_index);
-    EXPECT_EQ(b->match_degree, a->match_degree);
-    // Skipped banks must report exactly the zero the full sweep would
-    // compute, so the whole degree vector is bitwise identical.
-    for (std::size_t r = 0; r < reference.size(); ++r) {
-      EXPECT_EQ(banked.last_degrees()[r], reference.last_degrees()[r]);
-    }
-    const std::size_t driven = banked.search_engine().last_driven_banks();
-    EXPECT_LE(driven, banked.search_engine().bank_count());
-    if (driven < banked.search_engine().bank_count()) saw_skip = true;
-  }
-  // The sweep includes selective queries, so the pre-selection must
-  // actually have skipped banks somewhere — else this test is vacuous.
-  EXPECT_TRUE(saw_skip);
-}
-
-TEST(PcamSearchEngineTest, BankedBatchMatchesSequentialSearches) {
-  PcamSearchConfig banked_cfg;
-  banked_cfg.bank_rows = 8;
-  PcamTable sequential =
-      engine_test::MakeTestTable(40, TestHardware(), banked_cfg);
-  PcamTable batched =
-      engine_test::MakeTestTable(40, TestHardware(), banked_cfg);
-  std::vector<std::vector<double>> queries;
-  for (double v = 0.7; v < 3.4; v += 0.19) {
-    queries.push_back({v, 4.0 - v});
-  }
-  const auto batch = batched.SearchBatch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto one = sequential.Search(queries[q]);
-    ASSERT_TRUE(one.has_value());
-    EXPECT_EQ(batch[q].row_index, one->row_index);
-    EXPECT_EQ(batch[q].match_degree, one->match_degree);
-    // Banked batches take the per-query path, so even the driven-bank
-    // energy accounting is bit-identical to sequential probes.
-    EXPECT_EQ(batch[q].energy_j, one->energy_j);
-  }
-  EXPECT_EQ(batched.ConsumedEnergyJ(), sequential.ConsumedEnergyJ());
-}
-
-TEST(PcamSearchEngineTest, BankedSkipsSpendLessEnergy) {
-  PcamSearchConfig banked_cfg;
-  banked_cfg.bank_rows = 8;
-  PcamTable reference = engine_test::MakeTestTable(64, TestHardware());
-  PcamTable banked =
-      engine_test::MakeTestTable(64, TestHardware(), banked_cfg);
-  // A query matching only the first rows: most banks sit out, and the
-  // modelled search energy covers the driven banks only.
-  const std::vector<double> query = {1.0, 3.0};
-  const auto a = reference.Search(query);
-  const auto b = banked.Search(query);
-  ASSERT_TRUE(a.has_value() && b.has_value());
-  EXPECT_LT(banked.search_engine().last_driven_banks(),
-            banked.search_engine().bank_count());
-  EXPECT_GT(b->energy_j, 0.0);
-  EXPECT_LT(b->energy_j, a->energy_j);
-}
-
-TEST(PcamSearchEngineTest, BankedRequiresStatelessChannel) {
-  HardwarePcamConfig noisy = TestHardware();
-  noisy.channel = analog::ChannelParams::Noisy(0.2);
-  PcamSearchConfig banked_cfg;
-  banked_cfg.bank_rows = 8;
-  EXPECT_THROW(PcamTable(1, noisy, banked_cfg), std::invalid_argument);
-}
-
 // ------------------------------------------------- stage-then-commit
 
 TEST(PcamTableCommitTest, SearchThrowsOnUncommittedMutations) {
