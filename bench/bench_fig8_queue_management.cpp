@@ -72,10 +72,7 @@ sim::SimReport RunOverload(aqm::AqmPolicy& policy) {
 void PrintLearningCurve() {
   bench::Banner("Fig. 8 future work 8(2): self-learning AQM (crossbar "
                 "perceptron) vs programmed pCAM AQM, 5 s windows");
-  cognitive::LearnedAqmConfig lc;
-  lc.perceptron.learning_rate = 0.25;
-  lc.perceptron.activation_gain = 4.0;
-  cognitive::LearnedAqm learned(lc);
+  cognitive::LearnedAqm learned(cognitive::LearnedAqmConfig{});
   const sim::SimReport learned_report = RunOverload(learned);
 
   aqm::AnalogAqm programmed(aqm::AnalogAqmConfig{});

@@ -38,7 +38,7 @@ int main() {
     return counts;
   };
 
-  // The dispatcher always queries for "idle-ish" (preferred_load 0.2):
+  // The dispatcher always queries for "idle-ish" (preferred load 0.2):
   // rows whose load is close match strongly, distant rows match weakly.
   std::puts("match degrees for query 'load ~ 0.2':");
   (void)lb.Pick(rng);

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# One-command verification: configure, build, test, and regenerate every
-# paper table/figure. Mirrors the commands recorded in README.md.
+# One-command verification: the orphan-header and config-knob checks,
+# then configure, build, test, and regenerate every paper table/figure.
+# Mirrors the commands recorded in README.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+scripts/check_orphans.sh
+scripts/check_knobs.sh
 
 cmake -B build -S .
 cmake --build build -j

@@ -8,9 +8,11 @@
 # also fails on an allowlist entry that no longer needs to be there (the
 # field is gone, or a program now names it).
 #
-# Blind spot: the check is a plain text search, so a generic field name
+# Blind spots: the check is a plain text search, so a generic field name
 # (`seed`, `inputs`, `enabled`, ...) counts as set whenever any program
-# names a same-named field of another struct. Such knobs pass unseen.
+# names a same-named field of another struct. And a field that every
+# program sets to one identical value counts as set, although it too has
+# only one setting in use. Such knobs pass unseen.
 #
 # Usage: scripts/check_knobs.sh   (from anywhere inside the repo)
 set -euo pipefail

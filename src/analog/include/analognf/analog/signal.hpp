@@ -17,7 +17,7 @@ struct VoltageRange {
   double lo_v;
   double hi_v;
 
-  VoltageRange(double lo, double hi) : lo_v(lo), hi_v(hi) {
+  constexpr VoltageRange(double lo, double hi) : lo_v(lo), hi_v(hi) {
     if (!(hi > lo)) {
       throw std::invalid_argument("VoltageRange: require hi > lo");
     }

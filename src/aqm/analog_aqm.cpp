@@ -14,6 +14,10 @@ constexpr double kDacEnergyJ = 1.0e-12;
 // Fig. 6 is an RC-coupled analog block, not free; ~0.1 pJ per
 // stage-update at these bandwidths.
 constexpr double kDerivativeEnergyJ = 0.1e-12;
+// Derivative features map onto [-2, 1] V (Fig. 7b).
+constexpr analog::VoltageRange kDerivativeRange{-2.0, 1.0};
+// PDP at and above which an ECN-capable packet drops instead of marking.
+constexpr double kEcnDropThreshold = 0.85;
 
 // Stage-name helpers matching the paper's listings.
 // Built with reserve + append: g++ 12 at -O3 reports a false -Wrestrict
@@ -55,14 +59,6 @@ void AnalogAqmConfig::Validate() const {
           "AnalogAqmConfig: derivative_full_scale <= 0");
     }
   }
-  if (high_priority_relief < 0.0 || high_priority_relief > 1.0) {
-    throw std::invalid_argument(
-        "AnalogAqmConfig: high_priority_relief outside [0,1]");
-  }
-  if (ecn_drop_threshold < 0.0 || ecn_drop_threshold > 1.0) {
-    throw std::invalid_argument(
-        "AnalogAqmConfig: ecn_drop_threshold outside [0,1]");
-  }
   hardware.Validate();
 }
 
@@ -98,12 +94,12 @@ core::AnalogTableSpec AnalogAqm::BuildSpec() const {
   // Modulator gain shrinks with derivative order: each differentiation
   // stage amplifies sampling noise, so the 2nd/3rd-order features get a
   // progressively smaller say (their rails sit closer to the neutral 1.0).
-  const double dv_max = c.derivative_range.hi_v;
+  const double dv_max = kDerivativeRange.hi_v;
   static constexpr double kSojournGain[] = {0.5, 0.2, 0.1};
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
     const double fs = c.derivative_full_scale[order - 1];
     const double gain = kSojournGain[order - 1];
-    const analog::LinearMap dmap(-fs, fs, c.derivative_range);
+    const analog::LinearMap dmap(-fs, fs, kDerivativeRange);
     spec.read.push_back(
         {DerivName("sojourn_time", order),
          core::PcamParams::MakeTrapezoid(
@@ -130,7 +126,7 @@ core::AnalogTableSpec AnalogAqm::BuildSpec() const {
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
     const double fs = 2.0 * c.derivative_full_scale[order - 1];
     const double gain = kBufferGain[order - 1];
-    const analog::LinearMap dmap(-fs, fs, c.derivative_range);
+    const analog::LinearMap dmap(-fs, fs, kDerivativeRange);
     spec.read.push_back(
         {DerivName("buffer_size", order),
          core::PcamParams::MakeTrapezoid(
@@ -154,12 +150,12 @@ void AnalogAqm::BuildDacs() {
   add_dac(analog::LinearMap(0.0, domain_hi, c.feature_range));
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
     const double fs = c.derivative_full_scale[order - 1];
-    add_dac(analog::LinearMap(-fs, fs, c.derivative_range));
+    add_dac(analog::LinearMap(-fs, fs, kDerivativeRange));
   }
   add_dac(analog::LinearMap(0.0, 1.5, c.feature_range));
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
     const double fs = 2.0 * c.derivative_full_scale[order - 1];
-    add_dac(analog::LinearMap(-fs, fs, c.derivative_range));
+    add_dac(analog::LinearMap(-fs, fs, kDerivativeRange));
   }
 }
 
@@ -250,13 +246,13 @@ AqmVerdict AnalogAqm::DecideOnEnqueue(const AqmContext& ctx) {
 
   FeaturesToVoltagesInto(sojourn, buffer, volts_scratch_);
   double pdp = EvaluatePdp(volts_scratch_);
-  if (ctx.packet.priority >= 4) pdp *= config_.high_priority_relief;
+  if (ctx.packet.priority >= 4) pdp *= kHighPriorityRelief;
   last_pdp_ = pdp;
   if (!rng_.NextBernoulli(pdp)) return AqmVerdict::kAccept;
   // Congestion signalled on this packet: mark if ECN applies and the
   // congestion is not yet severe, else drop.
   if (config_.ecn_enabled && ctx.packet.ecn_capable &&
-      pdp < config_.ecn_drop_threshold) {
+      pdp < kEcnDropThreshold) {
     return AqmVerdict::kMark;
   }
   return AqmVerdict::kDrop;

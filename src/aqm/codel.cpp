@@ -6,8 +6,10 @@
 namespace analognf::aqm {
 
 void CodelConfig::Validate() const {
-  if (!(target_s > 0.0) || !(interval_s > 0.0)) {
-    throw std::invalid_argument("CodelConfig: target and interval must be > 0");
+  if (!(target_s > 0.0) || !(interval_s > 0.0) || !std::isfinite(target_s) ||
+      !std::isfinite(interval_s)) {
+    throw std::invalid_argument(
+        "CodelConfig: target and interval must be finite > 0");
   }
 }
 

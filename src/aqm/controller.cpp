@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "analognf/analog/signal.hpp"
 
@@ -13,25 +12,15 @@ namespace {
 constexpr double kAdaptIntervalS = 0.5;
 // Dead band: no adaptation while |mean - target| < kDeadBand * target.
 constexpr double kDeadBand = 0.1;
+// Proportional gain on the relative delay error per adaptation.
+constexpr double kGain = 0.3;
+// Bounds on the threshold scale relative to the nominal program.
+constexpr double kMinScale = 0.4;
+constexpr double kMaxScale = 2.0;
 
 }  // namespace
 
-void AqmControllerConfig::Validate() const {
-  if (!(gain > 0.0) || gain > 1.0) {
-    throw std::invalid_argument("AqmControllerConfig: gain outside (0, 1]");
-  }
-  if (!(min_scale > 0.0) || !(max_scale > min_scale) ||
-      !std::isfinite(max_scale)) {
-    throw std::invalid_argument(
-        "AqmControllerConfig: require 0 < min_scale < max_scale < inf");
-  }
-}
-
-CognitiveAqmController::CognitiveAqmController(AnalogAqm& aqm,
-                                               AqmControllerConfig config)
-    : aqm_(aqm), config_(config) {
-  config_.Validate();
-}
+CognitiveAqmController::CognitiveAqmController(AnalogAqm& aqm) : aqm_(aqm) {}
 
 void CognitiveAqmController::ObserveDeparture(double now_s,
                                               double sojourn_s) {
@@ -57,9 +46,8 @@ void CognitiveAqmController::Adapt(double now_s) {
 
   // Mean above target -> scale the ramp thresholds down (drop earlier);
   // below target -> relax them up.
-  const double adjustment = 1.0 - config_.gain * (error / target);
-  scale_ = std::clamp(scale_ * adjustment, config_.min_scale,
-                      config_.max_scale);
+  const double adjustment = 1.0 - kGain * (error / target);
+  scale_ = std::clamp(scale_ * adjustment, kMinScale, kMaxScale);
 
   // Rebuild the sojourn base-stage program at the new scale and push it
   // through the table's update_pCAM action — the same path the paper's

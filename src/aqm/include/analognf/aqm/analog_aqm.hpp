@@ -61,10 +61,10 @@ struct AnalogAqmConfig {
   // used without constant saturation.
   std::array<double, 3> derivative_full_scale = {2.0, 300.0, 50000.0};
 
-  // Hardware voltage ranges: the Fig. 7 sweeps. Sojourn/buffer features
-  // map onto [1,4] V (Fig. 7a), derivatives onto [-2,1] V (Fig. 7b).
+  // Hardware voltage range of the Fig. 7 sweeps: sojourn/buffer features
+  // map onto [1,4] V (Fig. 7a); derivatives always map onto [-2,1] V
+  // (Fig. 7b).
   analog::VoltageRange feature_range{1.0, 4.0};
-  analog::VoltageRange derivative_range{-2.0, 1.0};
   unsigned dac_bits = 10;
   double dac_inl_sigma_lsb = 0.0;
 
@@ -75,16 +75,11 @@ struct AnalogAqmConfig {
   // as `seed ^ 0x9cab` from the AQM seed below.
   core::HardwarePcamConfig hardware{};
 
-  // "High priority traffic gets lower drop probability": multiplier
-  // applied to the PDP of packets with priority >= 4.
-  double high_priority_relief = 0.5;
-
-  // ECN: when enabled, ECN-capable packets whose PDP falls below
-  // ecn_drop_threshold are CE-marked instead of dropped; above it the
-  // congestion is considered severe and the packet drops regardless
-  // (mirrors PIE's mark/drop split).
+  // ECN: when enabled, ECN-capable packets whose PDP falls below 0.85
+  // are CE-marked instead of dropped; above it the congestion is
+  // considered severe and the packet drops regardless (mirrors PIE's
+  // mark/drop split).
   bool ecn_enabled = false;
-  double ecn_drop_threshold = 0.85;
 
   std::uint64_t seed = 0xa0a051;
 
@@ -93,6 +88,10 @@ struct AnalogAqmConfig {
 
 class AnalogAqm final : public AqmPolicy {
  public:
+  // "High priority traffic gets lower drop probability": multiplier
+  // applied to the PDP of packets with priority >= 4.
+  static constexpr double kHighPriorityRelief = 0.5;
+
   explicit AnalogAqm(AnalogAqmConfig config);
 
   bool ShouldDropOnEnqueue(const AqmContext& ctx) override;

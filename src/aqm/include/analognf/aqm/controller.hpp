@@ -17,19 +17,9 @@
 
 namespace analognf::aqm {
 
-struct AqmControllerConfig {
-  // Proportional gain on the relative delay error per adaptation.
-  double gain = 0.3;
-  // Bounds on the threshold scale relative to the nominal program.
-  double min_scale = 0.4;
-  double max_scale = 2.0;
-
-  void Validate() const;  // throws std::invalid_argument
-};
-
 class CognitiveAqmController {
  public:
-  CognitiveAqmController(AnalogAqm& aqm, AqmControllerConfig config = {});
+  explicit CognitiveAqmController(AnalogAqm& aqm);
 
   // Feeds one departure observation (measured sojourn). May trigger an
   // update_pCAM reprogramming of the sojourn stage.
@@ -45,7 +35,6 @@ class CognitiveAqmController {
   void Adapt(double now_s);
 
   AnalogAqm& aqm_;
-  AqmControllerConfig config_;
   analognf::RunningStats window_;
   double next_adapt_s_ = 0.0;
   bool armed_ = false;

@@ -33,8 +33,6 @@ struct Pi2Config {
   // it (RFC 9332 Sec. 2.1).
   double alpha = 0.3125;
   double beta = 3.125;
-  // Coupling factor between the classic and scalable laws.
-  double coupling_k = 2.0;
   // Drain rate for the Little's-law delay estimate, bits/s.
   double drain_rate_bps = 10e6;
 
@@ -43,6 +41,9 @@ struct Pi2Config {
 
 class Pi2 final : public AqmPolicy {
  public:
+  // Coupling factor k between the classic and scalable laws.
+  static constexpr double kCouplingK = 2.0;
+
   Pi2(Pi2Config config, std::uint64_t seed);
 
   // Classic path: Bernoulli(p'^2) drop.

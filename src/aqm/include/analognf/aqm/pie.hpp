@@ -21,7 +21,6 @@ struct PieConfig {
   double update_interval_s = 0.015;   // T_UPDATE
   double alpha = 0.125;               // proportional gain [1/s]
   double beta = 1.25;                 // derivative-of-error gain [1/s]
-  double max_burst_s = 0.150;         // MAX_BURST
   // Drain rate used for the delay estimate (Little's law), bytes/s.
   // RFC 8033 measures this; the simulator knows its link rate and
   // passes it in.
@@ -32,6 +31,10 @@ struct PieConfig {
 
 class Pie final : public AqmPolicy {
  public:
+  // RFC 8033 MAX_BURST: the burst allowance granted at start and re-armed
+  // after the queue drains.
+  static constexpr double kMaxBurstS = 0.150;
+
   Pie(PieConfig config, std::uint64_t seed);
 
   bool ShouldDropOnEnqueue(const AqmContext& ctx) override;

@@ -1,20 +1,25 @@
 #include "analognf/aqm/pi2.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace analognf::aqm {
 
 void Pi2Config::Validate() const {
+  // An infinite gain or rate turns the PI update into inf * 0 = NaN.
+  for (const double v : {target_delay_s, update_interval_s, alpha, beta,
+                         drain_rate_bps}) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("Pi2Config: non-finite value");
+    }
+  }
   if (!(target_delay_s > 0.0) || !(update_interval_s > 0.0)) {
     throw std::invalid_argument(
         "Pi2Config: target delay and update interval must be > 0");
   }
   if (!(alpha > 0.0) || !(beta >= 0.0)) {
     throw std::invalid_argument("Pi2Config: require alpha > 0, beta >= 0");
-  }
-  if (!(coupling_k >= 1.0)) {
-    throw std::invalid_argument("Pi2Config: coupling_k < 1");
   }
   if (!(drain_rate_bps > 0.0)) {
     throw std::invalid_argument("Pi2Config: drain_rate_bps <= 0");
@@ -27,7 +32,7 @@ Pi2::Pi2(Pi2Config config, std::uint64_t seed)
 }
 
 double Pi2::mark_probability_l4s() const {
-  return std::min(1.0, config_.coupling_k * base_prob_);
+  return std::min(1.0, kCouplingK * base_prob_);
 }
 
 void Pi2::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {

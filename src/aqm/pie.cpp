@@ -1,6 +1,7 @@
 #include "analognf/aqm/pie.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "analognf/common/units.hpp"
@@ -8,6 +9,13 @@
 namespace analognf::aqm {
 
 void PieConfig::Validate() const {
+  // An infinite gain or rate turns the PI update into inf * 0 = NaN.
+  for (const double v : {target_delay_s, update_interval_s, alpha, beta,
+                         drain_rate_bps}) {
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("PieConfig: non-finite value");
+    }
+  }
   if (!(target_delay_s > 0.0) || !(update_interval_s > 0.0)) {
     throw std::invalid_argument(
         "PieConfig: target delay and update interval must be > 0");
@@ -18,15 +26,12 @@ void PieConfig::Validate() const {
   if (!(drain_rate_bps > 0.0)) {
     throw std::invalid_argument("PieConfig: drain_rate_bps <= 0");
   }
-  if (max_burst_s < 0.0) {
-    throw std::invalid_argument("PieConfig: max_burst_s < 0");
-  }
 }
 
 Pie::Pie(PieConfig config, std::uint64_t seed)
     : config_(config), rng_(seed) {
   config_.Validate();
-  burst_allowance_s_ = config_.max_burst_s;
+  burst_allowance_s_ = kMaxBurstS;
 }
 
 void Pie::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {
@@ -83,7 +88,7 @@ void Pie::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {
   if (drop_prob_ == 0.0 &&
       qdelay_s_ < config_.target_delay_s / 2.0 &&
       prev_qdelay_s < config_.target_delay_s / 2.0) {
-    burst_allowance_s_ = config_.max_burst_s;
+    burst_allowance_s_ = kMaxBurstS;
   }
 }
 
@@ -100,7 +105,7 @@ void Pie::Reset() {
   qdelay_s_ = 0.0;
   qdelay_old_s_ = 0.0;
   last_update_s_ = 0.0;
-  burst_allowance_s_ = config_.max_burst_s;
+  burst_allowance_s_ = kMaxBurstS;
   initialized_ = false;
 }
 

@@ -117,8 +117,7 @@ class LoadBalancerStage final : public MatchActionStage {
   // `ports` is the balanced group (backend b of the balancer maps to
   // ports[b]); empty = all ports. `port_count` bounds the membership
   // lookup table.
-  LoadBalancerStage(std::vector<std::uint32_t> ports, std::size_t port_count,
-                    cognitive::LoadBalancerConfig config);
+  LoadBalancerStage(std::vector<std::uint32_t> ports, std::size_t port_count);
   void Process(net::PacketBatch& batch) override;
   cognitive::AnalogLoadBalancer& balancer() { return balancer_; }
   const std::vector<std::uint32_t>& ports() const { return ports_; }
@@ -148,7 +147,7 @@ class TrafficClassStage final : public MatchActionStage {
   TrafficClassStage(
       const std::vector<cognitive::AnalogTrafficClassifier::ClassSpec>&
           classes,
-      core::HardwarePcamConfig hardware, double min_confidence);
+      double min_confidence);
   void Process(net::PacketBatch& batch) override;
   cognitive::AnalogTrafficClassifier& classifier() { return classifier_; }
   const cognitive::FlowTracker& tracker() const { return tracker_; }

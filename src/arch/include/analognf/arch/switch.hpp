@@ -93,14 +93,12 @@ struct SwitchConfig {
   // Empty lb_ports = every port participates.
   bool enable_load_balancer = false;
   std::vector<std::uint32_t> lb_ports{};
-  cognitive::LoadBalancerConfig load_balancer{};
   // Analog traffic analysis: one pCAM search tags each routed packet's
   // flow with a class (batch's traffic_class lane + per-class counters).
   bool enable_classifier = false;
   std::vector<cognitive::AnalogTrafficClassifier::ClassSpec>
       classifier_classes{};
   double classifier_min_confidence = 0.05;
-  core::HardwarePcamConfig classifier_hardware{};
 
   std::uint64_t seed = 0x5317c4;
 

@@ -26,11 +26,9 @@ struct TopologyConfig {
   double warmup_s = 2.0;
   // Per-hop switch configuration (port 0 is the line's forwarding port).
   SwitchConfig hop{};
-  // Route installed on every hop so traffic traverses the line.
-  std::uint32_t dst_network = 0x0a000000;  // 10.0.0.0
+  // Prefix length of the route to 10.0.0.0 installed on every hop so
+  // traffic traverses the line.
   int dst_prefix_len = 8;
-  // Simulation step (drain/forward granularity).
-  double step_s = 0.001;
 
   void Validate() const;  // throws std::invalid_argument
 };
@@ -56,7 +54,7 @@ class LineTopology {
   LineTopology(TopologyConfig config);
 
   // Runs generated traffic through the line. The source's packets are
-  // materialised as UDP datagrams toward dst_network.
+  // materialised as UDP datagrams toward 10.0.0.0.
   TopologyReport Run(net::MetaSource& source);
 
   CognitiveSwitch& hop(std::size_t index) { return *switches_.at(index); }

@@ -127,8 +127,7 @@ void RouteStage::Process(net::PacketBatch& batch) {
 // ---------------------------------------------------- LoadBalancerStage
 
 LoadBalancerStage::LoadBalancerStage(std::vector<std::uint32_t> ports,
-                                     std::size_t port_count,
-                                     cognitive::LoadBalancerConfig config)
+                                     std::size_t port_count)
     : MatchActionStage("load-balancer"),
       ports_([&] {
         if (ports.empty()) {
@@ -139,7 +138,7 @@ LoadBalancerStage::LoadBalancerStage(std::vector<std::uint32_t> ports,
         }
         return std::move(ports);
       }()),
-      balancer_(ports_.size(), config) {
+      balancer_(ports_.size()) {
   member_.assign(port_count, 0);
   for (std::uint32_t p : ports_) {
     if (p >= port_count) {
@@ -174,10 +173,8 @@ void LoadBalancerStage::Process(net::PacketBatch& batch) {
 
 TrafficClassStage::TrafficClassStage(
     const std::vector<cognitive::AnalogTrafficClassifier::ClassSpec>& classes,
-    core::HardwarePcamConfig hardware, double min_confidence)
-    : MatchActionStage("traffic-class"),
-      min_confidence_(min_confidence),
-      classifier_(hardware) {
+    double min_confidence)
+    : MatchActionStage("traffic-class"), min_confidence_(min_confidence) {
   for (const auto& spec : classes) classifier_.AddClass(spec);
   class_counts_.assign(classifier_.classes(), 0);
 }

@@ -37,7 +37,6 @@ void SwitchConfig::Validate() const {
   }
   if (enable_aqm) aqm.Validate();
   if (enable_load_balancer) {
-    load_balancer.Validate();
     std::vector<bool> seen(port_count, false);
     for (std::uint32_t p : lb_ports) {
       if (p >= port_count) {
@@ -137,15 +136,14 @@ void CognitiveSwitch::BuildGraph() {
 
   if (config_.enable_load_balancer) {
     auto lb = std::make_unique<LoadBalancerStage>(
-        config_.lb_ports, config_.port_count, config_.load_balancer);
+        config_.lb_ports, config_.port_count);
     lb_ = lb.get();
     graph_.Add(std::move(lb));
   }
 
   if (config_.enable_classifier) {
     auto classify = std::make_unique<TrafficClassStage>(
-        config_.classifier_classes, config_.classifier_hardware,
-        config_.classifier_min_confidence);
+        config_.classifier_classes, config_.classifier_min_confidence);
     classify_ = classify.get();
     graph_.Add(std::move(classify));
   }

@@ -1,24 +1,34 @@
 #include "analognf/arch/topology.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <stdexcept>
 #include <unordered_map>
 
 namespace analognf::arch {
+namespace {
+
+// Simulation step (drain/forward granularity).
+constexpr double kStepS = 0.001;
+// Destination network of every generated packet: 10.0.0.0.
+constexpr std::uint32_t kDstNetwork = 0x0a000000;
+
+}  // namespace
 
 void TopologyConfig::Validate() const {
   if (hops == 0) {
     throw std::invalid_argument("TopologyConfig: zero hops");
   }
-  if (propagation_delay_s < 0.0) {
-    throw std::invalid_argument("TopologyConfig: negative propagation");
+  // A NaN delay would break the ordering of the in-flight calendar.
+  if (!std::isfinite(propagation_delay_s) || propagation_delay_s < 0.0) {
+    throw std::invalid_argument(
+        "TopologyConfig: propagation delay not finite >= 0");
   }
-  if (!(duration_s > 0.0) || warmup_s < 0.0 || warmup_s >= duration_s) {
+  // An infinite duration would never end the run.
+  if (!std::isfinite(duration_s) || !(duration_s > 0.0) || warmup_s < 0.0 ||
+      warmup_s >= duration_s) {
     throw std::invalid_argument("TopologyConfig: bad duration/warmup");
-  }
-  if (!(step_s > 0.0)) {
-    throw std::invalid_argument("TopologyConfig: step <= 0");
   }
   if (dst_prefix_len < 0 || dst_prefix_len > 32) {
     throw std::invalid_argument("TopologyConfig: bad prefix length");
@@ -36,7 +46,7 @@ LineTopology::LineTopology(TopologyConfig config)
     SwitchConfig hop_config = config_.hop;
     hop_config.seed = config_.hop.seed + 0x701 * (k + 1);
     auto sw = std::make_unique<CognitiveSwitch>(hop_config);
-    sw->AddRoute(config_.dst_network, config_.dst_prefix_len, 0);
+    sw->AddRoute(kDstNetwork, config_.dst_prefix_len, 0);
     switches_.push_back(std::move(sw));
   }
 }
@@ -49,7 +59,7 @@ net::Packet LineTopology::Materialize(const net::PacketMeta& meta) const {
   // A stable per-flow source address inside 8.0.0.0/8.
   ip.src_ip = 0x08000000u |
               static_cast<std::uint32_t>(meta.flow_hash & 0x00ffffff);
-  ip.dst_ip = config_.dst_network | 0x5;
+  ip.dst_ip = kDstNetwork | 0x5;
   ip.protocol = net::kIpProtoUdp;
   ip.dscp = meta.priority >= 4 ? std::uint8_t{46} : std::uint8_t{0};
   net::UdpHeader udp;
@@ -130,7 +140,7 @@ TopologyReport LineTopology::Run(net::MetaSource& source) {
     b.origins.push_back(origin_ingress_s);
   };
 
-  for (double t = 0.0; t <= config_.duration_s; t += config_.step_s) {
+  for (double t = 0.0; t <= config_.duration_s; t += kStepS) {
     // 1. Fresh arrivals into hop 0.
     while (next_arrival.arrival_time_s <= t) {
       ++report.offered;

@@ -13,12 +13,8 @@ void AssociativeMemoryConfig::Validate() const {
   if (capacity == 0) {
     throw std::invalid_argument("AssociativeMemoryConfig: zero capacity");
   }
-  if (!(conductance_unit_siemens > 0.0)) {
-    throw std::invalid_argument(
-        "AssociativeMemoryConfig: conductance unit <= 0");
-  }
   device.Validate();
-  if (conductance_unit_siemens > 1.0 / device.r_lrs_ohm) {
+  if (AssociativeMemory::kConductanceUnitSiemens > 1.0 / device.r_lrs_ohm) {
     throw std::invalid_argument(
         "AssociativeMemoryConfig: conductance unit exceeds the device's "
         "maximum conductance");
@@ -58,7 +54,7 @@ std::size_t AssociativeMemory::Store(const std::string& label,
   const double floor_siemens = 1.0 / config_.device.r_hrs_ohm;
   for (std::size_t row = 0; row < config_.dimensions; ++row) {
     const double g = std::max(
-        floor_siemens, pattern[row] * config_.conductance_unit_siemens);
+        floor_siemens, pattern[row] * kConductanceUnitSiemens);
     xbar_.At(row, column).SetResistance(1.0 / g);
   }
   labels_.push_back(label);
@@ -87,7 +83,7 @@ void AssociativeMemory::ComputeSimilarities(
   // the conductance unit).
   const std::vector<double> currents = xbar_.Multiply(probe);
   for (std::size_t i = 0; i < labels_.size(); ++i) {
-    const double dot = currents[i] / config_.conductance_unit_siemens;
+    const double dot = currents[i] / kConductanceUnitSiemens;
     last_similarities_[i] =
         std::clamp(dot / (probe_norm * pattern_norms_[i]), 0.0, 1.0);
   }

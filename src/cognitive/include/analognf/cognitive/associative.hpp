@@ -28,8 +28,7 @@ struct AssociativeMemoryConfig {
   std::size_t dimensions = 8;
   // Maximum number of storable patterns (columns).
   std::size_t capacity = 16;
-  // Conductance representing pattern value 1.0 [S].
-  double conductance_unit_siemens = 1.0e-9;
+  // Its LRS conductance must reach AssociativeMemory::kConductanceUnitSiemens.
   device::MemristorParams device = device::MemristorParams::NbSrTiO3();
   std::uint64_t seed = 0xa550c;
 
@@ -47,6 +46,9 @@ struct RecallResult {
 
 class AssociativeMemory {
  public:
+  // Conductance representing pattern value 1.0 [S].
+  static constexpr double kConductanceUnitSiemens = 1.0e-9;
+
   explicit AssociativeMemory(AssociativeMemoryConfig config);
 
   std::size_t size() const { return labels_.size(); }

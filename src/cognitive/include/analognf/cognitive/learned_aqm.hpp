@@ -27,9 +27,7 @@ struct LearnedAqmConfig {
   double buffer_reference_bytes = 150000.0;
   double derivative_full_scale = 2.0;  // s/s, as in the programmed AQM
   double derivative_time_constant_s = 0.005;
-  // The constructor derives and ignores `perceptron.inputs` (always the
-  // 4 features) and `perceptron.seed` (`seed ^ 0xbb`).
-  PerceptronConfig perceptron{};
+  // Seeds the drop draws; the perceptron's crossbar gets `seed ^ 0xbb`.
   std::uint64_t seed = 0x1ea4;
 
   void Validate() const;  // throws std::invalid_argument

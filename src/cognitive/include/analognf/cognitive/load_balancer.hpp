@@ -20,18 +20,13 @@
 namespace analognf::cognitive {
 
 struct LoadBalancerConfig {
-  // The load level the dispatcher asks for ("a lightly loaded backend").
-  double preferred_load = 0.2;
   core::HardwarePcamConfig hardware{};
-
-  void Validate() const;  // throws std::invalid_argument
 };
 
 // Analog (pCAM-backed) load balancer over a fixed set of backends.
 class AnalogLoadBalancer {
  public:
-  // Every backend starts at load 0. Throws on zero backends or a bad
-  // config.
+  // Every backend starts at load 0. Throws on zero backends.
   AnalogLoadBalancer(std::size_t backend_count,
                      LoadBalancerConfig config = {});
 
@@ -68,7 +63,6 @@ class AnalogLoadBalancer {
   }
 
  private:
-  LoadBalancerConfig config_;
   core::PcamTable table_;
   std::vector<double> loads_;
   std::vector<double> query_;

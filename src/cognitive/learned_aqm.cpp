@@ -38,11 +38,15 @@ void LearnedAqmConfig::Validate() const {
 LearnedAqm::LearnedAqm(LearnedAqmConfig config)
     : config_([&] {
         config.Validate();
-        config.perceptron.inputs = 4;
-        config.perceptron.seed = config.seed ^ 0xbb;
         return config;
       }()),
-      perceptron_(config_.perceptron),
+      // One input per feature of ExtractFeatures, and the tuning under
+      // which the blank crossbar converges within the first seconds of
+      // the Fig. 8 workload.
+      perceptron_({.inputs = 4,
+                   .learning_rate = 0.25,
+                   .activation_gain = 4.0,
+                   .seed = config_.seed ^ 0xbb}),
       sojourn_chain_(1, config_.derivative_time_constant_s),
       buffer_chain_(1, config_.derivative_time_constant_s),
       rng_(config_.seed) {}

@@ -10,6 +10,9 @@ namespace {
 // Backend load (0..1) onto the search-voltage range [1, 4] V.
 double LoadToVolts(double load) { return 1.0 + 3.0 * load; }
 
+// The load level the dispatcher asks for ("a lightly loaded backend").
+constexpr double kPreferredLoad = 0.2;
+
 // Deterministic-match half-width and probabilistic skirt of each
 // backend's policy band, in volts on the [1, 4] V load axis.
 constexpr double kToleranceV = 0.15;
@@ -32,21 +35,10 @@ double UnitDrawOf(std::uint64_t flow_hash) {
 
 }  // namespace
 
-void LoadBalancerConfig::Validate() const {
-  if (!(preferred_load >= 0.0) || !(preferred_load <= 1.0)) {
-    throw std::invalid_argument(
-        "LoadBalancerConfig: preferred_load outside [0, 1]");
-  }
-}
-
 AnalogLoadBalancer::AnalogLoadBalancer(std::size_t backend_count,
                                        LoadBalancerConfig config)
-    : config_([&] {
-        config.Validate();
-        return config;
-      }()),
-      table_(/*field_count=*/1, config_.hardware),
-      query_({LoadToVolts(config_.preferred_load)}) {
+    : table_(/*field_count=*/1, config.hardware),
+      query_({LoadToVolts(kPreferredLoad)}) {
   if (backend_count == 0) {
     throw std::invalid_argument("AnalogLoadBalancer: zero backends");
   }

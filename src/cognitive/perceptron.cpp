@@ -16,19 +16,14 @@ void PerceptronConfig::Validate() const {
   if (!(activation_gain > 0.0)) {
     throw std::invalid_argument("PerceptronConfig: activation_gain <= 0");
   }
-  if (!(max_weight > 0.0)) {
-    throw std::invalid_argument("PerceptronConfig: max_weight <= 0");
-  }
-  if (!(weight_unit_siemens > 0.0)) {
-    throw std::invalid_argument("PerceptronConfig: weight_unit <= 0");
-  }
   device.Validate();
   // The full weight range must be programmable on the device.
-  const double g_max = max_weight * weight_unit_siemens;
+  const double g_max = CrossbarPerceptron::kMaxWeight *
+                       CrossbarPerceptron::kWeightUnitSiemens;
   if (g_max > 1.0 / device.r_lrs_ohm) {
     throw std::invalid_argument(
-        "PerceptronConfig: max_weight * weight_unit exceeds the device's "
-        "maximum conductance");
+        "PerceptronConfig: the weight range exceeds the device's maximum "
+        "conductance");
   }
 }
 
@@ -48,9 +43,9 @@ void CrossbarPerceptron::ProgramWeight(std::size_t index) {
   const double floor_siemens = 1.0 / xbar_.At(index, 0).params().r_hrs_ohm;
   const double w = weights_[index];
   const double g_pos =
-      std::max(floor_siemens, std::max(w, 0.0) * config_.weight_unit_siemens);
+      std::max(floor_siemens, std::max(w, 0.0) * kWeightUnitSiemens);
   const double g_neg =
-      std::max(floor_siemens, std::max(-w, 0.0) * config_.weight_unit_siemens);
+      std::max(floor_siemens, std::max(-w, 0.0) * kWeightUnitSiemens);
   xbar_.At(index, 0).SetResistance(1.0 / g_pos);
   xbar_.At(index, 1).SetResistance(1.0 / g_neg);
 }
@@ -64,7 +59,7 @@ double CrossbarPerceptron::Infer(const std::vector<double>& features) {
   const std::vector<double> currents = xbar_.Multiply(rows);
   // Signed weighted sum, re-expressed in weight units.
   const double sum =
-      (currents[0] - currents[1]) / config_.weight_unit_siemens;
+      (currents[0] - currents[1]) / kWeightUnitSiemens;
   return 1.0 / (1.0 + std::exp(-config_.activation_gain * sum));
 }
 
@@ -81,7 +76,7 @@ double CrossbarPerceptron::Train(const std::vector<double>& features,
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     weights_[i] = std::clamp(
         weights_[i] + config_.learning_rate * error * rows[i],
-        -config_.max_weight, config_.max_weight);
+        -kMaxWeight, kMaxWeight);
     ProgramWeight(i);
   }
   ++updates_;

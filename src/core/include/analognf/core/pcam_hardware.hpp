@@ -42,9 +42,9 @@ struct HardwarePcamConfig {
   analog::VoltageRange input_range{-2.0, 4.0};
   // Search-line signal integrity.
   analog::ChannelParams channel = analog::ChannelParams::Ideal();
-  // Per-cell device-to-device variation (applied at construction).
+  // Per-cell device-to-device variation (applied at construction): the
+  // default DeviceVariation spread.
   bool apply_device_variation = false;
-  device::DeviceVariation variation{};
   std::uint64_t seed = 0x9cab;
 
   void Validate() const;  // throws std::invalid_argument

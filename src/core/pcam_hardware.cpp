@@ -15,7 +15,7 @@ constexpr double kProgramPulseWidthS = 1.0e-3;
 device::MemristorParams MakeCellDevice(const HardwarePcamConfig& config,
                                        analognf::RandomStream& rng) {
   if (config.apply_device_variation) {
-    return config.variation.Apply(config.device, rng);
+    return device::DeviceVariation{}.Apply(config.device, rng);
   }
   return config.device;
 }

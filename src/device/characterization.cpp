@@ -1,33 +1,40 @@
 #include "analognf/device/characterization.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace analognf::device {
+namespace {
+
+// Amplitude A of the sine drive [V].
+constexpr double kAmplitudeV = 2.0;
+
+}  // namespace
 
 void HysteresisSweepConfig::Validate() const {
-  if (!(amplitude_v > 0.0)) {
-    throw std::invalid_argument("HysteresisSweepConfig: amplitude <= 0");
-  }
-  if (!(period_s > 0.0)) {
-    throw std::invalid_argument("HysteresisSweepConfig: period <= 0");
-  }
-  if (cycles < 1 || samples_per_cycle < 8) {
+  // An infinite period makes every sample time inf * 0 = NaN.
+  if (!std::isfinite(period_s) || !(period_s > 0.0)) {
     throw std::invalid_argument(
-        "HysteresisSweepConfig: need >= 1 cycle and >= 8 samples/cycle");
+        "HysteresisSweepConfig: period not finite > 0");
+  }
+  if (cycles < 1 ||
+      cycles > std::numeric_limits<int>::max() / kSamplesPerCycle) {
+    throw std::invalid_argument(
+        "HysteresisSweepConfig: cycles outside [1, INT_MAX / samples]");
   }
 }
 
 std::vector<IvPoint> TraceHysteresis(Memristor& device,
                                      const HysteresisSweepConfig& config) {
   config.Validate();
-  const int total = config.cycles * config.samples_per_cycle;
-  const double dt = config.period_s / config.samples_per_cycle;
+  const int total = config.cycles * config.kSamplesPerCycle;
+  const double dt = config.period_s / config.kSamplesPerCycle;
   std::vector<IvPoint> trace;
   trace.reserve(static_cast<std::size_t>(total));
   for (int i = 0; i < total; ++i) {
     const double t = dt * i;
-    const double v = config.amplitude_v *
+    const double v = kAmplitudeV *
                      std::sin(2.0 * M_PI * t / config.period_s);
     // Read first (instantaneous conductance), then let the sample's
     // drive interval drift the state.

@@ -12,6 +12,10 @@ namespace {
 
 // Width of every programming pulse of the synthesis sweep.
 constexpr double kPulseWidthS = 1.0e-3;
+// Programming amplitudes of the state machines are spread linearly over
+// [kMinProgramV, kMaxProgramV].
+constexpr double kMinProgramV = 1.0;
+constexpr double kMaxProgramV = 2.5;
 
 }  // namespace
 
@@ -22,10 +26,6 @@ void SynthesisConfig::Validate() const {
   }
   if (states_per_machine < 1) {
     throw std::invalid_argument("SynthesisConfig: states_per_machine < 1");
-  }
-  if (!(min_program_v > 0.0) || !(max_program_v >= min_program_v)) {
-    throw std::invalid_argument(
-        "SynthesisConfig: require 0 < min_program_v <= max_program_v");
   }
   if (read_voltages_v.empty()) {
     throw std::invalid_argument("SynthesisConfig: no read voltages");
@@ -53,9 +53,9 @@ MemristorDataset MemristorDataset::Synthesize(const SynthesisConfig& config,
     // a distinct state trajectory.
     const double amplitude =
         config.state_machines == 1
-            ? config.min_program_v
-            : config.min_program_v +
-                  (config.max_program_v - config.min_program_v) *
+            ? kMinProgramV
+            : kMinProgramV +
+                  (kMaxProgramV - kMinProgramV) *
                       static_cast<double>(machine - 1) /
                       static_cast<double>(config.state_machines - 1);
     MemristorParams params = config.device;

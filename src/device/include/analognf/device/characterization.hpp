@@ -22,17 +22,19 @@ struct IvPoint {
 };
 
 struct HysteresisSweepConfig {
-  double amplitude_v = 2.0;   // sine amplitude
-  double period_s = 0.2;      // drive period
+  static constexpr int kSamplesPerCycle = 400;
+
+  double period_s = 0.2;      // drive period T
+  // At most INT_MAX / kSamplesPerCycle, so the sample count fits an int.
   int cycles = 1;
-  int samples_per_cycle = 400;
 
   void Validate() const;  // throws std::invalid_argument
 };
 
-// Drives the device with V(t) = A sin(2 pi t / T), integrating the
-// state drift sample by sample, and records the I-V trajectory.
-// Mutates the device state (that is the point).
+// Drives the device with V(t) = A sin(2 pi t / T) at A = 2 V, integrating
+// the state drift sample by sample, and records the I-V trajectory
+// (kSamplesPerCycle points per cycle). Mutates the device state (that is
+// the point).
 std::vector<IvPoint> TraceHysteresis(Memristor& device,
                                      const HysteresisSweepConfig& config);
 

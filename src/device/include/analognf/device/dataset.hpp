@@ -44,12 +44,9 @@ struct EnergyEnvelope {
 // Configuration of the synthesis sweep.
 struct SynthesisConfig {
   MemristorParams device = MemristorParams::NbSrTiO3();
-  int state_machines = 4;     // n: distinct programming amplitudes
+  // n: distinct programming amplitudes, spread linearly over [1.0, 2.5] V.
+  int state_machines = 4;
   int states_per_machine = 16;  // m: pulse steps per machine
-  // Programming amplitudes for machine k are spread linearly over
-  // [min_program_v, max_program_v].
-  double min_program_v = 1.0;
-  double max_program_v = 2.5;
   // Read-voltage sweep (the pCAM search-voltage range of Fig. 7a).
   std::vector<double> read_voltages_v = {0.1, 0.5, 1.0, 2.0, 3.0, 4.0};
   // Cycle-to-cycle programming noise; 0 keeps the sweep deterministic.

@@ -8,7 +8,8 @@
 namespace analognf::sim {
 namespace {
 
-// Congestion-window cap of every source [segments].
+// Congestion-window floor and cap of every source [segments].
+constexpr double kMinCwnd = 1.0;
 constexpr double kMaxCwnd = 256.0;
 
 }  // namespace
@@ -22,11 +23,6 @@ void ClosedLoopConfig::Validate() const {
   }
   if (segment_bytes == 0) {
     throw std::invalid_argument("ClosedLoopConfig: zero segment size");
-  }
-  if (!(initial_cwnd >= min_cwnd) || !(kMaxCwnd >= initial_cwnd) ||
-      !(min_cwnd > 0.0)) {
-    throw std::invalid_argument(
-        "ClosedLoopConfig: require 0 < min_cwnd <= initial_cwnd <= 256");
   }
   // Positive form: a NaN fraction fails it.
   if (!(ecn_fraction >= 0.0 && ecn_fraction <= 1.0)) {
@@ -64,7 +60,6 @@ ClosedLoopSimulator::ClosedLoopSimulator(ClosedLoopConfig config,
   const auto ecn_count = static_cast<std::size_t>(
       config_.ecn_fraction * static_cast<double>(config_.sources) + 0.5);
   for (std::size_t i = 0; i < sources_.size(); ++i) {
-    sources_[i].cwnd = config_.initial_cwnd;
     sources_[i].ecn = i < ecn_count;
     link_.AddFlow(i);
   }
@@ -120,7 +115,7 @@ void ClosedLoopSimulator::SampleCwnd() {
 void ClosedLoopSimulator::Decrease(std::size_t source, double now_s) {
   Source& src = sources_[source];
   if (now_s < src.decrease_blocked_until_s) return;
-  src.cwnd = std::max(config_.min_cwnd, src.cwnd / 2.0);
+  src.cwnd = std::max(kMinCwnd, src.cwnd / 2.0);
   src.decrease_blocked_until_s = now_s + config_.base_rtt_s;
 }
 

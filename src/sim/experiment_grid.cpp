@@ -337,10 +337,6 @@ CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
       cognitive::LearnedAqmConfig cfg;
       cfg.target_delay_s = spec.target_delay_s;
       cfg.max_deviation_s = spec.max_deviation_s;
-      // The tuning under which the blank crossbar converges within the
-      // first seconds of the Fig. 8 workload.
-      cfg.perceptron.learning_rate = 0.25;
-      cfg.perceptron.activation_gain = 4.0;
       cfg.seed = seed;
       auto learned = std::make_unique<cognitive::LearnedAqm>(cfg);
       out.learned = learned.get();

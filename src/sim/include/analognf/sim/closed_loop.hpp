@@ -27,8 +27,6 @@ struct ClosedLoopConfig {
   // Two-way propagation delay per source (excludes queueing).
   double base_rtt_s = 0.040;
   std::uint32_t segment_bytes = 1000;
-  double initial_cwnd = 2.0;
-  double min_cwnd = 1.0;
   // Fraction of sources that negotiate ECN.
   double ecn_fraction = 0.0;
   double duration_s = 20.0;
@@ -68,7 +66,7 @@ class ClosedLoopSimulator {
 
  private:
   struct Source {
-    double cwnd = 2.0;
+    double cwnd = 2.0;  // the initial window [segments]
     bool ecn = false;
     double next_send_s = 0.0;
     // Multiplicative decrease is applied at most once per RTT.

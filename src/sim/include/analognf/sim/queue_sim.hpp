@@ -37,8 +37,6 @@ struct QueueSimConfig {
   double link_rate_bps = 10.0e6;
   net::PacketQueue::Config queue{};
   std::vector<RatePhase> phases;
-  // Queue-depth sampling period for the depth trace.
-  double sample_interval_s = 0.02;
 
   LinkConfig link() const {
     return {duration_s, warmup_s, link_rate_bps, queue};

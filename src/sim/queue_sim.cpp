@@ -5,13 +5,15 @@
 #include <utility>
 
 namespace analognf::sim {
+namespace {
+
+// Queue-depth sampling period for the depth trace.
+constexpr double kSampleIntervalS = 0.02;
+
+}  // namespace
 
 void QueueSimConfig::Validate() const {
   link().Validate();
-  if (!std::isfinite(sample_interval_s) || !(sample_interval_s > 0.0)) {
-    throw std::invalid_argument(
-        "QueueSimConfig: sample interval not finite > 0");
-  }
   for (std::size_t i = 0; i < phases.size(); ++i) {
     const RatePhase& phase = phases[i];
     // Checked here rather than by SetRate mid-run.
@@ -53,8 +55,8 @@ void QueueSimulator::ScheduleNextArrival() {
 void QueueSimulator::SampleDepth() {
   report_.queue_depth.Append(
       events_.now(), static_cast<double>(link_.queue().packets()));
-  if (events_.now() + config_.sample_interval_s <= config_.duration_s) {
-    events_.ScheduleIn(config_.sample_interval_s, kSample);
+  if (events_.now() + kSampleIntervalS <= config_.duration_s) {
+    events_.ScheduleIn(kSampleIntervalS, kSample);
   }
 }
 
@@ -97,8 +99,7 @@ SimReport QueueSimulator::Run() {
   // the whole run, and the PDP trace records one point per offered
   // packet-admission decision (bounded below by the sampler count).
   const std::size_t expected_samples =
-      static_cast<std::size_t>(config_.duration_s /
-                               config_.sample_interval_s) + 2;
+      static_cast<std::size_t>(config_.duration_s / kSampleIntervalS) + 2;
   report_.queue_depth.Reserve(expected_samples);
   report_.drop_prob.Reserve(expected_samples);
 

@@ -12,7 +12,9 @@
 #include "analognf/net/generator.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -852,9 +854,17 @@ TEST(TopologyTest, ConfigValidation) {
   TopologyConfig c = TwoHops(false);
   c.hops = 0;
   EXPECT_THROW(LineTopology{c}, std::invalid_argument);
+  // Construction only: an accepted infinite duration would never end
+  // Run(), and a NaN delay would break the in-flight calendar's order.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   c = TwoHops(false);
-  c.step_s = 0.0;
+  c.duration_s = kInf;
   EXPECT_THROW(LineTopology{c}, std::invalid_argument);
+  for (const double delay : {kInf, std::nan("")}) {
+    c = TwoHops(false);
+    c.propagation_delay_s = delay;
+    EXPECT_THROW(LineTopology{c}, std::invalid_argument);
+  }
 }
 
 TEST(TopologyTest, UnderloadEndToEndIsPropagationPlusService) {

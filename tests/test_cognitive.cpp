@@ -25,9 +25,9 @@ TEST(PerceptronConfigTest, Validation) {
   c = PerceptronConfig{};
   c.learning_rate = 0.0;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
+  // kMaxWeight * kWeightUnitSiemens = 8e-9 S > the 1e-10 S device max.
   c = PerceptronConfig{};
-  c.max_weight = 100.0;
-  c.weight_unit_siemens = 1.0e-9;  // 1e-7 S > 1e-8 S device max
+  c.device.r_lrs_ohm = 1.0e10;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
 }
 
@@ -85,15 +85,19 @@ TEST(PerceptronTest, LearnsRampRegression) {
 }
 
 TEST(PerceptronTest, WeightsAreClamped) {
+  // The first step alone moves each weight by lr * 0.5 = 50, far past
+  // the cap, so the clamp must hold them there.
   PerceptronConfig c;
   c.inputs = 1;
-  c.learning_rate = 1.0;
-  c.max_weight = 2.0;
+  c.learning_rate = 100.0;
   CrossbarPerceptron p(c);
   for (int i = 0; i < 200; ++i) p.Train({1.0}, 1.0);
+  int at_cap = 0;
   for (double w : p.weights()) {
-    EXPECT_LE(std::fabs(w), 2.0 + 1e-12);
+    EXPECT_LE(std::fabs(w), CrossbarPerceptron::kMaxWeight);
+    if (std::fabs(w) == CrossbarPerceptron::kMaxWeight) ++at_cap;
   }
+  EXPECT_GT(at_cap, 0);
 }
 
 TEST(PerceptronTest, TrainRejectsBadTarget) {
@@ -145,10 +149,7 @@ TEST(LearnedAqmTest, TeacherIsTheProgrammedRamp) {
 }
 
 TEST(LearnedAqmTest, ConvergesToTeacherUnderExperience) {
-  LearnedAqmConfig c;
-  c.perceptron.learning_rate = 0.3;
-  c.perceptron.activation_gain = 4.0;
-  LearnedAqm aqm(c);
+  LearnedAqm aqm(LearnedAqmConfig{});
   analognf::RandomStream rng(9);
 
   aqm::AqmContext ctx;
@@ -319,8 +320,9 @@ TEST(AssociativeMemoryTest, ConfigValidation) {
   EXPECT_NO_THROW(c.Validate());
   c.dimensions = 0;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
+  // kConductanceUnitSiemens = 1e-9 S > the 1e-10 S device max.
   c = AssociativeMemoryConfig{};
-  c.conductance_unit_siemens = 1.0;  // way above device max
+  c.device.r_lrs_ohm = 1.0e10;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
 }
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -205,10 +206,6 @@ TEST(SynthesisConfigTest, RejectsBadGrids) {
   EXPECT_THROW(c.Validate(), std::invalid_argument);
   c = SynthesisConfig{};
   c.read_voltages_v.clear();
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-  c = SynthesisConfig{};
-  c.min_program_v = 3.0;
-  c.max_program_v = 1.0;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
 }
 
@@ -529,10 +526,19 @@ TEST(MemristorRetentionTest, NegativeTimeConstantRejected) {
 TEST(HysteresisTest, ConfigValidation) {
   HysteresisSweepConfig c;
   EXPECT_NO_THROW(c.Validate());
-  c.amplitude_v = 0.0;
+  // dt = inf would make the first sample time inf * 0 = NaN.
+  c.period_s = std::numeric_limits<double>::infinity();
   EXPECT_THROW(c.Validate(), std::invalid_argument);
+  // The sample count cycles * kSamplesPerCycle must fit an int. Checked
+  // through Validate() only: a valid maximum would allocate ~2^31 points.
+  constexpr int kMaxCycles =
+      std::numeric_limits<int>::max() / HysteresisSweepConfig::kSamplesPerCycle;
   c = HysteresisSweepConfig{};
-  c.samples_per_cycle = 4;
+  c.cycles = kMaxCycles;
+  EXPECT_NO_THROW(c.Validate());
+  c.cycles = kMaxCycles + 1;
+  EXPECT_THROW(c.Validate(), std::invalid_argument);
+  c.cycles = 0;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
 }
 

@@ -152,9 +152,6 @@ TEST(QueueSimConfigTest, Validation) {
   c = QueueSimConfig{};
   c.link_rate_bps = inf;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
-  c = QueueSimConfig{};
-  c.sample_interval_s = inf;
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
   for (const RatePhase bad : {RatePhase{inf, 100.0}, RatePhase{nan, 100.0},
                               RatePhase{1.0, 0.0}, RatePhase{1.0, -5.0},
                               RatePhase{1.0, inf}, RatePhase{1.0, nan}}) {
@@ -404,10 +401,6 @@ TEST(ClosedLoopConfigTest, Validation) {
   // NaN would reach the size_t cast of the ECN source count.
   c = ClosedLoopConfig{};
   c.ecn_fraction = std::nan("");
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-  c = ClosedLoopConfig{};
-  c.min_cwnd = 4.0;
-  c.initial_cwnd = 2.0;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
 }
 

@@ -605,9 +605,6 @@ TEST(ConfigValidationTest, RejectsBadCognitiveStageConfigs) {
   EXPECT_THROW(CognitiveSwitch{c}, std::invalid_argument);
   c.lb_ports = {0, 0};  // duplicate
   EXPECT_THROW(CognitiveSwitch{c}, std::invalid_argument);
-  c.lb_ports = {0, 1};
-  c.load_balancer.preferred_load = 2.0;
-  EXPECT_THROW(CognitiveSwitch{c}, std::invalid_argument);
 
   c = MixConfig();
   c.enable_classifier = true;  // no classes registered
