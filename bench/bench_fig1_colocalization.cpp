@@ -79,6 +79,7 @@ void BM_DigitalTcamSearch(benchmark::State& state) {
                           std::string(40, 'X'))),
                   static_cast<std::uint32_t>(i), 0});
   }
+  table.Commit();
   tcam::BitKey key;
   key.AppendU32(42 << 8);
   key.AppendU32(7);

@@ -147,7 +147,7 @@ void BM_AdmissionDecision(benchmark::State& state) {
   ctx.packet.size_bytes = 1000;
   for (auto _ : state) {
     ctx.now_s += 0.001;
-    benchmark::DoNotOptimize(policy.ShouldDropOnEnqueue(ctx));
+    benchmark::DoNotOptimize(policy.DecideOnEnqueue(ctx));
   }
 }
 BENCHMARK(BM_AdmissionDecision);

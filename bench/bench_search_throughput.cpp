@@ -68,6 +68,7 @@ void BM_TcamSearchScaling(benchmark::State& state) {
                       static_cast<std::uint32_t>(i * 2654435761u), 24),
                   static_cast<std::uint32_t>(i), 0});
   }
+  table.Commit();
   tcam::BitKey key;
   key.AppendU32(0xdeadbeef);
   for (auto _ : state) {

@@ -34,13 +34,6 @@ double Differentiator::Step(double t_s, double x) {
   return output_;
 }
 
-void Differentiator::Reset() {
-  primed_ = false;
-  last_t_s_ = 0.0;
-  smoothed_ = 0.0;
-  output_ = 0.0;
-}
-
 DerivativeChain::DerivativeChain(std::size_t max_order,
                                  double time_constant_s)
     : time_constant_s_(time_constant_s) {
@@ -94,15 +87,6 @@ const std::vector<double>& DerivativeChain::Step(double t_s, double x) {
   }
   last_t_s_ = t_s;
   return outputs_;
-}
-
-void DerivativeChain::Reset() {
-  for (Differentiator& d : stages_) d.Reset();
-  outputs_.assign(outputs_.size(), 0.0);
-  primed_ = false;
-  last_t_s_ = 0.0;
-  cached_dt_ = -1.0;
-  cached_alpha_ = 0.0;
 }
 
 }  // namespace analognf::analog

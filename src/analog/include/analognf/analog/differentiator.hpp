@@ -32,7 +32,6 @@ class Differentiator {
   double Step(double t_s, double x);
 
   double Output() const { return output_; }
-  void Reset();
 
  private:
   friend class DerivativeChain;
@@ -72,7 +71,6 @@ class DerivativeChain {
 
   const std::vector<double>& outputs() const { return outputs_; }
   std::size_t max_order() const { return stages_.size(); }
-  void Reset();
 
  private:
   std::vector<Differentiator> stages_;

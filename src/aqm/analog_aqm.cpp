@@ -181,10 +181,6 @@ AnalogAqm::AnalogAqm(AnalogAqmConfig config)
                                       buffer_chain_.max_order());
   chain_ops_ = static_cast<std::uint64_t>(chain_stages_);
   derivative_energy_per_decision_j_ = kDerivativeEnergyJ * chain_stages_;
-  AcquireMeters();
-}
-
-void AnalogAqm::AcquireMeters() {
   derivative_meter_ = ledger_.Meter("analog.derivative");
   dac_meter_ = ledger_.Meter(energy::category::kDacConvert);
   pcam_meter_ = ledger_.Meter(energy::category::kPcamSearch);
@@ -227,10 +223,6 @@ double AnalogAqm::EvaluatePdp(const std::vector<double>& features_v) {
   return std::clamp(apply_scratch_.value, 0.0, 1.0);
 }
 
-bool AnalogAqm::ShouldDropOnEnqueue(const AqmContext& ctx) {
-  return DecideOnEnqueue(ctx) == AqmVerdict::kDrop;
-}
-
 AqmVerdict AnalogAqm::DecideOnEnqueue(const AqmContext& ctx) {
   // Analog feature extraction: advance both derivative chains with the
   // current queue observations.
@@ -256,14 +248,6 @@ AqmVerdict AnalogAqm::DecideOnEnqueue(const AqmContext& ctx) {
     return AqmVerdict::kMark;
   }
   return AqmVerdict::kDrop;
-}
-
-void AnalogAqm::Reset() {
-  sojourn_chain_.Reset();
-  buffer_chain_.Reset();
-  last_pdp_ = 0.0;
-  ledger_.Reset();
-  AcquireMeters();  // Reset() invalidated the cached Meter() pointers
 }
 
 }  // namespace analognf::aqm

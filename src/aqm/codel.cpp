@@ -68,12 +68,4 @@ bool Codel::ShouldDropOnDequeue(const AqmContext& ctx) {
   return false;
 }
 
-void Codel::Reset() {
-  first_above_time_s_ = 0.0;
-  drop_next_s_ = 0.0;
-  count_ = 0;
-  lastcount_ = 0;
-  dropping_ = false;
-}
-
 }  // namespace analognf::aqm

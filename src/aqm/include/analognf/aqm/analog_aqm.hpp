@@ -94,10 +94,8 @@ class AnalogAqm final : public AqmPolicy {
 
   explicit AnalogAqm(AnalogAqmConfig config);
 
-  bool ShouldDropOnEnqueue(const AqmContext& ctx) override;
   AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
   std::string name() const override { return "pcam-analog-aqm"; }
-  void Reset() override;
   double LastDropProbability() const override { return last_pdp_; }
 
   // Computes the PDP for a context without consuming randomness or
@@ -131,9 +129,6 @@ class AnalogAqm final : public AqmPolicy {
  private:
   core::AnalogTableSpec BuildSpec() const;
   void BuildDacs();
-  // (Re)acquires the hot-path meters below; called at construction and
-  // after ledger_.Reset() (which invalidates Meter() pointers).
-  void AcquireMeters();
   // Fills `volts` (table order) without allocating.
   void FeaturesToVoltagesInto(const std::vector<double>& sojourn_derivs,
                               const std::vector<double>& buffer_derivs,
@@ -153,7 +148,7 @@ class AnalogAqm final : public AqmPolicy {
   core::AnalogMatchActionTable::Output apply_scratch_;
   // Cached ledger meters: every decision records into the same three
   // categories, so the per-call string lookups of Record() are hoisted
-  // into stable CategoryTotal pointers (valid until ledger_.Reset()).
+  // into stable CategoryTotal pointers.
   energy::CategoryTotal* derivative_meter_ = nullptr;
   energy::CategoryTotal* dac_meter_ = nullptr;
   energy::CategoryTotal* pcam_meter_ = nullptr;

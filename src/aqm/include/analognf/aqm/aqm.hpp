@@ -3,11 +3,14 @@
 // Sec. 5: "Network systems use AQM algorithms, like CODEL, RED or PIE in
 // order to keep an optimal queue size by selectively dropping packets."
 // All of them — and the paper's analog pCAM AQM — implement this
-// interface so the queue simulator and the benches can swap policies.
+// interface, and one component drives it: aqm::AqmQueue (aqm_queue.hpp),
+// the AQM-guarded FIFO behind every switch egress class and both
+// simulators' bottleneck.
 //
 // Two decision points exist in practice: RED/PIE-family policies decide
-// at enqueue (admission), CoDel decides at dequeue (head drop). A policy
-// overrides whichever hook it uses; the defaults never drop.
+// at enqueue (admission: accept, drop or ECN-mark), CoDel decides at
+// dequeue (head drop). A policy overrides whichever hook it uses; the
+// defaults accept everything.
 #pragma once
 
 #include <cstdint>
@@ -37,25 +40,18 @@ class AqmPolicy {
  public:
   virtual ~AqmPolicy() = default;
 
-  // Admission decision before enqueue. True = drop.
-  virtual bool ShouldDropOnEnqueue(const AqmContext& /*ctx*/) {
-    return false;
+  // Admission decision before enqueue: accept, drop, or (ECN) accept
+  // with a CE mark.
+  virtual AqmVerdict DecideOnEnqueue(const AqmContext& /*ctx*/) {
+    return AqmVerdict::kAccept;
   }
-
-  // Richer admission decision supporting ECN. The default adapts
-  // ShouldDropOnEnqueue (drop-only policies need not override).
-  virtual AqmVerdict DecideOnEnqueue(const AqmContext& ctx) {
-    return ShouldDropOnEnqueue(ctx) ? AqmVerdict::kDrop
-                                    : AqmVerdict::kAccept;
-  }
-  // Head decision after dequeue. True = drop (the simulator then
-  // dequeues the next packet within the same service slot).
+  // Head decision after dequeue. True = drop (the queue then dequeues
+  // the next packet within the same service slot).
   virtual bool ShouldDropOnDequeue(const AqmContext& /*ctx*/) {
     return false;
   }
 
   virtual std::string name() const = 0;
-  virtual void Reset() {}
 
   // The most recent drop probability the policy computed, if it is
   // probability-based (analog AQM, RED, PIE); NaN otherwise. Lets the

@@ -26,7 +26,6 @@ class Codel final : public AqmPolicy {
 
   bool ShouldDropOnDequeue(const AqmContext& ctx) override;
   std::string name() const override { return "codel"; }
-  void Reset() override;
 
   bool dropping() const { return dropping_; }
   std::uint32_t drop_count() const { return count_; }

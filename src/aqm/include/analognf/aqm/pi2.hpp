@@ -46,13 +46,10 @@ class Pi2 final : public AqmPolicy {
 
   Pi2(Pi2Config config, std::uint64_t seed);
 
-  // Classic path: Bernoulli(p'^2) drop.
-  bool ShouldDropOnEnqueue(const AqmContext& ctx) override;
-  // Native L4S path: ECN-capable packets are CE-marked with probability
-  // min(k*p', 1) instead of taking the squared drop law.
+  // Classic path: Bernoulli(p'^2) drop. Native L4S path: ECN-capable
+  // packets are CE-marked with probability min(k*p', 1) instead.
   AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
   std::string name() const override { return "pi2"; }
-  void Reset() override;
   // Reports the classic (drop-path) probability p'^2.
   double LastDropProbability() const override {
     return base_prob_ * base_prob_;

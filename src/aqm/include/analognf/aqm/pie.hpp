@@ -37,9 +37,8 @@ class Pie final : public AqmPolicy {
 
   Pie(PieConfig config, std::uint64_t seed);
 
-  bool ShouldDropOnEnqueue(const AqmContext& ctx) override;
+  AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
   std::string name() const override { return "pie"; }
-  void Reset() override;
   double LastDropProbability() const override { return drop_prob_; }
 
   double current_delay_estimate_s() const { return qdelay_s_; }

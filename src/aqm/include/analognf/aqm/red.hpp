@@ -29,9 +29,8 @@ class Red final : public AqmPolicy {
  public:
   Red(RedConfig config, std::uint64_t seed);
 
-  bool ShouldDropOnEnqueue(const AqmContext& ctx) override;
+  AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
   std::string name() const override { return "red"; }
-  void Reset() override;
   double LastDropProbability() const override { return last_p_; }
 
   double average_queue_pkts() const { return avg_.value(); }

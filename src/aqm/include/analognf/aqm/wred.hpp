@@ -23,9 +23,8 @@ class Wred final : public AqmPolicy {
   // queue_weight is used).
   Wred(RedConfig high, RedConfig low, std::uint64_t seed);
 
-  bool ShouldDropOnEnqueue(const AqmContext& ctx) override;
+  AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
   std::string name() const override { return "wred"; }
-  void Reset() override;
   double LastDropProbability() const override { return last_p_; }
 
   double average_queue_pkts() const { return avg_.value(); }

@@ -61,13 +61,6 @@ void Pi2::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {
   qdelay_old_s_ = qdelay_s_;
 }
 
-bool Pi2::ShouldDropOnEnqueue(const AqmContext& ctx) {
-  MaybeUpdate(ctx.now_s, ctx.queue_bytes);
-  // Same safeguard as PIE: never drop into a tiny queue.
-  if (ctx.queue_packets < 2) return false;
-  return rng_.NextBernoulli(base_prob_ * base_prob_);
-}
-
 AqmVerdict Pi2::DecideOnEnqueue(const AqmContext& ctx) {
   MaybeUpdate(ctx.now_s, ctx.queue_bytes);
   if (ctx.packet.ecn_capable) {
@@ -76,17 +69,10 @@ AqmVerdict Pi2::DecideOnEnqueue(const AqmContext& ctx) {
     return rng_.NextBernoulli(mark_probability_l4s()) ? AqmVerdict::kMark
                                                       : AqmVerdict::kAccept;
   }
+  // Same safeguard as PIE: never drop into a tiny queue.
   if (ctx.queue_packets < 2) return AqmVerdict::kAccept;
   return rng_.NextBernoulli(base_prob_ * base_prob_) ? AqmVerdict::kDrop
                                                      : AqmVerdict::kAccept;
-}
-
-void Pi2::Reset() {
-  base_prob_ = 0.0;
-  qdelay_s_ = 0.0;
-  qdelay_old_s_ = 0.0;
-  last_update_s_ = 0.0;
-  initialized_ = false;
 }
 
 }  // namespace analognf::aqm

@@ -92,21 +92,13 @@ void Pie::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {
   }
 }
 
-bool Pie::ShouldDropOnEnqueue(const AqmContext& ctx) {
+AqmVerdict Pie::DecideOnEnqueue(const AqmContext& ctx) {
   MaybeUpdate(ctx.now_s, ctx.queue_bytes);
-  if (burst_allowance_s_ > 0.0) return false;
+  if (burst_allowance_s_ > 0.0) return AqmVerdict::kAccept;
   // RFC 8033 safeguards: never drop into a tiny queue.
-  if (ctx.queue_packets < 2) return false;
-  return rng_.NextBernoulli(drop_prob_);
-}
-
-void Pie::Reset() {
-  drop_prob_ = 0.0;
-  qdelay_s_ = 0.0;
-  qdelay_old_s_ = 0.0;
-  last_update_s_ = 0.0;
-  burst_allowance_s_ = kMaxBurstS;
-  initialized_ = false;
+  if (ctx.queue_packets < 2) return AqmVerdict::kAccept;
+  return rng_.NextBernoulli(drop_prob_) ? AqmVerdict::kDrop
+                                        : AqmVerdict::kAccept;
 }
 
 }  // namespace analognf::aqm

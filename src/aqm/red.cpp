@@ -39,19 +39,19 @@ double Red::DropProbability(double avg_pkts) {
   return 1.0;
 }
 
-bool Red::ShouldDropOnEnqueue(const AqmContext& ctx) {
+AqmVerdict Red::DecideOnEnqueue(const AqmContext& ctx) {
   const double avg =
       avg_.Update(static_cast<double>(ctx.queue_packets));
   const double base_p = DropProbability(avg);
   if (base_p <= 0.0) {
     count_since_drop_ = 0;
     last_p_ = 0.0;
-    return false;
+    return AqmVerdict::kAccept;
   }
   if (base_p >= 1.0) {
     count_since_drop_ = 0;
     last_p_ = 1.0;
-    return true;
+    return AqmVerdict::kDrop;
   }
   // Uniform-spacing correction: p / (1 - count * p), clamped.
   const double denom =
@@ -60,16 +60,10 @@ bool Red::ShouldDropOnEnqueue(const AqmContext& ctx) {
   last_p_ = p;
   if (rng_.NextBernoulli(p)) {
     count_since_drop_ = 0;
-    return true;
+    return AqmVerdict::kDrop;
   }
   ++count_since_drop_;
-  return false;
-}
-
-void Red::Reset() {
-  avg_.Reset();
-  count_since_drop_ = 0;
-  last_p_ = 0.0;
+  return AqmVerdict::kAccept;
 }
 
 }  // namespace analognf::aqm

@@ -48,16 +48,11 @@ bool Wred::Decide(Profile& profile, double avg_pkts) {
   return false;
 }
 
-bool Wred::ShouldDropOnEnqueue(const AqmContext& ctx) {
+AqmVerdict Wred::DecideOnEnqueue(const AqmContext& ctx) {
   const double avg = avg_.Update(static_cast<double>(ctx.queue_packets));
-  return Decide(ctx.packet.priority >= 4 ? high_ : low_, avg);
-}
-
-void Wred::Reset() {
-  avg_.Reset();
-  high_.count_since_drop = 0;
-  low_.count_since_drop = 0;
-  last_p_ = 0.0;
+  return Decide(ctx.packet.priority >= 4 ? high_ : low_, avg)
+             ? AqmVerdict::kDrop
+             : AqmVerdict::kAccept;
 }
 
 }  // namespace analognf::aqm

@@ -22,6 +22,7 @@
 #include <optional>
 #include <vector>
 
+#include "analognf/aqm/aqm_queue.hpp"
 #include "analognf/arch/stage.hpp"
 #include "analognf/arch/switch.hpp"
 
@@ -179,9 +180,11 @@ class TrafficClassStage final : public MatchActionStage {
 // The cognitive traffic manager plus the switch's bookkeeping: replays
 // the batch in strict packet order, committing stats, canonical ledger
 // energy (digital compute/movement, TCAM searches of the upstream
-// stages, pCAM AQM admission), packet ids, service-class mapping, AQM
-// admission and egress enqueueing. Also owns the egress side: queues,
-// per-class AQMs, and the drain scheduler.
+// stages, pCAM AQM admission), packet ids, service-class mapping and
+// the offer to the egress queue. Also owns the egress side: one
+// aqm::AqmQueue per (port, class) — the same AQM-guarded queue the
+// simulators' bottleneck uses — guarded by its own AnalogAqm, or by one
+// shared TailDropOnly when AQM is disabled, and the drain scheduler.
 class TrafficManagerStage final : public MatchActionStage {
  public:
   TrafficManagerStage(const SwitchConfig* config,
@@ -204,10 +207,11 @@ class TrafficManagerStage final : public MatchActionStage {
 
  private:
   struct EgressPort {
-    // One FIFO per service class, index 0 = highest priority; each has
-    // its own AQM instance (empty vector when AQM disabled).
-    std::vector<net::PacketQueue> queues;
+    // One AQM-guarded FIFO per service class, index 0 = highest
+    // priority, each guarded by its own AQM instance (aqms; empty when
+    // AQM is disabled, and then every queue is guarded by tail_drop_).
     std::vector<std::unique_ptr<aqm::AnalogAqm>> aqms;
+    std::vector<aqm::AqmQueue> queues;
     double next_free_s = 0.0;
     // Weighted-round-robin rotation state: a cursor into the compiled
     // schedule (wrr_schedule_). One slot is one service-slot's worth of
@@ -227,9 +231,9 @@ class TrafficManagerStage final : public MatchActionStage {
   void CompileWrrSchedule(const std::vector<std::uint32_t>& weights);
   // Service class a 3-bit priority maps to under the configuration.
   std::size_t ClassOf(std::uint8_t priority) const;
-  // Analog AQM admission + egress enqueue for one routed packet; pcam
-  // accumulates the AQM's search energy (canonical ledger) and the AQM's
-  // drop probability folds into `degrees` (telemetry only).
+  // Offers one routed packet to its egress queue; pcam accumulates the
+  // analog AQM's search energy (canonical ledger) and its drop
+  // probability folds into `degrees` (telemetry only).
   Verdict AdmitAndEnqueue(std::size_t port_index, std::size_t service_class,
                           const net::PacketMeta& meta, double now_s,
                           energy::CategoryTotal& pcam,
@@ -242,12 +246,12 @@ class TrafficManagerStage final : public MatchActionStage {
   // Canonical-ledger category meters, resolved once at construction: the
   // string-keyed map lookup (and, for category names past the SSO limit,
   // a heap-allocated temporary key) must stay off the per-batch path.
-  // Meter() pointers stay valid for the ledger's lifetime — the switch
-  // never exposes a mutable ledger, so it is never Reset() under us.
   energy::CategoryTotal* compute_meter_;
   energy::CategoryTotal* movement_meter_;
   energy::CategoryTotal* tcam_meter_;
   energy::CategoryTotal* pcam_meter_;
+  // Guards every egress queue when AQM is disabled: pure tail drop.
+  aqm::TailDropOnly tail_drop_;
   std::vector<EgressPort> ports_;
   std::uint64_t next_packet_id_ = 0;
   // Compiled WRR schedule: class c occupies wrr_block_start_[c] ..

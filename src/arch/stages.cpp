@@ -247,12 +247,14 @@ TrafficManagerStage::TrafficManagerStage(
     EgressPort port;
     port.wrr_pos = wrr_initial_pos_;
     for (std::size_t sc = 0; sc < config_->service_classes; ++sc) {
-      port.queues.emplace_back(config_->egress_queue);
+      aqm::AqmPolicy* guard = &tail_drop_;
       if (config_->enable_aqm) {
         aqm::AnalogAqmConfig aqm_config = config_->aqm;
         aqm_config.seed = config_->seed + 0xa9 * (p + 1) + 0x1d * (sc + 1);
         port.aqms.push_back(std::make_unique<aqm::AnalogAqm>(aqm_config));
+        guard = port.aqms.back().get();
       }
+      port.queues.emplace_back(config_->egress_queue, *guard);
     }
     ports_.push_back(std::move(port));
   }
@@ -361,39 +363,35 @@ Verdict TrafficManagerStage::AdmitAndEnqueue(
     const net::PacketMeta& meta, double now_s, energy::CategoryTotal& pcam,
     net::PacketBatch::DegreeSummary& degrees) {
   EgressPort& port = ports_[port_index];
-  net::PacketQueue& queue = port.queues[service_class];
-
-  // --- Cognitive traffic manager: analog AQM admission. ----------------
-  if (!port.aqms.empty()) {
-    aqm::AnalogAqm& class_aqm = *port.aqms[service_class];
-    aqm::AqmContext ctx;
-    ctx.now_s = now_s;
-    ctx.sojourn_s = queue.HeadSojourn(now_s);
-    ctx.queue_bytes = queue.bytes();
-    ctx.queue_packets = queue.packets();
-    ctx.packet = meta;
-    const double before_j = class_aqm.ConsumedEnergyJ();
-    const bool drop = class_aqm.ShouldDropOnEnqueue(ctx);
-    const double delta_j = class_aqm.ConsumedEnergyJ() - before_j;
+  // --- Cognitive traffic manager: the AQM-guarded egress queue. --------
+  aqm::AnalogAqm* class_aqm =
+      port.aqms.empty() ? nullptr : port.aqms[service_class].get();
+  const double before_j =
+      class_aqm != nullptr ? class_aqm->ConsumedEnergyJ() : 0.0;
+  const aqm::Admission admission =
+      port.queues[service_class].Offer(meta, now_s);
+  if (class_aqm != nullptr) {
+    const double delta_j = class_aqm->ConsumedEnergyJ() - before_j;
     pcam.energy_j += delta_j;
     ++pcam.operations;
     stage_meter().energy_j += delta_j;
     ++stage_meter().operations;
     // Telemetry only: the admission decision's drop probability.
-    degrees.Fold(class_aqm.LastDropProbability());
-    if (drop) {
-      queue.NoteAqmDrop(meta);
+    degrees.Fold(class_aqm->LastDropProbability());
+  }
+  switch (admission) {
+    case aqm::Admission::kEnqueued:
+    case aqm::Admission::kMarked:
+      ++stats_->forwarded;
+      return Verdict::kForwarded;
+    case aqm::Admission::kAqmDropped:
       ++stats_->aqm_drops;
       return Verdict::kAqmDrop;
-    }
+    case aqm::Admission::kTailDropped:
+      break;
   }
-
-  if (!queue.Enqueue(meta, now_s)) {
-    ++stats_->queue_full;
-    return Verdict::kQueueFull;
-  }
-  ++stats_->forwarded;
-  return Verdict::kForwarded;
+  ++stats_->queue_full;
+  return Verdict::kQueueFull;
 }
 
 void TrafficManagerStage::CompileWrrSchedule(
@@ -429,7 +427,7 @@ void TrafficManagerStage::SetWrrWeights(
 
 std::size_t TrafficManagerStage::PickClass(EgressPort& port, double start_s) {
   auto eligible = [&](std::size_t sc) {
-    const net::PacketMeta* head = port.queues[sc].Peek();
+    const net::PacketMeta* head = port.queues[sc].queue().Peek();
     return head != nullptr && head->arrival_time_s <= start_s;
   };
   if (config_->scheduler == SchedulerPolicy::kStrictPriority) {
@@ -473,7 +471,7 @@ std::size_t TrafficManagerStage::DrainInto(double until_s,
   // so the append loop below never reallocates mid-drain.
   std::size_t queued = 0;
   for (const EgressPort& port : ports_) {
-    for (const net::PacketQueue& q : port.queues) queued += q.packets();
+    for (const aqm::AqmQueue& q : port.queues) queued += q.queue().packets();
   }
   if (queued == 0) return 0;  // fast path: nothing queued anywhere
   out.reserve(first + queued);
@@ -486,8 +484,8 @@ std::size_t TrafficManagerStage::DrainInto(double until_s,
       // period.
       bool any = false;
       double earliest_arrival = 0.0;
-      for (const net::PacketQueue& q : port.queues) {
-        const net::PacketMeta* head = q.Peek();
+      for (const aqm::AqmQueue& q : port.queues) {
+        const net::PacketMeta* head = q.queue().Peek();
         if (head == nullptr) continue;
         if (!any || head->arrival_time_s < earliest_arrival) {
           earliest_arrival = head->arrival_time_s;
@@ -500,14 +498,20 @@ std::size_t TrafficManagerStage::DrainInto(double until_s,
       // class index (highest priority) is served.
       const double start_s = std::max(port.next_free_s, earliest_arrival);
       const std::size_t pick = PickClass(port, start_s);
-      const net::PacketMeta* head = port.queues[pick].Peek();
+      const net::PacketMeta* head = port.queues[pick].queue().Peek();
       const double ready_s = std::max(port.next_free_s, head->arrival_time_s);
       const double service_s = static_cast<double>(head->size_bytes) * 8.0 /
                                config_->port_rate_bps;
       const double depart_s = ready_s + service_s;
       if (depart_s > until_s) break;
-      auto dequeued = port.queues[pick].Dequeue(depart_s);
+      // A head the policy drops here counts as an AQM drop, and the next
+      // packet of the class takes its service slot, as in the
+      // simulators' Bottleneck::Depart. (No switch port head-drops
+      // today: AnalogAqm and TailDropOnly decide at admission only.)
+      const auto dequeued = port.queues[pick].Dequeue(
+          depart_s, [&](const net::PacketMeta&) { ++stats_->aqm_drops; });
       port.next_free_s = depart_s;
+      if (!dequeued.has_value()) continue;
       Delivery d;
       d.port = p;
       d.service_class = pick;
@@ -528,7 +532,7 @@ std::size_t TrafficManagerStage::DrainInto(double until_s,
 
 const net::PacketQueue& TrafficManagerStage::egress_queue(
     std::size_t port, std::size_t service_class) const {
-  return ports_.at(port).queues.at(service_class);
+  return ports_.at(port).queues.at(service_class).queue();
 }
 
 aqm::AnalogAqm* TrafficManagerStage::port_aqm(std::size_t port,
@@ -541,7 +545,7 @@ aqm::AnalogAqm* TrafficManagerStage::port_aqm(std::size_t port,
 std::uint64_t TrafficManagerStage::QueuedPackets() const {
   std::uint64_t queued = 0;
   for (const EgressPort& port : ports_) {
-    for (const net::PacketQueue& q : port.queues) queued += q.packets();
+    for (const aqm::AqmQueue& q : port.queues) queued += q.queue().packets();
   }
   return queued;
 }

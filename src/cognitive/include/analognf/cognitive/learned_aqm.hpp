@@ -37,9 +37,8 @@ class LearnedAqm final : public aqm::AqmPolicy {
  public:
   explicit LearnedAqm(LearnedAqmConfig config);
 
-  bool ShouldDropOnEnqueue(const aqm::AqmContext& ctx) override;
+  aqm::AqmVerdict DecideOnEnqueue(const aqm::AqmContext& ctx) override;
   std::string name() const override { return "learned-analog-aqm"; }
-  void Reset() override;
   double LastDropProbability() const override { return last_pdp_; }
 
   // The self-supervision target for a given sojourn time: the ideal

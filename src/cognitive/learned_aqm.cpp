@@ -76,7 +76,7 @@ std::vector<double> LearnedAqm::ExtractFeatures(
   };
 }
 
-bool LearnedAqm::ShouldDropOnEnqueue(const aqm::AqmContext& ctx) {
+aqm::AqmVerdict LearnedAqm::DecideOnEnqueue(const aqm::AqmContext& ctx) {
   const std::vector<double> features = ExtractFeatures(ctx);
   // Train-then-act: one delta-rule step toward the self-supervision
   // target, then use the updated law for this packet's decision.
@@ -84,13 +84,8 @@ bool LearnedAqm::ShouldDropOnEnqueue(const aqm::AqmContext& ctx) {
   const double pdp = perceptron_.Infer(features);
   last_pdp_ = pdp;
   ++decisions_;
-  return rng_.NextBernoulli(pdp);
-}
-
-void LearnedAqm::Reset() {
-  sojourn_chain_.Reset();
-  buffer_chain_.Reset();
-  last_pdp_ = 0.0;
+  return rng_.NextBernoulli(pdp) ? aqm::AqmVerdict::kDrop
+                                 : aqm::AqmVerdict::kAccept;
 }
 
 }  // namespace analognf::cognitive

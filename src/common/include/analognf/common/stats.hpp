@@ -50,7 +50,6 @@ class Ewma {
   double Update(double sample);
   double value() const { return value_; }
   bool initialized() const { return initialized_; }
-  void Reset();
 
  private:
   double weight_;

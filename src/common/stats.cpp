@@ -50,11 +50,6 @@ double Ewma::Update(double sample) {
   return value_;
 }
 
-void Ewma::Reset() {
-  value_ = 0.0;
-  initialized_ = false;
-}
-
 double Percentile(const std::vector<double>& samples, double q) {
   std::vector<double> copy = samples;
   return PercentileInPlace(copy, q);

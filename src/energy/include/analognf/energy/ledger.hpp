@@ -29,8 +29,9 @@ class EnergyLedger {
 
   // Stable pointer to a category's running total, so batched hot paths
   // can accumulate per-packet contributions without the per-call string
-  // lookup of Record(). The pointer stays valid until Reset(). Callers
-  // must uphold the Record() precondition (non-negative energy).
+  // lookup of Record(). The pointer stays valid for the ledger's
+  // lifetime. Callers must uphold the Record() precondition
+  // (non-negative energy).
   CategoryTotal* Meter(const std::string& category);
 
   // Total across all categories.
@@ -48,7 +49,6 @@ class EnergyLedger {
 
   // Folds another ledger into this one.
   void Merge(const EnergyLedger& other);
-  void Reset();
 
  private:
   std::map<std::string, CategoryTotal> categories_;

@@ -15,8 +15,8 @@ void EnergyLedger::Record(const std::string& category, double energy_j,
 }
 
 CategoryTotal* EnergyLedger::Meter(const std::string& category) {
-  // std::map nodes are reference-stable across inserts, so the pointer
-  // survives until Reset() clears the map.
+  // std::map nodes are reference-stable across inserts, and no entry is
+  // ever erased.
   return &categories_[category];
 }
 
@@ -50,7 +50,5 @@ void EnergyLedger::Merge(const EnergyLedger& other) {
     total.operations += cat.operations;
   }
 }
-
-void EnergyLedger::Reset() { categories_.clear(); }
 
 }  // namespace analognf::energy

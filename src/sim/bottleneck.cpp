@@ -54,36 +54,21 @@ double LinkReport::FairnessIndex(double per) const {
 Bottleneck::Bottleneck(const LinkConfig& config, aqm::AqmPolicy& policy,
                        EventQueue& events, std::uint32_t departure_kind)
     : config_(config),
-      policy_(policy),
       events_(events),
       departure_kind_(departure_kind),
-      queue_(config.queue) {
+      queue_(config.queue, policy) {
   config_.Validate();
   report_.duration_s = config_.duration_s;
   report_.warmup_s = config_.warmup_s;
 }
 
-bool Bottleneck::Offer(net::PacketMeta packet) {
-  const double now = events_.now();
+bool Bottleneck::Offer(const net::PacketMeta& packet) {
   ++report_.offered_packets;
-
-  aqm::AqmContext ctx;
-  ctx.now_s = now;
-  ctx.sojourn_s = queue_.HeadSojourn(now);
-  ctx.queue_bytes = queue_.bytes();
-  ctx.queue_packets = queue_.packets();
-  ctx.packet = packet;
-
-  const aqm::AqmVerdict verdict = policy_.DecideOnEnqueue(ctx);
-  if (verdict == aqm::AqmVerdict::kDrop) {
-    queue_.NoteAqmDrop(packet);
+  const aqm::Admission admission = queue_.Offer(packet, events_.now());
+  if (admission == aqm::Admission::kAqmDropped ||
+      admission == aqm::Admission::kTailDropped) {
     return false;
   }
-  if (verdict == aqm::AqmVerdict::kMark) {
-    packet.ecn_marked = true;
-    ++report_.marked_packets;
-  }
-  if (!queue_.Enqueue(packet, now)) return false;
   StartServiceIfIdle();
   return true;
 }
@@ -103,18 +88,6 @@ std::uint64_t& Bottleneck::DeliveriesOf(std::uint64_t flow) {
   return it->second;
 }
 
-bool Bottleneck::DropsHead(const net::DequeuedPacket& head, double now) {
-  aqm::AqmContext ctx;
-  ctx.now_s = now;
-  ctx.sojourn_s = head.sojourn_s;
-  ctx.queue_bytes = queue_.bytes();
-  ctx.queue_packets = queue_.packets();
-  ctx.packet = head.meta;
-  if (!policy_.ShouldDropOnDequeue(ctx)) return false;
-  queue_.NoteAqmDrop(head.meta);
-  return true;
-}
-
 void Bottleneck::Deliver(const net::DequeuedPacket& delivered, double now) {
   report_.delay.Append(now, delivered.sojourn_s);
   ++report_.delivered_packets;
@@ -126,7 +99,7 @@ void Bottleneck::Deliver(const net::DequeuedPacket& delivered, double now) {
 
 void Bottleneck::StartServiceIfIdle() {
   if (busy_) return;
-  const net::PacketMeta* head = queue_.Peek();
+  const net::PacketMeta* head = queue_.queue().Peek();
   if (head == nullptr) return;
   busy_ = true;
   events_.ScheduleIn(
@@ -135,9 +108,10 @@ void Bottleneck::StartServiceIfIdle() {
 }
 
 LinkReport Bottleneck::TakeReport() {
-  const net::QueueStats& stats = queue_.stats();
+  const net::QueueStats& stats = queue_.queue().stats();
   report_.dropped_packets = stats.dropped_full + stats.dropped_aqm;
-  report_.residual_packets = queue_.packets();
+  report_.residual_packets = queue_.queue().packets();
+  report_.marked_packets = queue_.marks();
   return std::move(report_);
 }
 

@@ -63,17 +63,14 @@ struct HarnessSpec {
 class DigitalHarness final : public aqm::AqmPolicy {
  public:
   DigitalHarness(std::unique_ptr<aqm::AqmPolicy> inner, HarnessSpec spec)
-      : inner_(std::move(inner)), spec_(spec) {
+      : inner_(std::move(inner)),
+        spec_(spec),
+        compute_meter_(ledger_.Meter(energy::category::kDigitalCompute)),
+        movement_meter_(ledger_.Meter(energy::category::kDataMovement)) {
     const energy::MovementBreakdown cost =
         model_.CostOf(spec_.state_bits);
     compute_j_ = cost.compute_j;
     movement_j_ = cost.movement_j;
-    AcquireMeters();
-  }
-
-  bool ShouldDropOnEnqueue(const aqm::AqmContext& ctx) override {
-    if (spec_.charge_enqueue) Charge();
-    return inner_->ShouldDropOnEnqueue(ctx);
   }
 
   aqm::AqmVerdict DecideOnEnqueue(const aqm::AqmContext& ctx) override {
@@ -98,12 +95,6 @@ class DigitalHarness final : public aqm::AqmPolicy {
   }
 
   std::string name() const override { return inner_->name(); }
-  void Reset() override {
-    inner_->Reset();
-    ledger_.Reset();
-    AcquireMeters();
-    decisions_ = 0;
-  }
   double LastDropProbability() const override {
     return inner_->LastDropProbability();
   }
@@ -112,11 +103,6 @@ class DigitalHarness final : public aqm::AqmPolicy {
   std::uint64_t decisions() const { return decisions_; }
 
  private:
-  void AcquireMeters() {
-    compute_meter_ = ledger_.Meter(energy::category::kDigitalCompute);
-    movement_meter_ = ledger_.Meter(energy::category::kDataMovement);
-  }
-
   void Charge() {
     compute_meter_->energy_j += compute_j_;
     ++compute_meter_->operations;
@@ -129,8 +115,8 @@ class DigitalHarness final : public aqm::AqmPolicy {
   HarnessSpec spec_;
   energy::DataMovementModel model_;
   energy::EnergyLedger ledger_;
-  energy::CategoryTotal* compute_meter_ = nullptr;
-  energy::CategoryTotal* movement_meter_ = nullptr;
+  energy::CategoryTotal* compute_meter_;
+  energy::CategoryTotal* movement_meter_;
   double compute_j_ = 0.0;
   double movement_j_ = 0.0;
   std::uint64_t decisions_ = 0;

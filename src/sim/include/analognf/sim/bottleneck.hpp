@@ -4,8 +4,9 @@
 // QueueSimulator (open-loop MetaSource arrivals, the Fig. 8 workload)
 // and ClosedLoopSimulator (AIMD sources) differ only in their traffic.
 // Each keeps its own event loop and event kinds; this component owns
-// what they share: the queue, the link, the policy's two decision points
-// (admission and the head-drop loop) and the report core.
+// what they share: the link, its departure calendar and the report
+// core, on top of one aqm::AqmQueue (the same AQM-guarded queue the
+// switch's traffic manager uses for every egress class).
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "analognf/aqm/aqm.hpp"
+#include "analognf/aqm/aqm_queue.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/common/timeseries.hpp"
 #include "analognf/net/queue.hpp"
@@ -41,7 +43,9 @@ struct LinkReport {
   std::uint64_t offered_packets = 0;
   std::uint64_t delivered_packets = 0;
   std::uint64_t dropped_packets = 0;  // AQM (admission + head) and tail
-  std::uint64_t marked_packets = 0;   // CE marks set at admission
+  // CE marks set at admission; a marked packet that the full queue then
+  // tail-drops counts here and in dropped_packets.
+  std::uint64_t marked_packets = 0;
   // Packets still queued when the run ended. Conservation holds exactly:
   // offered == delivered + dropped + residual.
   std::uint64_t residual_packets = 0;
@@ -69,28 +73,24 @@ class Bottleneck {
   Bottleneck(const LinkConfig& config, aqm::AqmPolicy& policy,
              EventQueue& events, std::uint32_t departure_kind);
 
-  // Offers `packet` now: asks the policy, then drops, marks or enqueues
-  // it, and starts service if the link is idle. Returns false when the
-  // packet was dropped (by the policy or by a full queue).
-  bool Offer(net::PacketMeta packet);
+  // Offers `packet` now to the AQM-guarded queue (which drops, marks or
+  // enqueues it) and starts service if the link is idle. Returns false
+  // when the packet was dropped (by the policy or by a full queue).
+  bool Offer(const net::PacketMeta& packet);
 
-  // Serves the departure due now: dequeues the head and lets the policy
-  // head-drop (CoDel-style, calling on_drop(meta) for each discarded
-  // packet; the next packet takes the same service slot). Then delivers
-  // the survivor, calls on_deliver(delivered) and starts the next
-  // service. Does nothing more once the queue has run dry.
+  // Serves the departure due now: dequeues the head through the queue's
+  // head-drop loop (on_drop(meta) runs for each packet the policy
+  // discards; the next packet takes the same service slot). Then
+  // delivers the survivor, calls on_deliver(delivered) and starts the
+  // next service. Does nothing more once the queue has run dry.
   template <class OnDrop, class OnDeliver>
   void Depart(OnDrop&& on_drop, OnDeliver&& on_deliver) {
     const double now = events_.now();
     busy_ = false;
-    auto head = queue_.Dequeue(now);
-    while (head.has_value() && DropsHead(*head, now)) {
-      on_drop(head->meta);
-      head = queue_.Dequeue(now);
-    }
+    const auto head = queue_.Dequeue(now, on_drop);
     if (!head.has_value()) return;
     Deliver(*head, now);
-    on_deliver(std::as_const(*head));
+    on_deliver(*head);
     StartServiceIfIdle();
   }
 
@@ -98,24 +98,22 @@ class Bottleneck {
   // delivers nothing post-warmup scores 0 instead of leaving the index.
   void AddFlow(std::uint64_t flow) { DeliveriesOf(flow); }
 
-  const net::PacketQueue& queue() const { return queue_; }
+  const net::PacketQueue& queue() const { return queue_.queue(); }
 
-  // Closes the run: fills drops and residual from the queue and hands
-  // the report over.
+  // Closes the run: fills drops, marks and residual from the queue and
+  // hands the report over.
   LinkReport TakeReport();
 
  private:
   // The flow's post-warmup delivery count, inserted at 0 if new.
   std::uint64_t& DeliveriesOf(std::uint64_t flow);
-  bool DropsHead(const net::DequeuedPacket& head, double now);
   void Deliver(const net::DequeuedPacket& delivered, double now);
   void StartServiceIfIdle();
 
   LinkConfig config_;
-  aqm::AqmPolicy& policy_;
   EventQueue& events_;
   std::uint32_t departure_kind_;
-  net::PacketQueue queue_;
+  aqm::AqmQueue queue_;
   bool busy_ = false;
   LinkReport report_;
 };

@@ -243,14 +243,6 @@ TEST(DifferentiatorTest, CoincidentSampleHoldsOutput) {
   EXPECT_EQ(d.Step(0.1, 100.0), out);
 }
 
-TEST(DifferentiatorTest, ResetReprimes) {
-  Differentiator d(0.01);
-  d.Step(0.0, 1.0);
-  d.Step(1.0, 2.0);
-  d.Reset();
-  EXPECT_EQ(d.Step(5.0, 10.0), 0.0);
-}
-
 TEST(DerivativeChainTest, RejectsBadOrder) {
   EXPECT_THROW(DerivativeChain(0, 0.01), std::invalid_argument);
   EXPECT_THROW(DerivativeChain(99, 0.01), std::invalid_argument);
@@ -271,14 +263,6 @@ TEST(DerivativeChainTest, QuadraticHasConstantSecondDerivative) {
     out = chain.Step(t, 0.5 * 4.0 * t * t);  // x = 2 t^2, x'' = 4
   }
   EXPECT_NEAR(out[2], 4.0, 0.4);
-}
-
-TEST(DerivativeChainTest, ResetZeroesOutputs) {
-  DerivativeChain chain(3, 0.01);
-  chain.Step(0.0, 1.0);
-  chain.Step(0.1, 5.0);
-  chain.Reset();
-  for (double o : chain.outputs()) EXPECT_EQ(o, 0.0);
 }
 
 // --------------------------------------------------------- crossbar

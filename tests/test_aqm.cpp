@@ -10,6 +10,7 @@
 
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/aqm/aqm.hpp"
+#include "analognf/aqm/aqm_queue.hpp"
 #include "analognf/aqm/codel.hpp"
 #include "analognf/aqm/controller.hpp"
 #include "analognf/aqm/pi2.hpp"
@@ -34,14 +35,105 @@ AqmContext MakeContext(double now_s, double sojourn_s,
   return ctx;
 }
 
+// The admission hook as a drop decision. Used only with contexts that
+// are not ECN-capable, where no policy marks.
+bool Drops(AqmPolicy& policy, const AqmContext& ctx) {
+  return policy.DecideOnEnqueue(ctx) == AqmVerdict::kDrop;
+}
+
 // ------------------------------------------------------------ taildrop
 
 TEST(TailDropTest, NeverDrops) {
   TailDropOnly policy;
-  EXPECT_FALSE(policy.ShouldDropOnEnqueue(MakeContext(0.0, 10.0, 1000)));
+  EXPECT_FALSE(Drops(policy, MakeContext(0.0, 10.0, 1000)));
   EXPECT_FALSE(policy.ShouldDropOnDequeue(MakeContext(0.0, 10.0, 1000)));
   EXPECT_TRUE(std::isnan(policy.LastDropProbability()));
   EXPECT_EQ(policy.name(), "taildrop");
+
+  // Guarding a queue, it leaves only the capacity bound.
+  AqmQueue queue({.max_packets = 2}, policy);
+  net::PacketMeta meta;
+  meta.size_bytes = 1000;
+  EXPECT_EQ(queue.Offer(meta, 0.0), Admission::kEnqueued);
+  EXPECT_EQ(queue.Offer(meta, 0.0), Admission::kEnqueued);
+  EXPECT_EQ(queue.Offer(meta, 0.0), Admission::kTailDropped);
+  EXPECT_EQ(queue.queue().packets(), 2u);
+  EXPECT_EQ(queue.queue().stats().dropped_full, 1u);
+  EXPECT_EQ(queue.queue().stats().dropped_aqm, 0u);
+}
+
+// --------------------------------------------------------- AQM queue
+
+// ECN end to end: once PI2's controller saturates, an ECN-capable
+// packet offered to the queue is enqueued carrying the CE mark.
+TEST(AqmQueueTest, MarkedPacketIsEnqueuedWithCeBit) {
+  Pi2Config c;
+  c.drain_rate_bps = 1.0e5;  // ten queued 1000 B packets = 0.8 s delay
+  Pi2 pi2(c, 5);
+  AqmQueue queue({}, pi2);
+  net::PacketMeta ect;
+  ect.size_bytes = 1000;
+  ect.ecn_capable = true;
+  // No controller update within the first Tupdate: p' = 0, no marks.
+  for (std::uint64_t id = 0; id < 10; ++id) {
+    ect.id = id;
+    EXPECT_EQ(queue.Offer(ect, 0.0), Admission::kEnqueued);
+  }
+  // The first update drives p' to 1, so the mark probability is 1.
+  ect.id = 10;
+  EXPECT_EQ(queue.Offer(ect, 0.02), Admission::kMarked);
+  ASSERT_DOUBLE_EQ(pi2.mark_probability_l4s(), 1.0);
+  EXPECT_EQ(queue.queue().packets(), 11u);
+  EXPECT_EQ(queue.queue().stats().dropped_aqm, 0u);
+  for (std::uint64_t id = 0; id <= 10; ++id) {
+    const auto head =
+        queue.Dequeue(0.03, [](const net::PacketMeta&) { FAIL(); });
+    ASSERT_TRUE(head.has_value());
+    EXPECT_EQ(head->meta.id, id);
+    EXPECT_EQ(head->meta.ecn_marked, id == 10) << id;
+  }
+}
+
+// The CoDel head-drop loop: one Dequeue discards every head the control
+// law condemns, reports each through on_drop, and returns the first
+// survivor.
+TEST(AqmQueueTest, CodelHeadDropsOnDequeue) {
+  Codel codel;  // target 5 ms, interval 100 ms
+  AqmQueue queue({}, codel);
+  net::PacketMeta meta;
+  meta.size_bytes = 1000;
+  for (std::uint64_t id = 0; id < 100; ++id) {
+    meta.id = id;
+    ASSERT_EQ(queue.Offer(meta, 0.0), Admission::kEnqueued);
+  }
+  std::vector<std::uint64_t> dropped;
+  const auto on_drop = [&](const net::PacketMeta& m) {
+    dropped.push_back(m.id);
+  };
+  // 200 ms above target: CoDel starts its interval, drops nothing.
+  auto head = queue.Dequeue(0.2, on_drop);
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(head->meta.id, 0u);
+  EXPECT_TRUE(dropped.empty());
+  // A full interval later it enters dropping: one head drop.
+  head = queue.Dequeue(0.7, on_drop);
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(dropped, std::vector<std::uint64_t>{1});
+  EXPECT_EQ(head->meta.id, 2u);
+  // Half a second on, the control law is several drops behind: each
+  // overdue head goes in the same call, in FIFO order.
+  dropped.clear();
+  head = queue.Dequeue(1.2, on_drop);
+  ASSERT_TRUE(head.has_value());
+  ASSERT_GT(dropped.size(), 1u);
+  for (std::size_t k = 0; k < dropped.size(); ++k) {
+    EXPECT_EQ(dropped[k], 3 + k);
+  }
+  EXPECT_EQ(head->meta.id, dropped.back() + 1);
+  const net::QueueStats& stats = queue.queue().stats();
+  EXPECT_EQ(stats.dropped_aqm, 1 + dropped.size());
+  EXPECT_EQ(stats.dequeued, 3 + stats.dropped_aqm);
+  EXPECT_EQ(queue.queue().packets(), 100 - stats.dequeued);
 }
 
 // ----------------------------------------------------------------- RED
@@ -62,7 +154,7 @@ TEST(RedTest, ConfigValidation) {
 TEST(RedTest, NoDropsBelowMinThreshold) {
   Red red(RedConfig{}, 1);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(red.ShouldDropOnEnqueue(MakeContext(0.001 * i, 0.0, 2)));
+    EXPECT_FALSE(Drops(red, MakeContext(0.001 * i, 0.0, 2)));
   }
   EXPECT_EQ(red.LastDropProbability(), 0.0);
 }
@@ -72,7 +164,7 @@ TEST(RedTest, AlwaysDropsFarAboveMaxThreshold) {
   c.queue_weight = 1.0;  // instant average for the test
   c.gentle = false;
   Red red(c, 2);
-  EXPECT_TRUE(red.ShouldDropOnEnqueue(MakeContext(0.0, 0.0, 100)));
+  EXPECT_TRUE(Drops(red, MakeContext(0.0, 0.0, 100)));
   EXPECT_EQ(red.LastDropProbability(), 1.0);
 }
 
@@ -84,7 +176,7 @@ TEST(RedTest, IntermediateLoadDropsProportionally) {
   const int n = 20000;
   for (int i = 0; i < n; ++i) {
     // Average queue = 10, midway between 5 and 15: base p = max_p/2.
-    if (red.ShouldDropOnEnqueue(MakeContext(0.001 * i, 0.0, 10))) ++drops;
+    if (Drops(red, MakeContext(0.001 * i, 0.0, 10))) ++drops;
   }
   const double rate = static_cast<double>(drops) / n;
   EXPECT_GT(rate, 0.02);
@@ -96,7 +188,7 @@ TEST(RedTest, GentleModeRampsAboveMaxThreshold) {
   c.queue_weight = 1.0;
   c.gentle = true;
   Red red(c, 4);
-  red.ShouldDropOnEnqueue(MakeContext(0.0, 0.0, 20));  // 20 < 2*15
+  Drops(red, MakeContext(0.0, 0.0, 20));  // 20 < 2*15
   EXPECT_LT(red.LastDropProbability(), 1.0);
   EXPECT_GT(red.LastDropProbability(), 0.1);
 }
@@ -105,18 +197,10 @@ TEST(RedTest, AverageTracksEwma) {
   RedConfig c;
   c.queue_weight = 0.5;
   Red red(c, 5);
-  red.ShouldDropOnEnqueue(MakeContext(0.0, 0.0, 4));
+  Drops(red, MakeContext(0.0, 0.0, 4));
   EXPECT_NEAR(red.average_queue_pkts(), 4.0, 1e-12);
-  red.ShouldDropOnEnqueue(MakeContext(0.001, 0.0, 8));
+  Drops(red, MakeContext(0.001, 0.0, 8));
   EXPECT_NEAR(red.average_queue_pkts(), 6.0, 1e-12);
-}
-
-TEST(RedTest, ResetClearsState) {
-  Red red(RedConfig{}, 6);
-  red.ShouldDropOnEnqueue(MakeContext(0.0, 0.0, 50));
-  red.Reset();
-  EXPECT_EQ(red.LastDropProbability(), 0.0);
-  EXPECT_EQ(red.average_queue_pkts(), 0.0);
 }
 
 // --------------------------------------------------------------- CoDel
@@ -192,16 +276,6 @@ TEST(CodelTest, NearEmptyQueueSuppressesDrops) {
     ctx.now_s = 0.001 * i;
     EXPECT_FALSE(codel.ShouldDropOnDequeue(ctx));
   }
-}
-
-TEST(CodelTest, ResetClearsState) {
-  Codel codel;
-  for (int i = 0; i < 2000; ++i) {
-    codel.ShouldDropOnDequeue(MakeContext(0.001 * i, 0.050, 10));
-  }
-  codel.Reset();
-  EXPECT_FALSE(codel.dropping());
-  EXPECT_EQ(codel.drop_count(), 0u);
 }
 
 // RFC 8289 re-entry: a dropping episode that resumes within 16 intervals
@@ -362,8 +436,7 @@ TEST(PieTest, ConfigValidation) {
 TEST(PieTest, BurstAllowanceSuppressesEarlyDrops) {
   Pie pie(PieConfig{}, 2);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE(pie.ShouldDropOnEnqueue(
-        MakeContext(0.001 * i, 0.0, 100, 2000000)));
+    EXPECT_FALSE(Drops(pie, MakeContext(0.001 * i, 0.0, 100, 2000000)));
   }
 }
 
@@ -373,7 +446,7 @@ TEST(PieTest, DropProbabilityRisesUnderSustainedDelay) {
   Pie pie(c, 3);
   // 125 kB queue at 10 Mb/s = 100 ms >> 15 ms target.
   for (int i = 0; i < 3000; ++i) {
-    pie.ShouldDropOnEnqueue(MakeContext(0.001 * i, 0.0, 125, 125000));
+    Drops(pie, MakeContext(0.001 * i, 0.0, 125, 125000));
   }
   EXPECT_GT(pie.LastDropProbability(), 0.01);
   EXPECT_GT(pie.current_delay_estimate_s(), 0.05);
@@ -383,11 +456,11 @@ TEST(PieTest, DropProbabilityFallsWhenDelayClears) {
   PieConfig c;
   Pie pie(c, 4);
   for (int i = 0; i < 3000; ++i) {
-    pie.ShouldDropOnEnqueue(MakeContext(0.001 * i, 0.0, 125, 125000));
+    Drops(pie, MakeContext(0.001 * i, 0.0, 125, 125000));
   }
   const double peak = pie.LastDropProbability();
   for (int i = 3000; i < 9000; ++i) {
-    pie.ShouldDropOnEnqueue(MakeContext(0.001 * i, 0.0, 1, 100));
+    Drops(pie, MakeContext(0.001 * i, 0.0, 1, 100));
   }
   EXPECT_LT(pie.LastDropProbability(), peak);
 }
@@ -395,19 +468,10 @@ TEST(PieTest, DropProbabilityFallsWhenDelayClears) {
 TEST(PieTest, TinyQueueNeverDropped) {
   Pie pie(PieConfig{}, 5);
   for (int i = 0; i < 3000; ++i) {
-    pie.ShouldDropOnEnqueue(MakeContext(0.001 * i, 0.0, 125, 125000));
+    Drops(pie, MakeContext(0.001 * i, 0.0, 125, 125000));
   }
   // Even with high probability, a <2 packet queue is protected.
-  EXPECT_FALSE(pie.ShouldDropOnEnqueue(MakeContext(3.1, 0.0, 1, 1000)));
-}
-
-TEST(PieTest, ResetRestoresBurstAllowance) {
-  Pie pie(PieConfig{}, 6);
-  for (int i = 0; i < 3000; ++i) {
-    pie.ShouldDropOnEnqueue(MakeContext(0.001 * i, 0.0, 125, 125000));
-  }
-  pie.Reset();
-  EXPECT_EQ(pie.LastDropProbability(), 0.0);
+  EXPECT_FALSE(Drops(pie, MakeContext(3.1, 0.0, 1, 1000)));
 }
 
 // Straight-line transcription of RFC 8033 Sec. 5.2's periodic update
@@ -454,10 +518,10 @@ TEST(PieTest, MatchesRfc8033OracleThroughCongestionAndIdle) {
   PieUpdateOracle oracle{c};
   double now = 0.0;
   // First call only initialises the update clock.
-  pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 125, 125000));
+  Drops(pie, MakeContext(now, 0.0, 125, 125000));
   const auto step = [&](std::uint64_t pkts, std::uint64_t bytes) {
     now += 0.016;  // > update interval: exactly one update per call
-    pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, pkts, bytes));
+    Drops(pie, MakeContext(now, 0.0, pkts, bytes));
     oracle.Update(bytes);
   };
   // 60 congested updates: 125 kB standing queue = 100 ms >> target.
@@ -480,23 +544,23 @@ TEST(PieTest, IdleUpdatesDecayDropProbabilityMultiplicatively) {
   PieConfig c;
   Pie pie(c, 12);
   double now = 0.0;
-  pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 125, 125000));
+  Drops(pie, MakeContext(now, 0.0, 125, 125000));
   for (int i = 0; i < 60; ++i) {
     now += 0.016;
-    pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 125, 125000));
+    Drops(pie, MakeContext(now, 0.0, 125, 125000));
   }
   ASSERT_GT(pie.LastDropProbability(), 0.1);
   // First empty-queue update: the previous delay sample is nonzero, so
   // this is the transition step (additive only).
   now += 0.016;
-  pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 0, 0));
+  Drops(pie, MakeContext(now, 0.0, 0, 0));
   const double p1 = pie.LastDropProbability();
   ASSERT_GT(p1, 0.1);  // scale = 1 territory for the next step
   // Second consecutive idle update: RFC 8033 decays multiplicatively,
   // p <- (p + alpha*(0 - target)) * 0.98. Without the decay the step
   // misses by ~2% of p — far outside this tolerance.
   now += 0.016;
-  pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 0, 0));
+  Drops(pie, MakeContext(now, 0.0, 0, 0));
   EXPECT_NEAR(pie.LastDropProbability(),
               (p1 + c.alpha * (0.0 - c.target_delay_s)) * 0.98, 1e-9);
   // And the decay drains the controller at the RFC's pace: below 1e-4
@@ -505,7 +569,7 @@ TEST(PieTest, IdleUpdatesDecayDropProbabilityMultiplicatively) {
   int idle_updates = 2;
   while (pie.LastDropProbability() >= 1e-4 && idle_updates < 400) {
     now += 0.016;
-    pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 0, 0));
+    Drops(pie, MakeContext(now, 0.0, 0, 0));
     ++idle_updates;
   }
   EXPECT_LT(pie.LastDropProbability(), 1e-4);
@@ -516,11 +580,11 @@ TEST(PieTest, BurstReArmsAfterControllerBacksOff) {
   PieConfig c;
   Pie pie(c, 13);
   double now = 0.0;
-  pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 125, 125000));
+  Drops(pie, MakeContext(now, 0.0, 125, 125000));
   // Exhaust the burst allowance and raise p under standing congestion.
   for (int i = 0; i < 60; ++i) {
     now += 0.016;
-    pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 125, 125000));
+    Drops(pie, MakeContext(now, 0.0, 125, 125000));
   }
   ASSERT_EQ(pie.burst_allowance_s(), 0.0);
   ASSERT_GT(pie.LastDropProbability(), 0.1);
@@ -531,13 +595,13 @@ TEST(PieTest, BurstReArmsAfterControllerBacksOff) {
   // below target/2.
   for (int i = 0; i < 2000 && pie.burst_allowance_s() == 0.0; ++i) {
     now += 0.016;
-    pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 1, 100));
+    Drops(pie, MakeContext(now, 0.0, 1, 100));
   }
   EXPECT_EQ(pie.LastDropProbability(), 0.0);
   EXPECT_EQ(pie.burst_allowance_s(), Pie::kMaxBurstS);
   // The restored allowance suppresses drops through the next burst.
   now += 0.016;
-  EXPECT_FALSE(pie.ShouldDropOnEnqueue(MakeContext(now, 0.0, 125, 125000)));
+  EXPECT_FALSE(Drops(pie, MakeContext(now, 0.0, 125, 125000)));
 }
 
 // ----------------------------------------------------------------- PI2
@@ -587,7 +651,7 @@ TEST(Pi2Test, MatchesRfc9332CouplingOracle) {
   Pi2 pi2(c, 21);
   Pi2UpdateOracle oracle{c};
   double now = 0.0;
-  pi2.ShouldDropOnEnqueue(MakeContext(now, 0.0, 30, 30000));  // init
+  Drops(pi2, MakeContext(now, 0.0, 30, 30000));  // init
   // Congestion ramp, then drain, then idle — the oracle must track p'
   // through all three regimes, and the reported drop probability must be
   // the squared coupling of it at every step.
@@ -599,7 +663,7 @@ TEST(Pi2Test, MatchesRfc9332CouplingOracle) {
   for (int i = 0; i < 200; ++i) {
     now += 0.017;  // > Tupdate (16 ms): one update per call
     const std::uint64_t bytes = bytes_at(i);
-    pi2.ShouldDropOnEnqueue(MakeContext(now, 0.0, bytes / 1000, bytes));
+    Drops(pi2, MakeContext(now, 0.0, bytes / 1000, bytes));
     oracle.Update(bytes);
     ASSERT_NEAR(pi2.base_probability(), oracle.p, 1e-12) << "update " << i;
     ASSERT_NEAR(pi2.LastDropProbability(), oracle.p * oracle.p, 1e-12);
@@ -613,11 +677,11 @@ TEST(Pi2Test, SaturatedControllerDropsClassicAndMarksL4s) {
   Pi2Config c;
   Pi2 pi2(c, 22);
   double now = 0.0;
-  pi2.ShouldDropOnEnqueue(MakeContext(now, 0.0, 500, 500000));
+  Drops(pi2, MakeContext(now, 0.0, 500, 500000));
   // 400 ms of standing delay saturates p' to 1 almost immediately.
   for (int i = 0; i < 20; ++i) {
     now += 0.017;
-    pi2.ShouldDropOnEnqueue(MakeContext(now, 0.0, 500, 500000));
+    Drops(pi2, MakeContext(now, 0.0, 500, 500000));
   }
   ASSERT_DOUBLE_EQ(pi2.base_probability(), 1.0);
   EXPECT_DOUBLE_EQ(pi2.LastDropProbability(), 1.0);
@@ -635,12 +699,12 @@ TEST(Pi2Test, SquaredVsLinearCouplingFrequencies) {
   Pi2Config c;
   Pi2 pi2(c, 23);
   double now = 0.0;
-  pi2.ShouldDropOnEnqueue(MakeContext(now, 0.0, 30, 30000));
+  Drops(pi2, MakeContext(now, 0.0, 30, 30000));
   // Drive p' to a mid value, then freeze it (calls within Tupdate do
   // not update) and measure empirical drop/mark frequencies.
   while (pi2.base_probability() < 0.25) {
     now += 0.017;
-    pi2.ShouldDropOnEnqueue(MakeContext(now, 0.0, 60, 60000));
+    Drops(pi2, MakeContext(now, 0.0, 60, 60000));
   }
   const double p = pi2.base_probability();
   ASSERT_GT(p, 0.25);
@@ -661,23 +725,19 @@ TEST(Pi2Test, SquaredVsLinearCouplingFrequencies) {
   EXPECT_NEAR(mark_freq, std::min(1.0, Pi2::kCouplingK * p), 0.02);
 }
 
-TEST(Pi2Test, TinyQueueProtectedAndResetClears) {
+TEST(Pi2Test, TinyQueueProtected) {
   Pi2Config c;
   Pi2 pi2(c, 24);
   double now = 0.0;
-  pi2.ShouldDropOnEnqueue(MakeContext(now, 0.0, 500, 500000));
+  Drops(pi2, MakeContext(now, 0.0, 500, 500000));
   for (int i = 0; i < 20; ++i) {
     now += 0.017;
-    pi2.ShouldDropOnEnqueue(MakeContext(now, 0.0, 500, 500000));
+    Drops(pi2, MakeContext(now, 0.0, 500, 500000));
   }
   ASSERT_DOUBLE_EQ(pi2.base_probability(), 1.0);
-  // The <2 packet safeguard holds even at p' = 1 on both decide paths.
-  EXPECT_FALSE(pi2.ShouldDropOnEnqueue(MakeContext(now, 0.0, 1, 1000)));
+  // The <2 packet safeguard holds even at p' = 1.
   EXPECT_EQ(pi2.DecideOnEnqueue(MakeContext(now, 0.0, 1, 1000)),
             AqmVerdict::kAccept);
-  pi2.Reset();
-  EXPECT_EQ(pi2.base_probability(), 0.0);
-  EXPECT_EQ(pi2.LastDropProbability(), 0.0);
   EXPECT_EQ(pi2.name(), "pi2");
 }
 
@@ -722,8 +782,7 @@ TEST(AnalogAqmTest, NoDropsWhenQueueIsHealthy) {
   AnalogAqm aqm(TestAnalogConfig());
   for (int i = 0; i < 2000; ++i) {
     // 2 ms sojourn, small queue: far below the 20 ms target.
-    EXPECT_FALSE(aqm.ShouldDropOnEnqueue(
-        MakeContext(0.001 * i, 0.002, 3, 3000)));
+    EXPECT_FALSE(Drops(aqm, MakeContext(0.001 * i, 0.002, 3, 3000)));
   }
   EXPECT_EQ(aqm.LastDropProbability(), 0.0);
 }
@@ -733,8 +792,7 @@ TEST(AnalogAqmTest, SaturatedQueueAlwaysDrops) {
   int drops = 0;
   for (int i = 0; i < 3000; ++i) {
     // 80 ms sojourn: far above target + deviation.
-    if (aqm.ShouldDropOnEnqueue(
-            MakeContext(0.001 * i, 0.080, 200, 200000))) {
+    if (Drops(aqm, MakeContext(0.001 * i, 0.080, 200, 200000))) {
       ++drops;
     }
   }
@@ -748,7 +806,7 @@ TEST(AnalogAqmTest, PdpRampsInsideDeviationBand) {
   // Hold sojourn at the target: PDP should be mid-ramp (not 0, not 1).
   double pdp = 0.0;
   for (int i = 0; i < 3000; ++i) {
-    aqm.ShouldDropOnEnqueue(MakeContext(0.001 * i, 0.020, 20, 20000));
+    Drops(aqm, MakeContext(0.001 * i, 0.020, 20, 20000));
     pdp = aqm.LastDropProbability();
   }
   EXPECT_GT(pdp, 0.2);
@@ -764,10 +822,8 @@ TEST(AnalogAqmTest, HighPriorityGetsRelief) {
   double low_pdp = 0.0;
   double high_pdp = 0.0;
   for (int i = 0; i < 2000; ++i) {
-    low.ShouldDropOnEnqueue(
-        MakeContext(0.001 * i, 0.028, 30, 30000, /*priority=*/0));
-    high.ShouldDropOnEnqueue(
-        MakeContext(0.001 * i, 0.028, 30, 30000, /*priority=*/7));
+    Drops(low, MakeContext(0.001 * i, 0.028, 30, 30000, /*priority=*/0));
+    Drops(high, MakeContext(0.001 * i, 0.028, 30, 30000, /*priority=*/7));
     low_pdp = low.LastDropProbability();
     high_pdp = high.LastDropProbability();
   }
@@ -777,7 +833,7 @@ TEST(AnalogAqmTest, HighPriorityGetsRelief) {
 
 TEST(AnalogAqmTest, EnergyLedgerPopulated) {
   AnalogAqm aqm(TestAnalogConfig());
-  aqm.ShouldDropOnEnqueue(MakeContext(0.0, 0.010, 10, 10000));
+  Drops(aqm, MakeContext(0.0, 0.010, 10, 10000));
   EXPECT_GT(aqm.ConsumedEnergyJ(), 0.0);
   EXPECT_GT(aqm.ledger().Of(energy::category::kPcamSearch).operations, 0u);
   EXPECT_GT(aqm.ledger().Of(energy::category::kDacConvert).operations, 0u);
@@ -833,16 +889,6 @@ TEST(AnalogAqmTest, DrainingQueueCutsPdp) {
   const std::vector<double> draining =
       aqm.FeaturesToVoltages({0.020, -0.8, 0.0, 0.0}, {0.1, 0.0, 0.0, 0.0});
   EXPECT_LT(aqm.EvaluatePdp(draining), aqm.EvaluatePdp(steady));
-}
-
-TEST(AnalogAqmTest, ResetClearsDerivativeState) {
-  AnalogAqm aqm(TestAnalogConfig());
-  for (int i = 0; i < 100; ++i) {
-    aqm.ShouldDropOnEnqueue(MakeContext(0.001 * i, 0.050, 50, 50000));
-  }
-  aqm.Reset();
-  EXPECT_EQ(aqm.LastDropProbability(), 0.0);
-  EXPECT_EQ(aqm.ConsumedEnergyJ(), 0.0);
 }
 
 TEST(AnalogAqmTest, UpdatePcamRetargetsRamp) {
@@ -902,12 +948,6 @@ TEST(AnalogAqmTest, ConsumedEnergyIsLedgerTotalBitwise) {
   EXPECT_EQ(mismatches, 0);
   EXPECT_EQ(aqm.ConsumedEnergyJ(), aqm.ledger().TotalJ());
   EXPECT_GT(aqm.table().pipeline().replays(), 0u);
-
-  aqm.Reset();
-  EXPECT_EQ(aqm.ConsumedEnergyJ(), aqm.ledger().TotalJ());
-  EXPECT_EQ(aqm.ConsumedEnergyJ(), 0.0);
-  RunBatchedDecisions(aqm, 1000, check);
-  EXPECT_EQ(mismatches, 0);
 
   aqm.table().UpdatePcam(
       "sojourn_time", core::PcamParams::MakeTrapezoid(1.5, 2.0, 4.5, 5.0));
@@ -1066,18 +1106,30 @@ TEST(AnalogAqmEcnTest, EcnDisabledNeverMarks) {
 }
 
 TEST(AqmVerdictTest, DefaultAdapterMapsDropDecision) {
-  // A drop-only policy's DecideOnEnqueue must mirror its boolean hook.
-  Red red(RedConfig{.min_threshold_pkts = 0.0,
-                    .max_threshold_pkts = 1.0,
-                    .max_p = 1.0,
-                    .queue_weight = 1.0,
-                    .gentle = false},
-          3);
+  // A drop-only policy answers the admission hook with kDrop or
+  // kAccept; the default hook accepts.
+  const RedConfig saturating{.min_threshold_pkts = 0.0,
+                             .max_threshold_pkts = 1.0,
+                             .max_p = 1.0,
+                             .queue_weight = 1.0,
+                             .gentle = false};
+  Red red(saturating, 3);
   EXPECT_EQ(red.DecideOnEnqueue(MakeContext(0.0, 0.0, 100)),
             AqmVerdict::kDrop);
   TailDropOnly taildrop;
   EXPECT_EQ(taildrop.DecideOnEnqueue(MakeContext(0.0, 0.0, 100)),
             AqmVerdict::kAccept);
+
+  // Guarding a queue, the drop is counted as an AQM drop, not enqueued.
+  Red guard(saturating, 3);
+  AqmQueue queue({}, guard);
+  net::PacketMeta meta;
+  meta.size_bytes = 1000;
+  EXPECT_EQ(queue.Offer(meta, 0.0), Admission::kEnqueued);  // empty queue
+  EXPECT_EQ(queue.Offer(meta, 0.0), Admission::kAqmDropped);
+  EXPECT_EQ(queue.queue().packets(), 1u);
+  EXPECT_EQ(queue.queue().stats().dropped_aqm, 1u);
+  EXPECT_EQ(queue.queue().stats().dropped_full, 0u);
 }
 
 
@@ -1115,7 +1167,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AnalogAqmFuzz,
 
 TEST(AnalogAqmTest, DerivativeStagesCostEnergy) {
   AnalogAqm aqm(TestAnalogConfig());
-  aqm.ShouldDropOnEnqueue(MakeContext(0.001, 0.010, 10, 10000));
+  Drops(aqm, MakeContext(0.001, 0.010, 10, 10000));
   EXPECT_GT(aqm.ledger().Of("analog.derivative").energy_j, 0.0);
   EXPECT_GT(aqm.ledger().Of("analog.derivative").operations, 0u);
 }
@@ -1148,12 +1200,10 @@ TEST(WredTest, HighPriorityDropsLess) {
   for (int i = 0; i < 10000; ++i) {
     // Average queue sits at 11: above low's min (3) and just above
     // high's min (10).
-    if (wred.ShouldDropOnEnqueue(
-            MakeContext(0.001 * i, 0.0, 11, 11000, /*priority=*/7))) {
+    if (Drops(wred, MakeContext(0.001 * i, 0.0, 11, 11000, /*priority=*/7))) {
       ++high_drops;
     }
-    if (wred.ShouldDropOnEnqueue(
-            MakeContext(0.001 * i, 0.0, 11, 11000, /*priority=*/0))) {
+    if (Drops(wred, MakeContext(0.001 * i, 0.0, 11, 11000, /*priority=*/0))) {
       ++low_drops;
     }
   }
@@ -1164,23 +1214,14 @@ TEST(WredTest, HighPriorityDropsLess) {
 TEST(WredTest, NoDropsBelowBothThresholds) {
   Wred wred(HighProfile(), LowProfile(), 12);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(wred.ShouldDropOnEnqueue(
-        MakeContext(0.001 * i, 0.0, 2, 2000, 0)));
+    EXPECT_FALSE(Drops(wred, MakeContext(0.001 * i, 0.0, 2, 2000, 0)));
   }
 }
 
 TEST(WredTest, SaturationDropsEverything) {
   Wred wred(HighProfile(), LowProfile(), 13);
-  EXPECT_TRUE(wred.ShouldDropOnEnqueue(MakeContext(0.0, 0.0, 100, 0, 0)));
+  EXPECT_TRUE(Drops(wred, MakeContext(0.0, 0.0, 100, 0, 0)));
   EXPECT_EQ(wred.LastDropProbability(), 1.0);
-}
-
-TEST(WredTest, ResetClears) {
-  Wred wred(HighProfile(), LowProfile(), 14);
-  wred.ShouldDropOnEnqueue(MakeContext(0.0, 0.0, 50, 0, 0));
-  wred.Reset();
-  EXPECT_EQ(wred.LastDropProbability(), 0.0);
-  EXPECT_EQ(wred.average_queue_pkts(), 0.0);
 }
 
 TEST(WredTest, ValidatesProfiles) {
@@ -1211,9 +1252,9 @@ TEST_P(DigitalAqmFuzz, PoliciesAreTotalFunctions) {
         now, rng.NextUniform(0.0, 1.0), rng.NextIndex(2000),
         rng.NextIndex(2000000) + 1,
         static_cast<std::uint8_t>(rng.NextIndex(8)));
-    red.ShouldDropOnEnqueue(ctx);
-    pie.ShouldDropOnEnqueue(ctx);
-    wred.ShouldDropOnEnqueue(ctx);
+    Drops(red, ctx);
+    Drops(pie, ctx);
+    Drops(wred, ctx);
     codel.ShouldDropOnDequeue(ctx);
     for (double p : {red.LastDropProbability(), pie.LastDropProbability(),
                      wred.LastDropProbability()}) {

@@ -130,7 +130,9 @@ TEST(SwitchTest, ConfigValidation) {
 }
 
 TEST(SwitchTest, RoutesAndForwards) {
-  CognitiveSwitch sw(SmallSwitch(/*enable_aqm=*/false));
+  SwitchConfig c = SmallSwitch(/*enable_aqm=*/false);
+  c.egress_queue.max_packets = 1;
+  CognitiveSwitch sw(c);
   sw.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
   sw.AddRoute(net::ParseIpv4("192.168.0.0"), 16, 1);
 
@@ -141,6 +143,13 @@ TEST(SwitchTest, RoutesAndForwards) {
             Verdict::kForwarded);
   EXPECT_EQ(sw.egress_queue(1).packets(), 1u);
   EXPECT_EQ(sw.stats().forwarded, 2u);
+  // Without AQM the egress queue still tail-drops at its capacity.
+  EXPECT_EQ(sw.Inject(MakeUdpPacket("1.1.1.1", "10.1.2.4", 1, 2), 0.0),
+            Verdict::kQueueFull);
+  EXPECT_EQ(sw.egress_queue(0).packets(), 1u);
+  EXPECT_EQ(sw.egress_queue(0).stats().dropped_full, 1u);
+  EXPECT_EQ(sw.stats().queue_full, 1u);
+  EXPECT_EQ(sw.stats().aqm_drops, 0u);
 }
 
 TEST(SwitchTest, NoRouteDropsPacket) {

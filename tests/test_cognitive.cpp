@@ -160,7 +160,7 @@ TEST(LearnedAqmTest, ConvergesToTeacherUnderExperience) {
     ctx.sojourn_s = rng.NextUniform(0.0, 0.050);
     ctx.queue_packets = 20;
     ctx.queue_bytes = 20000;
-    aqm.ShouldDropOnEnqueue(ctx);
+    aqm.DecideOnEnqueue(ctx);
   }
   // After convergence: low sojourn -> low PDP, high sojourn -> high PDP.
   int low_drops = 0;
@@ -168,10 +168,10 @@ TEST(LearnedAqmTest, ConvergesToTeacherUnderExperience) {
   for (int i = 0; i < 500; ++i) {
     ctx.now_s += 0.001;
     ctx.sojourn_s = 0.004;
-    if (aqm.ShouldDropOnEnqueue(ctx)) ++low_drops;
+    if (aqm.DecideOnEnqueue(ctx) == aqm::AqmVerdict::kDrop) ++low_drops;
     ctx.now_s += 0.001;
     ctx.sojourn_s = 0.045;
-    if (aqm.ShouldDropOnEnqueue(ctx)) ++high_drops;
+    if (aqm.DecideOnEnqueue(ctx) == aqm::AqmVerdict::kDrop) ++high_drops;
   }
   EXPECT_LT(low_drops, 200);
   EXPECT_GT(high_drops, 300);
@@ -183,7 +183,7 @@ TEST(LearnedAqmTest, ReportsPdpAndEnergy) {
   ctx.packet.size_bytes = 1000;
   ctx.now_s = 0.001;
   ctx.sojourn_s = 0.020;
-  aqm.ShouldDropOnEnqueue(ctx);
+  aqm.DecideOnEnqueue(ctx);
   EXPECT_GE(aqm.LastDropProbability(), 0.0);
   EXPECT_LE(aqm.LastDropProbability(), 1.0);
   EXPECT_GT(aqm.ConsumedEnergyJ(), 0.0);

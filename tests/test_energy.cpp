@@ -57,13 +57,6 @@ TEST(EnergyLedgerTest, MergeFoldsCategories) {
   EXPECT_NEAR(a.Of("y").energy_j, 3.0, 1e-12);
 }
 
-TEST(EnergyLedgerTest, ResetClears) {
-  EnergyLedger ledger;
-  ledger.Record("x", 1.0);
-  ledger.Reset();
-  EXPECT_EQ(ledger.TotalJ(), 0.0);
-}
-
 TEST(EnergyLedgerTest, MeterPointerStableAcrossRecordAndMerge) {
   EnergyLedger ledger;
   CategoryTotal* meter = ledger.Meter("x");
@@ -96,34 +89,6 @@ TEST(EnergyLedgerTest, MergeSumsOverlappingCategoriesAndTotals) {
   EXPECT_EQ(a.Of("y").operations, 5u);
   EXPECT_NEAR(a.Of("x").energy_j, 1.0, 1e-12);
   EXPECT_NEAR(a.Of("z").energy_j, 4.0, 1e-12);
-}
-
-TEST(EnergyLedgerTest, MetersReacquiredAfterResetKeepLedgersInAgreement) {
-  // Mirror of the switch's double-entry bookkeeping: the same joules
-  // recorded under a hardware category and a stage category must agree
-  // before and after both ledgers reset (Reset invalidates old meters;
-  // re-acquired ones start from zero).
-  EnergyLedger main_ledger;
-  EnergyLedger stage_ledger;
-  const auto fill = [&] {
-    CategoryTotal* tcam = main_ledger.Meter(category::kTcamSearch);
-    CategoryTotal* parse = stage_ledger.Meter("stage.parse");
-    for (int i = 0; i < 10; ++i) {
-      tcam->energy_j += 0.25;
-      tcam->operations += 1;
-      parse->energy_j += 0.25;
-      parse->operations += 1;
-    }
-  };
-  fill();
-  EXPECT_NEAR(main_ledger.TotalJ(), stage_ledger.TotalJ(), 1e-12);
-  main_ledger.Reset();
-  stage_ledger.Reset();
-  EXPECT_EQ(main_ledger.TotalJ(), 0.0);
-  EXPECT_EQ(stage_ledger.TotalJ(), 0.0);
-  fill();
-  EXPECT_NEAR(main_ledger.TotalJ(), stage_ledger.TotalJ(), 1e-12);
-  EXPECT_EQ(main_ledger.TotalOperations(), stage_ledger.TotalOperations());
 }
 
 // ------------------------------------------------------------ registry

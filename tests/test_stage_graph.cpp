@@ -206,7 +206,8 @@ class ReferenceSwitch {
       ctx.queue_packets = queue.packets();
       ctx.packet = meta;
       const double before_j = class_aqm.ConsumedEnergyJ();
-      const bool drop = class_aqm.ShouldDropOnEnqueue(ctx);
+      const bool drop =
+          class_aqm.DecideOnEnqueue(ctx) == aqm::AqmVerdict::kDrop;
       pcam.energy_j += class_aqm.ConsumedEnergyJ() - before_j;
       ++pcam.operations;
       if (drop) {
