@@ -1,5 +1,6 @@
 #include "analognf/analog/crossbar.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace analognf::analog {
@@ -54,10 +55,20 @@ void Crossbar::ProgramConductances(const std::vector<double>& siemens) {
 
 std::vector<double> Crossbar::Multiply(
     const std::vector<double>& row_voltages) {
+  std::vector<double> currents(cols_);
+  MultiplyInto(row_voltages, currents);
+  return currents;
+}
+
+void Crossbar::MultiplyInto(std::span<const double> row_voltages,
+                            std::span<double> currents) {
   if (row_voltages.size() != rows_) {
     throw std::invalid_argument("Crossbar::Multiply: voltage size mismatch");
   }
-  std::vector<double> currents(cols_, 0.0);
+  if (currents.size() != cols_) {
+    throw std::invalid_argument("Crossbar::Multiply: current size mismatch");
+  }
+  std::fill(currents.begin(), currents.end(), 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {
     const double v = row_voltages[r];
     if (v == 0.0) continue;
@@ -68,7 +79,6 @@ std::vector<double> Crossbar::Multiply(
       consumed_energy_j_ += v * v * g * cell.params().read_time_s;
     }
   }
-  return currents;
 }
 
 }  // namespace analognf::analog

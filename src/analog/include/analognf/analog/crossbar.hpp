@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "analognf/common/rng.hpp"
@@ -43,6 +44,10 @@ class Crossbar {
   // returns the cols column currents. Accumulates the dissipated energy
   // (sum over cells of V_i^2 * G_ij * read_time) into the internal meter.
   std::vector<double> Multiply(const std::vector<double>& row_voltages);
+  // The same evaluation into a caller-owned `currents` (size cols), so a
+  // per-packet caller never allocates.
+  void MultiplyInto(std::span<const double> row_voltages,
+                    std::span<double> currents);
 
   // Energy dissipated by all Multiply() calls since the last ResetEnergy.
   double ConsumedEnergyJ() const { return consumed_energy_j_; }

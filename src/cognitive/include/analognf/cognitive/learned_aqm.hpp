@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "analognf/analog/differentiator.hpp"
 #include "analognf/aqm/aqm.hpp"
@@ -51,13 +52,18 @@ class LearnedAqm final : public aqm::AqmPolicy {
   double ConsumedEnergyJ() const { return perceptron_.ConsumedEnergyJ(); }
 
  private:
-  std::vector<double> ExtractFeatures(const aqm::AqmContext& ctx);
+  // Sojourn, its derivative, buffer occupancy and its derivative.
+  static constexpr std::size_t kFeatures = 4;
+
+  // Fills features_ for this decision.
+  void ExtractFeatures(const aqm::AqmContext& ctx);
 
   LearnedAqmConfig config_;
   CrossbarPerceptron perceptron_;
   analog::DerivativeChain sojourn_chain_;
   analog::DerivativeChain buffer_chain_;
   analognf::RandomStream rng_;
+  std::vector<double> features_ = std::vector<double>(kFeatures);
   double last_pdp_ = 0.0;
   std::uint64_t decisions_ = 0;
 };

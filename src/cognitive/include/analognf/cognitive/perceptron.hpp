@@ -10,6 +10,7 @@
 // the learning happens where the data is, with no weight shuttling.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -46,7 +47,7 @@ class CrossbarPerceptron {
 
   // Analog inference: features drive the crossbar rows as voltages
   // (plus a constant bias row); output = logistic(gain * (I+ - I-)).
-  // Output is in (0, 1).
+  // Output is in (0, 1). Allocation-free.
   double Infer(const std::vector<double>& features);
 
   // One online delta-rule step toward `target` in [0, 1]:
@@ -67,6 +68,10 @@ class CrossbarPerceptron {
   PerceptronConfig config_;
   analog::Crossbar xbar_;  // (inputs + 1) rows x 2 columns (G+, G-)
   std::vector<double> weights_;
+  // The last inference's row voltages (features, then the bias row's
+  // 1.0) and column currents, reused so that no call allocates.
+  std::vector<double> rows_;
+  std::array<double, 2> currents_{};
   std::uint64_t updates_ = 0;
 };
 

@@ -43,7 +43,7 @@ LearnedAqm::LearnedAqm(LearnedAqmConfig config)
       // One input per feature of ExtractFeatures, and the tuning under
       // which the blank crossbar converges within the first seconds of
       // the Fig. 8 workload.
-      perceptron_({.inputs = 4,
+      perceptron_({.inputs = kFeatures,
                    .learning_rate = 0.25,
                    .activation_gain = 4.0,
                    .seed = config_.seed ^ 0xbb}),
@@ -57,8 +57,7 @@ double LearnedAqm::TeacherPdp(double sojourn_s) const {
   return std::clamp((sojourn_s - lo) / (hi - lo), 0.0, 1.0);
 }
 
-std::vector<double> LearnedAqm::ExtractFeatures(
-    const aqm::AqmContext& ctx) {
+void LearnedAqm::ExtractFeatures(const aqm::AqmContext& ctx) {
   const auto& sojourn = sojourn_chain_.Step(ctx.now_s, ctx.sojourn_s);
   const auto& buffer = buffer_chain_.Step(
       ctx.now_s,
@@ -67,21 +66,20 @@ std::vector<double> LearnedAqm::ExtractFeatures(
   // the crossbar's voltage range are used sensibly.
   const double bound =
       2.0 * (config_.target_delay_s + config_.max_deviation_s);
-  return {
-      std::clamp(sojourn[0] / bound, 0.0, 1.0),
-      std::clamp(sojourn[1] / config_.derivative_full_scale, -1.0, 1.0),
-      std::clamp(buffer[0], 0.0, 1.5),
-      std::clamp(buffer[1] / (2.0 * config_.derivative_full_scale), -1.0,
-                 1.0),
-  };
+  features_[0] = std::clamp(sojourn[0] / bound, 0.0, 1.0);
+  features_[1] =
+      std::clamp(sojourn[1] / config_.derivative_full_scale, -1.0, 1.0);
+  features_[2] = std::clamp(buffer[0], 0.0, 1.5);
+  features_[3] = std::clamp(
+      buffer[1] / (2.0 * config_.derivative_full_scale), -1.0, 1.0);
 }
 
 aqm::AqmVerdict LearnedAqm::DecideOnEnqueue(const aqm::AqmContext& ctx) {
-  const std::vector<double> features = ExtractFeatures(ctx);
+  ExtractFeatures(ctx);
   // Train-then-act: one delta-rule step toward the self-supervision
   // target, then use the updated law for this packet's decision.
-  perceptron_.Train(features, TeacherPdp(ctx.sojourn_s));
-  const double pdp = perceptron_.Infer(features);
+  perceptron_.Train(features_, TeacherPdp(ctx.sojourn_s));
+  const double pdp = perceptron_.Infer(features_);
   last_pdp_ = pdp;
   ++decisions_;
   return rng_.NextBernoulli(pdp) ? aqm::AqmVerdict::kDrop

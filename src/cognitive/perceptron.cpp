@@ -33,7 +33,8 @@ CrossbarPerceptron::CrossbarPerceptron(PerceptronConfig config)
         return config;
       }()),
       xbar_(config_.inputs + 1, 2, config_.device, nullptr, config_.seed),
-      weights_(config_.inputs + 1, 0.0) {
+      weights_(config_.inputs + 1, 0.0),
+      rows_(config_.inputs + 1, 1.0) {
   for (std::size_t i = 0; i < weights_.size(); ++i) ProgramWeight(i);
 }
 
@@ -54,12 +55,12 @@ double CrossbarPerceptron::Infer(const std::vector<double>& features) {
   if (features.size() != config_.inputs) {
     throw std::invalid_argument("CrossbarPerceptron::Infer: arity mismatch");
   }
-  std::vector<double> rows = features;
-  rows.push_back(1.0);  // bias row
-  const std::vector<double> currents = xbar_.Multiply(rows);
+  // rows_ ends in the bias row's constant 1.0.
+  std::copy(features.begin(), features.end(), rows_.begin());
+  xbar_.MultiplyInto(rows_, currents_);
   // Signed weighted sum, re-expressed in weight units.
   const double sum =
-      (currents[0] - currents[1]) / kWeightUnitSiemens;
+      (currents_[0] - currents_[1]) / kWeightUnitSiemens;
   return 1.0 / (1.0 + std::exp(-config_.activation_gain * sum));
 }
 
@@ -69,13 +70,11 @@ double CrossbarPerceptron::Train(const std::vector<double>& features,
     throw std::invalid_argument(
         "CrossbarPerceptron::Train: target outside [0, 1]");
   }
-  const double y = Infer(features);
+  const double y = Infer(features);  // leaves features + bias in rows_
   const double error = target - y;
-  std::vector<double> rows = features;
-  rows.push_back(1.0);
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     weights_[i] = std::clamp(
-        weights_[i] + config_.learning_rate * error * rows[i],
+        weights_[i] + config_.learning_rate * error * rows_[i],
         -kMaxWeight, kMaxWeight);
     ProgramWeight(i);
   }

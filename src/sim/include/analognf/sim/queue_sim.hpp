@@ -12,7 +12,6 @@
 
 #include "analognf/aqm/aqm.hpp"
 #include "analognf/aqm/controller.hpp"
-#include "analognf/common/quantile.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/common/timeseries.hpp"
 #include "analognf/net/generator.hpp"
@@ -49,9 +48,7 @@ struct SimReport {
   analognf::TimeSeries queue_depth{"queue_pkts"};
   analognf::TimeSeries drop_prob{"pdp"};  // policy PDP samples
   net::QueueStats queue_stats;
-  // Post-warmup summaries beyond the core's: a streaming p99 (P-square;
-  // O(1) memory even on very long runs) and the per-priority delays.
-  analognf::P2Quantile delay_p99{0.99};
+  // Post-warmup per-priority delays, beyond the core's summaries.
   analognf::RunningStats delay_stats_high_priority;
   analognf::RunningStats delay_stats_low_priority;
   std::uint64_t delivered_marked_packets = 0;

@@ -80,7 +80,6 @@ void QueueSimulator::OnDeparture() {
     if (delivered.meta.ecn_marked) ++report_.delivered_marked_packets;
     report_.delivered_bytes += delivered.meta.size_bytes;
     if (now >= config_.warmup_s) {
-      report_.delay_p99.Add(delivered.sojourn_s);
       if (delivered.meta.priority >= 4) {
         report_.delay_stats_high_priority.Add(delivered.sojourn_s);
       } else {

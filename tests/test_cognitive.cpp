@@ -12,6 +12,8 @@
 #include "analognf/cognitive/perceptron.hpp"
 #include "analognf/net/generator.hpp"
 
+#include "alloc_probe.hpp"
+
 namespace analognf::cognitive {
 namespace {
 
@@ -188,6 +190,33 @@ TEST(LearnedAqmTest, ReportsPdpAndEnergy) {
   EXPECT_LE(aqm.LastDropProbability(), 1.0);
   EXPECT_GT(aqm.ConsumedEnergyJ(), 0.0);
   EXPECT_EQ(aqm.decisions(), 1u);
+}
+
+// A steady decision reuses the features, the crossbar's row voltages
+// and its column currents: no call touches the allocator.
+TEST(LearnedAqmTest, SteadyDecisionsAreAllocationFree) {
+  LearnedAqm aqm(LearnedAqmConfig{});
+  analognf::RandomStream rng(17);
+  aqm::AqmContext ctx;
+  ctx.packet.size_bytes = 1000;
+  ctx.queue_packets = 20;
+  ctx.queue_bytes = 20000;
+  constexpr int kDecisions = 1000;
+  int drops = 0;
+  for (int i = 0; i < 2 * kDecisions; ++i) {
+    ctx.now_s = 0.001 * i;
+    ctx.sojourn_s = rng.NextUniform(0.0, 0.050);
+    if (i == kDecisions) {  // the first half warms up
+      alloc_probe::count = 0;
+      alloc_probe::counting = true;
+    }
+    if (aqm.DecideOnEnqueue(ctx) == aqm::AqmVerdict::kDrop) ++drops;
+  }
+  alloc_probe::counting = false;
+
+  EXPECT_EQ(alloc_probe::count, 0u);
+  EXPECT_EQ(aqm.decisions(), 2u * kDecisions);
+  EXPECT_GT(drops, 0);
 }
 
 // ---------------------------------------------------------- classifier

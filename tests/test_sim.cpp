@@ -2,15 +2,19 @@
 // harness (the Fig. 8 experiment machinery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "analognf/aqm/analog_aqm.hpp"
 #include "analognf/aqm/codel.hpp"
 #include "analognf/aqm/pie.hpp"
+#include "analognf/common/rng.hpp"
 #include "analognf/net/generator.hpp"
 #include "analognf/sim/closed_loop.hpp"
 #include "analognf/sim/event_queue.hpp"
@@ -121,6 +125,134 @@ TEST(EventQueueTest, SteadyStateIsAllocationFree) {
 
   EXPECT_EQ(popped, 10 * kDepth);
   EXPECT_EQ(alloc_probe::count, 0u);
+}
+
+// The lanes and the heap share one node pool: warming up with a laned
+// kind only leaves room for the same depth of heap-only events.
+TEST(EventQueueTest, LaneWarmedPoolServesTheHeap) {
+  constexpr std::uint64_t kDepth = 64;
+  constexpr std::uint32_t kHeapKind = EventQueue::kLaneKinds;
+  EventQueue events;
+  for (std::uint64_t i = 0; i < kDepth; ++i) events.ScheduleIn(1.0, 0, i);
+  EXPECT_EQ(Drain(events, 1.0).size(), kDepth);
+
+  std::uint64_t popped = 0;
+  alloc_probe::count = 0;
+  alloc_probe::counting = true;
+  for (std::uint64_t i = 0; i < kDepth; ++i) {
+    events.ScheduleIn(static_cast<double>(i % 7), kHeapKind, i);
+  }
+  for (Event event; events.PopUntil(1.0e6, event);) {
+    ++popped;
+    if (event.arg + kDepth < 10 * kDepth) {
+      events.ScheduleIn(static_cast<double>(event.arg % 5), kHeapKind,
+                        event.arg + kDepth);
+    }
+  }
+  alloc_probe::counting = false;
+
+  EXPECT_EQ(popped, 10 * kDepth);
+  EXPECT_EQ(alloc_probe::count, 0u);
+}
+
+TEST(EventQueueTest, RejectsNonFiniteTimes) {
+  EventQueue events;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::uint32_t kind : {0u, EventQueue::kLaneKinds}) {
+    EXPECT_THROW(events.Schedule(nan, kind), std::invalid_argument);
+    EXPECT_THROW(events.Schedule(kInf, kind), std::invalid_argument);
+    EXPECT_THROW(events.ScheduleIn(nan, kind), std::invalid_argument);
+    EXPECT_THROW(events.ScheduleIn(kInf, kind), std::invalid_argument);
+  }
+  EXPECT_TRUE(events.empty());
+  events.Schedule(1.0, 0);
+  Event event;
+  ASSERT_TRUE(events.PopUntil(kInf, event));
+  EXPECT_EQ(event.time_s, 1.0);
+  EXPECT_FALSE(events.PopUntil(kInf, event));
+}
+
+// Differential check of the lanes-plus-heap calendar against a plain
+// binary heap ordered by (time, seq): the same pops, in the same order,
+// with the same clock, over a random mix of monotone kinds (fixed
+// delays), non-monotone kinds (random delays), kinds at or above the
+// lane bound, equal timestamps across kinds and PopUntil boundaries that
+// fall on, between and past the pending events.
+TEST(EventQueueTest, MatchesReferenceHeap) {
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time_s != b.time_s) return a.time_s > b.time_s;
+      return a.seq > b.seq;
+    }
+  };
+  std::priority_queue<Event, std::vector<Event>, Later> reference;
+  double reference_now = 0.0;
+  std::uint64_t next_seq = 0;
+
+  EventQueue events;
+  analognf::RandomStream rng(2718);
+  constexpr std::uint32_t kKinds[] = {
+      0, 1, 2, 3, EventQueue::kLaneKinds - 1, EventQueue::kLaneKinds,
+      EventQueue::kLaneKinds + 3, 1000};
+  // Times on a 1/8 grid, so that events of different kinds often tie.
+  const auto on_grid = [](double t) { return std::ceil(t * 8.0) / 8.0; };
+  std::uint64_t ops = 0;
+  std::uint64_t pops = 0;
+  while (ops < 200000) {
+    const std::uint64_t draw = rng.NextIndex(100);
+    if (draw < 55 || reference.empty()) {
+      const std::uint32_t kind = kKinds[rng.NextIndex(std::size(kKinds))];
+      double delay = 0.0;
+      switch (kind) {
+        case 0: delay = 0.5; break;               // monotone
+        case 1: delay = 0.25; break;              // monotone
+        case 2: delay = rng.NextUniform(0.0, 2.0); break;
+        default: delay = on_grid(rng.NextUniform(0.0, 1.0)); break;
+      }
+      const double time = rng.NextIndex(4) == 0 ? events.now()
+                                                 : events.now() + delay;
+      const std::uint64_t arg = ops;
+      events.Schedule(time, kind, arg);
+      reference.push({time, next_seq++, kind, arg});
+    } else {
+      // The boundary: at the next event, just before or after it, or far
+      // past everything pending.
+      const double next = reference.top().time_s;
+      double t_end = next;
+      switch (rng.NextIndex(4)) {
+        case 0: t_end = next - 0.01; break;
+        case 1: t_end = next + rng.NextUniform(0.0, 0.5); break;
+        case 2: t_end = next + 10.0; break;
+        default: break;
+      }
+      for (int burst = 1 + static_cast<int>(rng.NextIndex(8)); burst > 0;
+           --burst) {
+        Event got;
+        const bool due = !reference.empty() &&
+                         reference.top().time_s <= t_end;
+        ASSERT_EQ(events.PopUntil(t_end, got), due) << "op " << ops;
+        if (due) {
+          const Event want = reference.top();
+          reference.pop();
+          reference_now = want.time_s;
+          ASSERT_EQ(got.time_s, want.time_s) << "op " << ops;
+          ASSERT_EQ(got.seq, want.seq) << "op " << ops;
+          ASSERT_EQ(got.kind, want.kind) << "op " << ops;
+          ASSERT_EQ(got.arg, want.arg) << "op " << ops;
+          ++pops;
+        } else {
+          reference_now = std::max(reference_now, t_end);
+        }
+        ASSERT_EQ(events.now(), reference_now) << "op " << ops;
+        ++ops;
+      }
+    }
+    ASSERT_EQ(events.empty(), reference.empty()) << "op " << ops;
+    ++ops;
+  }
+  EXPECT_EQ(events.processed(), pops);
+  EXPECT_GT(pops, 40000u);
 }
 
 // ------------------------------------------------------------- sim config
@@ -514,18 +646,6 @@ TEST_P(Fig8Stability, BoundHoldsAcrossSeeds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fig8Stability,
                          ::testing::Values(101, 202, 303, 404, 505));
-
-
-TEST(QueueSimulatorTest, StreamingP99MatchesBatchPercentile) {
-  net::MetaSource source = MakePoisson(1800.0, 61);
-  aqm::AnalogAqm policy(aqm::AnalogAqmConfig{});
-  QueueSimulator sim(ShortSim(), source, policy);
-  const SimReport report = sim.Run();
-  const auto delays = report.link.delay.ValuesFrom(report.link.warmup_s);
-  ASSERT_GT(delays.size(), 1000u);
-  const double exact = Percentile(delays, 0.99);
-  EXPECT_NEAR(report.delay_p99.Value(), exact, exact * 0.15);
-}
 
 // Conservation holds in the closed-loop simulator too, across seeds.
 class ClosedLoopConservation
