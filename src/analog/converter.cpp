@@ -32,37 +32,4 @@ Dac::Dac(LinearMap map, unsigned bits, double inl_sigma_lsb,
   lsb_ = map_.range().span() / static_cast<double>((1u << bits_) - 1u);
 }
 
-Adc::Adc(LinearMap map, unsigned bits, double inl_sigma_lsb,
-         std::uint64_t noise_seed)
-    : map_(map),
-      bits_(bits),
-      inl_sigma_lsb_(inl_sigma_lsb),
-      rng_(noise_seed) {
-  CheckBits(bits);
-  CheckInl(inl_sigma_lsb);
-}
-
-double Adc::LsbVolts() const {
-  return map_.range().span() / static_cast<double>((1u << bits_) - 1u);
-}
-
-std::uint32_t Adc::Sample(double voltage_v) {
-  double v = voltage_v;
-  const double lsb = LsbVolts();
-  if (inl_sigma_lsb_ > 0.0) {
-    v += rng_.NextNormal(0.0, inl_sigma_lsb_ * lsb);
-  }
-  v = map_.range().Clamp(v);
-  const double code = std::round((v - map_.range().lo_v) / lsb);
-  const auto max_code = static_cast<double>((1u << bits_) - 1u);
-  return static_cast<std::uint32_t>(std::clamp(code, 0.0, max_code));
-}
-
-double Adc::Convert(double voltage_v) {
-  const std::uint32_t code = Sample(voltage_v);
-  const double v =
-      map_.range().lo_v + static_cast<double>(code) * LsbVolts();
-  return map_.ToFeature(v);
-}
-
 }  // namespace analognf::analog

@@ -34,25 +34,6 @@ device::Memristor& Crossbar::At(std::size_t row, std::size_t col) {
   return cells_[Index(row, col)];
 }
 
-const device::Memristor& Crossbar::At(std::size_t row,
-                                      std::size_t col) const {
-  return cells_[Index(row, col)];
-}
-
-void Crossbar::ProgramConductances(const std::vector<double>& siemens) {
-  if (siemens.size() != cells_.size()) {
-    throw std::invalid_argument(
-        "Crossbar::ProgramConductances: size mismatch");
-  }
-  for (std::size_t i = 0; i < cells_.size(); ++i) {
-    if (!(siemens[i] > 0.0)) {
-      throw std::invalid_argument(
-          "Crossbar::ProgramConductances: non-positive conductance");
-    }
-    cells_[i].SetResistance(1.0 / siemens[i]);
-  }
-}
-
 std::vector<double> Crossbar::Multiply(
     const std::vector<double>& row_voltages) {
   std::vector<double> currents(cols_);

@@ -66,27 +66,4 @@ class Dac {
   analognf::RandomStream rng_;
 };
 
-// Behavioural ADC: inverse direction, quantising a voltage into a code
-// and reporting the reconstructed feature value.
-class Adc {
- public:
-  Adc(LinearMap map, unsigned bits, double inl_sigma_lsb = 0.0,
-      std::uint64_t noise_seed = 0x0adc5eed);
-
-  // Voltage -> code in [0, 2^bits - 1].
-  std::uint32_t Sample(double voltage_v);
-  // Voltage -> reconstructed feature value.
-  double Convert(double voltage_v);
-
-  double LsbVolts() const;
-  unsigned bits() const { return bits_; }
-  const LinearMap& map() const { return map_; }
-
- private:
-  LinearMap map_;
-  unsigned bits_;
-  double inl_sigma_lsb_;
-  analognf::RandomStream rng_;
-};
-
 }  // namespace analognf::analog

@@ -33,12 +33,9 @@ class Crossbar {
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
 
+  // The cell at (row, col); callers program it through the Memristor
+  // API (SetResistance, SetState).
   device::Memristor& At(std::size_t row, std::size_t col);
-  const device::Memristor& At(std::size_t row, std::size_t col) const;
-
-  // Programs the whole array to the given conductance targets
-  // (row-major, size rows*cols), clamped to each cell's range.
-  void ProgramConductances(const std::vector<double>& siemens);
 
   // One analog evaluation: applies `row_voltages` (size rows) and
   // returns the cols column currents. Accumulates the dissipated energy

@@ -54,17 +54,7 @@ class AnalogChannel {
  public:
   AnalogChannel(ChannelParams params, analognf::RandomStream rng);
 
-  // An ideal (identity) channel with an unused RNG.
-  static AnalogChannel MakeIdeal();
-
   double Transmit(double voltage_v);
-
-  // Transmits `count` samples in one call: out[i] is exactly what
-  // Transmit(in[i]) would have returned, in order, but the loss/crosstalk/
-  // AWGN sampling runs in one tight loop. Batched pCAM searches use this
-  // to amortize channel sampling across a whole probe batch per cell.
-  // `in` and `out` may alias.
-  void TransmitBatch(const double* in, double* out, std::size_t count);
 
   const ChannelParams& params() const { return params_; }
 
@@ -73,11 +63,5 @@ class AnalogChannel {
   analognf::RandomStream rng_;
   double phase_rad_ = 0.0;
 };
-
-// Johnson-Nyquist thermal noise voltage std-dev for a resistance read
-// over the given bandwidth: sqrt(4 k T R B). Exposed so device-level
-// noise floors can be derived from the memristor state being read.
-double ThermalNoiseSigmaV(double resistance_ohm, double bandwidth_hz,
-                          double temperature_k);
 
 }  // namespace analognf::analog

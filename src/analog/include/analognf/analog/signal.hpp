@@ -53,11 +53,6 @@ class LinearMap {
     return range_.Denormalize(t);
   }
 
-  double ToFeature(double voltage) const {
-    return feature_lo_ +
-           range_.Normalize(voltage) * (feature_hi_ - feature_lo_);
-  }
-
   const VoltageRange& range() const { return range_; }
   double feature_lo() const { return feature_lo_; }
   double feature_hi() const { return feature_hi_; }

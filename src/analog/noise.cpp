@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "analognf/common/units.hpp"
-
 namespace analognf::analog {
 
 void ChannelParams::Validate() const {
@@ -25,10 +23,6 @@ AnalogChannel::AnalogChannel(ChannelParams params,
   params_.Validate();
 }
 
-AnalogChannel AnalogChannel::MakeIdeal() {
-  return AnalogChannel(ChannelParams::Ideal(), analognf::RandomStream(0));
-}
-
 double AnalogChannel::Transmit(double voltage_v) {
   double out = voltage_v * params_.line_gain;
   if (params_.interference_peak_v > 0.0) {
@@ -40,26 +34,6 @@ double AnalogChannel::Transmit(double voltage_v) {
     out += rng_.NextNormal(0.0, params_.awgn_sigma_v);
   }
   return out;
-}
-
-void AnalogChannel::TransmitBatch(const double* in, double* out,
-                                  std::size_t count) {
-  if (params_.IsStateless()) {
-    // Pure gain: one vectorizable pass, no RNG or phase bookkeeping.
-    const double gain = params_.line_gain;
-    for (std::size_t i = 0; i < count; ++i) out[i] = in[i] * gain;
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) out[i] = Transmit(in[i]);
-}
-
-double ThermalNoiseSigmaV(double resistance_ohm, double bandwidth_hz,
-                          double temperature_k) {
-  if (resistance_ohm < 0.0 || bandwidth_hz < 0.0 || temperature_k < 0.0) {
-    throw std::invalid_argument("ThermalNoiseSigmaV: negative argument");
-  }
-  return std::sqrt(4.0 * analognf::kBoltzmann * temperature_k *
-                   resistance_ohm * bandwidth_hz);
 }
 
 }  // namespace analognf::analog

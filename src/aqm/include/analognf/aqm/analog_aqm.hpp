@@ -95,7 +95,6 @@ class AnalogAqm final : public AqmPolicy {
   explicit AnalogAqm(AnalogAqmConfig config);
 
   AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
-  std::string name() const override { return "pcam-analog-aqm"; }
   double LastDropProbability() const override { return last_pdp_; }
 
   // Computes the PDP for a context without consuming randomness or

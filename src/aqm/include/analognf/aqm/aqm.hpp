@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <string>
 
 #include "analognf/net/generator.hpp"
 
@@ -51,8 +50,6 @@ class AqmPolicy {
     return false;
   }
 
-  virtual std::string name() const = 0;
-
   // The most recent drop probability the policy computed, if it is
   // probability-based (analog AQM, RED, PIE); NaN otherwise. Lets the
   // simulator record the Fig. 7-style PDP trace.
@@ -63,9 +60,6 @@ class AqmPolicy {
 
 // The no-op policy: pure tail-drop by queue capacity (the "without AQM"
 // curve of Fig. 8).
-class TailDropOnly final : public AqmPolicy {
- public:
-  std::string name() const override { return "taildrop"; }
-};
+class TailDropOnly final : public AqmPolicy {};
 
 }  // namespace analognf::aqm

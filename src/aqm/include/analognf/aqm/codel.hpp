@@ -25,7 +25,6 @@ class Codel final : public AqmPolicy {
   explicit Codel(CodelConfig config = {});
 
   bool ShouldDropOnDequeue(const AqmContext& ctx) override;
-  std::string name() const override { return "codel"; }
 
   bool dropping() const { return dropping_; }
   std::uint32_t drop_count() const { return count_; }

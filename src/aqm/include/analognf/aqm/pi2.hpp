@@ -49,7 +49,6 @@ class Pi2 final : public AqmPolicy {
   // Classic path: Bernoulli(p'^2) drop. Native L4S path: ECN-capable
   // packets are CE-marked with probability min(k*p', 1) instead.
   AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
-  std::string name() const override { return "pi2"; }
   // Reports the classic (drop-path) probability p'^2.
   double LastDropProbability() const override {
     return base_prob_ * base_prob_;

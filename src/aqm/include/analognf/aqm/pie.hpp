@@ -38,7 +38,6 @@ class Pie final : public AqmPolicy {
   Pie(PieConfig config, std::uint64_t seed);
 
   AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
-  std::string name() const override { return "pie"; }
   double LastDropProbability() const override { return drop_prob_; }
 
   double current_delay_estimate_s() const { return qdelay_s_; }

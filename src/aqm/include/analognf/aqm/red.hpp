@@ -30,7 +30,6 @@ class Red final : public AqmPolicy {
   Red(RedConfig config, std::uint64_t seed);
 
   AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
-  std::string name() const override { return "red"; }
   double LastDropProbability() const override { return last_p_; }
 
   double average_queue_pkts() const { return avg_.value(); }

@@ -24,7 +24,6 @@ class Wred final : public AqmPolicy {
   Wred(RedConfig high, RedConfig low, std::uint64_t seed);
 
   AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
-  std::string name() const override { return "wred"; }
   double LastDropProbability() const override { return last_p_; }
 
   double average_queue_pkts() const { return avg_.value(); }

@@ -26,12 +26,6 @@ FunctionPlacement CognitiveNetworkController::Place(
   return placement;
 }
 
-void CognitiveNetworkController::InstallRoute(const std::string& dst_dotted,
-                                              int prefix_len,
-                                              std::size_t port) {
-  data_plane_.AddRoute(net::ParseIpv4(dst_dotted), prefix_len, port);
-}
-
 void CognitiveNetworkController::InstallFirewallDeny(
     const FirewallPattern& pattern, std::int32_t priority) {
   data_plane_.AddFirewallRule(pattern, /*permit=*/false, priority);

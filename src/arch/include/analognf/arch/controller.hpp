@@ -59,8 +59,7 @@ class CognitiveNetworkController {
   }
 
   // --- Digital-domain programming (TCAM) -------------------------------
-  void InstallRoute(const std::string& dst_dotted, int prefix_len,
-                    std::size_t port);
+  // Routes go straight to data_plane().AddRoute.
   void InstallFirewallDeny(const FirewallPattern& pattern,
                            std::int32_t priority);
   void InstallFirewallPermit(const FirewallPattern& pattern,

@@ -22,11 +22,9 @@ inline constexpr std::size_t kFiveTupleBits = 104;
 //   lane 1, bits 16..31: dst_port, bit-reversed
 //   lane 1, bits 32..39: protocol, bit-reversed
 //   lane 1, bits 40..63: zero
-tcam::BitKey FiveTupleKey(const net::FiveTuple& tuple);
-
-// Same, into a caller-owned key (overwritten). Per-packet hot paths use
-// this to reuse one BitKey allocation per batch slot; both lanes are
-// written in one step.
+// The key is written into a caller-owned `key` (overwritten), so
+// per-packet hot paths reuse one BitKey allocation per batch slot; both
+// lanes are written in one step.
 void FiveTupleKeyInto(const net::FiveTuple& tuple, tcam::BitKey& key);
 
 // Builds a 104-bit ternary firewall pattern. Any field can be wildcarded:

@@ -203,8 +203,6 @@ class SwitchGroup {
   // Sum of every port's SwitchStats. Call only while idle (after
   // WaitIdle with no concurrent submitters).
   SwitchStats AggregateStats() const;
-  // Sum of every port's canonical ledger, in joules.
-  double TotalEnergyJ() const;
 
  private:
   SharedTables tables_;

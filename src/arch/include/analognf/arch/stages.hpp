@@ -120,8 +120,6 @@ class LoadBalancerStage final : public MatchActionStage {
   // lookup table.
   LoadBalancerStage(std::vector<std::uint32_t> ports, std::size_t port_count);
   void Process(net::PacketBatch& batch) override;
-  cognitive::AnalogLoadBalancer& balancer() { return balancer_; }
-  const std::vector<std::uint32_t>& ports() const { return ports_; }
   // Binds the balancer's pCAM engine to `pcam.lb.*` counters.
   void BindTelemetry(telemetry::MetricsRegistry& registry) {
     balancer_.BindTelemetry(registry, "pcam.lb");
@@ -150,8 +148,6 @@ class TrafficClassStage final : public MatchActionStage {
           classes,
       double min_confidence);
   void Process(net::PacketBatch& batch) override;
-  cognitive::AnalogTrafficClassifier& classifier() { return classifier_; }
-  const cognitive::FlowTracker& tracker() const { return tracker_; }
   // Packets tagged per class index, and packets no class matched.
   const std::vector<std::uint64_t>& class_counts() const {
     return class_counts_;

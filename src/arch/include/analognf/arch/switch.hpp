@@ -114,9 +114,12 @@ struct SwitchConfig {
 // Per-verdict counters. The per-verdict counts partition `injected`:
 // forwarded + parse_errors + firewall_denies + no_route + aqm_drops +
 // queue_full == injected at every quiescent point (invariant-tested).
+// `marked` is not part of the partition: it counts the forwarded packets
+// an ECN-enabled AQM CE-marked instead of dropping.
 struct SwitchStats {
   std::uint64_t injected = 0;
   std::uint64_t forwarded = 0;
+  std::uint64_t marked = 0;
   std::uint64_t parse_errors = 0;
   std::uint64_t firewall_denies = 0;
   std::uint64_t no_route = 0;
@@ -259,9 +262,7 @@ class CognitiveSwitch {
   // derivative state never mixes across queues). Null when AQM disabled.
   aqm::AnalogAqm* port_aqm(std::size_t port, std::size_t service_class = 0);
   std::size_t port_count() const { return config_.port_count; }
-  // The cognitive analog stages' engines (null when disabled).
-  cognitive::AnalogLoadBalancer* load_balancer();
-  cognitive::AnalogTrafficClassifier* classifier();
+  // The traffic-analysis stage (null when disabled).
   const TrafficClassStage* classifier_stage() const { return classify_; }
   // The switch's telemetry hub: `stage.<name>.*`, `tcam.*`, `pcam.*`
   // and `switch.*` metrics plus the per-batch flight recorder.

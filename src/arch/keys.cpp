@@ -33,12 +33,6 @@ tcam::TernaryWord U8Word(std::uint8_t value, bool any) {
 
 }  // namespace
 
-tcam::BitKey FiveTupleKey(const net::FiveTuple& tuple) {
-  tcam::BitKey key;
-  FiveTupleKeyInto(tuple, key);
-  return key;
-}
-
 void FiveTupleKeyInto(const net::FiveTuple& tuple, tcam::BitKey& key) {
   // MSB-first appends land field bit (w-1-j) at key bit (offset + j), so
   // each lane is the bit reversal of its fields concatenated MSB-first.

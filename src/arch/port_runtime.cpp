@@ -104,9 +104,10 @@ void PortRuntime::RunDueCommands(std::uint64_t retired) {
 }
 
 void PortRuntime::WorkerLoop() {
-  // A process-unique slot keeps this thread's sharded telemetry writes
-  // off every other thread's counter cells (exactness, not just
-  // contention avoidance).
+  // A slot no other live thread holds keeps this thread's sharded
+  // telemetry writes off every other thread's counter cells (exactness,
+  // not just contention avoidance). It is released when the worker
+  // exits.
   slot_.store(ThreadPool::RegisterExternalSlot(), std::memory_order_release);
   // The last batch, kept across iterations so TryPop exchanges it back
   // into the ring: whoever pushed its buffers frees them, not this thread.
@@ -223,20 +224,13 @@ SwitchStats SwitchGroup::AggregateStats() const {
     const SwitchStats& s = runtime->device().stats();
     total.injected += s.injected;
     total.forwarded += s.forwarded;
+    total.marked += s.marked;
     total.parse_errors += s.parse_errors;
     total.firewall_denies += s.firewall_denies;
     total.no_route += s.no_route;
     total.aqm_drops += s.aqm_drops;
     total.queue_full += s.queue_full;
     total.delivered += s.delivered;
-  }
-  return total;
-}
-
-double SwitchGroup::TotalEnergyJ() const {
-  double total = 0.0;
-  for (const auto& runtime : runtimes_) {
-    total += runtime->device().ledger().TotalJ();
   }
   return total;
 }

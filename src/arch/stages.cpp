@@ -47,6 +47,7 @@ void ParseStage::Process(net::PacketBatch& batch) {
     // DSCP class selector bits map onto our 3-bit priority.
     batch.priority[i] =
         static_cast<std::uint8_t>(batch.parsed[i].ipv4->dscp >> 3);
+    batch.ect[i] = batch.parsed[i].ipv4->ecn != 0 ? 1 : 0;
   }
 }
 
@@ -350,6 +351,7 @@ void TrafficManagerStage::Process(net::PacketBatch& batch) {
     meta.size_bytes = static_cast<std::uint32_t>(batch.packet(i).size());
     meta.flow_hash = batch.flow_hash[i];
     meta.priority = batch.priority[i];
+    meta.ecn_capable = batch.ect[i] != 0;
     const std::size_t service_class = ClassOf(meta.priority);
     batch.service_class[i] = static_cast<std::uint32_t>(service_class);
     batch.verdicts[i] =
@@ -380,8 +382,10 @@ Verdict TrafficManagerStage::AdmitAndEnqueue(
     degrees.Fold(class_aqm->LastDropProbability());
   }
   switch (admission) {
-    case aqm::Admission::kEnqueued:
     case aqm::Admission::kMarked:
+      ++stats_->marked;
+      [[fallthrough]];
+    case aqm::Admission::kEnqueued:
       ++stats_->forwarded;
       return Verdict::kForwarded;
     case aqm::Admission::kAqmDropped:

@@ -330,12 +330,4 @@ aqm::AnalogAqm* CognitiveSwitch::port_aqm(std::size_t port,
   return tm_->port_aqm(port, service_class);
 }
 
-cognitive::AnalogLoadBalancer* CognitiveSwitch::load_balancer() {
-  return lb_ != nullptr ? &lb_->balancer() : nullptr;
-}
-
-cognitive::AnalogTrafficClassifier* CognitiveSwitch::classifier() {
-  return classify_ != nullptr ? &classify_->classifier() : nullptr;
-}
-
 }  // namespace analognf::arch

@@ -75,14 +75,6 @@ FlowFeatures FlowTracker::Features(std::uint64_t flow_hash) const {
   return FeaturesOf(*state);
 }
 
-FlowFeatures FlowTracker::ObserveAndFeatures(const net::PacketMeta& packet) {
-  FlowState& state = *table_.FindOrInsert(
-      packet.flow_hash,
-      common::FlowTable<FlowState>::HashOf(packet.flow_hash));
-  ObserveInto(state, packet);
-  return FeaturesOf(state);
-}
-
 void FlowTracker::ObserveBatch(const net::PacketMeta* packets,
                                std::size_t count, FlowFeatures* features) {
   key_scratch_.resize(count);

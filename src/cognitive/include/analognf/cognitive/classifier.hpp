@@ -48,15 +48,11 @@ class FlowTracker {
   // Features of a flow (zeroed FlowFeatures if never seen or evicted).
   FlowFeatures Features(std::uint64_t flow_hash) const;
 
-  // Observe(packet) followed by Features(packet.flow_hash) in one hash
-  // lookup — the per-packet hot path of the traffic-class stage.
-  // Bit-identical to the two-call sequence.
-  FlowFeatures ObserveAndFeatures(const net::PacketMeta& packet);
-
   // Batched hot path: hashes every flow key up front with the SIMD
   // dispatch layer, then updates each flow in packet order. features[i]
-  // is exactly what ObserveAndFeatures(packets[i]) would have returned
-  // at that point in the sequence (the differential test pins this).
+  // is exactly what Observe(packets[i]) followed by
+  // Features(packets[i].flow_hash) would have returned at that point in
+  // the sequence (the differential test pins this).
   void ObserveBatch(const net::PacketMeta* packets, std::size_t count,
                     FlowFeatures* features);
 

@@ -39,7 +39,6 @@ class LearnedAqm final : public aqm::AqmPolicy {
   explicit LearnedAqm(LearnedAqmConfig config);
 
   aqm::AqmVerdict DecideOnEnqueue(const aqm::AqmContext& ctx) override;
-  std::string name() const override { return "learned-analog-aqm"; }
   double LastDropProbability() const override { return last_pdp_; }
 
   // The self-supervision target for a given sojourn time: the ideal

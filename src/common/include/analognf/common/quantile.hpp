@@ -20,7 +20,6 @@ class P2Quantile {
   double Value() const;
   std::uint64_t count() const { return count_; }
   double quantile() const { return q_; }
-  void Reset();
 
  private:
   double Parabolic(int i, double d) const;

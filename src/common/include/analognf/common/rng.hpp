@@ -66,8 +66,6 @@ class RandomStream {
 
   // Uniform in [0, 1).
   double NextUniform();
-  // Uniform in [lo, hi).
-  double NextUniform(double lo, double hi);
   // Uniform integer in [0, n). Requires n > 0.
   std::uint64_t NextIndex(std::uint64_t n);
   // Exponential with the given rate (events per unit time). Requires

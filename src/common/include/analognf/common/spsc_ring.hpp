@@ -87,11 +87,6 @@ class SpscRing {
     return head_.load(std::memory_order_acquire) ==
            tail_.load(std::memory_order_acquire);
   }
-  std::size_t Size() const {
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(tail - head);
-  }
 
  private:
   static std::size_t RoundUpPow2(std::size_t v) {

@@ -58,11 +58,8 @@ class Ewma {
 };
 
 // Linearly interpolated percentile of a batch (q in [0, 1]): the value
-// at position q * (n - 1) of the sorted samples. Copies the input;
-// intended for end-of-run reporting. Requires a non-empty input.
-double Percentile(const std::vector<double>& samples, double q);
-// The same value, bit for bit, without the copy: selects the two order
-// statistics in O(n) and leaves `samples` reordered.
+// at position q * (n - 1) of the sorted samples, selected in O(n)
+// without a sort. Leaves `samples` reordered. Requires a non-empty input.
 double PercentileInPlace(std::vector<double>& samples, double q);
 
 // Mean of a batch. Requires a non-empty input.

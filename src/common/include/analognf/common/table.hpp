@@ -2,7 +2,7 @@
 //
 // Every bench binary prints the paper's table/figure as `[REPRO]`-prefixed
 // rows before running its google-benchmark timings; this formatter keeps
-// those reports consistent and also emits CSV for plotting.
+// those reports consistent.
 #pragma once
 
 #include <ostream>
@@ -11,7 +11,7 @@
 
 namespace analognf {
 
-// A simple column-aligned text table with optional CSV output.
+// A simple column-aligned text table.
 class Table {
  public:
   explicit Table(std::vector<std::string> header);
@@ -19,18 +19,11 @@ class Table {
   // Adds a row; must have the same arity as the header.
   void AddRow(std::vector<std::string> row);
 
-  // Convenience: formats each cell with %g-style precision.
-  void AddNumericRow(const std::string& label,
-                     const std::vector<double>& values, int precision = 4);
-
   std::size_t rows() const { return rows_.size(); }
 
   // Column-aligned rendering, each line prefixed with `prefix`
   // (e.g. "[REPRO] ").
   void Print(std::ostream& os, const std::string& prefix = "") const;
-
-  // RFC-4180-ish CSV (cells containing commas/quotes are quoted).
-  void PrintCsv(std::ostream& os) const;
 
  private:
   std::vector<std::string> header_;

@@ -12,11 +12,9 @@
 //     they touched (insert / erase / patch) between commits; Commit()
 //     reads the log to decide whether the staged set is small enough to
 //     patch onto a copy-on-write clone of the published snapshot
-//     instead of recompiling. Whole-table events (aging, compaction,
-//     tier changes) are "structural" and always force a full recompile.
-//     The log deduplicates: applying patches per *final* row state, in
-//     first-touch order, reproduces the full recompile bit-for-bit
-//     without replaying intermediate states.
+//     instead of recompiling. The log deduplicates: applying patches
+//     per *final* row state, in first-touch order, reproduces the full
+//     recompile bit-for-bit without replaying intermediate states.
 //   * DeltaCommitPolicy — the churn-density heuristic. A delta commit
 //     costs O(touched rows + overlay); a full recompile costs O(table).
 //     The policy takes the delta path only when the staged set plus any
@@ -68,12 +66,7 @@ class TableDelta {
       touched_.push_back(index);
     }
   }
-  // Notes a whole-table event (aging, compaction, a tier change): the
-  // next commit must recompile from scratch regardless of density.
-  void NoteStructural() { structural_ = true; }
-
-  bool empty() const { return op_count_ == 0 && !structural_; }
-  bool structural() const { return structural_; }
+  bool empty() const { return op_count_ == 0; }
   // Total staged operations (a row touched twice counts twice).
   std::size_t op_count() const { return op_count_; }
   std::size_t inserts() const { return inserts_; }
@@ -93,7 +86,6 @@ class TableDelta {
       gen_ = 1;
     }
     op_count_ = inserts_ = erases_ = patches_ = 0;
-    structural_ = false;
   }
 
  private:
@@ -104,7 +96,6 @@ class TableDelta {
   std::size_t inserts_ = 0;
   std::size_t erases_ = 0;
   std::size_t patches_ = 0;
-  bool structural_ = false;
 };
 
 // When is patching a cloned snapshot cheaper than recompiling it?
@@ -124,9 +115,8 @@ struct DeltaCommitPolicy {
   // `overlay_rows`: rows the published snapshot already carries outside
   // its compiled core (appended tail + erased slots for the TCAM; 0 for
   // engines whose patches fold in exactly, like the flat LPM).
-  bool UseDelta(std::size_t staged_rows, bool structural,
-                std::size_t committed_rows, std::size_t overlay_rows) const {
-    if (structural) return false;
+  bool UseDelta(std::size_t staged_rows, std::size_t committed_rows,
+                std::size_t overlay_rows) const {
     if (committed_rows < min_rows) return false;
     const std::size_t total = staged_rows + overlay_rows;
     if (total > max_delta_rows) return false;

@@ -43,27 +43,30 @@ class ThreadPool {
 
   // Stable slot index of the calling thread: 0 for any unregistered
   // thread that is not a pool worker (including the ParallelFor caller),
-  // 1 + i for a pool's worker i, and a process-unique slot above the
-  // shared pool's workers for threads that called RegisterExternalSlot.
+  // 1 + i for a pool's worker i, and a slot above the shared pool's
+  // workers for threads that called RegisterExternalSlot.
   // Telemetry uses this to pick a contention-free counter cell; workers
   // of distinct pools share slot numbers, which only costs them a shared
   // cell, never correctness.
   static std::size_t CurrentSlot() { return current_slot_; }
 
   // Assigns the calling thread a slot that no shared-pool worker and no
-  // other registered thread uses, so its sharded telemetry writes never
-  // contend (or merge) with another thread's. Long-lived non-pool
+  // other live registered thread uses, so its sharded telemetry writes
+  // never contend (or merge) with another thread's. Long-lived non-pool
   // threads that write metrics on the hot path (e.g. per-port runtime
   // workers) must call this once at startup; without it every external
   // thread lands on slot 0 and two such writers silently share one
   // counter cell. Idempotent: repeat calls keep the first assignment.
+  // The slot is released when the thread exits and may then go to a
+  // later thread; the release happens before that reuse, so the later
+  // thread's writes to a shared cell add to the earlier ones exactly.
   // Returns the slot.
   static std::size_t RegisterExternalSlot();
 
   // Upper bound (exclusive) on slot indices handed out so far: shared
-  // pool workers + slot 0 + registered external threads. Sizing a
-  // sharded counter to at least this (rounded up to a power of two)
-  // guarantees registered threads never alias.
+  // pool workers + slot 0 + the most registered threads alive at once.
+  // Sizing a sharded counter to at least this (rounded up to a power of
+  // two) guarantees registered threads never alias.
   static std::size_t SlotUpperBound();
 
  private:
@@ -71,7 +74,6 @@ class ThreadPool {
   void RunTasks();
 
   inline static thread_local std::size_t current_slot_ = 0;
-  inline static std::atomic<std::size_t> external_slots_{0};
 
   std::vector<std::thread> workers_;
   std::mutex submit_mutex_;  // one job at a time

@@ -35,8 +35,6 @@ class TimeSeries {
   const std::vector<Point>& points() const { return points_; }
   const Point& operator[](std::size_t i) const { return points_[i]; }
 
-  // All values, in time order.
-  std::vector<double> Values() const;
   // Values with time >= from (inclusive). Used to drop warm-up transients
   // before computing delay-bound statistics.
   std::vector<double> ValuesFrom(double from) const;

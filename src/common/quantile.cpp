@@ -103,11 +103,4 @@ double P2Quantile::Value() const {
   return heights_[2];
 }
 
-void P2Quantile::Reset() {
-  count_ = 0;
-  heights_ = {};
-  positions_ = {};
-  desired_ = {};
-}
-
 }  // namespace analognf

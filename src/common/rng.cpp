@@ -61,10 +61,6 @@ double RandomStream::NextUniform() {
   return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
 }
 
-double RandomStream::NextUniform(double lo, double hi) {
-  return lo + (hi - lo) * NextUniform();
-}
-
 std::uint64_t RandomStream::NextIndex(std::uint64_t n) {
   assert(n > 0);
   // Lemire's multiply-shift rejection method (unbiased).

@@ -50,11 +50,6 @@ double Ewma::Update(double sample) {
   return value_;
 }
 
-double Percentile(const std::vector<double>& samples, double q) {
-  std::vector<double> copy = samples;
-  return PercentileInPlace(copy, q);
-}
-
 double PercentileInPlace(std::vector<double>& samples, double q) {
   if (samples.empty()) {
     throw std::invalid_argument("Percentile of an empty sample set");

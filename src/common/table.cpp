@@ -20,15 +20,6 @@ void Table::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void Table::AddNumericRow(const std::string& label,
-                          const std::vector<double>& values, int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size() + 1);
-  row.push_back(label);
-  for (double v : values) row.push_back(FormatSig(v, precision));
-  AddRow(std::move(row));
-}
-
 void Table::Print(std::ostream& os, const std::string& prefix) const {
   std::vector<std::size_t> widths(header_.size());
   for (std::size_t c = 0; c < header_.size(); ++c) {
@@ -57,30 +48,6 @@ void Table::Print(std::ostream& os, const std::string& prefix) const {
   }
   print_row(rule);
   for (const auto& row : rows_) print_row(row);
-}
-
-void Table::PrintCsv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      const std::string& cell = row[c];
-      const bool needs_quote =
-          cell.find_first_of(",\"\n") != std::string::npos;
-      if (needs_quote) {
-        os << '"';
-        for (char ch : cell) {
-          if (ch == '"') os << '"';
-          os << ch;
-        }
-        os << '"';
-      } else {
-        os << cell;
-      }
-      if (c + 1 < row.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
 }
 
 std::string FormatSig(double value, int significant_digits) {

@@ -1,6 +1,37 @@
 #include "analognf/common/thread_pool.hpp"
 
+#include <limits>
+
 namespace analognf {
+
+namespace {
+
+// Offsets of the registered threads' slots above the shared pool's.
+// Released offsets are reused, so `high` is the most registered threads
+// ever alive at once, not the number ever started.
+struct ExternalSlots {
+  std::mutex mutex;
+  std::vector<std::size_t> free;
+  std::size_t high = 0;
+};
+
+ExternalSlots& External() {
+  static ExternalSlots slots;
+  return slots;
+}
+
+// Returns the registering thread's offset when the thread exits.
+struct SlotRelease {
+  std::size_t offset = std::numeric_limits<std::size_t>::max();
+  ~SlotRelease() {
+    if (offset == std::numeric_limits<std::size_t>::max()) return;
+    ExternalSlots& slots = External();
+    std::lock_guard<std::mutex> lock(slots.mutex);
+    slots.free.push_back(offset);
+  }
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
   workers_.reserve(workers);
@@ -75,15 +106,25 @@ void ThreadPool::WorkerLoop() {
 
 std::size_t ThreadPool::RegisterExternalSlot() {
   if (current_slot_ != 0) return current_slot_;  // worker or already done
-  const std::size_t index =
-      external_slots_.fetch_add(1, std::memory_order_relaxed);
-  current_slot_ = Shared().size() + 1 + index;
+  thread_local SlotRelease release;
+  ExternalSlots& slots = External();
+  {
+    std::lock_guard<std::mutex> lock(slots.mutex);
+    if (slots.free.empty()) {
+      release.offset = slots.high++;
+    } else {
+      release.offset = slots.free.back();
+      slots.free.pop_back();
+    }
+  }
+  current_slot_ = Shared().size() + 1 + release.offset;
   return current_slot_;
 }
 
 std::size_t ThreadPool::SlotUpperBound() {
-  return Shared().size() + 1 +
-         external_slots_.load(std::memory_order_relaxed);
+  ExternalSlots& slots = External();
+  std::lock_guard<std::mutex> lock(slots.mutex);
+  return Shared().size() + 1 + slots.high;
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -11,13 +11,6 @@ void TimeSeries::Append(double time, double value) {
   points_.push_back({time, value});
 }
 
-std::vector<double> TimeSeries::Values() const {
-  std::vector<double> out;
-  out.reserve(points_.size());
-  for (const Point& p : points_) out.push_back(p.value);
-  return out;
-}
-
 std::vector<double> TimeSeries::ValuesFrom(double from) const {
   std::vector<double> out;
   for (const Point& p : points_) {

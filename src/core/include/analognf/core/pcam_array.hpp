@@ -11,7 +11,7 @@
 // Searches run on a PcamSearchEngine snapshot (pcam_search_engine.hpp):
 // a structure-of-arrays mirror of every cell's effective transfer
 // function that evaluates whole columns per probe, dirty-tracked so that
-// Insert/ProgramField/Age refresh only the touched rows.
+// Insert/ProgramField refresh only the touched rows.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +45,6 @@ class PcamWord {
   // Reprograms field `index`.
   void ProgramField(std::size_t index, const PcamParams& params);
 
-  // Ages every cell by `dt_s` of wall time (retention relaxation).
-  void Age(double dt_s);
-
   HardwarePcamCell& cell(std::size_t index) { return cells_.at(index); }
   const HardwarePcamCell& cell(std::size_t index) const {
     return cells_.at(index);
@@ -75,7 +72,10 @@ class PcamTable {
   };
 
   // `field_count` fixes the table width; every row must match it.
-  // `search_config` tunes the search engine (thread sharding).
+  // `search_config` tunes the search engine (thread sharding). The
+  // search-line channel must be stateless (ChannelParams::IsStateless):
+  // a table search is one stateless parallel analog step. Throws
+  // std::invalid_argument otherwise.
   PcamTable(std::size_t field_count, HardwarePcamConfig config,
             PcamSearchConfig search_config = {});
 
@@ -89,17 +89,16 @@ class PcamTable {
   // next Commit().
   std::size_t Insert(Row row);
 
-  // Publishes staged mutations (Insert / ProgramField / Age) into the
+  // Publishes staged mutations (Insert / ProgramField) into the
   // engine's search snapshot — the same stage-then-Commit() contract as
   // TcamTable / LpmTable: any search between a mutation and Commit()
   // throws std::logic_error. Unlike the TCAM tables there is no
   // RCU-published snapshot to share across threads: pCAM stays
-  // single-writer because stateful channels advance per-cell noise
-  // streams inside Search itself. Commits are incremental — only the
-  // dirty rows refresh — and accounted in commit_stats(): a commit whose
-  // staged set touched a strict subset of the rows counts as a delta
-  // commit; aging (structural) and first-build commits count as full
-  // recompiles (common/table_delta.hpp).
+  // single-writer (searches update the replay memo and energy total).
+  // Commits are incremental — only the dirty rows refresh — and
+  // accounted in commit_stats(): a commit whose staged set touched a
+  // strict subset of the rows counts as a delta commit; first-build
+  // commits count as full recompiles (common/table_delta.hpp).
   void Commit();
   bool NeedsCommit() const;
   // Control-plane commit accounting (delta vs full split, rows patched,
@@ -112,14 +111,11 @@ class PcamTable {
   // Throws std::logic_error if mutations are staged uncommitted.
   std::optional<PcamTableResult> Search(const std::vector<double>& inputs);
 
-  // Batched search: one snapshot refresh and shared scratch buffers
-  // across all probes; with noisy channels, per-cell noise is sampled
-  // for the whole batch at once. Returns one result per query (empty if
-  // the table is empty); last_degrees() afterwards holds the final
-  // query's per-row degrees.
-  std::vector<PcamTableResult> SearchBatch(
-      const std::vector<std::vector<double>>& queries);
-  // Same, with the queries packed row-major (size = k * field_count).
+  // Batched search, with the queries packed row-major (size = k *
+  // field_count): one snapshot refresh and shared scratch buffers across
+  // all probes. Returns one result per query (empty if the table is
+  // empty); last_degrees() afterwards holds the final query's per-row
+  // degrees.
   std::vector<PcamTableResult> SearchBatchFlat(
       const std::vector<double>& queries_flat);
 
@@ -152,11 +148,6 @@ class PcamTable {
   void ProgramField(std::size_t row, std::size_t field,
                     const PcamParams& params);
 
-  // Ages every cell in the table by `dt_s` (retention relaxation). A
-  // structural mutation: the next Commit() is a full snapshot rebuild,
-  // and searches throw until then.
-  void Age(double dt_s);
-
   double ConsumedEnergyJ() const { return consumed_energy_j_; }
   // Search() calls the replay memo served (diagnostics and tests).
   std::uint64_t replays() const { return replays_; }
@@ -181,18 +172,17 @@ class PcamTable {
   PcamSearchEngine engine_;
   std::vector<double> last_degrees_;
   std::vector<PcamSearchOutcome> batch_outcomes_;  // scratch
-  std::vector<double> batch_queries_;              // scratch
   double consumed_energy_j_ = 0.0;
   std::uint64_t next_seed_salt_ = 1;
   TableDelta delta_;  // staged-mutation log, cleared by Commit()
   TableCommitStats commit_stats_;
   telemetry::TableCommitCounters commit_telemetry_;
-  // Single-entry search memo: with a stateless channel, Search() is a
-  // deterministic function of (snapshot, query), so a bitwise-identical
-  // (SameBits) repeat of the previous query can skip the array scan and
-  // replay the cached outcome — same degrees (still in last_degrees_),
-  // same energy accumulation, same telemetry. Invalidated by any mutation
-  // (Insert/ProgramField/Age) and by batch searches, which overwrite
+  // Single-entry search memo: Search() is a deterministic function of
+  // (snapshot, query), so a bitwise-identical (SameBits) repeat of the
+  // previous query can skip the array scan and replay the cached outcome
+  // — same degrees (still in last_degrees_), same energy accumulation,
+  // same telemetry. Invalidated by any mutation (Insert/ProgramField)
+  // and by batch searches, which overwrite
   // last_degrees_. The flow-sticky load balancer queries one constant
   // voltage vector per pick, so this turns its per-packet search into a
   // degree-mass sample.

@@ -14,26 +14,22 @@
 //     contiguous array per parameter per field, indexed by row. The
 //     five-region piecewise-linear map then evaluates as branch-light
 //     select chains over whole columns that the compiler auto-vectorizes.
-//   * Dirty tracking: Insert/ProgramField/Age on the owning table
+//   * Dirty tracking: Insert/ProgramField on the owning table
 //     invalidate only the touched rows; a search refreshes those rows
 //     and reuses the rest of the snapshot untouched.
 //   * Batching: SearchBatch() evaluates many probes against one snapshot
-//     refresh, reusing all scratch buffers and (for noisy channels)
-//     drawing each cell's channel-noise samples for the whole batch in
-//     one TransmitBatch call.
+//     refresh, reusing all scratch buffers.
 //   * Threading: for tables with at least `thread_row_threshold` rows,
-//     stateless-channel searches shard row ranges across the shared
-//     ThreadPool. Row products are computed independently per row and
-//     shard arg-maxes merge in ascending order, so results are identical
-//     to the single-threaded pass.
+//     searches shard row ranges across the shared ThreadPool. Row
+//     products are computed independently per row and shard arg-maxes
+//     merge in ascending order, so results are identical to the
+//     single-threaded pass.
 //
-// Semantics: with a stateless channel (no AWGN, no crosstalk) the engine
-// reproduces the scalar PcamWord-walk bit-for-bit modulo floating-point
-// association in the energy total. With a stateful channel, single
-// Search() calls consume each cell's noise stream in the exact legacy
-// order (fields within a row, rows ascending); SearchBatch() draws
-// per-cell noise in batch-sized blocks instead, which is statistically
-// equivalent but a different stream interleaving.
+// Semantics: the search-line channel is stateless (a pure gain, no AWGN
+// and no crosstalk; PcamTable rejects any other), so a search is one
+// stateless parallel analog step, as in the aCAM of Li et al., and the
+// engine reproduces the scalar PcamWord walk bit-for-bit modulo
+// floating-point association in the energy total.
 #pragma once
 
 #include <cstddef>
@@ -77,7 +73,6 @@ class PcamSearchEngine {
   // --- snapshot maintenance (driven by the owning PcamTable) ----------
   void AppendRow();                     // grow columns; new row is dirty
   void InvalidateRow(std::size_t row);  // e.g. after ProgramField
-  void InvalidateAll();                 // e.g. after Age
 
   std::size_t rows() const { return rows_; }
   std::size_t field_count() const { return field_count_; }
@@ -92,26 +87,20 @@ class PcamSearchEngine {
   // --- search ---------------------------------------------------------
   // One probe. `query` holds field_count() voltages; `degrees` is
   // resized to rows() and filled with per-row match degrees. `words` is
-  // the owning table's row storage (mutable: stateful channels advance
-  // their noise streams). Requires rows() > 0.
-  PcamSearchOutcome Search(std::vector<PcamWord>& words, const double* query,
-                           std::vector<double>& degrees);
+  // the owning table's row storage, read to refresh dirty rows. A
+  // deterministic function of (snapshot, query). Requires rows() > 0.
+  PcamSearchOutcome Search(const std::vector<PcamWord>& words,
+                           const double* query, std::vector<double>& degrees);
 
   // `count` probes, row-major (count x field_count). Fills `outcomes`
   // (one per probe) and leaves the final probe's per-row degrees in
   // `degrees`. Requires rows() > 0 and count > 0.
-  void SearchBatch(std::vector<PcamWord>& words, const double* queries,
+  void SearchBatch(const std::vector<PcamWord>& words, const double* queries,
                    std::size_t count, std::vector<PcamSearchOutcome>& outcomes,
                    std::vector<double>& degrees);
 
-  // True when every cell's search-line channel is a pure gain: Search()
-  // is then a deterministic function of (snapshot, query), which is what
-  // lets PcamTable replay a repeated identical query without re-running
-  // the evaluation.
-  bool stateless_channel() const { return stateless_channel_; }
-
   // Telemetry accounting for a replayed search (PcamTable memoized an
-  // identical stateless probe): the modelled hardware still drove the
+  // identical probe): the modelled hardware still drove the
   // whole array, so the counters advance exactly as Search() would.
   void NoteReplaySearch() {
     telemetry_.searches.Inc();
@@ -139,22 +128,14 @@ class PcamSearchEngine {
   void RefreshRow(const std::vector<PcamWord>& words, std::size_t row);
   std::size_t ShardCount() const;
 
-  // Transfer function of cell (row, field) at line voltage `v`;
-  // bit-compatible with PcamCell::Evaluate on the effective params.
-  double EvalCell(const FieldColumn& c, std::size_t row, double v) const;
-
-  // Stateless-channel fast path: whole-column passes, optionally sharded.
-  void SearchStateless(const double* query, std::vector<double>& degrees,
-                       PcamSearchOutcome& out);
-  // Stateful-channel path: row-major walk preserving legacy noise order.
-  void SearchStateful(std::vector<PcamWord>& words, const double* query,
-                      std::vector<double>& degrees, PcamSearchOutcome& out);
+  // Whole-column passes, optionally sharded.
+  void SearchColumns(const double* query, std::vector<double>& degrees,
+                     PcamSearchOutcome& out);
 
   std::size_t field_count_;
   PcamSearchConfig config_;
   double read_time_s_;
   double line_gain_;
-  bool stateless_channel_;
 
   std::size_t rows_ = 0;
   std::vector<FieldColumn> columns_;     // one per field
@@ -162,14 +143,13 @@ class PcamSearchEngine {
   std::vector<std::uint8_t> dirty_;      // per-row
   // Dirty rows in invalidation order (deduped via dirty_), so a refresh
   // after a single reprogram touches one row instead of scanning every
-  // per-row flag; all_dirty_ (aging, first build) falls back to the scan.
+  // per-row flag.
   std::vector<std::size_t> dirty_rows_;
-  bool all_dirty_ = false;
   bool any_dirty_ = false;
 
   // Scratch reused across calls (never shrinks).
   std::vector<double> line_v_;           // per-field line voltages
-  std::vector<double> batch_in_, batch_line_, batch_deg_;
+  std::vector<double> batch_line_, batch_deg_;
   std::vector<std::size_t> shard_best_;
   std::vector<double> shard_degree_;
 

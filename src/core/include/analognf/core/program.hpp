@@ -72,11 +72,9 @@ class AnalogMatchActionTable {
                          HardwarePcamConfig hardware);
 
   // The `output { ... }` section: evaluates the pipeline on a feature
-  // vector ordered like spec().read.
-  Output Apply(const std::vector<double>& features);
-
-  // Allocation-free variant: writes into `out`, reusing its per_field
-  // capacity (and an internal pipeline scratch result).
+  // vector ordered like spec().read. Writes into `out`, reusing its
+  // per_field capacity (and an internal pipeline scratch result), so a
+  // per-packet caller never allocates.
   void Apply(const std::vector<double>& features, Output& out);
 
   // The `action { update_pCAM(); }` section: reprograms field `id`.

@@ -55,10 +55,6 @@ void PcamWord::ProgramField(std::size_t index, const PcamParams& params) {
   cells_.at(index).Program(params);
 }
 
-void PcamWord::Age(double dt_s) {
-  for (HardwarePcamCell& cell : cells_) cell.Age(dt_s);
-}
-
 PcamTable::PcamTable(std::size_t field_count, HardwarePcamConfig config,
                      PcamSearchConfig search_config)
     : field_count_(field_count),
@@ -68,6 +64,10 @@ PcamTable::PcamTable(std::size_t field_count, HardwarePcamConfig config,
     throw std::invalid_argument("PcamTable: zero field count");
   }
   config_.Validate();
+  if (!config_.channel.IsStateless()) {
+    throw std::invalid_argument(
+        "PcamTable: the search-line channel must be stateless");
+  }
 }
 
 std::size_t PcamTable::Insert(Row row) {
@@ -91,10 +91,10 @@ void PcamTable::Commit() {
   }
   const std::uint64_t t0 = NowNs();
   // Only the staged (dirty) rows refresh; whether that counts as a
-  // delta commit or a full recompile is pure accounting. Structural
-  // mutations (Age) and first-build commits touch every row.
+  // delta commit or a full recompile is pure accounting. First-build
+  // commits touch every row.
   const std::size_t touched = delta_.touched().size();
-  const bool was_delta = !delta_.structural() && touched < words_.size();
+  const bool was_delta = touched < words_.size();
   engine_.CommitRows(words_);
   const std::uint64_t elapsed = NowNs() - t0;
   ++commit_stats_.commits;
@@ -146,7 +146,7 @@ std::optional<PcamTableResult> PcamTable::Search(
     return std::nullopt;
   }
   if (replay_ok_ && SameBits(inputs, last_query_)) {
-    // Bitwise-identical repeat of the previous stateless query: the
+    // Bitwise-identical repeat of the previous query: the
     // degrees in last_degrees_ and the cached outcome are exactly what
     // the engine would recompute. The modelled array still performs the
     // search, so energy and telemetry advance as a real probe would.
@@ -158,13 +158,11 @@ std::optional<PcamTableResult> PcamTable::Search(
   const PcamSearchOutcome outcome =
       engine_.Search(words_, inputs.data(), last_degrees_);
   consumed_energy_j_ += outcome.energy_j;
-  if (engine_.stateless_channel()) {
-    // Search() just refreshed any dirty rows, so the snapshot is clean
-    // until the next mutation (which invalidates the memo).
-    replay_ok_ = true;
-    last_query_.assign(inputs.begin(), inputs.end());
-    last_outcome_ = outcome;
-  }
+  // Search() just refreshed any dirty rows, so the snapshot is clean
+  // until the next mutation (which invalidates the memo).
+  replay_ok_ = true;
+  last_query_.assign(inputs.begin(), inputs.end());
+  last_outcome_ = outcome;
   return MakeResult(outcome);
 }
 
@@ -199,17 +197,6 @@ void PcamTable::SearchBatchFlatInto(const double* queries_flat,
     consumed_energy_j_ += outcome.energy_j;
     results.push_back(MakeResult(outcome));
   }
-}
-
-std::vector<PcamTableResult> PcamTable::SearchBatch(
-    const std::vector<std::vector<double>>& queries) {
-  batch_queries_.clear();
-  batch_queries_.reserve(queries.size() * field_count_);
-  for (const std::vector<double>& q : queries) {
-    CheckArity(q.size());
-    batch_queries_.insert(batch_queries_.end(), q.begin(), q.end());
-  }
-  return SearchBatchFlat(batch_queries_);
 }
 
 std::optional<PcamTableResult> PcamTable::PickByMass(
@@ -257,13 +244,6 @@ void PcamTable::ProgramField(std::size_t row, std::size_t field,
   rows_.at(row).fields.at(field) = params;
   engine_.InvalidateRow(row);
   delta_.Note(TableDeltaOp::kPatch, row);
-  replay_ok_ = false;
-}
-
-void PcamTable::Age(double dt_s) {
-  for (PcamWord& word : words_) word.Age(dt_s);
-  engine_.InvalidateAll();
-  delta_.NoteStructural();
   replay_ok_ = false;
 }
 

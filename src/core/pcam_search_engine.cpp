@@ -24,7 +24,6 @@ PcamSearchEngine::PcamSearchEngine(std::size_t field_count,
       config_(config),
       read_time_s_(hardware.device.read_time_s),
       line_gain_(hardware.channel.line_gain),
-      stateless_channel_(hardware.channel.IsStateless()),
       columns_(field_count),
       field_g_total_(field_count, 0.0) {
   config_.Validate();
@@ -56,12 +55,6 @@ void PcamSearchEngine::InvalidateRow(std::size_t row) {
     dirty_rows_.push_back(row);
   }
   any_dirty_ = true;
-}
-
-void PcamSearchEngine::InvalidateAll() {
-  std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{1});
-  all_dirty_ = true;
-  any_dirty_ = !dirty_.empty();
 }
 
 void PcamSearchEngine::RefreshRow(const std::vector<PcamWord>& words,
@@ -97,15 +90,8 @@ void PcamSearchEngine::Refresh(const std::vector<PcamWord>& words) {
   if (!any_dirty_) return;
   telemetry_.recompiles.Inc();
   assert(words.size() == rows_);
-  if (all_dirty_) {
-    for (std::size_t r = 0; r < rows_; ++r) {
-      if (dirty_[r] != 0) RefreshRow(words, r);
-    }
-  } else {
-    for (const std::size_t r : dirty_rows_) RefreshRow(words, r);
-  }
+  for (const std::size_t r : dirty_rows_) RefreshRow(words, r);
   dirty_rows_.clear();
-  all_dirty_ = false;
   // Per-field conductance totals feed the whole-array energy term of
   // stateless searches (energy = sum_f V_f^2 * t_read * sum_r G). A full
   // recompute keeps the total deterministic regardless of which rows
@@ -119,16 +105,6 @@ void PcamSearchEngine::Refresh(const std::vector<PcamWord>& words) {
   any_dirty_ = false;
 }
 
-double PcamSearchEngine::EvalCell(const FieldColumn& c, std::size_t row,
-                                  double v) const {
-  const double rising = c.sa[row] * v + c.ia[row];
-  const double falling = c.sb[row] * v + c.ib[row];
-  double out = (v < c.m2[row]) ? rising : c.pmax[row];
-  out = (v > c.m3[row]) ? falling : out;
-  out = (v <= c.m1[row] || v >= c.m4[row]) ? c.pmin[row] : out;
-  return std::min(std::max(out, c.pmin[row]), c.pmax[row]);
-}
-
 std::size_t PcamSearchEngine::ShardCount() const {
   if (rows_ < config_.thread_row_threshold) return 1;
   const std::size_t parallelism =
@@ -137,9 +113,9 @@ std::size_t PcamSearchEngine::ShardCount() const {
   return std::clamp<std::size_t>(parallelism, 1, rows_);
 }
 
-void PcamSearchEngine::SearchStateless(const double* query,
-                                       std::vector<double>& degrees,
-                                       PcamSearchOutcome& out) {
+void PcamSearchEngine::SearchColumns(const double* query,
+                                     std::vector<double>& degrees,
+                                     PcamSearchOutcome& out) {
   line_v_.resize(field_count_);
   double energy = 0.0;
   for (std::size_t f = 0; f < field_count_; ++f) {
@@ -202,33 +178,7 @@ void PcamSearchEngine::SearchStateless(const double* query,
   out.best_degree = best_degree;
 }
 
-void PcamSearchEngine::SearchStateful(std::vector<PcamWord>& words,
-                                      const double* query,
-                                      std::vector<double>& degrees,
-                                      PcamSearchOutcome& out) {
-  // Row-major walk in the legacy order (fields within a row, rows
-  // ascending) so each cell's channel consumes exactly the noise stream
-  // the scalar implementation would have drawn.
-  degrees.assign(rows_, 0.0);
-  double energy = 0.0;
-  std::size_t best = 0;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    PcamWord& word = words[r];
-    double deg = 1.0;
-    for (std::size_t f = 0; f < field_count_; ++f) {
-      const double lv = word.cell(f).channel().Transmit(query[f]);
-      deg *= EvalCell(columns_[f], r, lv);
-      energy += lv * lv * columns_[f].g_sum[r] * read_time_s_;
-    }
-    degrees[r] = deg;
-    if (deg > degrees[best]) best = r;
-  }
-  out.best_row = best;
-  out.best_degree = degrees[best];
-  out.energy_j = energy;
-}
-
-PcamSearchOutcome PcamSearchEngine::Search(std::vector<PcamWord>& words,
+PcamSearchOutcome PcamSearchEngine::Search(const std::vector<PcamWord>& words,
                                            const double* query,
                                            std::vector<double>& degrees) {
   assert(rows_ > 0);
@@ -237,15 +187,11 @@ PcamSearchOutcome PcamSearchEngine::Search(std::vector<PcamWord>& words,
   telemetry_.searches.Inc();
   telemetry_.rows_scanned.Inc(rows_);
   PcamSearchOutcome out;
-  if (stateless_channel_) {
-    SearchStateless(query, degrees, out);
-  } else {
-    SearchStateful(words, query, degrees, out);
-  }
+  SearchColumns(query, degrees, out);
   return out;
 }
 
-void PcamSearchEngine::SearchBatch(std::vector<PcamWord>& words,
+void PcamSearchEngine::SearchBatch(const std::vector<PcamWord>& words,
                                    const double* queries, std::size_t count,
                                    std::vector<PcamSearchOutcome>& outcomes,
                                    std::vector<double>& degrees) {
@@ -255,93 +201,47 @@ void PcamSearchEngine::SearchBatch(std::vector<PcamWord>& words,
   telemetry_.rows_scanned.Inc(rows_ * count);
   outcomes.assign(count, PcamSearchOutcome{});
 
-  if (stateless_channel_) {
-    if (count < rows_) {
-      // Few queries over a tall table: N column sweeps (each SIMD over
-      // rows). The final probe writes the caller's degree buffer so
-      // last_degrees() semantics match sequential calls.
-      batch_deg_.clear();
-      for (std::size_t q = 0; q < count; ++q) {
-        std::vector<double>& deg =
-            (q + 1 == count) ? degrees : batch_deg_;
-        SearchStateless(queries + q * field_count_, deg, outcomes[q]);
-      }
-      return;
-    }
-    // Many queries over a short table (the in-pipeline classifiers):
-    // query-major sweep — each (row, field) cell evaluates the whole
-    // query block in one SIMD pass. Per query, the arithmetic, its
-    // order (energy over fields ascending, then degree products and the
-    // ascending-row arg-max) and the lowest-row tie rule are exactly
-    // SearchStateless's, so both layouts return bit-identical outcomes
-    // and the batched pipeline stays equivalent to per-packet searches.
-    batch_line_.resize(field_count_ * count);
+  if (count < rows_) {
+    // Few queries over a tall table: N column sweeps (each SIMD over
+    // rows). The final probe writes the caller's degree buffer so
+    // last_degrees() semantics match sequential calls.
+    batch_deg_.clear();
     for (std::size_t q = 0; q < count; ++q) {
-      const double* query = queries + q * field_count_;
-      double energy = 0.0;
-      for (std::size_t f = 0; f < field_count_; ++f) {
-        const double lv = query[f] * line_gain_;
-        batch_line_[f * count + q] = lv;
-        energy += lv * lv * read_time_s_ * field_g_total_[f];
-      }
-      outcomes[q].energy_j = energy;
-    }
-    degrees.assign(rows_, 0.0);
-    batch_deg_.resize(count);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      std::fill(batch_deg_.begin(), batch_deg_.end(), 1.0);
-      for (std::size_t f = 0; f < field_count_; ++f) {
-        const FieldColumn& c = columns_[f];
-        const simd::PcamCellParams params{c.m1[r], c.m2[r],   c.m3[r],
-                                          c.m4[r], c.sa[r],   c.sb[r],
-                                          c.ia[r], c.ib[r],   c.pmin[r],
-                                          c.pmax[r]};
-        simd::PcamCellEvalBatch(params, batch_line_.data() + f * count,
-                                batch_deg_.data(), count);
-      }
-      for (std::size_t q = 0; q < count; ++q) {
-        if (r == 0 || batch_deg_[q] > outcomes[q].best_degree) {
-          outcomes[q].best_row = r;
-          outcomes[q].best_degree = batch_deg_[q];
-        }
-      }
-      degrees[r] = batch_deg_[count - 1];
+      std::vector<double>& deg = (q + 1 == count) ? degrees : batch_deg_;
+      SearchColumns(queries + q * field_count_, deg, outcomes[q]);
     }
     return;
   }
-
-  // Stateful channels: amortize noise sampling by drawing each cell's
-  // channel outputs for the whole batch in one TransmitBatch call. The
-  // per-cell streams interleave differently than sequential Search()
-  // calls would (batch blocks instead of round-robin), which is fine:
-  // noise is noise.
+  // Many queries over a short table (the in-pipeline classifiers):
+  // query-major sweep — each (row, field) cell evaluates the whole
+  // query block in one SIMD pass. Per query, the arithmetic, its
+  // order (energy over fields ascending, then degree products and the
+  // ascending-row arg-max) and the lowest-row tie rule are exactly
+  // SearchColumns's, so both layouts return bit-identical outcomes
+  // and the batched pipeline stays equivalent to per-packet searches.
+  batch_line_.resize(field_count_ * count);
+  for (std::size_t q = 0; q < count; ++q) {
+    const double* query = queries + q * field_count_;
+    double energy = 0.0;
+    for (std::size_t f = 0; f < field_count_; ++f) {
+      const double lv = query[f] * line_gain_;
+      batch_line_[f * count + q] = lv;
+      energy += lv * lv * read_time_s_ * field_g_total_[f];
+    }
+    outcomes[q].energy_j = energy;
+  }
   degrees.assign(rows_, 0.0);
-  batch_in_.resize(count);
-  batch_line_.resize(count);
   batch_deg_.resize(count);
   for (std::size_t r = 0; r < rows_; ++r) {
-    PcamWord& word = words[r];
     std::fill(batch_deg_.begin(), batch_deg_.end(), 1.0);
     for (std::size_t f = 0; f < field_count_; ++f) {
-      for (std::size_t q = 0; q < count; ++q) {
-        batch_in_[q] = queries[q * field_count_ + f];
-      }
-      word.cell(f).channel().TransmitBatch(batch_in_.data(),
-                                           batch_line_.data(), count);
       const FieldColumn& c = columns_[f];
-      const double g_rt = c.g_sum[r] * read_time_s_;
-      // Row-constant SIMD evaluation across the batch's line voltages
-      // (4 queries per AVX2 iteration); bit-identical to EvalCell.
       const simd::PcamCellParams params{c.m1[r], c.m2[r],   c.m3[r],
                                         c.m4[r], c.sa[r],   c.sb[r],
                                         c.ia[r], c.ib[r],   c.pmin[r],
                                         c.pmax[r]};
-      simd::PcamCellEvalBatch(params, batch_line_.data(), batch_deg_.data(),
-                              count);
-      for (std::size_t q = 0; q < count; ++q) {
-        const double lv = batch_line_[q];
-        outcomes[q].energy_j += lv * lv * g_rt;
-      }
+      simd::PcamCellEvalBatch(params, batch_line_.data() + f * count,
+                              batch_deg_.data(), count);
     }
     for (std::size_t q = 0; q < count; ++q) {
       if (r == 0 || batch_deg_[q] > outcomes[q].best_degree) {

@@ -39,13 +39,6 @@ AnalogMatchActionTable::AnalogMatchActionTable(AnalogTableSpec spec,
       }()),
       pipeline_(ToStages(spec_), hardware, spec_.combine) {}
 
-AnalogMatchActionTable::Output AnalogMatchActionTable::Apply(
-    const std::vector<double>& features) {
-  Output out;
-  Apply(features, out);
-  return out;
-}
-
 void AnalogMatchActionTable::Apply(const std::vector<double>& features,
                                    Output& out) {
   pipeline_.Evaluate(features, apply_scratch_);

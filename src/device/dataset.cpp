@@ -197,15 +197,6 @@ std::vector<double> MemristorDataset::DistinctResistances(
   return distinct;
 }
 
-std::vector<DatasetRecord> MemristorDataset::Machine(
-    int state_machine) const {
-  std::vector<DatasetRecord> out;
-  for (const DatasetRecord& r : records_) {
-    if (r.state_machine == state_machine) out.push_back(r);
-  }
-  return out;
-}
-
 DatasetRecord MemristorDataset::CheapestReadAt(double v_read,
                                                double v_tolerance) const {
   const DatasetRecord* best = nullptr;

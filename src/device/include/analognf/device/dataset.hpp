@@ -85,9 +85,6 @@ class MemristorDataset {
   // levels whose relative difference is below it.
   std::vector<double> DistinctResistances(double tolerance = 1e-6) const;
 
-  // Records belonging to one state machine (programming family).
-  std::vector<DatasetRecord> Machine(int state_machine) const;
-
   // Lowest-energy record at (approximately) the given read voltage.
   // Requires at least one record within `v_tolerance` of v_read.
   DatasetRecord CheapestReadAt(double v_read,

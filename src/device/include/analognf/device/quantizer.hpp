@@ -28,12 +28,6 @@ class StateQuantizer {
   double ValueOf(std::size_t index) const;
   // Nearest representable value.
   double Quantize(double value) const { return ValueOf(IndexOf(value)); }
-  // Signed quantisation error: Quantize(value) - clamp(value).
-  double ErrorOf(double value) const;
-  // All rung values, ascending.
-  std::vector<double> Ladder() const;
-  // Width of one quantisation step.
-  double StepSize() const;
 
  private:
   double lo_;

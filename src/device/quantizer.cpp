@@ -32,19 +32,4 @@ double StateQuantizer::ValueOf(std::size_t index) const {
   return lo_ + t * (hi_ - lo_);
 }
 
-double StateQuantizer::ErrorOf(double value) const {
-  return Quantize(value) - std::clamp(value, lo_, hi_);
-}
-
-std::vector<double> StateQuantizer::Ladder() const {
-  std::vector<double> out;
-  out.reserve(levels_);
-  for (std::size_t i = 0; i < levels_; ++i) out.push_back(ValueOf(i));
-  return out;
-}
-
-double StateQuantizer::StepSize() const {
-  return (hi_ - lo_) / static_cast<double>(levels_ - 1);
-}
-
 }  // namespace analognf::device

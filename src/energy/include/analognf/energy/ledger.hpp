@@ -22,33 +22,21 @@ struct CategoryTotal {
 
 class EnergyLedger {
  public:
-  // Adds `energy_j` joules under `category`, counting `operations` ops.
-  // energy_j must be non-negative.
-  void Record(const std::string& category, double energy_j,
-              std::uint64_t operations = 1);
-
-  // Stable pointer to a category's running total, so batched hot paths
-  // can accumulate per-packet contributions without the per-call string
-  // lookup of Record(). The pointer stays valid for the ledger's
-  // lifetime. Callers must uphold the Record() precondition
-  // (non-negative energy).
+  // Stable pointer to a category's running total (created at zero), so
+  // batched hot paths accumulate per-packet contributions without a
+  // per-call string lookup. The pointer stays valid for the ledger's
+  // lifetime. Callers add non-negative energy only.
   CategoryTotal* Meter(const std::string& category);
 
   // Total across all categories.
   double TotalJ() const;
-  std::uint64_t TotalOperations() const;
 
   // Per-category lookup; zero-initialised total for unknown categories.
   CategoryTotal Of(const std::string& category) const;
-  // Fraction of the total attributable to `category` (0 if total is 0).
-  double FractionOf(const std::string& category) const;
 
   const std::map<std::string, CategoryTotal>& categories() const {
     return categories_;
   }
-
-  // Folds another ledger into this one.
-  void Merge(const EnergyLedger& other);
 
  private:
   std::map<std::string, CategoryTotal> categories_;
@@ -61,7 +49,6 @@ inline constexpr const char* kPcamSearch = "pcam.search";
 inline constexpr const char* kDataMovement = "digital.movement";
 inline constexpr const char* kDigitalCompute = "digital.compute";
 inline constexpr const char* kDacConvert = "analog.dac";
-inline constexpr const char* kAdcConvert = "analog.adc";
 inline constexpr const char* kProgramming = "device.programming";
 inline constexpr const char* kStorageRead = "digital.storage";
 }  // namespace category

@@ -148,8 +148,7 @@ class PacketBuilder {
 // RFC 1071 Internet checksum over `data` (used for the IPv4 header).
 std::uint16_t InternetChecksum(const std::uint8_t* data, std::size_t len);
 
-// Dotted-quad helpers for examples and logs.
-std::uint32_t ParseIpv4(const std::string& dotted);  // throws on bad input
-std::string FormatIpv4(std::uint32_t ip);
+// Dotted-quad address for examples and policies; throws on bad input.
+std::uint32_t ParseIpv4(const std::string& dotted);
 
 }  // namespace analognf::net

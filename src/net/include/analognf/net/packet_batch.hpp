@@ -74,6 +74,9 @@ class PacketBatch {
   std::vector<std::uint64_t> flow_hash;
   // 3-bit priority derived from the DSCP class-selector bits.
   std::vector<std::uint8_t> priority;
+  // 1 if the IPv4 ECN field is nonzero (ECT(0), ECT(1) or CE): the
+  // sender is ECN-capable, so an ECN-enabled AQM may mark instead of drop.
+  std::vector<std::uint8_t> ect;
   // Egress service class, filled by the traffic manager at commit.
   std::vector<std::uint32_t> service_class;
   // Analog traffic-analysis tag (kNoClass until a classifier stage runs).

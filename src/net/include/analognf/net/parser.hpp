@@ -28,9 +28,6 @@ enum class ParseError {
   kTruncatedIpv6,
 };
 
-// Human-readable error name for logs and tests.
-std::string ToString(ParseError error);
-
 // The canonical match key: IPv4 5-tuple.
 struct FiveTuple {
   std::uint32_t src_ip = 0;
@@ -38,8 +35,6 @@ struct FiveTuple {
   std::uint16_t src_port = 0;
   std::uint16_t dst_port = 0;
   std::uint8_t protocol = 0;
-
-  friend bool operator==(const FiveTuple&, const FiveTuple&) = default;
 
   // FNV-1a over the tuple fields; stable across runs for flow bucketing.
   std::uint64_t Hash() const;
@@ -77,14 +72,13 @@ class Parser {
   Parser() = default;
   explicit Parser(Options options) : options_(options) {}
 
-  ParsedPacket Parse(const Packet& packet) const;
   ParsedPacket Parse(const std::uint8_t* data, std::size_t len) const;
 
   // Parses `count` packets into `out` (resized to count), one result per
   // packet, reusing the vector's storage across calls. Equivalent to
-  // calling Parse() on each packet — the parser is stateless, so batch
-  // front-ends (CognitiveSwitch::InjectBatch) fan parsing out without
-  // changing any per-packet outcome.
+  // calling Parse() on each packet's bytes — the parser is stateless, so
+  // batch front-ends (CognitiveSwitch::InjectBatch) fan parsing out
+  // without changing any per-packet outcome.
   void ParseBatch(const Packet* packets, std::size_t count,
                   std::vector<ParsedPacket>& out) const;
 

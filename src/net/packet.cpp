@@ -213,11 +213,4 @@ std::uint32_t ParseIpv4(const std::string& dotted) {
   return result;
 }
 
-std::string FormatIpv4(std::uint32_t ip) {
-  std::ostringstream ss;
-  ss << ((ip >> 24) & 0xff) << '.' << ((ip >> 16) & 0xff) << '.'
-     << ((ip >> 8) & 0xff) << '.' << (ip & 0xff);
-  return ss.str();
-}
-
 }  // namespace analognf::net

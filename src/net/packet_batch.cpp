@@ -34,6 +34,7 @@ void PacketBatch::Reset(const Packet* packets, std::size_t count,
   route_port.assign(count, kNoPort);
   flow_hash.assign(count, 0);
   priority.assign(count, 0);
+  ect.assign(count, 0);
   service_class.assign(count, 0);
   traffic_class.assign(count, kNoClass);
   analog_commits.clear();

@@ -16,30 +16,6 @@ std::uint32_t GetU32(const std::uint8_t* p) {
 
 }  // namespace
 
-std::string ToString(ParseError error) {
-  switch (error) {
-    case ParseError::kNone:
-      return "ok";
-    case ParseError::kTruncatedEthernet:
-      return "truncated-ethernet";
-    case ParseError::kUnsupportedEtherType:
-      return "unsupported-ethertype";
-    case ParseError::kTruncatedIpv4:
-      return "truncated-ipv4";
-    case ParseError::kBadIpVersion:
-      return "bad-ip-version";
-    case ParseError::kBadIpHeaderLength:
-      return "bad-ip-header-length";
-    case ParseError::kBadIpChecksum:
-      return "bad-ip-checksum";
-    case ParseError::kTruncatedL4:
-      return "truncated-l4";
-    case ParseError::kTruncatedIpv6:
-      return "truncated-ipv6";
-  }
-  return "unknown";
-}
-
 std::uint64_t FiveTuple::Hash() const {
   std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
   auto mix = [&h](std::uint64_t v, int bytes) {
@@ -71,10 +47,6 @@ FiveTuple ParsedPacket::Key() const {
     key.dst_port = udp->dst_port;
   }
   return key;
-}
-
-ParsedPacket Parser::Parse(const Packet& packet) const {
-  return Parse(packet.bytes().data(), packet.size());
 }
 
 void Parser::ParseBatch(const Packet* packets, std::size_t count,

@@ -94,7 +94,6 @@ class DigitalHarness final : public aqm::AqmPolicy {
     return inner_->ShouldDropOnDequeue(ctx);
   }
 
-  std::string name() const override { return inner_->name(); }
   double LastDropProbability() const override {
     return inner_->LastDropProbability();
   }

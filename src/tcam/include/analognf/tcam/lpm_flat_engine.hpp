@@ -82,9 +82,9 @@ class LpmFlatEngine {
 
   bool compiled() const { return compiled_; }
 
-  // Longest matching prefix for `address` (hit.priority = prefix_len).
-  // Throws std::logic_error before the first Compile/CompileDeltaFrom.
-  std::optional<TcamEngineHit> Lookup(std::uint32_t address) const;
+  // Longest matching prefix for each address (hit.priority =
+  // prefix_len); out is resized to count. Throws std::logic_error before
+  // the first Compile/CompileDeltaFrom.
   void LookupBatch(const std::uint32_t* addresses, std::size_t count,
                    std::vector<std::optional<TcamEngineHit>>& out) const;
 
@@ -94,8 +94,7 @@ class LpmFlatEngine {
     telemetry_ = counters;
   }
 
-  // Allocated direct pages / extension pages (capacity sizing tests).
-  std::size_t direct_pages() const;
+  // Allocated extension pages.
   std::size_t tbl8_count() const { return tbl8_count_; }
 
  private:

@@ -251,7 +251,7 @@ struct LpmConfig {
 // One committed, immutable compilation of an LpmTable: whichever engine
 // the tier selection chose, plus the TCAM cost figures of the committed
 // route set. Only the engine named by `tier` is compiled; use the
-// tier-dispatching Lookup/LookupBatch helpers.
+// tier-dispatching LookupBatch helper.
 struct LpmTableSnapshot {
   LpmTier tier = LpmTier::kTrie;
   LpmEngine engine;    // compiled iff tier == kTrie
@@ -261,11 +261,7 @@ struct LpmTableSnapshot {
   std::size_t live_routes = 0;
   std::uint64_t epoch = 0;
 
-  // Tier-dispatched lookups (const, concurrently callable).
-  std::optional<TcamEngineHit> Lookup(std::uint32_t address) const {
-    return tier == LpmTier::kFlat ? flat.Lookup(address)
-                                  : engine.Lookup(address);
-  }
+  // Tier-dispatched lookup (const, concurrently callable).
   void LookupBatch(const std::uint32_t* addresses, std::size_t count,
                    std::vector<std::optional<TcamEngineHit>>& out) const {
     if (tier == LpmTier::kFlat) {
@@ -310,17 +306,14 @@ class LpmTable {
     return published_.Acquire();
   }
   std::uint64_t epoch() const { return published_.epoch(); }
-  // The tier the published snapshot compiled to.
-  LpmTier tier() const { return published_.Acquire()->tier; }
   const LpmConfig& config() const { return config_; }
   // Delta-vs-full accounting across all commits (see TableCommitStats).
   const TableCommitStats& commit_stats() const { return commit_stats_; }
 
-  // Looks up the longest matching prefix for `address`. Throws
-  // std::logic_error if routes changed since the last Commit().
-  std::optional<TcamSearchResult> Lookup(std::uint32_t address);
-  // Batched lookup; out is resized to count. Bit-identical to
-  // sequential Lookup() calls, counters and energy included.
+  // Looks up the longest matching prefix for each address; out is
+  // resized to count, and the TCAM array is charged one search cycle per
+  // address. Throws std::logic_error if routes changed since the last
+  // Commit().
   void LookupBatch(const std::uint32_t* addresses, std::size_t count,
                    std::vector<std::optional<TcamSearchResult>>& out);
 
@@ -361,6 +354,7 @@ class LpmTable {
   bool dirty_ = false;
 
   SnapshotCell<LpmTableSnapshot> published_;
+  std::vector<std::optional<TcamEngineHit>> hits_;  // LookupBatch scratch
   std::uint64_t commits_ = 0;  // controller-thread only
   TableCommitStats commit_stats_;
   telemetry::SearchEngineCounters telemetry_;

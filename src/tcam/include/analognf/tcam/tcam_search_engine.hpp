@@ -307,16 +307,11 @@ class LpmEngine {
   void Commit();
   bool NeedsCommit() const { return dirty_; }
 
-  // Drops every route and node; the engine is dirty until the next
-  // Commit(). Used by the owning table to rebuild the trie tier from
-  // its authoritative route list after withdrawals.
-  void Reset();
-
   std::size_t route_count() const { return routes_.size(); }
 
-  // Longest matching prefix for `address` (hit.priority = prefix_len).
-  // Throws std::logic_error if routes were added since the last Commit.
-  std::optional<TcamEngineHit> Lookup(std::uint32_t address) const;
+  // Longest matching prefix for each address (hit.priority =
+  // prefix_len); out is resized to count. Throws std::logic_error if
+  // routes were added since the last Commit.
   void LookupBatch(const std::uint32_t* addresses, std::size_t count,
                    std::vector<std::optional<TcamEngineHit>>& out) const;
 

@@ -68,14 +68,6 @@ class BitKey {
   // Parses a "01" string. Throws std::invalid_argument on other chars.
   static BitKey FromString(const std::string& s);
 
-  friend bool operator==(const BitKey& a, const BitKey& b) {
-    if (a.width_ != b.width_) return false;
-    for (std::size_t w = 0; w < a.word_count(); ++w) {
-      if (a.words_[w] != b.words_[w]) return false;
-    }
-    return true;
-  }
-
  private:
   void AppendBits(std::uint32_t value, int width);
 
@@ -93,8 +85,6 @@ class TernaryWord {
 
   // Parses a string of '0', '1', 'X'/'x'/'*'. Throws on other chars.
   static TernaryWord FromString(const std::string& s);
-  // All 32 bits exact.
-  static TernaryWord ExactU32(std::uint32_t value);
   // IPv4-style prefix: the top `prefix_len` bits exact, the rest X.
   // prefix_len in [0, 32].
   static TernaryWord FromPrefix(std::uint32_t value, int prefix_len);

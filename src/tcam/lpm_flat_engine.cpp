@@ -215,25 +215,6 @@ void LpmFlatEngine::PatchErase(const Route& route, const Route* cover) {
   }
 }
 
-std::optional<TcamEngineHit> LpmFlatEngine::Lookup(
-    std::uint32_t address) const {
-  RequireCompiled();
-  std::uint64_t slot = ReadDirect(static_cast<std::size_t>(address >> 8));
-  std::size_t reads = 1;
-  if (IsExt(slot)) {
-    slot = ReadTbl8(Tbl8Of(slot))[address & 0xff];
-    reads = 2;
-  }
-  telemetry_.searches.Inc();
-  telemetry_.rows_scanned.Inc(reads);
-  if (!IsValid(slot)) return std::nullopt;
-  TcamEngineHit hit;
-  hit.entry_index = EntryOf(slot);
-  hit.action = ActionOf(slot);
-  hit.priority = DepthOf(slot);
-  return hit;
-}
-
 void LpmFlatEngine::LookupBatch(
     const std::uint32_t* addresses, std::size_t count,
     std::vector<std::optional<TcamEngineHit>>& out) const {
@@ -258,14 +239,6 @@ void LpmFlatEngine::LookupBatch(
   }
   telemetry_.searches.Inc(count);
   telemetry_.rows_scanned.Inc(total_reads);
-}
-
-std::size_t LpmFlatEngine::direct_pages() const {
-  std::size_t n = 0;
-  for (const auto& page : pages_) {
-    if (page != nullptr) ++n;
-  }
-  return n;
 }
 
 }  // namespace analognf::tcam

@@ -140,7 +140,7 @@ void TcamTable::Commit() {
   // staged set (plus the overlay it already carries) is small against
   // the committed table; otherwise recompile from scratch.
   const bool use_delta = engine_config_.delta_policy.UseDelta(
-      delta_.touched().size(), delta_.structural(), prev->live_rows,
+      delta_.touched().size(), prev->live_rows,
       prev->engine.overlay_slots());
   auto snap = std::make_shared<TcamTableSnapshot>(key_width_, engine_config_);
   snap->engine.BindTelemetry(telemetry_);
@@ -408,8 +408,7 @@ void LpmTable::Commit() {
       prev->tier == LpmTier::kFlat &&
       live >= config_.flat_route_threshold &&
       config_.delta_policy.UseDelta(delta_.touched().size(),
-                                    delta_.structural(), prev->live_routes,
-                                    0);
+                                    prev->live_routes, 0);
   std::size_t patched_rows = 0;
   std::shared_ptr<LpmTableSnapshot> snap =
       BuildSnapshot(prev, use_delta, patched_rows);
@@ -456,26 +455,17 @@ TcamSearchResult LpmTable::ResultOf(const TcamEngineHit& hit,
   return result;
 }
 
-std::optional<TcamSearchResult> LpmTable::Lookup(std::uint32_t address) {
-  RequireCommitted();
-  // The compiled engine answers; the TCAM array still burns one full
-  // search cycle.
-  const std::shared_ptr<const LpmTableSnapshot> snap = snapshot();
-  const double energy = table_.AccountSearch(snap->search_energy_j);
-  const std::optional<TcamEngineHit> hit = snap->Lookup(address);
-  if (!hit.has_value()) return std::nullopt;
-  return ResultOf(*hit, energy);
-}
-
 void LpmTable::LookupBatch(const std::uint32_t* addresses, std::size_t count,
                            std::vector<std::optional<TcamSearchResult>>& out) {
   RequireCommitted();
+  // The compiled engine answers; the TCAM array still burns one full
+  // search cycle per address.
   const std::shared_ptr<const LpmTableSnapshot> snap = snapshot();
+  snap->LookupBatch(addresses, count, hits_);
   out.assign(count, std::nullopt);
   for (std::size_t q = 0; q < count; ++q) {
     const double energy = table_.AccountSearch(snap->search_energy_j);
-    const std::optional<TcamEngineHit> hit = snap->Lookup(addresses[q]);
-    if (hit.has_value()) out[q] = ResultOf(*hit, energy);
+    if (hits_[q].has_value()) out[q] = ResultOf(*hits_[q], energy);
   }
 }
 

@@ -475,12 +475,6 @@ void LpmEngine::AddRoute(const Route& route) {
   dirty_ = true;
 }
 
-void LpmEngine::Reset() {
-  routes_.clear();
-  nodes_.clear();
-  dirty_ = true;
-}
-
 std::int32_t LpmEngine::NewNode() {
   Node node;
   node.child.fill(-1);
@@ -560,21 +554,6 @@ std::int32_t LpmEngine::BestRoute(std::uint32_t address,
     if (node < 0) break;
   }
   return best;
-}
-
-std::optional<TcamEngineHit> LpmEngine::Lookup(std::uint32_t address) const {
-  RequireCommitted();
-  std::size_t hops = 0;
-  const std::int32_t best = BestRoute(address, hops);
-  telemetry_.searches.Inc();
-  telemetry_.rows_scanned.Inc(hops);
-  if (best < 0) return std::nullopt;
-  const Route& r = routes_[static_cast<std::size_t>(best)];
-  TcamEngineHit hit;
-  hit.entry_index = r.entry_index;
-  hit.action = r.action;
-  hit.priority = r.prefix_len;
-  return hit;
 }
 
 void LpmEngine::LookupBatch(

@@ -72,10 +72,6 @@ TernaryWord TernaryWord::FromString(const std::string& s) {
   return TernaryWord(std::move(bits));
 }
 
-TernaryWord TernaryWord::ExactU32(std::uint32_t value) {
-  return FromPrefix(value, 32);
-}
-
 TernaryWord TernaryWord::FromPrefix(std::uint32_t value, int prefix_len) {
   if (prefix_len < 0 || prefix_len > 32) {
     throw std::invalid_argument("TernaryWord::FromPrefix: bad prefix length");

@@ -99,13 +99,4 @@ std::vector<BatchTraceRecord> FlightRecorder::Dump(
   return out;
 }
 
-void FlightRecorder::Reset() {
-  for (Slot& slot : slots_) {
-    slot.version.store(0, std::memory_order_relaxed);
-    slot.record = BatchTraceRecord{};
-  }
-  dropped_.store(0, std::memory_order_relaxed);
-  head_.store(0, std::memory_order_release);
-}
-
 }  // namespace analognf::telemetry

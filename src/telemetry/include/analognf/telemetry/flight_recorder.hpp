@@ -85,8 +85,6 @@ class FlightRecorder {
   std::vector<BatchTraceRecord> Dump(
       std::size_t max_records = static_cast<std::size_t>(-1)) const;
 
-  void Reset();
-
  private:
   struct alignas(64) Slot {
     // Seqlock: odd while the slot is being written, 2 * (sequence + 1)

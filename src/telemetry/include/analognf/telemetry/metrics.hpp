@@ -49,9 +49,9 @@ struct TelemetryConfig {
   // and never allocates a metric.
   bool enabled = true;
   // Counter/histogram shard cells (rounded up to a power of two);
-  // 0 = one per slot handed out so far (shared-pool workers + slot 0 +
-  // threads registered via ThreadPool::RegisterExternalSlot at registry
-  // construction time).
+  // 0 = ThreadPool::SlotUpperBound() at registry construction (shared-
+  // pool workers + slot 0 + the most threads registered via
+  // RegisterExternalSlot that were alive at once).
   std::size_t shards = 0;
   // Flight-recorder ring capacity in batch records (rounded up to a
   // power of two); 0 disables the recorder.
@@ -96,7 +96,6 @@ class Counter {
                std::memory_order_relaxed);
   }
   std::uint64_t Value() const;
-  void Reset();
 
  private:
   std::vector<internal::CounterCell> cells_;
@@ -110,7 +109,6 @@ class Gauge {
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
   void Add(double v) { internal::AtomicAdd(value_, v); }
   double Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0.0); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -136,7 +134,6 @@ class Histogram {
   std::vector<std::uint64_t> BucketCounts() const;
   std::uint64_t Count() const;
   double Sum() const;
-  void Reset();
 
   std::size_t BucketOf(double x) const {
     if (!(x > spec_.first_bound)) return 0;  // also catches NaN
@@ -271,9 +268,6 @@ class MetricsRegistry {
   // Aggregates every metric (sums shard cells). Safe to call while
   // writers are active: counts are relaxed-atomic reads.
   MetricsSnapshot Snapshot() const;
-
-  // Zeroes every registered metric (registrations survive).
-  void Reset();
 
  private:
   void CheckNameFree(const std::string& name, int kind) const;

@@ -27,9 +27,6 @@ class Telemetry {
   // the last `max_records` flight-recorder records as JSON.
   void WritePostMortem(std::ostream& out, std::size_t max_records = 8) const;
 
-  // Zeroes every metric and empties the recorder.
-  void Reset();
-
  private:
   TelemetryConfig config_;
   MetricsRegistry registry_;

@@ -46,12 +46,6 @@ std::uint64_t Counter::Value() const {
   return total;
 }
 
-void Counter::Reset() {
-  for (internal::CounterCell& c : cells_) {
-    c.value.store(0, std::memory_order_relaxed);
-  }
-}
-
 // -------------------------------------------------------------- Histogram
 
 Histogram::Histogram(HistogramSpec spec, std::size_t shards)
@@ -99,16 +93,6 @@ double Histogram::Sum() const {
     total += s.sum.load(std::memory_order_relaxed);
   }
   return total;
-}
-
-void Histogram::Reset() {
-  for (Shard& s : shards_) {
-    for (std::atomic<std::uint64_t>& c : s.counts) {
-      c.store(0, std::memory_order_relaxed);
-    }
-    s.count.store(0, std::memory_order_relaxed);
-    s.sum.store(0.0, std::memory_order_relaxed);
-  }
 }
 
 // --------------------------------------------------------------- registry
@@ -191,13 +175,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snap.histograms.push_back(std::move(s));
   }
   return snap;
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
 }
 
 }  // namespace analognf::telemetry

@@ -22,9 +22,4 @@ void Telemetry::WritePostMortem(std::ostream& out,
   out << ToJson(recorder_.Dump(max_records));
 }
 
-void Telemetry::Reset() {
-  registry_.Reset();
-  recorder_.Reset();
-}
-
 }  // namespace analognf::telemetry

@@ -99,8 +99,4 @@ inline constexpr std::uint32_t kMinFrameBytes =
 void SynthesizeFrame(const FlowTuple& tuple, std::uint32_t frame_bytes,
                      std::vector<std::uint8_t>& out);
 
-// Convenience wrapper returning an owning net::Packet.
-net::Packet SynthesizePacket(const FlowTuple& tuple,
-                             std::uint32_t frame_bytes);
-
 }  // namespace analognf::traffic

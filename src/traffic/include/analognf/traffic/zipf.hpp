@@ -25,9 +25,6 @@ class ZipfSampler {
   // Draws a 0-based rank; rank 0 is the most popular.
   std::uint64_t Sample(analognf::RandomStream& rng) const;
 
-  // Exact probability of rank k (for distribution tests).
-  double Probability(std::uint64_t k) const;
-
   std::uint64_t n() const { return n_; }
   double s() const { return s_; }
 
@@ -41,9 +38,6 @@ class ZipfSampler {
   double h_integral_x1_ = 0.0;
   double h_integral_n_ = 0.0;
   double threshold_ = 0.0;  // rejection acceptance cut (see Sample)
-  // Generalized harmonic number; computed lazily by Probability() (test
-  // accessor, not thread-safe with concurrent Probability calls).
-  mutable double harmonic_ = 0.0;
 };
 
 }  // namespace analognf::traffic

@@ -146,11 +146,4 @@ void SynthesizeFrame(const FlowTuple& tuple, std::uint32_t frame_bytes,
   }
 }
 
-net::Packet SynthesizePacket(const FlowTuple& tuple,
-                             std::uint32_t frame_bytes) {
-  std::vector<std::uint8_t> bytes;
-  SynthesizeFrame(tuple, frame_bytes, bytes);
-  return net::Packet(std::move(bytes));
-}
-
 }  // namespace analognf::traffic

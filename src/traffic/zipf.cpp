@@ -62,18 +62,4 @@ std::uint64_t ZipfSampler::Sample(analognf::RandomStream& rng) const {
   }
 }
 
-double ZipfSampler::Probability(std::uint64_t k) const {
-  if (k >= n_) return 0.0;
-  // O(n) normalisation, computed on demand — this accessor exists for
-  // distribution tests, not the sampling hot path.
-  if (harmonic_ == 0.0) {
-    double sum = 0.0;
-    for (std::uint64_t i = 1; i <= n_; ++i) {
-      sum += std::exp(-s_ * std::log(static_cast<double>(i)));
-    }
-    harmonic_ = sum;
-  }
-  return std::exp(-s_ * std::log(static_cast<double>(k + 1))) / harmonic_;
-}
-
 }  // namespace analognf::traffic

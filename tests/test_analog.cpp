@@ -50,13 +50,6 @@ TEST(LinearMapTest, ClampsOutOfDomain) {
   EXPECT_EQ(map.ToVoltage(-5.0), 0.0);
 }
 
-TEST(LinearMapTest, InverseRoundTrips) {
-  LinearMap map(-1.0, 1.0, VoltageRange(-2.0, 1.0));
-  for (double f : {-1.0, -0.5, 0.0, 0.7, 1.0}) {
-    EXPECT_NEAR(map.ToFeature(map.ToVoltage(f)), f, 1e-12);
-  }
-}
-
 TEST(LinearMapTest, RejectsEmptyFeatureDomain) {
   EXPECT_THROW(LinearMap(1.0, 1.0, VoltageRange(0.0, 1.0)),
                std::invalid_argument);
@@ -77,7 +70,7 @@ TEST(ChannelParamsTest, ValidatesRanges) {
 }
 
 TEST(AnalogChannelTest, IdealIsIdentity) {
-  AnalogChannel ch = AnalogChannel::MakeIdeal();
+  AnalogChannel ch(ChannelParams::Ideal(), RandomStream(0));
   for (double v : {-2.0, 0.0, 1.5, 4.0}) {
     EXPECT_EQ(ch.Transmit(v), v);
   }
@@ -117,15 +110,6 @@ TEST(AnalogChannelTest, InterferenceAveragesOut) {
   RunningStats stats;
   for (int i = 0; i < 10000; ++i) stats.Add(ch.Transmit(0.0));
   EXPECT_NEAR(stats.mean(), 0.0, 0.01);
-}
-
-TEST(ThermalNoiseTest, MatchesJohnsonFormula) {
-  // 1 Mohm over 1 MHz at 300 K: sqrt(4kTRB) ~ 128.7 uV.
-  EXPECT_NEAR(ThermalNoiseSigmaV(1e6, 1e6, 300.0), 128.7e-6, 1e-6);
-}
-
-TEST(ThermalNoiseTest, RejectsNegativeArguments) {
-  EXPECT_THROW(ThermalNoiseSigmaV(-1.0, 1.0, 300.0), std::invalid_argument);
 }
 
 // -------------------------------------------------------- converters
@@ -169,24 +153,6 @@ TEST(DacTest, MonotoneInFeature) {
 TEST(DacTest, MoreBitsSmallerLsb) {
   LinearMap map(0.0, 1.0, VoltageRange(0.0, 1.0));
   EXPECT_GT(Dac(map, 4).LsbVolts(), Dac(map, 12).LsbVolts());
-}
-
-TEST(AdcTest, RoundTripsWithinLsb) {
-  LinearMap map(0.0, 100.0, VoltageRange(0.0, 5.0));
-  Adc adc(map, 12);
-  RandomStream rng(6);
-  for (int i = 0; i < 1000; ++i) {
-    const double f = rng.NextUniform(0.0, 100.0);
-    const double v = map.ToVoltage(f);
-    EXPECT_NEAR(adc.Convert(v), f, 100.0 / 4095.0 + 1e-9);
-  }
-}
-
-TEST(AdcTest, CodeSaturatesAtRails) {
-  LinearMap map(0.0, 1.0, VoltageRange(0.0, 1.0));
-  Adc adc(map, 8);
-  EXPECT_EQ(adc.Sample(-10.0), 0u);
-  EXPECT_EQ(adc.Sample(10.0), 255u);
 }
 
 // ----------------------------------------------------- differentiator
@@ -267,6 +233,15 @@ TEST(DerivativeChainTest, QuadraticHasConstantSecondDerivative) {
 
 // --------------------------------------------------------- crossbar
 
+// Programs every cell to its conductance target (row-major), the way the
+// crossbar's users do: one SetResistance per cell.
+void Program(Crossbar& xbar, const std::vector<double>& siemens) {
+  ASSERT_EQ(siemens.size(), xbar.rows() * xbar.cols());
+  for (std::size_t i = 0; i < siemens.size(); ++i) {
+    xbar.At(i / xbar.cols(), i % xbar.cols()).SetResistance(1.0 / siemens[i]);
+  }
+}
+
 TEST(CrossbarTest, RejectsZeroDimensions) {
   EXPECT_THROW(Crossbar(0, 2, device::MemristorParams::NbSrTiO3()),
                std::invalid_argument);
@@ -277,7 +252,7 @@ TEST(CrossbarTest, MultiplyMatchesManualSum) {
   // Program known conductances (within the device range: conductance
   // must stay at or below 1/r_lrs = 1e-8 S).
   std::vector<double> g = {1e-9, 2e-9, 3e-9, 4e-9, 5e-9, 6e-9};
-  xbar.ProgramConductances(g);
+  Program(xbar, g);
   const std::vector<double> v = {1.0, 2.0};
   const std::vector<double> currents = xbar.Multiply(v);
   ASSERT_EQ(currents.size(), 3u);
@@ -289,7 +264,7 @@ TEST(CrossbarTest, MultiplyMatchesManualSum) {
 
 TEST(CrossbarTest, EnergyAccumulatesAndResets) {
   Crossbar xbar(2, 2, device::MemristorParams::NbSrTiO3());
-  xbar.ProgramConductances({1e-8, 1e-8, 1e-8, 1e-8});
+  Program(xbar, {1e-8, 1e-8, 1e-8, 1e-8});
   EXPECT_EQ(xbar.ConsumedEnergyJ(), 0.0);
   xbar.Multiply({1.0, 1.0});
   const double e1 = xbar.ConsumedEnergyJ();
@@ -302,7 +277,7 @@ TEST(CrossbarTest, EnergyAccumulatesAndResets) {
 
 TEST(CrossbarTest, ZeroVoltageRowCostsNothing) {
   Crossbar xbar(1, 1, device::MemristorParams::NbSrTiO3());
-  xbar.ProgramConductances({1e-8});
+  Program(xbar, {1e-8});
   xbar.Multiply({0.0});
   EXPECT_EQ(xbar.ConsumedEnergyJ(), 0.0);
 }
@@ -310,9 +285,6 @@ TEST(CrossbarTest, ZeroVoltageRowCostsNothing) {
 TEST(CrossbarTest, SizeMismatchThrows) {
   Crossbar xbar(2, 2, device::MemristorParams::NbSrTiO3());
   EXPECT_THROW(xbar.Multiply({1.0}), std::invalid_argument);
-  EXPECT_THROW(xbar.ProgramConductances({1e-8}), std::invalid_argument);
-  EXPECT_THROW(xbar.ProgramConductances({0.0, 1e-8, 1e-8, 1e-8}),
-               std::invalid_argument);
 }
 
 TEST(CrossbarTest, AtBoundsChecked) {
@@ -332,50 +304,19 @@ TEST(CrossbarTest, DeviceVariationChangesCells) {
   EXPECT_NE(xbar.At(0, 0).ResistanceOhm(), xbar.At(0, 1).ResistanceOhm());
 }
 
-// Property: conductance quantisation — programming any conductance in
-// range and reading it back is monotone.
+// Property: programming any conductance in range through the cell API
+// and reading it back is close.
 class CrossbarProgram : public ::testing::TestWithParam<double> {};
 
 TEST_P(CrossbarProgram, ProgramReadbackIsClose) {
   Crossbar xbar(1, 1, device::MemristorParams::NbSrTiO3());
   const double g = GetParam();
-  xbar.ProgramConductances({g});
+  Program(xbar, {g});
   EXPECT_NEAR(xbar.At(0, 0).ConductanceS() / g, 1.0, 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Conductances, CrossbarProgram,
                          ::testing::Values(1e-12, 1e-11, 1e-10, 1e-9, 1e-8));
-
-TEST(AnalogChannelTest, TransmitBatchMatchesSequentialTransmit) {
-  // Same params + same seed: the batched call must replay exactly the
-  // per-sample stream (the search engine's batch mode relies on this).
-  ChannelParams p = ChannelParams::Noisy(0.1);
-  p.line_gain = 0.95;
-  p.interference_peak_v = 0.05;
-  AnalogChannel sequential(p, RandomStream(42));
-  AnalogChannel batched(p, RandomStream(42));
-  std::vector<double> in(64);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    in[i] = 0.1 * static_cast<double>(i);
-  }
-  std::vector<double> out(in.size(), 0.0);
-  batched.TransmitBatch(in.data(), out.data(), in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    EXPECT_EQ(out[i], sequential.Transmit(in[i]));
-  }
-}
-
-TEST(AnalogChannelTest, TransmitBatchStatelessAllowsAliasing) {
-  ChannelParams p;
-  p.line_gain = 0.5;
-  EXPECT_TRUE(p.IsStateless());
-  AnalogChannel ch(p, RandomStream(7));
-  std::vector<double> buf = {1.0, 2.0, 4.0};
-  ch.TransmitBatch(buf.data(), buf.data(), buf.size());
-  EXPECT_EQ(buf[0], 0.5);
-  EXPECT_EQ(buf[1], 1.0);
-  EXPECT_EQ(buf[2], 2.0);
-}
 
 TEST(ChannelParamsTest, IsStatelessDetectsNoiseSources) {
   EXPECT_TRUE(ChannelParams::Ideal().IsStateless());

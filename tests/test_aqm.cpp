@@ -48,7 +48,6 @@ TEST(TailDropTest, NeverDrops) {
   EXPECT_FALSE(Drops(policy, MakeContext(0.0, 10.0, 1000)));
   EXPECT_FALSE(policy.ShouldDropOnDequeue(MakeContext(0.0, 10.0, 1000)));
   EXPECT_TRUE(std::isnan(policy.LastDropProbability()));
-  EXPECT_EQ(policy.name(), "taildrop");
 
   // Guarding a queue, it leaves only the capacity bound.
   AqmQueue queue({.max_packets = 2}, policy);
@@ -738,7 +737,6 @@ TEST(Pi2Test, TinyQueueProtected) {
   // The <2 packet safeguard holds even at p' = 1.
   EXPECT_EQ(pi2.DecideOnEnqueue(MakeContext(now, 0.0, 1, 1000)),
             AqmVerdict::kAccept);
-  EXPECT_EQ(pi2.name(), "pi2");
 }
 
 // ------------------------------------------------------------- Analog
@@ -864,7 +862,8 @@ TEST(AnalogAqmTest, QuiescentDerivativesAreNeutral) {
   // modulator stages should sit near 1 so the base ramp dominates.
   const std::vector<double> features =
       aqm.FeaturesToVoltages({0.020, 0.0, 0.0, 0.0}, {0.1, 0.0, 0.0, 0.0});
-  const auto out = aqm.table().Apply(features);
+  core::AnalogMatchActionTable::Output out;
+  aqm.table().Apply(features, out);
   double modulators = 1.0;
   for (std::size_t i = 1; i < out.per_field.size(); ++i) {
     modulators *= out.per_field[i];
@@ -1146,9 +1145,9 @@ TEST_P(AnalogAqmFuzz, PdpAlwaysValidEnergyMonotone) {
   double now = 0.0;
   double last_energy = 0.0;
   for (int i = 0; i < 1000; ++i) {
-    now += rng.NextUniform(0.0, 0.01);
+    now += 0.01 * rng.NextUniform();
     AqmContext ctx = MakeContext(
-        now, rng.NextUniform(0.0, 0.2),
+        now, 0.2 * rng.NextUniform(),
         rng.NextIndex(500),
         rng.NextIndex(500000) + 1,
         static_cast<std::uint8_t>(rng.NextIndex(8)));
@@ -1247,9 +1246,9 @@ TEST_P(DigitalAqmFuzz, PoliciesAreTotalFunctions) {
   Wred wred(high, RedConfig{}, GetParam());
   double now = 0.0;
   for (int i = 0; i < 2000; ++i) {
-    now += rng.NextUniform(0.0, 0.02);
+    now += 0.02 * rng.NextUniform();
     AqmContext ctx = MakeContext(
-        now, rng.NextUniform(0.0, 1.0), rng.NextIndex(2000),
+        now, rng.NextUniform(), rng.NextIndex(2000),
         rng.NextIndex(2000000) + 1,
         static_cast<std::uint8_t>(rng.NextIndex(8)));
     Drops(red, ctx);

@@ -27,7 +27,7 @@ namespace {
 net::Packet MakeUdpPacket(const std::string& src, const std::string& dst,
                           std::uint16_t sport, std::uint16_t dport,
                           std::size_t payload = 100,
-                          std::uint8_t dscp = 0) {
+                          std::uint8_t dscp = 0, std::uint8_t ecn = 0) {
   net::EthernetHeader eth;
   eth.dst = {2, 0, 0, 0, 0, 1};
   eth.src = {2, 0, 0, 0, 0, 2};
@@ -36,6 +36,7 @@ net::Packet MakeUdpPacket(const std::string& src, const std::string& dst,
   ip.dst_ip = net::ParseIpv4(dst);
   ip.protocol = net::kIpProtoUdp;
   ip.dscp = dscp;
+  ip.ecn = ecn;
   net::UdpHeader udp;
   udp.src_port = sport;
   udp.dst_port = dport;
@@ -57,9 +58,15 @@ SwitchConfig SmallSwitch(bool enable_aqm = true) {
 
 // ----------------------------------------------------------------- keys
 
+tcam::BitKey KeyOf(const net::FiveTuple& tuple) {
+  tcam::BitKey key;
+  FiveTupleKeyInto(tuple, key);
+  return key;
+}
+
 TEST(KeysTest, FiveTupleKeyWidth) {
   net::FiveTuple t{0x0A000001, 0x0A000002, 1000, 2000, 17};
-  const tcam::BitKey key = FiveTupleKey(t);
+  const tcam::BitKey key = KeyOf(t);
   EXPECT_EQ(key.width(), kFiveTupleBits);
 }
 
@@ -88,8 +95,6 @@ TEST(KeysTest, PackedKeyMatchesAppendedKey) {
     ASSERT_EQ(packed.word_count(), 2u);
     EXPECT_EQ(packed.words()[0], appended.words()[0]) << i;
     EXPECT_EQ(packed.words()[1], appended.words()[1]) << i;
-    EXPECT_TRUE(packed == appended) << i;
-    EXPECT_TRUE(FiveTupleKey(t) == appended) << i;
   }
 }
 
@@ -98,7 +103,7 @@ TEST(KeysTest, FullyWildcardPatternMatchesAnything) {
   EXPECT_EQ(word.width(), kFiveTupleBits);
   EXPECT_EQ(word.SpecifiedBits(), 0u);
   net::FiveTuple t{123, 456, 7, 8, 9};
-  EXPECT_TRUE(word.Matches(FiveTupleKey(t)));
+  EXPECT_TRUE(word.Matches(KeyOf(t)));
 }
 
 TEST(KeysTest, PatternFieldsConstrainMatching) {
@@ -113,9 +118,9 @@ TEST(KeysTest, PatternFieldsConstrainMatching) {
   net::FiveTuple hit{1, net::ParseIpv4("10.9.9.9"), 1111, 53, 17};
   net::FiveTuple wrong_port{1, net::ParseIpv4("10.9.9.9"), 1111, 54, 17};
   net::FiveTuple wrong_net{1, net::ParseIpv4("11.9.9.9"), 1111, 53, 17};
-  EXPECT_TRUE(word.Matches(FiveTupleKey(hit)));
-  EXPECT_FALSE(word.Matches(FiveTupleKey(wrong_port)));
-  EXPECT_FALSE(word.Matches(FiveTupleKey(wrong_net)));
+  EXPECT_TRUE(word.Matches(KeyOf(hit)));
+  EXPECT_FALSE(word.Matches(KeyOf(wrong_port)));
+  EXPECT_FALSE(word.Matches(KeyOf(wrong_net)));
 }
 
 // --------------------------------------------------------------- switch
@@ -240,6 +245,49 @@ TEST(SwitchTest, AqmDropsUnderFlood) {
   }
   EXPECT_GT(aqm_drops, 100);
   EXPECT_EQ(sw.stats().aqm_drops, static_cast<std::uint64_t>(aqm_drops));
+}
+
+// The parse stage's ECT lane offers ECN to the port AQMs: on a port
+// whose AnalogAqm has ECN enabled, ECT packets are CE-marked instead of
+// dropped while the congestion is not severe, and SwitchStats::marked
+// counts them as a subset of `forwarded`. Non-ECT packets still drop.
+TEST(SwitchTest, EctPacketsAreMarkedOnAnEcnEnabledPort) {
+  struct Run {
+    SwitchStats stats;
+    std::uint64_t ce_deliveries = 0;
+  };
+  const auto flood = [](std::uint8_t ecn) {
+    SwitchConfig c = SmallSwitch(true);
+    c.aqm.ecn_enabled = true;
+    CognitiveSwitch sw(c);
+    sw.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
+    Run run;
+    for (int i = 0; i < 4000; ++i) {
+      const double now = i * 0.0005;
+      sw.Inject(MakeUdpPacket("1.1.1.1", "10.0.0.1", 1, 2, 1000, 0, ecn),
+                now);
+      for (const Delivery& d : sw.Drain(now)) {
+        run.ce_deliveries += d.meta.ecn_marked ? 1 : 0;
+      }
+    }
+    for (const Delivery& d : sw.Drain(1.0e9)) {
+      run.ce_deliveries += d.meta.ecn_marked ? 1 : 0;
+    }
+    run.stats = sw.stats();
+    return run;
+  };
+  const Run ect = flood(/*ecn=*/2);  // ECT(0)
+  EXPECT_GT(ect.stats.marked, 100u);
+  EXPECT_LE(ect.stats.marked, ect.stats.forwarded);
+  EXPECT_EQ(ect.ce_deliveries, ect.stats.marked);
+  EXPECT_EQ(ect.stats.injected, ect.stats.forwarded + ect.stats.aqm_drops +
+                                    ect.stats.queue_full);
+
+  const Run not_ect = flood(/*ecn=*/0);
+  EXPECT_EQ(not_ect.stats.marked, 0u);
+  EXPECT_EQ(not_ect.ce_deliveries, 0u);
+  EXPECT_GT(not_ect.stats.aqm_drops, 100u);
+  EXPECT_LT(ect.stats.aqm_drops, not_ect.stats.aqm_drops);
 }
 
 TEST(SwitchTest, EnergyLedgerCoversAllDomains) {
@@ -597,18 +645,10 @@ TEST(ControllerTest, PlacementByPrecision) {
   EXPECT_EQ(ToString(Domain::kAnalog), "analog");
 }
 
-TEST(ControllerTest, InstallRouteProgramsDataPlane) {
-  CognitiveSwitch sw(SmallSwitch(false));
-  CognitiveNetworkController controller(sw);
-  controller.InstallRoute("10.0.0.0", 8, 0);
-  EXPECT_EQ(sw.Inject(MakeUdpPacket("1.1.1.1", "10.1.1.1", 1, 2), 0.0),
-            Verdict::kForwarded);
-}
-
 TEST(ControllerTest, InstallFirewallDenyBlocks) {
   CognitiveSwitch sw(SmallSwitch(false));
   CognitiveNetworkController controller(sw);
-  controller.InstallRoute("10.0.0.0", 8, 0);
+  sw.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
   FirewallPattern evil;
   evil.src_ip = net::ParseIpv4("66.0.0.0");
   evil.src_prefix_len = 8;
@@ -956,7 +996,7 @@ TEST_P(PolicyFuzz, GarbageRaisesTypedErrorsOnly) {
   // token sequences form *valid* rules (e.g. "deny priority 5"), so the
   // probe may legitimately be denied — what matters is a clean,
   // deterministic classification.
-  controller.InstallRoute("10.0.0.0", 8, 0);
+  sw.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
   const Verdict v =
       sw.Inject(MakeUdpPacket("1.1.1.1", "10.0.0.1", 1, 2), 1e6);
   EXPECT_TRUE(v == Verdict::kForwarded || v == Verdict::kFirewallDeny);

@@ -159,7 +159,7 @@ TEST(LearnedAqmTest, ConvergesToTeacherUnderExperience) {
   // Replay a few thousand decisions across the sojourn range.
   for (int i = 0; i < 6000; ++i) {
     ctx.now_s = 0.001 * i;
-    ctx.sojourn_s = rng.NextUniform(0.0, 0.050);
+    ctx.sojourn_s = 0.05 * rng.NextUniform();
     ctx.queue_packets = 20;
     ctx.queue_bytes = 20000;
     aqm.DecideOnEnqueue(ctx);
@@ -205,7 +205,7 @@ TEST(LearnedAqmTest, SteadyDecisionsAreAllocationFree) {
   int drops = 0;
   for (int i = 0; i < 2 * kDecisions; ++i) {
     ctx.now_s = 0.001 * i;
-    ctx.sojourn_s = rng.NextUniform(0.0, 0.050);
+    ctx.sojourn_s = 0.05 * rng.NextUniform();
     if (i == kDecisions) {  // the first half warms up
       alloc_probe::count = 0;
       alloc_probe::counting = true;

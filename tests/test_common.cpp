@@ -70,7 +70,7 @@ TEST(RandomStreamTest, UniformMeanIsHalf) {
 TEST(RandomStreamTest, UniformRangeRespectsBounds) {
   RandomStream rng(3);
   for (int i = 0; i < 1000; ++i) {
-    const double u = rng.NextUniform(-3.0, 5.0);
+    const double u = -3.0 + 8.0 * rng.NextUniform();
     EXPECT_GE(u, -3.0);
     EXPECT_LT(u, 5.0);
   }
@@ -262,22 +262,27 @@ TEST(EwmaTest, WeightOneTracksExactly) {
   EXPECT_EQ(ewma.Update(42.0), 42.0);
 }
 
+// PercentileInPlace on a copy, so a test can pass a literal set.
+double PercentileOf(std::vector<double> xs, double q) {
+  return PercentileInPlace(xs, q);
+}
+
 TEST(PercentileTest, ThrowsOnEmpty) {
-  EXPECT_THROW(Percentile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW(PercentileOf({}, 0.5), std::invalid_argument);
 }
 
 TEST(PercentileTest, MedianOfOddSet) {
-  EXPECT_EQ(Percentile({3.0, 1.0, 2.0}, 0.5), 2.0);
+  EXPECT_EQ(PercentileOf({3.0, 1.0, 2.0}, 0.5), 2.0);
 }
 
 TEST(PercentileTest, Extremes) {
   const std::vector<double> xs = {5.0, 1.0, 9.0};
-  EXPECT_EQ(Percentile(xs, 0.0), 1.0);
-  EXPECT_EQ(Percentile(xs, 1.0), 9.0);
+  EXPECT_EQ(PercentileOf(xs, 0.0), 1.0);
+  EXPECT_EQ(PercentileOf(xs, 1.0), 9.0);
 }
 
 TEST(PercentileTest, Interpolates) {
-  EXPECT_NEAR(Percentile({0.0, 10.0}, 0.25), 2.5, 1e-12);
+  EXPECT_NEAR(PercentileOf({0.0, 10.0}, 0.25), 2.5, 1e-12);
 }
 
 // The interpolated percentile by full sort: the definition that the
@@ -308,7 +313,6 @@ TEST(PercentileTest, SelectionIsBitIdenticalToSort) {
       const double expected = SortedPercentile(xs, q);
       std::vector<double> scratch = xs;
       EXPECT_EQ(PercentileInPlace(scratch, q), expected);
-      EXPECT_EQ(Percentile(xs, q), expected);
       // Selecting twice from the reordered scratch (p50, then p99 in the
       // experiment grid) stays exact.
       EXPECT_EQ(PercentileInPlace(scratch, 0.99), SortedPercentile(xs, 0.99));
@@ -403,20 +407,6 @@ TEST(TableTest, PrintsAlignedWithPrefix) {
   EXPECT_NE(out.find("[REPRO] x"), std::string::npos);
 }
 
-TEST(TableTest, CsvQuotesSpecialCells) {
-  Table t({"a"});
-  t.AddRow({"has,comma"});
-  std::ostringstream os;
-  t.PrintCsv(os);
-  EXPECT_NE(os.str().find("\"has,comma\""), std::string::npos);
-}
-
-TEST(TableTest, NumericRowFormats) {
-  Table t({"label", "v1", "v2"});
-  t.AddNumericRow("row", {1.23456, 7.0}, 3);
-  EXPECT_EQ(t.rows(), 1u);
-}
-
 TEST(FormatTest, SignificantDigits) {
   EXPECT_EQ(FormatSig(1.23456, 3), "1.23");
 }
@@ -452,9 +442,9 @@ TEST_P(PercentileMonotone, MonotoneInQ) {
   RandomStream rng(GetParam());
   std::vector<double> xs;
   for (int i = 0; i < 50; ++i) xs.push_back(rng.NextNormal(0.0, 10.0));
-  double prev = Percentile(xs, 0.0);
+  double prev = PercentileOf(xs, 0.0);
   for (double q = 0.05; q <= 1.0; q += 0.05) {
-    const double cur = Percentile(xs, q);
+    const double cur = PercentileOf(xs, q);
     EXPECT_GE(cur, prev - 1e-12);
     prev = cur;
   }
@@ -495,14 +485,6 @@ TEST(P2QuantileTest, TailQuantileOfExponentialStream) {
   EXPECT_NEAR(p99.Value(), 4.605, 0.35);
 }
 
-TEST(P2QuantileTest, ResetClears) {
-  P2Quantile q(0.9);
-  for (int i = 0; i < 100; ++i) q.Add(static_cast<double>(i));
-  q.Reset();
-  EXPECT_EQ(q.count(), 0u);
-  EXPECT_EQ(q.Value(), 0.0);
-}
-
 // Property: the P2 estimate tracks the exact percentile across
 // distributions and quantiles.
 class P2Accuracy : public ::testing::TestWithParam<double> {};
@@ -517,7 +499,7 @@ TEST_P(P2Accuracy, TracksExactPercentile) {
     estimator.Add(x);
     exact.push_back(x);
   }
-  const double truth = Percentile(exact, q);
+  const double truth = PercentileOf(exact, q);
   EXPECT_NEAR(estimator.Value(), truth, 0.15);
 }
 

@@ -219,12 +219,22 @@ TEST(DatasetTest, SynthesizeProducesFullGrid) {
   EXPECT_EQ(ds.size(), 3u * (5u + 1u) * 2u);
 }
 
+// Records belonging to one state machine (programming family).
+std::vector<DatasetRecord> Machine(const MemristorDataset& ds,
+                                   int state_machine) {
+  std::vector<DatasetRecord> out;
+  for (const DatasetRecord& r : ds.records()) {
+    if (r.state_machine == state_machine) out.push_back(r);
+  }
+  return out;
+}
+
 TEST(DatasetTest, StatesWithinMachineAreMonotone) {
   const MemristorDataset ds = MemristorDataset::Synthesize(SynthesisConfig{});
   for (int machine = 1; machine <= 4; ++machine) {
     double prev = -1.0;
-    for (const DatasetRecord& r : ds.Machine(machine)) {
-      if (r.read_voltage_v != ds.Machine(machine).front().read_voltage_v) {
+    for (const DatasetRecord& r : Machine(ds, machine)) {
+      if (r.read_voltage_v != Machine(ds, machine).front().read_voltage_v) {
         continue;  // compare one read-voltage slice only
       }
       EXPECT_GE(r.state, prev);
@@ -236,8 +246,8 @@ TEST(DatasetTest, StatesWithinMachineAreMonotone) {
 TEST(DatasetTest, DistinctMachinesWalkDistinctTrajectories) {
   // Fig. 2: different programming amplitudes = different state machines.
   const MemristorDataset ds = MemristorDataset::Synthesize(SynthesisConfig{});
-  const auto m1 = ds.Machine(1);
-  const auto m4 = ds.Machine(4);
+  const auto m1 = Machine(ds, 1);
+  const auto m4 = Machine(ds, 4);
   ASSERT_FALSE(m1.empty());
   ASSERT_FALSE(m4.empty());
   // The pristine states coincide; the first-pulse states must not
@@ -447,10 +457,10 @@ TEST(StateQuantizerTest, ClampsOutOfRange) {
 
 TEST(StateQuantizerTest, LadderHasExpectedRungs) {
   StateQuantizer q(0.0, 1.0, 5);
-  const auto ladder = q.Ladder();
-  ASSERT_EQ(ladder.size(), 5u);
-  EXPECT_NEAR(ladder[1], 0.25, 1e-12);
-  EXPECT_NEAR(q.StepSize(), 0.25, 1e-12);
+  ASSERT_EQ(q.levels(), 5u);
+  for (std::size_t i = 0; i < q.levels(); ++i) {
+    EXPECT_NEAR(q.ValueOf(i), 0.25 * static_cast<double>(i), 1e-12);
+  }
 }
 
 TEST(StateQuantizerTest, ValueOfRejectsOutOfRange) {
@@ -464,11 +474,11 @@ class QuantizerError : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(QuantizerError, BoundedByHalfStep) {
   const std::size_t levels = GetParam();
   StateQuantizer q(-2.0, 4.0, levels);
-  const double half_step = q.StepSize() / 2.0;
+  const double half_step = 6.0 / static_cast<double>(levels - 1) / 2.0;
   analognf::RandomStream rng(levels);
   for (int i = 0; i < 500; ++i) {
-    const double x = rng.NextUniform(-2.0, 4.0);
-    EXPECT_LE(std::fabs(q.ErrorOf(x)), half_step + 1e-12);
+    const double x = -2.0 + 6.0 * rng.NextUniform();
+    EXPECT_LE(std::fabs(q.Quantize(x) - x), half_step + 1e-12);
   }
 }
 

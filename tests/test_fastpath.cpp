@@ -285,7 +285,8 @@ TEST(FlowTrackerTest, ObserveBatchMatchesSequentialBitExact) {
   FlowTracker batched(1024);
   std::vector<FlowFeatures> expect(kPackets);
   for (std::size_t i = 0; i < kPackets; ++i) {
-    expect[i] = sequential.ObserveAndFeatures(packets[i]);
+    sequential.Observe(packets[i]);
+    expect[i] = sequential.Features(packets[i].flow_hash);
   }
   std::vector<FlowFeatures> got(kPackets);
   for (std::size_t base = 0; base < kPackets; base += kBatch) {

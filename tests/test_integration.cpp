@@ -139,8 +139,8 @@ TEST(Integration, CognitiveSwitchEndToEnd) {
 
   controller.Place("ip-lookup", 32);
   controller.Place("aqm", 8);
-  controller.InstallRoute("10.0.0.0", 8, 0);
-  controller.InstallRoute("20.0.0.0", 8, 1);
+  sw.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
+  sw.AddRoute(net::ParseIpv4("20.0.0.0"), 8, 1);
   arch::FirewallPattern evil;
   evil.src_ip = net::ParseIpv4("66.0.0.0");
   evil.src_prefix_len = 8;

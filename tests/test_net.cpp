@@ -22,6 +22,11 @@
 namespace analognf::net {
 namespace {
 
+// Parses a whole packet's bytes.
+ParsedPacket ParseOf(const Packet& packet, const Parser& parser = Parser()) {
+  return parser.Parse(packet.bytes().data(), packet.size());
+}
+
 EthernetHeader TestEth() {
   EthernetHeader eth;
   eth.dst = {0x02, 0x00, 0x00, 0x00, 0x00, 0x01};
@@ -69,12 +74,6 @@ TEST(ChecksumTest, VerificationOverHeaderYieldsZero) {
 
 // ------------------------------------------------------------ address
 
-TEST(Ipv4AddressTest, ParseAndFormatRoundTrip) {
-  for (const char* s : {"0.0.0.0", "255.255.255.255", "10.1.2.3"}) {
-    EXPECT_EQ(FormatIpv4(ParseIpv4(s)), s);
-  }
-}
-
 TEST(Ipv4AddressTest, RejectsMalformed) {
   EXPECT_THROW(ParseIpv4("256.0.0.1"), std::invalid_argument);
   EXPECT_THROW(ParseIpv4("1.2.3"), std::invalid_argument);
@@ -96,7 +95,7 @@ TEST(PacketRoundTripTest, UdpPacket) {
                        .Build();
   EXPECT_EQ(p.size(), 14u + 20u + 8u + 100u);
 
-  const ParsedPacket parsed = Parser().Parse(p);
+  const ParsedPacket parsed = ParseOf(p);
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed.ipv4.has_value());
   ASSERT_TRUE(parsed.udp.has_value());
@@ -124,7 +123,7 @@ TEST(PacketRoundTripTest, TcpPacket) {
                        .Tcp(tcp)
                        .Payload(7)
                        .Build();
-  const ParsedPacket parsed = Parser().Parse(p);
+  const ParsedPacket parsed = ParseOf(p);
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed.tcp.has_value());
   EXPECT_EQ(parsed.tcp->src_port, 443);
@@ -142,7 +141,7 @@ TEST(PacketRoundTripTest, Ipv4TotalLengthIsPatched) {
                        .Udp({})
                        .Payload(50)
                        .Build();
-  const ParsedPacket parsed = Parser().Parse(p);
+  const ParsedPacket parsed = ParseOf(p);
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.ipv4->total_length, 20u + 8u + 50u);
   EXPECT_EQ(parsed.udp->length, 8u + 50u);
@@ -167,7 +166,7 @@ TEST(PacketBuilderTest, EthernetOnlyIsAllowed) {
   eth.ether_type = kEtherTypeArp;
   const Packet p = PacketBuilder().Ethernet(eth).Build();
   EXPECT_EQ(p.size(), 14u);
-  const ParsedPacket parsed = Parser().Parse(p);
+  const ParsedPacket parsed = ParseOf(p);
   EXPECT_EQ(parsed.error, ParseError::kUnsupportedEtherType);
 }
 
@@ -195,7 +194,7 @@ TEST(ParserErrorTest, BadVersion) {
                  .Udp({})
                  .Build();
   p.bytes()[14] = 0x65;  // version 6
-  EXPECT_EQ(Parser().Parse(p).error, ParseError::kBadIpVersion);
+  EXPECT_EQ(ParseOf(p).error, ParseError::kBadIpVersion);
 }
 
 TEST(ParserErrorTest, CorruptedChecksumDetected) {
@@ -206,10 +205,10 @@ TEST(ParserErrorTest, CorruptedChecksumDetected) {
                  .Payload(4)
                  .Build();
   p.bytes()[14 + 8] ^= 0xff;  // flip TTL without fixing the checksum
-  EXPECT_EQ(Parser().Parse(p).error, ParseError::kBadIpChecksum);
+  EXPECT_EQ(ParseOf(p).error, ParseError::kBadIpChecksum);
   // With verification off the packet parses.
   Parser lax(Parser::Options{.verify_checksum = false});
-  EXPECT_TRUE(lax.Parse(p).ok());
+  EXPECT_TRUE(ParseOf(p, lax).ok());
 }
 
 TEST(ParserErrorTest, TruncatedL4) {
@@ -228,15 +227,10 @@ TEST(ParserErrorTest, UnknownL4ProtocolStillParses) {
                        .Ipv4(TestIp(47))  // GRE: no L4 model
                        .Payload(8)
                        .Build();
-  const ParsedPacket parsed = Parser().Parse(p);
+  const ParsedPacket parsed = ParseOf(p);
   EXPECT_TRUE(parsed.ok());
   EXPECT_FALSE(parsed.tcp.has_value());
   EXPECT_FALSE(parsed.udp.has_value());
-}
-
-TEST(ParserErrorTest, ToStringCoversAll) {
-  EXPECT_EQ(ToString(ParseError::kNone), "ok");
-  EXPECT_EQ(ToString(ParseError::kBadIpChecksum), "bad-ip-checksum");
 }
 
 // The batch front-end equals per-packet Parse on every shape it must
@@ -268,14 +262,18 @@ TEST(ParserBatchTest, MatchesPerPacketParseOnMixedBatch) {
   ASSERT_EQ(out.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
     SCOPED_TRACE(i);
-    const ParsedPacket one = parser.Parse(batch[i]);
+    const ParsedPacket one = ParseOf(batch[i], parser);
     EXPECT_EQ(out[i].error, one.error);
     EXPECT_EQ(out[i].eth.ether_type, one.eth.ether_type);
     EXPECT_EQ(out[i].vlan.has_value(), one.vlan.has_value());
     EXPECT_EQ(out[i].ipv4.has_value(), one.ipv4.has_value());
     EXPECT_EQ(out[i].tcp.has_value(), one.tcp.has_value());
     EXPECT_EQ(out[i].udp.has_value(), one.udp.has_value());
-    EXPECT_EQ(out[i].Key(), one.Key());
+    EXPECT_EQ(out[i].Key().src_ip, one.Key().src_ip);
+    EXPECT_EQ(out[i].Key().dst_ip, one.Key().dst_ip);
+    EXPECT_EQ(out[i].Key().src_port, one.Key().src_port);
+    EXPECT_EQ(out[i].Key().dst_port, one.Key().dst_port);
+    EXPECT_EQ(out[i].Key().protocol, one.Key().protocol);
     EXPECT_EQ(out[i].payload_offset, one.payload_offset);
     EXPECT_EQ(out[i].payload_length, one.payload_length);
   }
@@ -298,7 +296,7 @@ TEST(FiveTupleTest, KeyExtractsPorts) {
                        .Ipv4(TestIp(kIpProtoUdp))
                        .Udp(udp)
                        .Build();
-  const FiveTuple key = Parser().Parse(p).Key();
+  const FiveTuple key = ParseOf(p).Key();
   EXPECT_EQ(key.src_port, 1111);
   EXPECT_EQ(key.dst_port, 2222);
   EXPECT_EQ(key.protocol, kIpProtoUdp);
@@ -310,8 +308,6 @@ TEST(FiveTupleTest, HashIsStableAndDiscriminates) {
   FiveTuple c{1, 2, 3, 4, 6};
   EXPECT_EQ(a.Hash(), b.Hash());
   EXPECT_NE(a.Hash(), c.Hash());
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a == c, true);
 }
 
 // --------------------------------------------------------- generators
@@ -723,7 +719,7 @@ TEST_P(QueueConservation, HoldsAcrossRandomOps) {
   PacketQueue q(PacketQueue::Config{.max_packets = 16, .max_bytes = 0});
   double now = 0.0;
   for (int i = 0; i < 2000; ++i) {
-    now += rng.NextUniform(0.0, 0.01);
+    now += 0.01 * rng.NextUniform();
     if (rng.NextBernoulli(0.6)) {
       PacketMeta p;
       p.size_bytes = static_cast<std::uint32_t>(rng.NextIndex(1400) + 64);
@@ -754,7 +750,7 @@ TEST(VlanTest, TaggedPacketRoundTrips) {
                        .Payload(10)
                        .Build();
   EXPECT_EQ(p.size(), 14u + 4u + 20u + 8u + 10u);
-  const ParsedPacket parsed = Parser().Parse(p);
+  const ParsedPacket parsed = ParseOf(p);
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed.vlan.has_value());
   EXPECT_EQ(parsed.vlan->pcp, 5);
@@ -771,7 +767,7 @@ TEST(VlanTest, UntaggedPacketHasNoVlan) {
                        .Ipv4(TestIp(kIpProtoUdp))
                        .Udp({})
                        .Build();
-  EXPECT_FALSE(Parser().Parse(p).vlan.has_value());
+  EXPECT_FALSE(ParseOf(p).vlan.has_value());
 }
 
 TEST(VlanTest, BuilderValidatesFields) {
@@ -870,8 +866,8 @@ TEST_P(ParserRoundTripFuzz, RandomValidPacketsRoundTrip) {
     builder.Payload(payload);
 
     const Packet packet = builder.Build();
-    const ParsedPacket parsed = parser.Parse(packet);
-    ASSERT_TRUE(parsed.ok()) << ToString(parsed.error);
+    const ParsedPacket parsed = ParseOf(packet, parser);
+    ASSERT_TRUE(parsed.ok()) << static_cast<int>(parsed.error);
     ASSERT_TRUE(parsed.ipv4.has_value());
     EXPECT_EQ(parsed.ipv4->src_ip, ip.src_ip);
     EXPECT_EQ(parsed.ipv4->dst_ip, ip.dst_ip);
@@ -944,7 +940,7 @@ TEST_P(ParserGarbageFuzz, TruncationsNeverCrash) {
         rng.NextIndex(copy.size()));
     copy.bytes()[pos] ^= static_cast<std::uint8_t>(
         1u << rng.NextIndex(8));
-    parser.Parse(copy);
+    ParseOf(copy, parser);
   }
 }
 
@@ -978,7 +974,7 @@ TEST(Ipv6Test, UdpRoundTrips) {
                        .Payload(64)
                        .Build();
   EXPECT_EQ(p.size(), 14u + 40u + 8u + 64u);
-  const ParsedPacket parsed = Parser().Parse(p);
+  const ParsedPacket parsed = ParseOf(p);
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed.ipv6.has_value());
   EXPECT_FALSE(parsed.ipv4.has_value());
@@ -1003,7 +999,7 @@ TEST(Ipv6Test, TcpRoundTrips) {
                        .Ipv6(TestIp6(kIpProtoTcp))
                        .Tcp(tcp)
                        .Build();
-  const ParsedPacket parsed = Parser().Parse(p);
+  const ParsedPacket parsed = ParseOf(p);
   ASSERT_TRUE(parsed.ok());
   ASSERT_TRUE(parsed.tcp.has_value());
   EXPECT_EQ(parsed.tcp->seq, 0xcafef00du);
@@ -1016,7 +1012,7 @@ TEST(Ipv6Test, VlanPlusIpv6) {
                        .Ipv6(TestIp6(kIpProtoUdp))
                        .Udp({})
                        .Build();
-  const ParsedPacket parsed = Parser().Parse(p);
+  const ParsedPacket parsed = ParseOf(p);
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed.vlan.has_value());
   EXPECT_TRUE(parsed.ipv6.has_value());
@@ -1076,8 +1072,8 @@ TEST(PcapTest, RoundTripsFrames) {
   EXPECT_EQ(records[0].packet.bytes(), a.bytes());
   EXPECT_EQ(records[1].packet.bytes(), b.bytes());
   // The replayed frames parse identically.
-  EXPECT_TRUE(Parser().Parse(records[0].packet).ok());
-  EXPECT_TRUE(Parser().Parse(records[1].packet).udp.has_value() == false);
+  EXPECT_TRUE(ParseOf(records[0].packet).ok());
+  EXPECT_TRUE(ParseOf(records[1].packet).udp.has_value() == false);
 }
 
 TEST(PcapTest, GlobalHeaderIsStandard) {

@@ -207,8 +207,8 @@ TEST(EventQueueTest, MatchesReferenceHeap) {
       switch (kind) {
         case 0: delay = 0.5; break;               // monotone
         case 1: delay = 0.25; break;              // monotone
-        case 2: delay = rng.NextUniform(0.0, 2.0); break;
-        default: delay = on_grid(rng.NextUniform(0.0, 1.0)); break;
+        case 2: delay = 2.0 * rng.NextUniform(); break;
+        default: delay = on_grid(rng.NextUniform()); break;
       }
       const double time = rng.NextIndex(4) == 0 ? events.now()
                                                  : events.now() + delay;
@@ -222,7 +222,7 @@ TEST(EventQueueTest, MatchesReferenceHeap) {
       double t_end = next;
       switch (rng.NextIndex(4)) {
         case 0: t_end = next - 0.01; break;
-        case 1: t_end = next + rng.NextUniform(0.0, 0.5); break;
+        case 1: t_end = next + 0.5 * rng.NextUniform(); break;
         case 2: t_end = next + 10.0; break;
         default: break;
       }

@@ -67,6 +67,14 @@ void ExpectSameHit(const std::optional<TcamSearchResult>& got,
   EXPECT_EQ(got->priority, want->priority) << "probe " << probe;
 }
 
+// One address through LpmTable::LookupBatch.
+std::optional<TcamSearchResult> LookupOne(LpmTable& lpm,
+                                          std::uint32_t address) {
+  std::vector<std::optional<TcamSearchResult>> out;
+  lpm.LookupBatch(&address, 1, out);
+  return out[0];
+}
+
 // ---------------------------------------------------- randomized differential
 
 class EngineDifferential : public ::testing::TestWithParam<std::uint64_t> {};
@@ -545,7 +553,9 @@ TEST_P(LpmEngineDifferential, MatchesNaiveLongestPrefix) {
         want = &r;
       }
     }
-    const auto got = engine.Lookup(addr);
+    std::vector<std::optional<TcamEngineHit>> hits;
+    engine.LookupBatch(&addr, 1, hits);
+    const std::optional<TcamEngineHit>& got = hits[0];
     ASSERT_EQ(got.has_value(), want != nullptr) << "probe " << probe;
     if (want == nullptr) continue;
     EXPECT_EQ(got->entry_index, want->entry_index) << "probe " << probe;
@@ -588,7 +598,7 @@ TEST(LpmTableTest, LookupBatchBitIdenticalToSequential) {
   batched.LookupBatch(addrs.data(), addrs.size(), out);
   ASSERT_EQ(out.size(), addrs.size());
   for (std::size_t probe = 0; probe < addrs.size(); ++probe) {
-    ExpectSameHit(out[probe], sequential.Lookup(addrs[probe]), probe);
+    ExpectSameHit(out[probe], LookupOne(sequential, addrs[probe]), probe);
   }
   EXPECT_EQ(batched.table().searches(), sequential.table().searches());
   EXPECT_EQ(batched.table().ConsumedEnergyJ(),
@@ -758,9 +768,9 @@ TEST_P(DeltaCommitDifferential, FlatLpmChurnMatchesFullRecompileAndTrie) {
   delta.Commit();
   full.Commit();
   trie.Commit();
-  ASSERT_EQ(delta.tier(), LpmTier::kFlat);
-  ASSERT_EQ(full.tier(), LpmTier::kFlat);
-  ASSERT_EQ(trie.tier(), LpmTier::kTrie);
+  ASSERT_EQ(delta.snapshot()->tier, LpmTier::kFlat);
+  ASSERT_EQ(full.snapshot()->tier, LpmTier::kFlat);
+  ASSERT_EQ(trie.snapshot()->tier, LpmTier::kTrie);
 
   std::vector<std::uint32_t> addrs;
   std::vector<std::optional<TcamSearchResult>> batched;
@@ -797,13 +807,13 @@ TEST_P(DeltaCommitDifferential, FlatLpmChurnMatchesFullRecompileAndTrie) {
     }
     delta.LookupBatch(addrs.data(), addrs.size(), batched);
     for (std::size_t probe = 0; probe < addrs.size(); ++probe) {
-      const auto got = delta.Lookup(addrs[probe]);
-      ExpectSameHit(got, full.Lookup(addrs[probe]), probe);
-      ExpectSameHit(got, trie.Lookup(addrs[probe]), probe);
+      const auto got = LookupOne(delta, addrs[probe]);
+      ExpectSameHit(got, LookupOne(full, addrs[probe]), probe);
+      ExpectSameHit(got, LookupOne(trie, addrs[probe]), probe);
       ExpectSameHit(batched[probe], got, probe);
     }
   }
-  ASSERT_EQ(delta.tier(), LpmTier::kFlat);
+  ASSERT_EQ(delta.snapshot()->tier, LpmTier::kFlat);
   EXPECT_GT(delta.commit_stats().delta_commits, 0u);
   EXPECT_EQ(full.commit_stats().delta_commits, 0u);
   EXPECT_EQ(full.commit_stats().full_recompiles,

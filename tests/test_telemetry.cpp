@@ -101,22 +101,6 @@ TEST(MetricsRegistryTest, DisabledRegistryWritesNothing) {
   EXPECT_TRUE(snap.histograms.empty());
 }
 
-TEST(MetricsRegistryTest, ResetZeroesButKeepsRegistrations) {
-  MetricsRegistry registry;
-  auto c = registry.GetCounter("c");
-  auto h = registry.GetHistogram("h");
-  c.Inc(7);
-  h.Observe(3.0);
-  registry.Reset();
-  const MetricsSnapshot snap = registry.Snapshot();
-  EXPECT_EQ(CounterValue(snap, "c"), 0u);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 0u);
-  EXPECT_EQ(snap.histograms[0].sum, 0.0);
-  c.Inc();  // the old handle still points at the live metric
-  EXPECT_EQ(CounterValue(registry.Snapshot(), "c"), 1u);
-}
-
 TEST(MetricsRegistryTest, CounterSumsAcrossPoolThreads) {
   // Counts are exact as long as every ThreadPool slot maps to its own
   // cell, so size the shards to cover the pool (3 workers + caller).
@@ -215,14 +199,6 @@ TEST(FlightRecorderTest, WrapKeepsMostRecentOldestFirst) {
   EXPECT_EQ(last_two[1].sequence, 9u);
 }
 
-TEST(FlightRecorderTest, ResetEmptiesTheRing) {
-  FlightRecorder recorder(4);
-  recorder.Record(BatchTraceRecord{});
-  recorder.Reset();
-  EXPECT_EQ(recorder.recorded(), 0u);
-  EXPECT_TRUE(recorder.Dump().empty());
-}
-
 // Two writers hammer a small ring while a reader dumps concurrently.
 // Every dumped record must be internally consistent (all fields from
 // one writer's record, never a torn mix) with strictly increasing
@@ -316,6 +292,40 @@ TEST(ThreadPoolExternalSlotTest, RegisteredWritersKeepCountersExact) {
   EXPECT_GT(slots[0], ThreadPool::Shared().size());
   EXPECT_GT(slots[1], ThreadPool::Shared().size());
   EXPECT_EQ(exact.Value(), kWriters * kIncrements);
+}
+
+// Threads that register one after another reuse the slot the previous
+// one released when it exited, so SlotUpperBound() keeps its value
+// however many port workers come and go. Two threads that hold one
+// recycled slot in turn write one counter cell, and the release before
+// the reuse keeps its count exact.
+TEST(ThreadPoolTest, ExternalSlotsAreRecycled) {
+  const auto register_in_thread = [] {
+    std::size_t slot = 0;
+    std::thread([&slot] { slot = ThreadPool::RegisterExternalSlot(); })
+        .join();
+    return slot;
+  };
+  const std::size_t first = register_in_thread();
+  const std::size_t bound = ThreadPool::SlotUpperBound();
+  EXPECT_GT(first, ThreadPool::Shared().size());
+  EXPECT_LT(first, bound);
+  for (int i = 0; i < 256; ++i) {
+    EXPECT_LT(register_in_thread(), bound);
+    ASSERT_EQ(ThreadPool::SlotUpperBound(), bound) << "registration " << i;
+  }
+
+  constexpr std::uint64_t kIncrements = 100000;
+  telemetry::Counter counter(bound);
+  std::array<std::size_t, 2> slots{};
+  for (std::size_t& slot : slots) {
+    std::thread([&] {
+      slot = ThreadPool::RegisterExternalSlot();
+      for (std::uint64_t i = 0; i < kIncrements; ++i) counter.Inc();
+    }).join();
+  }
+  EXPECT_EQ(slots[0], slots[1]);
+  EXPECT_EQ(counter.Value(), 2 * kIncrements);
 }
 
 // ------------------------------------------------------------ exporters
@@ -418,15 +428,6 @@ TEST(TelemetryHubTest, WritePostMortemContainsBothSections) {
   const std::string text = out.str();
   EXPECT_NE(text.find("analognf_switch_injected 3"), std::string::npos);
   EXPECT_NE(text.find("\"batch_size\": 3"), std::string::npos);
-}
-
-TEST(TelemetryHubTest, ResetZeroesMetricsAndRecorder) {
-  telemetry::Telemetry hub;
-  hub.metrics().GetCounter("c").Inc(5);
-  hub.recorder().Record(BatchTraceRecord{});
-  hub.Reset();
-  EXPECT_EQ(CounterValue(hub.metrics().Snapshot(), "c"), 0u);
-  EXPECT_EQ(hub.recorder().recorded(), 0u);
 }
 
 // ------------------------------------------------- switch integration
