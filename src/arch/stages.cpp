@@ -109,7 +109,7 @@ void RouteStage::Process(net::PacketBatch& batch) {
   // One acquired snapshot answers the whole batch; the owner's table
   // accounting is left alone.
   const auto snap = routes_->snapshot();
-  snap->LookupBatch(addrs_.data(), addrs_.size(), hits_);
+  snap->engine.LookupBatch(addrs_.data(), addrs_.size(), hits_);
   batch.route_search_j = snap->search_energy_j;
   for (std::size_t j = 0; j < eligible_.size(); ++j) {
     const std::size_t i = eligible_[j];

@@ -1,20 +1,15 @@
-// DIR-24-8 flat longest-prefix-match engine: the large-table LPM tier.
+// DIR-24-8 longest-prefix-match engine: the one engine behind LpmTable.
 //
-// The stride-8 trie (LpmEngine, tcam_search_engine.hpp) is compact for
-// small route sets but recompiles the world on every commit — at the
-// ROADMAP's 1M-route scale a rebuild allocates hundreds of megabytes of
-// nodes and costs hundreds of milliseconds. This engine is the classic
-// router answer (DPDK rte_lpm's DIR-24-8 layout): a flat direct-indexed
-// table over the top 24 address bits plus 256-slot /8 extension pages
-// for the sliver of prefixes longer than /24. A lookup is one or two
-// dependent array reads — no tree walk — and, decisively for this PR, a
+// The classic router layout (DPDK rte_lpm's DIR-24-8): a flat
+// direct-indexed table over the top 24 address bits plus 256-slot /8
+// extension pages for the sliver of prefixes longer than /24. A lookup
+// is one or two dependent array reads — no tree walk — and a
 // single-route change patches the handful of slots the prefix covers
 // instead of rebuilding anything.
 //
 //   * Slot encoding: one uint64 per /24 (or /32-page) slot packing
 //     [valid | extended | depth | entry_index | action]. Zero means
-//     "no route", so untouched memory is a miss and empty pages need
-//     no initialisation pass.
+//     "no route".
 //   * Copy-on-write pages: the direct table is 1024 lazily-allocated
 //     pages of 16K slots (128 KB) behind shared_ptr. CompileDeltaFrom
 //     shares every page with the base snapshot; the first write to a
@@ -25,23 +20,32 @@
 //     concurrent holders can only *release* pages (snapshot retirement),
 //     never acquire them, so a momentarily-stale count errs toward a
 //     harmless extra clone.
+//   * Page fills: every direct page carries one leaf word that all of
+//     its slots read while the page is unallocated. A route that covers
+//     whole pages (/10 or shorter) arbitrates into the fills of the
+//     null pages it spans instead of writing 16K slots each, so a /0
+//     default route costs 1024 word writes, not 128 MB; the first write
+//     into a null page starts it from its fill. Every live route that
+//     touches a null page covers it whole (a partial one would have
+//     allocated it), so the fill is always that page's best route.
 //   * Paged extension directory: tbl8 pointers sit behind the same
 //     copy-on-write treatment, in 512-pointer directory pages. A flat
 //     shared_ptr vector would make CompileDeltaFrom O(#tbl8s) refcount
 //     bumps — at 1M routes with ~5% deep prefixes that alone is ~50K
 //     atomic ops per commit, dwarfing the actual patch work.
-//   * Arbitration: every write resolves (depth desc, entry_index asc) —
-//     the same total order as the trie's controlled prefix expansion
-//     and the TCAM priority encoder — so patch order never matters and
-//     delta commits are bit-identical to a from-scratch Compile.
-//   * Withdrawals: PatchErase rewrites the withdrawn route's slots with
-//     the best surviving route covering its prefix (the owning table
-//     computes it from its authoritative prefix map). Extension pages
-//     are never un-extended by patches; full recompiles rebuild clean.
+//   * Arbitration: every write, fills included, resolves (depth desc,
+//     entry_index asc) — the TCAM priority encoder's order for
+//     priority = prefix length — so patch order never matters and delta
+//     commits answer every lookup exactly as a from-scratch Compile.
+//   * Withdrawals: PatchErase rewrites the withdrawn route's slots and
+//     fills with the best surviving route covering its prefix (the
+//     owning table computes it from its authoritative prefix map).
+//     Pages are never freed and extension pages never un-extended by
+//     patches; full recompiles rebuild clean.
 //
 // Concurrency contract: mirror of TcamSearchEngine — compiled by the
-// owning table's Commit(), immutable once published, Lookup/LookupBatch
-// const and freely concurrent, std::logic_error before compilation.
+// owning table's Commit(), immutable once published, LookupBatch const
+// and freely concurrent, std::logic_error before compilation.
 #pragma once
 
 #include <array>
@@ -58,7 +62,12 @@ namespace analognf::tcam {
 
 class LpmFlatEngine {
  public:
-  using Route = LpmEngine::Route;
+  struct Route {
+    std::uint32_t value = 0;
+    int prefix_len = 0;  // [0, 32]
+    std::uint32_t action = 0;
+    std::size_t entry_index = 0;
+  };
 
   // Largest entry_index the packed slot can carry (24 bits).
   static constexpr std::size_t kMaxEntryIndex = (1u << 24) - 1;
@@ -66,11 +75,13 @@ class LpmFlatEngine {
   LpmFlatEngine() = default;
 
   // Full rebuild from the live route set (any order). Drops every page.
+  // Throws std::invalid_argument on a prefix_len outside [0, 32] or an
+  // entry_index past kMaxEntryIndex.
   void Compile(const std::vector<Route>& live_routes);
 
   // Delta compilation: shares `base`'s pages copy-on-write (two pointer
-  // vectors copied, no slot work). `base` must be compiled; it is never
-  // mutated.
+  // vectors and the page fills copied, no slot work). `base` must be
+  // compiled; it is never mutated.
   void CompileDeltaFrom(const LpmFlatEngine& base);
   // Folds one route in, cloning each shared page it touches.
   void PatchInsert(const Route& route);
@@ -93,9 +104,6 @@ class LpmFlatEngine {
   void BindTelemetry(telemetry::SearchEngineCounters counters) {
     telemetry_ = counters;
   }
-
-  // Allocated extension pages.
-  std::size_t tbl8_count() const { return tbl8_count_; }
 
  private:
   // Direct table: 2^24 slots in 1024 pages of 16K (128 KB each). The
@@ -156,31 +164,40 @@ class LpmFlatEngine {
     return entry < EntryOf(leaf);
   }
 
+  // A null page reads as its fill.
   std::uint64_t ReadDirect(std::size_t idx24) const {
-    const DirectPage* page = pages_[idx24 >> kPageBits].get();
-    return page != nullptr ? (*page)[idx24 & (kPageSlots - 1)] : 0;
+    const std::size_t page_idx = idx24 >> kPageBits;
+    const DirectPage* page = pages_[page_idx].get();
+    return page != nullptr ? (*page)[idx24 & (kPageSlots - 1)]
+                           : fills_[page_idx];
   }
   const Tbl8& ReadTbl8(std::size_t tbl8_id) const {
     return *(*tbl8_dirs_[tbl8_id >> kTbl8DirBits])
                 [tbl8_id & (kTbl8DirSlots - 1)];
   }
-  // Copy-on-write access: allocates (zeroed) or clones the page when it
-  // is absent or shared with another snapshot.
+  // Copy-on-write access: allocates the page from its fill, or clones
+  // it when it is shared with another snapshot.
   DirectPage& MutableDirectPage(std::size_t page_idx);
   Tbl8& MutableTbl8(std::size_t tbl8_id);
   // Appends a fresh extension page (seeded from `seed` when it is a
   // valid leaf) and returns its id, cloning a shared directory page.
   std::size_t NewTbl8(std::uint64_t seed);
-  // Arbitrates `leaf` into direct slot idx24, descending into (and
-  // possibly creating, for routes longer than /24) extension pages.
+  // Arbitrates `leaf` into direct slot idx24, descending into an
+  // extension page when the slot holds one.
   void FoldLeafDirect(std::size_t idx24, std::uint64_t leaf);
-  // Replaces every slot owned by entry `victim` in [idx24_lo, idx24_hi)
-  // with `replacement` (0 or a cover leaf).
+  // Arbitrates `leaf` into every direct slot of [idx24_lo, idx24_hi):
+  // into the fill of each null page the range covers whole, slot by
+  // slot elsewhere.
+  void FoldLeafRange(std::size_t idx24_lo, std::size_t idx24_hi,
+                     std::uint64_t leaf);
+  // Replaces every slot and null-page fill owned by entry `victim` in
+  // [idx24_lo, idx24_hi) with `replacement` (0 or a cover leaf).
   void ReplaceOwnerDirect(std::size_t idx24_lo, std::size_t idx24_hi,
                           std::size_t victim, std::uint64_t replacement);
   void RequireCompiled() const;  // throws std::logic_error
 
-  std::vector<std::shared_ptr<DirectPage>> pages_;  // null page = all-miss
+  std::vector<std::shared_ptr<DirectPage>> pages_;  // null: reads its fill
+  std::vector<std::uint64_t> fills_;  // one leaf (or 0) per direct page
   std::vector<std::shared_ptr<Tbl8Dir>> tbl8_dirs_;
   std::size_t tbl8_count_ = 0;
   bool compiled_ = false;

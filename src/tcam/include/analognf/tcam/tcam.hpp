@@ -228,59 +228,33 @@ class TcamTable {
   std::vector<std::optional<TcamEngineHit>> batch_hits_;
 };
 
-// Which LPM engine a commit compiled the route set into (the analogue
-// of TcamMatchTier for the route side).
-enum class LpmTier {
-  kTrie,  // stride-8 trie (LpmEngine): compact for small route sets
-  kFlat,  // DIR-24-8 flat table (LpmFlatEngine): O(1) lookups, delta
-          // patch commits; selected at production scale
-};
-
 // Per-table LPM tuning.
 struct LpmConfig {
-  // Live route count at which commits compile to the flat DIR-24-8 tier
-  // instead of the trie. Below it the trie's compact rebuild wins; above
-  // it the flat tier's O(1) lookups and patchable pages do.
-  std::size_t flat_route_threshold = 16384;
-  // When does Commit() patch the previous flat snapshot instead of
-  // rebuilding (common/table_delta.hpp)? Only the flat tier supports
-  // deltas; trie commits always rebuild.
+  // When does Commit() patch the previous snapshot's pages instead of
+  // rebuilding (common/table_delta.hpp)?
   DeltaCommitPolicy delta_policy;
 };
 
-// One committed, immutable compilation of an LpmTable: whichever engine
-// the tier selection chose, plus the TCAM cost figures of the committed
-// route set. Only the engine named by `tier` is compiled; use the
-// tier-dispatching LookupBatch helper.
+// One committed, immutable compilation of an LpmTable: the DIR-24-8
+// engine plus the TCAM cost figures of the committed route set. Holders
+// may call engine.LookupBatch concurrently for as long as they keep the
+// pointer.
 struct LpmTableSnapshot {
-  LpmTier tier = LpmTier::kTrie;
-  LpmEngine engine;    // compiled iff tier == kTrie
-  LpmFlatEngine flat;  // compiled iff tier == kFlat
+  LpmFlatEngine engine;
   double search_energy_j = 0.0;
   double search_latency_s = 0.0;
   std::size_t live_routes = 0;
   std::uint64_t epoch = 0;
-
-  // Tier-dispatched lookup (const, concurrently callable).
-  void LookupBatch(const std::uint32_t* addresses, std::size_t count,
-                   std::vector<std::optional<TcamEngineHit>>& out) const {
-    if (tier == LpmTier::kFlat) {
-      flat.LookupBatch(addresses, count, out);
-    } else {
-      engine.LookupBatch(addresses, count, out);
-    }
-  }
 };
 
 // Longest-prefix-match table for IPv4 lookup (priority = prefix length,
-// the classic TCAM LPM encoding). Lookups run on a compiled engine —
-// the stride-8 trie for small route sets, the flat DIR-24-8 table past
-// LpmConfig::flat_route_threshold — while the embedded TCAM table
-// remains the energy/latency model of record and is charged one search
-// cycle per lookup, exactly as the scan would have been. AddRoute /
+// the classic TCAM LPM encoding). Lookups run on the compiled DIR-24-8
+// engine (lpm_flat_engine.hpp), while the embedded TCAM table remains
+// the energy/latency model of record and is charged one search cycle
+// per lookup, exactly as the scan would have been. AddRoute /
 // WithdrawRoute stage; Commit() publishes (same RCU discipline as
-// TcamTable), taking the single-route patch path on the flat tier when
-// the staged set is small (LpmConfig::delta_policy).
+// TcamTable), patching the previous snapshot's pages when the staged
+// set is small (LpmConfig::delta_policy).
 class LpmTable {
  public:
   explicit LpmTable(TcamTechnology technology, LpmConfig config = {});
@@ -296,11 +270,10 @@ class LpmTable {
 
   std::size_t route_count() const { return table_.size(); }
   bool NeedsCommit() const { return dirty_; }
-  // Publishes the staged route set: full rebuild on the trie tier (or
-  // on a tier change), single-route page patches on the flat tier when
-  // the staged set passes LpmConfig::delta_policy. The embedded TCAM
-  // table is deliberately left uncompiled — it is only the energy model
-  // of record and is never scanned.
+  // Publishes the staged route set: single-route page patches when the
+  // staged set passes LpmConfig::delta_policy, a full rebuild otherwise.
+  // The embedded TCAM table is deliberately left uncompiled — it is only
+  // the energy model of record and is never scanned.
   void Commit();
   std::shared_ptr<const LpmTableSnapshot> snapshot() const {
     return published_.Acquire();
@@ -320,8 +293,8 @@ class LpmTable {
   TcamTable& table() { return table_; }
   const TcamTable& table() const { return table_; }
 
-  // Binds the compiled engines to `<prefix>.*` counters (rows_scanned
-  // counts trie node hops / flat table reads; the embedded TCAM array
+  // Binds the compiled engine to `<prefix>.*` counters (rows_scanned
+  // counts table reads, 1 or 2 per lookup; the embedded TCAM array
   // never scans — it is only the energy model of record) and the shared
   // `table.*` commit meters.
   void BindTelemetry(telemetry::MetricsRegistry& registry,
@@ -332,7 +305,8 @@ class LpmTable {
   // Best live route covering `route`'s prefix, excluding `route` itself
   // (already out of by_prefix_): deepest prefix wins, duplicates resolve
   // to the lowest index. nullptr when nothing covers it.
-  const LpmEngine::Route* FindCover(const LpmEngine::Route& route) const;
+  const LpmFlatEngine::Route* FindCover(
+      const LpmFlatEngine::Route& route) const;
   void RequireCommitted() const;  // throws std::logic_error
   std::shared_ptr<LpmTableSnapshot> BuildSnapshot(
       const std::shared_ptr<const LpmTableSnapshot>& prev, bool use_delta,
@@ -343,13 +317,13 @@ class LpmTable {
   // Authoritative route payloads, parallel to table_ slots (liveness =
   // table_.IsLive). Controller-thread only, never read by the data
   // plane.
-  std::vector<LpmEngine::Route> routes_;
+  std::vector<LpmFlatEngine::Route> routes_;
   // (masked value, prefix_len) -> live route indices, ascending. Feeds
   // FindCover for withdrawal patches.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_prefix_;
   // Withdrawn routes staged since the last commit (payload copies:
   // routes_ slots may be reused by a later AddRoute in the same batch).
-  std::vector<LpmEngine::Route> staged_withdrawals_;
+  std::vector<LpmFlatEngine::Route> staged_withdrawals_;
   TableDelta delta_;
   bool dirty_ = false;
 

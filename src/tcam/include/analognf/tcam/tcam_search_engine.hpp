@@ -1,4 +1,5 @@
-// Compiled digital match-action engine: bitmask TCAM + stride-trie LPM.
+// Compiled digital match-action engine: the bitmask TCAM search.
+// (IPv4 longest-prefix match has its own engine, lpm_flat_engine.hpp.)
 //
 // Real TCAM hardware evaluates every stored row in parallel per search
 // cycle; the rowwise `TernaryWord::Matches` scan in TcamTable models the
@@ -266,74 +267,6 @@ class TcamSearchEngine {
   std::vector<std::size_t> tail_entry_;
   std::vector<std::uint32_t> tail_action_;
   std::vector<std::int32_t> tail_priority_;
-
-  telemetry::SearchEngineCounters telemetry_;
-};
-
-// Longest-prefix-match engine: a multibit trie with 8-bit strides.
-//
-// Replaces the LPM-as-TCAM scan (32 ternary compares per route) with at
-// most four indexed node hops per lookup. Routes are expanded into the
-// stride level where their prefix ends (controlled prefix expansion);
-// each node slot keeps the best route covering it at that level, so a
-// lookup tracks the deepest populated slot along the address's path —
-// deeper levels always hold strictly longer prefixes. Ties between
-// equal-length duplicates resolve to the lowest entry index, matching
-// the TCAM priority encoder.
-//
-// This is the small-table tier of LpmTable; route sets past the
-// configured threshold compile to the flat DIR-24-8 engine
-// (lpm_flat_engine.hpp) instead, which additionally supports
-// single-route delta commits.
-//
-// Concurrency contract: AddRoute marks the trie dirty; Commit() (called
-// by the owning table off the hot path) recompiles it. Lookup and
-// LookupBatch are const, throw std::logic_error while the trie is
-// dirty, and are safe to call concurrently on a committed engine.
-class LpmEngine {
- public:
-  struct Route {
-    std::uint32_t value = 0;
-    int prefix_len = 0;  // [0, 32]
-    std::uint32_t action = 0;
-    std::size_t entry_index = 0;
-  };
-
-  // Appends a route (validates prefix_len) and marks the trie dirty.
-  void AddRoute(const Route& route);
-
-  // Recompiles the trie from the route list if dirty. Not safe to call
-  // concurrently with lookups — commits happen off the hot path.
-  void Commit();
-  bool NeedsCommit() const { return dirty_; }
-
-  std::size_t route_count() const { return routes_.size(); }
-
-  // Longest matching prefix for each address (hit.priority =
-  // prefix_len); out is resized to count. Throws std::logic_error if
-  // routes were added since the last Commit.
-  void LookupBatch(const std::uint32_t* addresses, std::size_t count,
-                   std::vector<std::optional<TcamEngineHit>>& out) const;
-
-  // Attaches telemetry counters; rows_scanned counts trie node hops.
-  void BindTelemetry(telemetry::SearchEngineCounters counters) {
-    telemetry_ = counters;
-  }
-
- private:
-  struct Node {
-    std::array<std::int32_t, 256> child;  // next-level node id, -1 none
-    std::array<std::int32_t, 256> best;   // route id ending here, -1 none
-  };
-
-  std::int32_t NewNode();
-  // Route id (or -1) for `address`; `hops` counts trie nodes visited.
-  std::int32_t BestRoute(std::uint32_t address, std::size_t& hops) const;
-  void RequireCommitted() const;  // throws std::logic_error
-
-  std::vector<Route> routes_;
-  std::vector<Node> nodes_;
-  bool dirty_ = true;
 
   telemetry::SearchEngineCounters telemetry_;
 };

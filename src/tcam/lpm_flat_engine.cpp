@@ -35,6 +35,7 @@ LpmFlatEngine::DirectPage& LpmFlatEngine::MutableDirectPage(
   std::shared_ptr<DirectPage>& page = pages_[page_idx];
   if (page == nullptr) {
     page = std::make_shared<DirectPage>();  // value-initialised: all-miss
+    if (IsValid(fills_[page_idx])) page->fill(fills_[page_idx]);
   } else if (page.use_count() != 1) {
     page = std::make_shared<DirectPage>(*page);
   }
@@ -89,11 +90,39 @@ void LpmFlatEngine::FoldLeafDirect(std::size_t idx24, std::uint64_t leaf) {
   }
 }
 
+void LpmFlatEngine::FoldLeafRange(std::size_t idx24_lo, std::size_t idx24_hi,
+                                  std::uint64_t leaf) {
+  for (std::size_t idx24 = idx24_lo; idx24 < idx24_hi;) {
+    const std::size_t page_idx = idx24 >> kPageBits;
+    if (pages_[page_idx] == nullptr && (idx24 & (kPageSlots - 1)) == 0 &&
+        idx24_hi - idx24 >= kPageSlots) {
+      if (Beats(DepthOf(leaf), EntryOf(leaf), fills_[page_idx])) {
+        fills_[page_idx] = leaf;
+      }
+      idx24 += kPageSlots;
+      continue;
+    }
+    FoldLeafDirect(idx24, leaf);
+    ++idx24;
+  }
+}
+
 void LpmFlatEngine::ReplaceOwnerDirect(std::size_t idx24_lo,
                                        std::size_t idx24_hi,
                                        std::size_t victim,
                                        std::uint64_t replacement) {
   for (std::size_t idx24 = idx24_lo; idx24 < idx24_hi; ++idx24) {
+    const std::size_t page_idx = idx24 >> kPageBits;
+    if (pages_[page_idx] == nullptr) {
+      // Only a route covering the whole page can own its fill, and the
+      // cover of such a route covers the page too.
+      const std::uint64_t fill = fills_[page_idx];
+      if (IsValid(fill) && EntryOf(fill) == victim) {
+        fills_[page_idx] = replacement;
+      }
+      idx24 |= kPageSlots - 1;  // skip the rest of the null page
+      continue;
+    }
     const std::uint64_t cur = ReadDirect(idx24);
     if (!IsValid(cur)) continue;
     if (IsExt(cur)) {
@@ -122,6 +151,7 @@ void LpmFlatEngine::ReplaceOwnerDirect(std::size_t idx24_lo,
 
 void LpmFlatEngine::Compile(const std::vector<Route>& live_routes) {
   pages_.assign(kPageCount, nullptr);
+  fills_.assign(kPageCount, 0);
   tbl8_dirs_.clear();
   tbl8_count_ = 0;
   compiled_ = true;
@@ -137,8 +167,10 @@ void LpmFlatEngine::CompileDeltaFrom(const LpmFlatEngine& base) {
     throw std::logic_error("LpmFlatEngine: delta from an uncompiled base");
   }
   // Pages are shared copy-on-write; only the pointer vectors are copied
-  // (1024 direct-page pointers plus one pointer per 512 tbl8s).
+  // (1024 direct-page pointers plus one pointer per 512 tbl8s), with the
+  // 1024 page fills.
   pages_ = base.pages_;
+  fills_ = base.fills_;
   tbl8_dirs_ = base.tbl8_dirs_;
   tbl8_count_ = base.tbl8_count_;
   compiled_ = true;
@@ -154,9 +186,7 @@ void LpmFlatEngine::PatchInsert(const Route& route) {
     const std::size_t lo = static_cast<std::size_t>(masked >> 8);
     const std::size_t span = std::size_t{1}
                              << (kDirectBits - route.prefix_len);
-    for (std::size_t idx24 = lo; idx24 < lo + span; ++idx24) {
-      FoldLeafDirect(idx24, leaf);
-    }
+    FoldLeafRange(lo, lo + span, leaf);
     return;
   }
   // Longer than /24: fan the /24 out into an extension page on first
@@ -220,7 +250,8 @@ void LpmFlatEngine::LookupBatch(
     std::vector<std::optional<TcamEngineHit>>& out) const {
   RequireCompiled();
   out.assign(count, std::nullopt);
-  // Telemetry folds over the whole batch, like the trie's LookupBatch.
+  // Telemetry folds over the whole batch: one counter update per batch,
+  // not two per packet, keeps the instrumented hot path cheap.
   std::size_t total_reads = 0;
   for (std::size_t q = 0; q < count; ++q) {
     std::uint64_t slot =

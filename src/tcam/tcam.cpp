@@ -290,12 +290,12 @@ std::uint64_t LpmPrefixKey(std::uint32_t masked, int len) {
          static_cast<std::uint64_t>(len);
 }
 
-// Seed snapshot for a fresh LPM table: the (empty) trie committed at
+// Seed snapshot for a fresh LPM table: the empty route set compiled at
 // epoch 0, so lookups on a fresh table miss instead of throwing.
 std::shared_ptr<const LpmTableSnapshot> EmptyLpmSnapshot(
     const TcamTable& table) {
   auto snap = std::make_shared<LpmTableSnapshot>();
-  snap->engine.Commit();
+  snap->engine.Compile({});
   snap->search_energy_j = table.SearchEnergyJ();
   snap->search_latency_s = table.SearchLatencyS();
   return snap;
@@ -328,7 +328,7 @@ std::size_t LpmTable::AddRoute(std::uint32_t value, int prefix_len,
 
 void LpmTable::WithdrawRoute(std::size_t route_index) {
   table_.Erase(route_index);  // validates index and liveness
-  const LpmEngine::Route route = routes_[route_index];
+  const LpmFlatEngine::Route route = routes_[route_index];
   const std::uint32_t masked = route.value & LpmPrefixMask(route.prefix_len);
   const auto it = by_prefix_.find(LpmPrefixKey(masked, route.prefix_len));
   std::vector<std::size_t>& bucket = it->second;
@@ -339,8 +339,8 @@ void LpmTable::WithdrawRoute(std::size_t route_index) {
   dirty_ = true;
 }
 
-const LpmEngine::Route* LpmTable::FindCover(
-    const LpmEngine::Route& route) const {
+const LpmFlatEngine::Route* LpmTable::FindCover(
+    const LpmFlatEngine::Route& route) const {
   // Deepest live covering prefix wins; a same-length duplicate (same
   // prefix, different index) covers too and resolves to the lowest
   // index, since buckets are kept ascending.
@@ -357,42 +357,30 @@ std::shared_ptr<LpmTableSnapshot> LpmTable::BuildSnapshot(
     const std::shared_ptr<const LpmTableSnapshot>& prev, bool use_delta,
     std::size_t& patched_rows) {
   auto snap = std::make_shared<LpmTableSnapshot>();
-  const std::size_t live = table_.size();
-  snap->tier =
-      live >= config_.flat_route_threshold ? LpmTier::kFlat : LpmTier::kTrie;
+  snap->engine.BindTelemetry(telemetry_);
   if (use_delta) {
-    snap->flat.BindTelemetry(telemetry_);
-    snap->flat.CompileDeltaFrom(prev->flat);
+    snap->engine.CompileDeltaFrom(prev->engine);
     // Withdrawals first: each victim's slots are rewritten with the best
     // surviving cover, leaving the structure equal to "previous set
     // minus withdrawn routes"; staged inserts then arbitrate in by the
     // same (depth, index) order a full rebuild uses.
-    for (const LpmEngine::Route& route : staged_withdrawals_) {
-      snap->flat.PatchErase(route, FindCover(route));
+    for (const LpmFlatEngine::Route& route : staged_withdrawals_) {
+      snap->engine.PatchErase(route, FindCover(route));
       ++patched_rows;
     }
     for (const std::size_t index : delta_.touched()) {
       if (!table_.IsLive(index)) continue;  // withdrawn, not re-added
-      snap->flat.PatchInsert(routes_[index]);
+      snap->engine.PatchInsert(routes_[index]);
       ++patched_rows;
     }
     return snap;
   }
-  if (snap->tier == LpmTier::kFlat) {
-    snap->flat.BindTelemetry(telemetry_);
-    std::vector<LpmEngine::Route> view;
-    view.reserve(live);
-    for (std::size_t i = 0; i < routes_.size(); ++i) {
-      if (table_.IsLive(i)) view.push_back(routes_[i]);
-    }
-    snap->flat.Compile(view);
-  } else {
-    snap->engine.BindTelemetry(telemetry_);
-    for (std::size_t i = 0; i < routes_.size(); ++i) {
-      if (table_.IsLive(i)) snap->engine.AddRoute(routes_[i]);
-    }
-    snap->engine.Commit();
+  std::vector<LpmFlatEngine::Route> view;
+  view.reserve(table_.size());
+  for (std::size_t i = 0; i < routes_.size(); ++i) {
+    if (table_.IsLive(i)) view.push_back(routes_[i]);
   }
+  snap->engine.Compile(view);
   return snap;
 }
 
@@ -401,14 +389,10 @@ void LpmTable::Commit() {
   const std::uint64_t t0 = NowNs();
   const std::shared_ptr<const LpmTableSnapshot> prev = published_.Acquire();
   const std::size_t live = table_.size();
-  // Deltas only make sense flat-to-flat: trie commits rebuild by design
-  // and a tier change restructures everything. Flat patches fold in
-  // exactly (no overlay grows), so overlay_rows is 0.
-  const bool use_delta =
-      prev->tier == LpmTier::kFlat &&
-      live >= config_.flat_route_threshold &&
-      config_.delta_policy.UseDelta(delta_.touched().size(),
-                                    prev->live_routes, 0);
+  // Page patches fold in exactly (no overlay grows), so overlay_rows
+  // is 0.
+  const bool use_delta = config_.delta_policy.UseDelta(
+      delta_.touched().size(), prev->live_routes, 0);
   std::size_t patched_rows = 0;
   std::shared_ptr<LpmTableSnapshot> snap =
       BuildSnapshot(prev, use_delta, patched_rows);
@@ -461,7 +445,7 @@ void LpmTable::LookupBatch(const std::uint32_t* addresses, std::size_t count,
   // The compiled engine answers; the TCAM array still burns one full
   // search cycle per address.
   const std::shared_ptr<const LpmTableSnapshot> snap = snapshot();
-  snap->LookupBatch(addresses, count, hits_);
+  snap->engine.LookupBatch(addresses, count, hits_);
   out.assign(count, std::nullopt);
   for (std::size_t q = 0; q < count; ++q) {
     const double energy = table_.AccountSearch(snap->search_energy_j);

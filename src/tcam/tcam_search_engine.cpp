@@ -465,119 +465,4 @@ void TcamSearchEngine::SearchBatch(
   }
 }
 
-// ------------------------------------------------------------ LpmEngine
-
-void LpmEngine::AddRoute(const Route& route) {
-  if (route.prefix_len < 0 || route.prefix_len > 32) {
-    throw std::invalid_argument("LpmEngine: prefix_len outside [0, 32]");
-  }
-  routes_.push_back(route);
-  dirty_ = true;
-}
-
-std::int32_t LpmEngine::NewNode() {
-  Node node;
-  node.child.fill(-1);
-  node.best.fill(-1);
-  nodes_.push_back(node);
-  return static_cast<std::int32_t>(nodes_.size() - 1);
-}
-
-void LpmEngine::RequireCommitted() const {
-  if (dirty_) {
-    throw std::logic_error(
-        "LpmEngine: lookup on a dirty trie — call Commit() after AddRoute");
-  }
-}
-
-void LpmEngine::Commit() {
-  if (!dirty_) return;
-  nodes_.clear();
-  NewNode();  // root
-  for (std::size_t ri = 0; ri < routes_.size(); ++ri) {
-    const Route& r = routes_[ri];
-    // The stride level where the prefix ends; a /0 ends at level 0 and
-    // covers the whole root node.
-    const int level = r.prefix_len == 0 ? 0 : (r.prefix_len - 1) / 8;
-    std::int32_t node = 0;
-    for (int d = 0; d < level; ++d) {
-      const auto byte =
-          static_cast<std::size_t>((r.value >> (24 - 8 * d)) & 0xff);
-      std::int32_t next = nodes_[static_cast<std::size_t>(node)].child[byte];
-      if (next < 0) {
-        next = NewNode();
-        nodes_[static_cast<std::size_t>(node)].child[byte] = next;
-      }
-      node = next;
-    }
-    // Controlled prefix expansion: fill every slot of the final stride
-    // the prefix covers, keeping the better route per slot (longer
-    // prefix wins; equal length resolves to the lower table index, the
-    // TCAM priority-encoder rule).
-    const int bits_here = r.prefix_len - 8 * level;  // 0..8
-    const std::size_t span = std::size_t{1} << (8 - bits_here);
-    const auto byte =
-        static_cast<std::size_t>((r.value >> (24 - 8 * level)) & 0xff);
-    const std::size_t low = byte & ~(span - 1);
-    Node& n = nodes_[static_cast<std::size_t>(node)];
-    for (std::size_t slot = low; slot < low + span; ++slot) {
-      const std::int32_t cur = n.best[slot];
-      if (cur < 0) {
-        n.best[slot] = static_cast<std::int32_t>(ri);
-        continue;
-      }
-      const Route& c = routes_[static_cast<std::size_t>(cur)];
-      if (r.prefix_len > c.prefix_len ||
-          (r.prefix_len == c.prefix_len && r.entry_index < c.entry_index)) {
-        n.best[slot] = static_cast<std::int32_t>(ri);
-      }
-    }
-  }
-  dirty_ = false;
-  telemetry_.recompiles.Inc();
-}
-
-std::int32_t LpmEngine::BestRoute(std::uint32_t address,
-                                  std::size_t& hops) const {
-  std::int32_t best = -1;
-  std::int32_t node = 0;
-  hops = 0;
-  for (int d = 0; d < 4; ++d) {
-    const auto byte =
-        static_cast<std::size_t>((address >> (24 - 8 * d)) & 0xff);
-    const Node& n = nodes_[static_cast<std::size_t>(node)];
-    ++hops;
-    // Deeper levels hold strictly longer prefixes, so the deepest
-    // populated slot along the path is the longest match.
-    if (n.best[byte] >= 0) best = n.best[byte];
-    node = n.child[byte];
-    if (node < 0) break;
-  }
-  return best;
-}
-
-void LpmEngine::LookupBatch(
-    const std::uint32_t* addresses, std::size_t count,
-    std::vector<std::optional<TcamEngineHit>>& out) const {
-  RequireCommitted();
-  out.assign(count, std::nullopt);
-  // Telemetry folds over the whole batch: one counter update per batch,
-  // not two per packet, keeps the instrumented hot path cheap.
-  std::size_t total_hops = 0;
-  for (std::size_t q = 0; q < count; ++q) {
-    std::size_t hops = 0;
-    const std::int32_t best = BestRoute(addresses[q], hops);
-    total_hops += hops;
-    if (best < 0) continue;
-    const Route& r = routes_[static_cast<std::size_t>(best)];
-    TcamEngineHit hit;
-    hit.entry_index = r.entry_index;
-    hit.action = r.action;
-    hit.priority = r.prefix_len;
-    out[q] = hit;
-  }
-  telemetry_.searches.Inc(count);
-  telemetry_.rows_scanned.Inc(total_hops);
-}
-
 }  // namespace analognf::tcam

@@ -208,7 +208,7 @@ class HistogramHandle {
 // engines run un-instrumented until a table binds them to a registry.
 struct SearchEngineCounters {
   CounterHandle searches;      // probes evaluated
-  CounterHandle rows_scanned;  // stored rows (or trie nodes) evaluated
+  CounterHandle rows_scanned;  // stored rows (or LPM table reads) evaluated
   CounterHandle recompiles;    // snapshot compiles / dirty-row refreshes
   // Pruned-tier TCAM engines only: rows that survived the bitmap
   // intersection and were actually verified, and the fraction of stored

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <span>
 #include <vector>
 
@@ -464,12 +465,29 @@ TEST(LoadBalancerStageTest, FlowStickyAcrossInjections) {
   sw.AddRoute(net::ParseIpv4("10.0.1.0"), 24, 2);
 
   // Each flow must keep its (possibly rebalanced) egress port while the
-  // stored loads are unchanged: same flow -> same queue every time.
+  // stored loads are unchanged (the stage never calls UpdateLoad): same
+  // flow -> same port in both rounds.
   std::map<std::uint64_t, std::size_t> flow_port;
+  std::set<std::size_t> ports_used;
+  std::uint64_t delivered = 0;
+  std::size_t repeat_deliveries = 0;  // flows seen again, any round
   const auto packets = MakeTrafficMix(300, /*seed=*/0x1b);
   for (int round = 0; round < 2; ++round) {
     sw.InjectBatch(packets, 0.1 * round);
+    // Drain before the next round's arrivals.
+    for (const Delivery& d : sw.Drain(0.1 * (round + 1))) {
+      ++delivered;
+      ports_used.insert(d.port);
+      const auto [it, fresh] = flow_port.emplace(d.meta.flow_hash, d.port);
+      if (fresh) continue;
+      ++repeat_deliveries;
+      EXPECT_EQ(it->second, d.port)
+          << "flow " << d.meta.flow_hash << " round " << round;
+    }
   }
+  EXPECT_EQ(delivered, sw.stats().forwarded);
+  EXPECT_GT(repeat_deliveries, 0u);
+  EXPECT_GE(ports_used.size(), 2u);  // the group really is balanced
   std::uint64_t enqueued = 0;
   for (std::size_t p = 0; p < config.port_count; ++p) {
     for (std::size_t sc = 0; sc < config.service_classes; ++sc) {

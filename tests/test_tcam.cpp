@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "alloc_probe.hpp"
 #include "analognf/common/rng.hpp"
 #include "analognf/tcam/tcam.hpp"
 #include "analognf/tcam/ternary.hpp"
@@ -434,9 +435,33 @@ TEST(LpmTableTest, LongestPrefixWins) {
 }
 
 TEST(LpmTableTest, DefaultRouteMatchesEverything) {
-  LpmTable lpm(TcamTechnology::MemristorTcam());
+  // A policy that patches even a two-route table, so the withdrawal
+  // below repaints the fills in place.
+  LpmConfig config;
+  config.delta_policy.min_rows = 1;
+  config.delta_policy.max_delta_fraction = 1.0;
+  LpmTable lpm(TcamTechnology::MemristorTcam(), config);
   lpm.AddRoute(0, 0, 9);
+  const std::size_t ten = lpm.AddRoute(0x0A000000, 8, 10);  // 10.0.0.0/8
+  // Both routes cover whole 16K-slot direct pages, so they paint page
+  // fills: no page is allocated (one per page would be >= 1024).
+  alloc_probe::count = 0;
+  alloc_probe::counting = true;
   lpm.Commit();
+  alloc_probe::counting = false;
+  EXPECT_LE(alloc_probe::count, 16u);
+  EXPECT_EQ(LookupOne(lpm, 0xFFFFFFFF)->action, 9u);
+  EXPECT_EQ(LookupOne(lpm, 0x00000000)->action, 9u);
+  EXPECT_EQ(LookupOne(lpm, 0x0A010203)->action, 10u);
+  EXPECT_EQ(LookupOne(lpm, 0x0AFFFFFF)->action, 10u);
+  EXPECT_EQ(LookupOne(lpm, 0x0B000000)->action, 9u);
+
+  // Withdrawing the /8 hands its addresses back to the /0.
+  lpm.WithdrawRoute(ten);
+  lpm.Commit();
+  EXPECT_TRUE(lpm.commit_stats().last_was_delta);
+  EXPECT_EQ(LookupOne(lpm, 0x0A010203)->action, 9u);
+  EXPECT_EQ(LookupOne(lpm, 0x0AFFFFFF)->action, 9u);
   EXPECT_EQ(LookupOne(lpm, 0xFFFFFFFF)->action, 9u);
 }
 

@@ -1,5 +1,5 @@
 // Differential tests for the compiled match-action engines: the bitmask
-// TCAM engine and the stride-trie LPM engine are checked against naive
+// TCAM engine and the DIR-24-8 LPM engine are checked against naive
 // reference scans on randomized tables, including the sharded code path
 // and the batched entry points.
 #include <gtest/gtest.h>
@@ -506,32 +506,30 @@ TEST(TcamSearchBatchTest, EmptyBatchIsANoOp) {
   EXPECT_EQ(t.ConsumedEnergyJ(), 0.0);
 }
 
-// ------------------------------------------------------------- LpmEngine
+// ------------------------------------------------------------ LPM engine
 
 class LpmEngineDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(LpmEngineDifferential, MatchesNaiveLongestPrefix) {
   analognf::RandomStream rng(GetParam());
-  LpmEngine engine;
-  std::vector<LpmEngine::Route> routes;
+  std::vector<LpmFlatEngine::Route> routes;
   for (std::size_t i = 0; i < 64; ++i) {
-    LpmEngine::Route r;
+    LpmFlatEngine::Route r;
     r.value = static_cast<std::uint32_t>(rng.NextIndex(0x100000000ULL));
     r.prefix_len = static_cast<int>(rng.NextIndex(33));  // 0..32
     r.action = static_cast<std::uint32_t>(i);
     r.entry_index = i;
     routes.push_back(r);
-    engine.AddRoute(r);
   }
   // Duplicate (value, len) pair: the lower entry index must win, the
   // TCAM priority-encoder rule.
-  LpmEngine::Route dup = routes[5];
+  LpmFlatEngine::Route dup = routes[5];
   dup.action = 999;
   dup.entry_index = 64;
   routes.push_back(dup);
-  engine.AddRoute(dup);
-  engine.Commit();
+  LpmFlatEngine engine;
+  engine.Compile(routes);
 
   for (std::size_t probe = 0; probe < 4000; ++probe) {
     // Half the probes are perturbed route values, so deep prefixes hit.
@@ -541,7 +539,7 @@ TEST_P(LpmEngineDifferential, MatchesNaiveLongestPrefix) {
       addr = routes[rng.NextIndex(routes.size())].value ^
              static_cast<std::uint32_t>(rng.NextIndex(256));
     }
-    const LpmEngine::Route* want = nullptr;
+    const LpmFlatEngine::Route* want = nullptr;
     for (const auto& r : routes) {
       const int shift = 32 - r.prefix_len;
       const bool matches =
@@ -568,12 +566,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LpmEngineDifferential,
                          ::testing::Values(3, 13, 29, 71));
 
 TEST(LpmEngineTest, RejectsBadPrefixLength) {
-  LpmEngine engine;
-  LpmEngine::Route r;
+  LpmFlatEngine engine;
+  LpmFlatEngine::Route r;
   r.prefix_len = 33;
-  EXPECT_THROW(engine.AddRoute(r), std::invalid_argument);
+  EXPECT_THROW(engine.Compile({r}), std::invalid_argument);
   r.prefix_len = -1;
-  EXPECT_THROW(engine.AddRoute(r), std::invalid_argument);
+  EXPECT_THROW(engine.Compile({r}), std::invalid_argument);
 }
 
 TEST(LpmTableTest, LookupBatchBitIdenticalToSequential) {
@@ -717,44 +715,49 @@ TEST_P(DeltaCommitDifferential, TcamChurnMatchesFullRecompile) {
   EXPECT_EQ(full.commit_stats().delta_commits, 0u);
 }
 
-TEST_P(DeltaCommitDifferential, FlatLpmChurnMatchesFullRecompileAndTrie) {
+TEST_P(DeltaCommitDifferential, LpmChurnMatchesFullRecompileAndNaiveScan) {
   analognf::RandomStream rng(GetParam() + 500);
   LpmConfig delta_cfg;
-  delta_cfg.flat_route_threshold = 32;
   delta_cfg.delta_policy.min_rows = 32;
   delta_cfg.delta_policy.max_delta_fraction = 0.5;
   LpmConfig full_cfg = delta_cfg;
   full_cfg.delta_policy = DeltaCommitPolicy::Disabled();
-  LpmConfig trie_cfg;  // pinned to the trie tier: the cross-engine check
-  trie_cfg.flat_route_threshold = std::numeric_limits<std::size_t>::max();
 
   LpmTable delta(TcamTechnology::MemristorTcam(), delta_cfg);
   LpmTable full(TcamTechnology::MemristorTcam(), full_cfg);
-  LpmTable trie(TcamTechnology::MemristorTcam(), trie_cfg);
 
-  // The three tables see the identical mutation sequence, so AddRoute
+  // Both tables see the identical mutation sequence, so AddRoute
   // returns identical indices and hits stay slot-comparable.
   struct RouteKey {
     std::uint32_t value;
     int len;
   };
   std::vector<RouteKey> inserted;
-  std::vector<std::size_t> live;
+  // The live route set and the hit each route answers with, for the
+  // naive longest-prefix scan.
+  struct LiveRoute {
+    RouteKey key;
+    TcamSearchResult hit;
+  };
+  std::vector<LiveRoute> live;
   std::uint32_t next_action = 0;
   auto add = [&](std::uint32_t value, int len) {
     const std::size_t index = delta.AddRoute(value, len, next_action);
     EXPECT_EQ(full.AddRoute(value, len, next_action), index);
-    EXPECT_EQ(trie.AddRoute(value, len, next_action), index);
+    LiveRoute route{{value, len}, {}};
+    route.hit.entry_index = index;
+    route.hit.action = next_action;
+    route.hit.priority = len;
+    live.push_back(route);
     ++next_action;
     inserted.push_back({value, len});
-    live.push_back(index);
   };
   auto add_random = [&] {
     const auto value =
         static_cast<std::uint32_t>(rng.NextIndex(0x100000000ULL));
-    // Half the routes are /25../32 so the flat tier's tbl8 extension
-    // pages see constant churn; the rest spread over /1../24. An
-    // occasional duplicate (value, len) exercises the lowest-index rule.
+    // Half the routes are /25../32 so the tbl8 extension pages see
+    // constant churn; the rest spread over /1../24. An occasional
+    // duplicate (value, len) exercises the lowest-index rule.
     if (!inserted.empty() && rng.NextIndex(8) == 0) {
       const RouteKey dup = inserted[rng.NextIndex(inserted.size())];
       add(dup.value, dup.len);
@@ -764,36 +767,45 @@ TEST_P(DeltaCommitDifferential, FlatLpmChurnMatchesFullRecompileAndTrie) {
       add(value, static_cast<int>(1 + rng.NextIndex(24)));
     }
   };
+  // From-scratch semantics: the longest live prefix matching `addr`,
+  // ties to the lowest index.
+  auto naive = [&](std::uint32_t addr) {
+    std::optional<TcamSearchResult> want;
+    for (const LiveRoute& r : live) {
+      const int shift = 32 - r.key.len;  // len >= 1: no shift by 32
+      if ((addr >> shift) != (r.key.value >> shift)) continue;
+      if (!want.has_value() || r.hit.priority > want->priority ||
+          (r.hit.priority == want->priority &&
+           r.hit.entry_index < want->entry_index)) {
+        want = r.hit;
+      }
+    }
+    return want;
+  };
   for (std::size_t i = 0; i < 96; ++i) add_random();
   delta.Commit();
   full.Commit();
-  trie.Commit();
-  ASSERT_EQ(delta.snapshot()->tier, LpmTier::kFlat);
-  ASSERT_EQ(full.snapshot()->tier, LpmTier::kFlat);
-  ASSERT_EQ(trie.snapshot()->tier, LpmTier::kTrie);
 
   std::vector<std::uint32_t> addrs;
   std::vector<std::optional<TcamSearchResult>> batched;
   for (std::size_t round = 0; round < 60; ++round) {
     const std::size_t ops = 1 + rng.NextIndex(3);
     for (std::size_t op = 0; op < ops; ++op) {
-      // Withdrawals uncover shallower routes (the flat tier must
-      // repaint from the surviving cover); keep the table above the
-      // flat threshold so the tier stays pinned.
+      // Withdrawals uncover shallower routes (the engine must repaint
+      // from the surviving cover); keep the table above the delta
+      // policy's min_rows so delta commits keep happening.
       if (rng.NextIndex(3) == 0 && live.size() > 48) {
         const std::size_t pick = rng.NextIndex(live.size());
-        const std::size_t index = live[pick];
+        const std::size_t index = live[pick].hit.entry_index;
         live.erase(live.begin() + static_cast<long>(pick));
         delta.WithdrawRoute(index);
         full.WithdrawRoute(index);
-        trie.WithdrawRoute(index);
       } else {
         add_random();
       }
     }
     delta.Commit();
     full.Commit();
-    trie.Commit();
     addrs.clear();
     for (std::size_t probe = 0; probe < 40; ++probe) {
       // Perturbed route values hit deep prefixes; the rest are uniform.
@@ -809,11 +821,10 @@ TEST_P(DeltaCommitDifferential, FlatLpmChurnMatchesFullRecompileAndTrie) {
     for (std::size_t probe = 0; probe < addrs.size(); ++probe) {
       const auto got = LookupOne(delta, addrs[probe]);
       ExpectSameHit(got, LookupOne(full, addrs[probe]), probe);
-      ExpectSameHit(got, LookupOne(trie, addrs[probe]), probe);
+      ExpectSameHit(got, naive(addrs[probe]), probe);
       ExpectSameHit(batched[probe], got, probe);
     }
   }
-  ASSERT_EQ(delta.snapshot()->tier, LpmTier::kFlat);
   EXPECT_GT(delta.commit_stats().delta_commits, 0u);
   EXPECT_EQ(full.commit_stats().delta_commits, 0u);
   EXPECT_EQ(full.commit_stats().full_recompiles,
