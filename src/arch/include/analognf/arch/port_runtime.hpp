@@ -15,8 +15,8 @@
 //     reads the group's SharedTables (a standalone switch reads its own
 //     SharedTables the same way). Each batch acquires the published
 //     snapshots; each port keeps its own energy ledger, stats and
-//     telemetry (the worker registers a ThreadPool external slot so
-//     sharded counters stay exact).
+//     telemetry (the worker registers a thread slot, common/
+//     thread_slot.hpp, so sharded counters stay exact).
 //   * SwitchGroup — the assembly: the controller thread stages and
 //     commits table updates and broadcasts pCAM reprogramming commands;
 //     data sources submit batches per port. Commands apply at batch
@@ -115,8 +115,8 @@ class PortRuntime {
   CognitiveSwitch& device() { return switch_; }
   const CognitiveSwitch& device() const { return switch_; }
 
-  // The worker's registered telemetry slot (ThreadPool::CurrentSlot()
-  // value on the worker); 0 until the worker has started up.
+  // The worker's registered telemetry slot (ThreadSlot::Current() on
+  // the worker); 0 until the worker has started up.
   std::size_t worker_slot() const {
     return slot_.load(std::memory_order_acquire);
   }

@@ -67,8 +67,8 @@ class ParseStage final : public MatchActionStage {
 //
 // The stage only reads its table; the table's owner (a SharedTables, see
 // switch.hpp) stages and commits the rules. Each batch acquires the
-// published snapshot and searches its engine with the stage's own
-// scratch, so N port threads can run against one table while the
+// published snapshot and searches its const engine into the stage's own
+// buffers, so N port threads can run against one table while the
 // controller commits. The stage never touches the table's accounting
 // state.
 class FirewallStage final : public MatchActionStage {
@@ -81,11 +81,10 @@ class FirewallStage final : public MatchActionStage {
  private:
   const tcam::TcamTable* table_;
   // Batch scratch (reused, never shrinks; per-stage, so per-port: never
-  // contended): eligible packet indices, their compacted keys, the
-  // engine's search state and hits.
+  // contended): eligible packet indices, their compacted keys and the
+  // engine's hits.
   std::vector<std::size_t> eligible_;
   std::vector<tcam::BitKey> keys_;
-  tcam::TcamSearchScratch scratch_;
   std::vector<std::optional<tcam::TcamEngineHit>> hits_;
 };
 

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "analognf/arch/controller.hpp"
-#include "analognf/common/thread_pool.hpp"
+#include "analognf/common/thread_slot.hpp"
 
 namespace {
 
@@ -108,7 +108,7 @@ void PortRuntime::WorkerLoop() {
   // telemetry writes off every other thread's counter cells (exactness,
   // not just contention avoidance). It is released when the worker
   // exits.
-  slot_.store(ThreadPool::RegisterExternalSlot(), std::memory_order_release);
+  slot_.store(ThreadSlot::Register(), std::memory_order_release);
   // The last batch, kept across iterations so TryPop exchanges it back
   // into the ring: whoever pushed its buffers frees them, not this thread.
   Batch batch;
@@ -169,7 +169,7 @@ SwitchGroup::SwitchGroup(std::size_t ports, SwitchConfig config)
   // slot (registered after construction) still gets its own cell. An
   // explicit shard count is left alone.
   if (config.telemetry.shards == 0) {
-    config.telemetry.shards = ThreadPool::SlotUpperBound() + ports;
+    config.telemetry.shards = ThreadSlot::UpperBound() + ports;
   }
   runtimes_.reserve(ports);
   for (std::size_t p = 0; p < ports; ++p) {

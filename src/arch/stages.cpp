@@ -76,7 +76,7 @@ void FirewallStage::Process(net::PacketBatch& batch) {
   // batch; the table's own accounting state is never touched (it belongs
   // to the owner's control thread).
   const auto snap = table_->snapshot();
-  snap->engine.SearchBatch(keys_.data(), keys_.size(), hits_, scratch_);
+  snap->engine.SearchBatch(keys_.data(), keys_.size(), hits_);
   batch.firewall_search_j = snap->search_energy_j;
   for (std::size_t j = 0; j < eligible_.size(); ++j) {
     const std::size_t i = eligible_[j];

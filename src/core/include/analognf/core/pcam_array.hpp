@@ -72,12 +72,11 @@ class PcamTable {
   };
 
   // `field_count` fixes the table width; every row must match it.
-  // `search_config` tunes the search engine (thread sharding). The
-  // search-line channel must be stateless (ChannelParams::IsStateless):
-  // a table search is one stateless parallel analog step. Throws
-  // std::invalid_argument otherwise.
-  PcamTable(std::size_t field_count, HardwarePcamConfig config,
-            PcamSearchConfig search_config = {});
+  // Searches run on the calling thread. The search-line channel must be
+  // stateless (ChannelParams::IsStateless): a table search is one
+  // stateless parallel analog step. Throws std::invalid_argument
+  // otherwise.
+  PcamTable(std::size_t field_count, HardwarePcamConfig config);
 
   std::size_t field_count() const { return field_count_; }
   std::size_t size() const { return words_.size(); }

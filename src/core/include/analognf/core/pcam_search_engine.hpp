@@ -19,11 +19,9 @@
 //     and reuses the rest of the snapshot untouched.
 //   * Batching: SearchBatch() evaluates many probes against one snapshot
 //     refresh, reusing all scratch buffers.
-//   * Threading: for tables with at least `thread_row_threshold` rows,
-//     searches shard row ranges across the shared ThreadPool. Row
-//     products are computed independently per row and shard arg-maxes
-//     merge in ascending order, so results are identical to the
-//     single-threaded pass.
+//   * Threading: none. A search runs on the thread that asks; the
+//     hardware's row parallelism is modelled by the column layout and
+//     the SIMD kernels, not by forking the sweep across cores.
 //
 // Semantics: the search-line channel is stateless (a pure gain, no AWGN
 // and no crosstalk; PcamTable rejects any other), so a search is one
@@ -43,20 +41,6 @@ namespace analognf::core {
 
 class PcamWord;
 
-// Tuning knobs for the engine, per table.
-struct PcamSearchConfig {
-  // Row count at which stateless searches start sharding across the
-  // shared thread pool. Small tables stay single-threaded: the fork/join
-  // handshake costs more than the scan.
-  std::size_t thread_row_threshold = 8192;
-  // Upper bound on shards (0 = one per available core). Values > 1 force
-  // the sharded code path even on a single-core host, which keeps the
-  // merge logic testable everywhere.
-  std::size_t max_threads = 0;
-
-  void Validate() const;  // throws std::invalid_argument
-};
-
 // One query's outcome. Per-row degrees land in the caller's buffer.
 struct PcamSearchOutcome {
   std::size_t best_row = 0;
@@ -67,8 +51,7 @@ struct PcamSearchOutcome {
 class PcamSearchEngine {
  public:
   PcamSearchEngine(std::size_t field_count,
-                   const HardwarePcamConfig& hardware,
-                   PcamSearchConfig config);
+                   const HardwarePcamConfig& hardware);
 
   // --- snapshot maintenance (driven by the owning PcamTable) ----------
   void AppendRow();                     // grow columns; new row is dirty
@@ -126,14 +109,12 @@ class PcamSearchEngine {
 
   void Refresh(const std::vector<PcamWord>& words);
   void RefreshRow(const std::vector<PcamWord>& words, std::size_t row);
-  std::size_t ShardCount() const;
 
-  // Whole-column passes, optionally sharded.
+  // One probe as whole-column passes over every row.
   void SearchColumns(const double* query, std::vector<double>& degrees,
                      PcamSearchOutcome& out);
 
   std::size_t field_count_;
-  PcamSearchConfig config_;
   double read_time_s_;
   double line_gain_;
 
@@ -150,8 +131,6 @@ class PcamSearchEngine {
   // Scratch reused across calls (never shrinks).
   std::vector<double> line_v_;           // per-field line voltages
   std::vector<double> batch_line_, batch_deg_;
-  std::vector<std::size_t> shard_best_;
-  std::vector<double> shard_degree_;
 
   telemetry::SearchEngineCounters telemetry_;
 };

@@ -55,11 +55,10 @@ void PcamWord::ProgramField(std::size_t index, const PcamParams& params) {
   cells_.at(index).Program(params);
 }
 
-PcamTable::PcamTable(std::size_t field_count, HardwarePcamConfig config,
-                     PcamSearchConfig search_config)
+PcamTable::PcamTable(std::size_t field_count, HardwarePcamConfig config)
     : field_count_(field_count),
       config_(config),
-      engine_(field_count, config_, search_config) {
+      engine_(field_count, config_) {
   if (field_count == 0) {
     throw std::invalid_argument("PcamTable: zero field count");
   }

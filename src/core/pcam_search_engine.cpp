@@ -2,32 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "analognf/common/simd.hpp"
-#include "analognf/common/thread_pool.hpp"
 #include "analognf/core/pcam_array.hpp"
 
 namespace analognf::core {
 
-void PcamSearchConfig::Validate() const {
-  if (thread_row_threshold == 0) {
-    throw std::invalid_argument(
-        "PcamSearchConfig: thread_row_threshold must be >= 1");
-  }
-}
-
 PcamSearchEngine::PcamSearchEngine(std::size_t field_count,
-                                   const HardwarePcamConfig& hardware,
-                                   PcamSearchConfig config)
+                                   const HardwarePcamConfig& hardware)
     : field_count_(field_count),
-      config_(config),
       read_time_s_(hardware.device.read_time_s),
       line_gain_(hardware.channel.line_gain),
       columns_(field_count),
-      field_g_total_(field_count, 0.0) {
-  config_.Validate();
-}
+      field_g_total_(field_count, 0.0) {}
 
 void PcamSearchEngine::AppendRow() {
   for (FieldColumn& c : columns_) {
@@ -105,14 +92,6 @@ void PcamSearchEngine::Refresh(const std::vector<PcamWord>& words) {
   any_dirty_ = false;
 }
 
-std::size_t PcamSearchEngine::ShardCount() const {
-  if (rows_ < config_.thread_row_threshold) return 1;
-  const std::size_t parallelism =
-      config_.max_threads != 0 ? config_.max_threads
-                               : ThreadPool::Shared().size() + 1;
-  return std::clamp<std::size_t>(parallelism, 1, rows_);
-}
-
 void PcamSearchEngine::SearchColumns(const double* query,
                                      std::vector<double>& degrees,
                                      PcamSearchOutcome& out) {
@@ -128,54 +107,26 @@ void PcamSearchEngine::SearchColumns(const double* query,
   out.energy_j = energy;
 
   degrees.assign(rows_, 1.0);
-  const std::size_t shards = ShardCount();
-  shard_best_.assign(shards, 0);
-  shard_degree_.assign(shards, 0.0);
-  const std::size_t chunk = (rows_ + shards - 1) / shards;
-
-  auto eval_shard = [&](std::size_t s) {
-    const std::size_t r0 = s * chunk;
-    const std::size_t r1 = std::min(r0 + chunk, rows_);
-    double* deg = degrees.data();
-    for (std::size_t f = 0; f < field_count_; ++f) {
-      const FieldColumn& c = columns_[f];
-      // Explicit SIMD column sweep (4 rows per AVX2 iteration), same
-      // arithmetic as PcamCell::Evaluate in every region — the scalar
-      // fallback and the AVX2 kernel are bit-identical by construction
-      // (common/simd.hpp).
-      const simd::PcamColumnSpan span{
-          c.m1.data(), c.m2.data(), c.m3.data(), c.m4.data(),
-          c.sa.data(), c.sb.data(), c.ia.data(), c.ib.data(),
-          c.pmin.data(), c.pmax.data()};
-      simd::PcamColumnEval(span, line_v_[f], deg, r0, r1);
-    }
-    // Shard-local arg-max (ties: lowest row index).
-    std::size_t best = r0;
-    for (std::size_t r = r0 + 1; r < r1; ++r) {
-      if (deg[r] > deg[best]) best = r;
-    }
-    shard_best_[s] = best;
-    shard_degree_[s] = deg[best];
-  };
-
-  if (shards == 1) {
-    eval_shard(0);
-  } else {
-    ThreadPool& pool = ThreadPool::Shared();
-    pool.ParallelFor(shards, eval_shard);
+  double* deg = degrees.data();
+  for (std::size_t f = 0; f < field_count_; ++f) {
+    const FieldColumn& c = columns_[f];
+    // Explicit SIMD column sweep (4 rows per AVX2 iteration), same
+    // arithmetic as PcamCell::Evaluate in every region — the scalar
+    // fallback and the AVX2 kernel are bit-identical by construction
+    // (common/simd.hpp).
+    const simd::PcamColumnSpan span{
+        c.m1.data(), c.m2.data(), c.m3.data(), c.m4.data(),
+        c.sa.data(), c.sb.data(), c.ia.data(), c.ib.data(),
+        c.pmin.data(), c.pmax.data()};
+    simd::PcamColumnEval(span, line_v_[f], deg, 0, rows_);
   }
-
-  // Merging in ascending shard order preserves the lowest-index tie rule.
-  std::size_t best = shard_best_[0];
-  double best_degree = shard_degree_[0];
-  for (std::size_t s = 1; s < shards; ++s) {
-    if (shard_degree_[s] > best_degree) {
-      best = shard_best_[s];
-      best_degree = shard_degree_[s];
-    }
+  // Arg-max (ties: lowest row index).
+  std::size_t best = 0;
+  for (std::size_t r = 1; r < rows_; ++r) {
+    if (deg[r] > deg[best]) best = r;
   }
   out.best_row = best;
-  out.best_degree = best_degree;
+  out.best_degree = deg[best];
 }
 
 PcamSearchOutcome PcamSearchEngine::Search(const std::vector<PcamWord>& words,

@@ -3,8 +3,8 @@
 // A MetaSource feeds the AQM-guarded bottleneck (sim::Bottleneck) with
 // unresponsive arrivals, optionally changing its rate in scheduled
 // phases. On top of the bottleneck's report core the simulator records
-// the queue-depth and drop-probability traces the paper plots, per-
-// priority delays and a streaming p99.
+// the queue-depth and drop-probability traces the paper plots and per-
+// priority delay summaries.
 #pragma once
 
 #include <cstdint>

@@ -70,8 +70,8 @@ struct TcamSearchResult {
 
 // One committed, immutable compilation of a TcamTable: the engine plus
 // the cost figures that were true for the committed row set. Published
-// via shared_ptr; holders may search `engine` concurrently (each thread
-// with its own TcamSearchScratch) for as long as they keep the pointer.
+// via shared_ptr; holders may search `engine` concurrently for as long
+// as they keep the pointer.
 struct TcamTableSnapshot {
   TcamTableSnapshot(std::size_t key_width, TcamSearchConfig config)
       : engine(key_width, config) {}
@@ -222,9 +222,8 @@ class TcamTable {
   telemetry::SearchEngineCounters telemetry_;
   telemetry::TableCommitCounters commit_telemetry_;
 
-  // Scratch for the single-caller convenience search path (reused,
-  // never shrinks).
-  TcamSearchScratch scratch_;
+  // Hits of the single-caller convenience batch path (reused, never
+  // shrinks).
   std::vector<std::optional<TcamEngineHit>> batch_hits_;
 };
 

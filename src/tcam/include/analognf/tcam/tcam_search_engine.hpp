@@ -37,18 +37,16 @@
 //     scan stays a rounding error next to the core.
 //   * Concurrency contract: an engine is compiled exactly once (by the
 //     owning table's Commit()) and is immutable afterwards. Search and
-//     SearchBatch are const and touch only compiled state plus the
-//     caller-supplied scratch, so any number of threads may search one
-//     compiled engine concurrently, each with its own scratch. Searching
+//     SearchBatch are const and touch only compiled state, so any number
+//     of threads may search one compiled engine concurrently. Searching
 //     an engine that was never compiled throws std::logic_error — the
 //     lazy recompile-inside-Search of earlier revisions is gone; commits
 //     happen off the hot path (see docs/ARCHITECTURE.md, "Concurrency
 //     contract").
-//   * Batching/threading: SearchBatch packs all keys once and, above
-//     `thread_row_threshold` compiled rows, shards key ranges across the
-//     shared ThreadPool; single searches shard bank ranges instead.
-//     Results are bit-identical to the sequential pass (per-key results
-//     are independent; bank shards merge to the lowest slot index).
+//   * Batching/threading: SearchBatch runs every key against one
+//     compiled engine on the calling thread; a search never forks. The
+//     hardware's row parallelism is modelled by the 64-row banks and the
+//     SIMD kernel, not by spreading one search across cores.
 //
 // The engine is purely functional: TcamTable remains the energy/latency
 // model of record and accounts every search cycle it performs.
@@ -78,14 +76,6 @@ enum class TcamMatchTier {
 
 // Tuning knobs, per table.
 struct TcamSearchConfig {
-  // Compiled row count at which searches start sharding across the
-  // shared thread pool. Small tables stay single-threaded: the fork/join
-  // handshake costs more than the scan.
-  std::size_t thread_row_threshold = 4096;
-  // Upper bound on shards (0 = one per available core). Values > 1 force
-  // the sharded code path even on a single-core host, which keeps the
-  // merge logic testable everywhere.
-  std::size_t max_threads = 0;
   // Pruning-classifier size threshold. Setting classifier.min_slots to
   // SIZE_MAX pins the engine to the linear tier (the bench's reference
   // variant).
@@ -95,8 +85,6 @@ struct TcamSearchConfig {
   // DeltaCommitPolicy::Disabled() pins every commit to a full
   // recompile (the differential tests' reference configuration).
   DeltaCommitPolicy delta_policy;
-
-  void Validate() const;  // throws std::invalid_argument
 };
 
 // View of one live table row handed to Compile().
@@ -112,14 +100,6 @@ struct TcamEngineHit {
   std::size_t entry_index = 0;
   std::uint32_t action = 0;
   std::int32_t priority = 0;
-};
-
-// Per-caller scratch for TcamSearchEngine searches. Each thread that
-// searches a shared engine owns one of these (vectors are reused across
-// calls and never shrink); the engine itself stays const.
-struct TcamSearchScratch {
-  std::vector<std::size_t> shard_hit;
-  std::vector<std::uint64_t> shard_candidates;
 };
 
 class TcamSearchEngine {
@@ -173,14 +153,11 @@ class TcamSearchEngine {
 
   // --- search ---------------------------------------------------------
   // One probe. Requires a compiled engine (throws std::logic_error
-  // otherwise) and key.width() == key_width(). Thread-safe given a
-  // per-caller scratch.
-  std::optional<TcamEngineHit> Search(const BitKey& key,
-                                      TcamSearchScratch& scratch) const;
+  // otherwise) and key.width() == key_width(). Thread-safe.
+  std::optional<TcamEngineHit> Search(const BitKey& key) const;
   // `count` probes; out is resized to count. Same requirements.
   void SearchBatch(const BitKey* keys, std::size_t count,
-                   std::vector<std::optional<TcamEngineHit>>& out,
-                   TcamSearchScratch& scratch) const;
+                   std::vector<std::optional<TcamEngineHit>>& out) const;
 
   // Attaches telemetry counters (searches, rows_scanned, recompiles).
   // Unbound handles are no-ops, so an un-instrumented engine pays one
@@ -221,19 +198,14 @@ class TcamSearchEngine {
   // matches and is not erased).
   std::uint64_t EvalBank(const std::uint64_t* key_lanes,
                          std::size_t bank) const;
-  // Lowest matching live slot in banks [bank_begin, bank_end), or
-  // kNoSlot.
-  std::size_t FirstHit(const std::uint64_t* key_lanes,
-                       std::size_t bank_begin, std::size_t bank_end) const;
+  // Linear-tier search: lowest matching live core slot, or kNoSlot.
+  std::size_t FirstHit(const std::uint64_t* key_lanes) const;
   // Pruned-tier search: bitmap intersection, then candidate verify in
   // ascending slot order. Adds verified candidates to `candidates`.
   std::size_t PrunedFirstHit(const std::uint64_t* key_lanes,
                              std::uint64_t& candidates) const;
   // Exact (key & mask) == value check of one core slot across all lanes.
   bool VerifySlot(const std::uint64_t* key_lanes, std::size_t slot) const;
-  // Full-core search of one packed key, sharding banks when large.
-  std::size_t SearchPacked(const std::uint64_t* key_lanes,
-                           TcamSearchScratch& scratch) const;
   // Best live matching tail slot under (priority desc, entry asc), or
   // kNoSlot. The tail is unsorted, so every tail bank is evaluated.
   std::size_t TailBest(const std::uint64_t* key_lanes) const;
@@ -241,7 +213,6 @@ class TcamSearchEngine {
   // (priority desc, entry asc).
   std::optional<TcamEngineHit> MergeWithTail(
       std::size_t core_slot, const std::uint64_t* key_lanes) const;
-  std::size_t ShardCount(std::size_t shardable_units) const;
   std::optional<TcamEngineHit> HitAt(std::size_t slot) const;
   void RequireCompiled() const;  // throws std::logic_error
 

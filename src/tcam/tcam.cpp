@@ -61,7 +61,6 @@ std::shared_ptr<const TcamTableSnapshot> EmptyTcamSnapshot(
     throw std::invalid_argument("TcamTable: zero key width");
   }
   technology.Validate();
-  engine_config.Validate();
   auto empty = std::make_shared<TcamTableSnapshot>(key_width, engine_config);
   empty->engine.Compile({});
   empty->search_latency_s = technology.search_latency_s;
@@ -212,7 +211,7 @@ std::optional<TcamSearchResult> TcamTable::Search(const BitKey& key) {
   RequireCommitted();
   const std::shared_ptr<const TcamTableSnapshot> snap = snapshot();
   const double energy = AccountSearch(snap->search_energy_j);
-  const std::optional<TcamEngineHit> hit = snap->engine.Search(key, scratch_);
+  const std::optional<TcamEngineHit> hit = snap->engine.Search(key);
   if (!hit.has_value()) return std::nullopt;
   TcamSearchResult result;
   result.entry_index = hit->entry_index;
@@ -232,7 +231,7 @@ void TcamTable::SearchBatch(const std::vector<BitKey>& keys,
   }
   RequireCommitted();
   const std::shared_ptr<const TcamTableSnapshot> snap = snapshot();
-  snap->engine.SearchBatch(keys.data(), keys.size(), batch_hits_, scratch_);
+  snap->engine.SearchBatch(keys.data(), keys.size(), batch_hits_);
   out.assign(keys.size(), std::nullopt);
   for (std::size_t q = 0; q < keys.size(); ++q) {
     // Per-search accounting keeps the consumed-energy accumulation order

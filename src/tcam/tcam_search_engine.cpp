@@ -6,16 +6,8 @@
 #include <stdexcept>
 
 #include "analognf/common/simd.hpp"
-#include "analognf/common/thread_pool.hpp"
 
 namespace analognf::tcam {
-
-void TcamSearchConfig::Validate() const {
-  if (thread_row_threshold == 0) {
-    throw std::invalid_argument(
-        "TcamSearchConfig: thread_row_threshold must be >= 1");
-  }
-}
 
 TcamSearchEngine::TcamSearchEngine(std::size_t key_width,
                                    TcamSearchConfig config)
@@ -23,7 +15,6 @@ TcamSearchEngine::TcamSearchEngine(std::size_t key_width,
   if (key_width == 0) {
     throw std::invalid_argument("TcamSearchEngine: zero key width");
   }
-  config_.Validate();
   tail_mask_.resize(lanes_);
   tail_value_.resize(lanes_);
 }
@@ -273,45 +264,13 @@ std::size_t TcamSearchEngine::PrunedFirstHit(const std::uint64_t* key_lanes,
   return kNoSlot;
 }
 
-std::size_t TcamSearchEngine::FirstHit(const std::uint64_t* key_lanes,
-                                       std::size_t bank_begin,
-                                       std::size_t bank_end) const {
-  for (std::size_t b = bank_begin; b < bank_end; ++b) {
+std::size_t TcamSearchEngine::FirstHit(const std::uint64_t* key_lanes) const {
+  const std::size_t banks = BankCount();
+  for (std::size_t b = 0; b < banks; ++b) {
     const std::uint64_t match = EvalBank(key_lanes, b);
     if (match != 0) {
       return b * 64 + static_cast<std::size_t>(std::countr_zero(match));
     }
-  }
-  return kNoSlot;
-}
-
-std::size_t TcamSearchEngine::ShardCount(std::size_t shardable_units) const {
-  if (slots() < config_.thread_row_threshold) return 1;
-  const std::size_t parallelism =
-      config_.max_threads != 0 ? config_.max_threads
-                               : ThreadPool::Shared().size() + 1;
-  return std::clamp<std::size_t>(parallelism, 1,
-                                 std::max<std::size_t>(shardable_units, 1));
-}
-
-std::size_t TcamSearchEngine::SearchPacked(const std::uint64_t* key_lanes,
-                                           TcamSearchScratch& scratch) const {
-  const std::size_t banks = BankCount();
-  const std::size_t shards = ShardCount(banks);
-  if (shards == 1) return FirstHit(key_lanes, 0, banks);
-
-  // Shard bank ranges; each shard early-exits within its range and the
-  // merge takes the lowest slot index, so the result is identical to the
-  // sequential scan.
-  scratch.shard_hit.assign(shards, kNoSlot);
-  const std::size_t chunk = (banks + shards - 1) / shards;
-  ThreadPool::Shared().ParallelFor(shards, [&](std::size_t s) {
-    const std::size_t b0 = s * chunk;
-    const std::size_t b1 = std::min(b0 + chunk, banks);
-    if (b0 < b1) scratch.shard_hit[s] = FirstHit(key_lanes, b0, b1);
-  });
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (scratch.shard_hit[s] != kNoSlot) return scratch.shard_hit[s];
   }
   return kNoSlot;
 }
@@ -385,7 +344,7 @@ std::optional<TcamEngineHit> TcamSearchEngine::MergeWithTail(
 }
 
 std::optional<TcamEngineHit> TcamSearchEngine::Search(
-    const BitKey& key, TcamSearchScratch& scratch) const {
+    const BitKey& key) const {
   RequireCompiled();
   if (key.width() != key_width_) {
     throw std::invalid_argument("TcamSearchEngine: key width mismatch");
@@ -403,7 +362,7 @@ std::optional<TcamEngineHit> TcamSearchEngine::Search(
       telemetry_.prune_ratio.Set(1.0 - static_cast<double>(candidates) /
                                            static_cast<double>(slots()));
     } else {
-      core_slot = SearchPacked(key.words(), scratch);
+      core_slot = FirstHit(key.words());
     }
   }
   return MergeWithTail(core_slot, key.words());
@@ -411,8 +370,7 @@ std::optional<TcamEngineHit> TcamSearchEngine::Search(
 
 void TcamSearchEngine::SearchBatch(
     const BitKey* keys, std::size_t count,
-    std::vector<std::optional<TcamEngineHit>>& out,
-    TcamSearchScratch& scratch) const {
+    std::vector<std::optional<TcamEngineHit>>& out) const {
   RequireCompiled();
   out.assign(count, std::nullopt);
   telemetry_.searches.Inc(count);
@@ -424,43 +382,21 @@ void TcamSearchEngine::SearchBatch(
     }
   }
 
-  const std::size_t banks = BankCount();
   const bool pruned = core_->pruner.active();
   const bool have_core = core_slots() != 0;
-  auto run_range = [&](std::size_t q0, std::size_t q1,
-                       std::uint64_t& candidates) {
-    for (std::size_t q = q0; q < q1; ++q) {
-      // Keys carry their packed lanes; no per-batch repacking step.
-      std::size_t core_slot = kNoSlot;
-      if (have_core) {
-        core_slot = pruned ? PrunedFirstHit(keys[q].words(), candidates)
-                           : FirstHit(keys[q].words(), 0, banks);
-      }
-      out[q] = MergeWithTail(core_slot, keys[q].words());
+  std::uint64_t candidates = 0;
+  for (std::size_t q = 0; q < count; ++q) {
+    // Keys carry their packed lanes; no per-batch repacking step.
+    std::size_t core_slot = kNoSlot;
+    if (have_core) {
+      core_slot = pruned ? PrunedFirstHit(keys[q].words(), candidates)
+                         : FirstHit(keys[q].words());
     }
-  };
-
-  const std::size_t shards = count > 1 ? ShardCount(count) : 1;
-  std::uint64_t total_candidates = 0;
-  if (shards == 1) {
-    run_range(0, count, total_candidates);
-  } else {
-    // Shard key ranges: per-key results are independent, so any schedule
-    // produces the sequential answer. Candidate counts accumulate into
-    // per-shard cells and fold after the join.
-    scratch.shard_candidates.assign(shards, 0);
-    const std::size_t chunk = (count + shards - 1) / shards;
-    ThreadPool::Shared().ParallelFor(shards, [&](std::size_t s) {
-      const std::size_t q0 = s * chunk;
-      run_range(q0, std::min(q0 + chunk, count), scratch.shard_candidates[s]);
-    });
-    for (const std::uint64_t c : scratch.shard_candidates) {
-      total_candidates += c;
-    }
+    out[q] = MergeWithTail(core_slot, keys[q].words());
   }
   if (pruned) {
-    telemetry_.candidates.Inc(total_candidates);
-    telemetry_.prune_ratio.Set(1.0 - static_cast<double>(total_candidates) /
+    telemetry_.candidates.Inc(candidates);
+    telemetry_.prune_ratio.Set(1.0 - static_cast<double>(candidates) /
                                          static_cast<double>(slots() * count));
   }
 }

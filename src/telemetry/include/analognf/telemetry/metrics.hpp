@@ -3,13 +3,15 @@
 //
 // The batched pCAM/TCAM hot paths must stay contention-free, so every
 // counter and histogram is *thread-sharded*: one cache-line-padded cell
-// per ThreadPool slot (ThreadPool::CurrentSlot() — 0 for the caller,
-// 1 + i for pool worker i), aggregated only when a snapshot is taken.
-// Writers touch their own cache line with relaxed atomics; there is no
-// cross-thread write sharing on the hot path. Counts are exact while
-// each slot has at most one concurrent writer (the ThreadPool contract
-// when the shard count covers the pool); beyond that they degrade to
-// statistical per-CPU-style counters rather than serializing writers.
+// per thread slot (ThreadSlot::Current() — 0 for any unregistered
+// thread, 1 + i for registered thread i, common/thread_slot.hpp),
+// aggregated only when a snapshot is taken. Writers touch their own
+// cache line with relaxed atomics; there is no cross-thread write
+// sharing on the hot path. Counts are exact while each slot has at most
+// one concurrent writer (every concurrent writer but one registered,
+// and the shard count covering the registered slots); beyond that they
+// degrade to statistical per-CPU-style counters rather than serializing
+// writers.
 //
 // Instrumented code holds *handles* (CounterHandle, GaugeHandle,
 // HistogramHandle), not metrics: a handle from a disabled registry is
@@ -29,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "analognf/common/thread_pool.hpp"
+#include "analognf/common/thread_slot.hpp"
 
 namespace analognf::telemetry {
 
@@ -49,9 +51,9 @@ struct TelemetryConfig {
   // and never allocates a metric.
   bool enabled = true;
   // Counter/histogram shard cells (rounded up to a power of two);
-  // 0 = ThreadPool::SlotUpperBound() at registry construction (shared-
-  // pool workers + slot 0 + the most threads registered via
-  // RegisterExternalSlot that were alive at once).
+  // 0 = ThreadSlot::UpperBound() at registry construction (slot 0 + the
+  // most threads registered via ThreadSlot::Register that were alive at
+  // once).
   std::size_t shards = 0;
   // Flight-recorder ring capacity in batch records (rounded up to a
   // power of two); 0 disables the recorder.
@@ -77,21 +79,21 @@ inline void AtomicAdd(std::atomic<double>& a, double x) {
 
 }  // namespace internal
 
-// Monotonic event count, sharded across ThreadPool slots.
+// Monotonic event count, sharded across thread slots.
 class Counter {
  public:
   explicit Counter(std::size_t shards);
 
   void Inc(std::uint64_t n = 1) {
-    // Relaxed load+store, not fetch_add: each ThreadPool slot owns its
+    // Relaxed load+store, not fetch_add: each thread slot owns its
     // cell (given enough shards), so there is no concurrent writer to
     // lose an update to, and the per-packet cost is a plain add instead
-    // of a locked RMW. If more threads write than there are cells (a
-    // custom pool larger than the shard count, or several non-pool
+    // of a locked RMW. If more threads write than there are cells (more
+    // registered threads than the shard count, or several unregistered
     // threads sharing slot 0), counts become statistical — never UB,
     // never torn, possibly slightly under.
     std::atomic<std::uint64_t>& cell =
-        cells_[ThreadPool::CurrentSlot() & mask_].value;
+        cells_[ThreadSlot::Current() & mask_].value;
     cell.store(cell.load(std::memory_order_relaxed) + n,
                std::memory_order_relaxed);
   }
@@ -114,13 +116,13 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Log-spaced-bucket histogram, sharded across ThreadPool slots.
+// Log-spaced-bucket histogram, sharded across thread slots.
 class Histogram {
  public:
   Histogram(HistogramSpec spec, std::size_t shards);
 
   void Observe(double x) {
-    Shard& s = shards_[ThreadPool::CurrentSlot() & mask_];
+    Shard& s = shards_[ThreadSlot::Current() & mask_];
     s.counts[BucketOf(x)].fetch_add(1, std::memory_order_relaxed);
     s.count.fetch_add(1, std::memory_order_relaxed);
     internal::AtomicAdd(s.sum, x);

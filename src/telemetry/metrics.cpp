@@ -99,12 +99,12 @@ double Histogram::Sum() const {
 
 MetricsRegistry::MetricsRegistry(TelemetryConfig config) : config_(config) {
   config_.Validate();
-  // Default shard count covers every slot handed out so far: shared-pool
-  // workers, slot 0, and threads registered via RegisterExternalSlot.
-  // Register external threads before building the registry (the port
-  // runtime does) or pass config.shards explicitly.
+  // Default shard count covers every slot handed out so far: slot 0 and
+  // the threads registered via ThreadSlot::Register. Register writer
+  // threads before building the registry or pass config.shards
+  // explicitly (SwitchGroup widens it for its port workers).
   const std::size_t want =
-      config_.shards != 0 ? config_.shards : ThreadPool::SlotUpperBound();
+      config_.shards != 0 ? config_.shards : ThreadSlot::UpperBound();
   shards_ = RoundUpPow2(want);
 }
 

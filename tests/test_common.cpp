@@ -3,14 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <sstream>
 #include <vector>
 
 #include "analognf/common/rng.hpp"
-#include "analognf/common/thread_pool.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/common/table.hpp"
 #include "analognf/common/quantile.hpp"
@@ -506,54 +504,6 @@ TEST_P(P2Accuracy, TracksExactPercentile) {
 INSTANTIATE_TEST_SUITE_P(Quantiles, P2Accuracy,
                          ::testing::Values(0.1, 0.25, 0.5, 0.75, 0.9,
                                            0.95));
-
-// --------------------------------------------------------- thread pool
-
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  std::vector<std::atomic<int>> hits(97);
-  pool.ParallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ZeroWorkersRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 0u);
-  std::vector<int> hits(10, 0);
-  pool.ParallelFor(hits.size(), [&](std::size_t i) { hits[i] = 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossCalls) {
-  ThreadPool pool(2);
-  std::atomic<std::size_t> total{0};
-  for (int round = 0; round < 20; ++round) {
-    pool.ParallelFor(13, [&](std::size_t) { ++total; });
-  }
-  EXPECT_EQ(total.load(), 20u * 13u);
-}
-
-// Each round's job captures state that dies with the round, so a worker
-// lagging one round behind must never touch it nor claim a task of the
-// next round.
-TEST(ThreadPoolTest, BackToBackRoundsRunEachTaskOnce) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 2000; ++round) {
-    std::vector<std::atomic<int>> hits(7);
-    pool.ParallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
-    for (const std::atomic<int>& h : hits) ASSERT_EQ(h.load(), 1);
-  }
-}
-
-TEST(ThreadPoolTest, SharedPoolIsSingleton) {
-  ThreadPool& a = ThreadPool::Shared();
-  ThreadPool& b = ThreadPool::Shared();
-  EXPECT_EQ(&a, &b);
-  std::atomic<int> count{0};
-  a.ParallelFor(5, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 5);
-}
 
 // ---------------------------------------------------- timeseries reserve
 

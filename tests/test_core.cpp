@@ -750,10 +750,8 @@ std::vector<double> ReferenceDegrees(const PcamTable& table,
   return degrees;
 }
 
-PcamTable MakeTestTable(std::size_t rows,
-                        HardwarePcamConfig hardware,
-                        PcamSearchConfig search = {}) {
-  PcamTable table(2, hardware, search);
+PcamTable MakeTestTable(std::size_t rows, HardwarePcamConfig hardware) {
+  PcamTable table(2, hardware);
   for (std::size_t i = 0; i < rows; ++i) {
     const double c1 = 1.0 + 0.02 * static_cast<double>(i);
     const double c2 = 3.0 - 0.015 * static_cast<double>(i);
@@ -813,33 +811,6 @@ TEST(PcamSearchEngineTest, BatchMatchesSequentialSearches) {
   }
   EXPECT_NEAR(batched.ConsumedEnergyJ(), sequential.ConsumedEnergyJ(),
               1e-18);
-}
-
-TEST(PcamSearchEngineTest, ShardedSearchMatchesSingleThreaded) {
-  PcamSearchConfig sharded;
-  sharded.thread_row_threshold = 1;  // force sharding for any table size
-  sharded.max_threads = 4;
-  PcamTable reference = engine_test::MakeTestTable(37, TestHardware());
-  PcamTable threaded =
-      engine_test::MakeTestTable(37, TestHardware(), sharded);
-  for (double v = 0.9; v < 3.1; v += 0.17) {
-    const std::vector<double> query = {v, 4.0 - v};
-    const auto a = reference.Search(query);
-    const auto b = threaded.Search(query);
-    ASSERT_TRUE(a.has_value() && b.has_value());
-    EXPECT_EQ(b->row_index, a->row_index);
-    EXPECT_EQ(b->match_degree, a->match_degree);
-    EXPECT_EQ(b->energy_j, a->energy_j);
-    for (std::size_t r = 0; r < reference.size(); ++r) {
-      EXPECT_EQ(threaded.last_degrees()[r], reference.last_degrees()[r]);
-    }
-  }
-}
-
-TEST(PcamSearchEngineTest, RejectsZeroThreadThreshold) {
-  PcamSearchConfig bad;
-  bad.thread_row_threshold = 0;
-  EXPECT_THROW(PcamTable(1, TestHardware(), bad), std::invalid_argument);
 }
 
 // ------------------------------------------------- stage-then-commit

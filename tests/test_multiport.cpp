@@ -214,7 +214,6 @@ TEST(SnapshotStressTest, SearchesLinearizeAgainstCommittedSnapshots) {
   readers.reserve(kReaders);
   for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      tcam::TcamSearchScratch scratch;
       ReaderReport& rep = reports[r];
       std::uint64_t last_epoch = 0;
       while (!done.load(std::memory_order_acquire)) {
@@ -230,7 +229,7 @@ TEST(SnapshotStressTest, SearchesLinearizeAgainstCommittedSnapshots) {
         last_epoch = snap->epoch;
         const auto& want_row = expected[snap->epoch];
         for (std::size_t k = 0; k < kProbes; ++k) {
-          const auto got = snap->engine.Search(keys[k], scratch);
+          const auto got = snap->engine.Search(keys[k]);
           const auto& want = want_row[k];
           const bool ok =
               got.has_value() == want.has_value() &&

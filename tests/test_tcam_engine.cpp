@@ -142,43 +142,6 @@ TEST_P(EngineDifferential, SurvivesEraseAndReinsert) {
   }
 }
 
-TEST_P(EngineDifferential, ShardedPathMatchesSingleThreaded) {
-  analognf::RandomStream rng(GetParam() + 2000);
-  const std::size_t width = 24;
-  // max_threads > 1 forces the sharded merge logic even on one core;
-  // threshold 1 makes every search take the sharded path.
-  TcamSearchConfig sharded;
-  sharded.thread_row_threshold = 1;
-  sharded.max_threads = 3;
-  TcamTable reference(width, TcamTechnology::MemristorTcam());
-  TcamTable table(width, TcamTechnology::MemristorTcam(), sharded);
-  const std::string base = RandomBits(rng, width);
-  for (std::size_t i = 0; i < 100; ++i) {
-    TcamTable::Entry entry{RandomPattern(rng, base),
-                           static_cast<std::uint32_t>(i),
-                           static_cast<std::int32_t>(rng.NextIndex(4))};
-    reference.Insert(entry);
-    table.Insert(std::move(entry));
-  }
-  reference.Commit();
-  table.Commit();
-  std::vector<BitKey> keys;
-  for (std::size_t probe = 0; probe < 500; ++probe) {
-    keys.push_back(BitKey::FromString(RandomBits(rng, width)));
-  }
-  for (std::size_t probe = 0; probe < keys.size(); ++probe) {
-    ExpectSameHit(table.Search(keys[probe]), reference.Search(keys[probe]),
-                  probe);
-  }
-  // The batched entry point shards key ranges; same results required.
-  std::vector<std::optional<TcamSearchResult>> batched;
-  table.SearchBatch(keys, batched);
-  ASSERT_EQ(batched.size(), keys.size());
-  for (std::size_t probe = 0; probe < keys.size(); ++probe) {
-    ExpectSameHit(batched[probe], reference.Search(keys[probe]), probe);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineDifferential,
                          ::testing::Values(7, 19, 41, 97));
 

@@ -16,7 +16,7 @@
 
 #include "analognf/arch/stages.hpp"
 #include "analognf/arch/switch.hpp"
-#include "analognf/common/thread_pool.hpp"
+#include "analognf/common/thread_slot.hpp"
 #include "analognf/net/packet.hpp"
 #include "analognf/telemetry/export.hpp"
 #include "analognf/telemetry/flight_recorder.hpp"
@@ -99,18 +99,6 @@ TEST(MetricsRegistryTest, DisabledRegistryWritesNothing) {
   EXPECT_TRUE(snap.counters.empty());
   EXPECT_TRUE(snap.gauges.empty());
   EXPECT_TRUE(snap.histograms.empty());
-}
-
-TEST(MetricsRegistryTest, CounterSumsAcrossPoolThreads) {
-  // Counts are exact as long as every ThreadPool slot maps to its own
-  // cell, so size the shards to cover the pool (3 workers + caller).
-  TelemetryConfig config;
-  config.shards = 4;
-  MetricsRegistry registry(config);
-  auto c = registry.GetCounter("c");
-  ThreadPool pool(3);
-  pool.ParallelFor(10000, [&](std::size_t) { c.Inc(); });
-  EXPECT_EQ(CounterValue(registry.Snapshot(), "c"), 10000u);
 }
 
 TEST(MetricsRegistryTest, SingleShardRegistryStillCounts) {
@@ -250,13 +238,13 @@ TEST(FlightRecorderTest, TwoWritersNeverTearRecords) {
   EXPECT_LE(recorder.Dump().size(), recorder.capacity());
 }
 
-// ------------------------------------------------------ external slots
+// --------------------------------------------------------- thread slots
 
-// Two non-pool writer threads each register an external ThreadPool slot
-// before a counter sized from SlotUpperBound() is built: every
-// increment lands in the thread's own cell, so the total is exact (the
-// unregistered fallback shares slot 0 and can lose relaxed updates).
-TEST(ThreadPoolExternalSlotTest, RegisteredWritersKeepCountersExact) {
+// Two writer threads each register a thread slot before a counter sized
+// from ThreadSlot::UpperBound() is built: every increment lands in the
+// thread's own cell, so the total is exact (the unregistered fallback
+// shares slot 0 and can lose relaxed updates).
+TEST(ThreadSlotTest, RegisteredWritersKeepCountersExact) {
   constexpr std::uint64_t kIncrements = 150000;
   constexpr std::size_t kWriters = 2;
 
@@ -268,10 +256,10 @@ TEST(ThreadPoolExternalSlotTest, RegisteredWritersKeepCountersExact) {
   std::vector<std::thread> writers;
   for (std::size_t w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
-      slots[w] = ThreadPool::RegisterExternalSlot();
+      slots[w] = ThreadSlot::Register();
       // Idempotent per thread: a second call returns the same slot.
-      EXPECT_EQ(ThreadPool::RegisterExternalSlot(), slots[w]);
-      EXPECT_EQ(ThreadPool::CurrentSlot(), slots[w]);
+      EXPECT_EQ(ThreadSlot::Register(), slots[w]);
+      EXPECT_EQ(ThreadSlot::Current(), slots[w]);
       registered.fetch_add(1, std::memory_order_release);
       while (!start.load(std::memory_order_acquire)) {
         std::this_thread::yield();
@@ -283,36 +271,36 @@ TEST(ThreadPoolExternalSlotTest, RegisteredWritersKeepCountersExact) {
     std::this_thread::yield();
   }
   // Sized after registration: covers every slot handed out so far.
-  telemetry::Counter exact(ThreadPool::SlotUpperBound());
+  telemetry::Counter exact(ThreadSlot::UpperBound());
   counter = &exact;
   start.store(true, std::memory_order_release);
   for (auto& t : writers) t.join();
 
   EXPECT_NE(slots[0], slots[1]);
-  EXPECT_GT(slots[0], ThreadPool::Shared().size());
-  EXPECT_GT(slots[1], ThreadPool::Shared().size());
+  // Neither shares slot 0 with the unregistered threads.
+  EXPECT_GT(slots[0], 0u);
+  EXPECT_GT(slots[1], 0u);
   EXPECT_EQ(exact.Value(), kWriters * kIncrements);
 }
 
 // Threads that register one after another reuse the slot the previous
-// one released when it exited, so SlotUpperBound() keeps its value
+// one released when it exited, so UpperBound() keeps its value
 // however many port workers come and go. Two threads that hold one
 // recycled slot in turn write one counter cell, and the release before
 // the reuse keeps its count exact.
-TEST(ThreadPoolTest, ExternalSlotsAreRecycled) {
+TEST(ThreadSlotTest, ExternalSlotsAreRecycled) {
   const auto register_in_thread = [] {
     std::size_t slot = 0;
-    std::thread([&slot] { slot = ThreadPool::RegisterExternalSlot(); })
-        .join();
+    std::thread([&slot] { slot = ThreadSlot::Register(); }).join();
     return slot;
   };
   const std::size_t first = register_in_thread();
-  const std::size_t bound = ThreadPool::SlotUpperBound();
-  EXPECT_GT(first, ThreadPool::Shared().size());
+  const std::size_t bound = ThreadSlot::UpperBound();
+  EXPECT_GT(first, 0u);
   EXPECT_LT(first, bound);
   for (int i = 0; i < 256; ++i) {
     EXPECT_LT(register_in_thread(), bound);
-    ASSERT_EQ(ThreadPool::SlotUpperBound(), bound) << "registration " << i;
+    ASSERT_EQ(ThreadSlot::UpperBound(), bound) << "registration " << i;
   }
 
   constexpr std::uint64_t kIncrements = 100000;
@@ -320,7 +308,7 @@ TEST(ThreadPoolTest, ExternalSlotsAreRecycled) {
   std::array<std::size_t, 2> slots{};
   for (std::size_t& slot : slots) {
     std::thread([&] {
-      slot = ThreadPool::RegisterExternalSlot();
+      slot = ThreadSlot::Register();
       for (std::uint64_t i = 0; i < kIncrements; ++i) counter.Inc();
     }).join();
   }

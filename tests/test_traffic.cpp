@@ -775,6 +775,9 @@ TEST(LoadDriverTest, OfferedEqualsAchievedPlusDroppedExactly) {
   std::uint64_t injected = 0;
   for (const traffic::PortLoadStats& ps : report.ports) {
     EXPECT_EQ(ps.offered_packets, ps.achieved_packets + ps.dropped_packets);
+    // Batches are conserved too: each offered batch either reached the
+    // worker or was dropped whole.
+    EXPECT_EQ(ps.offered_batches, ps.achieved_batches + ps.dropped_batches);
     // Every achieved packet went through the switch, none were invented.
     EXPECT_EQ(ps.stats.injected, ps.achieved_packets);
     EXPECT_GT(ps.model_time_s, 0.0);
