@@ -7,12 +7,15 @@
 //   * pCAM at 64k rows —
 // the full build/recompile cost, the single-rule (insert/erase or
 // reprogram) commit latency through the delta path, and the steady-state
-// lookup cost per packet against the committed snapshot.
+// lookup cost per packet against the committed snapshot (median and
+// quartiles over kLookupReps separately timed batches).
 //
 // Results go to BENCH_commit.json; scripts/bench_budget.json gates the
-// single-rule commit latencies (< 50 us) via scripts/check_bench.py.
+// single-rule commit latencies and the TCAM and pCAM lookup medians via
+// scripts/check_bench.py.
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -200,7 +203,33 @@ CommitSamples SamplePcamCommits(std::size_t reprograms) {
 
 // --- steady-state lookup cost -------------------------------------------
 
-double LpmLookupNs() {
+// Separately timed lookup batches per engine, after one warm-up batch.
+constexpr std::size_t kLookupReps = 21;
+
+// Per-packet lookup cost over kLookupReps batches: the median and the
+// quartiles, so that a batch a busy host slows down moves neither.
+struct LookupTiming {
+  double median_ns = 0.0;
+  double q1_ns = 0.0;
+  double q3_ns = 0.0;
+};
+
+// Runs `batch`, which looks up `packets` keys, once to warm up and then
+// kLookupReps times, timing each run on its own.
+template <typename Batch>
+LookupTiming TimeLookups(std::size_t packets, Batch batch) {
+  batch();
+  std::vector<double> ns(kLookupReps);
+  for (double& v : ns) {
+    const std::uint64_t t0 = NowNs();
+    batch();
+    v = static_cast<double>(NowNs() - t0) / static_cast<double>(packets);
+  }
+  std::sort(ns.begin(), ns.end());
+  return {ns[kLookupReps / 2], ns[kLookupReps / 4], ns[3 * kLookupReps / 4]};
+}
+
+LookupTiming LpmLookup() {
   tcam::LpmTable& table = *LpmFixture().table;
   analognf::RandomStream rng(0x100c1);
   std::vector<std::uint32_t> addrs(4096);
@@ -208,17 +237,12 @@ double LpmLookupNs() {
     a = static_cast<std::uint32_t>(rng.NextIndex(0x100000000ULL));
   }
   std::vector<std::optional<tcam::TcamSearchResult>> out;
-  table.LookupBatch(addrs.data(), addrs.size(), out);  // warm-up
-  constexpr std::size_t kReps = 8;
-  const std::uint64_t t0 = NowNs();
-  for (std::size_t r = 0; r < kReps; ++r) {
+  return TimeLookups(addrs.size(), [&] {
     table.LookupBatch(addrs.data(), addrs.size(), out);
-  }
-  return static_cast<double>(NowNs() - t0) /
-         static_cast<double>(kReps * addrs.size());
+  });
 }
 
-double TcamLookupNs() {
+LookupTiming TcamLookup() {
   tcam::TcamTable& table = *TcamFixture().table;
   analognf::RandomStream rng(0x100c2);
   std::vector<tcam::BitKey> keys;
@@ -228,37 +252,26 @@ double TcamLookupNs() {
     keys.push_back(std::move(key));
   }
   std::vector<std::optional<tcam::TcamSearchResult>> out;
-  table.SearchBatch(keys, out);  // warm-up
-  constexpr std::size_t kReps = 4;
-  const std::uint64_t t0 = NowNs();
-  for (std::size_t r = 0; r < kReps; ++r) {
-    table.SearchBatch(keys, out);
-  }
-  return static_cast<double>(NowNs() - t0) /
-         static_cast<double>(kReps * keys.size());
+  return TimeLookups(keys.size(), [&] { table.SearchBatch(keys, out); });
 }
 
-double PcamLookupNs() {
+LookupTiming PcamLookup() {
   core::PcamTable& table = *PcamFixture().table;
   std::vector<double> queries(64);
   for (std::size_t q = 0; q < queries.size(); ++q) {
     queries[q] = 1.0 + 0.01 * static_cast<double>(q % 512);
   }
-  benchmark::DoNotOptimize(table.SearchBatchFlat(queries));  // warm-up
-  constexpr std::size_t kReps = 4;
-  const std::uint64_t t0 = NowNs();
-  for (std::size_t r = 0; r < kReps; ++r) {
+  return TimeLookups(queries.size(), [&] {
     benchmark::DoNotOptimize(table.SearchBatchFlat(queries));
-  }
-  return static_cast<double>(NowNs() - t0) /
-         static_cast<double>(kReps * queries.size());
+  });
 }
 
 // --- report + JSON ------------------------------------------------------
 
 void AppendEngineRows(bench::JsonArray& results, const char* engine,
                       std::size_t rows, double full_build_ns,
-                      const CommitSamples& commit, double lookup_ns) {
+                      const CommitSamples& commit,
+                      const LookupTiming& lookup) {
   results.items.push_back({bench::JsonStr("engine", engine),
                            bench::JsonInt("rows", rows),
                            bench::JsonStr("op", "full_rebuild"),
@@ -276,7 +289,10 @@ void AppendEngineRows(bench::JsonArray& results, const char* engine,
   results.items.push_back({bench::JsonStr("engine", engine),
                            bench::JsonInt("rows", rows),
                            bench::JsonStr("op", "lookup"),
-                           bench::JsonNum("ns_per_packet", lookup_ns)});
+                           bench::JsonNum("ns_per_packet", lookup.median_ns),
+                           bench::JsonNum("ns_per_packet_q1", lookup.q1_ns),
+                           bench::JsonNum("ns_per_packet_q3", lookup.q3_ns),
+                           bench::JsonInt("repetitions", kLookupReps)});
 }
 
 void ReportAndEmitJson() {
@@ -284,26 +300,32 @@ void ReportAndEmitJson() {
       "Incremental commit: single-rule change vs world rebuild");
 
   const CommitSamples lpm_commit = SampleLpmCommits(32);
-  const double lpm_lookup = LpmLookupNs();
+  const LookupTiming lpm_lookup = LpmLookup();
   const CommitSamples tcam_commit = SampleTcamCommits(32);
-  const double tcam_lookup = TcamLookupNs();
+  const LookupTiming tcam_lookup = TcamLookup();
   const CommitSamples pcam_commit = SamplePcamCommits(32);
-  const double pcam_lookup = PcamLookupNs();
+  const LookupTiming pcam_lookup = PcamLookup();
 
   Table table({"engine", "rows", "full rebuild", "single-rule commit",
-               "lookup / pkt"});
+               "lookup / pkt (median)", "lookup IQR"});
   auto us = [](double ns) {
     return std::to_string(ns / 1000.0).substr(0, 8) + " us";
   };
+  auto per_pkt = [](double v) {
+    return std::to_string(v).substr(0, 6) + " ns";
+  };
   table.AddRow({"LPM flat (DIR-24-8)", std::to_string(kLpmRoutes),
                 us(LpmFixture().full_build_ns), us(lpm_commit.mean_ns),
-                std::to_string(lpm_lookup).substr(0, 6) + " ns"});
+                per_pkt(lpm_lookup.median_ns),
+                per_pkt(lpm_lookup.q3_ns - lpm_lookup.q1_ns)});
   table.AddRow({"TCAM compiled", std::to_string(kTcamRules),
                 us(TcamFixture().full_build_ns), us(tcam_commit.mean_ns),
-                std::to_string(tcam_lookup).substr(0, 6) + " ns"});
+                per_pkt(tcam_lookup.median_ns),
+                per_pkt(tcam_lookup.q3_ns - tcam_lookup.q1_ns)});
   table.AddRow({"pCAM", std::to_string(kPcamRows),
                 us(PcamFixture().full_build_ns), us(pcam_commit.mean_ns),
-                std::to_string(pcam_lookup).substr(0, 6) + " ns"});
+                per_pkt(pcam_lookup.median_ns),
+                per_pkt(pcam_lookup.q3_ns - pcam_lookup.q1_ns)});
   bench::PrintTable(table);
   bench::Line("delta commits patch the published snapshot: a one-rule "
               "change no longer pays the full recompile");

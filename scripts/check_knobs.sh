@@ -8,11 +8,16 @@
 # also fails on an allowlist entry that no longer needs to be there (the
 # field is gone, or a program now names it).
 #
-# Blind spots: the check is a plain text search, so a generic field name
-# (`seed`, `inputs`, `enabled`, ...) counts as set whenever any program
-# names a same-named field of another struct. And a field that every
-# program sets to one identical value counts as set, although it too has
-# only one setting in use. Such knobs pass unseen.
+# A `.field` mention counts only in a program file that includes the
+# struct's header, directly or through other project headers (quoted
+# `#include`s, resolved as `analognf/<module>/...` under
+# src/<module>/include/ or else beside the including file). So a generic
+# name (`seed`, `device`, `alpha`, ...) is not counted as set because a
+# program names a same-named field of a struct it cannot see.
+#
+# Blind spot: a field that every program sets to one identical value
+# counts as set, although it too has only one setting in use. Such knobs
+# pass unseen.
 #
 # Usage: scripts/check_knobs.sh   (from anywhere inside the repo)
 set -euo pipefail
@@ -57,17 +62,59 @@ config_fields() {
   ' "$1"
 }
 
+# Prints "<file> <header>" for every program file and every project
+# header it includes, directly or transitively.
+program_files=$(find src bench examples perfbench \
+  \( -name '*.cpp' -o -name '*.hpp' \) | sort)
+included=$(
+  awk '
+    match($0, /^[ \t]*#[ \t]*include[ \t]*"[^"]+"/) {
+      name = substr($0, RSTART, RLENGTH)
+      sub(/^[^"]*"/, "", name)
+      sub(/"$/, "", name)
+      if (name ~ /^analognf\//) {
+        module = name
+        sub(/^analognf\//, "", module)
+        sub(/\/.*/, "", module)
+        path = "src/" module "/include/" name
+      } else {
+        path = FILENAME
+        sub(/[^\/]*$/, "", path)
+        path = path name
+      }
+      edges[FILENAME] = edges[FILENAME] " " path
+    }
+    END {
+      for (file in edges) {
+        split("", seen)
+        top = 0
+        stack[++top] = file
+        while (top > 0) {
+          k = split(edges[stack[top--]], next_files, " ")
+          for (i = 1; i <= k; ++i) {
+            if (!(next_files[i] in seen)) {
+              seen[next_files[i]] = 1
+              stack[++top] = next_files[i]
+            }
+          }
+        }
+        for (header in seen) print file, header
+      }
+    }
+  ' $program_files
+)
+
 unset_fields=$(
   for header in src/*/include/analognf/*/*.hpp; do
     own="${header%%/include/*}/$(basename "$header" .hpp).cpp"
+    includers=$(printf '%s\n' "$included" |
+      awk -v h="$header" '$2 == h {print $1}')
     config_fields "$header" | while IFS= read -r knob; do
       field="${knob#*::}"
-      users=$(grep -rlE --include='*.cpp' --include='*.hpp' \
-        "\.${field}\b" src bench examples perfbench || true)
-      if [ -z "$(printf '%s\n' "$users" |
-          grep -vxF -e "$header" -e "$own" || true)" ]; then
-        echo "$knob"
-      fi
+      users=$(grep -lE "\.${field}\b" $program_files |
+        grep -vxF -e "$header" -e "$own" |
+        grep -xF -f <(printf '%s\n' "$includers") || true)
+      [ -n "$users" ] || echo "$knob"
     done
   done | sort -u
 )

@@ -34,20 +34,15 @@ device::Memristor& Crossbar::At(std::size_t row, std::size_t col) {
   return cells_[Index(row, col)];
 }
 
-std::vector<double> Crossbar::Multiply(
-    const std::vector<double>& row_voltages) {
-  std::vector<double> currents(cols_);
-  MultiplyInto(row_voltages, currents);
-  return currents;
-}
-
 void Crossbar::MultiplyInto(std::span<const double> row_voltages,
                             std::span<double> currents) {
   if (row_voltages.size() != rows_) {
-    throw std::invalid_argument("Crossbar::Multiply: voltage size mismatch");
+    throw std::invalid_argument(
+        "Crossbar::MultiplyInto: voltage size mismatch");
   }
   if (currents.size() != cols_) {
-    throw std::invalid_argument("Crossbar::Multiply: current size mismatch");
+    throw std::invalid_argument(
+        "Crossbar::MultiplyInto: current size mismatch");
   }
   std::fill(currents.begin(), currents.end(), 0.0);
   for (std::size_t r = 0; r < rows_; ++r) {

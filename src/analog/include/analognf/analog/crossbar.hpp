@@ -38,15 +38,14 @@ class Crossbar {
   device::Memristor& At(std::size_t row, std::size_t col);
 
   // One analog evaluation: applies `row_voltages` (size rows) and
-  // returns the cols column currents. Accumulates the dissipated energy
-  // (sum over cells of V_i^2 * G_ij * read_time) into the internal meter.
-  std::vector<double> Multiply(const std::vector<double>& row_voltages);
-  // The same evaluation into a caller-owned `currents` (size cols), so a
-  // per-packet caller never allocates.
+  // writes the cols column currents into a caller-owned `currents`
+  // (size cols), so a per-packet caller never allocates. Accumulates the
+  // dissipated energy (sum over cells of V_i^2 * G_ij * read_time) into
+  // the internal meter.
   void MultiplyInto(std::span<const double> row_voltages,
                     std::span<double> currents);
 
-  // Energy dissipated by all Multiply() calls since the last ResetEnergy.
+  // Energy dissipated by all MultiplyInto() calls since the last ResetEnergy.
   double ConsumedEnergyJ() const { return consumed_energy_j_; }
   void ResetEnergy() { consumed_energy_j_ = 0.0; }
 

@@ -1,6 +1,7 @@
 #include "analognf/aqm/analog_aqm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,17 @@ constexpr double kDerivativeEnergyJ = 0.1e-12;
 constexpr analog::VoltageRange kDerivativeRange{-2.0, 1.0};
 // PDP at and above which an ECN-capable packet drops instead of marking.
 constexpr double kEcnDropThreshold = 0.85;
+// Buffer occupancy is normalised by this reference size.
+constexpr double kBufferReferenceBytes = 150000.0;
+// Analog bandwidth of the derivative chains.
+constexpr double kDerivativeTimeConstantS = 0.005;
+// Full-scale magnitudes of the 1st..3rd derivative features (sojourn in
+// s/s, 1/s, 1/s^2; buffer chain scales are 2x these). Calibrated to ~2
+// sigma of the feature distributions measured in a delay-controlled
+// queue under bursty traffic, so the DAC range is used without constant
+// saturation.
+constexpr std::array<double, 3> kDerivativeFullScale = {2.0, 300.0,
+                                                        50000.0};
 
 // Stage-name helpers matching the paper's listings.
 // Built with reserve + append: g++ 12 at -O3 reports a false -Wrestrict
@@ -44,20 +56,6 @@ void AnalogAqmConfig::Validate() const {
   }
   if (derivative_orders > 3) {
     throw std::invalid_argument("AnalogAqmConfig: derivative_orders > 3");
-  }
-  if (!(buffer_reference_bytes > 0.0)) {
-    throw std::invalid_argument(
-        "AnalogAqmConfig: buffer_reference_bytes <= 0");
-  }
-  if (!(derivative_time_constant_s > 0.0)) {
-    throw std::invalid_argument(
-        "AnalogAqmConfig: derivative_time_constant_s <= 0");
-  }
-  for (double fs : derivative_full_scale) {
-    if (!(fs > 0.0)) {
-      throw std::invalid_argument(
-          "AnalogAqmConfig: derivative_full_scale <= 0");
-    }
   }
   hardware.Validate();
 }
@@ -97,7 +95,7 @@ core::AnalogTableSpec AnalogAqm::BuildSpec() const {
   const double dv_max = kDerivativeRange.hi_v;
   static constexpr double kSojournGain[] = {0.5, 0.2, 0.1};
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
-    const double fs = c.derivative_full_scale[order - 1];
+    const double fs = kDerivativeFullScale[order - 1];
     const double gain = kSojournGain[order - 1];
     const analog::LinearMap dmap(-fs, fs, kDerivativeRange);
     spec.read.push_back(
@@ -124,7 +122,7 @@ core::AnalogTableSpec AnalogAqm::BuildSpec() const {
   // Same order-graded gains, at 60% of the sojourn family's weight.
   static constexpr double kBufferGain[] = {0.3, 0.12, 0.06};
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
-    const double fs = 2.0 * c.derivative_full_scale[order - 1];
+    const double fs = 2.0 * kDerivativeFullScale[order - 1];
     const double gain = kBufferGain[order - 1];
     const analog::LinearMap dmap(-fs, fs, kDerivativeRange);
     spec.read.push_back(
@@ -144,17 +142,17 @@ void AnalogAqm::BuildDacs() {
   std::uint64_t salt = 0;
   auto add_dac = [&](const analog::LinearMap& map) {
     dacs_.emplace_back(map, c.dac_bits, c.dac_inl_sigma_lsb,
-                       c.seed ^ (0xdacdacULL + salt++));
+                       c.hardware.seed ^ (0xdacdacULL + salt++));
   };
 
   add_dac(analog::LinearMap(0.0, domain_hi, c.feature_range));
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
-    const double fs = c.derivative_full_scale[order - 1];
+    const double fs = kDerivativeFullScale[order - 1];
     add_dac(analog::LinearMap(-fs, fs, kDerivativeRange));
   }
   add_dac(analog::LinearMap(0.0, 1.5, c.feature_range));
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
-    const double fs = 2.0 * c.derivative_full_scale[order - 1];
+    const double fs = 2.0 * kDerivativeFullScale[order - 1];
     add_dac(analog::LinearMap(-fs, fs, kDerivativeRange));
   }
 }
@@ -164,13 +162,13 @@ AnalogAqm::AnalogAqm(AnalogAqmConfig config)
         config.Validate();
         return config;
       }()),
-      rng_(config_.seed),
+      rng_(config_.hardware.seed),
       sojourn_chain_(std::max<std::size_t>(config_.derivative_orders, 1),
-                     config_.derivative_time_constant_s),
+                     kDerivativeTimeConstantS),
       buffer_chain_(std::max<std::size_t>(config_.derivative_orders, 1),
-                    config_.derivative_time_constant_s) {
+                    kDerivativeTimeConstantS) {
   core::HardwarePcamConfig hardware = config_.hardware;
-  hardware.seed = config_.seed ^ 0x9cab;
+  hardware.seed ^= 0x9cab;
   table_ = std::make_unique<core::AnalogMatchActionTable>(BuildSpec(),
                                                           hardware);
   BuildDacs();
@@ -230,7 +228,7 @@ AqmVerdict AnalogAqm::DecideOnEnqueue(const AqmContext& ctx) {
       sojourn_chain_.Step(ctx.now_s, ctx.sojourn_s);
   const std::vector<double>& buffer = buffer_chain_.Step(
       ctx.now_s,
-      static_cast<double>(ctx.queue_bytes) / config_.buffer_reference_bytes);
+      static_cast<double>(ctx.queue_bytes) / kBufferReferenceBytes);
   // The analog differentiator stages dissipate per sample (both chains);
   // the charge is configuration-constant, precomputed at construction.
   derivative_meter_->energy_j += derivative_energy_per_decision_j_;

@@ -27,7 +27,6 @@
 // composition requires this.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -49,17 +48,6 @@ struct AnalogAqmConfig {
   // Derivative orders per feature (0 = base feature only, up to 3 as in
   // the paper). Ablation A sweeps this.
   std::size_t derivative_orders = 3;
-  // Buffer occupancy is normalised by this reference size.
-  double buffer_reference_bytes = 150000.0;
-
-  // Analog bandwidth of the derivative chains.
-  double derivative_time_constant_s = 0.005;
-  // Full-scale magnitudes of the 1st..3rd derivative features
-  // (sojourn in s/s, 1/s, 1/s^2; buffer chain scales are 2x these).
-  // Calibrated to ~2 sigma of the feature distributions measured in a
-  // delay-controlled queue under bursty traffic, so the DAC range is
-  // used without constant saturation.
-  std::array<double, 3> derivative_full_scale = {2.0, 300.0, 50000.0};
 
   // Hardware voltage range of the Fig. 7 sweeps: sojourn/buffer features
   // map onto [1,4] V (Fig. 7a); derivatives always map onto [-2,1] V
@@ -71,17 +59,15 @@ struct AnalogAqmConfig {
   // Combine rule across stages (the paper's series pCAM = product).
   core::CombineMode combine = core::CombineMode::kProduct;
   // pCAM hardware (device model, state levels, channel noise...). Its
-  // `seed` is ignored: the constructor derives the table's hardware seed
-  // as `seed ^ 0x9cab` from the AQM seed below.
-  core::HardwarePcamConfig hardware{};
+  // `seed` is the AQM's one seed: it seeds the drop draws and the DACs'
+  // INL, and the table's hardware gets `seed ^ 0x9cab`.
+  core::HardwarePcamConfig hardware{.seed = 0xa0a051};
 
   // ECN: when enabled, ECN-capable packets whose PDP falls below 0.85
   // are CE-marked instead of dropped; above it the congestion is
   // considered severe and the packet drops regardless (mirrors PIE's
   // mark/drop split).
   bool ecn_enabled = false;
-
-  std::uint64_t seed = 0xa0a051;
 
   void Validate() const;  // throws std::invalid_argument
 };

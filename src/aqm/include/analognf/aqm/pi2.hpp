@@ -26,13 +26,6 @@ namespace analognf::aqm {
 
 struct Pi2Config {
   double target_delay_s = 0.015;     // RFC 9332 PI2 target (15 ms)
-  double update_interval_s = 0.016;  // Tupdate (16 ms)
-  // PI gains on the *base* probability p', applied once per update (the
-  // same convention as PieConfig): De Schepper et al.'s tuning at the
-  // 16 ms Tupdate. No PIE-style auto-tuning table — squaring replaces
-  // it (RFC 9332 Sec. 2.1).
-  double alpha = 0.3125;
-  double beta = 3.125;
   // Drain rate for the Little's-law delay estimate, bits/s.
   double drain_rate_bps = 10e6;
 
@@ -43,6 +36,13 @@ class Pi2 final : public AqmPolicy {
  public:
   // Coupling factor k between the classic and scalable laws.
   static constexpr double kCouplingK = 2.0;
+  // Tupdate (16 ms) and the PI gains on the *base* probability p',
+  // applied once per update (the same convention as Pie): De Schepper et
+  // al.'s tuning at that Tupdate. No PIE-style auto-tuning table —
+  // squaring replaces it (RFC 9332 Sec. 2.1).
+  static constexpr double kUpdateIntervalS = 0.016;
+  static constexpr double kAlpha = 0.3125;
+  static constexpr double kBeta = 3.125;
 
   Pi2(Pi2Config config, std::uint64_t seed);
 

@@ -18,9 +18,6 @@ namespace analognf::aqm {
 
 struct PieConfig {
   double target_delay_s = 0.015;      // RFC 8033 QDELAY_REF (15 ms)
-  double update_interval_s = 0.015;   // T_UPDATE
-  double alpha = 0.125;               // proportional gain [1/s]
-  double beta = 1.25;                 // derivative-of-error gain [1/s]
   // Drain rate used for the delay estimate (Little's law), bytes/s.
   // RFC 8033 measures this; the simulator knows its link rate and
   // passes it in.
@@ -34,6 +31,11 @@ class Pie final : public AqmPolicy {
   // RFC 8033 MAX_BURST: the burst allowance granted at start and re-armed
   // after the queue drains.
   static constexpr double kMaxBurstS = 0.150;
+  // RFC 8033 T_UPDATE and the PI gains applied once per update: alpha
+  // on the delay error, beta on its change since the last update [1/s].
+  static constexpr double kUpdateIntervalS = 0.015;
+  static constexpr double kAlpha = 0.125;
+  static constexpr double kBeta = 1.25;
 
   Pie(PieConfig config, std::uint64_t seed);
 

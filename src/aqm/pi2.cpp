@@ -7,19 +7,14 @@
 namespace analognf::aqm {
 
 void Pi2Config::Validate() const {
-  // An infinite gain or rate turns the PI update into inf * 0 = NaN.
-  for (const double v : {target_delay_s, update_interval_s, alpha, beta,
-                         drain_rate_bps}) {
+  // An infinite rate turns the PI update into inf * 0 = NaN.
+  for (const double v : {target_delay_s, drain_rate_bps}) {
     if (!std::isfinite(v)) {
       throw std::invalid_argument("Pi2Config: non-finite value");
     }
   }
-  if (!(target_delay_s > 0.0) || !(update_interval_s > 0.0)) {
-    throw std::invalid_argument(
-        "Pi2Config: target delay and update interval must be > 0");
-  }
-  if (!(alpha > 0.0) || !(beta >= 0.0)) {
-    throw std::invalid_argument("Pi2Config: require alpha > 0, beta >= 0");
+  if (!(target_delay_s > 0.0)) {
+    throw std::invalid_argument("Pi2Config: target delay must be > 0");
   }
   if (!(drain_rate_bps > 0.0)) {
     throw std::invalid_argument("Pi2Config: drain_rate_bps <= 0");
@@ -41,7 +36,7 @@ void Pi2::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {
     last_update_s_ = now_s;
     return;
   }
-  if (now_s - last_update_s_ < config_.update_interval_s) return;
+  if (now_s - last_update_s_ < kUpdateIntervalS) return;
   last_update_s_ = now_s;
 
   // Little's-law delay estimate, as in PIE.
@@ -51,8 +46,8 @@ void Pi2::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {
   // the drop law is what keeps the loop gain flat across operating
   // points (RFC 9332 Sec. 2.1).
   double p = base_prob_;
-  p += config_.alpha * (qdelay_s_ - config_.target_delay_s);
-  p += config_.beta * (qdelay_s_ - qdelay_old_s_);
+  p += kAlpha * (qdelay_s_ - config_.target_delay_s);
+  p += kBeta * (qdelay_s_ - qdelay_old_s_);
   // Idle decay, as PIE's RFC 8033 Sec. 5.2 (dualpi2 keeps it too).
   if (qdelay_s_ == 0.0 && qdelay_old_s_ == 0.0) {
     p *= 0.98;

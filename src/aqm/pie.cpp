@@ -9,19 +9,14 @@
 namespace analognf::aqm {
 
 void PieConfig::Validate() const {
-  // An infinite gain or rate turns the PI update into inf * 0 = NaN.
-  for (const double v : {target_delay_s, update_interval_s, alpha, beta,
-                         drain_rate_bps}) {
+  // An infinite rate turns the PI update into inf * 0 = NaN.
+  for (const double v : {target_delay_s, drain_rate_bps}) {
     if (!std::isfinite(v)) {
       throw std::invalid_argument("PieConfig: non-finite value");
     }
   }
-  if (!(target_delay_s > 0.0) || !(update_interval_s > 0.0)) {
-    throw std::invalid_argument(
-        "PieConfig: target delay and update interval must be > 0");
-  }
-  if (!(alpha > 0.0) || !(beta >= 0.0)) {
-    throw std::invalid_argument("PieConfig: require alpha > 0, beta >= 0");
+  if (!(target_delay_s > 0.0)) {
+    throw std::invalid_argument("PieConfig: target delay must be > 0");
   }
   if (!(drain_rate_bps > 0.0)) {
     throw std::invalid_argument("PieConfig: drain_rate_bps <= 0");
@@ -40,7 +35,7 @@ void Pie::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {
     last_update_s_ = now_s;
     return;
   }
-  if (now_s - last_update_s_ < config_.update_interval_s) return;
+  if (now_s - last_update_s_ < kUpdateIntervalS) return;
   last_update_s_ = now_s;
 
   // Little's-law delay estimate.
@@ -65,8 +60,8 @@ void Pie::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {
 
   const double prev_qdelay_s = qdelay_old_s_;
   double p = drop_prob_;
-  p += scale * config_.alpha * (qdelay_s_ - config_.target_delay_s);
-  p += scale * config_.beta * (qdelay_s_ - qdelay_old_s_);
+  p += scale * kAlpha * (qdelay_s_ - config_.target_delay_s);
+  p += scale * kBeta * (qdelay_s_ - qdelay_old_s_);
   // RFC 8033 Sec. 5.2: exponentially decay p while the queue stays idle
   // (two consecutive zero-delay samples). The additive path alone crawls
   // at small p because of the gain scaling above.
@@ -79,7 +74,7 @@ void Pie::MaybeUpdate(double now_s, std::uint64_t queue_bytes) {
   // Burst allowance decays once the controller is active.
   if (burst_allowance_s_ > 0.0) {
     burst_allowance_s_ =
-        std::max(0.0, burst_allowance_s_ - config_.update_interval_s);
+        std::max(0.0, burst_allowance_s_ - kUpdateIntervalS);
   }
   // RFC 8033 Sec. 5.2 re-arm: the controller has fully backed off (p is
   // 0 after clamping) and both delay samples sit below target/2. The

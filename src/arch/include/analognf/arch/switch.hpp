@@ -79,11 +79,11 @@ struct SwitchConfig {
   tcam::TcamTechnology digital_technology =
       tcam::TcamTechnology::MemristorTcam();
   // Analog AQM program applied to every egress port. enable_aqm = false
-  // gives the pure tail-drop traffic manager. Its `seed` is ignored: the
-  // traffic manager derives one per port and service class from `seed`
-  // (stages.cpp).
+  // gives the pure tail-drop traffic manager. The traffic manager gives
+  // each port and service class its own seed, derived from
+  // `aqm.hardware.seed` (stages.cpp).
   bool enable_aqm = true;
-  aqm::AnalogAqmConfig aqm{};
+  aqm::AnalogAqmConfig aqm{.hardware = {.seed = 0x5317c4}};
 
   // ---- cognitive analog stages (Fig. 5's "load balancing" and
   // ---- "traffic analysis" slots; both disabled by default) ----
@@ -99,8 +99,6 @@ struct SwitchConfig {
   std::vector<cognitive::AnalogTrafficClassifier::ClassSpec>
       classifier_classes{};
   double classifier_min_confidence = 0.05;
-
-  std::uint64_t seed = 0x5317c4;
 
   // Telemetry for the whole data plane: stage metrics, engine counters,
   // verdict counters and the per-batch flight recorder. `enabled = false`

@@ -251,7 +251,7 @@ TrafficManagerStage::TrafficManagerStage(
       aqm::AqmPolicy* guard = &tail_drop_;
       if (config_->enable_aqm) {
         aqm::AnalogAqmConfig aqm_config = config_->aqm;
-        aqm_config.seed = config_->seed + 0xa9 * (p + 1) + 0x1d * (sc + 1);
+        aqm_config.hardware.seed += 0xa9 * (p + 1) + 0x1d * (sc + 1);
         port.aqms.push_back(std::make_unique<aqm::AnalogAqm>(aqm_config));
         guard = port.aqms.back().get();
       }

@@ -24,10 +24,6 @@ struct LearnedAqmConfig {
   // The latency bound the self-supervision teaches toward.
   double target_delay_s = 0.020;
   double max_deviation_s = 0.010;
-  // Feature normalisation.
-  double buffer_reference_bytes = 150000.0;
-  double derivative_full_scale = 2.0;  // s/s, as in the programmed AQM
-  double derivative_time_constant_s = 0.005;
   // Seeds the drop draws; the perceptron's crossbar gets `seed ^ 0xbb`.
   std::uint64_t seed = 0x1ea4;
 

@@ -25,8 +25,6 @@ struct PerceptronConfig {
   double learning_rate = 0.1;
   // Logistic gain applied to the analog weighted sum.
   double activation_gain = 1.0;
-  // Its LRS conductance must reach kMaxWeight * kWeightUnitSiemens.
-  device::MemristorParams device = device::MemristorParams::NbSrTiO3();
   std::uint64_t seed = 0x9e42;
 
   void Validate() const;  // throws std::invalid_argument
@@ -37,8 +35,8 @@ class CrossbarPerceptron {
   // Weight magnitude cap (keeps conductances programmable).
   static constexpr double kMaxWeight = 8.0;
   // Conductance representing one unit of |weight| [S]. With the
-  // Nb:SrTiO3 range [1e-12, 1e-8] S, unit 1e-9 S leaves headroom for
-  // kMaxWeight.
+  // Nb:SrTiO3 range [1e-12, 1e-8] S of the crossbar's devices, unit
+  // 1e-9 S leaves headroom for kMaxWeight.
   static constexpr double kWeightUnitSiemens = 1.0e-9;
 
   explicit CrossbarPerceptron(PerceptronConfig config);

@@ -16,15 +16,6 @@ void PerceptronConfig::Validate() const {
   if (!(activation_gain > 0.0)) {
     throw std::invalid_argument("PerceptronConfig: activation_gain <= 0");
   }
-  device.Validate();
-  // The full weight range must be programmable on the device.
-  const double g_max = CrossbarPerceptron::kMaxWeight *
-                       CrossbarPerceptron::kWeightUnitSiemens;
-  if (g_max > 1.0 / device.r_lrs_ohm) {
-    throw std::invalid_argument(
-        "PerceptronConfig: the weight range exceeds the device's maximum "
-        "conductance");
-  }
 }
 
 CrossbarPerceptron::CrossbarPerceptron(PerceptronConfig config)
@@ -32,7 +23,8 @@ CrossbarPerceptron::CrossbarPerceptron(PerceptronConfig config)
         config.Validate();
         return config;
       }()),
-      xbar_(config_.inputs + 1, 2, config_.device, nullptr, config_.seed),
+      xbar_(config_.inputs + 1, 2, device::MemristorParams::NbSrTiO3(),
+            nullptr, config_.seed),
       weights_(config_.inputs + 1, 0.0),
       rows_(config_.inputs + 1, 1.0) {
   for (std::size_t i = 0; i < weights_.size(); ++i) ProgramWeight(i);

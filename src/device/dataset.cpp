@@ -20,7 +20,6 @@ constexpr double kMaxProgramV = 2.5;
 }  // namespace
 
 void SynthesisConfig::Validate() const {
-  device.Validate();
   if (state_machines < 1) {
     throw std::invalid_argument("SynthesisConfig: state_machines < 1");
   }
@@ -29,9 +28,6 @@ void SynthesisConfig::Validate() const {
   }
   if (read_voltages_v.empty()) {
     throw std::invalid_argument("SynthesisConfig: no read voltages");
-  }
-  if (program_noise_sigma < 0.0) {
-    throw std::invalid_argument("SynthesisConfig: program_noise_sigma < 0");
   }
 }
 
@@ -58,9 +54,7 @@ MemristorDataset MemristorDataset::Synthesize(const SynthesisConfig& config,
                   (kMaxProgramV - kMinProgramV) *
                       static_cast<double>(machine - 1) /
                       static_cast<double>(config.state_machines - 1);
-    MemristorParams params = config.device;
-    params.program_noise_sigma = config.program_noise_sigma;
-    Memristor cell(params, /*initial_state=*/0.0);
+    Memristor cell(MemristorParams::NbSrTiO3(), /*initial_state=*/0.0);
     analognf::RandomStream machine_rng = rng.Fork();
     int pulses_applied = 0;
     // step 0 characterises the pristine (fully RESET) state; steps 1..m

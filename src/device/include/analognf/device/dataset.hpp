@@ -41,16 +41,13 @@ struct EnergyEnvelope {
   double mean_energy_j = 0.0;
 };
 
-// Configuration of the synthesis sweep.
+// Configuration of the synthesis sweep over the Nb:SrTiO3 device.
 struct SynthesisConfig {
-  MemristorParams device = MemristorParams::NbSrTiO3();
   // n: distinct programming amplitudes, spread linearly over [1.0, 2.5] V.
   int state_machines = 4;
   int states_per_machine = 16;  // m: pulse steps per machine
   // Read-voltage sweep (the pCAM search-voltage range of Fig. 7a).
   std::vector<double> read_voltages_v = {0.1, 0.5, 1.0, 2.0, 3.0, 4.0};
-  // Cycle-to-cycle programming noise; 0 keeps the sweep deterministic.
-  double program_noise_sigma = 0.0;
 
   void Validate() const;  // throws std::invalid_argument
 };
@@ -62,8 +59,8 @@ class MemristorDataset {
   explicit MemristorDataset(std::vector<DatasetRecord> records);
 
   // Runs the synthesis sweep described in SynthesisConfig. `seed` drives
-  // programming noise (unused when program_noise_sigma == 0, but the
-  // sweep stays reproducible either way).
+  // programming noise, which the Nb:SrTiO3 model does not have, so the
+  // sweep is deterministic.
   static MemristorDataset Synthesize(const SynthesisConfig& config,
                                      std::uint64_t seed = 1);
 

@@ -50,7 +50,6 @@ inline constexpr const char* kDataMovement = "digital.movement";
 inline constexpr const char* kDigitalCompute = "digital.compute";
 inline constexpr const char* kDacConvert = "analog.dac";
 inline constexpr const char* kProgramming = "device.programming";
-inline constexpr const char* kStorageRead = "digital.storage";
 }  // namespace category
 
 }  // namespace analognf::energy

@@ -242,6 +242,13 @@ void Program(Crossbar& xbar, const std::vector<double>& siemens) {
   }
 }
 
+// One evaluation into a fresh current vector.
+std::vector<double> Multiply(Crossbar& xbar, const std::vector<double>& v) {
+  std::vector<double> currents(xbar.cols());
+  xbar.MultiplyInto(v, currents);
+  return currents;
+}
+
 TEST(CrossbarTest, RejectsZeroDimensions) {
   EXPECT_THROW(Crossbar(0, 2, device::MemristorParams::NbSrTiO3()),
                std::invalid_argument);
@@ -254,7 +261,7 @@ TEST(CrossbarTest, MultiplyMatchesManualSum) {
   std::vector<double> g = {1e-9, 2e-9, 3e-9, 4e-9, 5e-9, 6e-9};
   Program(xbar, g);
   const std::vector<double> v = {1.0, 2.0};
-  const std::vector<double> currents = xbar.Multiply(v);
+  const std::vector<double> currents = Multiply(xbar, v);
   ASSERT_EQ(currents.size(), 3u);
   for (std::size_t c = 0; c < 3; ++c) {
     const double expected = v[0] * g[c] + v[1] * g[3 + c];
@@ -266,10 +273,10 @@ TEST(CrossbarTest, EnergyAccumulatesAndResets) {
   Crossbar xbar(2, 2, device::MemristorParams::NbSrTiO3());
   Program(xbar, {1e-8, 1e-8, 1e-8, 1e-8});
   EXPECT_EQ(xbar.ConsumedEnergyJ(), 0.0);
-  xbar.Multiply({1.0, 1.0});
+  Multiply(xbar, {1.0, 1.0});
   const double e1 = xbar.ConsumedEnergyJ();
   EXPECT_GT(e1, 0.0);
-  xbar.Multiply({1.0, 1.0});
+  Multiply(xbar, {1.0, 1.0});
   EXPECT_NEAR(xbar.ConsumedEnergyJ(), 2.0 * e1, 1e-18);
   xbar.ResetEnergy();
   EXPECT_EQ(xbar.ConsumedEnergyJ(), 0.0);
@@ -278,13 +285,13 @@ TEST(CrossbarTest, EnergyAccumulatesAndResets) {
 TEST(CrossbarTest, ZeroVoltageRowCostsNothing) {
   Crossbar xbar(1, 1, device::MemristorParams::NbSrTiO3());
   Program(xbar, {1e-8});
-  xbar.Multiply({0.0});
+  Multiply(xbar, {0.0});
   EXPECT_EQ(xbar.ConsumedEnergyJ(), 0.0);
 }
 
 TEST(CrossbarTest, SizeMismatchThrows) {
   Crossbar xbar(2, 2, device::MemristorParams::NbSrTiO3());
-  EXPECT_THROW(xbar.Multiply({1.0}), std::invalid_argument);
+  EXPECT_THROW(Multiply(xbar, {1.0}), std::invalid_argument);
 }
 
 TEST(CrossbarTest, AtBoundsChecked) {

@@ -421,11 +421,10 @@ TEST(PieTest, ConfigValidation) {
   c = PieConfig{};
   c.drain_rate_bps = 0.0;
   EXPECT_THROW(Pie(c, 1), std::invalid_argument);
-  // An infinite alpha would make p = inf * 0 = NaN at the target delay.
+  // An infinite rate would make p = inf * 0 = NaN at the target delay.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (double PieConfig::*field :
-       {&PieConfig::target_delay_s, &PieConfig::update_interval_s,
-        &PieConfig::alpha, &PieConfig::beta, &PieConfig::drain_rate_bps}) {
+       {&PieConfig::target_delay_s, &PieConfig::drain_rate_bps}) {
     c = PieConfig{};
     c.*field = kInf;
     EXPECT_THROW(Pie(c, 1), std::invalid_argument);
@@ -474,7 +473,7 @@ TEST(PieTest, TinyQueueNeverDropped) {
 }
 
 // Straight-line transcription of RFC 8033 Sec. 5.2's periodic update
-// (per-update gain convention, as PieConfig documents): the auto-tuning
+// (per-update gain convention, as Pie documents): the auto-tuning
 // scale table, the PI step, the idle multiplicative decay, the clamp.
 // Used as a differential oracle for Pie's drop-probability sequence.
 struct PieUpdateOracle {
@@ -501,8 +500,8 @@ struct PieUpdateOracle {
       scale = 1.0 / 2.0;
     }
     double next = p;
-    next += scale * config.alpha * (qdelay - config.target_delay_s);
-    next += scale * config.beta * (qdelay - qdelay_old);
+    next += scale * Pie::kAlpha * (qdelay - config.target_delay_s);
+    next += scale * Pie::kBeta * (qdelay - qdelay_old);
     if (qdelay == 0.0 && qdelay_old == 0.0) {
       next *= 0.98;  // RFC 8033: PIE_prob_decay while the queue is idle
     }
@@ -561,7 +560,7 @@ TEST(PieTest, IdleUpdatesDecayDropProbabilityMultiplicatively) {
   now += 0.016;
   Drops(pie, MakeContext(now, 0.0, 0, 0));
   EXPECT_NEAR(pie.LastDropProbability(),
-              (p1 + c.alpha * (0.0 - c.target_delay_s)) * 0.98, 1e-9);
+              (p1 + Pie::kAlpha * (0.0 - c.target_delay_s)) * 0.98, 1e-9);
   // And the decay drains the controller at the RFC's pace: below 1e-4
   // within ~150 further idle updates from p ~ 0.4. The additive path
   // alone (no decay) needs ~250+ updates from here.
@@ -610,15 +609,11 @@ TEST(Pi2Test, ConfigValidation) {
   c.target_delay_s = 0.0;
   EXPECT_THROW(Pi2(c, 1), std::invalid_argument);
   c = Pi2Config{};
-  c.alpha = 0.0;
-  EXPECT_THROW(Pi2(c, 1), std::invalid_argument);
-  c = Pi2Config{};
   c.drain_rate_bps = 0.0;
   EXPECT_THROW(Pi2(c, 1), std::invalid_argument);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (double Pi2Config::*field :
-       {&Pi2Config::target_delay_s, &Pi2Config::update_interval_s,
-        &Pi2Config::alpha, &Pi2Config::beta, &Pi2Config::drain_rate_bps}) {
+       {&Pi2Config::target_delay_s, &Pi2Config::drain_rate_bps}) {
     c = Pi2Config{};
     c.*field = kInf;
     EXPECT_THROW(Pi2(c, 1), std::invalid_argument);
@@ -637,8 +632,8 @@ struct Pi2UpdateOracle {
     qdelay =
         static_cast<double>(queue_bytes) * 8.0 / config.drain_rate_bps;
     double next = p;
-    next += config.alpha * (qdelay - config.target_delay_s);
-    next += config.beta * (qdelay - qdelay_old);
+    next += Pi2::kAlpha * (qdelay - config.target_delay_s);
+    next += Pi2::kBeta * (qdelay - qdelay_old);
     if (qdelay == 0.0 && qdelay_old == 0.0) next *= 0.98;
     p = std::clamp(next, 0.0, 1.0);
     qdelay_old = qdelay;
@@ -854,6 +849,24 @@ TEST(AnalogAqmTest, EvaluatePdpMonotoneInSojournVoltage) {
   EXPECT_LT(p_mid, p_high);
   EXPECT_NEAR(p_low, 0.0, 0.05);
   EXPECT_NEAR(p_high, 1.0, 0.05);
+}
+
+// `hardware.seed` is the AQM's one seed: it draws the table's device
+// variation, so two seeds give two sets of device conductances and the
+// same search dissipates different energy; one seed reproduces it.
+TEST(AnalogAqmTest, HardwareSeedDrawsTheTablesDeviceVariation) {
+  const auto search_energy = [](std::uint64_t seed) {
+    AnalogAqmConfig c = TestAnalogConfig();
+    c.hardware.apply_device_variation = true;
+    c.hardware.seed = seed;
+    AnalogAqm aqm(c);
+    aqm.EvaluatePdp(aqm.FeaturesToVoltages({0.020, 0.0, 0.0, 0.0},
+                                           {0.1, 0.0, 0.0, 0.0}));
+    return aqm.ledger().Of(energy::category::kPcamSearch).energy_j;
+  };
+  EXPECT_GT(search_energy(1), 0.0);
+  EXPECT_EQ(search_energy(1), search_energy(1));
+  EXPECT_NE(search_energy(1), search_energy(2));
 }
 
 TEST(AnalogAqmTest, QuiescentDerivativesAreNeutral) {

@@ -8,13 +8,11 @@
 #include "analognf/common/stats.hpp"
 #include "analognf/arch/keys.hpp"
 #include "analognf/arch/switch.hpp"
-#include "analognf/arch/topology.hpp"
 #include "analognf/net/generator.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -245,6 +243,31 @@ TEST(SwitchTest, AqmDropsUnderFlood) {
   }
   EXPECT_GT(aqm_drops, 100);
   EXPECT_EQ(sw.stats().aqm_drops, static_cast<std::uint64_t>(aqm_drops));
+}
+
+// `aqm.hardware.seed` seeds every port AQM of the switch: under the same
+// flood, a second seed draws a different AQM drop sequence, and the same
+// seed reproduces its own.
+TEST(SwitchTest, AqmSeedSetsTheDropSequence) {
+  const auto drops = [](std::uint64_t seed) {
+    SwitchConfig c = SmallSwitch(true);
+    c.aqm.hardware.seed = seed;
+    CognitiveSwitch sw(c);
+    sw.AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
+    std::vector<int> dropped_at;
+    for (int i = 0; i < 4000; ++i) {
+      const double now = i * 0.0005;
+      const Verdict v =
+          sw.Inject(MakeUdpPacket("1.1.1.1", "10.0.0.1", 1, 2, 1000), now);
+      if (v == Verdict::kAqmDrop) dropped_at.push_back(i);
+      sw.Drain(now);
+    }
+    return dropped_at;
+  };
+  const std::vector<int> first = drops(1);
+  EXPECT_GT(first.size(), 100u);
+  EXPECT_EQ(first, drops(1));
+  EXPECT_NE(first, drops(2));
 }
 
 // The parse stage's ECT lane offers ECN to the port AQMs: on a port
@@ -884,86 +907,6 @@ TEST(WrrSchedulerTest, LowClassNotStarved) {
   const std::size_t wrr = run(SchedulerPolicy::kWeightedRoundRobin);
   EXPECT_EQ(strict, 0u);  // fully starved
   EXPECT_GT(wrr, 100u);   // guaranteed share
-}
-
-
-// ------------------------------------------------------------ topology
-
-TopologyConfig TwoHops(bool aqm) {
-  TopologyConfig c;
-  c.hops = 2;
-  c.propagation_delay_s = 0.002;
-  c.duration_s = 6.0;
-  c.warmup_s = 1.0;
-  c.hop.port_count = 1;
-  c.hop.port_rate_bps = 10.0e6;
-  c.hop.enable_aqm = aqm;
-  return c;
-}
-
-TEST(TopologyTest, ConfigValidation) {
-  TopologyConfig c = TwoHops(false);
-  c.hops = 0;
-  EXPECT_THROW(LineTopology{c}, std::invalid_argument);
-  // Construction only: an accepted infinite duration would never end
-  // Run(), and a NaN delay would break the in-flight calendar's order.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  c = TwoHops(false);
-  c.duration_s = kInf;
-  EXPECT_THROW(LineTopology{c}, std::invalid_argument);
-  for (const double delay : {kInf, std::nan("")}) {
-    c = TwoHops(false);
-    c.propagation_delay_s = delay;
-    EXPECT_THROW(LineTopology{c}, std::invalid_argument);
-  }
-}
-
-TEST(TopologyTest, UnderloadEndToEndIsPropagationPlusService) {
-  LineTopology line(TwoHops(false));
-  net::MetaSourceConfig mc;
-  mc.arrivals.rate_pps = 300.0;  // far below the 1250 pps per-hop capacity
-  net::MetaSource source(mc, 3);
-  const TopologyReport report = line.Run(source);
-  ASSERT_GT(report.delivered, 500u);
-  // Two propagation legs (2 ms each) + two ~0.83 ms services + small
-  // queueing + step-quantisation: comfortably under 12 ms.
-  EXPECT_GT(report.end_to_end.mean(), 0.004);
-  EXPECT_LT(report.end_to_end.mean(), 0.012);
-}
-
-TEST(TopologyTest, PerHopAqmBoundsEndToEndUnderOverload) {
-  LineTopology line(TwoHops(true));
-  net::MetaSourceConfig mc;
-  mc.arrivals.rate_pps = 1800.0;  // 144% of hop capacity
-  net::MetaSource source(mc, 4);
-  const TopologyReport report = line.Run(source);
-  ASSERT_GT(report.delivered, 1000u);
-  // Only hop 0 is congested (its drops thin the traffic for hop 1), so
-  // the end-to-end bound is roughly one AQM target + propagation.
-  EXPECT_LT(report.end_to_end.mean(), 0.045);
-  EXPECT_GT(report.hop_stats[0].aqm_drops, 100u);
-  EXPECT_GT(report.total_pcam_energy_j, 0.0);
-}
-
-TEST(TopologyTest, WithoutAqmOverloadDelayExplodes) {
-  LineTopology line(TwoHops(false));
-  net::MetaSourceConfig mc;
-  mc.arrivals.rate_pps = 1800.0;
-  net::MetaSource source(mc, 4);
-  const TopologyReport report = line.Run(source);
-  EXPECT_GT(report.end_to_end.mean(), 0.3);
-}
-
-TEST(TopologyTest, ConservationAcrossHops) {
-  LineTopology line(TwoHops(true));
-  net::MetaSourceConfig mc;
-  mc.arrivals.rate_pps = 1500.0;
-  net::MetaSource source(mc, 5);
-  const TopologyReport report = line.Run(source);
-  EXPECT_LE(report.delivered, report.offered);
-  ASSERT_EQ(report.hop_stats.size(), 2u);
-  // Hop 1 can never see more packets than hop 0 forwarded.
-  EXPECT_LE(report.hop_stats[1].injected, report.hop_stats[0].delivered);
 }
 
 

@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 
-#include "analognf/cognitive/associative.hpp"
 #include "analognf/cognitive/classifier.hpp"
 #include "analognf/cognitive/learned_aqm.hpp"
 #include "analognf/cognitive/perceptron.hpp"
@@ -26,10 +25,6 @@ TEST(PerceptronConfigTest, Validation) {
   EXPECT_THROW(c.Validate(), std::invalid_argument);
   c = PerceptronConfig{};
   c.learning_rate = 0.0;
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-  // kMaxWeight * kWeightUnitSiemens = 8e-9 S > the 1e-10 S device max.
-  c = PerceptronConfig{};
-  c.device.r_lrs_ohm = 1.0e10;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
 }
 
@@ -126,20 +121,11 @@ TEST(LearnedAqmTest, ConfigValidation) {
   EXPECT_NO_THROW(c.Validate());
   c.max_deviation_s = c.target_delay_s;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
-  // Non-finite bounds and scales would make the teacher PDP or the
-  // features NaN: (s - inf) / (inf - inf).
+  // Non-finite bounds would make the teacher PDP or the features NaN:
+  // (s - inf) / (inf - inf).
   constexpr double kInf = std::numeric_limits<double>::infinity();
   c = LearnedAqmConfig{};
   c.target_delay_s = kInf;
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-  c = LearnedAqmConfig{};
-  c.buffer_reference_bytes = kInf;
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-  c = LearnedAqmConfig{};
-  c.derivative_full_scale = kInf;
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-  c = LearnedAqmConfig{};
-  c.derivative_time_constant_s = kInf;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
 }
 
@@ -341,109 +327,6 @@ TEST(ClassifierTest, EndToEndOverGeneratedTraffic) {
   EXPECT_EQ(result->label, "voip");
 }
 
-
-// ------------------------------------------------- associative memory
-
-TEST(AssociativeMemoryTest, ConfigValidation) {
-  AssociativeMemoryConfig c;
-  EXPECT_NO_THROW(c.Validate());
-  c.dimensions = 0;
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-  // kConductanceUnitSiemens = 1e-9 S > the 1e-10 S device max.
-  c = AssociativeMemoryConfig{};
-  c.device.r_lrs_ohm = 1.0e10;
-  EXPECT_THROW(c.Validate(), std::invalid_argument);
-}
-
-TEST(AssociativeMemoryTest, ExactRecall) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 4;
-  AssociativeMemory mem(c);
-  mem.Store("a", {1.0, 0.0, 0.0, 0.0});
-  mem.Store("b", {0.0, 1.0, 0.0, 0.0});
-  mem.Store("c", {0.0, 0.0, 1.0, 1.0});
-
-  const auto r = mem.Recall({0.0, 0.0, 0.9, 0.9});
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->label, "c");
-  EXPECT_GT(r->similarity, 0.99);
-}
-
-TEST(AssociativeMemoryTest, NoisyProbeStillRecalls) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 8;
-  AssociativeMemory mem(c);
-  const std::vector<double> stored = {1.0, 0.8, 0.0, 0.2,
-                                      0.9, 0.1, 0.0, 0.7};
-  mem.Store("target", stored);
-  mem.Store("other", {0.0, 0.1, 1.0, 0.9, 0.0, 0.8, 1.0, 0.1});
-
-  analognf::RandomStream rng(3);
-  std::vector<double> probe = stored;
-  for (double& v : probe) {
-    v = std::clamp(v + rng.NextNormal(0.0, 0.15), 0.0, 1.0);
-  }
-  const auto r = mem.Recall(probe, 0.5);
-  ASSERT_TRUE(r.has_value());
-  EXPECT_EQ(r->label, "target");
-}
-
-TEST(AssociativeMemoryTest, MinSimilarityRejects) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 4;
-  AssociativeMemory mem(c);
-  mem.Store("a", {1.0, 0.0, 0.0, 0.0});
-  // Orthogonal probe: similarity ~0.
-  EXPECT_FALSE(mem.Recall({0.0, 1.0, 0.0, 0.0}, 0.5).has_value());
-}
-
-TEST(AssociativeMemoryTest, SampleRecallWeightsBySimilarity) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 2;
-  AssociativeMemory mem(c);
-  mem.Store("close", {1.0, 0.2});
-  mem.Store("far", {0.2, 1.0});
-  analognf::RandomStream rng(5);
-  int close_hits = 0;
-  for (int i = 0; i < 500; ++i) {
-    const auto r = mem.SampleRecall({1.0, 0.1}, rng, 0.0);
-    ASSERT_TRUE(r.has_value());
-    if (r->label == "close") ++close_hits;
-  }
-  EXPECT_GT(close_hits, 300);  // strongly biased toward the closer pattern
-  EXPECT_LT(close_hits, 500);  // but the far one is sampled sometimes
-}
-
-TEST(AssociativeMemoryTest, CapacityAndValidationErrors) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 2;
-  c.capacity = 1;
-  AssociativeMemory mem(c);
-  mem.Store("only", {0.5, 0.5});
-  EXPECT_THROW(mem.Store("overflow", {1.0, 0.0}), std::length_error);
-  AssociativeMemory fresh(AssociativeMemoryConfig{});
-  EXPECT_THROW(fresh.Store("bad", {2.0}), std::invalid_argument);  // arity
-  std::vector<double> out_of_range(fresh.dimensions(), 2.0);
-  EXPECT_THROW(fresh.Store("bad", out_of_range), std::invalid_argument);
-  std::vector<double> zeros(fresh.dimensions(), 0.0);
-  EXPECT_THROW(fresh.Store("zero", zeros), std::invalid_argument);
-}
-
-TEST(AssociativeMemoryTest, EmptyMemoryRecallsNothing) {
-  AssociativeMemory mem(AssociativeMemoryConfig{});
-  std::vector<double> probe(mem.dimensions(), 0.5);
-  EXPECT_FALSE(mem.Recall(probe).has_value());
-}
-
-TEST(AssociativeMemoryTest, RecallConsumesAnalogEnergy) {
-  AssociativeMemoryConfig c;
-  c.dimensions = 4;
-  AssociativeMemory mem(c);
-  mem.Store("a", {1.0, 0.0, 1.0, 0.0});
-  EXPECT_EQ(mem.ConsumedEnergyJ(), 0.0);
-  mem.Recall({1.0, 0.0, 1.0, 0.0});
-  EXPECT_GT(mem.ConsumedEnergyJ(), 0.0);
-}
 
 TEST(ClassifierTest, ClassifyBatchMatchesSequential) {
   AnalogTrafficClassifier batched = MakeClassifier();

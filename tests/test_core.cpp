@@ -691,7 +691,8 @@ TEST_P(CrossbarVmmProperty, MatchesDenseComputation) {
   }
   std::vector<double> volts(rows);
   for (double& v : volts) v = -2.0 + 6.0 * rng.NextUniform();
-  const std::vector<double> currents = xbar.Multiply(volts);
+  std::vector<double> currents(cols);
+  xbar.MultiplyInto(volts, currents);
   for (std::size_t c = 0; c < cols; ++c) {
     double expected = 0.0;
     for (std::size_t r = 0; r < rows; ++r) {

@@ -655,7 +655,7 @@ TEST_P(ClosedLoopConservation, OfferedEqualsDeliveredPlusDropped) {
   // The parameter seeds the AQM's drop draws: the AIMD sources
   // themselves are deterministic.
   aqm::AnalogAqmConfig ac;
-  ac.seed = GetParam();
+  ac.hardware.seed = GetParam();
   aqm::AnalogAqm policy(ac);
   ClosedLoopConfig c;
   c.sources = 4;

@@ -120,7 +120,7 @@ class ReferenceSwitch {
         port.queues.emplace_back(config_.egress_queue);
         if (config_.enable_aqm) {
           aqm::AnalogAqmConfig aqm_config = config_.aqm;
-          aqm_config.seed = config_.seed + 0xa9 * (p + 1) + 0x1d * (sc + 1);
+          aqm_config.hardware.seed += 0xa9 * (p + 1) + 0x1d * (sc + 1);
           port.aqms.push_back(std::make_unique<aqm::AnalogAqm>(aqm_config));
         }
       }
