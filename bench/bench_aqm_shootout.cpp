@@ -188,10 +188,12 @@ void Report() {
               std::to_string(spec.loads.size()) + " loads x " +
               std::to_string(spec.ecn_fractions.size()) +
               " ECN fractions x 2 simulators)");
+  const double band_lo_ms =
+      (sim::GridSpec::kTargetDelayS - sim::GridSpec::kMaxDeviationS) * 1e3;
+  const double band_hi_ms =
+      (sim::GridSpec::kTargetDelayS + sim::GridSpec::kMaxDeviationS) * 1e3;
   bench::Line("adherence = fraction of post-warmup deliveries inside " +
-              Fmt((spec.target_delay_s - spec.max_deviation_s) * 1e3) +
-              ".." +
-              Fmt((spec.target_delay_s + spec.max_deviation_s) * 1e3) +
+              Fmt(band_lo_ms) + ".." + Fmt(band_hi_ms) +
               " ms; cells average over the RTT and ECN axes");
 
   // Markdown adherence summary: one row per policy, one column per
@@ -311,9 +313,10 @@ void Report() {
        bench::JsonInt("rtts", spec.base_rtts_s.size()),
        bench::JsonInt("loads", spec.loads.size()),
        bench::JsonInt("ecn_fractions", spec.ecn_fractions.size()),
-       bench::JsonNum("target_delay_ms", spec.target_delay_s * 1e3),
-       bench::JsonNum("max_deviation_ms", spec.max_deviation_s * 1e3),
-       bench::JsonNum("link_rate_mbps", spec.link_rate_bps / 1e6)},
+       bench::JsonNum("target_delay_ms", sim::GridSpec::kTargetDelayS * 1e3),
+       bench::JsonNum("max_deviation_ms",
+                      sim::GridSpec::kMaxDeviationS * 1e3),
+       bench::JsonNum("link_rate_mbps", sim::GridSpec::kLinkRateBps / 1e6)},
       {cells, gates}, summary.str());
 
   for (const Collection& collection : Collections()) {

@@ -19,7 +19,6 @@ void Report() {
   bench::Banner("Fig. 2: memristor analog state machines (n x m grid)");
 
   device::SynthesisConfig config;
-  config.state_machines = 4;
   config.states_per_machine = 8;
   config.read_voltages_v = {0.5};
   const device::MemristorDataset ds =

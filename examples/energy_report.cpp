@@ -16,14 +16,13 @@ using namespace analognf;
 
 int main(int argc, char** argv) {
   device::SynthesisConfig config;
-  config.state_machines = 4;
   config.states_per_machine = 24;
   const device::MemristorDataset dataset =
       device::MemristorDataset::Synthesize(config);
 
   std::printf("synthesised %zu characterisation points (%d machines x %d "
               "states x %zu read voltages)\n",
-              dataset.size(), config.state_machines,
+              dataset.size(), device::kStateMachines,
               config.states_per_machine + 1,
               config.read_voltages_v.size());
   std::printf("distinct programmable resistance levels: %zu\n\n",

@@ -12,12 +12,14 @@
 
 namespace analognf::analog {
 
-// A closed voltage interval [lo_v, hi_v], lo_v < hi_v.
+// A closed voltage interval [lo_v, hi_v], lo_v < hi_v. Every range is a
+// hardware constant, so the constructor runs at compile time only and an
+// empty or inverted range does not compile.
 struct VoltageRange {
   double lo_v;
   double hi_v;
 
-  constexpr VoltageRange(double lo, double hi) : lo_v(lo), hi_v(hi) {
+  consteval VoltageRange(double lo, double hi) : lo_v(lo), hi_v(hi) {
     if (!(hi > lo)) {
       throw std::invalid_argument("VoltageRange: require hi > lo");
     }

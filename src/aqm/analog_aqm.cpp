@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -15,7 +16,9 @@ constexpr double kDacEnergyJ = 1.0e-12;
 // Fig. 6 is an RC-coupled analog block, not free; ~0.1 pJ per
 // stage-update at these bandwidths.
 constexpr double kDerivativeEnergyJ = 0.1e-12;
-// Derivative features map onto [-2, 1] V (Fig. 7b).
+// Sojourn and buffer features map onto [1, 4] V (Fig. 7a), derivative
+// features onto [-2, 1] V (Fig. 7b).
+constexpr analog::VoltageRange kFeatureRange{1.0, 4.0};
 constexpr analog::VoltageRange kDerivativeRange{-2.0, 1.0};
 // PDP at and above which an ECN-capable packet drops instead of marking.
 constexpr double kEcnDropThreshold = 0.85;
@@ -60,29 +63,43 @@ void AnalogAqmConfig::Validate() const {
   hardware.Validate();
 }
 
+std::optional<core::PcamParams> AnalogAqm::BandProgram(double lo_s,
+                                                      double hi_s) const {
+  // Feature domain [0, 2*(target+deviation)] maps onto kFeatureRange.
+  // The ramp rises from 0 at lo_s to 1 at hi_s; M3/M4 sit above the
+  // DAC's maximum output so in-range inputs never reach the falling edge
+  // (the cell saturates at pmax for severe congestion).
+  const AnalogAqmConfig& c = config_;
+  const double domain_hi = 2.0 * (c.target_delay_s + c.max_deviation_s);
+  const analog::LinearMap sojourn_map(0.0, domain_hi, kFeatureRange);
+  const double v_lo = sojourn_map.ToVoltage(lo_s);
+  const double v_hi = sojourn_map.ToVoltage(hi_s);
+  if (!(v_lo < v_hi)) return std::nullopt;
+  const double v_max = kFeatureRange.hi_v;
+  return core::PcamParams::MakeTrapezoid(v_lo, v_hi, v_max + 0.5,
+                                         v_max + 1.0, /*pmax=*/1.0,
+                                         /*pmin=*/0.0);
+}
+
+bool AnalogAqm::ProgramBand(double lo_s, double hi_s) {
+  const std::optional<core::PcamParams> program = BandProgram(lo_s, hi_s);
+  if (!program.has_value()) return false;
+  table_->UpdatePcam("sojourn_time", *program);
+  return true;
+}
+
 core::AnalogTableSpec AnalogAqm::BuildSpec() const {
   const AnalogAqmConfig& c = config_;
   core::AnalogTableSpec spec;
   spec.name = "analogAQM";
   spec.combine = c.combine;
 
-  // --- Base sojourn stage: the PDP ramp. -------------------------------
-  // Feature domain [0, 2*(target+deviation)] maps onto feature_range
-  // ([1,4] V). The ramp rises from 0 at (target - deviation) to 1 at
-  // (target + deviation); M3/M4 sit above the DAC's maximum output so
-  // in-range inputs never reach the falling edge (the cell saturates at
-  // pmax for severe congestion).
-  const double domain_hi = 2.0 * (c.target_delay_s + c.max_deviation_s);
-  const analog::LinearMap sojourn_map(0.0, domain_hi, c.feature_range);
-  const double v_lo = sojourn_map.ToVoltage(c.target_delay_s -
-                                            c.max_deviation_s);
-  const double v_hi = sojourn_map.ToVoltage(c.target_delay_s +
-                                            c.max_deviation_s);
-  const double v_max = c.feature_range.hi_v;
-  spec.read.push_back(
-      {DerivName("sojourn_time", 0),
-       core::PcamParams::MakeTrapezoid(v_lo, v_hi, v_max + 0.5, v_max + 1.0,
-                                       /*pmax=*/1.0, /*pmin=*/0.0)});
+  // --- Base sojourn stage: the PDP ramp over target -/+ deviation. -----
+  // Validate() keeps 0 < deviation < target, so the band never clamps.
+  spec.read.push_back({DerivName("sojourn_time", 0),
+                       BandProgram(c.target_delay_s - c.max_deviation_s,
+                                   c.target_delay_s + c.max_deviation_s)
+                           .value()});
 
   // --- Sojourn derivative stages: neutral-at-zero modulators. ----------
   // A derivative of 0 maps to output 1.0; strongly positive derivatives
@@ -110,7 +127,8 @@ core::AnalogTableSpec AnalogAqm::BuildSpec() const {
   // Below ~50% occupancy the stage is neutral (1.0); it rises to 1.5
   // as the buffer approaches its reference size. pmin = 1.0 means the
   // buffer can only amplify the sojourn-driven decision, never veto it.
-  const analog::LinearMap bmap(0.0, 1.5, c.feature_range);
+  const analog::LinearMap bmap(0.0, 1.5, kFeatureRange);
+  const double v_max = kFeatureRange.hi_v;
   spec.read.push_back(
       {DerivName("buffer_size", 0),
        core::PcamParams::MakeTrapezoid(bmap.ToVoltage(0.5),
@@ -145,12 +163,12 @@ void AnalogAqm::BuildDacs() {
                        c.hardware.seed ^ (0xdacdacULL + salt++));
   };
 
-  add_dac(analog::LinearMap(0.0, domain_hi, c.feature_range));
+  add_dac(analog::LinearMap(0.0, domain_hi, kFeatureRange));
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
     const double fs = kDerivativeFullScale[order - 1];
     add_dac(analog::LinearMap(-fs, fs, kDerivativeRange));
   }
-  add_dac(analog::LinearMap(0.0, 1.5, c.feature_range));
+  add_dac(analog::LinearMap(0.0, 1.5, kFeatureRange));
   for (std::size_t order = 1; order <= c.derivative_orders; ++order) {
     const double fs = 2.0 * kDerivativeFullScale[order - 1];
     add_dac(analog::LinearMap(-fs, fs, kDerivativeRange));

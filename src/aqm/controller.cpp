@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "analognf/analog/signal.hpp"
-
 namespace analognf::aqm {
 namespace {
 
@@ -49,21 +47,11 @@ void CognitiveAqmController::Adapt(double now_s) {
   const double adjustment = 1.0 - kGain * (error / target);
   scale_ = std::clamp(scale_ * adjustment, kMinScale, kMaxScale);
 
-  // Rebuild the sojourn base-stage program at the new scale and push it
-  // through the table's update_pCAM action — the same path the paper's
-  // action section takes.
-  const double domain_hi = 2.0 * (c.target_delay_s + c.max_deviation_s);
-  const analog::LinearMap sojourn_map(0.0, domain_hi, c.feature_range);
+  // Reprogram the sojourn band at the new scale through the table's
+  // update_pCAM action — the same path the paper's action section takes.
   const double lo_s = (c.target_delay_s - c.max_deviation_s) * scale_;
   const double hi_s = (c.target_delay_s + c.max_deviation_s) * scale_;
-  const double v_lo = sojourn_map.ToVoltage(lo_s);
-  const double v_hi = sojourn_map.ToVoltage(hi_s);
-  if (!(v_lo < v_hi)) return;  // both clamped to the same rail: skip
-  const double v_max = c.feature_range.hi_v;
-  aqm_.table().UpdatePcam(
-      "sojourn_time",
-      core::PcamParams::MakeTrapezoid(v_lo, v_hi, v_max + 0.5, v_max + 1.0,
-                                      /*pmax=*/1.0, /*pmin=*/0.0));
+  if (!aqm_.ProgramBand(lo_s, hi_s)) return;  // clamped to one rail
   ++adaptations_;
 }
 

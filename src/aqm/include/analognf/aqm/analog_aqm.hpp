@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "analognf/analog/converter.hpp"
@@ -49,10 +50,8 @@ struct AnalogAqmConfig {
   // the paper). Ablation A sweeps this.
   std::size_t derivative_orders = 3;
 
-  // Hardware voltage range of the Fig. 7 sweeps: sojourn/buffer features
-  // map onto [1,4] V (Fig. 7a); derivatives always map onto [-2,1] V
-  // (Fig. 7b).
-  analog::VoltageRange feature_range{1.0, 4.0};
+  // DAC resolution and integral nonlinearity. Sojourn/buffer features
+  // map onto [1,4] V (Fig. 7a), derivatives onto [-2,1] V (Fig. 7b).
   unsigned dac_bits = 10;
   double dac_inl_sigma_lsb = 0.0;
 
@@ -94,6 +93,14 @@ class AnalogAqm final : public AqmPolicy {
       const std::vector<double>& sojourn_derivs,
       const std::vector<double>& buffer_derivs);
 
+  // update_pCAM for a new delay band (Sec. 5): reprograms the sojourn
+  // stage to ramp the PDP from 0 at lo_s to 1 at hi_s, as construction
+  // programs it for target -/+ deviation. The sojourn feature's voltage
+  // map is fixed at construction, so band edges outside its domain clamp
+  // at the rails. Returns false, and changes nothing, when the band maps
+  // to no rising ramp: both edges clamp to one rail, or lo_s >= hi_s.
+  bool ProgramBand(double lo_s, double hi_s);
+
   // The compiled analog match-action table (to inspect or update_pCAM).
   core::AnalogMatchActionTable& table() { return *table_; }
   const core::AnalogMatchActionTable& table() const { return *table_; }
@@ -112,6 +119,10 @@ class AnalogAqm final : public AqmPolicy {
   }
 
  private:
+  // The sojourn stage's program for the band [lo_s, hi_s]; nullopt when
+  // it maps to no rising ramp (see ProgramBand).
+  std::optional<core::PcamParams> BandProgram(double lo_s,
+                                              double hi_s) const;
   core::AnalogTableSpec BuildSpec() const;
   void BuildDacs();
   // Fills `volts` (table order) without allocating.

@@ -1,5 +1,6 @@
-// Random Early Detection (Floyd & Jacobson 1993), with the "gentle"
-// variant. Digital baseline AQM for the comparison benches.
+// Random Early Detection (Floyd & Jacobson 1993), gentle variant: between
+// max_th and 2*max_th the probability ramps from max_p to 1 instead of
+// jumping to 1. Digital baseline AQM for the comparison benches.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +19,6 @@ struct RedConfig {
   double max_p = 0.1;
   // EWMA weight for the average queue estimate (RED's w_q).
   double queue_weight = 0.002;
-  // Gentle RED: between max_th and 2*max_th the probability ramps from
-  // max_p to 1 instead of jumping to 1.
-  bool gentle = true;
 
   void Validate() const;  // throws std::invalid_argument
 };

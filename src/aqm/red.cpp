@@ -30,7 +30,7 @@ double Red::DropProbability(double avg_pkts) {
     return config_.max_p * (avg_pkts - config_.min_threshold_pkts) /
            (config_.max_threshold_pkts - config_.min_threshold_pkts);
   }
-  if (config_.gentle && avg_pkts < 2.0 * config_.max_threshold_pkts) {
+  if (avg_pkts < 2.0 * config_.max_threshold_pkts) {
     return config_.max_p +
            (1.0 - config_.max_p) *
                (avg_pkts - config_.max_threshold_pkts) /

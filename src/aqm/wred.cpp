@@ -18,7 +18,7 @@ bool Wred::Decide(Profile& profile, double avg_pkts) {
   } else if (avg_pkts < c.max_threshold_pkts) {
     base_p = c.max_p * (avg_pkts - c.min_threshold_pkts) /
              (c.max_threshold_pkts - c.min_threshold_pkts);
-  } else if (c.gentle && avg_pkts < 2.0 * c.max_threshold_pkts) {
+  } else if (avg_pkts < 2.0 * c.max_threshold_pkts) {
     base_p = c.max_p + (1.0 - c.max_p) *
                            (avg_pkts - c.max_threshold_pkts) /
                            c.max_threshold_pkts;

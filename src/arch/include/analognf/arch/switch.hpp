@@ -260,6 +260,7 @@ class CognitiveSwitch {
   // derivative state never mixes across queues). Null when AQM disabled.
   aqm::AnalogAqm* port_aqm(std::size_t port, std::size_t service_class = 0);
   std::size_t port_count() const { return config_.port_count; }
+  std::size_t service_classes() const { return config_.service_classes; }
   // The traffic-analysis stage (null when disabled).
   const TrafficClassStage* classifier_stage() const { return classify_; }
   // The switch's telemetry hub: `stage.<name>.*`, `tcam.*`, `pcam.*`

@@ -160,7 +160,9 @@ void CognitiveSwitch::BindTelemetry() {
   if (!telemetry_.enabled()) return;
   telemetry::MetricsRegistry& registry = telemetry_.metrics();
   graph_.BindTelemetry(registry);
-  // A group's shared tables are bound by their owner.
+  // Only a switch's own tables are bound. Nothing binds a group's
+  // shared tables, so group ports export no tcam.firewall.* or
+  // tcam.route.* counters.
   if (private_tables_ != nullptr) {
     private_tables_->firewall.BindTelemetry(registry, "tcam.firewall");
     private_tables_->routes.BindTelemetry(registry, "tcam.route");

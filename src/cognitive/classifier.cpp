@@ -97,9 +97,9 @@ void FlowTracker::ObserveBatch(const net::PacketMeta* packets,
 AnalogTrafficClassifier::AnalogTrafficClassifier(
     core::HardwarePcamConfig hardware, double skirt_fraction)
     : skirt_fraction_(skirt_fraction),
-      size_map_(0.0, kMaxSizeBytes, hardware.input_range),
-      iat_map_(kLogIatLo, kLogIatHi, hardware.input_range),
-      burst_map_(0.0, kMaxBurstiness, hardware.input_range),
+      size_map_(0.0, kMaxSizeBytes, core::kPcamInputRange),
+      iat_map_(kLogIatLo, kLogIatHi, core::kPcamInputRange),
+      burst_map_(0.0, kMaxBurstiness, core::kPcamInputRange),
       table_(/*field_count=*/3, hardware) {
   if (!(skirt_fraction > 0.0)) {
     throw std::invalid_argument(

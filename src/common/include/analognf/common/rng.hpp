@@ -45,14 +45,6 @@ class Xoshiro256 {
   result_type operator()() { return Next(); }
   result_type Next();
 
-  // Equivalent to 2^128 calls to Next(); used to fork statistically
-  // independent sub-streams for per-component generators.
-  void Jump();
-
-  // Convenience: a forked generator whose stream is independent of the
-  // parent's subsequent output.
-  Xoshiro256 Fork();
-
  private:
   std::array<std::uint64_t, 4> s_;
 };
@@ -62,7 +54,6 @@ class Xoshiro256 {
 class RandomStream {
  public:
   explicit RandomStream(std::uint64_t seed) : gen_(seed) {}
-  explicit RandomStream(Xoshiro256 gen) : gen_(gen) {}
 
   // Uniform in [0, 1).
   double NextUniform();
@@ -77,9 +68,6 @@ class RandomStream {
   double NextNormal(double mean, double sigma);
   // True with probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
-
-  // Independent sub-stream for a child component.
-  RandomStream Fork() { return RandomStream(gen_.Fork()); }
 
  private:
   Xoshiro256 gen_;

@@ -29,33 +29,6 @@ std::uint64_t Xoshiro256::Next() {
   return result;
 }
 
-void Xoshiro256::Jump() {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-  for (std::uint64_t jump : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (jump & (std::uint64_t{1} << b)) {
-        s0 ^= s_[0];
-        s1 ^= s_[1];
-        s2 ^= s_[2];
-        s3 ^= s_[3];
-      }
-      Next();
-    }
-  }
-  s_ = {s0, s1, s2, s3};
-}
-
-Xoshiro256 Xoshiro256::Fork() {
-  // The child keeps the current 2^128-draw block; the parent jumps past
-  // it. Repeated forks hand out consecutive non-overlapping blocks.
-  Xoshiro256 child = *this;
-  Jump();
-  return child;
-}
-
 double RandomStream::NextUniform() {
   // 53 random mantissa bits -> uniform double in [0, 1).
   return static_cast<double>(gen_() >> 11) * 0x1.0p-53;

@@ -32,14 +32,16 @@
 
 namespace analognf::core {
 
+// The voltage span thresholds live in (DAC output range feeding the
+// search lines): the union of the feature ranges of Fig. 7a and 7b.
+// Thresholds outside it clamp.
+inline constexpr analog::VoltageRange kPcamInputRange{-2.0, 4.0};
+
 // Construction-time configuration of a hardware cell.
 struct HardwarePcamConfig {
   device::MemristorParams device = device::MemristorParams::NbSrTiO3();
   // Reliable programmable states per device.
   std::size_t state_levels = 64;
-  // The voltage span thresholds live in (DAC output range feeding the
-  // search lines). Thresholds outside it clamp.
-  analog::VoltageRange input_range{-2.0, 4.0};
   // Search-line signal integrity.
   analog::ChannelParams channel = analog::ChannelParams::Ideal();
   // Per-cell device-to-device variation (applied at construction): the

@@ -56,11 +56,11 @@ double HardwarePcamCell::SnapThreshold(double threshold_v,
                                        device::Memristor& dev) {
   // Normalise the threshold into [0,1] over the input range, snap to the
   // device's state ladder, program the device there.
-  const double t = config_.input_range.Normalize(threshold_v);
+  const double t = kPcamInputRange.Normalize(threshold_v);
   const double snapped_t = quantizer_.Quantize(t);
   dev.SetState(snapped_t);
   program_energy_j_ += dev.ProgramEnergyJ(kProgramPulseV, kProgramPulseWidthS);
-  return config_.input_range.Denormalize(snapped_t);
+  return kPcamInputRange.Denormalize(snapped_t);
 }
 
 void HardwarePcamCell::Reprogram(const PcamParams& target) {
@@ -97,8 +97,8 @@ void HardwarePcamCell::Age(double dt_s) {
   PcamParams aged = effective_.params();
   const double skirt_a = aged.m2 - aged.m1;
   const double skirt_b = aged.m4 - aged.m3;
-  aged.m2 = config_.input_range.Denormalize(low_.state());
-  aged.m3 = config_.input_range.Denormalize(high_.state());
+  aged.m2 = kPcamInputRange.Denormalize(low_.state());
+  aged.m3 = kPcamInputRange.Denormalize(high_.state());
   if (aged.m2 > aged.m3) aged.m3 = aged.m2;
   aged.m1 = aged.m2 - skirt_a;
   aged.m4 = aged.m3 + skirt_b;

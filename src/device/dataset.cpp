@@ -20,9 +20,6 @@ constexpr double kMaxProgramV = 2.5;
 }  // namespace
 
 void SynthesisConfig::Validate() const {
-  if (state_machines < 1) {
-    throw std::invalid_argument("SynthesisConfig: state_machines < 1");
-  }
   if (states_per_machine < 1) {
     throw std::invalid_argument("SynthesisConfig: states_per_machine < 1");
   }
@@ -34,34 +31,28 @@ void SynthesisConfig::Validate() const {
 MemristorDataset::MemristorDataset(std::vector<DatasetRecord> records)
     : records_(std::move(records)) {}
 
-MemristorDataset MemristorDataset::Synthesize(const SynthesisConfig& config,
-                                              std::uint64_t seed) {
+MemristorDataset MemristorDataset::Synthesize(const SynthesisConfig& config) {
   config.Validate();
-  analognf::RandomStream rng(seed);
   std::vector<DatasetRecord> records;
-  records.reserve(static_cast<std::size_t>(config.state_machines) *
+  records.reserve(static_cast<std::size_t>(kStateMachines) *
                   static_cast<std::size_t>(config.states_per_machine) *
                   config.read_voltages_v.size());
 
-  for (int machine = 1; machine <= config.state_machines; ++machine) {
+  for (int machine = 1; machine <= kStateMachines; ++machine) {
     // Each state machine is one programming-amplitude family, matching
     // Fig. 2: the same pulse applied from different initial states walks
     // a distinct state trajectory.
     const double amplitude =
-        config.state_machines == 1
-            ? kMinProgramV
-            : kMinProgramV +
-                  (kMaxProgramV - kMinProgramV) *
-                      static_cast<double>(machine - 1) /
-                      static_cast<double>(config.state_machines - 1);
+        kMinProgramV + (kMaxProgramV - kMinProgramV) *
+                           static_cast<double>(machine - 1) /
+                           static_cast<double>(kStateMachines - 1);
     Memristor cell(MemristorParams::NbSrTiO3(), /*initial_state=*/0.0);
-    analognf::RandomStream machine_rng = rng.Fork();
     int pulses_applied = 0;
     // step 0 characterises the pristine (fully RESET) state; steps 1..m
     // follow the pulse train.
     for (int step = 0; step <= config.states_per_machine; ++step) {
       if (step > 0) {
-        cell.ApplyPulse(amplitude, kPulseWidthS, &machine_rng);
+        cell.ApplyPulse(amplitude, kPulseWidthS);
         ++pulses_applied;
       }
       for (double v_read : config.read_voltages_v) {

@@ -41,10 +41,12 @@ struct EnergyEnvelope {
   double mean_energy_j = 0.0;
 };
 
+// n: the synthesis sweep's state machines, one per programming
+// amplitude, spread linearly over [1.0, 2.5] V.
+inline constexpr int kStateMachines = 4;
+
 // Configuration of the synthesis sweep over the Nb:SrTiO3 device.
 struct SynthesisConfig {
-  // n: distinct programming amplitudes, spread linearly over [1.0, 2.5] V.
-  int state_machines = 4;
   int states_per_machine = 16;  // m: pulse steps per machine
   // Read-voltage sweep (the pCAM search-voltage range of Fig. 7a).
   std::vector<double> read_voltages_v = {0.1, 0.5, 1.0, 2.0, 3.0, 4.0};
@@ -58,11 +60,10 @@ class MemristorDataset {
   MemristorDataset() = default;
   explicit MemristorDataset(std::vector<DatasetRecord> records);
 
-  // Runs the synthesis sweep described in SynthesisConfig. `seed` drives
-  // programming noise, which the Nb:SrTiO3 model does not have, so the
-  // sweep is deterministic.
-  static MemristorDataset Synthesize(const SynthesisConfig& config,
-                                     std::uint64_t seed = 1);
+  // Runs the synthesis sweep described in SynthesisConfig. The
+  // Nb:SrTiO3 model has no programming noise, so the sweep is
+  // deterministic.
+  static MemristorDataset Synthesize(const SynthesisConfig& config);
 
   // CSV round-trip (header + one record per line). Load throws
   // std::runtime_error on malformed input: a wrong field count, a cell

@@ -6,6 +6,9 @@
 namespace analognf::net {
 namespace {
 
+// Fraction of a MetaSource's flows marked high priority.
+constexpr double kHighPriorityFraction = 0.25;
+
 // Deterministic flow hash for synthetic flow `i` under generator `salt`.
 std::uint64_t SyntheticFlowHash(std::uint64_t salt, std::uint32_t i) {
   analognf::SplitMix64 sm(salt ^ (0x9e37ULL << 32) ^ i);
@@ -13,7 +16,7 @@ std::uint64_t SyntheticFlowHash(std::uint64_t salt, std::uint32_t i) {
 }
 
 void BuildFlows(std::uint64_t salt, std::uint32_t flows,
-                double high_priority_fraction, double ecn_capable_fraction,
+                double ecn_capable_fraction,
                 std::vector<std::uint64_t>& hashes,
                 std::vector<std::uint8_t>& priorities,
                 std::vector<bool>& ect) {
@@ -24,7 +27,7 @@ void BuildFlows(std::uint64_t salt, std::uint32_t flows,
   priorities.reserve(flows);
   ect.reserve(flows);
   const auto high_count = static_cast<std::uint32_t>(
-      high_priority_fraction * static_cast<double>(flows) + 0.5);
+      kHighPriorityFraction * static_cast<double>(flows) + 0.5);
   const auto ect_count = static_cast<std::uint32_t>(
       ecn_capable_fraction * static_cast<double>(flows) + 0.5);
   for (std::uint32_t i = 0; i < flows; ++i) {
@@ -112,17 +115,16 @@ MetaSource::MetaSource(MetaSourceConfig config, std::uint64_t seed)
     throw std::invalid_argument("MetaSource: zero packet size");
   }
   // Positive form: a NaN fraction fails it before BuildFlows casts it.
-  auto fraction = [](double x) { return x >= 0.0 && x <= 1.0; };
-  if (!fraction(config_.high_priority_fraction) ||
-      !fraction(config_.ecn_capable_fraction)) {
-    throw std::invalid_argument("MetaSource: flow fraction outside [0,1]");
+  if (!(config_.ecn_capable_fraction >= 0.0 &&
+        config_.ecn_capable_fraction <= 1.0)) {
+    throw std::invalid_argument("MetaSource: ECN fraction outside [0,1]");
   }
   // The per-process salts keep recorded outputs bit-identical.
   const bool poisson =
       config_.arrivals.process == ArrivalConfig::Process::kPoisson;
   BuildFlows(poisson ? seed : seed ^ 0x33bb, config_.flows,
-             config_.high_priority_fraction, config_.ecn_capable_fraction,
-             flow_hashes_, flow_priorities_, flow_ect_);
+             config_.ecn_capable_fraction, flow_hashes_, flow_priorities_,
+             flow_ect_);
 }
 
 PacketMeta MetaSource::Next() {

@@ -76,11 +76,10 @@ class ArrivalProcess {
 // Simple IMIX frame size: 64 B (7/12), 576 B (4/12), 1500 B (1/12).
 std::uint32_t ImixBytes(analognf::RandomStream& rng);
 
+// A quarter of a MetaSource's flows are high priority (priority 7 vs 0).
 struct MetaSourceConfig {
   ArrivalConfig arrivals{};
   std::uint32_t flows = 8;
-  // Fraction of flows marked high priority (priority 7 vs 0).
-  double high_priority_fraction = 0.25;
   // Fraction of flows that are ECN-capable transports.
   double ecn_capable_fraction = 0.0;
   std::uint32_t size_bytes = 1000;  // every packet the same size
@@ -92,7 +91,7 @@ struct MetaSourceConfig {
 class MetaSource {
  public:
   // Throws std::invalid_argument on a bad arrival config, zero flows, a
-  // zero packet size or a flow fraction outside [0, 1] (NaN included).
+  // zero packet size or an ECN fraction outside [0, 1] (NaN included).
   MetaSource(MetaSourceConfig config, std::uint64_t seed);
 
   // Next arrival; arrival_time_s values are non-decreasing.

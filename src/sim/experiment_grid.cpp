@@ -130,24 +130,25 @@ struct CellPolicy {
 };
 
 // Open-loop arrival config of a load: its template at the load's rate.
-net::ArrivalConfig OpenLoopArrivals(const GridSpec& spec,
-                                    const GridLoad& load) {
+net::ArrivalConfig OpenLoopArrivals(const GridLoad& load) {
   net::ArrivalConfig arrivals = load.arrivals;
-  arrivals.rate_pps = load.offered_fraction * spec.link_rate_bps /
-                      (8.0 * static_cast<double>(spec.segment_bytes));
+  arrivals.rate_pps = load.offered_fraction * GridSpec::kLinkRateBps /
+                      (8.0 * static_cast<double>(GridSpec::kSegmentBytes));
   return arrivals;
 }
 
-double BufferBytesExact(const GridSpec& spec, double rtt_s) {
-  return spec.buffer_bdp_multiple * spec.link_rate_bps * rtt_s / 8.0;
+double BufferBytesExact(double rtt_s) {
+  return GridSpec::kBufferBdpMultiple * GridSpec::kLinkRateBps * rtt_s /
+         8.0;
 }
 
-std::uint64_t BufferBytes(const GridSpec& spec, double rtt_s) {
+std::uint64_t BufferBytes(double rtt_s) {
   // Never provision below a handful of segments or the short-RTT cells
   // can't hold even one in-flight burst.
-  const double floor_bytes = 8.0 * static_cast<double>(spec.segment_bytes);
+  const double floor_bytes =
+      8.0 * static_cast<double>(GridSpec::kSegmentBytes);
   return static_cast<std::uint64_t>(
-      std::max(BufferBytesExact(spec, rtt_s), floor_bytes));
+      std::max(BufferBytesExact(rtt_s), floor_bytes));
 }
 
 void Require(bool ok, const char* what) {
@@ -187,27 +188,21 @@ void GridSpec::Validate() const {
   Require(!policies.empty() && !base_rtts_s.empty() && !loads.empty() &&
               !ecn_fractions.empty(),
           "every axis needs >= 1 value");
-  Require(Positive(link_rate_bps) && segment_bytes > 0 &&
-              open_loop_flows > 0,
-          "bad link/segment/flows");
   Require(Positive(open_duration_s) && open_warmup_s >= 0.0 &&
               open_duration_s > open_warmup_s &&
               Positive(closed_duration_s) && closed_warmup_s >= 0.0 &&
               closed_duration_s > closed_warmup_s,
           "bad duration/warmup");
-  Require(Positive(target_delay_s) && Positive(max_deviation_s),
-          "bad target band");
-  Require(Positive(buffer_bdp_multiple), "buffer multiple not > 0");
   for (double rtt : base_rtts_s) {
     // The buffer must fit the uint64 byte count it is converted to.
-    Require(Positive(rtt) && BufferBytesExact(*this, rtt) < 0x1p63,
+    Require(Positive(rtt) && BufferBytesExact(rtt) < 0x1p63,
             "base RTT not > 0 or buffer too large");
   }
   for (const GridLoad& load : loads) {
     Require(!load.label.empty(), "load level needs a label");
     Require(Positive(load.offered_fraction) && load.sources > 0,
             "bad load level");
-    OpenLoopArrivals(*this, load).Validate();
+    OpenLoopArrivals(load).Validate();
   }
   for (double ecn : ecn_fractions) {
     Require(ecn >= 0.0 && ecn <= 1.0, "ECN fraction outside [0,1]");
@@ -290,15 +285,14 @@ ExperimentGrid::ExperimentGrid(GridSpec spec) : spec_(std::move(spec)) {
 
 namespace {
 
-CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
-                      const GridVariant* variant, double rtt_s,
-                      std::uint64_t seed) {
+CellPolicy MakePolicy(AqmPolicyKind kind, const GridVariant* variant,
+                      double rtt_s, std::uint64_t seed) {
   CellPolicy out;
   switch (kind) {
     case AqmPolicyKind::kAnalog: {
       aqm::AnalogAqmConfig cfg;
-      cfg.target_delay_s = spec.target_delay_s;
-      cfg.max_deviation_s = spec.max_deviation_s;
+      cfg.target_delay_s = GridSpec::kTargetDelayS;
+      cfg.max_deviation_s = GridSpec::kMaxDeviationS;
       cfg.ecn_enabled = true;
       // 256 device levels: finer than HardwarePcamConfig's default 64.
       // No recorded reason picked this value; it stays because the
@@ -321,8 +315,8 @@ CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
     }
     case AqmPolicyKind::kLearned: {
       cognitive::LearnedAqmConfig cfg;
-      cfg.target_delay_s = spec.target_delay_s;
-      cfg.max_deviation_s = spec.max_deviation_s;
+      cfg.target_delay_s = GridSpec::kTargetDelayS;
+      cfg.max_deviation_s = GridSpec::kMaxDeviationS;
       cfg.seed = seed;
       auto learned = std::make_unique<cognitive::LearnedAqm>(cfg);
       out.learned = learned.get();
@@ -331,8 +325,8 @@ CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
     }
     case AqmPolicyKind::kPie: {
       aqm::PieConfig cfg;
-      cfg.target_delay_s = spec.target_delay_s;
-      cfg.drain_rate_bps = spec.link_rate_bps;
+      cfg.target_delay_s = GridSpec::kTargetDelayS;
+      cfg.drain_rate_bps = GridSpec::kLinkRateBps;
       HarnessSpec hs;
       // drop_prob, qdelay, qdelay_old, last_update, burst_allowance +
       // the queue-bytes read and the scale-table lookup operand.
@@ -346,8 +340,8 @@ CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
     }
     case AqmPolicyKind::kPi2: {
       aqm::Pi2Config cfg;
-      cfg.target_delay_s = spec.target_delay_s;
-      cfg.drain_rate_bps = spec.link_rate_bps;
+      cfg.target_delay_s = GridSpec::kTargetDelayS;
+      cfg.drain_rate_bps = GridSpec::kLinkRateBps;
       HarnessSpec hs;
       hs.state_bits = 384;  // p', qdelay pair, last_update + queue read
       hs.mark_threshold = -1.0;  // native L4S mark path
@@ -359,7 +353,7 @@ CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
     }
     case AqmPolicyKind::kCodel: {
       aqm::CodelConfig cfg;
-      cfg.target_s = spec.target_delay_s;
+      cfg.target_s = GridSpec::kTargetDelayS;
       // RFC 8289: interval should cover the worst-case expected RTT.
       cfg.interval_s = std::max(0.100, rtt_s);
       HarnessSpec hs;
@@ -378,8 +372,8 @@ CellPolicy MakePolicy(const GridSpec& spec, AqmPolicyKind kind,
       // the grid's delay target at line rate (Little's law), so RED aims
       // at the same operating point as everyone else.
       const double target_pkts =
-          spec.target_delay_s * spec.link_rate_bps /
-          (8.0 * static_cast<double>(spec.segment_bytes));
+          GridSpec::kTargetDelayS * GridSpec::kLinkRateBps /
+          (8.0 * static_cast<double>(GridSpec::kSegmentBytes));
       aqm::RedConfig low;
       low.min_threshold_pkts = std::max(1.0, 0.5 * target_pkts);
       low.max_threshold_pkts = std::max(2.0, 1.5 * target_pkts);
@@ -452,7 +446,7 @@ GridCellResult ExperimentGrid::RunCell(AqmPolicyKind policy_kind,
                                        double ecn_fraction,
                                        std::uint64_t cell_seed) const {
   CellPolicy cell_policy =
-      MakePolicy(spec_, policy_kind, variant, rtt_s, Mix(cell_seed));
+      MakePolicy(policy_kind, variant, rtt_s, Mix(cell_seed));
 
   GridCellResult cell;
   cell.policy = policy_kind;
@@ -467,40 +461,40 @@ GridCellResult ExperimentGrid::RunCell(AqmPolicyKind policy_kind,
   LinkReport link;
   if (simulator == GridSimulator::kOpenLoop) {
     net::MetaSourceConfig mc;
-    mc.arrivals = OpenLoopArrivals(spec_, load);
-    mc.flows = spec_.open_loop_flows;
+    mc.arrivals = OpenLoopArrivals(load);
+    mc.flows = GridSpec::kOpenLoopFlows;
     mc.ecn_capable_fraction = ecn_fraction;
-    mc.size_bytes = spec_.segment_bytes;
+    mc.size_bytes = GridSpec::kSegmentBytes;
     net::MetaSource source(mc, cell_seed);
 
     QueueSimConfig qc;
     qc.duration_s = spec_.open_duration_s;
     qc.warmup_s = spec_.open_warmup_s;
-    qc.link_rate_bps = spec_.link_rate_bps;
-    qc.queue.max_bytes = BufferBytes(spec_, rtt_s);
+    qc.link_rate_bps = GridSpec::kLinkRateBps;
+    qc.queue.max_bytes = BufferBytes(rtt_s);
 
     QueueSimulator open_sim(qc, source, *cell_policy.policy);
     SimReport report = open_sim.Run();
     cell.fairness = report.link.FairnessIndex();
     cell.utilization =
-        std::min(1.0, report.ThroughputBps() / spec_.link_rate_bps);
+        std::min(1.0, report.ThroughputBps() / GridSpec::kLinkRateBps);
     link = std::move(report.link);
   } else {
     ClosedLoopConfig cc;
     cc.sources = load.sources;
     cc.base_rtt_s = rtt_s;
-    cc.segment_bytes = spec_.segment_bytes;
+    cc.segment_bytes = GridSpec::kSegmentBytes;
     cc.ecn_fraction = ecn_fraction;
     cc.duration_s = spec_.closed_duration_s;
     cc.warmup_s = spec_.closed_warmup_s;
-    cc.link_rate_bps = spec_.link_rate_bps;
-    cc.queue.max_bytes = BufferBytes(spec_, rtt_s);
+    cc.link_rate_bps = GridSpec::kLinkRateBps;
+    cc.queue.max_bytes = BufferBytes(rtt_s);
 
     ClosedLoopSimulator closed_sim(cc, *cell_policy.policy);
     ClosedLoopReport report = closed_sim.Run();
     cell.fairness = report.FairnessIndex();
     cell.utilization =
-        report.LinkUtilization(spec_.link_rate_bps, spec_.segment_bytes);
+        report.LinkUtilization(GridSpec::kLinkRateBps, GridSpec::kSegmentBytes);
     link = std::move(report.link);
   }
 
@@ -509,8 +503,8 @@ GridCellResult ExperimentGrid::RunCell(AqmPolicyKind policy_kind,
   cell.dropped_packets = link.dropped_packets;
   cell.marked_packets = link.marked_packets;
   cell.adherence = link.DelayFractionWithin(
-      spec_.target_delay_s - spec_.max_deviation_s,
-      spec_.target_delay_s + spec_.max_deviation_s);
+      GridSpec::kTargetDelayS - GridSpec::kMaxDeviationS,
+      GridSpec::kTargetDelayS + GridSpec::kMaxDeviationS);
   FillSojourns(link.delay.ValuesFrom(link.warmup_s), cell);
   if (cell.offered_packets > 0) {
     const auto offered = static_cast<double>(cell.offered_packets);

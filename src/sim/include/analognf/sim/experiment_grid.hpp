@@ -15,7 +15,7 @@
 // fairness, link utilization, and nJ per AQM decision.
 //
 // Axis semantics:
-//  - base RTT sizes the bottleneck buffer (buffer_bdp_multiple x BDP,
+//  - base RTT sizes the bottleneck buffer (kBufferBdpMultiple x BDP,
 //    the standard testbed provisioning rule), drives the closed loop's
 //    propagation delay, and scales CoDel's interval (RFC 8289: interval
 //    should cover the worst-case RTT).
@@ -100,26 +100,28 @@ struct GridSpec {
   // Empty: one analog cell per coordinate, labelled "".
   std::vector<GridVariant> variants;
 
-  double link_rate_bps = 10.0e6;
-  std::uint32_t segment_bytes = 1000;
-  std::uint32_t open_loop_flows = 16;  // Poisson flow population
+  // The bottleneck of every cell: a 10 Mb/s link carrying 1000-byte
+  // segments, offered 16 Poisson flows on the open loop.
+  static constexpr double kLinkRateBps = 10.0e6;
+  static constexpr std::uint32_t kSegmentBytes = 1000;
+  static constexpr std::uint32_t kOpenLoopFlows = 16;
+
+  // The adherence band, and the delay target every policy is programmed
+  // for (the analog AQM's pCAM ramp, PIE/PI2's target, CoDel's target,
+  // RED's threshold placement) — matched targets, per the shoot-out's
+  // like-for-like rule: the paper's 20 ms +/- 10 ms (Fig. 8).
+  static constexpr double kTargetDelayS = 0.020;
+  static constexpr double kMaxDeviationS = 0.010;
+
+  // Bottleneck buffer: this many bandwidth-delay products of the cell's
+  // base RTT (bytes). Ties the RTT axis into the open-loop harness too:
+  // tail-drop headroom and worst-case standing delay scale with RTT.
+  static constexpr double kBufferBdpMultiple = 4.0;
 
   double open_duration_s = 12.0;
   double open_warmup_s = 3.0;
   double closed_duration_s = 20.0;
   double closed_warmup_s = 6.0;
-
-  // The adherence band, and the delay target every policy is programmed
-  // for (the analog AQM's pCAM ramp, PIE/PI2's target, CoDel's target,
-  // RED's threshold placement) — matched targets, per the shoot-out's
-  // like-for-like rule.
-  double target_delay_s = 0.020;
-  double max_deviation_s = 0.010;
-
-  // Bottleneck buffer: this many bandwidth-delay products of the cell's
-  // base RTT (bytes). Ties the RTT axis into the open-loop harness too:
-  // tail-drop headroom and worst-case standing delay scale with RTT.
-  double buffer_bdp_multiple = 4.0;
 
   std::uint64_t seed = 0x5107;
 

@@ -61,7 +61,7 @@ struct LoadDriverConfig {
   Overflow overflow = Overflow::kDropBatch;
   // Called after the drain completes and the report is assembled, while
   // the (now idle) group is still alive — the place to snapshot
-  // telemetry, dump post-mortems, or write pcaps of deliveries.
+  // telemetry or dump post-mortems.
   std::function<void(arch::SwitchGroup&, const LoadReport&)> inspect;
 
   void Validate() const;  // throws std::invalid_argument

@@ -1,6 +1,6 @@
 // TrafficSource: one port's packet stream, batch at a time.
 //
-// Three modes behind one NextBatch() API:
+// Two modes behind one NextBatch() API:
 //   * Live      — WorkloadConfig-driven synthesis: ArrivalProcess clocks
 //                 the stream, a ZipfSampler picks which flow of the
 //                 FlowPopulation sends (heavy-tailed popularity), a size
@@ -10,22 +10,17 @@
 //                 pure function of (population, flow, frame_bytes), the
 //                 replayed packets are byte-identical to the live run
 //                 that recorded the trace.
-//   * FromPcap  — replays a parsed capture (net::ReadPcap) verbatim,
-//                 timestamps and all.
 //
-// RecordTo() tees every emitted packet into a Trace (live/replay modes;
-// pcap frames have no flow index, so recording there throws). A source
-// is single-threaded: exactly the producer thread that owns it calls
+// RecordTo() tees every emitted packet into a Trace. A source is
+// single-threaded: exactly the producer thread that owns it calls
 // NextBatch().
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "analognf/net/generator.hpp"
-#include "analognf/net/pcap.hpp"
 #include "analognf/traffic/trace.hpp"
 #include "analognf/traffic/workload.hpp"
 #include "analognf/traffic/zipf.hpp"
@@ -38,21 +33,18 @@ class TrafficSource {
   static TrafficSource Live(WorkloadConfig config);
   // Replays `trace` once, then reports exhaustion.
   static TrafficSource Replay(Trace trace);
-  // Replays a parsed pcap capture once, frames verbatim.
-  static TrafficSource FromPcap(std::vector<net::PcapRecord> records);
 
   TrafficSource(TrafficSource&&) = default;
   TrafficSource& operator=(TrafficSource&&) = default;
 
   // Tees emitted packets into `trace` (population is filled in; records
-  // are appended). Pass nullptr to stop recording. Throws
-  // std::logic_error in pcap mode.
+  // are appended). Pass nullptr to stop recording.
   void RecordTo(Trace* trace);
 
   // Appends up to `max_packets` packets to `packets` and sets `now_s`
   // to the arrival time of the last one (the batch's injection clock).
   // Returns the number appended; 0 means the source is exhausted
-  // (replay/pcap past the end — live sources never return 0 for
+  // (replay past the end — live sources never return 0 for
   // max_packets > 0).
   std::size_t NextBatch(std::size_t max_packets,
                         std::vector<net::Packet>& packets, double& now_s);
@@ -60,7 +52,7 @@ class TrafficSource {
   std::uint64_t emitted() const { return emitted_; }
 
  private:
-  enum class Mode : std::uint8_t { kLive, kReplay, kPcap };
+  enum class Mode : std::uint8_t { kLive, kReplay };
 
   explicit TrafficSource(Mode mode) : mode_(mode) {}
 
@@ -80,10 +72,6 @@ class TrafficSource {
   // kReplay
   Trace trace_{};
   std::size_t next_record_ = 0;
-
-  // kPcap
-  std::vector<net::PcapRecord> pcap_;
-  std::size_t next_pcap_ = 0;
 };
 
 }  // namespace analognf::traffic

@@ -75,20 +75,14 @@ struct WorkloadConfig {
   PopulationConfig population{};
   double zipf_s = 1.0;  // 0 = uniform popularity
   net::ArrivalConfig arrivals{};
-  enum class Sizes : std::uint8_t { kImix, kFixed };
+  enum class Sizes : std::uint8_t { kImix };  // net::ImixBytes
   Sizes sizes = Sizes::kImix;
-  std::uint32_t fixed_size_bytes = 256;  // kFixed only (total frame bytes)
   std::uint64_t seed = 0x10ad;
 
   void Validate() const;  // throws std::invalid_argument
 };
 
 // ------------------------------------------------------------ synthesis
-
-// Minimum synthesizable frame: Ethernet + IPv4 + UDP, no payload.
-inline constexpr std::uint32_t kMinFrameBytes =
-    net::EthernetHeader::kSize + net::Ipv4Header::kSize +
-    net::UdpHeader::kSize;
 
 // Writes a byte-accurate Ethernet/IPv4/{UDP,TCP} frame of exactly
 // `frame_bytes` (clamped up to the tuple's minimum) for `tuple` into

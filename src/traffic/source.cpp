@@ -29,17 +29,7 @@ TrafficSource TrafficSource::Replay(Trace trace) {
   return src;
 }
 
-TrafficSource TrafficSource::FromPcap(std::vector<net::PcapRecord> records) {
-  TrafficSource src(Mode::kPcap);
-  src.pcap_ = std::move(records);
-  return src;
-}
-
 void TrafficSource::RecordTo(Trace* trace) {
-  if (mode_ == Mode::kPcap && trace != nullptr) {
-    throw std::logic_error(
-        "TrafficSource::RecordTo: pcap frames have no flow index");
-  }
   record_ = trace;
   if (record_ != nullptr) {
     record_->population =
@@ -58,22 +48,13 @@ std::size_t TrafficSource::NextBatch(std::size_t max_packets,
     if (mode_ == Mode::kLive) {
       arrival = arrivals_->Next(*arrival_rng_);
       flow = zipf_->Sample(*rng_);
-      frame_bytes = config_.sizes == WorkloadConfig::Sizes::kFixed
-                        ? config_.fixed_size_bytes
-                        : net::ImixBytes(*rng_);
-    } else if (mode_ == Mode::kReplay) {
+      frame_bytes = net::ImixBytes(*rng_);
+    } else {
       if (next_record_ >= trace_.records.size()) break;
       const TraceRecord& r = trace_.records[next_record_++];
       arrival = r.arrival_s;
       flow = r.flow;
       frame_bytes = r.frame_bytes;
-    } else {
-      if (next_pcap_ >= pcap_.size()) break;
-      const net::PcapRecord& r = pcap_[next_pcap_++];
-      packets.push_back(r.packet);
-      now_s = r.timestamp_s;
-      ++emitted_;
-      continue;
     }
     SynthesizeFrame(population_->Tuple(flow), frame_bytes, frame_);
     packets.emplace_back(frame_);

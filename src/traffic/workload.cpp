@@ -80,9 +80,6 @@ void WorkloadConfig::Validate() const {
   if (!(zipf_s >= 0.0)) {
     throw std::invalid_argument("WorkloadConfig: zipf_s < 0");
   }
-  if (sizes == Sizes::kFixed && fixed_size_bytes < kMinFrameBytes) {
-    throw std::invalid_argument("WorkloadConfig: fixed size below minimum");
-  }
 }
 
 // ------------------------------------------------------------ synthesis
@@ -101,7 +98,8 @@ void SynthesizeFrame(const FlowTuple& tuple, std::uint32_t frame_bytes,
   std::uint8_t* p = out.data();
 
   // Ethernet II. Locally-administered MACs derived from the IPs keep
-  // frames distinguishable in pcap dumps without per-flow state.
+  // the frames of different hosts distinguishable without per-flow
+  // state.
   p[0] = 0x02;
   PutU32At(p + 1, tuple.dst_ip);
   p[5] = 0x01;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <type_traits>
 
 #include "analognf/analog/converter.hpp"
 #include "analognf/analog/crossbar.hpp"
@@ -16,9 +17,16 @@ namespace {
 
 // ----------------------------------------------------------- signal
 
+// True when VoltageRange(Lo, Hi) is a constant expression, i.e. compiles.
+template <double Lo, double Hi>
+concept ConstantRange = requires {
+  typename std::bool_constant<(VoltageRange(Lo, Hi), true)>;
+};
+
 TEST(VoltageRangeTest, RejectsEmptyRange) {
-  EXPECT_THROW(VoltageRange(1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(VoltageRange(2.0, 1.0), std::invalid_argument);
+  static_assert(ConstantRange<1.0, 4.0>);
+  static_assert(!ConstantRange<1.0, 1.0>);
+  static_assert(!ConstantRange<2.0, 1.0>);
 }
 
 TEST(VoltageRangeTest, ClampAndContains) {

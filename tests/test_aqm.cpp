@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -161,7 +162,6 @@ TEST(RedTest, NoDropsBelowMinThreshold) {
 TEST(RedTest, AlwaysDropsFarAboveMaxThreshold) {
   RedConfig c;
   c.queue_weight = 1.0;  // instant average for the test
-  c.gentle = false;
   Red red(c, 2);
   EXPECT_TRUE(Drops(red, MakeContext(0.0, 0.0, 100)));
   EXPECT_EQ(red.LastDropProbability(), 1.0);
@@ -185,7 +185,6 @@ TEST(RedTest, IntermediateLoadDropsProportionally) {
 TEST(RedTest, GentleModeRampsAboveMaxThreshold) {
   RedConfig c;
   c.queue_weight = 1.0;
-  c.gentle = true;
   Red red(c, 4);
   Drops(red, MakeContext(0.0, 0.0, 20));  // 20 < 2*15
   EXPECT_LT(red.LastDropProbability(), 1.0);
@@ -912,16 +911,48 @@ TEST(AnalogAqmTest, UpdatePcamRetargetsRamp) {
   EXPECT_NEAR(aqm.EvaluatePdp(features), 0.0, 0.05);
 
   // Reprogram: ramp now spans 2..6 ms.
-  const auto& c = aqm.config();
-  const analog::LinearMap map(
-      0.0, 2.0 * (c.target_delay_s + c.max_deviation_s), c.feature_range);
-  aqm.table().UpdatePcam(
-      "sojourn_time",
-      core::PcamParams::MakeTrapezoid(map.ToVoltage(0.002),
-                                      map.ToVoltage(0.006),
-                                      c.feature_range.hi_v + 0.5,
-                                      c.feature_range.hi_v + 1.0, 1.0, 0.0));
+  EXPECT_TRUE(aqm.ProgramBand(0.002, 0.006));
   EXPECT_GT(aqm.EvaluatePdp(features), 0.9);
+}
+
+void ExpectSameParams(const core::PcamParams& a, const core::PcamParams& b) {
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(core::PcamParams)), 0)
+      << a.m1 << ' ' << a.m2 << ' ' << a.m3 << ' ' << a.m4 << " vs " << b.m1
+      << ' ' << b.m2 << ' ' << b.m3 << ' ' << b.m4;
+}
+
+// The constructor programs the sojourn stage through the same band
+// mapping ProgramBand uses: reprogramming the configured band is a
+// bit-identical no-op.
+TEST(AnalogAqmTest, ProgramBandOfConfiguredBandKeepsConstructedProgram) {
+  AnalogAqm aqm(TestAnalogConfig());
+  const core::PcamParams built = aqm.table().spec().read[0].program;
+  const core::PcamParams realised =
+      aqm.table().pipeline().cell(0).effective_params();
+  const AnalogAqmConfig& c = aqm.config();
+  EXPECT_TRUE(aqm.ProgramBand(c.target_delay_s - c.max_deviation_s,
+                              c.target_delay_s + c.max_deviation_s));
+  ExpectSameParams(aqm.table().spec().read[0].program, built);
+  ExpectSameParams(aqm.table().pipeline().cell(0).effective_params(),
+                   realised);
+}
+
+// A band whose edges both clamp to one rail of the sojourn map cannot be
+// a ramp: ProgramBand refuses it and leaves the program untouched.
+TEST(AnalogAqmTest, ProgramBandClampedToOneRailChangesNothing) {
+  AnalogAqm aqm(TestAnalogConfig());
+  const core::PcamParams built = aqm.table().spec().read[0].program;
+  const core::PcamParams realised =
+      aqm.table().pipeline().cell(0).effective_params();
+  const double energy_j =
+      aqm.table().pipeline().cell(0).ConsumedProgrammingEnergyJ();
+  EXPECT_FALSE(aqm.ProgramBand(1.0, 2.0));     // both above the domain
+  EXPECT_FALSE(aqm.ProgramBand(-2.0, -1.0));   // both below it
+  ExpectSameParams(aqm.table().spec().read[0].program, built);
+  ExpectSameParams(aqm.table().pipeline().cell(0).effective_params(),
+                   realised);
+  EXPECT_EQ(aqm.table().pipeline().cell(0).ConsumedProgrammingEnergyJ(),
+            energy_j);
 }
 
 // Decisions shaped like the switch's ingress batches: 64 decisions share
@@ -1123,8 +1154,7 @@ TEST(AqmVerdictTest, DefaultAdapterMapsDropDecision) {
   const RedConfig saturating{.min_threshold_pkts = 0.0,
                              .max_threshold_pkts = 1.0,
                              .max_p = 1.0,
-                             .queue_weight = 1.0,
-                             .gentle = false};
+                             .queue_weight = 1.0};
   Red red(saturating, 3);
   EXPECT_EQ(red.DecideOnEnqueue(MakeContext(0.0, 0.0, 100)),
             AqmVerdict::kDrop);

@@ -683,15 +683,24 @@ TEST(ControllerTest, InstallFirewallDenyBlocks) {
 }
 
 TEST(ControllerTest, ProgramAqmTargetReprogramsAllPorts) {
-  CognitiveSwitch sw(SmallSwitch(true));
+  SwitchConfig config = SmallSwitch(true);
+  config.service_classes = 2;
+  CognitiveSwitch sw(config);
   CognitiveNetworkController controller(sw);
-  const double m1_before =
-      sw.port_aqm(0)->table().spec().read[0].program.m1;
+  auto sojourn_m1 = [&sw](std::size_t port, std::size_t service_class) {
+    return sw.port_aqm(port, service_class)->table().spec().read[0].program.m1;
+  };
+  const double m1_before = sojourn_m1(0, 0);
   controller.ProgramAqmTarget(0.005, 0.002);
-  const double m1_after = sw.port_aqm(0)->table().spec().read[0].program.m1;
+  const double m1_after = sojourn_m1(0, 0);
   EXPECT_LT(m1_after, m1_before);
-  // Both ports reprogrammed identically.
-  EXPECT_EQ(sw.port_aqm(1)->table().spec().read[0].program.m1, m1_after);
+  // Every port and service class reprogrammed identically.
+  for (std::size_t port = 0; port < 2; ++port) {
+    for (std::size_t service_class = 0; service_class < 2; ++service_class) {
+      EXPECT_EQ(sojourn_m1(port, service_class), m1_after)
+          << port << '/' << service_class;
+    }
+  }
 }
 
 

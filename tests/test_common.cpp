@@ -38,17 +38,6 @@ TEST(Xoshiro256Test, IsDeterministic) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
 }
 
-TEST(Xoshiro256Test, ForkProducesIndependentStream) {
-  Xoshiro256 parent(9);
-  Xoshiro256 child = parent.Fork();
-  // Child and parent outputs should not coincide on the next draws.
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (parent.Next() == child.Next()) ++equal;
-  }
-  EXPECT_LE(equal, 1);
-}
-
 TEST(RandomStreamTest, UniformInUnitInterval) {
   RandomStream rng(1);
   for (int i = 0; i < 10000; ++i) {
@@ -126,16 +115,6 @@ TEST(RandomStreamTest, BernoulliFrequencyMatchesP) {
     if (rng.NextBernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(static_cast<double>(hits) / 50000.0, 0.3, 0.01);
-}
-
-TEST(RandomStreamTest, ForkedStreamsDecorrelate) {
-  RandomStream a(15);
-  RandomStream b = a.Fork();
-  RunningStats diff;
-  for (int i = 0; i < 1000; ++i) {
-    diff.Add(a.NextUniform() - b.NextUniform());
-  }
-  EXPECT_NEAR(diff.mean(), 0.0, 0.05);
 }
 
 TEST(RandomStreamTest, SameSeedIsBitIdentical) {

@@ -658,7 +658,7 @@ TEST_P(HardwareSnapProperty, SnapErrorBoundedByHalfStep) {
   HardwarePcamConfig config;
   config.state_levels = levels;
   const double step =
-      config.input_range.span() / static_cast<double>(levels - 1);
+      kPcamInputRange.span() / static_cast<double>(levels - 1);
   analognf::RandomStream rng(levels);
   for (int i = 0; i < 50; ++i) {
     const double m2 = -1.5 + 3.5 * rng.NextUniform();

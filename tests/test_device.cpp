@@ -202,7 +202,7 @@ TEST(SynthesisConfigTest, DefaultValidates) {
 
 TEST(SynthesisConfigTest, RejectsBadGrids) {
   SynthesisConfig c;
-  c.state_machines = 0;
+  c.states_per_machine = 0;
   EXPECT_THROW(c.Validate(), std::invalid_argument);
   c = SynthesisConfig{};
   c.read_voltages_v.clear();
@@ -211,12 +211,11 @@ TEST(SynthesisConfigTest, RejectsBadGrids) {
 
 TEST(DatasetTest, SynthesizeProducesFullGrid) {
   SynthesisConfig c;
-  c.state_machines = 3;
   c.states_per_machine = 5;
   c.read_voltages_v = {0.5, 1.0};
   const MemristorDataset ds = MemristorDataset::Synthesize(c);
   // Each machine records the pristine state plus one state per pulse.
-  EXPECT_EQ(ds.size(), 3u * (5u + 1u) * 2u);
+  EXPECT_EQ(ds.size(), 4u * (5u + 1u) * 2u);
 }
 
 // Records belonging to one state machine (programming family).
@@ -282,7 +281,6 @@ TEST(DatasetTest, EnvelopeThrowsOnEmpty) {
 
 TEST(DatasetTest, CsvRoundTrips) {
   SynthesisConfig c;
-  c.state_machines = 2;
   c.states_per_machine = 3;
   c.read_voltages_v = {1.0};
   const MemristorDataset ds = MemristorDataset::Synthesize(c);

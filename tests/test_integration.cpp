@@ -10,7 +10,6 @@
 #include "analognf/aqm/controller.hpp"
 #include "analognf/arch/controller.hpp"
 #include "analognf/arch/switch.hpp"
-#include "analognf/net/pcap.hpp"
 #include "analognf/common/units.hpp"
 #include "analognf/device/dataset.hpp"
 #include "analognf/energy/reference.hpp"
@@ -241,66 +240,6 @@ TEST(Integration, WholeStackIsDeterministic) {
                            policy.ConsumedEnergyJ());
   };
   EXPECT_EQ(run(), run());
-}
-
-
-// ----------------------------------------------- pcap replay fidelity
-
-TEST(Integration, PcapReplayMatchesDirectInjection) {
-  // Generate a capture, write it as a standard pcap, read it back, and
-  // replay it through the switch: verdicts must match direct injection.
-  net::EthernetHeader eth;
-  eth.dst = {2, 0, 0, 0, 0, 1};
-  eth.src = {2, 0, 0, 0, 0, 2};
-  analognf::RandomStream rng(88);
-  std::vector<net::Packet> packets;
-  for (int i = 0; i < 100; ++i) {
-    net::Ipv4Header ip;
-    ip.src_ip = rng.NextBernoulli(0.2) ? net::ParseIpv4("66.1.1.1")
-                                       : net::ParseIpv4("8.8.8.8");
-    ip.dst_ip = rng.NextBernoulli(0.7) ? net::ParseIpv4("10.0.0.5")
-                                       : net::ParseIpv4("99.9.9.9");
-    ip.protocol = net::kIpProtoUdp;
-    net::UdpHeader udp;
-    udp.src_port = static_cast<std::uint16_t>(1024 + rng.NextIndex(1000));
-    udp.dst_port = 443;
-    packets.push_back(net::PacketBuilder()
-                          .Ethernet(eth)
-                          .Ipv4(ip)
-                          .Udp(udp)
-                          .Payload(100)
-                          .Build());
-  }
-
-  std::stringstream capture;
-  net::PcapWriter writer(capture);
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    writer.Write(static_cast<double>(i) * 0.001, packets[i]);
-  }
-  const auto records = net::ReadPcap(capture);
-  ASSERT_EQ(records.size(), packets.size());
-
-  auto build_switch = [] {
-    arch::SwitchConfig sc;
-    sc.port_count = 1;
-    sc.enable_aqm = false;
-    auto sw = std::make_unique<arch::CognitiveSwitch>(sc);
-    sw->AddRoute(net::ParseIpv4("10.0.0.0"), 8, 0);
-    arch::FirewallPattern evil;
-    evil.src_ip = net::ParseIpv4("66.0.0.0");
-    evil.src_prefix_len = 8;
-    sw->AddFirewallRule(evil, false, 5);
-    return sw;
-  };
-  auto direct = build_switch();
-  auto replayed = build_switch();
-  for (std::size_t i = 0; i < packets.size(); ++i) {
-    const auto expect =
-        direct->Inject(packets[i], records[i].timestamp_s);
-    const auto got =
-        replayed->Inject(records[i].packet, records[i].timestamp_s);
-    EXPECT_EQ(expect, got);
-  }
 }
 
 }  // namespace

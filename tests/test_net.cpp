@@ -16,7 +16,6 @@
 #include "analognf/net/generator.hpp"
 #include "analognf/net/packet.hpp"
 #include "analognf/net/parser.hpp"
-#include "analognf/net/pcap.hpp"
 #include "analognf/net/queue.hpp"
 
 namespace analognf::net {
@@ -353,8 +352,7 @@ TEST(PoissonGeneratorTest, TimesAreMonotone) {
 TEST(PoissonGeneratorTest, FlowsAndPrioritiesStable) {
   MetaSourceConfig c;
   c.arrivals.rate_pps = 1000.0;
-  c.flows = 4;
-  c.high_priority_fraction = 0.5;
+  c.flows = 4;  // one of them high priority
   c.size_bytes = 100;
   MetaSource gen(c, 9);
   std::set<std::uint64_t> hashes;
@@ -367,7 +365,7 @@ TEST(PoissonGeneratorTest, FlowsAndPrioritiesStable) {
     if (p.priority >= 4) ++high;
   }
   EXPECT_EQ(hashes.size(), 4u);
-  EXPECT_NEAR(static_cast<double>(high) / total, 0.5, 0.05);
+  EXPECT_NEAR(static_cast<double>(high) / total, 0.25, 0.05);
 }
 
 TEST(PoissonGeneratorTest, SetRateChangesTempo) {
@@ -399,24 +397,20 @@ TEST(MetaSourceTest, RejectsBadConfig) {
   EXPECT_THROW(MetaSource(c, 1), std::invalid_argument);
 }
 
-// Each fraction is cast to a flow count; outside [0, 1] (NaN included)
-// that cast would be undefined, so the constructor rejects it first.
+// The ECN fraction is cast to a flow count; outside [0, 1] (NaN
+// included) that cast would be undefined, so the constructor rejects it
+// first.
 TEST(MetaSourceTest, RejectsFlowFractionsOutsideUnitInterval) {
   for (double bad : {-0.1, 1.5, std::nan(""),
                      std::numeric_limits<double>::infinity()}) {
     SCOPED_TRACE(bad);
     MetaSourceConfig c;
-    c.high_priority_fraction = bad;
-    EXPECT_THROW(MetaSource(c, 1), std::invalid_argument);
-    c = MetaSourceConfig{};
     c.ecn_capable_fraction = bad;
     EXPECT_THROW(MetaSource(c, 1), std::invalid_argument);
   }
   MetaSourceConfig edges;
-  edges.high_priority_fraction = 0.0;
   edges.ecn_capable_fraction = 1.0;
   EXPECT_NO_THROW(MetaSource(edges, 1));
-  edges.high_priority_fraction = 1.0;
   edges.ecn_capable_fraction = 0.0;
   EXPECT_NO_THROW(MetaSource(edges, 1));
 }
@@ -1042,220 +1036,6 @@ TEST(Ipv6Test, BuilderRejectsMixedIpLayers) {
   bad.flow_label = 0x200000;  // > 20 bits
   EXPECT_THROW(PacketBuilder().Ipv6(bad), std::invalid_argument);
 }
-
-
-// ---------------------------------------------------------------- pcap
-
-TEST(PcapTest, RoundTripsFrames) {
-  std::stringstream buffer;
-  PcapWriter writer(buffer);
-  const Packet a = PacketBuilder()
-                       .Ethernet(TestEth())
-                       .Ipv4(TestIp(kIpProtoUdp))
-                       .Udp({})
-                       .Payload(40)
-                       .Build();
-  const Packet b = PacketBuilder()
-                       .Ethernet(TestEth())
-                       .Ipv4(TestIp(kIpProtoTcp))
-                       .Tcp({})
-                       .Payload(10)
-                       .Build();
-  writer.Write(1.000001, a);
-  writer.Write(2.5, b);
-  EXPECT_EQ(writer.frames(), 2u);
-
-  const auto records = ReadPcap(buffer);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_NEAR(records[0].timestamp_s, 1.000001, 1e-6);
-  EXPECT_NEAR(records[1].timestamp_s, 2.5, 1e-6);
-  EXPECT_EQ(records[0].packet.bytes(), a.bytes());
-  EXPECT_EQ(records[1].packet.bytes(), b.bytes());
-  // The replayed frames parse identically.
-  EXPECT_TRUE(ParseOf(records[0].packet).ok());
-  EXPECT_TRUE(ParseOf(records[1].packet).udp.has_value() == false);
-}
-
-TEST(PcapTest, GlobalHeaderIsStandard) {
-  std::stringstream buffer;
-  PcapWriter writer(buffer);
-  const std::string bytes = buffer.str();
-  ASSERT_GE(bytes.size(), 24u);
-  // Little-endian microsecond magic.
-  EXPECT_EQ(static_cast<unsigned char>(bytes[0]), 0xd4);
-  EXPECT_EQ(static_cast<unsigned char>(bytes[1]), 0xc3);
-  EXPECT_EQ(static_cast<unsigned char>(bytes[2]), 0xb2);
-  EXPECT_EQ(static_cast<unsigned char>(bytes[3]), 0xa1);
-  // Link type Ethernet at offset 20.
-  EXPECT_EQ(static_cast<unsigned char>(bytes[20]), 1);
-}
-
-TEST(PcapTest, SnapLenTruncatesOnDisk) {
-  std::stringstream buffer;
-  PcapWriter writer(buffer, /*snap_len=*/64);
-  const Packet big = PacketBuilder()
-                         .Ethernet(TestEth())
-                         .Ipv4(TestIp(kIpProtoUdp))
-                         .Udp({})
-                         .Payload(1000)
-                         .Build();
-  writer.Write(0.0, big);
-  const auto records = ReadPcap(buffer);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].packet.size(), 64u);
-}
-
-TEST(PcapTest, RejectsBackwardsTimestamps) {
-  std::stringstream buffer;
-  PcapWriter writer(buffer);
-  const Packet p = PacketBuilder().Ethernet(TestEth()).Build();
-  writer.Write(5.0, p);
-  EXPECT_THROW(writer.Write(4.0, p), std::invalid_argument);
-}
-
-TEST(PcapTest, ReaderRejectsGarbage) {
-  std::stringstream bad("not a pcap file at all");
-  EXPECT_THROW(ReadPcap(bad), std::runtime_error);
-  std::stringstream empty;
-  EXPECT_THROW(ReadPcap(empty), std::runtime_error);
-}
-
-void AppendU32Le(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xff));
-  }
-}
-
-// A hand-built classic pcap global header (version 2.4, Ethernet).
-std::string PcapHeader(std::uint32_t snap_len) {
-  std::string out;
-  AppendU32Le(out, 0xa1b2c3d4);
-  AppendU32Le(out, 2u | 4u << 16);  // version major, minor
-  AppendU32Le(out, 0);              // thiszone
-  AppendU32Le(out, 0);              // sigfigs
-  AppendU32Le(out, snap_len);
-  AppendU32Le(out, 1);              // LINKTYPE_ETHERNET
-  return out;
-}
-
-// Appends a record header claiming `incl_len` bytes, then `body` bytes.
-void AppendPcapRecord(std::string& out, std::uint32_t micros,
-                      std::uint32_t incl_len, std::uint32_t body) {
-  AppendU32Le(out, 1);  // seconds
-  AppendU32Le(out, micros);
-  AppendU32Le(out, incl_len);
-  AppendU32Le(out, incl_len);  // orig_len
-  out.append(body, '\x5a');
-}
-
-std::vector<PcapRecord> ReadPcapBytes(const std::string& bytes) {
-  std::stringstream in(bytes);
-  return ReadPcap(in);
-}
-
-TEST(PcapTest, ReaderRejectsRecordLongerThanSnapLen) {
-  // A complete 100-byte record in a capture that declares snaplen 64.
-  std::string bytes = PcapHeader(64);
-  AppendPcapRecord(bytes, 0, 100, 100);
-  EXPECT_THROW(ReadPcapBytes(bytes), std::runtime_error);
-}
-
-TEST(PcapTest, ReaderBoundsHeaderFields) {
-  EXPECT_THROW(ReadPcapBytes(PcapHeader(0)), std::runtime_error);
-  EXPECT_THROW(ReadPcapBytes(PcapHeader(262145)), std::runtime_error);
-  EXPECT_TRUE(ReadPcapBytes(PcapHeader(262144)).empty());
-
-  // 40 bytes that claim a 4 GiB frame: rejected before any allocation.
-  std::string huge = PcapHeader(65535);
-  AppendPcapRecord(huge, 0, 0xffffffffu, 0);
-  ASSERT_EQ(huge.size(), 40u);
-  EXPECT_THROW(ReadPcapBytes(huge), std::runtime_error);
-
-  std::string micros = PcapHeader(64);
-  AppendPcapRecord(micros, 1000000, 10, 10);
-  EXPECT_THROW(ReadPcapBytes(micros), std::runtime_error);
-
-  std::string edge = PcapHeader(64);
-  AppendPcapRecord(edge, 999999, 64, 64);
-  const auto records = ReadPcapBytes(edge);
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_NEAR(records[0].timestamp_s, 1.999999, 1e-9);
-  EXPECT_EQ(records[0].packet.size(), 64u);
-}
-
-// Property: ReadPcap never crashes, over-allocates or throws anything
-// but std::runtime_error on random garbage and on truncated or
-// bit-flipped valid captures.
-class PcapGarbageFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-void ReadPcapOrReject(const std::string& bytes) {
-  try {
-    ReadPcapBytes(bytes);
-  } catch (const std::runtime_error&) {
-  }
-}
-
-std::string ValidCapture() {
-  std::stringstream buffer;
-  PcapWriter writer(buffer, /*snap_len=*/128);
-  for (int i = 0; i < 4; ++i) {
-    writer.Write(0.25 * i, PacketBuilder()
-                               .Ethernet(TestEth())
-                               .Ipv4(TestIp(kIpProtoUdp))
-                               .Udp({})
-                               .Payload(static_cast<std::size_t>(30 * i))
-                               .Build());
-  }
-  return buffer.str();
-}
-
-TEST_P(PcapGarbageFuzz, GarbageNeverCrashes) {
-  RandomStream rng(GetParam());
-  const std::string header = PcapHeader(65535);
-  const std::string magic = header.substr(0, 4);
-  for (int iter = 0; iter < 600; ++iter) {
-    // A third of the inputs keep a valid magic and a third a whole valid
-    // header, so that the garbage reaches the header fields and records.
-    std::string bytes = iter % 3 == 0   ? std::string()
-                        : iter % 3 == 1 ? magic
-                                        : header;
-    const auto len = static_cast<std::size_t>(rng.NextIndex(200));
-    for (std::size_t i = 0; i < len; ++i) {
-      bytes.push_back(static_cast<char>(rng.NextIndex(256)));
-    }
-    EXPECT_NO_THROW(ReadPcapOrReject(bytes));
-  }
-}
-
-TEST_P(PcapGarbageFuzz, TruncationsAndBitFlipsNeverCrash) {
-  RandomStream rng(GetParam() ^ 0x7777);
-  const std::string valid = ValidCapture();
-  const auto full = ReadPcapBytes(valid);
-  ASSERT_EQ(full.size(), 4u);
-  // A cut on a record boundary leaves a shorter valid capture; every
-  // other cut must be rejected.
-  std::size_t boundary = 24;  // end of the global header
-  std::size_t whole = 0;      // records before `boundary`
-  for (std::size_t cut = 0; cut < valid.size(); ++cut) {
-    if (cut == boundary) {
-      ASSERT_EQ(ReadPcapBytes(valid.substr(0, cut)).size(), whole) << cut;
-      boundary += 16 + full[whole].packet.size();
-      ++whole;
-    } else {
-      EXPECT_THROW(ReadPcapBytes(valid.substr(0, cut)), std::runtime_error)
-          << cut;
-    }
-  }
-  EXPECT_EQ(whole, full.size());
-  for (int iter = 0; iter < 300; ++iter) {
-    std::string copy = valid;
-    const auto pos = static_cast<std::size_t>(rng.NextIndex(copy.size()));
-    copy[pos] = static_cast<char>(copy[pos] ^ (1 << rng.NextIndex(8)));
-    EXPECT_NO_THROW(ReadPcapOrReject(copy));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PcapGarbageFuzz, ::testing::Values(7, 8, 9));
 
 }  // namespace
 }  // namespace analognf::net

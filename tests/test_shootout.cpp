@@ -65,7 +65,7 @@ TEST(GridSpecTest, ValidateRejectsBadAxes) {
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
 
   spec = TinySpec();
-  spec.buffer_bdp_multiple = inf;
+  spec.base_rtts_s = {1.0e300};  // finite, but its buffer overflows uint64
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
 
   spec = TinySpec();
@@ -78,14 +78,6 @@ TEST(GridSpecTest, ValidateRejectsBadAxes) {
 
   spec = TinySpec();
   spec.loads[0].offered_fraction = nan;
-  EXPECT_THROW(spec.Validate(), std::invalid_argument);
-
-  spec = TinySpec();
-  spec.target_delay_s = inf;
-  EXPECT_THROW(spec.Validate(), std::invalid_argument);
-
-  spec = TinySpec();
-  spec.link_rate_bps = inf;
   EXPECT_THROW(spec.Validate(), std::invalid_argument);
 
   // The new axes: variant labels, ages and the arrival template.

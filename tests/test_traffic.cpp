@@ -21,7 +21,6 @@
 #include "analognf/arch/port_runtime.hpp"
 #include "analognf/common/spsc_ring.hpp"
 #include "analognf/net/parser.hpp"
-#include "analognf/net/pcap.hpp"
 #include "analognf/traffic/load_driver.hpp"
 #include "analognf/traffic/source.hpp"
 #include "analognf/traffic/trace.hpp"
@@ -535,35 +534,6 @@ TEST(TrafficSourceTest, RecordThenReplayIsByteIdentical) {
   for (std::size_t i = 0; i < replayed.size(); ++i) {
     EXPECT_EQ(replayed[i].bytes(), live_packets[i].bytes()) << "packet " << i;
   }
-}
-
-TEST(TrafficSourceTest, PcapRoundTripReplaysVerbatim) {
-  // Synthesize a small stream, write it as pcap, read it back, replay.
-  traffic::FlowPopulation pop(traffic::PopulationConfig{});
-  std::stringstream file;
-  net::PcapWriter writer(file);
-  std::vector<net::Packet> originals;
-  for (std::uint64_t f = 0; f < 16; ++f) {
-    originals.push_back(SynthesizePacket(pop.Tuple(f), 128));
-    writer.Write(0.001 * static_cast<double>(f + 1), originals.back());
-  }
-  std::vector<net::PcapRecord> records = net::ReadPcap(file);
-  ASSERT_EQ(records.size(), 16u);
-
-  traffic::TrafficSource src =
-      traffic::TrafficSource::FromPcap(std::move(records));
-  traffic::Trace trace;
-  EXPECT_THROW(src.RecordTo(&trace), std::logic_error);
-
-  std::vector<net::Packet> packets;
-  double now_s = 0.0;
-  EXPECT_EQ(src.NextBatch(64, packets, now_s), 16u);
-  EXPECT_DOUBLE_EQ(now_s, 0.016);
-  ASSERT_EQ(packets.size(), 16u);
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(packets[i].bytes(), originals[i].bytes());
-  }
-  EXPECT_EQ(src.NextBatch(64, packets, now_s), 0u);
 }
 
 // ----------------------------------------------- PortRuntime ring mode
