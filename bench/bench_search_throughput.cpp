@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 
+#include "analognf/common/simd.hpp"
 #include "analognf/common/units.hpp"
 #include "analognf/core/pcam_array.hpp"
 #include "analognf/tcam/tcam.hpp"
@@ -192,7 +193,8 @@ void EmitSearchJson() {
   bench::WriteBenchJson(
       "BENCH_search.json",
       {bench::JsonStr("bench", "search_throughput"),
-       bench::JsonInt("field_count", 1)},
+       bench::JsonInt("field_count", 1),
+       bench::JsonStr("isa", simd::IsaName())},
       {results}, std::to_string(measurements.size()) + " measurements");
 }
 

@@ -12,7 +12,9 @@
 # object in the build tree, tests included, and merged by source position
 # over every object that emits them. So a header function that only a
 # test emits counts as unreached, but a template counts as reached when
-# any instantiation of it runs.
+# any instantiation of it runs. A reused tree still holds the notes of
+# objects whose source was deleted or moved; nothing runs them, so a
+# note that records a source file that is gone is skipped.
 #
 # Blind spot: a header-inline function that no object emits (no program
 # or test calls it) has no gcov record, so it passes unseen.
@@ -67,6 +69,7 @@ root = sys.argv[1] + "/src/"
 text = sys.stdin.read()
 decoder = json.JSONDecoder()
 funcs = {}
+stale = 0
 pos = 0
 while True:
     while pos < len(text) and text[pos].isspace():
@@ -74,9 +77,14 @@ while True:
     if pos >= len(text):
         break
     doc, pos = decoder.raw_decode(text, pos)
-    for f in doc.get("files", []):
-        path = os.path.normpath(f["file"])
-        if not path.startswith(root) or not os.path.exists(path):
+    cwd = doc.get("current_working_directory", ".")
+    files = [(os.path.normpath(os.path.join(cwd, f["file"])), f)
+             for f in doc.get("files", [])]
+    if not all(os.path.exists(path) for path, _ in files):
+        stale += 1
+        continue
+    for path, f in files:
+        if not path.startswith(root):
             continue
         for fn in f.get("functions", []):
             key = (path, fn["start_line"])
@@ -86,6 +94,7 @@ while True:
                           max(span, fn["end_line"] - fn["start_line"] + 1))
 for name, runs, span in sorted(funcs.values()):
     print(f"{runs}\t{span}\t{name}")
+print(f"skipped {stale} notes of deleted or moved sources", file=sys.stderr)
 ' "$root"
 )
 unreached=$(printf '%s\n' "$counts" | awk -F'\t' '$1 == 0 {print $3}')

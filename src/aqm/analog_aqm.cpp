@@ -197,6 +197,8 @@ AnalogAqm::AnalogAqm(AnalogAqmConfig config)
                                       buffer_chain_.max_order());
   chain_ops_ = static_cast<std::uint64_t>(chain_stages_);
   derivative_energy_per_decision_j_ = kDerivativeEnergyJ * chain_stages_;
+  dac_energy_per_decision_j_ =
+      kDacEnergyJ * static_cast<double>(dacs_.size());
   derivative_meter_ = ledger_.Meter("analog.derivative");
   dac_meter_ = ledger_.Meter(energy::category::kDacConvert);
   pcam_meter_ = ledger_.Meter(energy::category::kPcamSearch);
@@ -228,7 +230,7 @@ void AnalogAqm::FeaturesToVoltagesInto(
   for (std::size_t k = 0; k < per_family; ++k) {
     volts.push_back(dacs_[dac++].Convert(buffer_derivs[k]));
   }
-  dac_meter_->energy_j += kDacEnergyJ * static_cast<double>(volts.size());
+  dac_meter_->energy_j += dac_energy_per_decision_j_;
   dac_meter_->operations += volts.size();
 }
 
@@ -239,21 +241,52 @@ double AnalogAqm::EvaluatePdp(const std::vector<double>& features_v) {
   return std::clamp(apply_scratch_.value, 0.0, 1.0);
 }
 
-AqmVerdict AnalogAqm::DecideOnEnqueue(const AqmContext& ctx) {
-  // Analog feature extraction: advance both derivative chains with the
-  // current queue observations.
-  const std::vector<double>& sojourn =
-      sojourn_chain_.Step(ctx.now_s, ctx.sojourn_s);
-  const std::vector<double>& buffer = buffer_chain_.Step(
-      ctx.now_s,
-      static_cast<double>(ctx.queue_bytes) / kBufferReferenceBytes);
-  // The analog differentiator stages dissipate per sample (both chains);
-  // the charge is configuration-constant, precomputed at construction.
+bool AnalogAqm::ReplaysDecision(const AqmContext& ctx) {
+  core::PcamPipeline& pipeline = table_->pipeline();
+  if (!replay_ok_ || ctx.now_s != replay_now_s_ ||
+      ctx.sojourn_s != replay_sojourn_s_ ||
+      ctx.queue_bytes != replay_queue_bytes_ ||
+      pipeline.evaluations() != replay_evaluation_ ||
+      !pipeline.ReplayLast()) {
+    return false;
+  }
+  // The full path's charges, category by category, with the same addends.
   derivative_meter_->energy_j += derivative_energy_per_decision_j_;
   derivative_meter_->operations += chain_ops_;
+  dac_meter_->energy_j += dac_energy_per_decision_j_;
+  dac_meter_->operations += dacs_.size();
+  pcam_meter_->energy_j += apply_scratch_.energy_j;
+  pcam_meter_->operations += 1;
+  replay_evaluation_ = pipeline.evaluations();
+  return true;
+}
 
-  FeaturesToVoltagesInto(sojourn, buffer, volts_scratch_);
-  double pdp = EvaluatePdp(volts_scratch_);
+AqmVerdict AnalogAqm::DecideOnEnqueue(const AqmContext& ctx) {
+  double pdp;
+  if (ReplaysDecision(ctx)) {
+    pdp = std::clamp(apply_scratch_.value, 0.0, 1.0);
+  } else {
+    // Analog feature extraction: advance both derivative chains with the
+    // current queue observations.
+    const std::vector<double>& sojourn =
+        sojourn_chain_.Step(ctx.now_s, ctx.sojourn_s);
+    const std::vector<double>& buffer = buffer_chain_.Step(
+        ctx.now_s,
+        static_cast<double>(ctx.queue_bytes) / kBufferReferenceBytes);
+    // The analog differentiator stages dissipate per sample (both
+    // chains); the charge is configuration-constant, precomputed at
+    // construction.
+    derivative_meter_->energy_j += derivative_energy_per_decision_j_;
+    derivative_meter_->operations += chain_ops_;
+
+    FeaturesToVoltagesInto(sojourn, buffer, volts_scratch_);
+    pdp = EvaluatePdp(volts_scratch_);
+    replay_ok_ = config_.dac_inl_sigma_lsb == 0.0;
+    replay_now_s_ = ctx.now_s;
+    replay_sojourn_s_ = ctx.sojourn_s;
+    replay_queue_bytes_ = ctx.queue_bytes;
+    replay_evaluation_ = table_->pipeline().evaluations();
+  }
   if (ctx.packet.priority >= 4) pdp *= kHighPriorityRelief;
   last_pdp_ = pdp;
   if (!rng_.NextBernoulli(pdp)) return AqmVerdict::kAccept;

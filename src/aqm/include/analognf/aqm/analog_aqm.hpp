@@ -79,12 +79,16 @@ class AnalogAqm final : public AqmPolicy {
 
   explicit AnalogAqm(AnalogAqmConfig config);
 
+  // A context whose now_s, sojourn_s and queue_bytes equal the previous
+  // decision's replays that decision's PDP instead of re-deriving it
+  // (see ReplaysDecision); only the Bernoulli draw is new.
   AqmVerdict DecideOnEnqueue(const AqmContext& ctx) override;
   double LastDropProbability() const override { return last_pdp_; }
 
   // Computes the PDP for a context without consuming randomness or
   // updating derivative state — the pure pipeline evaluation used by the
-  // Fig. 7 transfer-function sweeps.
+  // Fig. 7 transfer-function sweeps. It leaves the pipeline holding
+  // `features_v`, so the next decision re-derives its PDP.
   double EvaluatePdp(const std::vector<double>& features_v);
 
   // Feature vector (voltages, in table order) for the given raw
@@ -129,6 +133,16 @@ class AnalogAqm final : public AqmPolicy {
   void FeaturesToVoltagesInto(const std::vector<double>& sojourn_derivs,
                               const std::vector<double>& buffer_derivs,
                               std::vector<double>& volts);
+  // Decision replay. With the same clock, head sojourn and occupancy as
+  // the previous decision, the derivative chains hold (dt = 0) and take
+  // the same inputs, noise-free DACs convert the same features to the
+  // same voltages, and the pipeline would search those voltages again.
+  // So when the pipeline still holds that decision's search (no
+  // evaluation, update_pCAM or cell access since: PcamPipeline::
+  // ReplayLast), this advances every meter exactly as the full path
+  // does and returns true; apply_scratch_, which only an evaluation
+  // writes, still holds that search's result.
+  bool ReplaysDecision(const AqmContext& ctx);
 
   AnalogAqmConfig config_;
   analognf::RandomStream rng_;
@@ -148,10 +162,21 @@ class AnalogAqm final : public AqmPolicy {
   energy::CategoryTotal* derivative_meter_ = nullptr;
   energy::CategoryTotal* dac_meter_ = nullptr;
   energy::CategoryTotal* pcam_meter_ = nullptr;
-  // The derivative-chain charge is the same every decision; precomputed.
+  // The derivative-chain and DAC charges are the same every decision;
+  // precomputed.
   double chain_stages_ = 0.0;
   std::uint64_t chain_ops_ = 0;
   double derivative_energy_per_decision_j_ = 0.0;
+  double dac_energy_per_decision_j_ = 0.0;
+  // The previous full-path decision's key, and the pipeline's
+  // evaluations() right after it (or after its last replay).
+  // ReplaysDecision may replay it only when the DACs are noise-free (a
+  // noisy DAC draws on every conversion).
+  bool replay_ok_ = false;
+  double replay_now_s_ = 0.0;
+  double replay_sojourn_s_ = 0.0;
+  std::uint64_t replay_queue_bytes_ = 0;
+  std::uint64_t replay_evaluation_ = 0;
 };
 
 }  // namespace analognf::aqm

@@ -58,6 +58,14 @@ class PcamPipeline {
   // ConsumedEnergyJ() and evaluations().
   void Evaluate(const std::vector<double>& inputs, Result& result);
 
+  // Re-drives the previous evaluation's inputs without evaluating them:
+  // when the replay memo holds, advances every counter exactly as
+  // Evaluate() on those inputs would (each cell's searches() and search
+  // energy, ConsumedEnergyJ(), evaluations(), replays()) and returns
+  // true; otherwise changes nothing and returns false. The result is the
+  // previous evaluation's, which the caller keeps.
+  bool ReplayLast();
+
   // Reprograms one stage (the paper's update_pCAM(id, parameter[1:8])).
   // Drops the replay memo.
   void ProgramStage(std::size_t index, const PcamParams& params);
@@ -96,9 +104,11 @@ class PcamPipeline {
   // Single-entry replay memo: with all channels stateless, Evaluate() is
   // a deterministic function of (cell programs, inputs). Set by every
   // stateless evaluation; dropped by ProgramStage() and the mutable
-  // cell() accessor. The AQM hits it within an ingress batch: every
-  // packet shares one timestamp, so the derivative chains and the head
-  // sojourn hold, and only an admitted packet moves the buffer feature.
+  // cell() accessor. It serves Evaluate() on a bitwise repeat and
+  // ReplayLast(). The AQM replays a repeated decision through
+  // ReplayLast(); its Evaluate() hits when the decision's inputs moved
+  // but its quantised voltages did not (an admitted packet smaller than
+  // one DAC step of occupancy).
   bool replay_ok_ = false;
   std::vector<double> last_inputs_;
   Result last_result_;

@@ -52,14 +52,11 @@ void PcamPipeline::Evaluate(const std::vector<double>& inputs,
     throw std::invalid_argument("PcamPipeline::Evaluate: arity mismatch");
   }
   if (replay_ok_ && SameBits(inputs, last_inputs_)) {
-    for (HardwarePcamCell& cell : cells_) cell.NoteReplaySearch();
+    ReplayLast();
     result.combined = last_result_.combined;
     result.stage_outputs.assign(last_result_.stage_outputs.begin(),
                                 last_result_.stage_outputs.end());
     result.energy_j = last_result_.energy_j;
-    consumed_energy_j_ += result.energy_j;
-    ++evaluations_;
-    ++replays_;
     return;
   }
   result.combined = 0.0;
@@ -118,6 +115,15 @@ void PcamPipeline::Evaluate(const std::vector<double>& inputs,
                                       result.stage_outputs.end());
     last_result_.energy_j = result.energy_j;
   }
+}
+
+bool PcamPipeline::ReplayLast() {
+  if (!replay_ok_) return false;
+  for (HardwarePcamCell& cell : cells_) cell.NoteReplaySearch();
+  consumed_energy_j_ += last_result_.energy_j;
+  ++evaluations_;
+  ++replays_;
+  return true;
 }
 
 void PcamPipeline::ProgramStage(std::size_t index,

@@ -1029,6 +1029,194 @@ TEST(AnalogAqmTest, ReplayedDecisionsMatchRecomputed) {
   }
 }
 
+// What one decision leaves on every counter the replay must advance:
+// the ledger categories, each pCAM cell and the pipeline.
+struct DecisionCounters {
+  std::vector<double> category_j;
+  std::vector<std::uint64_t> category_ops;
+  std::vector<double> cell_j;
+  std::vector<std::uint64_t> cell_searches;
+  double pipeline_j = 0.0;
+  std::uint64_t evaluations = 0;
+  std::uint64_t replays = 0;
+};
+
+DecisionCounters CountersOf(const AnalogAqm& aqm) {
+  DecisionCounters c;
+  for (const auto& [name, total] : aqm.ledger().categories()) {
+    c.category_j.push_back(total.energy_j);
+    c.category_ops.push_back(total.operations);
+  }
+  const core::PcamPipeline& pipeline = aqm.table().pipeline();
+  for (std::size_t i = 0; i < pipeline.stage_count(); ++i) {
+    c.cell_j.push_back(pipeline.cell(i).ConsumedSearchEnergyJ());
+    c.cell_searches.push_back(pipeline.cell(i).searches());
+  }
+  c.pipeline_j = pipeline.ConsumedEnergyJ();
+  c.evaluations = pipeline.evaluations();
+  c.replays = pipeline.replays();
+  return c;
+}
+
+// `first` added `k` times in order, as k real decisions accumulate it.
+double Repeated(double first, int k) {
+  double total = 0.0;
+  for (int i = 0; i < k; ++i) total += first;
+  return total;
+}
+
+// A decision in the delay band (PDP strictly between 0 and 1), so each
+// Bernoulli draw matters.
+AqmContext BandContext() { return MakeContext(0.5, 0.022, 30, 30000); }
+
+// k identical contexts: the first decision runs the full path, the other
+// k - 1 replay it, and every counter reads exactly what k full decisions
+// would leave: the first decision's increments added k times in order.
+TEST(AnalogAqmTest, IdenticalContextsRepeatTheFirstDecisionsIncrements) {
+  constexpr int kDecisions = 16;
+  AnalogAqm aqm(TestAnalogConfig());
+  AnalogAqm recomputing(TestAnalogConfig());
+  EXPECT_EQ(aqm.DecideOnEnqueue(BandContext()),
+            recomputing.DecideOnEnqueue(BandContext()));
+  const DecisionCounters first = CountersOf(aqm);
+  const double first_pdp = aqm.LastDropProbability();
+  ASSERT_GT(first_pdp, 0.0);
+  ASSERT_LT(first_pdp, 1.0);
+  ASSERT_EQ(first.evaluations, 1u);
+  ASSERT_EQ(first.replays, 0u);
+  int drops = 0;
+  for (int i = 1; i < kDecisions; ++i) {
+    const AqmVerdict verdict = aqm.DecideOnEnqueue(BandContext());
+    EXPECT_EQ(aqm.LastDropProbability(), first_pdp);
+    recomputing.table().pipeline().cell(0);  // drops every memo
+    EXPECT_EQ(recomputing.DecideOnEnqueue(BandContext()), verdict);
+    if (verdict == AqmVerdict::kDrop) ++drops;
+  }
+  EXPECT_GT(drops, 0);
+  EXPECT_LT(drops, kDecisions - 1);
+
+  const DecisionCounters after = CountersOf(aqm);
+  ASSERT_EQ(after.category_j.size(), 3u);
+  for (std::size_t c = 0; c < first.category_j.size(); ++c) {
+    EXPECT_EQ(after.category_j[c], Repeated(first.category_j[c], kDecisions))
+        << c;
+    EXPECT_EQ(after.category_ops[c], first.category_ops[c] * kDecisions)
+        << c;
+  }
+  for (std::size_t i = 0; i < first.cell_j.size(); ++i) {
+    EXPECT_EQ(after.cell_j[i], Repeated(first.cell_j[i], kDecisions)) << i;
+    EXPECT_EQ(after.cell_searches[i], first.cell_searches[i] * kDecisions)
+        << i;
+  }
+  EXPECT_EQ(after.pipeline_j, Repeated(first.pipeline_j, kDecisions));
+  EXPECT_EQ(after.evaluations, static_cast<std::uint64_t>(kDecisions));
+  EXPECT_EQ(after.replays, static_cast<std::uint64_t>(kDecisions - 1));
+  EXPECT_EQ(recomputing.table().pipeline().replays(), 0u);
+  EXPECT_EQ(aqm.ledger().TotalJ(), recomputing.ledger().TotalJ());
+}
+
+// The PDP a full-path decision on BandContext() computes on `aqm`'s
+// current cells: the derivative chains of the second of two coincident
+// samples hold zero derivatives, and the AQM normalises occupancy by
+// 150 000 B.
+double RecomputedBandPdp(AnalogAqm& aqm) {
+  const AqmContext ctx = BandContext();
+  return aqm.EvaluatePdp(aqm.FeaturesToVoltages(
+      {ctx.sojourn_s, 0.0, 0.0, 0.0},
+      {static_cast<double>(ctx.queue_bytes) / 150000.0, 0.0, 0.0, 0.0}));
+}
+
+// update_pCAM between two identical contexts: the second decision
+// searches the new program.
+TEST(AnalogAqmTest, ProgramBandBetweenIdenticalContextsForcesRecompute) {
+  AnalogAqm aqm(TestAnalogConfig());
+  aqm.DecideOnEnqueue(BandContext());
+  const double before = aqm.LastDropProbability();
+  ASSERT_TRUE(aqm.ProgramBand(0.005, 0.025));
+  aqm.DecideOnEnqueue(BandContext());
+  EXPECT_EQ(aqm.table().pipeline().replays(), 0u);
+
+  AnalogAqm expected(TestAnalogConfig());
+  ASSERT_TRUE(expected.ProgramBand(0.005, 0.025));
+  const double expected_pdp = RecomputedBandPdp(expected);
+  EXPECT_NE(expected_pdp, before);
+  EXPECT_EQ(aqm.LastDropProbability(), expected_pdp);
+}
+
+// Aging the cells (through the mutable cell() accessor) between two
+// identical contexts: the second decision searches the relaxed states.
+TEST(AnalogAqmTest, AgingBetweenIdenticalContextsForcesRecompute) {
+  AnalogAqmConfig config = TestAnalogConfig();
+  config.hardware.device.retention_time_constant_s = 50.0;
+  auto age = [](AnalogAqm& aqm) {
+    core::PcamPipeline& pipeline = aqm.table().pipeline();
+    for (std::size_t i = 0; i < pipeline.stage_count(); ++i) {
+      pipeline.cell(i).Age(30.0);
+    }
+  };
+  AnalogAqm aqm(config);
+  aqm.DecideOnEnqueue(BandContext());
+  const double before = aqm.LastDropProbability();
+  const double first_search_j = aqm.ledger().Of("pcam.search").energy_j;
+  age(aqm);
+  aqm.DecideOnEnqueue(BandContext());
+  EXPECT_EQ(aqm.table().pipeline().replays(), 0u);
+
+  AnalogAqm expected(config);
+  age(expected);
+  const double expected_pdp = RecomputedBandPdp(expected);
+  EXPECT_NE(expected_pdp, before);
+  EXPECT_EQ(aqm.LastDropProbability(), expected_pdp);
+  EXPECT_EQ(aqm.ledger().Of("pcam.search").energy_j,
+            first_search_j + expected.ledger().Of("pcam.search").energy_j);
+}
+
+// The Fig. 7 sweep API between two identical contexts leaves the
+// pipeline holding other voltages, with their search energies: the
+// second decision must search its own voltages again.
+TEST(AnalogAqmTest, EvaluatePdpBetweenIdenticalContextsForcesRecompute) {
+  AnalogAqm aqm(TestAnalogConfig());
+  AnalogAqm sweep_only(TestAnalogConfig());
+  const std::vector<double> other =
+      aqm.FeaturesToVoltages({0.030, 0.5, 0.0, 0.0}, {0.9, 0.2, 0.0, 0.0});
+  aqm.DecideOnEnqueue(BandContext());
+  const double first_pdp = aqm.LastDropProbability();
+  const double first_search_j = aqm.ledger().Of("pcam.search").energy_j;
+  const double other_pdp = aqm.EvaluatePdp(other);
+  EXPECT_NE(other_pdp, first_pdp);
+  sweep_only.EvaluatePdp(other);
+  const double other_search_j =
+      sweep_only.ledger().Of("pcam.search").energy_j;
+  ASSERT_NE(other_search_j, first_search_j);
+
+  aqm.DecideOnEnqueue(BandContext());
+  EXPECT_EQ(aqm.table().pipeline().replays(), 0u);
+  EXPECT_EQ(aqm.LastDropProbability(), first_pdp);
+  EXPECT_EQ(aqm.ledger().Of("pcam.search").energy_j,
+            first_search_j + other_search_j + first_search_j);
+}
+
+// Noisy DACs and noisy search lines draw noise on every decision, so
+// identical contexts never replay and their PDPs vary.
+TEST(AnalogAqmTest, NoisyDacsOrChannelsNeverReplay) {
+  AnalogAqmConfig noisy_dacs = TestAnalogConfig();
+  noisy_dacs.dac_inl_sigma_lsb = 0.5;
+  AnalogAqmConfig noisy_channel = TestAnalogConfig();
+  noisy_channel.hardware.channel = analog::ChannelParams::Noisy(0.05);
+  for (const AnalogAqmConfig& config : {noisy_dacs, noisy_channel}) {
+    AnalogAqm aqm(config);
+    std::vector<double> pdps;
+    for (int i = 0; i < 16; ++i) {
+      aqm.DecideOnEnqueue(BandContext());
+      pdps.push_back(aqm.LastDropProbability());
+    }
+    EXPECT_EQ(aqm.table().pipeline().replays(), 0u);
+    EXPECT_EQ(aqm.table().pipeline().evaluations(), 16u);
+    std::sort(pdps.begin(), pdps.end());
+    EXPECT_GT(std::unique(pdps.begin(), pdps.end()) - pdps.begin(), 8);
+  }
+}
+
 // ---------------------------------------------------------- controller
 
 TEST(AqmControllerTest, SustainedHighDelayTightensThresholds) {

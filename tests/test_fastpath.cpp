@@ -565,7 +565,9 @@ TEST(FastPathAllocationTest, InjectDrainLoopIsAllocationFree) {
 // TryPop exchanges its spent batch back into the ring, and the producer
 // frees it on its next push. The worker runs each batch through
 // RunBatch, which builds no verdict copy, so counted on the worker from
-// the ring hook a steady-state batch allocates and frees nothing.
+// the ring hook a steady-state batch allocates and frees nothing. The
+// egress queues stay full, so most AQM decisions repeat the previous
+// one and are replayed; the replay allocates nothing either.
 TEST(FastPathAllocationTest, RingWorkerFreesNoPacketBuffers) {
   SwitchConfig c = AllStagesConfig();
   // The ring worker never drains, so bound the egress queues: their
@@ -584,11 +586,31 @@ TEST(FastPathAllocationTest, RingWorkerFreesNoPacketBuffers) {
   std::uint64_t batches = 0;
   std::uint64_t worker_allocs = 0;
   std::uint64_t worker_frees = 0;
+  // AQM pipeline evaluations (one per decision) and replays, summed
+  // over every port and class, when counting starts and when it stops.
+  struct AqmCounts {
+    std::uint64_t decisions = 0;
+    std::uint64_t replays = 0;
+  };
+  auto count_aqm = [&] {
+    AqmCounts n;
+    for (std::size_t port = 0; port < c.port_count; ++port) {
+      for (std::size_t sc = 0; sc < c.service_classes; ++sc) {
+        const aqm::AnalogAqm& guard = *group.device(0).port_aqm(port, sc);
+        n.decisions += guard.table().pipeline().evaluations();
+        n.replays += guard.table().pipeline().replays();
+      }
+    }
+    return n;
+  };
+  AqmCounts aqm_at_warm;
+  AqmCounts aqm_at_end;
   arch::PortRuntime::IngressRing ring(4);
   group.runtime(0).AttachRing(
       &ring, [&](const arch::PortRuntime::RingBatchInfo&) {
         ++batches;
         if (batches == kWarm) {
+          aqm_at_warm = count_aqm();
           alloc_probe::count = 0;
           alloc_probe::frees = 0;
           alloc_probe::counting = true;
@@ -596,6 +618,7 @@ TEST(FastPathAllocationTest, RingWorkerFreesNoPacketBuffers) {
           alloc_probe::counting = false;
           worker_allocs = alloc_probe::count;
           worker_frees = alloc_probe::frees;
+          aqm_at_end = count_aqm();
         }
       });
   double now_s = 0.0;
@@ -614,6 +637,10 @@ TEST(FastPathAllocationTest, RingWorkerFreesNoPacketBuffers) {
             packets.size() * (kWarm + kCounted));
   EXPECT_EQ(worker_allocs, 0u);
   EXPECT_EQ(worker_frees, 0u);
+  const std::uint64_t decisions = aqm_at_end.decisions - aqm_at_warm.decisions;
+  const std::uint64_t replays = aqm_at_end.replays - aqm_at_warm.replays;
+  EXPECT_GT(decisions, 0u);
+  EXPECT_GT(2 * replays, decisions);
 }
 
 // The same rule on the Submit path: Submit pushes onto the port's own
