@@ -15,8 +15,7 @@
 //     reads the group's SharedTables (a standalone switch reads its own
 //     SharedTables the same way). Each batch acquires the published
 //     snapshots; each port keeps its own energy ledger, stats and
-//     telemetry (the worker registers a thread slot, common/
-//     thread_slot.hpp, so sharded counters stay exact).
+//     telemetry, which only the port's worker writes while it runs.
 //   * SwitchGroup — the assembly: the controller thread stages and
 //     commits table updates and broadcasts pCAM reprogramming commands;
 //     data sources submit batches per port. Commands apply at batch
@@ -115,12 +114,6 @@ class PortRuntime {
   CognitiveSwitch& device() { return switch_; }
   const CognitiveSwitch& device() const { return switch_; }
 
-  // The worker's registered telemetry slot (ThreadSlot::Current() on
-  // the worker); 0 until the worker has started up.
-  std::size_t worker_slot() const {
-    return slot_.load(std::memory_order_acquire);
-  }
-
  private:
   // A queued command and the own-ring batch count it waits for.
   struct PendingCommand {
@@ -148,7 +141,6 @@ class PortRuntime {
   // lock-free check at each batch boundary.
   std::atomic<std::uint64_t> next_ticket_{kNoCommand};
   std::atomic<bool> stop_{false};
-  std::atomic<std::size_t> slot_{0};
   std::thread worker_;  // last: starts after all state is ready
 };
 
@@ -158,8 +150,7 @@ class PortRuntime {
 // (each port's own ring has a single producer).
 class SwitchGroup {
  public:
-  // `ports` port runtimes, each configured from `config` (telemetry
-  // shard counts are widened to cover every worker's slot).
+  // `ports` port runtimes, each configured from `config`.
   SwitchGroup(std::size_t ports, SwitchConfig config);
 
   std::size_t ports() const { return runtimes_.size(); }

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "analognf/arch/controller.hpp"
-#include "analognf/common/thread_slot.hpp"
 
 namespace {
 
@@ -104,11 +103,6 @@ void PortRuntime::RunDueCommands(std::uint64_t retired) {
 }
 
 void PortRuntime::WorkerLoop() {
-  // A slot no other live thread holds keeps this thread's sharded
-  // telemetry writes off every other thread's counter cells (exactness,
-  // not just contention avoidance). It is released when the worker
-  // exits.
-  slot_.store(ThreadSlot::Register(), std::memory_order_release);
   // The last batch, kept across iterations so TryPop exchanges it back
   // into the ring: whoever pushed its buffers frees them, not this thread.
   Batch batch;
@@ -164,12 +158,6 @@ SwitchGroup::SwitchGroup(std::size_t ports, SwitchConfig config)
     : tables_(config.digital_technology, config.port_count) {
   if (ports == 0) {
     throw std::invalid_argument("SwitchGroup: zero ports");
-  }
-  // Widen the default telemetry shard count so every worker's external
-  // slot (registered after construction) still gets its own cell. An
-  // explicit shard count is left alone.
-  if (config.telemetry.shards == 0) {
-    config.telemetry.shards = ThreadSlot::UpperBound() + ports;
   }
   runtimes_.reserve(ports);
   for (std::size_t p = 0; p < ports; ++p) {

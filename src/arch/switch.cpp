@@ -59,7 +59,6 @@ void SwitchConfig::Validate() const {
           "SwitchConfig: classifier_min_confidence outside [0, 1]");
     }
   }
-  telemetry.Validate();
 }
 
 SharedTables::SharedTables(tcam::TcamTechnology technology,

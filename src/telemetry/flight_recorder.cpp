@@ -22,20 +22,24 @@ static_assert(sizeof(BatchTraceRecord) % sizeof(std::uint64_t) == 0 &&
 constexpr std::size_t kRecordWords =
     sizeof(BatchTraceRecord) / sizeof(std::uint64_t);
 
-// Word-wise relaxed stores into the ring slot. The seqlock version makes
-// the record's *content* consistent; per-word atomicity is what lets a
-// reader race the copy without undefined behaviour (the torn copy is
-// then discarded by the version re-check).
+// Word-wise copies into and out of a ring slot: per-word atomicity is
+// what lets Dump race a Record without undefined behaviour. The orders
+// make the seqlock hold in the C++ memory model, not only on x86. A
+// reader whose acquire load sees any word of a newer record synchronizes
+// with that word's release store, so it also sees the odd version the
+// writer stored first, and its version re-check discards the copy.
+// (Plain relaxed copies would let the re-check move above the copy;
+// Boehm, "Can Seqlocks Get Along with Programming Language Memory
+// Models?", MSPC 2012.)
 void StoreRecord(BatchTraceRecord& dst, const BatchTraceRecord& src) {
   auto* d = reinterpret_cast<std::uint64_t*>(&dst);
   const auto* s = reinterpret_cast<const std::uint64_t*>(&src);
   for (std::size_t i = 0; i < kRecordWords; ++i) {
     std::atomic_ref<std::uint64_t>(d[i]).store(s[i],
-                                               std::memory_order_relaxed);
+                                               std::memory_order_release);
   }
 }
 
-// Word-wise relaxed loads out of the ring slot into a private copy.
 void LoadRecord(BatchTraceRecord& dst, const BatchTraceRecord& src) {
   auto* d = reinterpret_cast<std::uint64_t*>(&dst);
   // atomic_ref needs a mutable lvalue even for loads (const support is
@@ -43,7 +47,7 @@ void LoadRecord(BatchTraceRecord& dst, const BatchTraceRecord& src) {
   auto* s = reinterpret_cast<std::uint64_t*>(
       const_cast<BatchTraceRecord*>(&src));
   for (std::size_t i = 0; i < kRecordWords; ++i) {
-    d[i] = std::atomic_ref<std::uint64_t>(s[i]).load(std::memory_order_relaxed);
+    d[i] = std::atomic_ref<std::uint64_t>(s[i]).load(std::memory_order_acquire);
   }
 }
 
@@ -57,24 +61,13 @@ FlightRecorder::FlightRecorder(std::size_t capacity) {
 
 void FlightRecorder::Record(BatchTraceRecord rec) {
   if (slots_.empty()) return;
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_acq_rel);
+  const std::uint64_t seq = head_.load(std::memory_order_relaxed);
   Slot& slot = slots_[static_cast<std::size_t>(seq) & mask_];
-  // Claim the slot before touching the record. The ring is lossy under
-  // writer contention: if another writer owns the slot (odd version), or
-  // already published a newer sequence into it (version > 2 * seq), or
-  // wins the CAS race, this record is dropped — a recorder must never
-  // block the data plane, and a lost trace record beats a torn one.
-  std::uint64_t cur = slot.version.load(std::memory_order_relaxed);
-  if ((cur & 1) != 0 || cur > 2 * seq ||
-      !slot.version.compare_exchange_strong(cur, 2 * seq + 1,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  slot.version.store(2 * seq + 1, std::memory_order_relaxed);
   rec.sequence = seq;
   StoreRecord(slot.record, rec);
   slot.version.store(2 * (seq + 1), std::memory_order_release);
+  head_.store(seq + 1, std::memory_order_release);
 }
 
 std::vector<BatchTraceRecord> FlightRecorder::Dump(
@@ -91,8 +84,9 @@ std::vector<BatchTraceRecord> FlightRecorder::Dump(
     if (slot.version.load(std::memory_order_acquire) != expect) continue;
     BatchTraceRecord copy;
     LoadRecord(copy, slot.record);
-    // Re-check after the copy: if a writer claimed the slot mid-copy the
-    // version moved on and the (possibly torn) copy is discarded.
+    // Re-check after the copy: if the writer began overwriting the slot
+    // mid-copy the version moved on and the (possibly torn) copy is
+    // discarded.
     if (slot.version.load(std::memory_order_acquire) != expect) continue;
     out.push_back(copy);
   }

@@ -3,14 +3,11 @@
 //
 // The data plane appends one BatchTraceRecord per ingress batch; the
 // recorder keeps them in a fixed power-of-two ring and overwrites the
-// oldest. Any number of threads may Record concurrently: a fetch_add
-// assigns the sequence, then a CAS on the per-slot seqlock version
-// claims the slot — a writer that loses the claim (another writer owns
-// the slot, or a newer sequence already landed there) drops its record
-// rather than blocking or tearing an in-flight one. Dump() can run at
-// any time; a record that was mid-overwrite during the copy is simply
-// skipped. Record contents cross threads as word-wise relaxed atomics,
-// so a racing copy is well-defined (and then discarded by the version
+// oldest. Record has one writer at a time, the thread that owns the
+// data plane. Dump() may run from any thread at any time: each slot is
+// a seqlock, and a record that was mid-overwrite during the copy is
+// skipped. Record contents cross threads as word-wise atomics, so a
+// racing copy is well-defined (and then discarded by the version
 // re-check).
 #pragma once
 
@@ -65,19 +62,13 @@ class FlightRecorder {
 
   bool enabled() const { return !slots_.empty(); }
   std::size_t capacity() const { return slots_.size(); }
-  // Total sequences ever claimed, dropped ones included (>= capacity
-  // means the ring has wrapped).
+  // Records ever written (>= capacity means the ring has wrapped).
   std::uint64_t recorded() const {
     return head_.load(std::memory_order_acquire);
   }
-  // Records dropped because another writer held or overtook their slot.
-  std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
 
-  // Appends a record (rec.sequence is assigned by the recorder). Safe
-  // from any number of threads; may drop the record under slot
-  // contention (see dropped()).
+  // Appends a record (rec.sequence is assigned by the recorder). One
+  // writer at a time; concurrent Dump() calls are safe.
   void Record(BatchTraceRecord rec);
 
   // The most recent records, oldest first, at most `max_records` (and at
@@ -96,7 +87,6 @@ class FlightRecorder {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> dropped_{0};
 };
 
 }  // namespace analognf::telemetry

@@ -1,17 +1,15 @@
 // Runtime metrics for the data plane: counters, gauges and log-spaced
 // histograms behind a name-keyed registry.
 //
-// The batched pCAM/TCAM hot paths must stay contention-free, so every
-// counter and histogram is *thread-sharded*: one cache-line-padded cell
-// per thread slot (ThreadSlot::Current() — 0 for any unregistered
-// thread, 1 + i for registered thread i, common/thread_slot.hpp),
-// aggregated only when a snapshot is taken. Writers touch their own
-// cache line with relaxed atomics; there is no cross-thread write
-// sharing on the hot path. Counts are exact while each slot has at most
-// one concurrent writer (every concurrent writer but one registered,
-// and the shard count covering the registered slots); beyond that they
-// degrade to statistical per-CPU-style counters rather than serializing
-// writers.
+// Every registry has one writer at a time: the thread that owns the
+// component writing into it (a port's worker, the thread that builds
+// the switch before the worker starts, or a thread that takes over
+// after a fence such as PortRuntime::WaitIdle). Writes are relaxed
+// load+store pairs on atomic cells, not read-modify-writes, so a
+// second concurrent writer would lose updates. Readers are concurrent:
+// Snapshot() may run from any thread while the writer runs, and sees
+// each cell whole. Each metric sits on its own cache line, so the
+// writers of different registries never share one.
 //
 // Instrumented code holds *handles* (CounterHandle, GaugeHandle,
 // HistogramHandle), not metrics: a handle from a disabled registry is
@@ -31,8 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "analognf/common/thread_slot.hpp"
-
 namespace analognf::telemetry {
 
 // Fixed log-spaced histogram buckets: finite bucket i spans
@@ -50,92 +46,67 @@ struct TelemetryConfig {
   // The master off-switch: a disabled registry hands out null handles
   // and never allocates a metric.
   bool enabled = true;
-  // Counter/histogram shard cells (rounded up to a power of two);
-  // 0 = ThreadSlot::UpperBound() at registry construction (slot 0 + the
-  // most threads registered via ThreadSlot::Register that were alive at
-  // once).
-  std::size_t shards = 0;
   // Flight-recorder ring capacity in batch records (rounded up to a
   // power of two); 0 disables the recorder.
   std::size_t flight_recorder_capacity = 256;
-
-  void Validate() const;  // throws std::invalid_argument
 };
 
 namespace internal {
 
-// One shard's slot, padded to its own cache line.
-struct alignas(64) CounterCell {
-  std::atomic<std::uint64_t> value{0};
-};
-
-// Portable relaxed add for atomic<double> (fetch_add on floating point
-// is C++20 but not yet universal); single-writer-per-cell in practice.
-inline void AtomicAdd(std::atomic<double>& a, double x) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
-  }
+// The single writer's increment: a relaxed load and store, which costs a
+// plain add where fetch_add would cost a locked read-modify-write.
+template <typename T>
+void Bump(std::atomic<T>& cell, T n) {
+  cell.store(cell.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
 }
 
 }  // namespace internal
 
-// Monotonic event count, sharded across thread slots.
-class Counter {
+// Monotonic event count.
+class alignas(64) Counter {
  public:
-  explicit Counter(std::size_t shards);
-
-  void Inc(std::uint64_t n = 1) {
-    // Relaxed load+store, not fetch_add: each thread slot owns its
-    // cell (given enough shards), so there is no concurrent writer to
-    // lose an update to, and the per-packet cost is a plain add instead
-    // of a locked RMW. If more threads write than there are cells (more
-    // registered threads than the shard count, or several unregistered
-    // threads sharing slot 0), counts become statistical — never UB,
-    // never torn, possibly slightly under.
-    std::atomic<std::uint64_t>& cell =
-        cells_[ThreadSlot::Current() & mask_].value;
-    cell.store(cell.load(std::memory_order_relaxed) + n,
-               std::memory_order_relaxed);
+  void Inc(std::uint64_t n = 1) { internal::Bump(value_, n); }
+  std::uint64_t Value() const {
+    return value_.load(std::memory_order_relaxed);
   }
-  std::uint64_t Value() const;
 
  private:
-  std::vector<internal::CounterCell> cells_;
-  std::size_t mask_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
-// Last-written value (queue depth, table size). Single atomic cell:
-// gauges are set at sampling points, not on the per-packet hot path.
-class Gauge {
+// Last-written value (queue depth, table size).
+class alignas(64) Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double v) { internal::AtomicAdd(value_, v); }
   double Value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
 };
 
-// Log-spaced-bucket histogram, sharded across thread slots.
-class Histogram {
+// Log-spaced-bucket histogram.
+class alignas(64) Histogram {
  public:
-  Histogram(HistogramSpec spec, std::size_t shards);
+  explicit Histogram(HistogramSpec spec);
 
   void Observe(double x) {
-    Shard& s = shards_[ThreadSlot::Current() & mask_];
-    s.counts[BucketOf(x)].fetch_add(1, std::memory_order_relaxed);
-    s.count.fetch_add(1, std::memory_order_relaxed);
-    internal::AtomicAdd(s.sum, x);
+    const std::size_t i = BucketOf(x);
+    internal::Bump(lines_[i / kCellsPerLine].cells[i % kCellsPerLine],
+                   std::uint64_t{1});
+    internal::Bump(count_, std::uint64_t{1});
+    internal::Bump(sum_, x);
   }
 
   const HistogramSpec& spec() const { return spec_; }
   // Upper bound of finite bucket i (first_bound * growth^i).
   std::vector<double> UpperBounds() const;
-  // Aggregated per-bucket counts, size spec().buckets + 1 (last =
-  // overflow).
+  // Per-bucket counts, size spec().buckets + 1 (last = overflow).
   std::vector<std::uint64_t> BucketCounts() const;
-  std::uint64_t Count() const;
-  double Sum() const;
+  std::uint64_t Count() const {
+    return count_.load(std::memory_order_relaxed);
+  }
+  double Sum() const { return sum_.load(std::memory_order_relaxed); }
 
   std::size_t BucketOf(double x) const {
     if (!(x > spec_.first_bound)) return 0;  // also catches NaN
@@ -145,18 +116,18 @@ class Histogram {
   }
 
  private:
-  struct alignas(64) Shard {
-    // Sized at construction to buckets + 1; never resized (vector<atomic>
-    // is neither copyable nor movable element-wise).
-    std::vector<std::atomic<std::uint64_t>> counts;
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<double> sum{0.0};
+  static constexpr std::size_t kCellsPerLine = 8;
+  // Bucket counts, a cache line at a time, so that no other metric's
+  // writer shares a line with them.
+  struct alignas(64) Line {
+    std::atomic<std::uint64_t> cells[kCellsPerLine]{};
   };
 
   HistogramSpec spec_;
   double inv_log_growth_;
-  std::vector<Shard> shards_;
-  std::size_t mask_;
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
+  std::vector<Line> lines_;
 };
 
 // ---------------------------------------------------------------- handles
@@ -183,9 +154,6 @@ class GaugeHandle {
   explicit GaugeHandle(Gauge* g) : g_(g) {}
   void Set(double v) const {
     if (g_ != nullptr) g_->Set(v);
-  }
-  void Add(double v) const {
-    if (g_ != nullptr) g_->Add(v);
   }
   bool bound() const { return g_ != nullptr; }
 
@@ -254,8 +222,6 @@ class MetricsRegistry {
 
   bool enabled() const { return config_.enabled; }
   const TelemetryConfig& config() const { return config_; }
-  // Resolved shard-cell count (power of two).
-  std::size_t shards() const { return shards_; }
 
   // Find-or-create. Handles and the metrics behind them stay valid for
   // the registry's lifetime; a disabled registry returns null handles
@@ -267,15 +233,14 @@ class MetricsRegistry {
   HistogramHandle GetHistogram(const std::string& name,
                                HistogramSpec spec = {});
 
-  // Aggregates every metric (sums shard cells). Safe to call while
-  // writers are active: counts are relaxed-atomic reads.
+  // Reads every metric. Safe from any thread while the registry's
+  // writer runs: every cell is read with a relaxed atomic load.
   MetricsSnapshot Snapshot() const;
 
  private:
   void CheckNameFree(const std::string& name, int kind) const;
 
   TelemetryConfig config_;
-  std::size_t shards_ = 1;
   mutable std::mutex mutex_;  // guards the maps, not the cells
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;

@@ -4,16 +4,6 @@
 
 namespace analognf::telemetry {
 
-namespace {
-
-std::size_t RoundUpPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 void HistogramSpec::Validate() const {
   if (!(first_bound > 0.0)) {
     throw std::invalid_argument("HistogramSpec: first_bound must be > 0");
@@ -26,37 +16,13 @@ void HistogramSpec::Validate() const {
   }
 }
 
-void TelemetryConfig::Validate() const {
-  // All fields are self-clamping (shard/capacity 0 have defined
-  // meanings); nothing to reject today. Kept so config structs stay
-  // uniform and future fields have a home.
-}
-
-// ---------------------------------------------------------------- Counter
-
-Counter::Counter(std::size_t shards)
-    : cells_(RoundUpPow2(shards == 0 ? 1 : shards)),
-      mask_(cells_.size() - 1) {}
-
-std::uint64_t Counter::Value() const {
-  std::uint64_t total = 0;
-  for (const internal::CounterCell& c : cells_) {
-    total += c.value.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 // -------------------------------------------------------------- Histogram
 
-Histogram::Histogram(HistogramSpec spec, std::size_t shards)
+Histogram::Histogram(HistogramSpec spec)
     : spec_(spec),
       inv_log_growth_(1.0 / std::log(spec.growth)),
-      shards_(RoundUpPow2(shards == 0 ? 1 : shards)),
-      mask_(shards_.size() - 1) {
+      lines_((spec.buckets + kCellsPerLine) / kCellsPerLine) {
   spec_.Validate();
-  for (Shard& s : shards_) {
-    s.counts = std::vector<std::atomic<std::uint64_t>>(spec_.buckets + 1);
-  }
 }
 
 std::vector<double> Histogram::UpperBounds() const {
@@ -70,43 +36,17 @@ std::vector<double> Histogram::UpperBounds() const {
 }
 
 std::vector<std::uint64_t> Histogram::BucketCounts() const {
-  std::vector<std::uint64_t> totals(spec_.buckets + 1, 0);
-  for (const Shard& s : shards_) {
-    for (std::size_t i = 0; i < totals.size(); ++i) {
-      totals[i] += s.counts[i].load(std::memory_order_relaxed);
-    }
+  std::vector<std::uint64_t> counts(spec_.buckets + 1);
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = lines_[i / kCellsPerLine].cells[i % kCellsPerLine].load(
+        std::memory_order_relaxed);
   }
-  return totals;
-}
-
-std::uint64_t Histogram::Count() const {
-  std::uint64_t total = 0;
-  for (const Shard& s : shards_) {
-    total += s.count.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-double Histogram::Sum() const {
-  double total = 0.0;
-  for (const Shard& s : shards_) {
-    total += s.sum.load(std::memory_order_relaxed);
-  }
-  return total;
+  return counts;
 }
 
 // --------------------------------------------------------------- registry
 
-MetricsRegistry::MetricsRegistry(TelemetryConfig config) : config_(config) {
-  config_.Validate();
-  // Default shard count covers every slot handed out so far: slot 0 and
-  // the threads registered via ThreadSlot::Register. Register writer
-  // threads before building the registry or pass config.shards
-  // explicitly (SwitchGroup widens it for its port workers).
-  const std::size_t want =
-      config_.shards != 0 ? config_.shards : ThreadSlot::UpperBound();
-  shards_ = RoundUpPow2(want);
-}
+MetricsRegistry::MetricsRegistry(TelemetryConfig config) : config_(config) {}
 
 void MetricsRegistry::CheckNameFree(const std::string& name, int kind) const {
   // kind: 0 counter, 1 gauge, 2 histogram. Caller holds mutex_.
@@ -124,7 +64,7 @@ CounterHandle MetricsRegistry::GetCounter(const std::string& name) {
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     CheckNameFree(name, 0);
-    it = counters_.emplace(name, std::make_unique<Counter>(shards_)).first;
+    it = counters_.emplace(name, std::make_unique<Counter>()).first;
   }
   return CounterHandle{it->second.get()};
 }
@@ -147,7 +87,7 @@ HistogramHandle MetricsRegistry::GetHistogram(const std::string& name,
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     CheckNameFree(name, 2);
-    it = histograms_.emplace(name, std::make_unique<Histogram>(spec, shards_))
+    it = histograms_.emplace(name, std::make_unique<Histogram>(spec))
              .first;
   }
   return HistogramHandle{it->second.get()};

@@ -7,10 +7,7 @@
 namespace analognf::telemetry {
 
 Telemetry::Telemetry(TelemetryConfig config)
-    : config_([&] {
-        config.Validate();
-        return config;
-      }()),
+    : config_(config),
       registry_(config_),
       recorder_(config_.enabled ? config_.flight_recorder_capacity : 0) {}
 

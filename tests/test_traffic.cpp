@@ -807,46 +807,59 @@ TEST(LoadDriverTest, ReplayMatchesLiveRun) {
 }
 
 TEST(LoadDriverTest, IngressTelemetryCountersMatchReport) {
-  // One-port run so the counters are easy to pin. The driver writes the
-  // authoritative ingress.* counts post-run; the sojourn histogram is
-  // fed by the worker hook. The inspect callback sees the still-alive
-  // group after the report is assembled.
+  // Each port's registry and recorder have one writer at a time: the
+  // worker during the run (switch.* counters, the flight recorder, the
+  // ingress.batch_ns hook histogram), then the driver thread after the
+  // rings are detached (the authoritative ingress.* counts). Every count
+  // must survive that handoff exactly, on every port. The inspect
+  // callback sees the still-alive group after the report is assembled.
   traffic::LoadDriverConfig config = SmallDriverConfig();
-  config.ports = 1;
+  ASSERT_EQ(config.ports, 2u);
   config.overflow = traffic::LoadDriverConfig::Overflow::kBlock;
   bool inspected = false;
   config.inspect = [&inspected](arch::SwitchGroup& group,
                                 const traffic::LoadReport& report) {
     inspected = true;
-    const telemetry::MetricsSnapshot snap =
-        group.device(0).telemetry().metrics().Snapshot();
-    std::map<std::string, std::uint64_t> counters;
-    for (const telemetry::CounterSample& c : snap.counters) {
-      counters[c.name] = c.value;
-    }
-    EXPECT_EQ(counters.at("ingress.offered_packets"),
-              report.ports[0].offered_packets);
-    EXPECT_EQ(counters.at("ingress.achieved_packets"),
-              report.ports[0].achieved_packets);
-    EXPECT_EQ(counters.at("ingress.dropped_packets"), 0u);
-    // The worker-fed sojourn histogram saw every batch exactly once.
-    bool found_hist = false;
-    for (const telemetry::HistogramSample& h : snap.histograms) {
-      if (h.name == "ingress.batch_ns") {
-        found_hist = true;
-        EXPECT_EQ(h.count, report.ports[0].achieved_batches);
+    for (std::size_t p = 0; p < group.ports(); ++p) {
+      SCOPED_TRACE("port " + std::to_string(p));
+      const traffic::PortLoadStats& ps = report.ports[p];
+      const telemetry::Telemetry& hub = group.device(p).telemetry();
+      const telemetry::MetricsSnapshot snap = hub.metrics().Snapshot();
+      std::map<std::string, std::uint64_t> counters;
+      for (const telemetry::CounterSample& c : snap.counters) {
+        counters[c.name] = c.value;
       }
+      EXPECT_EQ(counters.at("ingress.offered_packets"), ps.offered_packets);
+      EXPECT_EQ(counters.at("ingress.achieved_packets"),
+                ps.achieved_packets);
+      EXPECT_EQ(counters.at("ingress.dropped_packets"), 0u);
+      // Worker-written verdict counters mirror the port's stats.
+      const arch::SwitchStats& stats = group.device(p).stats();
+      EXPECT_EQ(counters.at("switch.injected"), stats.injected);
+      EXPECT_EQ(counters.at("switch.forwarded"), stats.forwarded);
+      EXPECT_EQ(counters.at("switch.aqm_drops"), stats.aqm_drops);
+      EXPECT_EQ(counters.at("switch.queue_full"), stats.queue_full);
+      EXPECT_EQ(hub.recorder().recorded(), ps.achieved_batches);
+      // The worker-fed sojourn histogram saw every batch exactly once.
+      bool found_hist = false;
+      for (const telemetry::HistogramSample& h : snap.histograms) {
+        if (h.name == "ingress.batch_ns") {
+          found_hist = true;
+          EXPECT_EQ(h.count, ps.achieved_batches);
+        }
+      }
+      EXPECT_TRUE(found_hist);
     }
-    EXPECT_TRUE(found_hist);
   };
 
   traffic::LoadDriver driver(config);
   const traffic::LoadReport report = driver.Run();
   EXPECT_TRUE(inspected);
-  ASSERT_EQ(report.ports.size(), 1u);
-  EXPECT_EQ(report.ports[0].offered_packets, config.packets_per_port);
-  EXPECT_EQ(report.ports[0].achieved_batches,
-            report.ports[0].offered_batches);
+  ASSERT_EQ(report.ports.size(), 2u);
+  for (const traffic::PortLoadStats& ps : report.ports) {
+    EXPECT_EQ(ps.offered_packets, config.packets_per_port);
+    EXPECT_EQ(ps.achieved_batches, ps.offered_batches);
+  }
   EXPECT_GT(report.achieved_mpps, 0.0);
   EXPECT_GT(report.wall_s, 0.0);
 }
