@@ -236,9 +236,10 @@ LookupTiming LpmLookup() {
   for (auto& a : addrs) {
     a = static_cast<std::uint32_t>(rng.NextIndex(0x100000000ULL));
   }
-  std::vector<std::optional<tcam::TcamSearchResult>> out;
+  const auto snap = table.snapshot();
+  std::vector<std::optional<tcam::TcamEngineHit>> out;
   return TimeLookups(addrs.size(), [&] {
-    table.LookupBatch(addrs.data(), addrs.size(), out);
+    snap->engine.LookupBatch(addrs.data(), addrs.size(), out);
   });
 }
 
@@ -251,8 +252,11 @@ LookupTiming TcamLookup() {
     key.AppendU32(static_cast<std::uint32_t>(rng.NextIndex(0x100000000ULL)));
     keys.push_back(std::move(key));
   }
-  std::vector<std::optional<tcam::TcamSearchResult>> out;
-  return TimeLookups(keys.size(), [&] { table.SearchBatch(keys, out); });
+  const auto snap = table.snapshot();
+  std::vector<std::optional<tcam::TcamEngineHit>> out;
+  return TimeLookups(keys.size(), [&] {
+    snap->engine.SearchBatch(keys.data(), keys.size(), out);
+  });
 }
 
 LookupTiming PcamLookup() {

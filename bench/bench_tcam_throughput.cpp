@@ -117,17 +117,16 @@ std::vector<tcam::BitKey> ProbeKeys(std::size_t count) {
 }
 
 // The pre-engine baseline: priority-resolved rowwise TernaryWord scan
-// over the raw slot array, exactly what TcamTable::Search used to run.
-std::optional<tcam::TcamSearchResult> ScalarScan(
-    const tcam::TcamTable& table, const tcam::BitKey& key) {
-  std::optional<tcam::TcamSearchResult> best;
+// over the raw slot array.
+std::optional<tcam::TcamEngineHit> ScalarScan(const tcam::TcamTable& table,
+                                              const tcam::BitKey& key) {
+  std::optional<tcam::TcamEngineHit> best;
   const auto& entries = table.entries();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (!table.IsLive(i)) continue;
     if (!entries[i].pattern.Matches(key)) continue;
     if (!best.has_value() || entries[i].priority > best->priority) {
-      best = tcam::TcamSearchResult{i, entries[i].action,
-                                    entries[i].priority, 0.0, 0.0};
+      best = tcam::TcamEngineHit{i, entries[i].action, entries[i].priority};
     }
   }
   return best;
@@ -161,9 +160,10 @@ void BM_EngineSearch(benchmark::State& state) {
                   state.range(1) == 0 ? Variant::kLinear : Variant::kPruned)
           .table;
   const auto keys = ProbeKeys(64);
+  const auto snap = table.snapshot();
   std::size_t q = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Search(keys[q]));
+    benchmark::DoNotOptimize(snap->engine.Search(keys[q]));
     q = (q + 1) % keys.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -182,9 +182,10 @@ void BM_EngineSearchBatch(benchmark::State& state) {
       CachedTable(static_cast<std::size_t>(state.range(0))).table;
   const auto batch = static_cast<std::size_t>(state.range(1));
   const auto keys = ProbeKeys(batch);
-  std::vector<std::optional<tcam::TcamSearchResult>> out;
+  const auto snap = table.snapshot();
+  std::vector<std::optional<tcam::TcamEngineHit>> out;
   for (auto _ : state) {
-    table.SearchBatch(keys, out);
+    snap->engine.SearchBatch(keys.data(), keys.size(), out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -223,11 +224,12 @@ double TimeScalarNs(tcam::TcamTable& table, std::size_t probes) {
 double TimeEngineBatchNs(tcam::TcamTable& table, std::size_t batch,
                          std::size_t reps) {
   const auto keys = ProbeKeys(batch);
-  std::vector<std::optional<tcam::TcamSearchResult>> out;
-  table.SearchBatch(keys, out);  // warm the compiled snapshot
+  const auto snap = table.snapshot();
+  std::vector<std::optional<tcam::TcamEngineHit>> out;
+  snap->engine.SearchBatch(keys.data(), keys.size(), out);  // warm-up
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < reps; ++i) {
-    table.SearchBatch(keys, out);
+    snap->engine.SearchBatch(keys.data(), keys.size(), out);
     benchmark::DoNotOptimize(out.data());
   }
   const std::chrono::duration<double, std::nano> dt =

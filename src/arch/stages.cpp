@@ -73,8 +73,7 @@ void FirewallStage::Process(net::PacketBatch& batch) {
   keys_.resize(m);
   energy::CategoryTotal& meter = stage_meter();
   // The snapshot pins the row set AND the per-cycle energy for the whole
-  // batch; the table's own accounting state is never touched (it belongs
-  // to the owner's control thread).
+  // batch.
   const auto snap = table_->snapshot();
   snap->engine.SearchBatch(keys_.data(), keys_.size(), hits_);
   batch.firewall_search_j = snap->search_energy_j;
@@ -106,8 +105,8 @@ void RouteStage::Process(net::PacketBatch& batch) {
     addrs_.push_back(batch.parsed[i].ipv4->dst_ip);
   }
   energy::CategoryTotal& meter = stage_meter();
-  // One acquired snapshot answers the whole batch; the owner's table
-  // accounting is left alone.
+  // One acquired snapshot answers the whole batch and prices each
+  // lookup.
   const auto snap = routes_->snapshot();
   snap->engine.LookupBatch(addrs_.data(), addrs_.size(), hits_);
   batch.route_search_j = snap->search_energy_j;

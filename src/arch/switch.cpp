@@ -288,11 +288,7 @@ void CognitiveSwitch::SetWrrWeights(const std::vector<std::uint32_t>& weights) {
 }
 
 Verdict CognitiveSwitch::Inject(const net::Packet& packet, double now_s) {
-  Commit();  // publish staged control-plane mutations at the batch boundary
-  batch_.Reset(&packet, 1, now_s);
-  graph_.Run(batch_);
-  if (telemetry_.enabled()) RecordBatchTrace(now_s);
-  return batch_.verdicts.front();
+  return RunBatch({&packet, 1}, now_s).front();
 }
 
 std::vector<Verdict> CognitiveSwitch::InjectBatch(

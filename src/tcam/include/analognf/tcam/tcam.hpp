@@ -8,22 +8,19 @@
 // per-bit search energy, latency, and the fraction of energy spent moving
 // data between storage and compute (Fig. 1).
 //
-// Searches run on a compiled bitmask engine (tcam_search_engine.hpp).
 // Mutations (Insert/Erase) only stage changes; an explicit Commit()
 // compiles them into a fresh immutable TcamTableSnapshot and publishes
-// it RCU-style (common/snapshot.hpp). Concurrent data-plane readers
-// acquire the published snapshot and search it directly — they always
-// see either the old or the new fully-compiled table, never a
-// mid-recompile state — while the single-threaded convenience API
-// (Search/SearchBatch on the table) additionally enforces the commit
-// discipline by throwing if mutations are pending. This table stays the
-// model of record for energy and latency.
+// it RCU-style (common/snapshot.hpp). There is one search path: readers
+// acquire the published snapshot, search its compiled engine
+// (tcam_search_engine.hpp) and charge its search_energy_j per search
+// cycle. They always see either the old or the new fully-compiled
+// table, never a mid-recompile state; staged mutations stay invisible
+// until Commit().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -57,17 +54,6 @@ struct TcamTechnology {
   static TcamTechnology MemristorTcam();
 };
 
-// Outcome of a search.
-struct TcamSearchResult {
-  std::size_t entry_index = 0;  // position in the table
-  std::uint32_t action = 0;     // opaque action id stored with the entry
-  std::int32_t priority = 0;
-  // Cost of this search cycle (the whole array is activated regardless
-  // of hit/miss).
-  double energy_j = 0.0;
-  double latency_s = 0.0;
-};
-
 // One committed, immutable compilation of a TcamTable: the engine plus
 // the cost figures that were true for the committed row set. Published
 // via shared_ptr; holders may search `engine` concurrently for as long
@@ -77,7 +63,9 @@ struct TcamTableSnapshot {
       : engine(key_width, config) {}
 
   TcamSearchEngine engine;
-  double search_energy_j = 0.0;  // whole-array energy of one search cycle
+  // Whole-array energy of one search cycle, hit or miss: every stored
+  // bit is searched.
+  double search_energy_j = 0.0;
   double search_latency_s = 0.0;
   std::size_t live_rows = 0;
   std::uint64_t epoch = 0;  // 0 = the empty table published at construction
@@ -94,9 +82,7 @@ struct TcamTableSnapshot {
 //
 // Concurrency contract: mutations and Commit() belong to one control
 // thread at a time. snapshot() may be called from any thread; the
-// returned snapshot is immutable and concurrently searchable. The
-// table-level Search/SearchBatch/AccountSearch convenience path mutates
-// accounting state and is single-caller.
+// returned snapshot is immutable and concurrently searchable.
 class TcamTable {
  public:
   struct Entry {
@@ -155,37 +141,12 @@ class TcamTable {
   // snapshot is epoch 0).
   std::uint64_t epoch() const { return published_.epoch(); }
 
-  // One search cycle: all entries in parallel, best (priority, index)
-  // match wins. nullopt on miss — but note the energy was still spent;
-  // SearchEnergyJ() reports it. Throws std::logic_error if mutations
-  // are pending (call Commit() first) — the lazy recompile-inside-Search
-  // of earlier revisions silently hid exactly the races this table now
-  // rules out.
-  std::optional<TcamSearchResult> Search(const BitKey& key);
-
-  // `keys.size()` search cycles against one committed snapshot; out is
-  // resized to match. Results, counters and consumed energy are
-  // bit-identical to sequential Search() calls. Same commit requirement.
-  void SearchBatch(const std::vector<BitKey>& keys,
-                   std::vector<std::optional<TcamSearchResult>>& out);
-
-  // Accounts one search cycle's energy without scanning, for compiled
-  // side-engines (e.g. LpmTable's) that keep this table as the cost
-  // model of record. The cycle energy is supplied by the caller (a
-  // snapshot's search_energy_j) so accounting follows the snapshot
-  // actually searched rather than the live row set. Returns it.
-  double AccountSearch(double energy_j);
-
-  // Energy/latency of one search cycle over the current (live) table.
+  // Energy of one search cycle over the current (live) table; Commit()
+  // copies it into the snapshot it publishes.
   double SearchEnergyJ() const;
-  double SearchLatencyS() const { return technology_.search_latency_s; }
   // Total stored (searchable) bits: live entries * key_width. The energy
   // model activates all of them per cycle.
   std::size_t StoredBits() const { return live_count_ * key_width_; }
-
-  // Cumulative energy spent by all Search() calls.
-  double ConsumedEnergyJ() const { return consumed_energy_j_; }
-  std::uint64_t searches() const { return searches_; }
 
   // Registers `<prefix>.searches/.rows_scanned/.recompiles` in
   // `registry` and binds the compiled engine (current and future
@@ -195,7 +156,6 @@ class TcamTable {
                      const std::string& prefix);
 
  private:
-  void RequireCommitted() const;  // throws std::logic_error
   // Commit-time tombstone compaction (runs when the dead fraction
   // exceeds 1/4): trailing tombstoned slots are dropped outright —
   // no live index moves, so the stable-index contract holds — and
@@ -217,14 +177,8 @@ class TcamTable {
   TableDelta delta_;           // staged-mutation log, controller-thread only
   TableCommitStats commit_stats_;
 
-  double consumed_energy_j_ = 0.0;
-  std::uint64_t searches_ = 0;
   telemetry::SearchEngineCounters telemetry_;
   telemetry::TableCommitCounters commit_telemetry_;
-
-  // Hits of the single-caller convenience batch path (reused, never
-  // shrinks).
-  std::vector<std::optional<TcamEngineHit>> batch_hits_;
 };
 
 // Per-table LPM tuning.
@@ -240,6 +194,8 @@ struct LpmConfig {
 // pointer.
 struct LpmTableSnapshot {
   LpmFlatEngine engine;
+  // One search cycle of the 32-bit TCAM array holding the live routes:
+  // live_routes * 32 stored bits at the technology's per-bit energy.
   double search_energy_j = 0.0;
   double search_latency_s = 0.0;
   std::size_t live_routes = 0;
@@ -248,31 +204,34 @@ struct LpmTableSnapshot {
 
 // Longest-prefix-match table for IPv4 lookup (priority = prefix length,
 // the classic TCAM LPM encoding). Lookups run on the compiled DIR-24-8
-// engine (lpm_flat_engine.hpp), while the embedded TCAM table remains
-// the energy/latency model of record and is charged one search cycle
-// per lookup, exactly as the scan would have been. AddRoute /
-// WithdrawRoute stage; Commit() publishes (same RCU discipline as
-// TcamTable), patching the previous snapshot's pages when the staged
-// set is small (LpmConfig::delta_policy).
+// engine (lpm_flat_engine.hpp) of the published snapshot, which carries
+// the cost of one search cycle of the equivalent 32-bit TCAM array.
+// AddRoute / WithdrawRoute stage; Commit() publishes (same RCU
+// discipline as TcamTable), patching the previous snapshot's pages when
+// the staged set is small (LpmConfig::delta_policy).
+//
+// Route-index contract (the same as TcamTable's entry indices): an
+// index stays valid until its route is withdrawn; withdrawn indices are
+// reused last-in, first-out by later AddRoute calls.
 class LpmTable {
  public:
+  // Throws std::invalid_argument when `technology` fails Validate().
   explicit LpmTable(TcamTechnology technology, LpmConfig config = {});
 
   // Adds route `value/prefix_len -> action`. Staged until Commit().
-  // Returns the route's stable index (for WithdrawRoute).
+  // Returns the route's stable index (for WithdrawRoute). Throws
+  // std::invalid_argument on a prefix length outside [0, 32].
   std::size_t AddRoute(std::uint32_t value, int prefix_len,
                        std::uint32_t action);
   // Withdraws the route at `route_index` (as returned by AddRoute).
-  // Staged until Commit(). Throws like TcamTable::Erase on a bad or
-  // already-withdrawn index.
+  // Staged until Commit(). Throws std::out_of_range on an index never
+  // returned and std::invalid_argument on a withdrawn one.
   void WithdrawRoute(std::size_t route_index);
 
-  std::size_t route_count() const { return table_.size(); }
+  std::size_t route_count() const { return live_count_; }
   bool NeedsCommit() const { return dirty_; }
   // Publishes the staged route set: single-route page patches when the
   // staged set passes LpmConfig::delta_policy, a full rebuild otherwise.
-  // The embedded TCAM table is deliberately left uncompiled — it is only
-  // the energy model of record and is never scanned.
   void Commit();
   std::shared_ptr<const LpmTableSnapshot> snapshot() const {
     return published_.Acquire();
@@ -282,41 +241,31 @@ class LpmTable {
   // Delta-vs-full accounting across all commits (see TableCommitStats).
   const TableCommitStats& commit_stats() const { return commit_stats_; }
 
-  // Looks up the longest matching prefix for each address; out is
-  // resized to count, and the TCAM array is charged one search cycle per
-  // address. Throws std::logic_error if routes changed since the last
-  // Commit().
-  void LookupBatch(const std::uint32_t* addresses, std::size_t count,
-                   std::vector<std::optional<TcamSearchResult>>& out);
-
-  TcamTable& table() { return table_; }
-  const TcamTable& table() const { return table_; }
-
   // Binds the compiled engine to `<prefix>.*` counters (rows_scanned
-  // counts table reads, 1 or 2 per lookup; the embedded TCAM array
-  // never scans — it is only the energy model of record) and the shared
-  // `table.*` commit meters.
+  // counts table reads, 1 or 2 per lookup) and the shared `table.*`
+  // commit meters.
   void BindTelemetry(telemetry::MetricsRegistry& registry,
                      const std::string& prefix);
 
  private:
-  TcamSearchResult ResultOf(const TcamEngineHit& hit, double energy_j) const;
   // Best live route covering `route`'s prefix, excluding `route` itself
   // (already out of by_prefix_): deepest prefix wins, duplicates resolve
   // to the lowest index. nullptr when nothing covers it.
   const LpmFlatEngine::Route* FindCover(
       const LpmFlatEngine::Route& route) const;
-  void RequireCommitted() const;  // throws std::logic_error
   std::shared_ptr<LpmTableSnapshot> BuildSnapshot(
       const std::shared_ptr<const LpmTableSnapshot>& prev, bool use_delta,
       std::size_t& patched_rows);
 
-  TcamTable table_;  // energy model of record; liveness is shared truth
+  TcamTechnology technology_;
   LpmConfig config_;
-  // Authoritative route payloads, parallel to table_ slots (liveness =
-  // table_.IsLive). Controller-thread only, never read by the data
-  // plane.
+  // Authoritative route payloads by route index, with a live flag per
+  // slot and the withdrawn slots awaiting reuse (LIFO). Controller-
+  // thread only, never read by the data plane.
   std::vector<LpmFlatEngine::Route> routes_;
+  std::vector<std::uint8_t> live_;  // parallel to routes_
+  std::vector<std::size_t> free_list_;
+  std::size_t live_count_ = 0;
   // (masked value, prefix_len) -> live route indices, ascending. Feeds
   // FindCover for withdrawal patches.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_prefix_;
@@ -327,7 +276,6 @@ class LpmTable {
   bool dirty_ = false;
 
   SnapshotCell<LpmTableSnapshot> published_;
-  std::vector<std::optional<TcamEngineHit>> hits_;  // LookupBatch scratch
   std::uint64_t commits_ = 0;  // controller-thread only
   TableCommitStats commit_stats_;
   telemetry::SearchEngineCounters telemetry_;

@@ -2,9 +2,8 @@
 // (IPv4 longest-prefix match has its own engine, lpm_flat_engine.hpp.)
 //
 // Real TCAM hardware evaluates every stored row in parallel per search
-// cycle; the rowwise `TernaryWord::Matches` scan in TcamTable models the
-// cost correctly but walks one stored bit at a time in software. This
-// engine restores the hardware's wide-row shape, mirroring the pCAM
+// cycle; a rowwise `TernaryWord::Matches` scan finds the same winner but
+// walks one stored bit at a time in software. This engine restores the hardware's wide-row shape, mirroring the pCAM
 // side's PcamSearchEngine (core/pcam_search_engine.hpp):
 //
 //   * Compile: every live entry's ternary pattern becomes structure-of-
@@ -48,8 +47,9 @@
 //     hardware's row parallelism is modelled by the 64-row banks and the
 //     SIMD kernel, not by spreading one search across cores.
 //
-// The engine is purely functional: TcamTable remains the energy/latency
-// model of record and accounts every search cycle it performs.
+// The engine is purely functional: the cost of a search cycle is the
+// published TcamTableSnapshot's search_energy_j and search_latency_s,
+// which the searcher charges once per search (see tcam.hpp).
 #pragma once
 
 #include <array>

@@ -197,63 +197,6 @@ void TcamTable::Commit() {
   published_.Publish(std::move(snap));
 }
 
-void TcamTable::RequireCommitted() const {
-  if (NeedsCommit()) {
-    throw std::logic_error(
-        "TcamTable: searched with uncommitted mutations — call Commit()");
-  }
-}
-
-std::optional<TcamSearchResult> TcamTable::Search(const BitKey& key) {
-  if (key.width() != key_width_) {
-    throw std::invalid_argument("TcamTable::Search: key width mismatch");
-  }
-  RequireCommitted();
-  const std::shared_ptr<const TcamTableSnapshot> snap = snapshot();
-  const double energy = AccountSearch(snap->search_energy_j);
-  const std::optional<TcamEngineHit> hit = snap->engine.Search(key);
-  if (!hit.has_value()) return std::nullopt;
-  TcamSearchResult result;
-  result.entry_index = hit->entry_index;
-  result.action = hit->action;
-  result.priority = hit->priority;
-  result.energy_j = energy;
-  result.latency_s = snap->search_latency_s;
-  return result;
-}
-
-void TcamTable::SearchBatch(const std::vector<BitKey>& keys,
-                            std::vector<std::optional<TcamSearchResult>>& out) {
-  for (const BitKey& key : keys) {
-    if (key.width() != key_width_) {
-      throw std::invalid_argument("TcamTable::SearchBatch: key width mismatch");
-    }
-  }
-  RequireCommitted();
-  const std::shared_ptr<const TcamTableSnapshot> snap = snapshot();
-  snap->engine.SearchBatch(keys.data(), keys.size(), batch_hits_);
-  out.assign(keys.size(), std::nullopt);
-  for (std::size_t q = 0; q < keys.size(); ++q) {
-    // Per-search accounting keeps the consumed-energy accumulation order
-    // (and thus its floating-point value) identical to sequential calls.
-    const double energy = AccountSearch(snap->search_energy_j);
-    if (!batch_hits_[q].has_value()) continue;
-    TcamSearchResult result;
-    result.entry_index = batch_hits_[q]->entry_index;
-    result.action = batch_hits_[q]->action;
-    result.priority = batch_hits_[q]->priority;
-    result.energy_j = energy;
-    result.latency_s = snap->search_latency_s;
-    out[q] = result;
-  }
-}
-
-double TcamTable::AccountSearch(double energy_j) {
-  consumed_energy_j_ += energy_j;
-  ++searches_;
-  return energy_j;
-}
-
 double TcamTable::SearchEnergyJ() const {
   return static_cast<double>(StoredBits()) *
          technology_.search_energy_per_bit_j;
@@ -292,29 +235,36 @@ std::uint64_t LpmPrefixKey(std::uint32_t masked, int len) {
 // Seed snapshot for a fresh LPM table: the empty route set compiled at
 // epoch 0, so lookups on a fresh table miss instead of throwing.
 std::shared_ptr<const LpmTableSnapshot> EmptyLpmSnapshot(
-    const TcamTable& table) {
+    const TcamTechnology& technology) {
+  technology.Validate();
   auto snap = std::make_shared<LpmTableSnapshot>();
   snap->engine.Compile({});
-  snap->search_energy_j = table.SearchEnergyJ();
-  snap->search_latency_s = table.SearchLatencyS();
+  snap->search_latency_s = technology.search_latency_s;
   return snap;
 }
 
 }  // namespace
 
 LpmTable::LpmTable(TcamTechnology technology, LpmConfig config)
-    : table_(32, std::move(technology)),
+    : technology_(std::move(technology)),
       config_(config),
-      published_(EmptyLpmSnapshot(table_)) {}
+      published_(EmptyLpmSnapshot(technology_)) {}
 
 std::size_t LpmTable::AddRoute(std::uint32_t value, int prefix_len,
                                std::uint32_t action) {
-  TcamTable::Entry entry;
-  entry.pattern = TernaryWord::FromPrefix(value, prefix_len);
-  entry.action = action;
-  entry.priority = prefix_len;
-  const std::size_t index = table_.Insert(std::move(entry));
-  if (index >= routes_.size()) routes_.resize(index + 1);
+  if (prefix_len < 0 || prefix_len > 32) {
+    throw std::invalid_argument("LpmTable::AddRoute: bad prefix length");
+  }
+  std::size_t index = routes_.size();
+  if (free_list_.empty()) {
+    routes_.emplace_back();
+    live_.push_back(0);
+  } else {
+    index = free_list_.back();
+    free_list_.pop_back();
+  }
+  live_[index] = 1;
+  ++live_count_;
   routes_[index] = {value, prefix_len, action, index};
   const std::uint32_t masked = value & LpmPrefixMask(prefix_len);
   std::vector<std::size_t>& bucket =
@@ -326,7 +276,15 @@ std::size_t LpmTable::AddRoute(std::uint32_t value, int prefix_len,
 }
 
 void LpmTable::WithdrawRoute(std::size_t route_index) {
-  table_.Erase(route_index);  // validates index and liveness
+  if (route_index >= routes_.size()) {
+    throw std::out_of_range("LpmTable::WithdrawRoute: index out of range");
+  }
+  if (live_[route_index] == 0) {
+    throw std::invalid_argument("LpmTable::WithdrawRoute: route withdrawn");
+  }
+  live_[route_index] = 0;
+  free_list_.push_back(route_index);
+  --live_count_;
   const LpmFlatEngine::Route route = routes_[route_index];
   const std::uint32_t masked = route.value & LpmPrefixMask(route.prefix_len);
   const auto it = by_prefix_.find(LpmPrefixKey(masked, route.prefix_len));
@@ -368,16 +326,16 @@ std::shared_ptr<LpmTableSnapshot> LpmTable::BuildSnapshot(
       ++patched_rows;
     }
     for (const std::size_t index : delta_.touched()) {
-      if (!table_.IsLive(index)) continue;  // withdrawn, not re-added
+      if (live_[index] == 0) continue;  // withdrawn, not re-added
       snap->engine.PatchInsert(routes_[index]);
       ++patched_rows;
     }
     return snap;
   }
   std::vector<LpmFlatEngine::Route> view;
-  view.reserve(table_.size());
+  view.reserve(live_count_);
   for (std::size_t i = 0; i < routes_.size(); ++i) {
-    if (table_.IsLive(i)) view.push_back(routes_[i]);
+    if (live_[i] != 0) view.push_back(routes_[i]);
   }
   snap->engine.Compile(view);
   return snap;
@@ -387,7 +345,7 @@ void LpmTable::Commit() {
   if (!dirty_) return;
   const std::uint64_t t0 = NowNs();
   const std::shared_ptr<const LpmTableSnapshot> prev = published_.Acquire();
-  const std::size_t live = table_.size();
+  const std::size_t live = live_count_;
   // Page patches fold in exactly (no overlay grows), so overlay_rows
   // is 0.
   const bool use_delta = config_.delta_policy.UseDelta(
@@ -396,8 +354,10 @@ void LpmTable::Commit() {
   std::shared_ptr<LpmTableSnapshot> snap =
       BuildSnapshot(prev, use_delta, patched_rows);
   snap->live_routes = live;
-  snap->search_energy_j = table_.SearchEnergyJ();
-  snap->search_latency_s = table_.SearchLatencyS();
+  // One search cycle of the 32-bit TCAM array holding the live routes.
+  snap->search_energy_j =
+      static_cast<double>(live * 32) * technology_.search_energy_per_bit_j;
+  snap->search_latency_s = technology_.search_latency_s;
   snap->epoch = ++commits_;
   delta_.Clear();
   staged_withdrawals_.clear();
@@ -418,38 +378,6 @@ void LpmTable::Commit() {
 
   dirty_ = false;
   published_.Publish(std::move(snap));
-}
-
-void LpmTable::RequireCommitted() const {
-  if (dirty_) {
-    throw std::logic_error(
-        "LpmTable: lookup with uncommitted routes — call Commit()");
-  }
-}
-
-TcamSearchResult LpmTable::ResultOf(const TcamEngineHit& hit,
-                                    double energy_j) const {
-  TcamSearchResult result;
-  result.entry_index = hit.entry_index;
-  result.action = hit.action;
-  result.priority = hit.priority;
-  result.energy_j = energy_j;
-  result.latency_s = table_.SearchLatencyS();
-  return result;
-}
-
-void LpmTable::LookupBatch(const std::uint32_t* addresses, std::size_t count,
-                           std::vector<std::optional<TcamSearchResult>>& out) {
-  RequireCommitted();
-  // The compiled engine answers; the TCAM array still burns one full
-  // search cycle per address.
-  const std::shared_ptr<const LpmTableSnapshot> snap = snapshot();
-  snap->engine.LookupBatch(addresses, count, hits_);
-  out.assign(count, std::nullopt);
-  for (std::size_t q = 0; q < count; ++q) {
-    const double energy = table_.AccountSearch(snap->search_energy_j);
-    if (hits_[q].has_value()) out[q] = ResultOf(*hits_[q], energy);
-  }
 }
 
 void LpmTable::BindTelemetry(telemetry::MetricsRegistry& registry,

@@ -29,8 +29,9 @@
 // `ingress.achieved_packets`, `ingress.dropped_packets` (written once
 // post-run from the driver thread, so the sharded cells stay exact) and
 // an `ingress.batch_ns` histogram of enqueue-to-retire batch sojourns
-// observed by the worker. p50/p99 sojourns are also tracked with
-// streaming P2 quantiles and reported per port.
+// observed by the worker. The worker also records every batch sojourn
+// into a vector reserved before the run, and the exact p50/p99 of each
+// port's sojourns are reported after it.
 #pragma once
 
 #include <cstdint>
@@ -109,8 +110,10 @@ class LoadDriver {
   LoadReport RunReplay(const std::vector<Trace>& traces);
 
  private:
+  // `max_batches` bounds the batches any one port retires; the worker
+  // hooks reserve that many sojourn samples up front.
   LoadReport Drive(std::vector<TrafficSource> sources,
-                   std::uint64_t packet_limit);
+                   std::uint64_t packet_limit, std::size_t max_batches);
 
   LoadDriverConfig config_;
 };

@@ -8,7 +8,7 @@
 #include <thread>
 #include <utility>
 
-#include "analognf/common/quantile.hpp"
+#include "analognf/common/stats.hpp"
 
 namespace analognf::traffic {
 namespace {
@@ -35,8 +35,9 @@ struct ProducerSide {
 struct WorkerSide {
   std::uint64_t achieved_packets = 0;
   std::uint64_t achieved_batches = 0;
-  analognf::P2Quantile p50{0.5};
-  analognf::P2Quantile p99{0.99};
+  // Enqueue-to-retire sojourn of every batch, reserved before the run
+  // so the hook never allocates.
+  std::vector<double> sojourn_ns;
   telemetry::HistogramHandle batch_ns;
 };
 
@@ -75,7 +76,8 @@ LoadReport LoadDriver::Run(std::vector<Trace>* record) {
     sources.push_back(TrafficSource::Live(w));
     if (record != nullptr) sources.back().RecordTo(&(*record)[p]);
   }
-  return Drive(std::move(sources), config_.packets_per_port);
+  return Drive(std::move(sources), config_.packets_per_port,
+               config_.packets_per_port / config_.batch_size + 1);
 }
 
 LoadReport LoadDriver::RunReplay(const std::vector<Trace>& traces) {
@@ -84,16 +86,20 @@ LoadReport LoadDriver::RunReplay(const std::vector<Trace>& traces) {
   }
   std::vector<TrafficSource> sources;
   sources.reserve(config_.ports);
+  std::size_t max_batches = 0;
   for (const Trace& trace : traces) {
     sources.push_back(TrafficSource::Replay(trace));
+    max_batches = std::max(max_batches,
+                           trace.records.size() / config_.batch_size + 1);
   }
   // Traces play to their end regardless of packets_per_port.
-  return Drive(std::move(sources),
-               std::numeric_limits<std::uint64_t>::max());
+  return Drive(std::move(sources), std::numeric_limits<std::uint64_t>::max(),
+               max_batches);
 }
 
 LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
-                             std::uint64_t packet_limit) {
+                             std::uint64_t packet_limit,
+                             std::size_t max_batches) {
   const std::size_t ports = config_.ports;
   arch::SwitchGroup group(ports, config_.switch_config);
   // A permit-all firewall rule plus one /32 route per population
@@ -115,6 +121,7 @@ LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
     rings.push_back(std::make_unique<arch::PortRuntime::IngressRing>(
         config_.ring_capacity));
     workers.push_back(std::make_unique<WorkerSide>());
+    workers[p]->sojourn_ns.reserve(max_batches);
     workers[p]->batch_ns = group.device(p).telemetry().metrics().GetHistogram(
         "ingress.batch_ns", telemetry::HistogramSpec{256.0, 2.0, 24});
     WorkerSide* w = workers[p].get();
@@ -124,8 +131,7 @@ LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
           ++w->achieved_batches;
           const auto sojourn =
               static_cast<double>(info.done_ns - info.enqueue_ns);
-          w->p50.Add(sojourn);
-          w->p99.Add(sojourn);
+          w->sojourn_ns.push_back(sojourn);
           w->batch_ns.Observe(sojourn);
         });
   }
@@ -189,7 +195,7 @@ LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
   for (std::size_t p = 0; p < ports; ++p) {
     PortLoadStats& ps = report.ports[p];
     const ProducerSide& prod = producers[p];
-    const WorkerSide& work = *workers[p];
+    WorkerSide& work = *workers[p];
     ps.offered_packets = prod.offered_packets;
     ps.offered_batches = prod.offered_batches;
     ps.dropped_packets = prod.dropped_packets;
@@ -197,8 +203,10 @@ LoadReport LoadDriver::Drive(std::vector<TrafficSource> sources,
     ps.model_time_s = prod.model_time_s;
     ps.achieved_packets = work.achieved_packets;
     ps.achieved_batches = work.achieved_batches;
-    ps.p50_batch_ns = work.p50.count() > 0 ? work.p50.Value() : 0.0;
-    ps.p99_batch_ns = work.p99.count() > 0 ? work.p99.Value() : 0.0;
+    if (!work.sojourn_ns.empty()) {
+      ps.p50_batch_ns = PercentileInPlace(work.sojourn_ns, 0.5);
+      ps.p99_batch_ns = PercentileInPlace(work.sojourn_ns, 0.99);
+    }
     ps.stats = group.device(p).stats();
     ps.energy_j = group.device(p).ledger().TotalJ();
 

@@ -11,7 +11,6 @@
 #include "analognf/common/rng.hpp"
 #include "analognf/common/stats.hpp"
 #include "analognf/common/table.hpp"
-#include "analognf/common/quantile.hpp"
 #include "analognf/common/timeseries.hpp"
 #include "analognf/common/units.hpp"
 
@@ -430,59 +429,6 @@ TEST_P(PercentileMonotone, MonotoneInQ) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PercentileMonotone,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
-
-// ------------------------------------------------------------- quantile
-
-TEST(P2QuantileTest, RejectsBadQ) {
-  EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-  EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-}
-
-TEST(P2QuantileTest, ExactForSmallSamples) {
-  P2Quantile median(0.5);
-  median.Add(3.0);
-  EXPECT_EQ(median.Value(), 3.0);
-  median.Add(1.0);
-  median.Add(2.0);
-  EXPECT_EQ(median.Value(), 2.0);
-}
-
-TEST(P2QuantileTest, MedianOfUniformStream) {
-  P2Quantile median(0.5);
-  RandomStream rng(17);
-  for (int i = 0; i < 50000; ++i) median.Add(rng.NextUniform());
-  EXPECT_NEAR(median.Value(), 0.5, 0.02);
-}
-
-TEST(P2QuantileTest, TailQuantileOfExponentialStream) {
-  P2Quantile p99(0.99);
-  RandomStream rng(18);
-  for (int i = 0; i < 100000; ++i) p99.Add(rng.NextExponential(1.0));
-  // True p99 of Exp(1) is ln(100) ~ 4.605.
-  EXPECT_NEAR(p99.Value(), 4.605, 0.35);
-}
-
-// Property: the P2 estimate tracks the exact percentile across
-// distributions and quantiles.
-class P2Accuracy : public ::testing::TestWithParam<double> {};
-
-TEST_P(P2Accuracy, TracksExactPercentile) {
-  const double q = GetParam();
-  P2Quantile estimator(q);
-  RandomStream rng(static_cast<std::uint64_t>(q * 1000));
-  std::vector<double> exact;
-  for (int i = 0; i < 20000; ++i) {
-    const double x = rng.NextNormal(10.0, 3.0);
-    estimator.Add(x);
-    exact.push_back(x);
-  }
-  const double truth = PercentileOf(exact, q);
-  EXPECT_NEAR(estimator.Value(), truth, 0.15);
-}
-
-INSTANTIATE_TEST_SUITE_P(Quantiles, P2Accuracy,
-                         ::testing::Values(0.1, 0.25, 0.5, 0.75, 0.9,
-                                           0.95));
 
 // ---------------------------------------------------- timeseries reserve
 

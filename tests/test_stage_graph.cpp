@@ -174,18 +174,20 @@ class ReferenceSwitch {
     const net::FiveTuple tuple = parsed.Key();
     tcam::BitKey key;
     FiveTupleKeyInto(tuple, key);
-    const auto fw = firewall_.Search(key);
-    tcam.energy_j += firewall_.SearchEnergyJ();
+    const auto firewall = firewall_.snapshot();
+    const auto fw = firewall->engine.Search(key);
+    tcam.energy_j += firewall->search_energy_j;
     ++tcam.operations;
     if (fw.has_value() && fw->action == kActionDeny) {
       ++stats_.firewall_denies;
       return Verdict::kFirewallDeny;
     }
     const std::uint32_t dst_ip = parsed.ipv4->dst_ip;
-    std::vector<std::optional<tcam::TcamSearchResult>> routes;
-    routes_.LookupBatch(&dst_ip, 1, routes);
-    const std::optional<tcam::TcamSearchResult>& route = routes[0];
-    tcam.energy_j += routes_.table().SearchEnergyJ();
+    const auto lpm = routes_.snapshot();
+    std::vector<std::optional<tcam::TcamEngineHit>> routes;
+    lpm->engine.LookupBatch(&dst_ip, 1, routes);
+    const std::optional<tcam::TcamEngineHit>& route = routes[0];
+    tcam.energy_j += lpm->search_energy_j;
     ++tcam.operations;
     if (!route.has_value()) {
       ++stats_.no_route;

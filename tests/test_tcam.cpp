@@ -82,6 +82,21 @@ TEST(TernaryWordTest, AppendConcatenates) {
 
 // ---------------------------------------------------------- TcamTable
 
+// One search cycle on the published snapshot, the way FirewallStage
+// searches.
+std::optional<TcamEngineHit> Search(const TcamTable& t, const BitKey& key) {
+  return t.snapshot()->engine.Search(key);
+}
+
+// One address through the published snapshot, the way RouteStage looks
+// up.
+std::optional<TcamEngineHit> LookupOne(const LpmTable& lpm,
+                                       std::uint32_t address) {
+  std::vector<std::optional<TcamEngineHit>> out;
+  lpm.snapshot()->engine.LookupBatch(&address, 1, out);
+  return out[0];
+}
+
 TEST(TcamTechnologyTest, PresetsValidate) {
   EXPECT_NO_THROW(TcamTechnology::TransistorCmos().Validate());
   EXPECT_NO_THROW(TcamTechnology::MemristorTcam().Validate());
@@ -106,7 +121,7 @@ TEST(TcamTableTest, SearchFindsMatch) {
   TcamTable t(4, TcamTechnology::TransistorCmos());
   t.Insert({TernaryWord::FromString("10XX"), 7, 0});
   t.Commit();
-  const auto result = t.Search(BitKey::FromString("1011"));
+  const auto result = Search(t, BitKey::FromString("1011"));
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->action, 7u);
   EXPECT_EQ(result->entry_index, 0u);
@@ -116,9 +131,9 @@ TEST(TcamTableTest, MissReturnsNullopt) {
   TcamTable t(4, TcamTechnology::TransistorCmos());
   t.Insert({TernaryWord::FromString("1111"), 1, 0});
   t.Commit();
-  EXPECT_FALSE(t.Search(BitKey::FromString("0000")).has_value());
-  // Energy was still spent on the miss.
-  EXPECT_GT(t.ConsumedEnergyJ(), 0.0);
+  EXPECT_FALSE(Search(t, BitKey::FromString("0000")).has_value());
+  // The miss still costs the whole array's search cycle.
+  EXPECT_GT(t.snapshot()->search_energy_j, 0.0);
 }
 
 TEST(TcamTableTest, HighestPriorityWins) {
@@ -126,7 +141,7 @@ TEST(TcamTableTest, HighestPriorityWins) {
   t.Insert({TernaryWord::FromString("XXXX"), 1, 0});
   t.Insert({TernaryWord::FromString("10XX"), 2, 10});
   t.Commit();
-  const auto result = t.Search(BitKey::FromString("1010"));
+  const auto result = Search(t, BitKey::FromString("1010"));
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->action, 2u);
 }
@@ -136,7 +151,7 @@ TEST(TcamTableTest, TiesResolveToLowestIndex) {
   t.Insert({TernaryWord::FromString("1X"), 100, 5});
   t.Insert({TernaryWord::FromString("X1"), 200, 5});
   t.Commit();
-  const auto result = t.Search(BitKey::FromString("11"));
+  const auto result = Search(t, BitKey::FromString("11"));
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->entry_index, 0u);
 }
@@ -154,10 +169,10 @@ TEST(TcamTableTest, EraseTombstonesWithoutShifting) {
   EXPECT_FALSE(t.IsLive(first));
   EXPECT_TRUE(t.IsLive(second));
   t.Commit();
-  EXPECT_FALSE(t.Search(BitKey::FromString("00")).has_value());
+  EXPECT_FALSE(Search(t, BitKey::FromString("00")).has_value());
 
   // The surviving entry keeps its index: no shift on erase.
-  const auto hit = t.Search(BitKey::FromString("11"));
+  const auto hit = Search(t, BitKey::FromString("11"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->entry_index, second);
 
@@ -175,7 +190,7 @@ TEST(TcamTableTest, InsertReusesTombstonedSlot) {
   EXPECT_EQ(t.size(), 2u);
   EXPECT_EQ(t.slot_count(), 2u);
   t.Commit();
-  const auto hit = t.Search(BitKey::FromString("01"));
+  const auto hit = Search(t, BitKey::FromString("01"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->action, 3u);
   EXPECT_EQ(hit->entry_index, first);
@@ -193,7 +208,7 @@ TEST(TcamTableTest, CommitCompactsTrailingTombstones) {
   t.Commit();
   EXPECT_EQ(t.slot_count(), 4u);
   EXPECT_EQ(t.size(), 4u);
-  const auto hit = t.Search(BitKey::FromString("11"));
+  const auto hit = Search(t, BitKey::FromString("11"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->entry_index, 1u);
   EXPECT_THROW(t.Erase(5), std::out_of_range);  // the slot is gone
@@ -219,7 +234,7 @@ TEST(TcamTableTest, CommitKeepsInteriorTombstoneSlotsReserved) {
   EXPECT_EQ(t.entries()[0].pattern.width(), 0u);  // storage released
   EXPECT_FALSE(t.IsLive(0));
   EXPECT_TRUE(t.IsLive(1));
-  const auto hit = t.Search(BitKey::FromString("11"));
+  const auto hit = Search(t, BitKey::FromString("11"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->entry_index, 1u);
   // Reserved slots are still reused, LIFO.
@@ -257,16 +272,15 @@ TEST(TcamTableTest, EraseChurnCompactsAndStaysCorrect) {
     }
     for (std::size_t probe = 0; probe < 20; ++probe) {
       const BitKey key = random_key();
-      std::optional<TcamSearchResult> want;
+      std::optional<TcamEngineHit> want;
       for (std::size_t i = 0; i < model.size(); ++i) {
         if (!model[i].has_value()) continue;
         if (!model[i]->pattern.Matches(key)) continue;
         if (!want.has_value() || model[i]->priority > want->priority) {
-          want = TcamSearchResult{i, model[i]->action, model[i]->priority,
-                                  0.0, 0.0};
+          want = TcamEngineHit{i, model[i]->action, model[i]->priority};
         }
       }
-      const auto got = t.Search(key);
+      const auto got = Search(t, key);
       ASSERT_EQ(got.has_value(), want.has_value()) << "round " << round;
       if (!want.has_value()) continue;
       EXPECT_EQ(got->entry_index, want->entry_index) << "round " << round;
@@ -339,44 +353,51 @@ TEST(TcamTableTest, SearchEnergyScalesWithStoredBits) {
   EXPECT_NEAR(t.SearchEnergyJ(), 2.0 * one_entry, 1e-20);
 }
 
+// Searchers charge the snapshot's search_energy_j once per search, as
+// FirewallStage does.
 TEST(TcamTableTest, ConsumedEnergyAccumulatesPerSearch) {
   TcamTable t(8, TcamTechnology::MemristorTcam());
   t.Insert({TernaryWord::FromString("XXXXXXXX"), 0, 0});
   t.Commit();
-  BitKey key = BitKey::FromString("10101010");
-  t.Search(key);
-  t.Search(key);
-  EXPECT_EQ(t.searches(), 2u);
-  EXPECT_NEAR(t.ConsumedEnergyJ(), 2.0 * 8.0 * 1.0e-15, 1e-20);
+  const auto snap = t.snapshot();
+  const BitKey key = BitKey::FromString("10101010");
+  double consumed_j = 0.0;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(snap->engine.Search(key).has_value());
+    consumed_j += snap->search_energy_j;
+  }
+  EXPECT_NEAR(consumed_j, 2.0 * 8.0 * 1.0e-15, 1e-20);
 }
 
 TEST(TcamTableTest, SearchRejectsWidthMismatch) {
   TcamTable t(4, TcamTechnology::TransistorCmos());
-  EXPECT_THROW(t.Search(BitKey::FromString("101")), std::invalid_argument);
+  EXPECT_THROW(Search(t, BitKey::FromString("101")), std::invalid_argument);
 }
 
-// Regression: before the snapshot split, an Erase silently poisoned the
-// compiled slot and a Commit-less Search could return the tombstoned row.
-// Now the table refuses to search past staged mutations instead of
-// guessing.
-TEST(TcamTableTest, SearchWithUncommittedMutationsThrows) {
+// Staged mutations stay out of the published snapshot until Commit():
+// searchers keep the previous epoch's rows.
+TEST(TcamTableTest, StagedMutationsStayInvisibleUntilCommit) {
   TcamTable t(2, TcamTechnology::TransistorCmos());
   const std::size_t first = t.Insert({TernaryWord::FromString("00"), 1, 0});
   EXPECT_TRUE(t.NeedsCommit());
-  EXPECT_THROW(t.Search(BitKey::FromString("00")), std::logic_error);
+  EXPECT_EQ(t.snapshot()->epoch, 0u);
+  EXPECT_FALSE(Search(t, BitKey::FromString("00")).has_value());
   t.Commit();
   EXPECT_FALSE(t.NeedsCommit());
-  EXPECT_TRUE(t.Search(BitKey::FromString("00")).has_value());
+  EXPECT_EQ(t.snapshot()->epoch, 1u);
+  EXPECT_EQ(Search(t, BitKey::FromString("00"))->action, 1u);
 
   t.Erase(first);
+  t.Insert({TernaryWord::FromString("11"), 2, 0});
   EXPECT_TRUE(t.NeedsCommit());
-  EXPECT_THROW(t.Search(BitKey::FromString("00")), std::logic_error);
-  std::vector<BitKey> keys{BitKey::FromString("00")};
-  std::vector<std::optional<TcamSearchResult>> out;
-  EXPECT_THROW(t.SearchBatch(keys, out), std::logic_error);
+  EXPECT_EQ(t.snapshot()->epoch, 1u);
+  EXPECT_EQ(Search(t, BitKey::FromString("00"))->action, 1u);
+  EXPECT_FALSE(Search(t, BitKey::FromString("11")).has_value());
 
   t.Commit();
-  EXPECT_FALSE(t.Search(BitKey::FromString("00")).has_value());
+  EXPECT_EQ(t.snapshot()->epoch, 2u);
+  EXPECT_FALSE(Search(t, BitKey::FromString("00")).has_value());
+  EXPECT_EQ(Search(t, BitKey::FromString("11"))->action, 2u);
 }
 
 TEST(TcamTableTest, CommitBumpsSnapshotEpoch) {
@@ -389,25 +410,6 @@ TEST(TcamTableTest, CommitBumpsSnapshotEpoch) {
   EXPECT_EQ(snap->live_rows, 1u);
   t.Commit();  // clean: no-op, same snapshot stays published
   EXPECT_EQ(t.snapshot()->epoch, 1u);
-}
-
-// One address through LpmTable::LookupBatch.
-std::optional<TcamSearchResult> LookupOne(LpmTable& lpm,
-                                          std::uint32_t address) {
-  std::vector<std::optional<TcamSearchResult>> out;
-  lpm.LookupBatch(&address, 1, out);
-  return out[0];
-}
-
-TEST(LpmTableTest, LookupWithUncommittedRoutesThrows) {
-  LpmTable lpm(TcamTechnology::MemristorTcam());
-  lpm.AddRoute(0x0A000000, 8, 1);
-  std::vector<std::uint32_t> addrs{0x0A000001};
-  std::vector<std::optional<TcamSearchResult>> out;
-  EXPECT_THROW(lpm.LookupBatch(addrs.data(), addrs.size(), out),
-               std::logic_error);
-  lpm.Commit();
-  EXPECT_EQ(LookupOne(lpm, 0x0A000001)->action, 1u);
 }
 
 // ----------------------------------------------------------- LpmTable
@@ -432,6 +434,109 @@ TEST(LpmTableTest, LongestPrefixWins) {
   EXPECT_EQ(r->action, 1u);
 
   EXPECT_FALSE(LookupOne(lpm, 0x0B000001).has_value());  // 11.0.0.1
+}
+
+TEST(LpmTableTest, AddRouteRejectsBadPrefixLength) {
+  LpmTable lpm(TcamTechnology::MemristorTcam());
+  EXPECT_THROW(lpm.AddRoute(0x0A000000, -1, 1), std::invalid_argument);
+  EXPECT_THROW(lpm.AddRoute(0x0A000000, 33, 1), std::invalid_argument);
+  // A rejected route stages nothing.
+  EXPECT_EQ(lpm.route_count(), 0u);
+  EXPECT_FALSE(lpm.NeedsCommit());
+  EXPECT_EQ(lpm.AddRoute(0x0A000000, 32, 1), 0u);
+}
+
+TEST(LpmTableTest, WithdrawRouteRejectsBadIndex) {
+  LpmTable lpm(TcamTechnology::MemristorTcam());
+  const std::size_t route = lpm.AddRoute(0x0A000000, 8, 1);
+  EXPECT_THROW(lpm.WithdrawRoute(route + 1), std::out_of_range);
+  lpm.WithdrawRoute(route);
+  EXPECT_THROW(lpm.WithdrawRoute(route), std::invalid_argument);
+  lpm.Commit();
+  EXPECT_THROW(lpm.WithdrawRoute(route), std::invalid_argument);
+  EXPECT_EQ(lpm.route_count(), 0u);
+}
+
+TEST(LpmTableTest, WithdrawnIndicesAreReusedLastInFirstOut) {
+  LpmTable lpm(TcamTechnology::MemristorTcam());
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(lpm.AddRoute(i << 24, 8, i), i);
+  }
+  lpm.WithdrawRoute(1);
+  lpm.WithdrawRoute(3);
+  lpm.Commit();  // commits keep the withdrawn indices reserved
+  EXPECT_EQ(lpm.route_count(), 2u);
+  EXPECT_EQ(lpm.AddRoute(0x0A000000, 8, 10), 3u);
+  EXPECT_EQ(lpm.AddRoute(0x0B000000, 8, 11), 1u);
+  EXPECT_EQ(lpm.AddRoute(0x0C000000, 8, 12), 4u);
+  lpm.Commit();
+  EXPECT_EQ(LookupOne(lpm, 0x0A000001)->entry_index, 3u);
+  EXPECT_EQ(LookupOne(lpm, 0x0B000001)->entry_index, 1u);
+  EXPECT_EQ(LookupOne(lpm, 0x0C000001)->entry_index, 4u);
+}
+
+// Every published snapshot charges the whole array: live routes x 32
+// stored bits x the per-bit energy, at the technology's latency.
+TEST(LpmTableTest, SnapshotCostTracksLiveRoutes) {
+  const TcamTechnology tech = TcamTechnology::TransistorCmos();
+  LpmConfig config;
+  config.delta_policy.min_rows = 4;  // both commit paths run below
+  LpmTable lpm(tech, config);
+  auto expect_cost = [&](std::size_t live) {
+    const auto snap = lpm.snapshot();
+    EXPECT_EQ(snap->live_routes, live);
+    EXPECT_EQ(snap->search_energy_j,
+              static_cast<double>(live * 32) * tech.search_energy_per_bit_j);
+    EXPECT_EQ(snap->search_latency_s, tech.search_latency_s);
+  };
+  expect_cost(0);  // the construction-time empty snapshot
+  analognf::RandomStream rng(404);
+  std::vector<std::size_t> live;
+  for (std::size_t round = 0; round < 40; ++round) {
+    const std::size_t ops = 1 + rng.NextIndex(4);
+    for (std::size_t op = 0; op < ops; ++op) {
+      if (!live.empty() && rng.NextIndex(3) == 0) {
+        const std::size_t pick = rng.NextIndex(live.size());
+        lpm.WithdrawRoute(live[pick]);
+        live.erase(live.begin() + static_cast<long>(pick));
+      } else {
+        live.push_back(lpm.AddRoute(
+            static_cast<std::uint32_t>(rng.NextIndex(0x100000000ULL)),
+            static_cast<int>(rng.NextIndex(33)),
+            static_cast<std::uint32_t>(round)));
+      }
+    }
+    EXPECT_EQ(lpm.route_count(), live.size());
+    lpm.Commit();
+    expect_cost(live.size());
+  }
+  EXPECT_GT(lpm.commit_stats().delta_commits, 0u);
+  EXPECT_GT(lpm.commit_stats().full_recompiles, 0u);
+}
+
+// Staged routes stay out of the published snapshot until Commit().
+TEST(LpmTableTest, StagedRoutesStayInvisibleUntilCommit) {
+  LpmTable lpm(TcamTechnology::MemristorTcam());
+  const std::size_t eight = lpm.AddRoute(0x0A000000, 8, 1);
+  EXPECT_TRUE(lpm.NeedsCommit());
+  EXPECT_EQ(lpm.snapshot()->epoch, 0u);
+  EXPECT_FALSE(LookupOne(lpm, 0x0A010203).has_value());
+  lpm.Commit();
+  EXPECT_FALSE(lpm.NeedsCommit());
+  EXPECT_EQ(lpm.snapshot()->epoch, 1u);
+  EXPECT_EQ(LookupOne(lpm, 0x0A010203)->action, 1u);
+
+  lpm.AddRoute(0x0A010000, 16, 2);
+  lpm.WithdrawRoute(eight);
+  EXPECT_TRUE(lpm.NeedsCommit());
+  EXPECT_EQ(lpm.snapshot()->epoch, 1u);
+  EXPECT_EQ(lpm.snapshot()->live_routes, 1u);
+  EXPECT_EQ(LookupOne(lpm, 0x0A010203)->action, 1u);
+  EXPECT_EQ(LookupOne(lpm, 0x0AFF0000)->action, 1u);
+  lpm.Commit();
+  EXPECT_EQ(lpm.snapshot()->epoch, 2u);
+  EXPECT_EQ(LookupOne(lpm, 0x0A010203)->action, 2u);
+  EXPECT_FALSE(LookupOne(lpm, 0x0AFF0000).has_value());
 }
 
 TEST(LpmTableTest, DefaultRouteMatchesEverything) {

@@ -42,23 +42,22 @@ std::string RandomBits(analognf::RandomStream& rng, std::size_t width) {
 }
 
 // Reference model: the pre-engine rowwise scan over the raw slot array.
-std::optional<TcamSearchResult> NaiveSearch(const TcamTable& table,
-                                            const BitKey& key) {
-  std::optional<TcamSearchResult> best;
+std::optional<TcamEngineHit> NaiveSearch(const TcamTable& table,
+                                         const BitKey& key) {
+  std::optional<TcamEngineHit> best;
   const auto& entries = table.entries();
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (!table.IsLive(i)) continue;
     if (!entries[i].pattern.Matches(key)) continue;
     if (!best.has_value() || entries[i].priority > best->priority) {
-      best = TcamSearchResult{i, entries[i].action, entries[i].priority,
-                              0.0, 0.0};
+      best = TcamEngineHit{i, entries[i].action, entries[i].priority};
     }
   }
   return best;
 }
 
-void ExpectSameHit(const std::optional<TcamSearchResult>& got,
-                   const std::optional<TcamSearchResult>& want,
+void ExpectSameHit(const std::optional<TcamEngineHit>& got,
+                   const std::optional<TcamEngineHit>& want,
                    std::size_t probe) {
   ASSERT_EQ(got.has_value(), want.has_value()) << "probe " << probe;
   if (!want.has_value()) return;
@@ -67,11 +66,26 @@ void ExpectSameHit(const std::optional<TcamSearchResult>& got,
   EXPECT_EQ(got->priority, want->priority) << "probe " << probe;
 }
 
-// One address through LpmTable::LookupBatch.
-std::optional<TcamSearchResult> LookupOne(LpmTable& lpm,
-                                          std::uint32_t address) {
-  std::vector<std::optional<TcamSearchResult>> out;
-  lpm.LookupBatch(&address, 1, out);
+// One search cycle on the table's published snapshot.
+std::optional<TcamEngineHit> Search(const TcamTable& table,
+                                    const BitKey& key) {
+  return table.snapshot()->engine.Search(key);
+}
+
+// `keys` against one published snapshot, the way FirewallStage searches.
+std::vector<std::optional<TcamEngineHit>> SearchBatch(
+    const TcamTable& table, const std::vector<BitKey>& keys) {
+  std::vector<std::optional<TcamEngineHit>> out;
+  table.snapshot()->engine.SearchBatch(keys.data(), keys.size(), out);
+  return out;
+}
+
+// One address through the published snapshot, the way RouteStage looks
+// up.
+std::optional<TcamEngineHit> LookupOne(const LpmTable& lpm,
+                                       std::uint32_t address) {
+  std::vector<std::optional<TcamEngineHit>> out;
+  lpm.snapshot()->engine.LookupBatch(&address, 1, out);
   return out[0];
 }
 
@@ -108,7 +122,7 @@ TEST_P(EngineDifferential, MatchesNaiveScanOnRandomTables) {
     }
     const BitKey key = BitKey::FromString(bits);
     const auto want = NaiveSearch(table, key);
-    ExpectSameHit(table.Search(key), want, probe);
+    ExpectSameHit(Search(table, key), want, probe);
     if (want.has_value()) ++hits;
   }
   EXPECT_GT(hits, 100u);  // the workload must actually exercise hits
@@ -137,7 +151,7 @@ TEST_P(EngineDifferential, SurvivesEraseAndReinsert) {
     table.Commit();  // publish the mutation before searching
     for (std::size_t probe = 0; probe < 40; ++probe) {
       const BitKey key = BitKey::FromString(RandomBits(rng, width));
-      ExpectSameHit(table.Search(key), NaiveSearch(table, key), probe);
+      ExpectSameHit(Search(table, key), NaiveSearch(table, key), probe);
     }
   }
 }
@@ -195,13 +209,12 @@ TEST_P(TierDifferential, PrunedWinnersMatchLinearOnRandomTables) {
     keys.push_back(BitKey::FromString(bits));
   }
   for (std::size_t probe = 0; probe < keys.size(); ++probe) {
-    ExpectSameHit(pruned.Search(keys[probe]), linear.Search(keys[probe]),
+    ExpectSameHit(Search(pruned, keys[probe]), Search(linear, keys[probe]),
                   probe);
   }
   // The batched entry point runs the same pruned kernel per shard.
-  std::vector<std::optional<TcamSearchResult>> got, want;
-  pruned.SearchBatch(keys, got);
-  linear.SearchBatch(keys, want);
+  const auto got = SearchBatch(pruned, keys);
+  const auto want = SearchBatch(linear, keys);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t probe = 0; probe < keys.size(); ++probe) {
     ExpectSameHit(got[probe], want[probe], probe);
@@ -225,7 +238,7 @@ TEST_P(TierDifferential, HeavyWildcardTablesStayExact) {
   table.Commit();
   for (std::size_t probe = 0; probe < 600; ++probe) {
     const BitKey key = BitKey::FromString(RandomBits(rng, width));
-    ExpectSameHit(table.Search(key), NaiveSearch(table, key), probe);
+    ExpectSameHit(Search(table, key), NaiveSearch(table, key), probe);
   }
 }
 
@@ -265,8 +278,8 @@ TEST_P(TierDifferential, TombstoneChurnKeepsTiersIdentical) {
     ASSERT_EQ(linear.slot_count(), pruned.slot_count()) << "round " << round;
     for (std::size_t probe = 0; probe < 40; ++probe) {
       const BitKey key = BitKey::FromString(RandomBits(rng, width));
-      const auto want = linear.Search(key);
-      ExpectSameHit(pruned.Search(key), want, probe);
+      const auto want = Search(linear, key);
+      ExpectSameHit(Search(pruned, key), want, probe);
       ExpectSameHit(want, NaiveSearch(pruned, key), probe);
     }
   }
@@ -282,10 +295,10 @@ TEST(TcamMatchTierTest, TinyTablesFallBackToLinear) {
   table.Insert({TernaryWord::FromString("1010XXXXXXXX0000"), 7, 3});
   table.Commit();
   EXPECT_EQ(TierOf(table), TcamMatchTier::kLinear);
-  const auto hit = table.Search(BitKey::FromString("1010111100000000"));
+  const auto hit = Search(table, BitKey::FromString("1010111100000000"));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->action, 7u);
-  EXPECT_FALSE(table.Search(BitKey::FromString("0010111100000000")));
+  EXPECT_FALSE(Search(table, BitKey::FromString("0010111100000000")));
 }
 
 TEST(TcamMatchTierTest, AllWildcardRulesFallBackToLinear) {
@@ -303,7 +316,7 @@ TEST(TcamMatchTierTest, AllWildcardRulesFallBackToLinear) {
   table.Commit();
   EXPECT_EQ(TierOf(table), TcamMatchTier::kLinear);
   for (std::size_t probe = 0; probe < 50; ++probe) {
-    const auto hit = table.Search(BitKey::FromString(RandomBits(rng, width)));
+    const auto hit = Search(table, BitKey::FromString(RandomBits(rng, width)));
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->entry_index, 3u);  // priority 3 first occurs at index 3
     EXPECT_EQ(hit->priority, 3);
@@ -333,37 +346,22 @@ TEST(TcamMatchTierTest, LargeSpecificTablesCompileToPruned) {
 TEST(TcamSearchBatchTest, BitIdenticalToSequentialSearches) {
   analognf::RandomStream rng(123);
   const std::size_t width = 32;
-  TcamTable sequential(width, TcamTechnology::MemristorTcam());
-  TcamTable batched(width, TcamTechnology::MemristorTcam());
+  TcamTable table(width, TcamTechnology::MemristorTcam());
   const std::string base = RandomBits(rng, width);
   for (std::size_t i = 0; i < 64; ++i) {
-    TcamTable::Entry entry{RandomPattern(rng, base),
-                           static_cast<std::uint32_t>(i),
-                           static_cast<std::int32_t>(rng.NextIndex(4))};
-    sequential.Insert(entry);
-    batched.Insert(std::move(entry));
+    table.Insert({RandomPattern(rng, base), static_cast<std::uint32_t>(i),
+                  static_cast<std::int32_t>(rng.NextIndex(4))});
   }
-  sequential.Commit();
-  batched.Commit();
+  table.Commit();
   std::vector<BitKey> keys;
   for (std::size_t probe = 0; probe < 300; ++probe) {
     keys.push_back(BitKey::FromString(RandomBits(rng, width)));
   }
-  std::vector<std::optional<TcamSearchResult>> out;
-  batched.SearchBatch(keys, out);
+  const auto out = SearchBatch(table, keys);
   ASSERT_EQ(out.size(), keys.size());
   for (std::size_t probe = 0; probe < keys.size(); ++probe) {
-    const auto want = sequential.Search(keys[probe]);
-    ExpectSameHit(out[probe], want, probe);
-    if (want.has_value()) {
-      EXPECT_EQ(out[probe]->energy_j, want->energy_j);
-      EXPECT_EQ(out[probe]->latency_s, want->latency_s);
-    }
+    ExpectSameHit(out[probe], Search(table, keys[probe]), probe);
   }
-  // Counters and accumulated energy must be bit-identical: the batch
-  // accounts each cycle in the same order the sequential loop does.
-  EXPECT_EQ(batched.searches(), sequential.searches());
-  EXPECT_EQ(batched.ConsumedEnergyJ(), sequential.ConsumedEnergyJ());
 }
 
 // ------------------------------------------------- bank kernels
@@ -443,13 +441,12 @@ TEST(TcamLinearTierTest, PartialBanksMatchBruteForce) {
       }
       keys.push_back(BitKey::FromString(bits));
     }
-    std::vector<std::optional<TcamSearchResult>> batched;
-    table.SearchBatch(keys, batched);
+    const auto batched = SearchBatch(table, keys);
     ASSERT_EQ(batched.size(), keys.size());
     std::size_t hits = 0;
     for (std::size_t probe = 0; probe < keys.size(); ++probe) {
       const auto want = NaiveSearch(table, keys[probe]);
-      ExpectSameHit(table.Search(keys[probe]), want, probe);
+      ExpectSameHit(Search(table, keys[probe]), want, probe);
       ExpectSameHit(batched[probe], want, probe);
       if (want.has_value()) ++hits;
     }
@@ -461,12 +458,9 @@ TEST(TcamSearchBatchTest, EmptyBatchIsANoOp) {
   TcamTable t(8, TcamTechnology::MemristorTcam());
   t.Insert({TernaryWord::FromString("1XXXXXXX"), 1, 0});
   t.Commit();
-  std::vector<BitKey> keys;
-  std::vector<std::optional<TcamSearchResult>> out(3);
-  t.SearchBatch(keys, out);
+  std::vector<std::optional<TcamEngineHit>> out(3);
+  t.snapshot()->engine.SearchBatch(nullptr, 0, out);
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(t.searches(), 0u);
-  EXPECT_EQ(t.ConsumedEnergyJ(), 0.0);
 }
 
 // ------------------------------------------------------------ LPM engine
@@ -539,31 +533,25 @@ TEST(LpmEngineTest, RejectsBadPrefixLength) {
 
 TEST(LpmTableTest, LookupBatchBitIdenticalToSequential) {
   analognf::RandomStream rng(55);
-  LpmTable sequential(TcamTechnology::MemristorTcam());
-  LpmTable batched(TcamTechnology::MemristorTcam());
+  LpmTable lpm(TcamTechnology::MemristorTcam());
   for (std::size_t i = 0; i < 32; ++i) {
     const auto value =
         static_cast<std::uint32_t>(rng.NextIndex(0x100000000ULL));
     const int len = static_cast<int>(rng.NextIndex(25));
-    sequential.AddRoute(value, len, static_cast<std::uint32_t>(i));
-    batched.AddRoute(value, len, static_cast<std::uint32_t>(i));
+    lpm.AddRoute(value, len, static_cast<std::uint32_t>(i));
   }
-  sequential.Commit();
-  batched.Commit();
+  lpm.Commit();
   std::vector<std::uint32_t> addrs;
   for (std::size_t probe = 0; probe < 500; ++probe) {
     addrs.push_back(
         static_cast<std::uint32_t>(rng.NextIndex(0x100000000ULL)));
   }
-  std::vector<std::optional<TcamSearchResult>> out;
-  batched.LookupBatch(addrs.data(), addrs.size(), out);
+  std::vector<std::optional<TcamEngineHit>> out;
+  lpm.snapshot()->engine.LookupBatch(addrs.data(), addrs.size(), out);
   ASSERT_EQ(out.size(), addrs.size());
   for (std::size_t probe = 0; probe < addrs.size(); ++probe) {
-    ExpectSameHit(out[probe], LookupOne(sequential, addrs[probe]), probe);
+    ExpectSameHit(out[probe], LookupOne(lpm, addrs[probe]), probe);
   }
-  EXPECT_EQ(batched.table().searches(), sequential.table().searches());
-  EXPECT_EQ(batched.table().ConsumedEnergyJ(),
-            sequential.table().ConsumedEnergyJ());
 }
 
 // -------------------------------------- delta-commit churn differential
@@ -655,16 +643,15 @@ TEST_P(DeltaCommitDifferential, TcamChurnMatchesFullRecompile) {
       }
       keys.push_back(BitKey::FromString(bits));
     }
-    std::vector<std::optional<TcamSearchResult>> batched;
-    delta.SearchBatch(keys, batched);
+    const auto batched = SearchBatch(delta, keys);
     for (std::size_t probe = 0; probe < keys.size(); ++probe) {
-      const auto got = delta.Search(keys[probe]);
+      const auto got = Search(delta, keys[probe]);
       // From-scratch semantics: the naive scan of the slot array.
       ExpectSameHit(got, NaiveSearch(delta, keys[probe]), probe);
       ExpectSameHit(batched[probe], got, probe);
       // Cross-check the winning rule against the always-recompiled
       // reference (slot indices may differ; the rule must not).
-      const auto want = full.Search(keys[probe]);
+      const auto want = Search(full, keys[probe]);
       ASSERT_EQ(got.has_value(), want.has_value()) << "probe " << probe;
       if (got.has_value()) {
         EXPECT_EQ(got->action, want->action) << "probe " << probe;
@@ -700,7 +687,7 @@ TEST_P(DeltaCommitDifferential, LpmChurnMatchesFullRecompileAndNaiveScan) {
   // naive longest-prefix scan.
   struct LiveRoute {
     RouteKey key;
-    TcamSearchResult hit;
+    TcamEngineHit hit;
   };
   std::vector<LiveRoute> live;
   std::uint32_t next_action = 0;
@@ -733,7 +720,7 @@ TEST_P(DeltaCommitDifferential, LpmChurnMatchesFullRecompileAndNaiveScan) {
   // From-scratch semantics: the longest live prefix matching `addr`,
   // ties to the lowest index.
   auto naive = [&](std::uint32_t addr) {
-    std::optional<TcamSearchResult> want;
+    std::optional<TcamEngineHit> want;
     for (const LiveRoute& r : live) {
       const int shift = 32 - r.key.len;  // len >= 1: no shift by 32
       if ((addr >> shift) != (r.key.value >> shift)) continue;
@@ -750,7 +737,7 @@ TEST_P(DeltaCommitDifferential, LpmChurnMatchesFullRecompileAndNaiveScan) {
   full.Commit();
 
   std::vector<std::uint32_t> addrs;
-  std::vector<std::optional<TcamSearchResult>> batched;
+  std::vector<std::optional<TcamEngineHit>> batched;
   for (std::size_t round = 0; round < 60; ++round) {
     const std::size_t ops = 1 + rng.NextIndex(3);
     for (std::size_t op = 0; op < ops; ++op) {
@@ -780,7 +767,7 @@ TEST_P(DeltaCommitDifferential, LpmChurnMatchesFullRecompileAndNaiveScan) {
       }
       addrs.push_back(addr);
     }
-    delta.LookupBatch(addrs.data(), addrs.size(), batched);
+    delta.snapshot()->engine.LookupBatch(addrs.data(), addrs.size(), batched);
     for (std::size_t probe = 0; probe < addrs.size(); ++probe) {
       const auto got = LookupOne(delta, addrs[probe]);
       ExpectSameHit(got, LookupOne(full, addrs[probe]), probe);

@@ -766,8 +766,36 @@ TEST(LoadDriverTest, BlockModeDropsNothing) {
   EXPECT_EQ(report.dropped_packets, 0u);
   EXPECT_EQ(report.achieved_packets, report.offered_packets);
   for (const traffic::PortLoadStats& ps : report.ports) {
-    EXPECT_GT(ps.p99_batch_ns, 0.0);
-    EXPECT_GE(ps.p99_batch_ns, 0.0);
+    EXPECT_GT(ps.p50_batch_ns, 0.0);
+    EXPECT_GE(ps.p99_batch_ns, ps.p50_batch_ns);
+  }
+}
+
+// The sojourn quantiles are exact order statistics of the recorded
+// batches: with one batch per port, p50 and p99 both equal its sojourn,
+// which is also the whole sum of the port's ingress.batch_ns histogram.
+TEST(LoadDriverTest, SingleBatchSojournQuantilesAreExact) {
+  traffic::LoadDriverConfig config = SmallDriverConfig();
+  config.packets_per_port = config.batch_size;
+  config.overflow = traffic::LoadDriverConfig::Overflow::kBlock;
+  std::vector<double> histogram_sums;
+  config.inspect = [&histogram_sums](arch::SwitchGroup& group,
+                                     const traffic::LoadReport&) {
+    for (std::size_t p = 0; p < group.ports(); ++p) {
+      for (const telemetry::HistogramSample& h :
+           group.device(p).telemetry().metrics().Snapshot().histograms) {
+        if (h.name == "ingress.batch_ns") histogram_sums.push_back(h.sum);
+      }
+    }
+  };
+  traffic::LoadDriver driver(config);
+  const traffic::LoadReport report = driver.Run();
+  ASSERT_EQ(histogram_sums.size(), report.ports.size());
+  for (std::size_t p = 0; p < report.ports.size(); ++p) {
+    const traffic::PortLoadStats& ps = report.ports[p];
+    EXPECT_EQ(ps.achieved_batches, 1u);
+    EXPECT_EQ(ps.p50_batch_ns, histogram_sums[p]);
+    EXPECT_EQ(ps.p99_batch_ns, histogram_sums[p]);
   }
 }
 
